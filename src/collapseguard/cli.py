@@ -11,7 +11,6 @@ Worker count for Monte-Carlo trials comes from COLLAPSEGUARD_WORKERS.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -25,6 +24,7 @@ from .experiments import (
     compare_runs,
     emit_plot,
     ensure_checks_pass,
+    read_config_json,
     read_results_csv,
     run_checks,
     run_experiment,
@@ -88,27 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_raw_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputValidationError("config root must be a JSON object")
-    return raw
-
-
 def _resolve_scenario(command: str, raw: dict) -> str:
     allowed = _COMMAND_SCENARIOS[command]
     declared = raw.get("scenario")
     if declared is None:
         if command == "simulate-workflow":
-            filter_kind = (raw.get("filter") or {}).get("kind", "none")
+            section = raw.get("filter")
+            # a non-mapping section is left for the config parser to reject by name
+            filter_kind = section.get("kind", "none") if isinstance(section, dict) else "none"
             return "workflow" if filter_kind == "none" else "workflow-filtered"
         return allowed[0]
     if declared not in allowed:
@@ -120,15 +107,16 @@ def _resolve_scenario(command: str, raw: dict) -> str:
 
 
 def _run_scenario_command(args) -> int:
-    raw = _load_raw_config(args.config)
+    raw = read_config_json(args.config) if args.config is not None else {}
     raw["scenario"] = _resolve_scenario(args.command, raw)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.trials is not None:
         raw["trials"] = args.trials
         if args.command == "measure-concentration":
-            raw.setdefault("concentration", {})
-            raw["concentration"]["trials"] = args.trials
+            section = raw.get("concentration")
+            if section is None or isinstance(section, dict):
+                raw["concentration"] = {**(section or {}), "trials": args.trials}
     if args.out is not None:
         raw["out_dir"] = args.out
 

@@ -73,6 +73,7 @@ class LyapunovMetric:
         return vectors / np.sqrt(values)[None, :]
 
     def value(self, e) -> float:
+        """V(e) = e' P e; zero exactly at e = 0."""
         return quad_form(self.p_matrix, e)
 
     def values(self, errors: np.ndarray) -> np.ndarray:
@@ -80,11 +81,6 @@ class LyapunovMetric:
         if self.is_identity:
             return np.einsum("ij,ij->i", errors, errors)
         return np.einsum("ij,ij->i", errors @ self.p_matrix, errors)
-
-
-def lyapunov_value(metric: LyapunovMetric, e) -> float:
-    """V(e) = e' P e; zero exactly at e = 0."""
-    return metric.value(e)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +140,6 @@ class ContractionFn:
         return np.clip(raw, 0.0, self.c_max)
 
 
-def contraction_value(c: ContractionFn, metric: LyapunovMetric, e) -> float:
-    return c.value(metric, e)
-
-
 # ---------------------------------------------------------------------------
 # Regulators f
 # ---------------------------------------------------------------------------
@@ -204,10 +196,6 @@ class RegulatorFn:
         if p == 1.0:
             return lambda r: c1 * r
         return lambda r: c1 * r**p
-
-
-def regulator_value(f: RegulatorFn, r: float) -> float:
-    return f.value(r)
 
 
 # ---------------------------------------------------------------------------
@@ -445,31 +433,6 @@ def limsup_bound(f: RegulatorFn, b: float, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # Concentration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConcentrationParams:
-    """Constants of a stretched-exponential estimator tail bound.
-
-    Describes sup_theta P(||est - theta|| >= delta) <= c1 exp(-c2 t^kappa delta^gamma)
-    where t is the generation index feeding the sample-size schedule.
-    """
-
-    c1: float
-    c2: float
-    gamma: float
-    kappa: float
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "gamma", "kappa"):
-            if getattr(self, name) <= 0.0:
-                raise InputValidationError(f"{name} must be positive")
-
-    def rate(self, t: float) -> float:
-        return float(t) ** self.kappa
-
-    def bound(self, delta: float, t: float) -> float:
-        return self.c1 * float(np.exp(-self.c2 * self.rate(t) * delta**self.gamma))
 
 
 def measure_concentration(

@@ -15,8 +15,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -75,52 +75,100 @@ GAUSSIAN_TAIL_3 = math.erfc(3.0 / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
-# Config parsing helpers
+# Config schema: a config dataclass's fields and annotations are the only
+# declaration of its config fields; parsing, echo and hashing walk them.
 # ---------------------------------------------------------------------------
 
 
-def _section(raw, name: str) -> dict:
-    if raw is None:
-        return {}
+def read_config_json(path) -> dict:
+    """Read a JSON config file into the raw mapping ``ExperimentConfig.from_dict`` takes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise InputValidationError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise InputValidationError(f"config section {name!r} must be a mapping")
+        raise InputValidationError("config root must be a JSON object")
     return raw
 
 
-def _reject_unknown(raw: dict, allowed, name: str) -> None:
-    unknown = set(raw) - set(allowed)
+def _parse_fields(cls, raw: dict, path: str):
+    """Build the config dataclass ``cls`` from a JSON mapping, in field order.
+
+    ``path`` is the section name, or "" at the top level. Unknown keys are
+    rejected by name, fields without a default are required, and missing
+    fields take their defaults.
+    """
+    specs = fields(cls)
+    label = path or "config"
+    unknown = set(raw) - {f.name for f in specs}
     if unknown:
-        raise InputValidationError(f"unknown {name} field(s): {', '.join(sorted(unknown))}")
+        raise InputValidationError(f"unknown {label} field(s): {', '.join(sorted(unknown))}")
+    for f in specs:
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise InputValidationError(f"{label} is missing required field {f.name!r}")
+    hints = get_type_hints(cls)
+    prefix = f"{path}." if path else ""
+    values = {
+        f.name: _parse_value(hints[f.name], raw[f.name], prefix + f.name)
+        for f in specs
+        if f.name in raw
+    }
+    return cls(**values)
 
 
-def _num(raw, name: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise InputValidationError(f"{name} must be a number")
-    return float(raw)
+def _parse_value(hint, raw, name: str):
+    """Check one JSON value against its field annotation and convert it."""
+    if is_dataclass(hint):
+        if raw is None:
+            return hint()
+        if not isinstance(raw, dict):
+            raise InputValidationError(f"config section {name!r} must be a mapping")
+        return _parse_fields(hint, raw, name)
+    args = get_args(hint)
+    if type(None) in args:
+        if raw is None:
+            return None
+        hint = args[0]
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if not isinstance(raw, (list, tuple)):
+            kind = "numbers" if item is float else "integers"
+            raise InputValidationError(f"{name} must be a sequence of {kind}")
+        return tuple(_parse_value(item, v, f"{name}[{i}]") for i, v in enumerate(raw))
+    if hint is str:
+        if not isinstance(raw, str):
+            raise InputValidationError(f"{name} must be a string")
+        return raw
+    if hint is int:
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise InputValidationError(f"{name} must be an integer")
+        return int(raw)
+    if hint is float:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise InputValidationError(f"{name} must be a number")
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise InputValidationError(f"{name} must be a finite number")
+        return value
+    raise TypeError(f"unsupported config annotation {hint!r} on {name}")
 
 
-def _int(raw, name: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise InputValidationError(f"{name} must be an integer")
-    return int(raw)
+def _echo(spec) -> dict:
+    """A config dataclass as JSON data: fields in declaration order, tuples as lists.
 
-
-def _str(raw, name: str) -> str:
-    if not isinstance(raw, str):
-        raise InputValidationError(f"{name} must be a string")
-    return raw
-
-
-def _float_tuple(raw, name: str) -> tuple[float, ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise InputValidationError(f"{name} must be a sequence of numbers")
-    return tuple(_num(v, f"{name}[{i}]") for i, v in enumerate(raw))
-
-
-def _int_tuple(raw, name: str) -> tuple[int, ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise InputValidationError(f"{name} must be a sequence of integers")
-    return tuple(_int(v, f"{name}[{i}]") for i, v in enumerate(raw))
+    The order is part of the train-filter checkpoint's bytes, which dump this
+    echo without sorting keys.
+    """
+    return asdict(
+        spec,
+        dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +187,6 @@ class ModelSpec:
         if self.theta_star is not None and len(self.theta_star) != self.dim:
             raise InputValidationError("model.theta_star length must equal model.dim")
 
-    @classmethod
-    def from_dict(cls, raw) -> "ModelSpec":
-        raw = _section(raw, "model")
-        _reject_unknown(raw, ("family", "dim", "theta_star"), "model")
-        out = cls(
-            family=_str(raw.get("family", expfam.GAUSSIAN), "model.family"),
-            dim=_int(raw.get("dim", 1), "model.dim"),
-            theta_star=(
-                _float_tuple(raw["theta_star"], "model.theta_star")
-                if raw.get("theta_star") is not None
-                else None
-            ),
-        )
-        return out
-
     def build(self) -> tuple[expfam.ExpFamilyModel, expfam.Parameter]:
         model = expfam.ExpFamilyModel(self.family, self.dim)
         theta = (
@@ -162,13 +195,6 @@ class ModelSpec:
             else np.ones(self.dim)
         )
         return model, expfam.Parameter(theta, model)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "dim": self.dim,
-            "theta_star": list(self.theta_star) if self.theta_star is not None else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -180,21 +206,8 @@ class ScheduleSpec:
     def __post_init__(self):
         self.build()
 
-    @classmethod
-    def from_dict(cls, raw) -> "ScheduleSpec":
-        raw = _section(raw, "schedule")
-        _reject_unknown(raw, ("kind", "base", "exponent"), "schedule")
-        return cls(
-            kind=_str(raw.get("kind", "constant"), "schedule.kind"),
-            base=_int(raw.get("base", 100), "schedule.base"),
-            exponent=_num(raw.get("exponent", 0.0), "schedule.exponent"),
-        )
-
     def build(self) -> SampleSchedule:
         return SampleSchedule(self.kind, base=self.base, exponent=self.exponent)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "base": self.base, "exponent": self.exponent}
 
 
 @dataclass(frozen=True)
@@ -206,21 +219,8 @@ class NoiseSpec:
     def __post_init__(self):
         self.build()
 
-    @classmethod
-    def from_dict(cls, raw) -> "NoiseSpec":
-        raw = _section(raw, "noise")
-        _reject_unknown(raw, ("kind", "beta", "scale"), "noise")
-        return cls(
-            kind=_str(raw.get("kind", "power-law"), "noise.kind"),
-            beta=_num(raw.get("beta", 1.0), "noise.beta"),
-            scale=_num(raw.get("scale", 1.0), "noise.scale"),
-        )
-
     def build(self, metric: LyapunovMetric | None = None) -> NoiseSchedule:
         return NoiseSchedule(self.kind, beta=self.beta, scale=self.scale, metric=metric)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "beta": self.beta, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -233,17 +233,6 @@ class ContractionSpec:
     def __post_init__(self):
         self.build()
 
-    @classmethod
-    def from_dict(cls, raw) -> "ContractionSpec":
-        raw = _section(raw, "contraction")
-        _reject_unknown(raw, ("kind", "alpha", "level", "c_max"), "contraction")
-        return cls(
-            kind=_str(raw.get("kind", "example-sqrt"), "contraction.kind"),
-            alpha=_num(raw.get("alpha", 1.0), "contraction.alpha"),
-            level=_num(raw.get("level", 0.5), "contraction.level"),
-            c_max=_num(raw.get("c_max", 0.9), "contraction.c_max"),
-        )
-
     def build(self) -> ContractionFn:
         if self.kind == "example-sqrt":
             return ContractionFn.example_sqrt()
@@ -252,9 +241,6 @@ class ContractionSpec:
         if self.kind == "constant":
             return ContractionFn.constant(self.level)
         raise InputValidationError(f"unknown contraction.kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha, "level": self.level, "c_max": self.c_max}
 
 
 @dataclass(frozen=True)
@@ -274,20 +260,6 @@ class FilterSpec:
         if self.candidates_per_round < 2:
             raise InputValidationError("filter.candidates_per_round must be at least 2")
 
-    @classmethod
-    def from_dict(cls, raw) -> "FilterSpec":
-        raw = _section(raw, "filter")
-        _reject_unknown(raw, ("kind", "gamma", "checkpoint", "candidates_per_round"), "filter")
-        checkpoint = raw.get("checkpoint")
-        return cls(
-            kind=_str(raw.get("kind", "none"), "filter.kind"),
-            gamma=_num(raw.get("gamma", 0.5), "filter.gamma"),
-            checkpoint=_str(checkpoint, "filter.checkpoint") if checkpoint is not None else None,
-            candidates_per_round=_int(
-                raw.get("candidates_per_round", 1000), "filter.candidates_per_round"
-            ),
-        )
-
     def build(self, theta_star: expfam.Parameter) -> FilterHandle | None:
         if self.kind == "none":
             return None
@@ -298,14 +270,6 @@ class FilterSpec:
             return FilterHandle.oracle_pullback(theta_star, self.gamma)
         params, pca, _ = load_filter_checkpoint(self.checkpoint)
         return FilterHandle.mlp(params, pca)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gamma": self.gamma,
-            "checkpoint": self.checkpoint,
-            "candidates_per_round": self.candidates_per_round,
-        }
 
 
 @dataclass(frozen=True)
@@ -332,28 +296,6 @@ class RatesSpec:
             raise InputValidationError("rates.tail_fraction must lie in (0, 1]")
         self.build_regulator()
 
-    @classmethod
-    def from_dict(cls, raw) -> "RatesSpec":
-        raw = _section(raw, "rates")
-        allowed = (
-            "kind", "p", "c1", "c2", "x0", "steps",
-            "noise_kind", "noise_beta", "noise_scale", "tail_fraction",
-        )
-        _reject_unknown(raw, allowed, "rates")
-        c2 = raw.get("c2")
-        return cls(
-            kind=_str(raw.get("kind", "power-law"), "rates.kind"),
-            p=_num(raw.get("p", 2.0), "rates.p"),
-            c1=_num(raw.get("c1", 1.0), "rates.c1"),
-            c2=_num(c2, "rates.c2") if c2 is not None else None,
-            x0=_num(raw.get("x0", 1.0), "rates.x0"),
-            steps=_int(raw.get("steps", 100000), "rates.steps"),
-            noise_kind=_str(raw.get("noise_kind", "power-law"), "rates.noise_kind"),
-            noise_beta=_num(raw.get("noise_beta", 1.0), "rates.noise_beta"),
-            noise_scale=_num(raw.get("noise_scale", 1.0), "rates.noise_scale"),
-            tail_fraction=_num(raw.get("tail_fraction", 0.9), "rates.tail_fraction"),
-        )
-
     def build_regulator(self) -> RegulatorFn:
         if self.kind == "example-sqrt":
             return RegulatorFn.example_sqrt()
@@ -376,20 +318,6 @@ class RatesSpec:
             return -self.noise_beta
         return -min(1.0 / (self.p - 1.0), self.noise_beta / self.p)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "c1": self.c1,
-            "c2": self.c2,
-            "x0": self.x0,
-            "steps": self.steps,
-            "noise_kind": self.noise_kind,
-            "noise_beta": self.noise_beta,
-            "noise_scale": self.noise_scale,
-            "tail_fraction": self.tail_fraction,
-        }
-
 
 @dataclass(frozen=True)
 class ConcentrationSpec:
@@ -404,20 +332,6 @@ class ConcentrationSpec:
             raise InputValidationError("concentration.delta must be nonnegative")
         if self.trials < 100:
             raise InputValidationError("concentration.trials must be at least 100")
-
-    @classmethod
-    def from_dict(cls, raw) -> "ConcentrationSpec":
-        raw = _section(raw, "concentration")
-        _reject_unknown(raw, ("sizes", "delta", "trials"), "concentration")
-        sizes = raw.get("sizes", (1, 10, 100))
-        return cls(
-            sizes=_int_tuple(sizes, "concentration.sizes"),
-            delta=_num(raw.get("delta", 3.0), "concentration.delta"),
-            trials=_int(raw.get("trials", 10000), "concentration.trials"),
-        )
-
-    def to_dict(self) -> dict:
-        return {"sizes": list(self.sizes), "delta": self.delta, "trials": self.trials}
 
 
 @dataclass(frozen=True)
@@ -445,46 +359,6 @@ class TrainingSpec:
             raise InputValidationError("training epochs/hidden_dim/pca_k out of range")
         if not 0.0 <= self.holdout_fraction <= 0.5:
             raise InputValidationError("training.holdout_fraction must lie in [0, 0.5]")
-
-    @classmethod
-    def from_dict(cls, raw) -> "TrainingSpec":
-        raw = _section(raw, "training")
-        allowed = (
-            "rounds", "candidates_per_round", "contamination", "drift_scale", "epochs",
-            "hidden_dim", "pca_k", "lambda_contract", "ess_weight", "learning_rate",
-            "holdout_fraction",
-        )
-        _reject_unknown(raw, allowed, "training")
-        return cls(
-            rounds=_int(raw.get("rounds", 3), "training.rounds"),
-            candidates_per_round=_int(
-                raw.get("candidates_per_round", 1000), "training.candidates_per_round"
-            ),
-            contamination=_num(raw.get("contamination", 0.3), "training.contamination"),
-            drift_scale=_num(raw.get("drift_scale", 1.0), "training.drift_scale"),
-            epochs=_int(raw.get("epochs", 1200), "training.epochs"),
-            hidden_dim=_int(raw.get("hidden_dim", 64), "training.hidden_dim"),
-            pca_k=_int(raw.get("pca_k", 0), "training.pca_k"),
-            lambda_contract=_num(raw.get("lambda_contract", 1.0), "training.lambda_contract"),
-            ess_weight=_num(raw.get("ess_weight", 0.0), "training.ess_weight"),
-            learning_rate=_num(raw.get("learning_rate", 3e-3), "training.learning_rate"),
-            holdout_fraction=_num(raw.get("holdout_fraction", 0.25), "training.holdout_fraction"),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "candidates_per_round": self.candidates_per_round,
-            "contamination": self.contamination,
-            "drift_scale": self.drift_scale,
-            "epochs": self.epochs,
-            "hidden_dim": self.hidden_dim,
-            "pca_k": self.pca_k,
-            "lambda_contract": self.lambda_contract,
-            "ess_weight": self.ess_weight,
-            "learning_rate": self.learning_rate,
-            "holdout_fraction": self.holdout_fraction,
-        }
 
 
 @dataclass(frozen=True)
@@ -528,71 +402,13 @@ class ExperimentConfig:
             raise InputValidationError("workflow-filtered requires filter.kind != 'none'")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise InputValidationError("config must be a mapping")
-        allowed = (
-            "scenario", "seed", "model", "horizon", "trials", "deltas", "out_dir",
-            "initial_error", "schedule", "noise", "contraction", "filter", "rates",
-            "concentration", "training",
-        )
-        _reject_unknown(raw, allowed, "config")
-        if "scenario" not in raw:
-            raise InputValidationError("config is missing required field 'scenario'")
-        if "seed" not in raw:
-            raise InputValidationError("config is missing required field 'seed'")
-        initial_error = raw.get("initial_error")
-        return cls(
-            scenario=_str(raw["scenario"], "scenario"),
-            seed=_int(raw["seed"], "seed"),
-            model=ModelSpec.from_dict(raw.get("model")),
-            horizon=_int(raw.get("horizon", 100), "horizon"),
-            trials=_int(raw.get("trials", 100), "trials"),
-            deltas=_float_tuple(raw.get("deltas", FIXED_DELTAS), "deltas"),
-            out_dir=_str(raw.get("out_dir", "."), "out_dir"),
-            initial_error=(
-                _float_tuple(initial_error, "initial_error")
-                if initial_error is not None
-                else None
-            ),
-            schedule=ScheduleSpec.from_dict(raw.get("schedule")),
-            noise=NoiseSpec.from_dict(raw.get("noise")),
-            contraction=ContractionSpec.from_dict(raw.get("contraction")),
-            filter=FilterSpec.from_dict(raw.get("filter")),
-            rates=RatesSpec.from_dict(raw.get("rates")),
-            concentration=ConcentrationSpec.from_dict(raw.get("concentration")),
-            training=TrainingSpec.from_dict(raw.get("training")),
-        )
+        return _parse_fields(cls, raw, "")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "model": self.model.to_dict(),
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "deltas": list(self.deltas),
-            "out_dir": self.out_dir,
-            "initial_error": list(self.initial_error) if self.initial_error else None,
-            "schedule": self.schedule.to_dict(),
-            "noise": self.noise.to_dict(),
-            "contraction": self.contraction.to_dict(),
-            "filter": self.filter.to_dict(),
-            "rates": self.rates.to_dict(),
-            "concentration": self.concentration.to_dict(),
-            "training": self.training.to_dict(),
-        }
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+        return _echo(self)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -947,8 +763,8 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
         "pca_k": k,
         "theta_good": theta_good.theta.tolist(),
         "e_est": train_config.e_est.tolist(),
-        "training": spec.to_dict(),
-        "contraction": config.contraction.to_dict(),
+        "training": _echo(spec),
+        "contraction": _echo(config.contraction),
     }
 
     log_lines = [TRAINING_LOG_HEADER]

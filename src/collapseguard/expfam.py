@@ -158,11 +158,6 @@ def sufficient_stat(model: ExpFamilyModel, x) -> np.ndarray:
     return v.copy()
 
 
-def sufficient_stats(model: ExpFamilyModel, points) -> np.ndarray:
-    """T applied row-wise to a batch."""
-    return as_dataset(model, points).copy()
-
-
 def mean_map(model: ExpFamilyModel, theta: Parameter) -> np.ndarray:
     """E[T(x)] under the parameter (the gradient of the log-partition)."""
     if theta.model != model:

@@ -90,6 +90,36 @@ class TestScenarioCommands:
         assert main(["simulate-dynamics", "--config", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, field, kind",
+        [("noise", "scale", "power-law"), ("contraction", "alpha", "quadratic")],
+    )
+    def test_non_finite_config_number_is_a_validation_failure(
+        self, tmp_path, capsys, section, field, kind
+    ):
+        # json.dumps writes NaN, which json.load reads back
+        config = _write_config(
+            tmp_path / "config.json",
+            {"seed": 1, "horizon": 5, "trials": 5, section: {"kind": kind, field: float("nan")}},
+        )
+        rc = main(["simulate-dynamics", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{section}.{field} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_mapping_filter_section_is_a_validation_failure(self, tmp_path, capsys):
+        config = _write_config(tmp_path / "config.json", {"seed": 1, "filter": [1]})
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "config section 'filter' must be a mapping" in capsys.readouterr().err
+
+    def test_trials_flag_applies_to_a_null_concentration_section(self, tmp_path):
+        config = _write_config(tmp_path / "config.json", {"seed": 1, "concentration": None})
+        out = tmp_path / "out"
+        rc = main(["measure-concentration", "--config", config, "--trials", "150", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "summary.json").read_text())["trials"] == 150
+
     def test_workflow_scenario_follows_the_filter_section(self, tmp_path):
         filtered = _write_config(
             tmp_path / "filtered.json",

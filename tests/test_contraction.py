@@ -13,15 +13,12 @@ from collapseguard.contraction import (
     check_matrix_contraction,
     check_regulation,
     constant_bounds,
-    contraction_value,
     fit_decay_rate,
     limsup_bound,
-    lyapunov_value,
     make_probe_points,
     measure_concentration,
     power_law_bounds,
     recurrence_simulate,
-    regulator_value,
 )
 from collapseguard.errors import InputValidationError
 from collapseguard.expfam import GAUSSIAN, ExpFamilyModel, Parameter
@@ -50,19 +47,19 @@ class TestLyapunovMetric:
 
 class TestLyapunovValue:
     def test_identity_metric_sums_squares(self):
-        assert lyapunov_value(LyapunovMetric.identity(2), np.array([1.0, 1.0])) == 2.0
+        assert LyapunovMetric.identity(2).value(np.array([1.0, 1.0])) == 2.0
 
     def test_diagonal_metric(self):
         metric = LyapunovMetric(np.diag([2.0, 3.0]))
-        assert lyapunov_value(metric, np.array([1.0, 0.0])) == pytest.approx(2.0)
+        assert metric.value(np.array([1.0, 0.0])) == pytest.approx(2.0)
 
     def test_zero_error_gives_zero(self):
         metric = LyapunovMetric(np.diag([4.0, 9.0]))
-        assert lyapunov_value(metric, np.zeros(2)) == 0.0
+        assert metric.value(np.zeros(2)) == 0.0
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputValidationError):
-            lyapunov_value(LyapunovMetric.identity(2), np.ones(3))
+            LyapunovMetric.identity(2).value(np.ones(3))
 
 
 class TestContractionValue:
@@ -70,19 +67,19 @@ class TestContractionValue:
 
     def test_sqrt_form_vanishes_at_origin(self):
         c = ContractionFn.example_sqrt()
-        assert contraction_value(c, LyapunovMetric.identity(2), np.zeros(2)) == 0.0
+        assert c.value(LyapunovMetric.identity(2), np.zeros(2)) == 0.0
 
     def test_sqrt_form_at_energy_three(self):
         """1 - (3 + 1)^(-1/2) = 0.5."""
         c = ContractionFn.example_sqrt()
         e = np.array([1.0, 1.0, 1.0])
-        out = contraction_value(c, LyapunovMetric.identity(3), e)
+        out = c.value(LyapunovMetric.identity(3), e)
         assert out == pytest.approx(0.5, abs=1e-12)
 
     def test_quadratic_clamp_engages(self):
         c = ContractionFn.quadratic(alpha=0.1, c_max=0.9)
         e = np.array([10.0, 0.0])
-        out = contraction_value(c, LyapunovMetric.identity(2), e)
+        out = c.value(LyapunovMetric.identity(2), e)
         assert out == pytest.approx(0.9, abs=0)
 
     def test_range_stays_in_zero_to_c_max(self):
@@ -95,25 +92,25 @@ class TestContractionValue:
         ):
             for _ in range(200):
                 e = rng.normal(scale=rng.uniform(0.01, 30.0), size=3)
-                value = contraction_value(c, metric, e)
+                value = c.value(metric, e)
                 assert 0.0 <= value <= c.c_max or value == pytest.approx(c.level)
 
 
 class TestRegulatorValue:
     def test_sqrt_form_vanishes_at_origin(self):
-        assert regulator_value(RegulatorFn.example_sqrt(), 0.0) == 0.0
+        assert RegulatorFn.example_sqrt().value(0.0) == 0.0
 
     def test_sqrt_form_at_three(self):
         """3 * (1 - (3 + 1)^(-1/2)) = 1.5."""
-        assert regulator_value(RegulatorFn.example_sqrt(), 3.0) == pytest.approx(1.5)
+        assert RegulatorFn.example_sqrt().value(3.0) == pytest.approx(1.5)
 
     def test_power_law_square(self):
         f = RegulatorFn.power_law(p=2, c1=1.0)
-        assert regulator_value(f, 0.1) == pytest.approx(0.01)
+        assert f.value(0.1) == pytest.approx(0.01)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(InputValidationError):
-            regulator_value(RegulatorFn.example_sqrt(), -0.5)
+            RegulatorFn.example_sqrt().value(-0.5)
 
     def test_midpoint_convexity_on_grid(self):
         grid = np.linspace(0.0, 50.0, 200)
@@ -122,8 +119,8 @@ class TestRegulatorValue:
             RegulatorFn.power_law(p=2, c1=0.7),
             RegulatorFn.power_law(p=3, c1=1.3),
         ):
-            values = np.array([regulator_value(f, r) for r in grid])
-            mid = np.array([regulator_value(f, r) for r in (grid[:-2] + grid[2:]) / 2])
+            values = np.array([f.value(r) for r in grid])
+            mid = np.array([f.value(r) for r in (grid[:-2] + grid[2:]) / 2])
             assert np.all(mid <= (values[:-2] + values[2:]) / 2 + 1e-12)
 
 
@@ -219,9 +216,9 @@ class TestContractionMap:
         rng = np.random.default_rng(10)
         for _ in range(100):
             e = rng.normal(scale=rng.uniform(0.1, 10.0), size=3)
-            v = lyapunov_value(metric, e)
-            c = contraction_value(ContractionFn.example_sqrt(), metric, e)
-            v_next = lyapunov_value(metric, map_.apply(e))
+            v = metric.value(e)
+            c = ContractionFn.example_sqrt().value(metric, e)
+            v_next = metric.value(map_.apply(e))
             np.testing.assert_allclose(v_next, (1.0 - c) * v, rtol=1e-12)
 
     def test_explicit_matrix_map(self):

@@ -7,7 +7,6 @@ from collapseguard.contraction import (
     ContractionFn,
     ContractionMap,
     LyapunovMetric,
-    lyapunov_value,
 )
 from collapseguard.dynamics import (
     ErrorTrajectory,
@@ -148,7 +147,7 @@ class TestSimulateErrorDynamics:
         assert traj.errors.shape == (41, 2)
         for t in (0, 7, 40):
             assert traj.vs[t] == pytest.approx(
-                lyapunov_value(metric, traj.errors[t]), rel=1e-12
+                metric.value(traj.errors[t]), rel=1e-12
             )
 
     def test_divergence_freezes_and_records_step(self):

@@ -1,5 +1,6 @@
 """Tests for experiment configs, artifact files, scenario runners, and checks."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from collapseguard.errors import CheckFailureError, InputValidationError
 from collapseguard.experiments import (
+    ConcentrationSpec,
     COMPARE_HEADER,
     CSV_HEADER,
     TRAINING_LOG_HEADER,
@@ -21,7 +23,7 @@ from collapseguard.experiments import (
     emit_plot,
     ensure_checks_pass,
     exceedance_trend_rise,
-    load_config,
+    read_config_json,
     read_results_csv,
     run_checks,
     run_experiment,
@@ -135,19 +137,57 @@ class TestConfigParsing:
         with pytest.raises(InputValidationError, match="checkpoint"):
             ExperimentConfig.from_dict(raw)
 
-    def test_load_config_reads_json_and_reports_bad_files(self, tmp_path):
+    def test_read_config_json_reads_json_and_reports_bad_files(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scenario": "dynamics", "seed": 9}))
-        assert load_config(path).seed == 9
+        assert ExperimentConfig.from_dict(read_config_json(path)).seed == 9
         with pytest.raises(InputValidationError, match="cannot read"):
-            load_config(tmp_path / "missing.json")
+            read_config_json(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(InputValidationError, match="JSON"):
-            load_config(bad)
+            read_config_json(bad)
+        listed = tmp_path / "list.json"
+        listed.write_text("[1]")
+        with pytest.raises(InputValidationError, match="JSON object"):
+            read_config_json(listed)
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"model": {"dim": 1.5}}, "model.dim must be an integer"),
+            ({"rates": {"c2": "x"}}, "rates.c2 must be a number"),
+            ({"concentration": {"sizes": [1.5]}}, "concentration.sizes[0] must be an integer"),
+            ({"model": "m"}, "config section 'model' must be a mapping"),
+        ],
+    )
+    def test_wrong_type_names_the_dotted_field(self, override, message):
+        raw = {"scenario": "dynamics", "seed": 1, **override}
+        with pytest.raises(InputValidationError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == message
+
+    def test_echo_follows_dataclass_field_order(self):
+        config = ExperimentConfig.from_dict(_full_config_dict())
+        echo = config.to_dict()
+        assert list(echo) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        training = [f.name for f in dataclasses.fields(type(config.training))]
+        assert list(echo["training"]) == training
+
+    def test_null_sections_take_their_defaults(self):
+        config = ExperimentConfig.from_dict(
+            {"scenario": "dynamics", "seed": 1, "concentration": None}
+        )
+        assert config.concentration == ConcentrationSpec()
 
 
 class TestConfigHash:
+    def test_hash_values_are_pinned(self):
+        # config_hash names the config in every results.csv row and checkpoint
+        assert config_hash(ExperimentConfig.from_dict(_full_config_dict())) == "5f1011cf68f1"
+        minimal = ExperimentConfig.from_dict({"scenario": "dynamics", "seed": 3})
+        assert config_hash(minimal) == "d749d291aa81"
+
     def test_hash_ignores_the_output_directory(self):
         a = _config(out_dir="runs/a")
         b = _config(out_dir="runs/b")
