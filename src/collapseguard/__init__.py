@@ -26,10 +26,7 @@ from .dynamics import (
     SampleSchedule,
     TrialStats,
     run_dynamics_trials,
-    run_workflow,
-    run_workflow_filtered,
     run_workflow_trials,
-    simulate_error_dynamics,
 )
 from .errors import (
     BoundaryError,
@@ -128,13 +125,10 @@ __all__ = [
     "run_checks",
     "run_dynamics_trials",
     "run_experiment",
-    "run_workflow",
-    "run_workflow_filtered",
     "run_workflow_trials",
     "sample",
     "save_filter_checkpoint",
     "simulate_drift_training_data",
-    "simulate_error_dynamics",
     "sufficient_stat",
     "sym_eig",
     "total_loss",

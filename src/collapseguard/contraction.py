@@ -229,31 +229,19 @@ class ContractionMap:
     def explicit(cls, matrix_fn, metric: LyapunovMetric) -> "ContractionMap":
         return cls(metric=metric, matrix_fn=matrix_fn)
 
-    @property
-    def is_scaled_identity(self) -> bool:
-        return self.c_fn is not None
-
-    def matrix(self, e) -> np.ndarray:
-        err = as_vector(e, dim=self.metric.dim, name="e")
-        if self.c_fn is not None:
-            return np.sqrt(1.0 - self.c_fn.value(self.metric, err)) * np.eye(self.metric.dim)
-        a = np.asarray(self.matrix_fn(err), dtype=float)
-        if a.shape != (self.metric.dim, self.metric.dim):
-            raise InputValidationError("matrix_fn must return a (dim, dim) matrix")
-        return a
-
-    def apply(self, e) -> np.ndarray:
-        err = as_vector(e, dim=self.metric.dim, name="e")
-        if self.c_fn is not None:
-            return np.sqrt(1.0 - self.c_fn.value(self.metric, err)) * err
-        return self.matrix(err) @ err
-
     def apply_batch(self, errors: np.ndarray) -> np.ndarray:
         """Row-wise update of a (n, dim) batch."""
         if self.c_fn is not None:
             scale = np.sqrt(1.0 - self.c_fn.values(self.metric, errors))
             return scale[:, None] * errors
-        return np.stack([self.matrix_fn(row) @ row for row in errors])
+        d = self.metric.dim
+        rows = []
+        for row in errors:
+            a = np.asarray(self.matrix_fn(row), dtype=float)
+            if a.shape != (d, d):
+                raise InputValidationError("matrix_fn must return a (dim, dim) matrix")
+            rows.append(a @ row)
+        return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,24 @@
 """Error-dynamics simulators: abstract contraction updates and model workflows.
 
-Two layers share one trajectory format. The abstract layer iterates
-e_{t+1} = A(e_t) e_t + xi_t with martingale-difference noise whose
-P-energy follows a schedule. The workflow layer re-fits an exponential
-family on its own samples each generation, with or without a reweighting
-filter in the loop, which is where estimation error actually comes from.
+Two batched entry points share one trajectory format. ``run_dynamics_trials``
+iterates e_{t+1} = A(e_t) e_t + xi_t, with martingale-difference noise
+whose P-energy follows a schedule, for a whole block of trials per step.
+``run_workflow_trials`` re-fits an exponential family on its own samples
+each generation, with or without a reweighting filter in the loop, which
+is where estimation error actually comes from.
 
-Monte-Carlo helpers fan one base RngState out into one independent stream
-per trial and reduce in fixed trial order, so results do not depend on
-how many workers ran the trials.
+Both fan one base RngState out into one independent stream per trial
+(trial i draws only from ``rng.derive(i)``) and reduce in fixed 256-trial
+blocks, so results do not depend on how many workers ran the trials.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     InputValidationError,
     SimulationOverflowError,
 )
-from .numerics import RngState, as_generator, as_vector
+from .numerics import RngState, as_vector
 
 ZERO = "zero"
 POWER_LAW = "power-law"
@@ -97,15 +98,6 @@ class NoiseSchedule:
     def vanishes(self) -> bool:
         """Whether sigma_t^2 -> 0, the standing noise assumption."""
         return self.kind == ZERO or self.kind == POWER_LAW or self.scale == 0.0
-
-    def sigma_sq(self, t: int) -> float:
-        if t < 0:
-            raise InputValidationError("t must be nonnegative")
-        if self.kind == ZERO:
-            return 0.0
-        if self.kind == CONSTANT:
-            return self.scale
-        return self.scale * float(t + 1) ** -self.beta
 
     def sigma_sq_array(self, start: int, stop: int) -> np.ndarray:
         t = np.arange(start, stop, dtype=float)
@@ -276,96 +268,55 @@ def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
 
 
 # ---------------------------------------------------------------------------
+# Trial fan-out
+# ---------------------------------------------------------------------------
+
+
+def _run_blocks(block_fn, args: tuple, trials: int, workers: int) -> list:
+    """Results of ``block_fn((args, lo, hi))`` for each 256-trial block, in trial order.
+
+    The fixed blocks, not the workers, set the reduction order, so any
+    worker count gives the same result. When a pool is used (more than one
+    worker and more than one block), the first job is pickled up front so
+    that work which cannot reach a worker process fails with a named error.
+    """
+    jobs = [(args, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    if workers < 2 or len(jobs) < 2:
+        return [block_fn(job) for job in jobs]
+    try:
+        pickle.dumps(jobs[0])
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise InputValidationError(
+            f"trial arguments cannot be sent to worker processes ({exc}); use a "
+            f"module-level function or class, or set {WORKERS_ENV_VAR}=1"
+        ) from exc
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(block_fn, jobs))
+
+
+def _check_run(rng, trials: int, horizon) -> int:
+    if not isinstance(rng, RngState):
+        raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
+    if trials < 1:
+        raise InputValidationError("trials must be positive")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 0:
+        raise InputValidationError("horizon must be a nonnegative integer")
+    return int(horizon)
+
+
+# ---------------------------------------------------------------------------
 # Abstract dynamics
 # ---------------------------------------------------------------------------
 
 
-def sample_noise(schedule: NoiseSchedule, t: int, dim: int, rng) -> np.ndarray:
-    """One noise draw xi_t with E[xi' P xi] = sigma_t^2 under the schedule's metric."""
-    if dim < 1:
-        raise InputValidationError("dim must be positive")
-    sigma_sq = schedule.sigma_sq(t)
-    if schedule.kind == ZERO or sigma_sq == 0.0:
-        return np.zeros(dim)
-    gen = as_generator(rng)
-    z = gen.standard_normal(dim)
-    c = schedule.transform(dim)
-    scale = math.sqrt(sigma_sq / dim)
-    if c is None:
-        return scale * z
-    return scale * (z[None, :] @ c.T)[0]
+def _dynamics_block(job):
+    """Simulate one contiguous block of trials, batched across trials.
 
-
-def simulate_error_dynamics(
-    map_: ContractionMap,
-    noise: NoiseSchedule,
-    e0,
-    horizon: int,
-    rng,
-    divergence_cap: float = DIVERGENCE_CAP,
-    trial_id: int = 0,
-) -> ErrorTrajectory:
-    """Iterate e_{t+1} = A(e_t) e_t + xi_t for ``horizon`` steps.
-
-    The trajectory freezes (and is marked diverged) once V exceeds the
-    cap; a state that becomes non-finite raises SimulationOverflowError
-    with the offending step.
+    Each step draws xi_t with E[xi' P xi] = sigma_t^2 under the noise
+    schedule's metric. A trial freezes once V exceeds the cap; a state
+    that becomes non-finite raises SimulationOverflowError with its step.
     """
-    if not isinstance(horizon, (int, np.integer)) or horizon < 0:
-        raise InputValidationError("horizon must be a nonnegative integer")
-    metric = map_.metric
-    dim = metric.dim
-    e = as_vector(e0, dim=dim, name="e0").copy()
-    gen = as_generator(rng)
-    c_transform = noise.transform(dim)
-    zero_noise = noise.kind == ZERO
-
-    errors = np.empty((horizon + 1, dim))
-    vs = np.empty(horizon + 1)
-    errors[0] = e
-    vs[0] = metric.values(e[None, :])[0]
-    diverged_at = None
-    if vs[0] > divergence_cap:
-        diverged_at = 0
-        errors[:] = e
-        vs[:] = vs[0]
-    else:
-        for t in range(horizon):
-            e = map_.apply_batch(e[None, :])[0]
-            if not zero_noise:
-                sigma_sq = noise.sigma_sq(t)
-                if sigma_sq > 0.0:
-                    z = gen.standard_normal(dim)
-                    scale = math.sqrt(sigma_sq / dim)
-                    if c_transform is None:
-                        e = e + scale * z
-                    else:
-                        e = e + scale * (z[None, :] @ c_transform.T)[0]
-            if not np.all(np.isfinite(e)):
-                raise SimulationOverflowError(t + 1)
-            v = metric.values(e[None, :])[0]
-            errors[t + 1] = e
-            vs[t + 1] = v
-            if v > divergence_cap:
-                diverged_at = t + 1
-                errors[t + 2 :] = e
-                vs[t + 2 :] = v
-                break
-
-    return ErrorTrajectory(
-        ts=np.arange(horizon + 1),
-        errors=errors,
-        vs=vs,
-        ns=np.zeros(horizon + 1, dtype=np.int64),
-        horizon=int(horizon),
-        trial_id=trial_id,
-        diverged_at=diverged_at,
-    )
-
-
-def _dynamics_block(args):
-    """Simulate one contiguous block of trials, batched across trials."""
-    (map_, noise, e0, horizon, rng, trial_lo, trial_hi, ds, cap, record) = args
+    (map_, noise, e0, horizon, rng, ds, cap, record), trial_lo, trial_hi = job
     metric = map_.metric
     dim = metric.dim
     b = trial_hi - trial_lo
@@ -445,48 +396,34 @@ def run_dynamics_trials(
     divergence_cap: float = DIVERGENCE_CAP,
     record_trajectories: bool = False,
 ):
-    """Monte-Carlo over independent trials of the abstract dynamics.
+    """Monte-Carlo over independent trials of e_{t+1} = A(e_t) e_t + xi_t.
 
     Trial i draws from ``rng.derive(i)``, so any partition of trials over
     workers reproduces the serial result bit for bit (reduction happens in
-    fixed 256-trial blocks). Returns TrialStats, or (TrialStats, list of
-    ErrorTrajectory) when ``record_trajectories`` is set.
+    fixed 256-trial blocks). A trial freezes, and is marked diverged, once
+    V exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats, list
+    of ErrorTrajectory) when ``record_trajectories`` is set.
     """
-    if not isinstance(rng, RngState):
-        raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
-    if trials < 1:
-        raise InputValidationError("trials must be positive")
+    horizon = _check_run(rng, trials, horizon)
     ds = _validate_deltas(deltas)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
     if workers is None:
         workers = worker_count()
 
-    blocks = [
-        (lo, min(lo + _BLOCK, trials))
-        for lo in range(0, trials, _BLOCK)
-    ]
-    jobs = [
-        (map_, noise, e0, int(horizon), rng, lo, hi, ds, divergence_cap, record_trajectories)
-        for lo, hi in blocks
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_dynamics_block, jobs))
-    else:
-        results = [_dynamics_block(job) for job in jobs]
+    args = (map_, noise, e0, horizon, rng, ds, divergence_cap, record_trajectories)
+    results = _run_blocks(_dynamics_block, args, trials, workers)
 
-    n = int(horizon) + 1
+    n = horizon + 1
     sum_sq = np.zeros(n)
     sum_v = np.zeros(n)
     exceed = np.zeros((len(ds), n))
     trajectories: list[ErrorTrajectory] = []
-    for (lo, hi), (bsq, bv, bex, bdiv, brec) in zip(blocks, results):
+    for lo, (bsq, bv, bex, bdiv, brec) in zip(range(0, trials, _BLOCK), results):
         sum_sq += bsq
         sum_v += bv
         exceed += bex
         if record_trajectories:
-            for i in range(hi - lo):
-                errs = brec[i]
+            for i, errs in enumerate(brec):
                 diverged_at = int(bdiv[i]) if bdiv[i] >= 0 else None
                 trajectories.append(
                     ErrorTrajectory(
@@ -494,7 +431,7 @@ def run_dynamics_trials(
                         errors=errs.copy(),
                         vs=map_.metric.values(errs),
                         ns=np.zeros(n, dtype=np.int64),
-                        horizon=int(horizon),
+                        horizon=horizon,
                         trial_id=lo + i,
                         diverged_at=diverged_at,
                     )
@@ -527,80 +464,10 @@ def _fit_generation(model, points, weights, t):
         raise type(exc)(f"generation {t}: {exc}") from exc
 
 
-def run_workflow(
-    model: expfam.ExpFamilyModel,
-    theta_star: expfam.Parameter,
-    schedule: SampleSchedule,
-    horizon: int,
-    rng,
-    divergence_cap: float = DIVERGENCE_CAP,
-    trial_id: int = 0,
-) -> ErrorTrajectory:
-    """The unfiltered self-consuming loop.
-
-    Generation 0 fits schedule.size(0) real draws from theta_star; each
-    later generation samples schedule.size(t) points from its predecessor's
-    fit and re-estimates. Records e_t = theta_hat_t - theta_star with the
-    identity-metric V.
-    """
-    return _run_workflow_impl(
-        model, theta_star, schedule, horizon, rng, None, None, divergence_cap, trial_id
-    )
-
-
-def run_workflow_filtered(
-    model: expfam.ExpFamilyModel,
-    theta_star: expfam.Parameter,
-    schedule: SampleSchedule,
-    horizon: int,
-    filter_handle,
-    candidates_per_round: int | None,
-    rng,
-    divergence_cap: float = DIVERGENCE_CAP,
-    trial_id: int = 0,
-) -> ErrorTrajectory:
-    """The filtered loop: candidates are reweighted before re-estimation.
-
-    ``filter_handle`` is anything with a ``weights(points) -> array`` method
-    (see the filtering module). ``candidates_per_round=None`` follows the
-    sample schedule each round; an integer fixes the candidate count for
-    every round past the initial real-data fit. A filter emitting all-ones
-    weights reproduces the unfiltered workflow exactly on the same stream
-    and counts.
-    """
-    if filter_handle is None or not hasattr(filter_handle, "weights"):
-        raise InputValidationError("filter_handle must expose a weights(points) method")
-    if candidates_per_round is not None and candidates_per_round < 1:
-        raise InputValidationError("candidates_per_round must be positive when given")
-    return _run_workflow_impl(
-        model,
-        theta_star,
-        schedule,
-        horizon,
-        rng,
-        filter_handle,
-        candidates_per_round,
-        divergence_cap,
-        trial_id,
-    )
-
-
-def _run_workflow_impl(
-    model,
-    theta_star,
-    schedule,
-    horizon,
-    rng,
-    filter_handle,
-    candidates_per_round,
-    divergence_cap,
-    trial_id,
+def _workflow_trial(
+    model, theta_star, schedule, horizon, gen, filter_handle, candidates, cap, trial_id
 ):
-    if not isinstance(horizon, (int, np.integer)) or horizon < 0:
-        raise InputValidationError("horizon must be a nonnegative integer")
-    if theta_star.model != model:
-        raise InputValidationError("theta_star belongs to a different model")
-    gen = as_generator(rng)
+    """One trial of the self-consuming loop, filtered when ``filter_handle`` is set."""
     dim = model.dim
     n = horizon + 1
     errors = np.empty((n, dim))
@@ -608,25 +475,22 @@ def _run_workflow_impl(
     current = theta_star
     diverged_at = None
     for t in range(n):
-        if filter_handle is None or t == 0:
-            size = schedule.size(t)
-        else:
-            size = candidates_per_round if candidates_per_round is not None else schedule.size(t)
+        filtered = filter_handle is not None and t > 0
+        size = candidates if filtered and candidates is not None else schedule.size(t)
         points = expfam.sample(model, current, size, gen)
-        if filter_handle is None or t == 0:
-            fitted = _fit_generation(model, points, None, t)
-        else:
+        w = None
+        if filtered:
             w = np.asarray(filter_handle.weights(points), dtype=float)
             if w.shape != (size,):
                 raise InputValidationError(
                     f"generation {t}: filter returned weights of shape {w.shape}, expected ({size},)"
                 )
-            fitted = _fit_generation(model, points, w, t)
+        fitted = _fit_generation(model, points, w, t)
         errors[t] = fitted.theta - theta_star.theta
         ns[t] = size
         if not np.all(np.isfinite(errors[t])):
             raise SimulationOverflowError(t)
-        if float(errors[t] @ errors[t]) > divergence_cap:
+        if float(errors[t] @ errors[t]) > cap:
             diverged_at = t
             errors[t + 1 :] = errors[t]
             ns[t + 1 :] = 0
@@ -639,34 +503,21 @@ def _run_workflow_impl(
         errors=errors,
         vs=vs,
         ns=ns,
-        horizon=int(horizon),
+        horizon=horizon,
         trial_id=trial_id,
         diverged_at=diverged_at,
     )
 
 
-def _workflow_range(args):
-    (model, theta_star, schedule, horizon, rng, lo, hi, filter_handle, candidates, cap) = args
-    out = []
-    for i in range(lo, hi):
-        if filter_handle is None:
-            traj = run_workflow(
-                model, theta_star, schedule, horizon, rng.derive(i), cap, trial_id=i
-            )
-        else:
-            traj = run_workflow_filtered(
-                model,
-                theta_star,
-                schedule,
-                horizon,
-                filter_handle,
-                candidates,
-                rng.derive(i),
-                cap,
-                trial_id=i,
-            )
-        out.append(traj)
-    return out
+def _workflow_range(job):
+    (model, theta_star, schedule, horizon, rng, filter_handle, candidates, cap), lo, hi = job
+    return [
+        _workflow_trial(
+            model, theta_star, schedule, horizon, rng.derive(i).generator(),
+            filter_handle, candidates, cap, i,
+        )
+        for i in range(lo, hi)
+    ]
 
 
 def run_workflow_trials(
@@ -683,25 +534,35 @@ def run_workflow_trials(
     divergence_cap: float = DIVERGENCE_CAP,
     record_trajectories: bool = False,
 ):
-    """Monte-Carlo over workflow trials; trial i runs on ``rng.derive(i)``."""
-    if not isinstance(rng, RngState):
-        raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
-    if trials < 1:
-        raise InputValidationError("trials must be positive")
+    """Monte-Carlo over workflow trials; trial i runs on ``rng.derive(i)``.
+
+    Generation 0 fits schedule.size(0) real draws from theta_star; each
+    later generation samples from its predecessor's fit and re-estimates,
+    recording e_t = theta_hat_t - theta_star with the identity-metric V.
+    A trial freezes once V exceeds ``divergence_cap``.
+
+    With ``filter_handle`` (anything with a ``weights(points) -> array``
+    method, see the filtering module) every generation past the first
+    reweights its candidates before re-estimating. ``candidates_per_round``
+    fixes the candidate count of those generations; None follows the
+    sample schedule. A filter emitting all-ones weights reproduces the
+    unfiltered workflow exactly on the same streams and counts.
+    """
+    horizon = _check_run(rng, trials, horizon)
+    if filter_handle is not None and not hasattr(filter_handle, "weights"):
+        raise InputValidationError("filter_handle must expose a weights(points) method")
+    if candidates_per_round is not None and candidates_per_round < 1:
+        raise InputValidationError("candidates_per_round must be positive when given")
+    if theta_star.model != model:
+        raise InputValidationError("theta_star belongs to a different model")
     if workers is None:
         workers = worker_count()
 
-    blocks = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
-    jobs = [
-        (model, theta_star, schedule, int(horizon), rng, lo, hi,
-         filter_handle, candidates_per_round, divergence_cap)
-        for lo, hi in blocks
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_workflow_range, jobs))
-    else:
-        chunks = [_workflow_range(job) for job in jobs]
+    args = (
+        model, theta_star, schedule, horizon, rng, filter_handle, candidates_per_round,
+        divergence_cap,
+    )
+    chunks = _run_blocks(_workflow_range, args, trials, workers)
     trajectories = [traj for chunk in chunks for traj in chunk]
     stats = aggregate_exceedance(trajectories, deltas)
     if record_trajectories:

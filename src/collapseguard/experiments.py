@@ -49,6 +49,7 @@ from .filtering import (
     forward_batch,
     load_filter_checkpoint,
     merge_datasets,
+    read_json_object,
     save_filter_checkpoint,
     simulate_drift_training_data,
     total_loss,
@@ -82,16 +83,7 @@ GAUSSIAN_TAIL_3 = math.erfc(3.0 / math.sqrt(2.0))
 
 def read_config_json(path) -> dict:
     """Read a JSON config file into the raw mapping ``ExperimentConfig.from_dict`` takes."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputValidationError("config root must be a JSON object")
-    return raw
+    return read_json_object(path, "config")
 
 
 def _parse_fields(cls, raw: dict, path: str):

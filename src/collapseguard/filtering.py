@@ -817,10 +817,23 @@ def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_
         fh.write("\n")
 
 
+def read_json_object(path, what: str) -> dict:
+    """Read a JSON file whose root is an object; every failure names ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise InputValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InputValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputValidationError(f"{what} {path}: root must be a JSON object")
+    return raw
+
+
 def load_filter_checkpoint(path) -> tuple[FilterParams, PCATransform, dict]:
     """Read a checkpoint, validating version and internal shape consistency."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json_object(path, "checkpoint")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise InputValidationError(f"unsupported checkpoint version {version!r}")

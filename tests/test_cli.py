@@ -167,6 +167,35 @@ class TestScenarioCommands:
         assert rc == 3
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read checkpoint"),
+            ("{not json", "is not valid JSON"),
+            ("[1]", "root must be a JSON object"),
+        ],
+        ids=["missing", "not-json", "non-object-root"],
+    )
+    def test_unreadable_checkpoint_is_a_validation_failure(
+        self, tmp_path, capsys, content, message
+    ):
+        checkpoint = tmp_path / "checkpoint.json"
+        if content is not None:
+            checkpoint.write_text(content)
+        config = _write_config(
+            tmp_path / "config.json",
+            {
+                "seed": 1,
+                "horizon": 2,
+                "trials": 2,
+                "filter": {"kind": "mlp", "checkpoint": str(checkpoint)},
+            },
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and str(checkpoint) in err
+
     def test_constant_noise_dynamics_fails_the_check_gate(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "config.json",

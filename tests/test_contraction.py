@@ -218,19 +218,19 @@ class TestContractionMap:
             e = rng.normal(scale=rng.uniform(0.1, 10.0), size=3)
             v = metric.value(e)
             c = ContractionFn.example_sqrt().value(metric, e)
-            v_next = metric.value(map_.apply(e))
+            v_next = metric.value(map_.apply_batch(e[None, :])[0])
             np.testing.assert_allclose(v_next, (1.0 - c) * v, rtol=1e-12)
 
     def test_explicit_matrix_map(self):
         metric = LyapunovMetric.identity(2)
         map_ = ContractionMap.explicit(lambda e: 0.5 * np.eye(2), metric)
-        np.testing.assert_allclose(map_.apply(np.array([2.0, 4.0])), [1.0, 2.0])
+        np.testing.assert_allclose(map_.apply_batch(np.array([[2.0, 4.0]])), [[1.0, 2.0]])
 
-    def test_apply_batch_matches_apply(self):
+    def test_apply_batch_matches_one_row_batches(self):
         metric = LyapunovMetric.identity(2)
         map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
         batch = np.random.default_rng(5).normal(size=(32, 2))
-        stacked = np.stack([map_.apply(e) for e in batch])
+        stacked = np.stack([map_.apply_batch(e[None, :])[0] for e in batch])
         np.testing.assert_allclose(map_.apply_batch(batch), stacked, rtol=1e-14)
 
 

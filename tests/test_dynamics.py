@@ -14,11 +14,7 @@ from collapseguard.dynamics import (
     SampleSchedule,
     aggregate_exceedance,
     run_dynamics_trials,
-    run_workflow,
-    run_workflow_filtered,
     run_workflow_trials,
-    sample_noise,
-    simulate_error_dynamics,
 )
 from collapseguard.errors import (
     DegenerateSelectionError,
@@ -34,18 +30,46 @@ def _gaussian(dim: int = 1):
     return model, Parameter(np.ones(dim), model)
 
 
+def _one_trial(map_, noise, e0, horizon, seed, **kwargs) -> ErrorTrajectory:
+    _, trajectories = run_dynamics_trials(
+        map_, noise, e0, horizon=horizon, trials=1, rng=RngState(seed=seed),
+        record_trajectories=True, **kwargs,
+    )
+    return trajectories[0]
+
+
+def _noise_increments(noise, dim, horizon, trials, seed) -> np.ndarray:
+    """(trials, horizon, dim) draws xi_t, read as e_{t+1} - e_t of A = I runs from 0."""
+    identity = ContractionMap.scaled_identity(
+        ContractionFn.constant(0.0), LyapunovMetric.identity(dim)
+    )
+    _, trajectories = run_dynamics_trials(
+        identity, noise, np.zeros(dim), horizon=horizon, trials=trials,
+        rng=RngState(seed=seed), record_trajectories=True,
+    )
+    return np.diff(np.stack([traj.errors for traj in trajectories]), axis=1)
+
+
+def _one_workflow(model, theta_star, schedule, horizon, seed, **kwargs) -> ErrorTrajectory:
+    _, trajectories = run_workflow_trials(
+        model, theta_star, schedule, horizon=horizon, trials=1, rng=RngState(seed=seed),
+        record_trajectories=True, **kwargs,
+    )
+    return trajectories[0]
+
+
 class TestNoiseSchedule:
     def test_zero_schedule_returns_zero_vector(self):
         schedule = NoiseSchedule.zero()
-        out = sample_noise(schedule, t=7, dim=3, rng=RngState(seed=1))
+        out = _noise_increments(schedule, dim=3, horizon=8, trials=1, seed=1)[0, 7]
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_power_law_energy_decays(self):
         schedule = NoiseSchedule.power(beta=1.0, scale=1.0)
-        assert schedule.sigma_sq(0) == pytest.approx(1.0)
-        assert schedule.sigma_sq(9) == pytest.approx(0.1)
+        assert schedule.sigma_sq_array(0, 10)[0] == pytest.approx(1.0)
+        assert schedule.sigma_sq_array(0, 10)[9] == pytest.approx(0.1)
         schedule2 = NoiseSchedule.power(beta=2.0, scale=3.0)
-        assert schedule2.sigma_sq(2) == pytest.approx(3.0 / 9.0)
+        assert schedule2.sigma_sq_array(2, 3)[0] == pytest.approx(3.0 / 9.0)
 
     def test_vanishing_flag(self):
         assert NoiseSchedule.zero().vanishes
@@ -55,14 +79,9 @@ class TestNoiseSchedule:
     def test_energy_honest_under_identity_metric(self):
         """Mean of |xi|^2 over 1e5 draws matches the configured level 1.0."""
         schedule = NoiseSchedule.constant(1.0)
-        gen = RngState(seed=5).generator()
-        draws = np.stack(
-            [sample_noise(schedule, t=0, dim=2, rng=gen) for _ in range(2000)]
-        )
-        # Supplement with the vectorized path for bulk statistics.
-        energies = (draws**2).sum(axis=1)
-        extra = gen.standard_normal(size=(98_000, 2)) * np.sqrt(1.0 / 2.0)
-        energies = np.concatenate([energies, (extra**2).sum(axis=1)])
+        draws = _noise_increments(schedule, dim=2, horizon=50, trials=2000, seed=5)
+        assert draws.shape == (2000, 50, 2)
+        energies = (draws**2).sum(axis=2)
         assert abs(energies.mean() - 1.0) <= 0.02
 
     def test_energy_honest_under_general_metric(self):
@@ -70,21 +89,19 @@ class TestNoiseSchedule:
         p = np.array([[2.0, 0.5], [0.5, 1.0]])
         metric = LyapunovMetric(p)
         schedule = NoiseSchedule.power(beta=1.0, scale=2.0, metric=metric)
-        gen = RngState(seed=6).generator()
+        n = 4000
+        increments = _noise_increments(schedule, dim=2, horizon=21, trials=n, seed=6)
         for t in (0, 3, 20):
-            n = 4000
-            draws = np.stack(
-                [sample_noise(schedule, t=t, dim=2, rng=gen) for _ in range(n)]
-            )
+            draws = increments[:, t]
             energy = np.einsum("ij,jk,ik->i", draws, p, draws)
-            sigma_sq = schedule.sigma_sq(t)
+            sigma_sq = schedule.sigma_sq_array(t, t + 1)[0]
             stderr = sigma_sq * np.sqrt(2.0 / 2.0) / np.sqrt(n)
             assert abs(energy.mean() - sigma_sq) <= 5.0 * stderr
 
     def test_replay_determinism(self):
         schedule = NoiseSchedule.power(beta=1.0)
-        a = sample_noise(schedule, t=3, dim=4, rng=RngState(seed=9))
-        b = sample_noise(schedule, t=3, dim=4, rng=RngState(seed=9))
+        a = _noise_increments(schedule, dim=4, horizon=4, trials=1, seed=9)[0, 3]
+        b = _noise_increments(schedule, dim=4, horizon=4, trials=1, seed=9)[0, 3]
         np.testing.assert_array_equal(a, b)
 
 
@@ -106,14 +123,13 @@ class TestSampleSchedule:
             SampleSchedule.constant_size(0)
 
 
-class TestSimulateErrorDynamics:
+class TestDynamicsTrajectory:
     def test_constant_quarter_contraction_is_exact(self):
         """A = 0.5 I keeps exactly a quarter of the energy each step."""
         metric = LyapunovMetric.identity(2)
         map_ = ContractionMap.scaled_identity(ContractionFn.constant(0.75), metric)
-        traj = simulate_error_dynamics(
-            map_, NoiseSchedule.zero(), np.array([1.0, 0.0]), horizon=8,
-            rng=RngState(seed=1),
+        traj = _one_trial(
+            map_, NoiseSchedule.zero(), np.array([1.0, 0.0]), horizon=8, seed=1
         )
         np.testing.assert_allclose(traj.vs, 0.25 ** np.arange(9), rtol=1e-12)
 
@@ -121,9 +137,7 @@ class TestSimulateErrorDynamics:
         """From V = 3 the state-dependent rate is 0.5, so one step lands on 1.5."""
         metric = LyapunovMetric.identity(3)
         map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
-        traj = simulate_error_dynamics(
-            map_, NoiseSchedule.zero(), np.ones(3), horizon=1, rng=RngState(seed=1)
-        )
+        traj = _one_trial(map_, NoiseSchedule.zero(), np.ones(3), horizon=1, seed=1)
         assert traj.vs[0] == pytest.approx(3.0)
         assert traj.vs[1] == pytest.approx(1.5, rel=1e-12)
 
@@ -140,9 +154,9 @@ class TestSimulateErrorDynamics:
     def test_energy_column_matches_error_column(self):
         metric = LyapunovMetric(np.array([[2.0, 0.5], [0.5, 1.0]]))
         map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
-        traj = simulate_error_dynamics(
+        traj = _one_trial(
             map_, NoiseSchedule.power(beta=1.0), np.array([2.0, -1.0]), horizon=40,
-            rng=RngState(seed=23),
+            seed=23,
         )
         assert traj.errors.shape == (41, 2)
         for t in (0, 7, 40):
@@ -153,9 +167,9 @@ class TestSimulateErrorDynamics:
     def test_divergence_freezes_and_records_step(self):
         metric = LyapunovMetric.identity(1)
         map_ = ContractionMap.explicit(lambda e: 4.0 * np.eye(1), metric)
-        traj = simulate_error_dynamics(
-            map_, NoiseSchedule.zero(), np.array([1.0]), horizon=40,
-            rng=RngState(seed=2), divergence_cap=1e6,
+        traj = _one_trial(
+            map_, NoiseSchedule.zero(), np.array([1.0]), horizon=40, seed=2,
+            divergence_cap=1e6,
         )
         assert traj.diverged_at is not None
         frozen = traj.vs[traj.diverged_at]
@@ -165,14 +179,8 @@ class TestSimulateErrorDynamics:
     def test_replay_determinism(self):
         metric = LyapunovMetric.identity(2)
         map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
-        a = simulate_error_dynamics(
-            map_, NoiseSchedule.power(beta=1.0), np.ones(2), horizon=30,
-            rng=RngState(seed=77),
-        )
-        b = simulate_error_dynamics(
-            map_, NoiseSchedule.power(beta=1.0), np.ones(2), horizon=30,
-            rng=RngState(seed=77),
-        )
+        a = _one_trial(map_, NoiseSchedule.power(beta=1.0), np.ones(2), horizon=30, seed=77)
+        b = _one_trial(map_, NoiseSchedule.power(beta=1.0), np.ones(2), horizon=30, seed=77)
         np.testing.assert_array_equal(a.errors, b.errors)
 
 
@@ -206,9 +214,9 @@ class TestAggregateExceedance:
     def test_diverged_trials_count_as_exceeding(self):
         metric = LyapunovMetric.identity(1)
         blow_up = ContractionMap.explicit(lambda e: 4.0 * np.eye(1), metric)
-        diverged = simulate_error_dynamics(
-            blow_up, NoiseSchedule.zero(), np.array([1.0]), horizon=30,
-            rng=RngState(seed=3), divergence_cap=1e6,
+        diverged = _one_trial(
+            blow_up, NoiseSchedule.zero(), np.array([1.0]), horizon=30, seed=3,
+            divergence_cap=1e6,
         )
         stats = aggregate_exceedance([diverged], deltas=(0.1,))
         after = stats.exceedance_at(0.1)[diverged.diverged_at:]
@@ -224,21 +232,31 @@ class TestAggregateExceedance:
 
 
 class TestRunDynamicsTrials:
-    def test_batch_matches_single_simulation_bitwise(self):
+    def test_first_step_is_the_scaled_draw_of_the_trial_stream(self):
+        """From e0 = 0 under A = I, trial i's first state is its own stream's first draw."""
+        dim = 2
+        noise = NoiseSchedule.power(beta=1.0)
+        root = RngState(seed=99)
+        increments = _noise_increments(noise, dim=dim, horizon=25, trials=3, seed=99)
+        scale = np.sqrt(noise.sigma_sq_array(0, 1)[0] / dim)
+        for index in range(3):
+            z = root.derive(index).generator().standard_normal((1, dim))[0]
+            np.testing.assert_array_equal(increments[index, 0], scale * z)
+
+    def test_leading_trials_do_not_depend_on_the_trial_count(self):
         metric = LyapunovMetric.identity(2)
         map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
         noise = NoiseSchedule.power(beta=1.0)
-        root = RngState(seed=99)
-        _, trajectories = run_dynamics_trials(
-            map_, noise, np.ones(2), horizon=25, trials=3, rng=root,
-            record_trajectories=True,
-        )
-        for index, traj in enumerate(trajectories):
-            solo = simulate_error_dynamics(
-                map_, noise, np.ones(2), horizon=25, rng=root.derive(index),
-                trial_id=index,
-            )
-            np.testing.assert_array_equal(traj.errors, solo.errors)
+        runs = [
+            run_dynamics_trials(
+                map_, noise, np.ones(2), horizon=25, trials=trials, rng=RngState(seed=99),
+                record_trajectories=True,
+            )[1]
+            for trials in (300, 5)
+        ]
+        for many, few in zip(runs[0][:5], runs[1]):
+            assert many.trial_id == few.trial_id
+            np.testing.assert_array_equal(many.errors, few.errors)
 
     def test_worker_count_does_not_change_results(self):
         metric = LyapunovMetric.identity(2)
@@ -255,22 +273,44 @@ class TestRunDynamicsTrials:
         np.testing.assert_array_equal(one.mse, two.mse)
         np.testing.assert_array_equal(one.exceedance_at(0.2), two.exceedance_at(0.2))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"horizon": -1},
+            {"horizon": 2.5},
+            {"map_": ContractionMap.explicit(lambda e: np.eye(3), LyapunovMetric.identity(2))},
+        ],
+        ids=["negative-horizon", "fractional-horizon", "wrong-matrix-shape"],
+    )
+    def test_invalid_run_is_rejected(self, kwargs):
+        args = {
+            "map_": ContractionMap.scaled_identity(
+                ContractionFn.example_sqrt(), LyapunovMetric.identity(2)
+            ),
+            "noise": NoiseSchedule.zero(),
+            "e0": np.ones(2),
+            "horizon": 3,
+            "trials": 2,
+            "rng": RngState(seed=1),
+            **kwargs,
+        }
+        with pytest.raises(InputValidationError):
+            run_dynamics_trials(**args)
+
 
 class TestRunWorkflow:
     def test_zero_horizon_contains_only_initial_fit_error(self):
         model, theta_star = _gaussian(1)
-        traj = run_workflow(
-            model, theta_star, SampleSchedule.constant_size(100), horizon=0,
-            rng=RngState(seed=12),
+        traj = _one_workflow(
+            model, theta_star, SampleSchedule.constant_size(100), horizon=0, seed=12
         )
         assert traj.errors.shape == (1, 1)
         assert abs(traj.errors[0, 0]) < 1.0
 
     def test_error_is_estimate_minus_truth(self):
         model, theta_star = _gaussian(2)
-        traj = run_workflow(
-            model, theta_star, SampleSchedule.constant_size(50), horizon=3,
-            rng=RngState(seed=13),
+        traj = _one_workflow(
+            model, theta_star, SampleSchedule.constant_size(50), horizon=3, seed=13
         )
         assert traj.errors.shape == (4, 2)
         np.testing.assert_allclose(
@@ -314,18 +354,37 @@ class TestRunWorkflow:
         )
         np.testing.assert_array_equal(a.mse, b.mse)
 
+    @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "oracle-pullback"])
+    def test_worker_count_does_not_change_results(self, filtered):
+        model, theta_star = _gaussian(2)
+        extra = {}
+        if filtered:
+            extra = {
+                "filter_handle": FilterHandle.oracle_pullback(theta_star, gamma=0.5),
+                "candidates_per_round": 40,
+            }
+        one, two = (
+            run_workflow_trials(
+                model, theta_star, SampleSchedule.constant_size(20), horizon=3,
+                trials=300, rng=RngState(seed=8), workers=workers, **extra,
+            )
+            for workers in (1, 2)
+        )
+        np.testing.assert_array_equal(one.mse, two.mse)
+        np.testing.assert_array_equal(one.mean_v, two.mean_v)
+        assert one.exceedance.keys() == two.exceedance.keys()
+        for delta in one.exceedance:
+            np.testing.assert_array_equal(one.exceedance[delta], two.exceedance[delta])
+
 
 class TestRunWorkflowFiltered:
     def test_all_ones_filter_matches_unfiltered_bitwise(self):
         model, theta_star = _gaussian(2)
         schedule = SampleSchedule.constant_size(80)
-        plain = run_workflow(
-            model, theta_star, schedule, horizon=12, rng=RngState(seed=21)
-        )
-        filtered = run_workflow_filtered(
-            model, theta_star, schedule, horizon=12,
+        plain = _one_workflow(model, theta_star, schedule, horizon=12, seed=21)
+        filtered = _one_workflow(
+            model, theta_star, schedule, horizon=12, seed=21,
             filter_handle=FilterHandle.all_ones(), candidates_per_round=80,
-            rng=RngState(seed=21),
         )
         np.testing.assert_array_equal(plain.errors, filtered.errors)
 
@@ -337,9 +396,9 @@ class TestRunWorkflowFiltered:
         )
         handle = FilterHandle.mlp(dead, pca)
         with pytest.raises(DegenerateSelectionError):
-            run_workflow_filtered(
-                model, theta_star, SampleSchedule.constant_size(50), horizon=2,
-                filter_handle=handle, candidates_per_round=50, rng=RngState(seed=1),
+            _one_workflow(
+                model, theta_star, SampleSchedule.constant_size(50), horizon=2, seed=1,
+                filter_handle=handle, candidates_per_round=50,
             )
 
     def test_oracle_filter_keeps_error_bounded(self):
@@ -357,8 +416,37 @@ class TestRunWorkflowFiltered:
     def test_candidate_count_must_be_positive(self):
         model, theta_star = _gaussian(1)
         with pytest.raises(InputValidationError):
-            run_workflow_filtered(
-                model, theta_star, SampleSchedule.constant_size(10), horizon=2,
+            _one_workflow(
+                model, theta_star, SampleSchedule.constant_size(10), horizon=2, seed=1,
                 filter_handle=FilterHandle.all_ones(), candidates_per_round=0,
-                rng=RngState(seed=1),
             )
+
+
+def _run_lambda_map_on_two_workers():
+    map_ = ContractionMap.explicit(lambda e: 0.5 * np.eye(2), LyapunovMetric.identity(2))
+    run_dynamics_trials(
+        map_, NoiseSchedule.zero(), np.ones(2), horizon=2, trials=300,
+        rng=RngState(seed=1), workers=2,
+    )
+
+
+def _run_local_filter_on_two_workers():
+    class LocalFilter:
+        def weights(self, points):
+            return np.ones(len(points))
+
+    model, theta_star = _gaussian(1)
+    run_workflow_trials(
+        model, theta_star, SampleSchedule.constant_size(10), horizon=2, trials=300,
+        rng=RngState(seed=1), filter_handle=LocalFilter(), workers=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_run_lambda_map_on_two_workers, _run_local_filter_on_two_workers],
+    ids=["lambda-matrix-fn", "local-filter-class"],
+)
+def test_work_that_cannot_be_pickled_raises_a_named_error(run):
+    with pytest.raises(InputValidationError, match="COLLAPSEGUARD_WORKERS=1"):
+        run()
