@@ -5,12 +5,16 @@ iterates e_{t+1} = A(e_t) e_t + xi_t, with martingale-difference noise
 whose P-energy follows a schedule, for a whole block of trials per step.
 ``run_workflow_trials`` re-fits an exponential family on its own samples
 each generation, with or without a reweighting filter in the loop, which
-is where estimation error actually comes from.
+is where estimation error actually comes from. Its kernel is
+generation-major: per generation, each live trial of a block draws its
+candidates from its own stream (and gets its filter weights), then one
+batched fit advances them all.
 
 Both fan one base RngState out into one independent stream per trial
-(trial i draws only from ``rng.derive(i)``) and reduce in fixed 256-trial
-blocks, so results do not depend on how many workers ran the trials.
-"""
+(trial i draws only from ``rng.derive(i)``) and run fixed 256-trial blocks.
+Dynamics runs reduce block by block; workflow runs add their statistics
+one trial at a time in trial order. Either way results do not depend on
+how many workers ran the trials."""
 
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ WORKERS_ENV_VAR = "COLLAPSEGUARD_WORKERS"
 
 _BLOCK = 256
 _CHUNK = 2048
+_STACK_LIMIT = 1 << 18  # values in one stacked (trials, size, dim) workflow fit
 
 
 def worker_count() -> int:
@@ -224,6 +229,43 @@ def _validate_deltas(deltas) -> tuple[float, ...]:
     return out
 
 
+class _TrialFold:
+    """Per-step sums over trials, added one trial at a time in trial order.
+
+    The order is part of the result: summing each 256-trial block first and
+    then adding the partial sums would change the last bits of ``mse``.
+    """
+
+    def __init__(self, ts: np.ndarray, ds: tuple[float, ...]):
+        self.ts = ts
+        self.ds = ds
+        self.sum_sq = np.zeros(ts.shape[0])
+        self.sum_v = np.zeros(ts.shape[0])
+        self.counts = np.zeros((len(ds), ts.shape[0]))
+        self.trials = 0
+
+    def add(self, sq: np.ndarray, vs: np.ndarray, diverged_at: np.ndarray) -> None:
+        """Fold (trials, steps) squared norms and V values; ``diverged_at`` is inf if never."""
+        for row_sq, row_v in zip(sq, vs):
+            self.sum_sq += row_sq
+            self.sum_v += row_v
+        norms = np.sqrt(sq)
+        div = self.ts[None, :] >= diverged_at[:, None]
+        for j, d in enumerate(self.ds):
+            self.counts[j] += ((norms > d) | div).sum(axis=0)
+        self.trials += sq.shape[0]
+
+    def stats(self, ns: np.ndarray) -> TrialStats:
+        return TrialStats(
+            ts=self.ts.copy(),
+            mse=self.sum_sq / self.trials,
+            mean_v=self.sum_v / self.trials,
+            exceedance={d: self.counts[j] / self.trials for j, d in enumerate(self.ds)},
+            trials=self.trials,
+            ns=ns.copy(),
+        )
+
+
 def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
     """Fold trajectories into per-step MSE, mean V, and exceedance fractions.
 
@@ -235,36 +277,18 @@ def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
     if not trajectories:
         raise InputValidationError("need at least one trajectory")
     ds = _validate_deltas(deltas)
-    horizon = trajectories[0].horizon
-    dim = trajectories[0].dim
+    first = trajectories[0]
     for traj in trajectories:
-        if traj.horizon != horizon or traj.dim != dim:
+        if traj.horizon != first.horizon or traj.dim != first.dim:
             raise InputValidationError("trajectories must share horizon and dimension")
 
-    n = horizon + 1
-    sum_sq = np.zeros(n)
-    sum_v = np.zeros(n)
-    counts = {d: np.zeros(n) for d in ds}
-    for traj in trajectories:
-        sq = traj.sq_norms()
-        sum_sq += sq
-        sum_v += traj.vs
-        norms = np.sqrt(sq)
-        if traj.diverged_at is None:
-            div = np.zeros(n, dtype=bool)
-        else:
-            div = trajectories[0].ts >= traj.diverged_at
-        for d in ds:
-            counts[d] += (norms > d) | div
-    trials = len(trajectories)
-    return TrialStats(
-        ts=trajectories[0].ts.copy(),
-        mse=sum_sq / trials,
-        mean_v=sum_v / trials,
-        exceedance={d: counts[d] / trials for d in ds},
-        trials=trials,
-        ns=trajectories[0].ns.copy(),
+    fold = _TrialFold(first.ts, ds)
+    fold.add(
+        np.array([traj.sq_norms() for traj in trajectories]),
+        np.array([traj.vs for traj in trajectories]),
+        np.array([np.inf if t.diverged_at is None else t.diverged_at for t in trajectories]),
     )
+    return fold.stats(first.ns)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +296,20 @@ def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
 # ---------------------------------------------------------------------------
 
 
-def _run_blocks(block_fn, args: tuple, trials: int, workers: int) -> list:
-    """Results of ``block_fn((args, lo, hi))`` for each 256-trial block, in trial order.
+def _run_blocks(block_fn, args: tuple, trials: int, workers: int):
+    """Yield ``block_fn((args, lo, hi))`` for each 256-trial block, in trial order.
 
     The fixed blocks, not the workers, set the reduction order, so any
-    worker count gives the same result. When a pool is used (more than one
-    worker and more than one block), the first job is pickled up front so
-    that work which cannot reach a worker process fails with a named error.
+    worker count gives the same result. The caller folds each block as it
+    arrives, so a serial run holds one block's results at a time. When a
+    pool is used (more than one worker and more than one block), the first
+    job is pickled up front so that work which cannot reach a worker
+    process fails with a named error.
     """
     jobs = [(args, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
     if workers < 2 or len(jobs) < 2:
-        return [block_fn(job) for job in jobs]
+        yield from map(block_fn, jobs)
+        return
     try:
         pickle.dumps(jobs[0])
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
@@ -291,7 +318,7 @@ def _run_blocks(block_fn, args: tuple, trials: int, workers: int) -> list:
             f"module-level function or class, or set {WORKERS_ENV_VAR}=1"
         ) from exc
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block_fn, jobs))
+        yield from pool.map(block_fn, jobs)
 
 
 def _check_run(rng, trials: int, horizon) -> int:
@@ -464,60 +491,83 @@ def _fit_generation(model, points, weights, t):
         raise type(exc)(f"generation {t}: {exc}") from exc
 
 
-def _workflow_trial(
-    model, theta_star, schedule, horizon, gen, filter_handle, candidates, cap, trial_id
-):
-    """One trial of the self-consuming loop, filtered when ``filter_handle`` is set."""
-    dim = model.dim
-    n = horizon + 1
-    errors = np.empty((n, dim))
-    ns = np.zeros(n, dtype=np.int64)
-    current = theta_star
-    diverged_at = None
-    for t in range(n):
-        filtered = filter_handle is not None and t > 0
-        size = candidates if filtered and candidates is not None else schedule.size(t)
-        points = expfam.sample(model, current, size, gen)
-        w = None
-        if filtered:
-            w = np.asarray(filter_handle.weights(points), dtype=float)
-            if w.shape != (size,):
-                raise InputValidationError(
-                    f"generation {t}: filter returned weights of shape {w.shape}, expected ({size},)"
-                )
-        fitted = _fit_generation(model, points, w, t)
-        errors[t] = fitted.theta - theta_star.theta
-        ns[t] = size
-        if not np.all(np.isfinite(errors[t])):
-            raise SimulationOverflowError(t)
-        if float(errors[t] @ errors[t]) > cap:
-            diverged_at = t
-            errors[t + 1 :] = errors[t]
-            ns[t + 1 :] = 0
-            break
-        current = fitted
-
-    vs = np.einsum("ij,ij->i", errors, errors)
-    return ErrorTrajectory(
-        ts=np.arange(n),
-        errors=errors,
-        vs=vs,
-        ns=ns,
-        horizon=horizon,
-        trial_id=trial_id,
-        diverged_at=diverged_at,
-    )
-
-
-def _workflow_range(job):
-    (model, theta_star, schedule, horizon, rng, filter_handle, candidates, cap), lo, hi = job
-    return [
-        _workflow_trial(
-            model, theta_star, schedule, horizon, rng.derive(i).generator(),
-            filter_handle, candidates, cap, i,
+def _filter_weights(filter_handle, points, size, t) -> np.ndarray:
+    w = np.asarray(filter_handle.weights(points), dtype=float)
+    if w.shape != (size,):
+        raise InputValidationError(
+            f"generation {t}: filter returned weights of shape {w.shape}, expected ({size},)"
         )
-        for i in range(lo, hi)
-    ]
+    return w
+
+
+def _workflow_block(job):
+    """Run one block of workflow trials generation by generation.
+
+    Each generation draws every live trial's candidates from its own stream
+    (one call per trial, as a trial-by-trial loop makes them), weighs them
+    trial by trial when filtered, and fits all live trials at once, at most
+    ``_STACK_LIMIT`` stacked values at a time. A trial freezes once V
+    exceeds the cap. A trial that fails stops, and so does every later
+    trial: the block raises the failure of the lowest-index failing trial,
+    the error a trial-by-trial loop meets first. Returns the (trials,
+    horizon+1) V paths, the divergence steps (inf if never) and, when
+    recording, the (trials, horizon+1, dim) error paths.
+    """
+    (model, theta_star, sizes, filter_handle, rng, cap, record), lo, hi = job
+    family, dim = model.family, model.dim
+    b, n = hi - lo, sizes.shape[0]
+    gens = [rng.derive(i).generator() for i in range(lo, hi)]
+    theta = np.tile(theta_star.theta, (b, 1))
+    errors = np.zeros((b, dim))
+    v_now = np.zeros(b)
+    vs = np.empty((b, n))
+    diverged = np.full(b, np.inf)
+    records = np.empty((b, n, dim)) if record else None
+    stop, failure = b, None  # trials from ``stop`` on have stopped on ``failure``
+
+    for t in range(n):
+        size = int(sizes[t])
+        filtered = filter_handle is not None and t > 0
+        live = np.flatnonzero(np.isinf(diverged))
+        rows = max(1, _STACK_LIMIT // (size * dim))
+        for k in range(0, live.size, rows):
+            part = live[k : k + rows]
+            part = part[part < stop]
+            points = np.empty((part.size, size, dim))
+            weights = np.empty((part.size, size)) if filtered else None
+            for r, i in enumerate(part):
+                try:
+                    drawn = expfam._draw(family, theta[i], size, gens[i])
+                    if filtered:
+                        weights[r] = _filter_weights(filter_handle, drawn, size, t)
+                except Exception as exc:  # raised once no earlier trial can fail first
+                    stop, failure = i, exc
+                    break
+                points[r] = drawn
+            fit, ok = expfam._fit_rows(family, points, weights)
+            for r in np.flatnonzero(~ok & (part < stop)):
+                try:
+                    w = None if weights is None else weights[r]
+                    fit[r] = _fit_generation(model, points[r], w, t).theta
+                except Exception as exc:
+                    stop, failure = part[r], exc
+                    break
+            err = fit - theta_star.theta
+            lost = np.flatnonzero(~np.isfinite(err).all(axis=1) & (part < stop))
+            if lost.size:
+                stop, failure = part[lost[0]], SimulationOverflowError(t)
+            keep = part < stop
+            part, fit, err = part[keep], fit[keep], err[keep]
+            theta[part] = fit
+            errors[part] = err
+            v_now[part] = np.einsum("ij,ij->i", err, err)
+            diverged[part[v_now[part] > cap]] = t
+        vs[:, t] = v_now
+        if record:
+            records[:, t] = errors
+    if failure is not None:
+        raise failure
+    return vs, diverged, records
 
 
 def run_workflow_trials(
@@ -555,16 +605,40 @@ def run_workflow_trials(
         raise InputValidationError("candidates_per_round must be positive when given")
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
+    ds = _validate_deltas(deltas)
     if workers is None:
         workers = worker_count()
 
-    args = (
-        model, theta_star, schedule, horizon, rng, filter_handle, candidates_per_round,
-        divergence_cap,
+    n = horizon + 1
+    ts = np.arange(n)
+    fixed = candidates_per_round if filter_handle is not None else None
+    sizes = np.array(
+        [schedule.size(t) if t == 0 or fixed is None else fixed for t in range(n)],
+        dtype=np.int64,
     )
-    chunks = _run_blocks(_workflow_range, args, trials, workers)
-    trajectories = [traj for chunk in chunks for traj in chunk]
-    stats = aggregate_exceedance(trajectories, deltas)
+    args = (model, theta_star, sizes, filter_handle, rng, divergence_cap, record_trajectories)
+    fold = _TrialFold(ts, ds)
+    trajectories: list[ErrorTrajectory] = []
+    blocks = _run_blocks(_workflow_block, args, trials, workers)
+    for lo, (vs, diverged, records) in zip(range(0, trials, _BLOCK), blocks):
+        fold.add(vs, vs, diverged)
+        ns = np.where(ts <= diverged[:, None], sizes, 0)
+        if lo == 0:
+            ns0 = ns[0]  # the stats carry trial 0's sample sizes
+        if record_trajectories:
+            for i in range(vs.shape[0]):
+                trajectories.append(
+                    ErrorTrajectory(
+                        ts=ts.copy(),
+                        errors=records[i],
+                        vs=vs[i],
+                        ns=ns[i],
+                        horizon=horizon,
+                        trial_id=lo + i,
+                        diverged_at=None if np.isinf(diverged[i]) else int(diverged[i]),
+                    )
+                )
+    stats = fold.stats(ns0)
     if record_trajectories:
         return stats, trajectories
     return stats

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -45,6 +44,7 @@ from .filtering import (
     LabeledDataset,
     TrainConfig,
     anchors_from_dataset,
+    atomic_write_text,
     fit_pca,
     forward_batch,
     load_filter_checkpoint,
@@ -430,21 +430,6 @@ class ResultRow:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_results_csv(rows: Sequence[ResultRow], path) -> None:

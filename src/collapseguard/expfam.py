@@ -74,27 +74,50 @@ def _check_natural_domain(family: str, theta: np.ndarray) -> None:
         raise InputValidationError("exponential natural parameters must be negative")
 
 
-def _check_support(family: str, points: np.ndarray) -> None:
+_SUPPORT_MESSAGES = {
+    POISSON: "poisson data must be nonnegative integers",
+    BERNOULLI: "bernoulli data must be 0/1 valued",
+    EXPONENTIAL: "exponential data must be nonnegative",
+}
+
+_MEAN_DOMAIN_MESSAGES = {
+    POISSON: "poisson mean statistic must be strictly positive",
+    BERNOULLI: "bernoulli mean statistic must lie strictly inside (0, 1)",
+    EXPONENTIAL: "exponential mean statistic must be strictly positive",
+}
+
+
+def _off_support(family: str, points: np.ndarray) -> np.ndarray:
+    """Elementwise mask of points outside the family's support."""
     if family == POISSON:
-        if np.any(points < 0.0) or np.any(points != np.floor(points)):
-            raise InputValidationError("poisson data must be nonnegative integers")
-    elif family == BERNOULLI:
-        if not np.all((points == 0.0) | (points == 1.0)):
-            raise InputValidationError("bernoulli data must be 0/1 valued")
-    elif family == EXPONENTIAL:
-        if np.any(points < 0.0):
-            raise InputValidationError("exponential data must be nonnegative")
+        return (points < 0.0) | (points != np.floor(points))
+    if family == BERNOULLI:
+        return (points != 0.0) & (points != 1.0)
+    if family == EXPONENTIAL:
+        return points < 0.0
+    return np.zeros(points.shape, dtype=bool)
+
+
+def _outside_mean_domain(family: str, tbar: np.ndarray) -> np.ndarray:
+    """Elementwise mask of mean statistics that are not finite or not in the open mean domain."""
+    out = ~np.isfinite(tbar)
+    if family == BERNOULLI:
+        out |= (tbar <= 0.0) | (tbar >= 1.0)
+    elif family in (POISSON, EXPONENTIAL):
+        out |= tbar <= 0.0
+    return out
+
+
+def _check_support(family: str, points: np.ndarray) -> None:
+    if np.any(_off_support(family, points)):
+        raise InputValidationError(_SUPPORT_MESSAGES[family])
 
 
 def _check_mean_interior(family: str, tbar: np.ndarray) -> None:
     if not np.all(np.isfinite(tbar)):
         raise BoundaryError("mean statistic is not finite")
-    if family == POISSON and not np.all(tbar > 0.0):
-        raise BoundaryError("poisson mean statistic must be strictly positive")
-    if family == BERNOULLI and not (np.all(tbar > 0.0) and np.all(tbar < 1.0)):
-        raise BoundaryError("bernoulli mean statistic must lie strictly inside (0, 1)")
-    if family == EXPONENTIAL and not np.all(tbar > 0.0):
-        raise BoundaryError("exponential mean statistic must be strictly positive")
+    if np.any(_outside_mean_domain(family, tbar)):
+        raise BoundaryError(_MEAN_DOMAIN_MESSAGES[family])
 
 
 def _mean_from_natural(family: str, theta: np.ndarray) -> np.ndarray:
@@ -225,10 +248,22 @@ def _initial_bracket(family: str, target: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _mean_statistic(points: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Average statistic of each batch in ``points`` (rows, n, dim), weighted when given.
+
+    Weights (rows, n) are rescaled by their row maximum before averaging so
+    that constant weights cancel exactly.
+    """
+    if weights is None:
+        return points.sum(axis=1) / points.shape[1]
+    scaled = weights / weights.max(axis=1, keepdims=True)
+    return (points * scaled[:, :, None]).sum(axis=1) / scaled.sum(axis=1)[:, None]
+
+
 def estimate(model: ExpFamilyModel, points) -> Parameter:
     """Maximum-likelihood fit: inverse mean map of the average statistic."""
     data = as_dataset(model, points)
-    tbar = data.sum(axis=0) / data.shape[0]
+    tbar = _mean_statistic(data[None], None)[0]
     _check_mean_interior(model.family, tbar)
     return Parameter(_natural_from_mean(model.family, tbar), model)
 
@@ -254,10 +289,48 @@ def weighted_estimate(model: ExpFamilyModel, points, weights) -> Parameter:
         raise DegenerateSelectionError(
             f"weight sum {total:.3e} is at or below the floor {floor:.3e}"
         )
-    scaled = w / w.max()
-    tbar = (data * scaled[:, None]).sum(axis=0) / scaled.sum()
+    tbar = _mean_statistic(data[None], w[None])[0]
     _check_mean_interior(model.family, tbar)
     return Parameter(_natural_from_mean(model.family, tbar), model)
+
+
+def _fit_rows(family: str, points: np.ndarray, weights: np.ndarray | None):
+    """``estimate`` (or ``weighted_estimate``) of every batch in ``points`` (rows, n, dim).
+
+    Returns the natural parameters (rows, dim) and a mask of the rows that
+    pass every check the one-batch functions make: finite data on the
+    support, weights in [0, 1] above the floor, a mean statistic inside the
+    mean domain and a finite parameter in the natural domain. A row outside
+    the mask holds no fit; refitting it with the one-batch function raises
+    its error.
+    """
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(points).all(axis=(1, 2))
+        ok &= ~_off_support(family, points).any(axis=(1, 2))
+        if weights is not None:
+            in_range = np.isfinite(weights) & (weights >= 0.0) & (weights <= 1.0)
+            ok &= in_range.all(axis=1)
+            ok &= weights.sum(axis=1) > WEIGHT_FLOOR_PER_POINT * points.shape[1]
+        tbar = _mean_statistic(points, weights)
+        ok &= ~_outside_mean_domain(family, tbar).any(axis=1)
+        theta = _natural_from_mean(family, tbar)
+    ok &= np.isfinite(theta).all(axis=1)
+    if family == EXPONENTIAL:
+        ok &= (theta < 0.0).all(axis=1)
+    return theta, ok
+
+
+def _draw(family: str, theta: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n i.i.d. points, shape (n, dim), at the natural parameter vector ``theta``."""
+    d = theta.shape[0]
+    if family == GAUSSIAN:
+        return theta + gen.standard_normal((n, d))
+    if family == POISSON:
+        return gen.poisson(lam=np.exp(theta), size=(n, d)).astype(float)
+    if family == BERNOULLI:
+        p = 1.0 / (1.0 + np.exp(-theta))
+        return (gen.random((n, d)) < p).astype(float)
+    return gen.exponential(scale=-1.0 / theta, size=(n, d))
 
 
 def sample(model: ExpFamilyModel, theta: Parameter, n: int, rng) -> np.ndarray:
@@ -266,13 +339,4 @@ def sample(model: ExpFamilyModel, theta: Parameter, n: int, rng) -> np.ndarray:
         raise InputValidationError("parameter belongs to a different model")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputValidationError("n must be a positive integer")
-    gen = as_generator(rng)
-    family, d = model.family, model.dim
-    if family == GAUSSIAN:
-        return theta.theta + gen.standard_normal((int(n), d))
-    if family == POISSON:
-        return gen.poisson(lam=np.exp(theta.theta), size=(int(n), d)).astype(float)
-    if family == BERNOULLI:
-        p = 1.0 / (1.0 + np.exp(-theta.theta))
-        return (gen.random((int(n), d)) < p).astype(float)
-    return gen.exponential(scale=-1.0 / theta.theta, size=(int(n), d))
+    return _draw(model.family, theta.theta, int(n), as_generator(rng))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -812,9 +814,22 @@ def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_
         "train_config": train_meta,
         "config_hash": config_content_hash(train_meta),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see partials."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_json_object(path, what: str) -> dict:

@@ -1,8 +1,11 @@
 """Tests for the error-dynamics and recursive-training workflow simulators."""
 
+import re
+
 import numpy as np
 import pytest
 
+from collapseguard import expfam
 from collapseguard.contraction import (
     ContractionFn,
     ContractionMap,
@@ -17,10 +20,20 @@ from collapseguard.dynamics import (
     run_workflow_trials,
 )
 from collapseguard.errors import (
+    BoundaryError,
+    CollapseGuardError,
     DegenerateSelectionError,
     InputValidationError,
+    SimulationOverflowError,
 )
-from collapseguard.expfam import GAUSSIAN, ExpFamilyModel, Parameter
+from collapseguard.expfam import (
+    BERNOULLI,
+    EXPONENTIAL,
+    GAUSSIAN,
+    POISSON,
+    ExpFamilyModel,
+    Parameter,
+)
 from collapseguard.filtering import FilterHandle, FilterParams, fit_pca
 from collapseguard.numerics import RngState
 
@@ -204,6 +217,10 @@ class TestAggregateExceedance:
     def test_unit_norm_against_large_threshold(self):
         stats = aggregate_exceedance([_flat_trajectory(1.0, 5)], deltas=(2.0,))
         np.testing.assert_array_equal(stats.exceedance_at(2.0), np.zeros(6))
+
+    def test_a_repeated_delta_is_counted_once(self):
+        stats = aggregate_exceedance([_flat_trajectory(1.0, 5)], deltas=(0.5, 0.5))
+        np.testing.assert_array_equal(stats.exceedance_at(0.5), np.ones(6))
 
     def test_mixed_horizons_rejected(self):
         with pytest.raises(InputValidationError):
@@ -450,3 +467,212 @@ def _run_local_filter_on_two_workers():
 def test_work_that_cannot_be_pickled_raises_a_named_error(run):
     with pytest.raises(InputValidationError, match="COLLAPSEGUARD_WORKERS=1"):
         run()
+
+
+# ---------------------------------------------------------------------------
+# The workflow kernel against a trial-by-trial loop on the public expfam API
+# ---------------------------------------------------------------------------
+
+
+def _reference_trial(model, theta_star, schedule, horizon, gen, handle, candidates, cap):
+    """One workflow trial, generation by generation, as (errors, vs, ns, diverged_at)."""
+    n = horizon + 1
+    errors = np.empty((n, model.dim))
+    ns = np.zeros(n, dtype=np.int64)
+    current, diverged_at = theta_star, None
+    for t in range(n):
+        filtered = handle is not None and t > 0
+        size = candidates if filtered and candidates is not None else schedule.size(t)
+        points = expfam.sample(model, current, size, gen)
+        if filtered:
+            w = np.asarray(handle.weights(points), dtype=float)
+            if w.shape != (size,):
+                raise InputValidationError(
+                    f"generation {t}: filter returned weights of shape {w.shape}, "
+                    f"expected ({size},)"
+                )
+        try:
+            if filtered:
+                fitted = expfam.weighted_estimate(model, points, w)
+            else:
+                fitted = expfam.estimate(model, points)
+        except CollapseGuardError as exc:
+            raise type(exc)(f"generation {t}: {exc}") from exc
+        errors[t] = fitted.theta - theta_star.theta
+        ns[t] = size
+        if not np.all(np.isfinite(errors[t])):
+            raise SimulationOverflowError(t)
+        if float(errors[t] @ errors[t]) > cap:
+            diverged_at = t
+            errors[t + 1 :] = errors[t]
+            ns[t + 1 :] = 0
+            break
+        current = fitted
+    return errors, np.einsum("ij,ij->i", errors, errors), ns, diverged_at
+
+
+def _reference_outcomes(
+    model, theta_star, schedule, horizon, trials, seed,
+    filter_handle=None, candidates_per_round=None, divergence_cap=1e12,
+):
+    """Each trial's reference result, or the exception it stops on, in trial order."""
+    rng = RngState(seed=seed)
+    outcomes = []
+    for i in range(trials):
+        try:
+            outcomes.append(_reference_trial(
+                model, theta_star, schedule, horizon, rng.derive(i).generator(),
+                filter_handle, candidates_per_round, divergence_cap,
+            ))
+        except CollapseGuardError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _assert_trajectories_match(trajectories, outcomes):
+    assert len(trajectories) == len(outcomes)
+    for i, (traj, outcome) in enumerate(zip(trajectories, outcomes)):
+        assert isinstance(outcome, tuple), f"reference trial {i} failed: {outcome}"
+        errors, vs, ns, diverged_at = outcome
+        assert traj.trial_id == i
+        np.testing.assert_array_equal(traj.errors, errors)
+        np.testing.assert_array_equal(traj.vs, vs)
+        np.testing.assert_array_equal(traj.ns, ns)
+        assert traj.diverged_at == diverged_at
+
+
+def _assert_stats_equal(a, b):
+    for name in ("ts", "mse", "mean_v", "ns"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.trials == b.trials
+    assert a.exceedance.keys() == b.exceedance.keys()
+    for delta in a.exceedance:
+        np.testing.assert_array_equal(a.exceedance[delta], b.exceedance[delta])
+
+
+_FAMILIES = {
+    "gaussian-2d": (GAUSSIAN, 2, [1.0, -0.5]),
+    "poisson": (POISSON, 1, [np.log(3.0)]),
+    "bernoulli": (BERNOULLI, 1, [0.0]),
+    "exponential": (EXPONENTIAL, 1, [-1.0]),
+}
+
+_SCHEDULES = {
+    "constant": SampleSchedule.constant_size(100),
+    "power": SampleSchedule.power(base=40, exponent=1.0),
+}
+
+
+class TestWorkflowMatchesTrialLoop:
+    @pytest.mark.parametrize("filter_kind", ["none", "all-ones", "oracle-pullback"])
+    @pytest.mark.parametrize("schedule_kind", sorted(_SCHEDULES))
+    @pytest.mark.parametrize("family_kind", sorted(_FAMILIES))
+    def test_trajectories_and_stats_are_bit_identical(
+        self, family_kind, schedule_kind, filter_kind
+    ):
+        family, dim, theta = _FAMILIES[family_kind]
+        model = ExpFamilyModel(family, dim)
+        theta_star = Parameter(np.array(theta), model)
+        extra = {}
+        if filter_kind == "all-ones":
+            extra = {"filter_handle": FilterHandle.all_ones()}
+        elif filter_kind == "oracle-pullback":
+            extra = {
+                "filter_handle": FilterHandle.oracle_pullback(theta_star, gamma=0.5),
+                "candidates_per_round": 40,
+            }
+        trials, horizon, seed = 300, 4, 17
+        schedule = _SCHEDULES[schedule_kind]
+        stats, trajectories = run_workflow_trials(
+            model, theta_star, schedule, horizon=horizon, trials=trials,
+            rng=RngState(seed=seed), deltas=(0.05, 0.2, 1.0), record_trajectories=True,
+            **extra,
+        )
+        outcomes = _reference_outcomes(
+            model, theta_star, schedule, horizon, trials, seed, **extra
+        )
+        _assert_trajectories_match(trajectories, outcomes)
+        _assert_stats_equal(stats, aggregate_exceedance(trajectories, (0.05, 0.2, 1.0)))
+        unrecorded = run_workflow_trials(
+            model, theta_star, schedule, horizon=horizon, trials=trials,
+            rng=RngState(seed=seed), deltas=(0.05, 0.2, 1.0), **extra,
+        )
+        _assert_stats_equal(unrecorded, stats)
+
+    def test_first_failure_in_trial_order_is_raised(self):
+        """Bernoulli fits on 4 draws hit the boundary in most trials, at different generations."""
+        model = ExpFamilyModel(BERNOULLI, 1)
+        theta_star = Parameter(np.zeros(1), model)
+        schedule = SampleSchedule.constant_size(4)
+        horizon, trials, seed = 6, 300, 5
+        outcomes = _reference_outcomes(model, theta_star, schedule, horizon, trials, seed)
+        failures = [(i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, Exception)]
+        assert len(failures) >= 2
+        first_trial, first_exc = failures[0]
+
+        def generation(exc):
+            return int(re.match(r"generation (\d+):", str(exc)).group(1))
+
+        assert any(
+            i > first_trial and generation(exc) < generation(first_exc)
+            for i, exc in failures
+        ), "no later trial fails at an earlier generation; the ordering is not exercised"
+        with pytest.raises(CollapseGuardError) as info:
+            run_workflow_trials(
+                model, theta_star, schedule, horizon=horizon, trials=trials,
+                rng=RngState(seed=seed),
+            )
+        assert type(info.value) is type(first_exc) is BoundaryError
+        assert str(info.value) == str(first_exc)
+
+    def test_divergence_freezes_trials_and_counts_as_exceeding(self):
+        model, theta_star = _gaussian(1)
+        schedule = SampleSchedule.constant_size(10)
+        horizon, trials, seed, cap = 8, 300, 9, 0.05
+        deltas = (0.1, 1e6)
+        stats, trajectories = run_workflow_trials(
+            model, theta_star, schedule, horizon=horizon, trials=trials,
+            rng=RngState(seed=seed), deltas=deltas, divergence_cap=cap,
+            record_trajectories=True,
+        )
+        outcomes = _reference_outcomes(
+            model, theta_star, schedule, horizon, trials, seed, divergence_cap=cap
+        )
+        _assert_trajectories_match(trajectories, outcomes)
+        diverged = [traj for traj in trajectories if traj.diverged_at is not None]
+        assert 0 < len(diverged) < trials
+        assert any(traj.diverged_at > 0 for traj in diverged)
+        for traj in diverged:
+            k = traj.diverged_at
+            assert traj.vs[k] > cap
+            assert np.all(traj.vs[:k] <= cap)
+            np.testing.assert_array_equal(
+                traj.errors[k:], np.repeat(traj.errors[k : k + 1], horizon + 1 - k, axis=0)
+            )
+            assert np.all(traj.ns[: k + 1] == 10)
+            assert np.all(traj.ns[k + 1 :] == 0)
+        # No error norm reaches 1e6, so exceedance there counts diverged trials only.
+        frozen_by = np.array([
+            sum(traj.diverged_at <= t for traj in diverged) for t in range(horizon + 1)
+        ])
+        np.testing.assert_array_equal(stats.exceedance_at(1e6), frozen_by / trials)
+        assert np.all(stats.exceedance_at(0.1) >= frozen_by / trials)
+        _assert_stats_equal(stats, aggregate_exceedance(trajectories, deltas))
+
+    def test_filter_weights_of_the_wrong_shape_are_rejected(self):
+        model, theta_star = _gaussian(1)
+        with pytest.raises(
+            InputValidationError,
+            match=re.escape(
+                "generation 1: filter returned weights of shape (11,), expected (10,)"
+            ),
+        ):
+            run_workflow_trials(
+                model, theta_star, SampleSchedule.constant_size(10), horizon=3,
+                trials=3, rng=RngState(seed=1), filter_handle=_OneWeightTooMany(),
+            )
+
+
+class _OneWeightTooMany:
+    def weights(self, points):
+        return np.ones(len(points) + 1)

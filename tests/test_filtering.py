@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -835,6 +836,25 @@ class TestCheckpoint:
         self._tamper(path, lambda p: p.pop("params"))
         with pytest.raises(InputValidationError, match="malformed"):
             load_filter_checkpoint(path)
+
+    @pytest.mark.parametrize("failure", ["unencodable-meta", "failed-rename"])
+    def test_a_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch, failure):
+        params, pca, meta = self._artifacts()
+        path = tmp_path / "checkpoint.json"
+        save_filter_checkpoint(path, params, pca, meta)
+        before = path.read_bytes()
+        if failure == "unencodable-meta":
+            meta, expected = {**meta, "note": object()}, TypeError
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+            meta, expected = {**meta, "seed": 8}, OSError
+        with pytest.raises(expected):
+            save_filter_checkpoint(path, params, pca, meta)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
     def test_config_hash_ignores_key_order_but_not_values(self):
         a = config_content_hash({"alpha": 1, "beta": [1, 2]})
