@@ -48,7 +48,7 @@ from .expfam import (
 )
 from .experiments import (
     ExperimentConfig,
-    ResultRow,
+    ResultTable,
     compare_runs,
     config_hash,
     emit_plot,
@@ -95,7 +95,7 @@ __all__ = [
     "PCATransform",
     "Parameter",
     "RegulatorFn",
-    "ResultRow",
+    "ResultTable",
     "RngState",
     "SampleSchedule",
     "SimulationOverflowError",

@@ -138,10 +138,10 @@ def _run_scenario_command(args) -> int:
 def _run_compare(args) -> int:
     baseline = read_results_csv(args.baseline)
     treatment = read_results_csv(args.treatment)
-    rows, summary = compare_runs(baseline, treatment)
+    table, summary = compare_runs(baseline, treatment)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "compare.csv")
-    write_compare_csv(rows, csv_path)
+    write_compare_csv(table, csv_path)
     summary_path = os.path.join(args.out, "compare_summary.json")
     write_summary(summary, summary_path)
     print(f"wrote {csv_path}")
@@ -155,8 +155,8 @@ def _run_compare(args) -> int:
 
 
 def _run_plot(args) -> int:
-    rows = read_results_csv(args.input)
-    emit_plot(rows, args.kind, args.out, column=args.column)
+    table = read_results_csv(args.input)
+    emit_plot(table, args.kind, args.out, column=args.column)
     print(f"wrote {args.out}")
     return 0
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InputValidationError
 from .numerics import (
+    STACK_LIMIT,
     RngState,
     as_generator,
     as_symmetric_matrix,
@@ -427,18 +428,27 @@ def measure_concentration(
     model: expfam.ExpFamilyModel,
     theta: expfam.Parameter,
     sizes: Sequence[int],
-    delta: float,
+    deltas: Sequence[float],
     trials: int,
     rng: RngState,
-) -> list[tuple[int, float]]:
-    """Empirical exceedance P(||estimate - theta|| >= delta) per sample size.
+) -> np.ndarray:
+    """Empirical exceedance P(||estimate - theta|| >= delta) per sample size and delta.
 
     For each n in ``sizes`` runs ``trials`` Monte-Carlo fits of n fresh
-    draws and reports the fraction whose estimation error reaches delta.
-    No tail constants are asserted; the curve itself is the product.
+    draws from the size's own substream ``rng.derive(i)`` and returns the
+    fraction of fits whose estimation error reaches each delta, shape
+    (len(sizes), len(deltas)). A fit that does not exist (a mean statistic
+    on the boundary, possible for small discrete samples) exceeds every
+    delta. Trials are drawn in chunks of at most ``STACK_LIMIT`` values,
+    each continuing the size's stream, so the draws are those of one
+    whole-stream draw. No tail constants are asserted; the curve itself is
+    the product.
     """
-    if delta < 0.0:
-        raise InputValidationError("delta must be nonnegative")
+    ds = np.asarray(deltas, dtype=float)
+    if ds.ndim != 1 or ds.shape[0] == 0:
+        raise InputValidationError("deltas must be a non-empty sequence")
+    if np.any(ds < 0.0):
+        raise InputValidationError("deltas must be nonnegative")
     if trials < 100:
         raise InputValidationError("trials must be at least 100 for a stable fraction")
     if len(sizes) == 0:
@@ -449,26 +459,18 @@ def measure_concentration(
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (substreams are derived per size)")
 
-    results: list[tuple[int, float]] = []
+    counts = np.zeros((len(sizes), ds.shape[0]), dtype=np.int64)
     for i, n in enumerate(sizes):
+        n = int(n)
         gen = rng.derive(i).generator()
-        draws = expfam.sample(model, theta, int(n) * trials, gen)
-        tbar = draws.reshape(trials, int(n), model.dim).sum(axis=1) / float(n)
-        try:
-            expfam._check_mean_interior(model.family, tbar.ravel())
-            theta_hat = expfam._natural_from_mean(model.family, tbar)
-        except Exception:
-            # boundary-hitting trials (possible for small discrete samples) are
-            # handled per row: a fit that does not exist counts as exceeding
-            theta_hat = np.full_like(tbar, np.nan)
-            for row in range(trials):
-                try:
-                    expfam._check_mean_interior(model.family, tbar[row])
-                    theta_hat[row] = expfam._natural_from_mean(model.family, tbar[row])
-                except Exception:
-                    pass
-        err = theta_hat - theta.theta[None, :]
-        dist = np.linalg.norm(err, axis=1)
-        exceed = np.isnan(dist) | (dist >= delta)
-        results.append((int(n), float(exceed.mean())))
-    return results
+        chunk = max(1, STACK_LIMIT // (n * model.dim))
+        for lo in range(0, trials, chunk):
+            rows = min(chunk, trials - lo)
+            draws = expfam.sample(model, theta, rows * n, gen)
+            tbar = expfam._mean_statistic(draws.reshape(rows, n, model.dim), None)
+            missing = expfam._outside_mean_domain(model.family, tbar).any(axis=1)
+            with np.errstate(all="ignore"):
+                theta_hat = expfam._natural_from_mean(model.family, tbar)
+            dist = np.linalg.norm(theta_hat - theta.theta, axis=1)
+            counts[i] += (missing[:, None] | (dist[:, None] >= ds)).sum(axis=0)
+    return counts / trials

@@ -33,7 +33,7 @@ from .errors import (
     InputValidationError,
     SimulationOverflowError,
 )
-from .numerics import RngState, as_vector
+from .numerics import STACK_LIMIT, RngState, as_vector
 
 ZERO = "zero"
 POWER_LAW = "power-law"
@@ -45,7 +45,6 @@ WORKERS_ENV_VAR = "COLLAPSEGUARD_WORKERS"
 
 _BLOCK = 256
 _CHUNK = 2048
-_STACK_LIMIT = 1 << 18  # values in one stacked (trials, size, dim) workflow fit
 
 
 def worker_count() -> int:
@@ -271,7 +270,9 @@ def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
 
     Exceedance at delta is the fraction of trials with ||e_t|| > delta;
     diverged trials count as exceeding every threshold from their
-    divergence step on. Mixed horizons are rejected.
+    divergence step on. The sample size at a step is the largest over the
+    trials, so it is zero only once every trial has stopped sampling.
+    Mixed horizons are rejected.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -288,7 +289,7 @@ def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
         np.array([traj.vs for traj in trajectories]),
         np.array([np.inf if t.diverged_at is None else t.diverged_at for t in trajectories]),
     )
-    return fold.stats(first.ns)
+    return fold.stats(np.max([traj.ns for traj in trajectories], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +507,7 @@ def _workflow_block(job):
     Each generation draws every live trial's candidates from its own stream
     (one call per trial, as a trial-by-trial loop makes them), weighs them
     trial by trial when filtered, and fits all live trials at once, at most
-    ``_STACK_LIMIT`` stacked values at a time. A trial freezes once V
+    ``STACK_LIMIT`` stacked values at a time. A trial freezes once V
     exceeds the cap. A trial that fails stops, and so does every later
     trial: the block raises the failure of the lowest-index failing trial,
     the error a trial-by-trial loop meets first. Returns the (trials,
@@ -529,7 +530,7 @@ def _workflow_block(job):
         size = int(sizes[t])
         filtered = filter_handle is not None and t > 0
         live = np.flatnonzero(np.isinf(diverged))
-        rows = max(1, _STACK_LIMIT // (size * dim))
+        rows = max(1, STACK_LIMIT // (size * dim))
         for k in range(0, live.size, rows):
             part = live[k : k + rows]
             part = part[part < stop]
@@ -618,13 +619,13 @@ def run_workflow_trials(
     )
     args = (model, theta_star, sizes, filter_handle, rng, divergence_cap, record_trajectories)
     fold = _TrialFold(ts, ds)
+    live_ns = np.zeros(n, dtype=np.int64)  # the schedule size while any trial samples, else 0
     trajectories: list[ErrorTrajectory] = []
     blocks = _run_blocks(_workflow_block, args, trials, workers)
     for lo, (vs, diverged, records) in zip(range(0, trials, _BLOCK), blocks):
         fold.add(vs, vs, diverged)
         ns = np.where(ts <= diverged[:, None], sizes, 0)
-        if lo == 0:
-            ns0 = ns[0]  # the stats carry trial 0's sample sizes
+        live_ns = np.maximum(live_ns, ns.max(axis=0))
         if record_trajectories:
             for i in range(vs.shape[0]):
                 trajectories.append(
@@ -638,7 +639,7 @@ def run_workflow_trials(
                         diverged_at=None if np.isinf(diverged[i]) else int(diverged[i]),
                     )
                 )
-    stats = fold.stats(ns0)
+    stats = fold.stats(live_ns)
     if record_trajectories:
         return stats, trajectories
     return stats

@@ -412,40 +412,105 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Result rows and files
+# Result tables and files
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResultRow:
+@dataclass(frozen=True, eq=False)
+class ResultTable:
+    """A results table as columns, one entry per row (a step, or a sample size).
+
+    ``exceed`` holds the exceedance columns at ``FIXED_DELTAS``, shape
+    (rows, 3). The scenario, trial count and config hash are shared by
+    every row.
+    """
+
     scenario: str
-    t: int
-    n_t: int
-    mse: float
-    mean_v: float
-    exceed: tuple[float, float, float]
+    t: np.ndarray
+    n_t: np.ndarray
+    mse: np.ndarray
+    mean_v: np.ndarray
+    exceed: np.ndarray
     trials: int
     config_hash: str
+
+    def __post_init__(self):
+        for name, dtype in (("t", np.int64), ("n_t", np.int64), ("mse", float),
+                            ("mean_v", float), ("exceed", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        rows = self.t.shape
+        if not (self.t.ndim == 1 and self.n_t.shape == self.mse.shape == self.mean_v.shape == rows
+                and self.exceed.shape == rows + (len(FIXED_DELTAS),)):
+            raise InputValidationError(
+                "result columns must share one row count, with one exceed column per fixed delta"
+            )
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def write_results_csv(rows: Sequence[ResultRow], path) -> None:
-    if len(rows) == 0:
+def _int_cells(column: np.ndarray) -> list[str]:
+    return list(map(str, column.tolist()))
+
+
+def _float_cells(column: np.ndarray) -> list[str]:
+    # "%.12g" % x is the same string as format(x, ".12g")
+    return list(map("%.12g".__mod__, column.tolist()))
+
+
+def _csv_text(header: str, columns: list[list[str]]) -> str:
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def write_results_csv(table: ResultTable, path) -> None:
+    rows = len(table)
+    if rows == 0:
         raise InputValidationError("refusing to write an empty results table")
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.scenario},{r.t},{r.n_t},{_fmt(r.mse)},{_fmt(r.mean_v)},"
-            f"{_fmt(r.exceed[0])},{_fmt(r.exceed[1])},{_fmt(r.exceed[2])},"
-            f"{r.trials},{r.config_hash}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [
+        [table.scenario] * rows,
+        _int_cells(table.t),
+        _int_cells(table.n_t),
+        _float_cells(table.mse),
+        _float_cells(table.mean_v),
+        *map(_float_cells, table.exceed.T),
+        [str(table.trials)] * rows,
+        [table.config_hash] * rows,
+    ]
+    atomic_write_text(path, _csv_text(CSV_HEADER, columns))
 
 
-def read_results_csv(path) -> list[ResultRow]:
+def _parse_cells(path, cells: list[str], name: str, kind) -> np.ndarray:
+    """One column parsed with ``int`` or ``float``; a bad cell is reported by line and column."""
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, cells), dtype=dtype, count=len(cells))
+    except (ValueError, OverflowError):
+        for line, cell in enumerate(cells, start=2):
+            try:
+                dtype(kind(cell))
+            except (ValueError, OverflowError):
+                what = "an integer" if kind is int else "a number"
+                raise InputValidationError(
+                    f"{path}:{line}: column {name} must hold {what}, got {cell!r}"
+                ) from None
+        raise
+
+
+def _shared_cell(path, cells, name: str, default):
+    """The value every row holds in a column the table keeps once; ``default`` if no rows."""
+    if not cells:
+        return default
+    if cells.count(cells[0]) != len(cells):
+        line = next(i for i, cell in enumerate(cells, start=2) if cell != cells[0])
+        raise InputValidationError(f"{path}:{line}: column {name} differs from line 2")
+    return cells[0]
+
+
+def read_results_csv(path) -> ResultTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -453,24 +518,25 @@ def read_results_csv(path) -> list[ResultRow]:
         raise InputValidationError(f"cannot read results {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise InputValidationError(f"{path} does not carry the expected results schema")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 10:
+    body = lines[1:]
+    for i, line in enumerate(body, start=2):
+        if line.count(",") != 9:
             raise InputValidationError(f"{path}:{i}: expected 10 columns")
-        rows.append(
-            ResultRow(
-                scenario=parts[0],
-                t=int(parts[1]),
-                n_t=int(parts[2]),
-                mse=float(parts[3]),
-                mean_v=float(parts[4]),
-                exceed=(float(parts[5]), float(parts[6]), float(parts[7])),
-                trials=int(parts[8]),
-                config_hash=parts[9],
-            )
-        )
-    return rows
+    cells = ",".join(body).split(",") if body else []
+    names = CSV_HEADER.split(",")
+    column = {name: cells[k::10] for k, name in enumerate(names)}
+    number = {name: _parse_cells(path, column[name], name, float) for name in names[3:8]}
+    trials = _parse_cells(path, column["trials"], "trials", int)
+    return ResultTable(
+        scenario=_shared_cell(path, column["scenario"], "scenario", ""),
+        t=_parse_cells(path, column["t"], "t", int),
+        n_t=_parse_cells(path, column["n_t"], "n_t", int),
+        mse=number["mse"],
+        mean_v=number["mean_V"],
+        exceed=np.column_stack([number[name] for name in names[5:8]]),
+        trials=_shared_cell(path, trials.tolist(), "trials", 0),
+        config_hash=_shared_cell(path, column["config_hash"], "config_hash", ""),
+    )
 
 
 def write_summary(summary: dict, path) -> None:
@@ -484,7 +550,7 @@ def write_summary(summary: dict, path) -> None:
 
 @dataclass(eq=False)
 class ExperimentResult:
-    rows: list[ResultRow]
+    table: ResultTable | None  # None for train-filter, which writes no results table
     summary: dict
     paths: dict[str, str]
 
@@ -497,21 +563,9 @@ def _slope(ts: np.ndarray, ys: np.ndarray) -> float:
     return float(np.polyfit(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
 
-def _stats_rows(scenario, stats, trials, chash) -> list[ResultRow]:
-    e1, e2, e3 = (stats.exceedance_at(d) for d in FIXED_DELTAS)
-    return [
-        ResultRow(
-            scenario=scenario,
-            t=int(stats.ts[i]),
-            n_t=int(stats.ns[i]),
-            mse=float(stats.mse[i]),
-            mean_v=float(stats.mean_v[i]),
-            exceed=(float(e1[i]), float(e2[i]), float(e3[i])),
-            trials=trials,
-            config_hash=chash,
-        )
-        for i in range(stats.ts.shape[0])
-    ]
+def _stats_table(scenario, stats, trials, chash) -> ResultTable:
+    exceed = np.column_stack([stats.exceedance_at(d) for d in FIXED_DELTAS])
+    return ResultTable(scenario, stats.ts, stats.ns, stats.mse, stats.mean_v, exceed, trials, chash)
 
 
 def _run_dynamics(config: ExperimentConfig, chash: str):
@@ -528,7 +582,7 @@ def _run_dynamics(config: ExperimentConfig, chash: str):
         map_, noise, e0, config.horizon, config.trials, RngState(config.seed),
         deltas=_merged_deltas(config),
     )
-    rows = _stats_rows("dynamics", stats, config.trials, chash)
+    table = _stats_table("dynamics", stats, config.trials, chash)
 
     burn_in = max(1, config.horizon // 10)
     summary = {
@@ -544,7 +598,7 @@ def _run_dynamics(config: ExperimentConfig, chash: str):
             stats.exceedance_at(0.2), burn_in
         ),
     }
-    return rows, summary
+    return table, summary
 
 
 def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int, blocks: int = 20) -> float:
@@ -580,7 +634,7 @@ def _run_workflow(config: ExperimentConfig, chash: str):
         candidates_per_round=config.filter.candidates_per_round if filtered else None,
     )
     scenario = "workflow-filtered" if filtered else "workflow"
-    rows = _stats_rows(scenario, stats, config.trials, chash)
+    table = _stats_table(scenario, stats, config.trials, chash)
 
     half = config.horizon // 2
     summary = {
@@ -597,7 +651,7 @@ def _run_workflow(config: ExperimentConfig, chash: str):
     if not filtered and config.schedule.kind == "constant":
         summary["expected_final_mse"] = config.model.dim * config.horizon / config.schedule.base
         summary["expected_mse_slope"] = config.model.dim / config.schedule.base
-    return rows, summary
+    return table, summary
 
 
 def _run_rates(config: ExperimentConfig, chash: str):
@@ -610,20 +664,9 @@ def _run_rates(config: ExperimentConfig, chash: str):
     except InputValidationError:
         slope, r_squared = None, None
 
-    deltas = FIXED_DELTAS
-    rows = [
-        ResultRow(
-            scenario="rates",
-            t=t,
-            n_t=0,
-            mse=float(traj[t]),
-            mean_v=float(traj[t]),
-            exceed=tuple(1.0 if traj[t] >= d else 0.0 for d in deltas),
-            trials=1,
-            config_hash=chash,
-        )
-        for t in range(traj.shape[0])
-    ]
+    steps = traj.shape[0]
+    exceed = (traj[:, None] >= np.array(FIXED_DELTAS)).astype(float)
+    table = ResultTable("rates", np.arange(steps), np.zeros(steps), traj, traj, exceed, 1, chash)
     summary = {
         "scenario": "rates",
         "config_hash": chash,
@@ -636,43 +679,33 @@ def _run_rates(config: ExperimentConfig, chash: str):
     }
     if spec.noise_kind == "constant" and spec.noise_scale > 0.0:
         summary["limsup_ceiling"] = limsup_bound(f, spec.noise_scale)
-    return rows, summary
+    return table, summary
 
 
 def _run_concentration(config: ExperimentConfig, chash: str):
     model, theta = config.model.build()
     spec = config.concentration
     rng = RngState(config.seed)
-    curve = measure_concentration(model, theta, spec.sizes, spec.delta, spec.trials, rng)
-    # same substreams per size, so the fixed-delta columns share the draws
-    fixed = [
-        measure_concentration(model, theta, spec.sizes, d, spec.trials, rng)
-        for d in FIXED_DELTAS
-    ]
-    rows = [
-        ResultRow(
-            scenario="concentration",
-            t=i,
-            n_t=int(n),
-            mse=0.0,
-            mean_v=0.0,
-            exceed=tuple(float(fixed[j][i][1]) for j in range(3)),
-            trials=spec.trials,
-            config_hash=chash,
-        )
-        for i, (n, _) in enumerate(curve)
-    ]
-    exceed = [float(frac) for _, frac in curve]
+    # one pass over the draws: the configured delta, then the fixed-delta columns
+    curve = measure_concentration(
+        model, theta, spec.sizes, (spec.delta,) + FIXED_DELTAS, spec.trials, rng
+    )
+    rows = len(spec.sizes)
+    table = ResultTable(
+        "concentration", np.arange(rows), spec.sizes, np.zeros(rows), np.zeros(rows),
+        curve[:, 1:], spec.trials, chash,
+    )
+    exceed = curve[:, 0].tolist()
     summary = {
         "scenario": "concentration",
         "config_hash": chash,
         "trials": spec.trials,
         "delta": spec.delta,
-        "sizes": [int(n) for n, _ in curve],
+        "sizes": list(spec.sizes),
         "exceedance": exceed,
         "monotone_nonincreasing": all(b <= a for a, b in zip(exceed, exceed[1:])),
     }
-    return rows, summary
+    return table, summary
 
 
 def _run_train_filter(config: ExperimentConfig, chash: str):
@@ -772,18 +805,19 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
         "training_log": "\n".join(log_lines) + "\n",
         "checkpoint": (params, pca, meta),
     }
-    return [], summary, artifacts
+    return summary, artifacts
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch a validated config, write its artifacts, return rows + summary."""
+    """Dispatch a validated config, write its artifacts, return the table + summary."""
     chash = config_hash(config)
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     paths: dict[str, str] = {}
 
     if config.scenario == "train-filter":
-        rows, summary, artifacts = _run_train_filter(config, chash)
+        table = None
+        summary, artifacts = _run_train_filter(config, chash)
         log_path = os.path.join(out, "training_log.csv")
         atomic_write_text(log_path, artifacts["training_log"])
         paths["training_log"] = log_path
@@ -794,23 +828,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         summary["checkpoint"] = ckpt_path
     else:
         if config.scenario == "dynamics":
-            rows, summary = _run_dynamics(config, chash)
+            table, summary = _run_dynamics(config, chash)
         elif config.scenario in ("workflow", "workflow-filtered"):
-            rows, summary = _run_workflow(config, chash)
+            table, summary = _run_workflow(config, chash)
         elif config.scenario == "rates":
-            rows, summary = _run_rates(config, chash)
+            table, summary = _run_rates(config, chash)
         elif config.scenario == "concentration":
-            rows, summary = _run_concentration(config, chash)
+            table, summary = _run_concentration(config, chash)
         else:  # pragma: no cover - scenario set is closed by validation
             raise InputValidationError(f"unhandled scenario {config.scenario!r}")
         csv_path = os.path.join(out, "results.csv")
-        write_results_csv(rows, csv_path)
+        write_results_csv(table, csv_path)
         paths["results"] = csv_path
 
     summary_path = os.path.join(out, "summary.json")
     write_summary(summary, summary_path)
     paths["summary"] = summary_path
-    return ExperimentResult(rows=rows, summary=summary, paths=paths)
+    return ExperimentResult(table=table, summary=summary, paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -818,52 +852,59 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    t: int
-    baseline_mse: float
-    treatment_mse: float
-    ratio: float
+@dataclass(frozen=True, eq=False)
+class CompareTable:
+    """Per-step baseline and treatment MSE and their ratio, as columns."""
+
+    t: np.ndarray
+    baseline_mse: np.ndarray
+    treatment_mse: np.ndarray
+    ratio: np.ndarray
 
 
-def compare_runs(baseline: Sequence[ResultRow], treatment: Sequence[ResultRow]):
-    """Per-step baseline/treatment MSE ratios plus a trend verdict."""
+def compare_runs(baseline: ResultTable, treatment: ResultTable):
+    """Per-step baseline/treatment MSE ratios plus a trend verdict.
+
+    The ratio is 1 where both MSEs are 0 and infinite where only the
+    treatment's is.
+    """
     if len(baseline) == 0 or len(treatment) == 0:
         raise InputValidationError("both result tables must be nonempty")
     if len(baseline) != len(treatment):
         raise InputValidationError("result tables differ in row count")
-    rows = []
-    for b, tr in zip(baseline, treatment):
-        if b.t != tr.t:
-            raise InputValidationError(f"step grids differ at t={b.t} vs t={tr.t}")
-        if b.mse == 0.0 and tr.mse == 0.0:
-            ratio = 1.0
-        elif tr.mse == 0.0:
-            ratio = math.inf
-        else:
-            ratio = b.mse / tr.mse
-        rows.append(CompareRow(b.t, b.mse, tr.mse, ratio))
+    off = np.flatnonzero(baseline.t != treatment.t)
+    if off.size:
+        i = off[0]
+        raise InputValidationError(
+            f"step grids differ at t={baseline.t[i]} vs t={treatment.t[i]}"
+        )
+    b, tr = baseline.mse, treatment.mse
+    with np.errstate(all="ignore"):
+        ratios = np.divide(b, tr, out=np.where(b == 0.0, 1.0, np.inf), where=tr != 0.0)
+    table = CompareTable(baseline.t, b, tr, ratios)
 
-    ts = np.array([r.t for r in rows], dtype=float)
-    ratios = np.array([r.ratio for r in rows])
+    ts = baseline.t.astype(float)
     finite = np.isfinite(ratios)
     trend = _slope(ts[finite], ratios[finite]) if finite.sum() >= 2 else None
     summary = {
-        "steps": len(rows),
+        "steps": len(ratios),
         "final_ratio": float(ratios[-1]),
         "ratio_trend_slope": trend,
         "trend_increasing": bool(trend is not None and trend > 0.0),
-        "baseline_final_mse": rows[-1].baseline_mse,
-        "treatment_final_mse": rows[-1].treatment_mse,
+        "baseline_final_mse": float(b[-1]),
+        "treatment_final_mse": float(tr[-1]),
     }
-    return rows, summary
+    return table, summary
 
 
-def write_compare_csv(rows: Sequence[CompareRow], path) -> None:
-    lines = [COMPARE_HEADER]
-    for r in rows:
-        lines.append(f"{r.t},{_fmt(r.baseline_mse)},{_fmt(r.treatment_mse)},{_fmt(r.ratio)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_compare_csv(table: CompareTable, path) -> None:
+    columns = [
+        _int_cells(table.t),
+        _float_cells(table.baseline_mse),
+        _float_cells(table.treatment_mse),
+        _float_cells(table.ratio),
+    ]
+    atomic_write_text(path, _csv_text(COMPARE_HEADER, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -876,25 +917,25 @@ PLOT_COLUMNS = ("mse", "mean_V", "exceed_0.1", "exceed_0.2", "exceed_0.5")
 _SVG_W, _SVG_H, _SVG_M = 640.0, 480.0, 56.0
 
 
-def _column_values(rows: Sequence[ResultRow], column: str) -> np.ndarray:
+def _column_values(table: ResultTable, column: str) -> np.ndarray:
     if column == "mse":
-        return np.array([r.mse for r in rows])
+        return table.mse
     if column == "mean_V":
-        return np.array([r.mean_v for r in rows])
+        return table.mean_v
     idx = {f"exceed_{_fmt(d)}": i for i, d in enumerate(FIXED_DELTAS)}
     if column in idx:
-        return np.array([r.exceed[idx[column]] for r in rows])
+        return table.exceed[:, idx[column]]
     raise InputValidationError(f"unknown plot column {column!r}; expected one of {PLOT_COLUMNS}")
 
 
-def emit_plot(rows: Sequence[ResultRow], kind: str, path, column: str = "mse") -> None:
+def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
     """Render one polyline (vertex per row) with min/max axis labels as SVG."""
     if kind not in PLOT_KINDS:
         raise InputValidationError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    if len(rows) == 0:
+    if len(table) == 0:
         raise InputValidationError("cannot plot an empty result table")
-    xs = np.array([r.t for r in rows], dtype=float)
-    ys = _column_values(rows, column)
+    xs = table.t.astype(float)
+    ys = _column_values(table, column)
     if not np.all(np.isfinite(ys)):
         raise InputValidationError("plot values must be finite")
     if kind == "loglog" and np.any(xs <= 0.0):
@@ -912,7 +953,7 @@ def emit_plot(rows: Sequence[ResultRow], kind: str, path, column: str = "mse") -
 
     sx = scaled(px, float(px.min()), float(px.max()), _SVG_M, _SVG_W - _SVG_M)
     sy = scaled(py, float(py.min()), float(py.max()), _SVG_H - _SVG_M, _SVG_M)
-    points = " ".join(f"{x:.3f},{y:.3f}" for x, y in zip(sx, sy))
+    points = " ".join(map("%.3f,%.3f".__mod__, zip(sx.tolist(), sy.tolist())))
 
     frame = (
         f'<rect x="{_SVG_M}" y="{_SVG_M}" width="{_SVG_W - 2 * _SVG_M}" '
@@ -973,86 +1014,45 @@ def _within(name, measured, expected, rel, detail) -> CheckResult:
     )
 
 
+def _at_most(name, measured, threshold, detail) -> CheckResult:
+    return CheckResult(name, measured <= threshold, measured, threshold, detail)
+
+
+def _holds(name, flag, detail) -> CheckResult:
+    return CheckResult(name, bool(flag), 1.0 if flag else 0.0, 1.0, detail)
+
+
 def run_checks(config: ExperimentConfig, summary: dict) -> list[CheckResult]:
     """Named pass/fail verdicts applicable to this scenario's summary."""
     checks: list[CheckResult] = []
     scenario = config.scenario
 
     if scenario == "workflow" and "expected_final_mse" in summary:
-        checks.append(
-            _within(
-                "workflow-final-mse",
-                summary["final_mse"],
-                summary["expected_final_mse"],
-                0.15,
-                "closed-form dim*T/n baseline",
-            )
-        )
-        checks.append(
-            _within(
-                "workflow-mse-slope",
-                summary["mse_slope"],
-                summary["expected_mse_slope"],
-                0.15,
-                "closed-form dim/n growth per step",
-            )
-        )
+        checks += [
+            _within("workflow-final-mse", summary["final_mse"], summary["expected_final_mse"],
+                    0.15, "closed-form dim*T/n baseline"),
+            _within("workflow-mse-slope", summary["mse_slope"], summary["expected_mse_slope"],
+                    0.15, "closed-form dim/n growth per step"),
+        ]
     elif scenario == "workflow-filtered" and config.filter.kind == "oracle-pullback":
-        slope = summary["mse_slope_last_half"]
-        checks.append(
-            CheckResult(
-                "filtered-mse-slope-last-half",
-                passed=slope <= 0.0,
-                measured=slope,
-                threshold=0.0,
-                detail="late-run MSE trend must be flat or falling",
-            )
-        )
+        checks.append(_at_most("filtered-mse-slope-last-half", summary["mse_slope_last_half"],
+                               0.0, "late-run MSE trend must be flat or falling"))
     elif scenario == "dynamics":
         final = summary["exceedance_final"].get(_fmt(0.2))
         if final is not None:
-            checks.append(
-                CheckResult(
-                    "dynamics-final-exceedance-0.2",
-                    passed=final <= 0.05,
-                    measured=final,
-                    threshold=0.05,
-                    detail="terminal exceedance fraction at delta=0.2",
-                )
-            )
-        rise = summary["max_exceedance_rise_after_burn_in"]
-        checks.append(
-            CheckResult(
-                "dynamics-exceedance-monotone",
-                passed=rise <= 0.02,
-                measured=rise,
-                threshold=0.02,
-                detail="largest block-mean exceedance increase after burn-in",
-            )
-        )
+            checks.append(_at_most("dynamics-final-exceedance-0.2", final, 0.05,
+                                   "terminal exceedance fraction at delta=0.2"))
+        checks.append(_at_most("dynamics-exceedance-monotone",
+                               summary["max_exceedance_rise_after_burn_in"], 0.02,
+                               "largest block-mean exceedance increase after burn-in"))
     elif scenario == "rates":
-        expected = summary.get("expected_slope")
-        fitted = summary.get("fitted_slope")
+        expected, fitted = summary.get("expected_slope"), summary.get("fitted_slope")
         if expected is not None and fitted is not None:
-            checks.append(
-                CheckResult(
-                    "rates-decay-slope",
-                    passed=abs(fitted - expected) <= 0.1,
-                    measured=fitted,
-                    threshold=0.1,
-                    detail=f"log-log tail slope vs theory {_fmt(expected)}",
-                )
-            )
+            checks.append(CheckResult("rates-decay-slope", abs(fitted - expected) <= 0.1, fitted,
+                                      0.1, f"log-log tail slope vs theory {_fmt(expected)}"))
     elif scenario == "concentration":
-        checks.append(
-            CheckResult(
-                "concentration-monotone",
-                passed=bool(summary["monotone_nonincreasing"]),
-                measured=1.0 if summary["monotone_nonincreasing"] else 0.0,
-                threshold=1.0,
-                detail="exceedance must not increase with sample size",
-            )
-        )
+        checks.append(_holds("concentration-monotone", summary["monotone_nonincreasing"],
+                             "exceedance must not increase with sample size"))
         tail_applicable = (
             config.model.family == expfam.GAUSSIAN
             and config.model.dim == 1
@@ -1061,70 +1061,32 @@ def run_checks(config: ExperimentConfig, summary: dict) -> list[CheckResult]:
         )
         if tail_applicable:
             measured = summary["exceedance"][0]
-            checks.append(
-                CheckResult(
-                    "concentration-gaussian-tail",
-                    passed=abs(measured - GAUSSIAN_TAIL_3) <= 0.002,
-                    measured=measured,
-                    threshold=0.002,
-                    detail=f"two-sided normal tail at 3 sigma, oracle {_fmt(GAUSSIAN_TAIL_3)}",
-                )
-            )
+            checks.append(CheckResult(
+                "concentration-gaussian-tail", abs(measured - GAUSSIAN_TAIL_3) <= 0.002, measured,
+                0.002, f"two-sided normal tail at 3 sigma, oracle {_fmt(GAUSSIAN_TAIL_3)}",
+            ))
     elif scenario == "train-filter":
-        checks.append(
-            CheckResult(
-                "train-contract-final",
-                passed=summary["final_contract_loss"] <= 1e-6,
-                measured=summary["final_contract_loss"],
-                threshold=1e-6,
-                detail="contraction hinge at the final epoch",
-            )
-        )
+        checks.append(_at_most("train-contract-final", summary["final_contract_loss"], 1e-6,
+                               "contraction hinge at the final epoch"))
         acc = summary.get("holdout_accuracy")
         if acc is not None:
-            checks.append(
-                CheckResult(
-                    "train-holdout-accuracy",
-                    passed=acc >= 0.90,
-                    measured=acc,
-                    threshold=0.90,
-                    detail="held-out classification accuracy",
-                )
-            )
-        checks.append(
-            CheckResult(
-                "train-contraction-certificate",
-                passed=bool(summary["contraction_certificate"]),
-                measured=1.0 if summary["contraction_certificate"] else 0.0,
-                threshold=1.0,
-                detail="independently recomputed weighted-estimate inequality",
-            )
-        )
+            checks.append(CheckResult("train-holdout-accuracy", acc >= 0.90, acc, 0.90,
+                                      "held-out classification accuracy"))
+        checks.append(_holds("train-contraction-certificate", summary["contraction_certificate"],
+                             "independently recomputed weighted-estimate inequality"))
     return checks
 
 
 def compare_checks(summary: dict) -> list[CheckResult]:
     """Checks for a baseline-vs-treatment comparison summary."""
-    checks = [
-        CheckResult(
-            "compare-final-ratio",
-            passed=summary["final_ratio"] > 5.0,
-            measured=summary["final_ratio"],
-            threshold=5.0,
-            detail="terminal unfiltered/filtered MSE ratio",
-        )
+    ratio, trend = summary["final_ratio"], summary.get("ratio_trend_slope")
+    return [
+        CheckResult("compare-final-ratio", ratio > 5.0, ratio, 5.0,
+                    "terminal unfiltered/filtered MSE ratio"),
+        CheckResult("compare-trend-increasing", bool(trend is not None and trend > 0.0),
+                    trend if trend is not None else math.nan, 0.0,
+                    "improvement ratio least-squares slope"),
     ]
-    trend = summary.get("ratio_trend_slope")
-    checks.append(
-        CheckResult(
-            "compare-trend-increasing",
-            passed=bool(trend is not None and trend > 0.0),
-            measured=trend if trend is not None else math.nan,
-            threshold=0.0,
-            detail="improvement ratio least-squares slope",
-        )
-    )
-    return checks
 
 
 def ensure_checks_pass(checks: Sequence[CheckResult]) -> None:

@@ -818,13 +818,20 @@ def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    The file gets the mode ``open`` would give it (0666 less the umask),
+    not the 0600 of a fresh temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

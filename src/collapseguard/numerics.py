@@ -18,6 +18,11 @@ from .errors import InputValidationError
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
+# values in one stacked (trials, size, dim) array of draws; workflow fits and
+# concentration curves process trials in chunks of this size, and their
+# results do not depend on it
+STACK_LIMIT = 1 << 18
+
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return a finite 1-d float64 array."""

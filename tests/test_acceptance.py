@@ -281,7 +281,7 @@ class TestAcceptanceCriteria:
         plain, oracle, mlp = prevention_runs
         up_slope = plain.summary["mse_slope"]
         late_slope = oracle.summary["mse_slope_last_half"]
-        _, cmp_summary = compare_runs(plain.rows, oracle.rows)
+        _, cmp_summary = compare_runs(plain.table, oracle.table)
         ratio = cmp_summary["final_ratio"]
         trend = cmp_summary["ratio_trend_slope"]
         mlp_gain = plain.summary["final_mse"] / mlp.summary["final_mse"]
@@ -349,9 +349,9 @@ class TestAcceptanceCriteria:
         model = ExpFamilyModel(GAUSSIAN, 1)
         theta = Parameter(np.ones(1), model)
         curve = measure_concentration(
-            model, theta, (1, 10, 100), 3.0, 100000, RngState(seed=5150)
+            model, theta, (1, 10, 100), (3.0,), 100000, RngState(seed=5150)
         )
-        fractions = [frac for _, frac in curve]
+        fractions = curve[:, 0].tolist()
         tail_ok = abs(fractions[0] - GAUSSIAN_TAIL_3) <= 0.002
         monotone = all(b <= a for a, b in zip(fractions, fractions[1:]))
         passed = tail_ok and monotone

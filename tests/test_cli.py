@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from collapseguard.cli import main
-from collapseguard.experiments import ResultRow, write_results_csv
+from collapseguard.experiments import ResultTable, write_results_csv
 from collapseguard.filtering import (
     FilterParams,
     fit_pca,
@@ -22,11 +22,13 @@ def _write_config(path, payload: dict) -> str:
 
 
 def _synthetic_results(path, mses) -> str:
-    rows = [
-        ResultRow("workflow", t, 100, float(mse), float(mse), (0.0, 0.0, 0.0), 10, "feedc0ffee12")
-        for t, mse in enumerate(mses)
-    ]
-    write_results_csv(rows, path)
+    mses = np.asarray(mses, dtype=float)
+    rows = mses.shape[0]
+    table = ResultTable(
+        "workflow", np.arange(rows), np.full(rows, 100), mses, mses, np.zeros((rows, 3)), 10,
+        "feedc0ffee12",
+    )
+    write_results_csv(table, path)
     return str(path)
 
 
@@ -312,6 +314,34 @@ class TestCompareAndPlot:
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (3, "abc", "column mse must hold a number, got 'abc'"),
+            (1, "1.5", "column t must hold an integer, got '1.5'"),
+            (8, "ten", "column trials must hold an integer, got 'ten'"),
+        ],
+        ids=["float-column", "int-column", "trials"],
+    )
+    @pytest.mark.parametrize("command", ["plot", "compare"])
+    def test_malformed_csv_field_is_a_validation_failure(
+        self, tmp_path, capsys, command, column, value, message
+    ):
+        good = _synthetic_results(tmp_path / "good.csv", [1.0, 2.0, 3.0])
+        lines = (tmp_path / "good.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "plot":
+            argv = ["plot", "--input", str(bad), "--out", str(tmp_path / "p.svg")]
+        else:
+            argv = ["compare", "--baseline", good, "--treatment", str(bad),
+                    "--out", str(tmp_path / "cmp")]
+        assert main(argv) == 1
+        assert f"{bad}:3: {message}" in capsys.readouterr().err
 
 class TestModuleExecution:
     def test_module_help_lists_the_subcommands(self):

@@ -20,9 +20,17 @@ from collapseguard.contraction import (
     power_law_bounds,
     recurrence_simulate,
 )
-from collapseguard.errors import InputValidationError
-from collapseguard.expfam import GAUSSIAN, ExpFamilyModel, Parameter
-from collapseguard.numerics import RngState
+from collapseguard import expfam
+from collapseguard.errors import BoundaryError, InputValidationError
+from collapseguard.expfam import (
+    BERNOULLI,
+    EXPONENTIAL,
+    GAUSSIAN,
+    POISSON,
+    ExpFamilyModel,
+    Parameter,
+)
+from collapseguard.numerics import STACK_LIMIT, RngState
 
 
 class TestLyapunovMetric:
@@ -339,37 +347,37 @@ class TestMeasureConcentration:
         model = ExpFamilyModel(GAUSSIAN, 1)
         theta = Parameter(np.zeros(1), model)
         curve = measure_concentration(
-            model, theta, sizes=[1, 10], delta=0.0, trials=200, rng=RngState(seed=2)
+            model, theta, sizes=[1, 10], deltas=[0.0], trials=200, rng=RngState(seed=2)
         )
-        assert [frac for _, frac in curve] == [1.0, 1.0]
+        assert curve[:, 0].tolist() == [1.0, 1.0]
 
     def test_gaussian_three_sigma_tail(self):
         """Single-draw exceedance at 3 sigma sits near the two-sided normal tail."""
         model = ExpFamilyModel(GAUSSIAN, 1)
         theta = Parameter(np.zeros(1), model)
         curve = measure_concentration(
-            model, theta, sizes=[1], delta=3.0, trials=10_000, rng=RngState(seed=60)
+            model, theta, sizes=[1], deltas=[3.0], trials=10_000, rng=RngState(seed=60)
         )
         oracle = math.erfc(3.0 / math.sqrt(2.0))
-        assert abs(curve[0][1] - oracle) <= 0.004
+        assert abs(curve[0, 0] - oracle) <= 0.004
 
     def test_tight_threshold_at_large_n_never_trips(self):
         """delta = 5 standard errors of the mean: expected tail 5.7e-7, observed 0."""
         model = ExpFamilyModel(GAUSSIAN, 1)
         theta = Parameter(np.zeros(1), model)
         curve = measure_concentration(
-            model, theta, sizes=[100], delta=0.5, trials=10_000, rng=RngState(seed=61)
+            model, theta, sizes=[100], deltas=[0.5], trials=10_000, rng=RngState(seed=61)
         )
-        assert curve[0][1] == 0.0
+        assert curve[0, 0] == 0.0
 
     def test_monotone_in_sample_size(self):
         model = ExpFamilyModel(GAUSSIAN, 2)
         theta = Parameter(np.ones(2), model)
         curve = measure_concentration(
-            model, theta, sizes=[1, 10, 100], delta=1.0, trials=4000,
+            model, theta, sizes=[1, 10, 100], deltas=[1.0], trials=4000,
             rng=RngState(seed=62),
         )
-        fracs = [frac for _, frac in curve]
+        fracs = curve[:, 0].tolist()
         assert fracs == sorted(fracs, reverse=True)
 
     def test_too_few_trials_rejected(self):
@@ -377,16 +385,76 @@ class TestMeasureConcentration:
         theta = Parameter(np.zeros(1), model)
         with pytest.raises(InputValidationError):
             measure_concentration(
-                model, theta, sizes=[1], delta=1.0, trials=50, rng=RngState(seed=1)
+                model, theta, sizes=[1], deltas=[1.0], trials=50, rng=RngState(seed=1)
             )
 
     def test_replay_determinism(self):
         model = ExpFamilyModel(GAUSSIAN, 1)
         theta = Parameter(np.zeros(1), model)
         a = measure_concentration(
-            model, theta, sizes=[1, 10], delta=1.0, trials=500, rng=RngState(seed=77)
+            model, theta, sizes=[1, 10], deltas=[1.0], trials=500, rng=RngState(seed=77)
         )
         b = measure_concentration(
-            model, theta, sizes=[1, 10], delta=1.0, trials=500, rng=RngState(seed=77)
+            model, theta, sizes=[1, 10], deltas=[1.0], trials=500, rng=RngState(seed=77)
         )
-        assert a == b
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("deltas", [[], [[0.5]], [0.5, -0.1]])
+    def test_bad_deltas_rejected(self, deltas):
+        model = ExpFamilyModel(GAUSSIAN, 1)
+        theta = Parameter(np.zeros(1), model)
+        with pytest.raises(InputValidationError, match="deltas"):
+            measure_concentration(
+                model, theta, sizes=[1], deltas=deltas, trials=100, rng=RngState(seed=1)
+            )
+
+
+def _per_delta_reference(model, theta, sizes, delta, trials, rng):
+    """One delta's curve the way a whole-stream implementation computes it.
+
+    Draws each size's ``n * trials`` values in one ``sample`` call, fits all
+    trials at once, and falls back to a per-trial fit when any mean
+    statistic leaves the mean domain: a fit that does not exist exceeds.
+    """
+    out = []
+    for i, n in enumerate(sizes):
+        draws = expfam.sample(model, theta, n * trials, rng.derive(i).generator())
+        tbar = draws.reshape(trials, n, model.dim).sum(axis=1) / float(n)
+        theta_hat = np.full_like(tbar, np.nan)
+        for row in range(trials):
+            try:
+                theta_hat[row] = expfam.inverse_mean_map(model, tbar[row]).theta
+            except BoundaryError:
+                pass
+        dist = np.linalg.norm(theta_hat - theta.theta[None, :], axis=1)
+        out.append(float((np.isnan(dist) | (dist >= delta)).mean()))
+    return out
+
+
+class TestMeasureConcentrationMatchesPerDeltaCalls:
+    """One chunked pass over all deltas equals one whole-stream pass per delta, bit for bit."""
+
+    SIZES = (1, 2, 7, 300, 4096)
+    TRIALS = 150
+    DELTAS = (3.0, 0.1, 0.2, 0.5)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize(
+        "family, theta0",
+        [(GAUSSIAN, 0.3), (POISSON, 0.1), (BERNOULLI, 2.5), (EXPONENTIAL, -1.2)],
+    )
+    def test_matches_the_per_delta_reference(self, family, theta0, dim):
+        # the largest size needs several chunks, and its last chunk is partly filled
+        rows = STACK_LIMIT // (self.SIZES[-1] * dim)
+        assert rows < self.TRIALS and self.TRIALS % rows != 0
+        model = ExpFamilyModel(family, dim)
+        theta = Parameter(np.full(dim, theta0), model)
+        rng = RngState(seed=90 + dim)
+        curve = measure_concentration(model, theta, self.SIZES, self.DELTAS, self.TRIALS, rng)
+        expected = np.array(
+            [_per_delta_reference(model, theta, self.SIZES, d, self.TRIALS, rng) for d in self.DELTAS]
+        ).T
+        assert curve.shape == (len(self.SIZES), len(self.DELTAS))
+        np.testing.assert_array_equal(curve, expected)
+        if family == BERNOULLI:
+            assert curve[0].tolist() == [1.0] * len(self.DELTAS)  # n = 1 always hits the boundary

@@ -659,6 +659,30 @@ class TestWorkflowMatchesTrialLoop:
         assert np.all(stats.exceedance_at(0.1) >= frozen_by / trials)
         _assert_stats_equal(stats, aggregate_exceedance(trajectories, deltas))
 
+    def test_sample_sizes_follow_the_live_trials(self):
+        """n_t is the schedule size while any trial samples, not trial 0's count."""
+        model, theta_star = _gaussian(1)
+        schedule = SampleSchedule.constant_size(10)
+        horizon, trials, seed, cap = 8, 50, 9, 0.05
+        stats, trajectories = run_workflow_trials(
+            model, theta_star, schedule, horizon=horizon, trials=trials,
+            rng=RngState(seed=seed), divergence_cap=cap, record_trajectories=True,
+        )
+        first = trajectories[0].diverged_at
+        live = np.array([
+            [traj.diverged_at is None or t <= traj.diverged_at for traj in trajectories]
+            for t in range(horizon + 1)
+        ]).any(axis=1)
+        # precondition: another trial still samples after trial 0 has frozen
+        assert first is not None and first < horizon and live[first + 1]
+        np.testing.assert_array_equal(stats.ns, np.where(live, 10, 0))
+        np.testing.assert_array_equal(aggregate_exceedance(trajectories).ns, stats.ns)
+        unrecorded = run_workflow_trials(
+            model, theta_star, schedule, horizon=horizon, trials=trials,
+            rng=RngState(seed=seed), divergence_cap=cap,
+        )
+        np.testing.assert_array_equal(unrecorded.ns, stats.ns)
+
     def test_filter_weights_of_the_wrong_shape_are_rejected(self):
         model, theta_star = _gaussian(1)
         with pytest.raises(

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from collapseguard.experiments import (
     TRAINING_LOG_HEADER,
     CheckResult,
     ExperimentConfig,
-    ResultRow,
+    ResultTable,
     atomic_write_text,
     compare_checks,
     compare_runs,
@@ -202,18 +204,43 @@ class TestConfigHash:
         assert len(h) == 12 and all(ch in "0123456789abcdef" for ch in h)
 
 
+def _table(scenario, ts, n_t, mse, mean_v, exceed, trials, chash) -> ResultTable:
+    """A ResultTable over steps ``ts``; scalar columns are repeated on every row."""
+    ts = np.asarray(ts, dtype=np.int64)
+    rows = ts.shape[0]
+    return ResultTable(
+        scenario,
+        ts,
+        np.broadcast_to(n_t, rows),
+        np.broadcast_to(mse, rows),
+        np.broadcast_to(mean_v, rows),
+        np.broadcast_to(exceed, (rows, 3)),
+        trials,
+        chash,
+    )
+
+
+def _same_table(a, b) -> bool:
+    """Field-by-field equality of two tables, arrays compared by dtype and value."""
+    for f in dataclasses.fields(a):
+        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        if x.dtype != y.dtype or not np.array_equal(x, y):
+            return False
+    return True
+
+
 class TestResultsCsv:
     def _rows(self):
-        return [
-            ResultRow("dynamics", t, 100, 0.5 * (t + 1), 1.25, (1.0, 0.5, 0.0), 20, "abc123def456")
-            for t in range(3)
-        ]
+        return _table(
+            "dynamics", range(3), 100, [0.5 * (t + 1) for t in range(3)], 1.25, (1.0, 0.5, 0.0),
+            20, "abc123def456",
+        )
 
     def test_write_then_read_returns_identical_rows(self, tmp_path):
         path = tmp_path / "results.csv"
         rows = self._rows()
         write_results_csv(rows, path)
-        assert read_results_csv(path) == rows
+        assert _same_table(read_results_csv(path), rows)
 
     def test_header_is_the_pinned_schema(self, tmp_path):
         path = tmp_path / "results.csv"
@@ -231,7 +258,10 @@ class TestResultsCsv:
 
     def test_empty_tables_are_refused(self, tmp_path):
         with pytest.raises(InputValidationError):
-            write_results_csv([], tmp_path / "results.csv")
+            write_results_csv(
+                _table("dynamics", [], 100, 1.0, 1.0, 0.0, 20, "abc123def456"),
+                tmp_path / "results.csv",
+            )
 
     def test_foreign_header_is_rejected(self, tmp_path):
         path = tmp_path / "results.csv"
@@ -244,6 +274,24 @@ class TestResultsCsv:
         path.write_text(CSV_HEADER + "\ndynamics,0,1\n")
         with pytest.raises(InputValidationError, match=":2"):
             read_results_csv(path)
+
+    @pytest.mark.parametrize("column, name", [(0, "scenario"), (8, "trials"), (9, "config_hash")])
+    def test_a_column_shared_by_every_row_must_not_vary(self, tmp_path, column, name):
+        path = tmp_path / "results.csv"
+        write_results_csv(self._rows(), path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = "7"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputValidationError, match=f":4: column {name} differs from line 2"):
+            read_results_csv(path)
+
+    def test_a_header_only_file_reads_as_an_empty_table(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(CSV_HEADER + "\n")
+        table = read_results_csv(path)
+        assert len(table) == 0 and table.exceed.shape == (0, 3)
 
     def test_missing_file_is_reported(self, tmp_path):
         with pytest.raises(InputValidationError, match="cannot read"):
@@ -263,6 +311,16 @@ class TestAtomicWrite:
         atomic_write_text(target, "new\n")
         assert target.read_text() == "new\n"
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_get_the_mode_the_umask_allows(self, tmp_path, umask, mode):
+        target = tmp_path / "file.txt"
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(target, "payload\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+
     def test_summary_json_is_sorted_and_parseable(self, tmp_path):
         path = tmp_path / "summary.json"
         write_summary({"beta": 2, "alpha": 1}, path)
@@ -275,11 +333,14 @@ class TestRunExperiment:
     def test_dynamics_writes_one_row_per_step_and_a_summary(self, tmp_path):
         config = _config(out_dir=str(tmp_path))
         result = run_experiment(config)
-        assert len(result.rows) == config.horizon + 1
-        for parsed, row in zip(read_results_csv(result.paths["results"]), result.rows):
-            assert (parsed.scenario, parsed.t, parsed.n_t) == (row.scenario, row.t, row.n_t)
-            assert parsed.mse == pytest.approx(row.mse, rel=1e-11)
-            assert parsed.exceed == row.exceed
+        table = result.table
+        assert len(table) == config.horizon + 1
+        parsed = read_results_csv(result.paths["results"])
+        assert parsed.scenario == table.scenario
+        np.testing.assert_array_equal(parsed.t, table.t)
+        np.testing.assert_array_equal(parsed.n_t, table.n_t)
+        assert parsed.mse == pytest.approx(table.mse, rel=1e-11)
+        np.testing.assert_array_equal(parsed.exceed, table.exceed)
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk == result.summary
         assert result.summary["scenario"] == "dynamics"
@@ -294,7 +355,7 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "summary.json").read_bytes() == (
             tmp_path / "b" / "summary.json"
         ).read_bytes()
-        assert first.rows == second.rows
+        assert _same_table(first.table, second.table)
 
     def test_unfiltered_workflow_reports_its_closed_form_expectations(self, tmp_path):
         config = ExperimentConfig.from_dict(
@@ -310,8 +371,8 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert result.summary["expected_final_mse"] == pytest.approx(40 / 50)
         assert result.summary["expected_mse_slope"] == pytest.approx(1 / 50)
-        assert result.rows[0].t == 0
-        assert all(row.n_t == 50 for row in result.rows)
+        assert result.table.t[0] == 0
+        assert all(n_t == 50 for n_t in result.table.n_t)
 
     def test_oracle_filtered_workflow_beats_the_unfiltered_run(self, tmp_path):
         base = {
@@ -349,7 +410,7 @@ class TestRunExperiment:
             }
         )
         result = run_experiment(config)
-        assert len(result.rows) == 2001
+        assert len(result.table) == 2001
         assert result.summary["expected_slope"] == pytest.approx(-0.5)
         assert result.summary["fitted_slope"] == pytest.approx(-0.5, abs=0.15)
         assert result.summary["r_squared"] > 0.9
@@ -378,7 +439,7 @@ class TestRunExperiment:
             }
         )
         result = run_experiment(config)
-        assert [row.n_t for row in result.rows] == [1, 10]
+        assert result.table.n_t.tolist() == [1, 10]
         assert len(result.summary["exceedance"]) == 2
         assert all(0.0 <= frac <= 1.0 for frac in result.summary["exceedance"])
 
@@ -399,7 +460,7 @@ class TestRunExperiment:
             }
         )
         result = run_experiment(config)
-        assert result.rows == []
+        assert result.table is None
         params, pca, meta = load_filter_checkpoint(result.paths["checkpoint"])
         assert params.hidden_dim == 8 and pca.input_dim == 2
         assert meta["scenario"] == "train-filter"
@@ -444,7 +505,7 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert result.summary["scenario"] == "workflow-filtered"
-        assert len(result.rows) == 11
+        assert len(result.table) == 11
 
 
 class TestExceedanceTrendRise:
@@ -466,15 +527,12 @@ class TestExceedanceTrendRise:
 
 class TestCompareRuns:
     def _rows(self, mses, scenario="workflow"):
-        return [
-            ResultRow(scenario, t, 100, mse, mse, (0.0, 0.0, 0.0), 10, "feedc0ffee12")
-            for t, mse in enumerate(mses)
-        ]
+        return _table(scenario, range(len(mses)), 100, mses, mses, 0.0, 10, "feedc0ffee12")
 
     def test_identical_runs_have_unit_ratios_and_flat_trend(self):
         rows = self._rows([1.0, 2.0, 3.0])
         compare, summary = compare_runs(rows, rows)
-        assert [r.ratio for r in compare] == [1.0, 1.0, 1.0]
+        assert compare.ratio.tolist() == [1.0, 1.0, 1.0]
         assert summary["final_ratio"] == 1.0
         assert summary["ratio_trend_slope"] == pytest.approx(0.0, abs=1e-12)
 
@@ -482,7 +540,7 @@ class TestCompareRuns:
         baseline = self._rows([float(t + 1) for t in range(10)])
         treatment = self._rows([0.5] * 10)
         compare, summary = compare_runs(baseline, treatment)
-        assert compare[-1].ratio == pytest.approx(20.0)
+        assert compare.ratio[-1] == pytest.approx(20.0)
         assert summary["ratio_trend_slope"] == pytest.approx(2.0)
         assert summary["trend_increasing"]
 
@@ -490,18 +548,20 @@ class TestCompareRuns:
         baseline = self._rows([0.0, 1.0])
         treatment = self._rows([0.0, 0.0])
         compare, summary = compare_runs(baseline, treatment)
-        assert compare[0].ratio == 1.0
-        assert math.isinf(compare[1].ratio)
+        assert compare.ratio[0] == 1.0
+        assert math.isinf(compare.ratio[1])
         assert math.isinf(summary["final_ratio"])
 
     def test_mismatched_tables_are_rejected(self):
         rows = self._rows([1.0, 2.0])
         with pytest.raises(InputValidationError):
-            compare_runs(rows, rows[:1])
+            compare_runs(rows, self._rows([1.0]))
         with pytest.raises(InputValidationError):
-            compare_runs([], [])
+            compare_runs(self._rows([]), self._rows([]))
         shifted = self._rows([1.0, 2.0])
-        shifted = [shifted[1], shifted[0]]
+        shifted = dataclasses.replace(
+            shifted, t=shifted.t[::-1], mse=shifted.mse[::-1], mean_v=shifted.mean_v[::-1]
+        )
         with pytest.raises(InputValidationError, match="grids"):
             compare_runs(rows, shifted)
 
@@ -516,10 +576,10 @@ class TestCompareRuns:
 
 class TestEmitPlot:
     def _rows(self, n=17):
-        return [
-            ResultRow("dynamics", t, 100, float(t + 1), 1.0, (0.5, 0.25, 0.0), 10, "feedc0ffee12")
-            for t in range(n)
-        ]
+        return _table(
+            "dynamics", range(n), 100, [float(t + 1) for t in range(n)], 1.0, (0.5, 0.25, 0.0),
+            10, "feedc0ffee12",
+        )
 
     def test_polyline_has_one_vertex_per_row(self, tmp_path):
         path = tmp_path / "plot.svg"
@@ -541,10 +601,7 @@ class TestEmitPlot:
         assert "<polyline" in path.read_text()
 
     def test_flat_series_renders_without_degenerate_scaling(self, tmp_path):
-        rows = [
-            ResultRow("dynamics", t, 100, 2.0, 1.0, (0.0, 0.0, 0.0), 10, "feedc0ffee12")
-            for t in range(5)
-        ]
+        rows = _table("dynamics", range(5), 100, 2.0, 1.0, 0.0, 10, "feedc0ffee12")
         path = tmp_path / "flat.svg"
         emit_plot(rows, "linear", path)
         assert "<polyline" in path.read_text()
@@ -552,21 +609,22 @@ class TestEmitPlot:
     def test_log_domains_are_validated(self, tmp_path):
         with pytest.raises(InputValidationError, match="t=0"):
             emit_plot(self._rows(), "loglog", tmp_path / "p.svg")
-        zero_rows = [
-            ResultRow("dynamics", t + 1, 100, 0.0, 1.0, (0.0, 0.0, 0.0), 10, "feedc0ffee12")
-            for t in range(4)
-        ]
+        zero_rows = _table("dynamics", range(1, 5), 100, 0.0, 1.0, 0.0, 10, "feedc0ffee12")
         with pytest.raises(InputValidationError, match="positive"):
             emit_plot(zero_rows, "semilogy", tmp_path / "p.svg")
 
     def test_bad_inputs_are_rejected(self, tmp_path):
         with pytest.raises(InputValidationError):
-            emit_plot([], "linear", tmp_path / "p.svg")
+            emit_plot(
+                _table("dynamics", [], 100, 1.0, 1.0, 0.0, 10, "feedc0ffee12"),
+                "linear",
+                tmp_path / "p.svg",
+            )
         with pytest.raises(InputValidationError, match="kind"):
             emit_plot(self._rows(), "scatter", tmp_path / "p.svg")
         with pytest.raises(InputValidationError, match="column"):
             emit_plot(self._rows(), "linear", tmp_path / "p.svg", column="nope")
-        bad = [ResultRow("dynamics", 0, 1, math.inf, 1.0, (0.0, 0.0, 0.0), 1, "feedc0ffee12")]
+        bad = _table("dynamics", [0], 1, math.inf, 1.0, 0.0, 1, "feedc0ffee12")
         with pytest.raises(InputValidationError, match="finite"):
             emit_plot(bad, "linear", tmp_path / "p.svg")
 
