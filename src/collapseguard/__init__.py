@@ -43,7 +43,6 @@ from .expfam import (
     inverse_mean_map,
     mean_map,
     sample,
-    sufficient_stat,
     weighted_estimate,
 )
 from .experiments import (
@@ -62,7 +61,6 @@ from .filtering import (
     PCATransform,
     TrainConfig,
     fit_pca,
-    forward,
     forward_batch,
     label_by_distance,
     load_filter_checkpoint,
@@ -72,7 +70,7 @@ from .filtering import (
     total_loss,
     train_filter,
 )
-from .numerics import RngState, gaussian_sample, is_spd, quad_form, sym_eig
+from .numerics import RngState, quad_form, sym_eig
 
 __version__ = "0.1.0"
 
@@ -109,11 +107,8 @@ __all__ = [
     "estimate",
     "fit_decay_rate",
     "fit_pca",
-    "forward",
     "forward_batch",
-    "gaussian_sample",
     "inverse_mean_map",
-    "is_spd",
     "label_by_distance",
     "limsup_bound",
     "load_filter_checkpoint",
@@ -129,7 +124,6 @@ __all__ = [
     "sample",
     "save_filter_checkpoint",
     "simulate_drift_training_data",
-    "sufficient_stat",
     "sym_eig",
     "total_loss",
     "train_filter",

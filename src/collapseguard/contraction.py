@@ -21,7 +21,6 @@ from .errors import InputValidationError
 from .numerics import (
     STACK_LIMIT,
     RngState,
-    as_generator,
     as_symmetric_matrix,
     as_vector,
     quad_form,
@@ -288,31 +287,6 @@ def check_regulation(
     cv = c.values(metric, probes) * v
     fv = np.array([f.value(float(r)) for r in v])
     return bool(np.all(cv >= fv - tol))
-
-
-def make_probe_points(
-    metric: LyapunovMetric,
-    rng,
-    count: int = 256,
-    v_min: float = 1e-6,
-    v_max: float = 1e3,
-) -> np.ndarray:
-    """Probe grid for regulation checks: log-spaced V along random directions.
-
-    Returns ``count`` points with V values log-spaced over [v_min, v_max]
-    plus the origin, each on an independently drawn direction.
-    """
-    if count < 1:
-        raise InputValidationError("count must be positive")
-    gen = as_generator(rng)
-    targets = np.logspace(np.log10(v_min), np.log10(v_max), count)
-    dirs = gen.standard_normal((count, metric.dim))
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0.0] = 1.0
-    dirs /= norms[:, None]
-    dir_v = metric.values(dirs)
-    points = dirs * np.sqrt(targets / dir_v)[:, None]
-    return np.vstack([np.zeros((1, metric.dim)), points])
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,6 @@ class NoiseSchedule:
     def constant(cls, scale: float, metric: LyapunovMetric | None = None) -> "NoiseSchedule":
         return cls(CONSTANT, scale=scale, metric=metric)
 
-    @property
-    def vanishes(self) -> bool:
-        """Whether sigma_t^2 -> 0, the standing noise assumption."""
-        return self.kind == ZERO or self.kind == POWER_LAW or self.scale == 0.0
-
     def sigma_sq_array(self, start: int, stop: int) -> np.ndarray:
         t = np.arange(start, stop, dtype=float)
         if self.kind == ZERO:

@@ -10,7 +10,6 @@ deterministic for a fixed (config, seed) pair and written atomically.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -45,6 +44,7 @@ from .filtering import (
     TrainConfig,
     anchors_from_dataset,
     atomic_write_text,
+    content_hash,
     fit_pca,
     forward_batch,
     load_filter_checkpoint,
@@ -175,18 +175,20 @@ class ModelSpec:
     theta_star: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        expfam.ExpFamilyModel(self.family, self.dim)
-        if self.theta_star is not None and len(self.theta_star) != self.dim:
-            raise InputValidationError("model.theta_star length must equal model.dim")
+        self.build()
 
     def build(self) -> tuple[expfam.ExpFamilyModel, expfam.Parameter]:
         model = expfam.ExpFamilyModel(self.family, self.dim)
-        theta = (
-            np.asarray(self.theta_star, dtype=float)
-            if self.theta_star is not None
-            else np.ones(self.dim)
-        )
-        return model, expfam.Parameter(theta, model)
+        if self.theta_star is not None and len(self.theta_star) != self.dim:
+            raise InputValidationError("model.theta_star length must equal model.dim")
+        # the default (ones) lies outside some natural domains, so check the effective value
+        theta = np.ones(self.dim) if self.theta_star is None else np.array(self.theta_star, float)
+        try:
+            return model, expfam.Parameter(theta, model)
+        except InputValidationError as exc:
+            raise InputValidationError(
+                f"model.theta_star {theta.tolist()} is invalid: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -407,8 +409,7 @@ def config_hash(config: ExperimentConfig) -> str:
     """12-hex content hash over everything except the output location."""
     payload = config.to_dict()
     payload.pop("out_dir")
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    return content_hash(payload)[:12]
 
 
 # ---------------------------------------------------------------------------

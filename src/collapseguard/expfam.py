@@ -13,8 +13,7 @@ exponential                 theta < 0        -1/theta            (0, inf)
 ==========================  ===============  ==================  =====================
 
 Maximum likelihood is the mean of sufficient statistics pushed through the
-inverse mean map; the closed forms above are exact, and a safeguarded
-Newton solver is kept alongside as the general numeric route.
+inverse mean map; the closed forms above are exact.
 """
 
 from __future__ import annotations
@@ -174,13 +173,6 @@ def as_dataset(model: ExpFamilyModel, points, name: str = "points") -> np.ndarra
     return data
 
 
-def sufficient_stat(model: ExpFamilyModel, x) -> np.ndarray:
-    """T(x) for one point; identity for every family here, after support checks."""
-    v = as_vector(x, dim=model.dim, name="x")
-    _check_support(model.family, v)
-    return v.copy()
-
-
 def mean_map(model: ExpFamilyModel, theta: Parameter) -> np.ndarray:
     """E[T(x)] under the parameter (the gradient of the log-partition)."""
     if theta.model != model:
@@ -193,59 +185,6 @@ def inverse_mean_map(model: ExpFamilyModel, tbar) -> Parameter:
     t = as_vector(tbar, dim=model.dim, name="tbar")
     _check_mean_interior(model.family, t)
     return Parameter(_natural_from_mean(model.family, t), model)
-
-
-def numeric_inverse_mean_map(
-    model: ExpFamilyModel, tbar, tol: float = 1e-12, max_iter: int = 100
-) -> Parameter:
-    """Invert the mean map by safeguarded Newton iteration.
-
-    Monotone coordinate-wise solve with a geometrically expanded bisection
-    bracket, the route a family without a closed form would take. Kept as
-    an independent cross-check of :func:`inverse_mean_map`.
-    """
-    t = as_vector(tbar, dim=model.dim, name="tbar")
-    _check_mean_interior(model.family, t)
-    family = model.family
-    out = np.empty_like(t)
-    for j, target in enumerate(t):
-        lo, hi = _initial_bracket(family, target)
-        theta = 0.5 * (lo + hi)
-        for _ in range(max_iter):
-            arr = np.array([theta])
-            resid = float(_mean_from_natural(family, arr)[0]) - target
-            if abs(resid) <= tol * max(1.0, abs(target)):
-                break
-            if resid > 0.0:
-                hi = theta
-            else:
-                lo = theta
-            slope = float(_mean_slope(family, arr)[0])
-            step = theta - resid / slope if slope > 0.0 else None
-            if step is None or not (lo < step < hi):
-                step = 0.5 * (lo + hi)
-            theta = step
-        out[j] = theta
-    return Parameter(out, model)
-
-
-def _initial_bracket(family: str, target: float) -> tuple[float, float]:
-    """A (lo, hi) natural-parameter bracket with mean(lo) < target < mean(hi)."""
-    if family == GAUSSIAN:
-        return target - 1.0, target + 1.0
-    if family == EXPONENTIAL:
-        lo, hi = -2.0 / target, -0.5 / target
-        while float(_mean_from_natural(family, np.array([lo]))[0]) >= target:
-            lo *= 2.0
-        while float(_mean_from_natural(family, np.array([hi]))[0]) <= target:
-            hi *= 0.5
-        return lo, hi
-    lo, hi = -1.0, 1.0
-    while float(_mean_from_natural(family, np.array([lo]))[0]) >= target:
-        lo *= 2.0
-    while float(_mean_from_natural(family, np.array([hi]))[0]) <= target:
-        hi *= 2.0
-    return lo, hi
 
 
 def _mean_statistic(points: np.ndarray, weights: np.ndarray | None) -> np.ndarray:

@@ -25,7 +25,7 @@ from .contraction import ContractionFn, LyapunovMetric
 from .errors import DegenerateSelectionError, InputValidationError
 from .numerics import RngState, as_generator, as_vector, sym_eig
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PROB_CLAMP = 1e-12
 
@@ -64,16 +64,6 @@ class PCATransform:
             )
         z = ((data - self.mean) / self.scale) @ self.projection
         return z[0] if single else z
-
-    def inverse_transform(self, z) -> np.ndarray:
-        feats = np.asarray(z, dtype=float)
-        single = feats.ndim == 1
-        if single:
-            feats = feats[None, :]
-        if feats.shape[1] != self.k:
-            raise InputValidationError(f"features must have dimension {self.k}")
-        x = feats @ self.projection.T * self.scale + self.mean
-        return x[0] if single else x
 
 
 def fit_pca(data, k: int) -> PCATransform:
@@ -205,9 +195,6 @@ class FilterParams:
     def feature_dim(self) -> int:
         return self.w1.shape[1]
 
-    def copy(self) -> "FilterParams":
-        return FilterParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2)
-
 
 def init_filter_params(feature_dim: int, hidden_dim: int, rng) -> FilterParams:
     """Uniform(-a, a) layers with a = sqrt(6 / (fan_in + fan_out)), zero biases."""
@@ -234,12 +221,6 @@ def _forward_cache(params: FilterParams, feats: np.ndarray):
     exp_neg = np.exp(logits[~pos])
     weights[~pos] = exp_neg / (1.0 + exp_neg)
     return pre, hidden, logits, weights
-
-
-def forward(params: FilterParams, z) -> float:
-    """Score one feature vector; output is strictly inside (0, 1)."""
-    feats = as_vector(z, dim=params.feature_dim, name="z")
-    return float(_forward_cache(params, feats[None, :])[3][0])
 
 
 def forward_batch(params: FilterParams, features) -> np.ndarray:
@@ -318,33 +299,10 @@ def _require_features(dataset: LabeledDataset) -> np.ndarray:
     return dataset.features
 
 
-def classification_loss(params: FilterParams, dataset: LabeledDataset) -> float:
-    """Mean binary cross-entropy; probabilities clamped only inside the logs."""
-    weights = forward_batch(params, _require_features(dataset))
-    return _bce(weights, dataset.labels)
-
-
 def _bce(weights: np.ndarray, labels: np.ndarray) -> float:
     p = np.clip(weights, PROB_CLAMP, 1.0 - PROB_CLAMP)
     y = labels.astype(float)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def contraction_loss(
-    params: FilterParams,
-    dataset: LabeledDataset,
-    config: TrainConfig,
-) -> float:
-    """Hinge on the certified decrease: max(0, V(e_new) - (1 - c(e_est)) V(e_est)).
-
-    e_new comes from the weighted re-estimate under the current forward
-    weights; the threshold side is frozen at the config anchor.
-    """
-    weights = forward_batch(params, _require_features(dataset))
-    theta_new = expfam.weighted_estimate(config.model, dataset.points, weights)
-    e_new = theta_new.theta - config.theta_good.theta
-    v_new = config.metric.value(e_new)
-    return max(0.0, v_new - config.contraction_threshold())
 
 
 def _ess_term(weights: np.ndarray) -> float:
@@ -356,7 +314,14 @@ def _ess_term(weights: np.ndarray) -> float:
 
 
 def total_loss(params: FilterParams, dataset: LabeledDataset, config: TrainConfig) -> LossParts:
-    """class + lambda * contract + mu * ess, with the parts reported separately."""
+    """class + lambda * contract + mu * ess, with the parts reported separately.
+
+    ``class`` is the mean binary cross-entropy, with probabilities clamped
+    only inside the logs. ``contract`` is the hinge on the certified
+    decrease, max(0, V(e_new) - (1 - c(e_est)) V(e_est)): e_new comes from
+    the weighted re-estimate under the current weights, and the threshold
+    side is frozen at the config anchor.
+    """
     feats = _require_features(dataset)
     weights = _forward_cache(params, feats)[3]
     class_part = _bce(weights, dataset.labels)
@@ -574,7 +539,7 @@ def oracle_pullback_weights(
     centered = pts - mean
     spread = centered.T @ centered / n
     if float(np.trace(spread)) <= 0.0:
-        raise InputValidationError("candidate cloud has no spread; cannot tilt weights")
+        raise DegenerateSelectionError("candidate cloud has no spread; cannot tilt weights")
     target = mean - gamma * offset
 
     base = 0.5
@@ -786,14 +751,18 @@ def merge_datasets(datasets) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 
-def config_content_hash(meta: dict) -> str:
-    """Content hash of a JSON-serializable config echo (sorted-key canonical form)."""
-    canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+def content_hash(data: dict) -> str:
+    """SHA-256 of JSON-serializable data in canonical (sorted-key, compact) form."""
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_meta: dict) -> None:
-    """Write a versioned JSON container with the PCA, the scorer, and a config echo."""
+    """Write a versioned JSON container with the PCA, the scorer, and a config echo.
+
+    ``content_hash`` covers every other field, so the loader notices an
+    edited weight as well as an edited echo.
+    """
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "pca": {
@@ -812,8 +781,8 @@ def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_
             "b2": params.b2,
         },
         "train_config": train_meta,
-        "config_hash": config_content_hash(train_meta),
     }
+    payload["content_hash"] = content_hash(payload)
     atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
@@ -854,11 +823,13 @@ def read_json_object(path, what: str) -> dict:
 
 
 def load_filter_checkpoint(path) -> tuple[FilterParams, PCATransform, dict]:
-    """Read a checkpoint, validating version and internal shape consistency."""
+    """Read a checkpoint, validating its version, shapes and content hash."""
     payload = read_json_object(path, "checkpoint")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise InputValidationError(f"unsupported checkpoint version {version!r}")
+        raise InputValidationError(
+            f"unsupported checkpoint format_version {version!r}; expected {CHECKPOINT_VERSION}"
+        )
     try:
         raw_pca = payload["pca"]
         raw_params = payload["params"]
@@ -889,9 +860,9 @@ def load_filter_checkpoint(path) -> tuple[FilterParams, PCATransform, dict]:
         raise InputValidationError(
             f"scorer expects {feat} features but the stored PCA yields {pca.k}"
         )
-    meta = dict(payload.get("train_config", {}))
-    stored_hash = payload.get("config_hash")
-    if stored_hash != config_content_hash(meta):
-        raise InputValidationError("checkpoint config hash does not match its config echo")
-    meta["config_hash"] = stored_hash
+    if payload.pop("content_hash", None) != content_hash(payload):
+        raise InputValidationError("checkpoint content hash does not match its contents")
+    meta = payload.get("train_config", {})
+    if not isinstance(meta, dict):
+        raise InputValidationError("malformed checkpoint: train_config must be a JSON object")
     return params, pca, meta

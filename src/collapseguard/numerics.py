@@ -116,74 +116,19 @@ def as_generator(rng) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def sym_eig(m, max_sweeps: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix (validated), by ``np.linalg.eigh``.
 
-    Parameters
-    ----------
-    m : array_like
-        Symmetric square matrix (validated).
-    max_sweeps : int
-        Safety cap on full sweeps; the rotation set always converges for
-        the small dimensions used here long before this limit.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Eigenvalues ascending; eigenvectors as orthonormal columns, so
-        ``Q @ diag(w) @ Q.T`` reconstructs ``m``.
+    Returns ``(eigenvalues, eigenvectors)``: eigenvalues ascending,
+    eigenvectors as orthonormal columns, so ``Q @ diag(w) @ Q.T``
+    reconstructs ``m``. Each column is signed so that its largest-magnitude
+    entry (the first one, on a tie) is positive; the sign LAPACK happens to
+    return never reaches a caller.
     """
-    a = as_symmetric_matrix(m)
-    d = a.shape[0]
-    if d == 1:
-        return a[0, :1].copy(), np.ones((1, 1))
-
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(d), np.eye(d)
-
-    work = a.copy()
-    vecs = np.eye(d)
-    stop = 1e-14 * scale
-    for _ in range(max_sweeps):
-        off = work - np.diag(np.diag(work))
-        if float(np.max(np.abs(off))) <= stop:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = work[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                app, aqq = work[p, p], work[q, q]
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                work[p, p] = app - t * apq
-                work[q, q] = aqq + t * apq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-
-    values = np.diag(work).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
+    values, vectors = np.linalg.eigh(as_symmetric_matrix(m))
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[pivots, np.arange(vectors.shape[1])])
+    return values, vectors * signs
 
 
 def quad_form(m, v) -> float:
@@ -191,35 +136,3 @@ def quad_form(m, v) -> float:
     a = as_symmetric_matrix(m)
     x = as_vector(v, dim=a.shape[0])
     return float(x @ (a @ x))
-
-
-def is_spd(m, tol: float = 1e-12) -> bool:
-    """True when every eigenvalue of the symmetric matrix exceeds ``tol``."""
-    values, _ = sym_eig(m)
-    return bool(values[0] > tol)
-
-
-def gaussian_sample(rng, mean, covariance) -> np.ndarray:
-    """One multivariate normal draw.
-
-    The zero matrix returns the mean exactly, identity covariance short-
-    circuits to per-coordinate standard normals, and anything else goes
-    through a Cholesky factor. Indefinite covariance is rejected.
-    """
-    mu = as_vector(mean, name="mean")
-    cov = as_symmetric_matrix(covariance, name="covariance")
-    d = mu.shape[0]
-    if cov.shape[0] != d:
-        raise InputValidationError(
-            f"covariance dimension {cov.shape[0]} does not match mean dimension {d}"
-        )
-    if not cov.any():
-        return mu.copy()
-    gen = as_generator(rng)
-    if np.array_equal(cov, np.eye(d)):
-        return mu + gen.standard_normal(d)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise InputValidationError("covariance must be positive definite or exactly zero") from exc
-    return mu + chol @ gen.standard_normal(d)

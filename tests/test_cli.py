@@ -198,6 +198,57 @@ class TestScenarioCommands:
         err = capsys.readouterr().err
         assert message in err and str(checkpoint) in err
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda p: p["params"]["w1"][0].__setitem__(0, 0.25), "content hash does not match"),
+            (lambda p: p.update(format_version=1), "format_version 1;"),
+        ],
+        ids=["edited-weight", "version-1"],
+    )
+    def test_edited_or_old_checkpoint_is_a_validation_failure(
+        self, tmp_path, capsys, mutate, message
+    ):
+        pca = fit_pca(np.random.default_rng(0).normal(size=(20, 1)), k=1)
+        params = FilterParams(np.ones((2, 1)), np.zeros(2), np.ones(2), 0.0)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_filter_checkpoint(checkpoint, params, pca, {"note": "small"})
+        payload = json.loads(checkpoint.read_text())
+        mutate(payload)
+        checkpoint.write_text(json.dumps(payload))
+        config = _write_config(
+            tmp_path / "config.json",
+            {"seed": 1, "horizon": 2, "trials": 2,
+             "filter": {"kind": "mlp", "checkpoint": str(checkpoint)}},
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_spreadless_oracle_candidates_map_to_the_runtime_exit_code(self, tmp_path, capsys):
+        # two Bernoulli candidates are often equal, so the cloud has no spread
+        config = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "workflow-filtered", "seed": 3,
+             "model": {"family": "bernoulli", "dim": 1, "theta_star": [0.0]},
+             "horizon": 20, "trials": 5,
+             "filter": {"kind": "oracle-pullback", "gamma": 0.5, "candidates_per_round": 2}},
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "candidate cloud has no spread" in capsys.readouterr().err
+
+    def test_invalid_default_theta_star_names_the_field(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json", {"seed": 1, "model": {"family": "exponential"}}
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "model.theta_star [1.0] is invalid" in err
+        assert "exponential natural parameters must be negative" in err
+        assert not (tmp_path / "out").exists()
+
     def test_constant_noise_dynamics_fails_the_check_gate(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "config.json",

@@ -15,7 +15,6 @@ from collapseguard.contraction import (
     constant_bounds,
     fit_decay_rate,
     limsup_bound,
-    make_probe_points,
     measure_concentration,
     power_law_bounds,
     recurrence_simulate,
@@ -30,7 +29,32 @@ from collapseguard.expfam import (
     ExpFamilyModel,
     Parameter,
 )
-from collapseguard.numerics import STACK_LIMIT, RngState
+from collapseguard.numerics import STACK_LIMIT, RngState, as_generator
+
+
+def make_probe_points(
+    metric: LyapunovMetric,
+    rng,
+    count: int = 256,
+    v_min: float = 1e-6,
+    v_max: float = 1e3,
+) -> np.ndarray:
+    """Probe grid for regulation checks: log-spaced V along random directions.
+
+    Returns ``count`` points with V values log-spaced over [v_min, v_max]
+    plus the origin, each on an independently drawn direction.
+    """
+    if count < 1:
+        raise InputValidationError("count must be positive")
+    gen = as_generator(rng)
+    targets = np.logspace(np.log10(v_min), np.log10(v_max), count)
+    dirs = gen.standard_normal((count, metric.dim))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0.0] = 1.0
+    dirs /= norms[:, None]
+    dir_v = metric.values(dirs)
+    points = dirs * np.sqrt(targets / dir_v)[:, None]
+    return np.vstack([np.zeros((1, metric.dim)), points])
 
 
 class TestLyapunovMetric:
@@ -41,6 +65,8 @@ class TestLyapunovMetric:
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(InputValidationError):
             LyapunovMetric(np.diag([1.0, -1.0]))
+        with pytest.raises(InputValidationError):
+            LyapunovMetric(np.diag([1e-14, 1.0]))
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(InputValidationError):

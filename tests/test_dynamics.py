@@ -84,11 +84,6 @@ class TestNoiseSchedule:
         schedule2 = NoiseSchedule.power(beta=2.0, scale=3.0)
         assert schedule2.sigma_sq_array(2, 3)[0] == pytest.approx(3.0 / 9.0)
 
-    def test_vanishing_flag(self):
-        assert NoiseSchedule.zero().vanishes
-        assert NoiseSchedule.power(beta=0.5).vanishes
-        assert not NoiseSchedule.constant(1.0).vanishes
-
     def test_energy_honest_under_identity_metric(self):
         """Mean of |xi|^2 over 1e5 draws matches the configured level 1.0."""
         schedule = NoiseSchedule.constant(1.0)

@@ -16,15 +16,16 @@ from collapseguard.expfam import (
     POISSON,
     ExpFamilyModel,
     Parameter,
+    _check_mean_interior,
+    _mean_from_natural,
+    _mean_slope,
     estimate,
     inverse_mean_map,
     mean_map,
-    numeric_inverse_mean_map,
     sample,
-    sufficient_stat,
     weighted_estimate,
 )
-from collapseguard.numerics import RngState
+from collapseguard.numerics import RngState, as_vector
 
 
 def _model(family: str, dim: int = 1) -> ExpFamilyModel:
@@ -36,30 +37,57 @@ def _param(family: str, values) -> Parameter:
     return Parameter(theta, _model(family, theta.size))
 
 
-class TestSufficientStat:
-    """The sufficient statistic is the identity map for all four families."""
+def numeric_inverse_mean_map(
+    model: ExpFamilyModel, tbar, tol: float = 1e-12, max_iter: int = 100
+) -> Parameter:
+    """Invert the mean map by safeguarded Newton iteration.
 
-    def test_gaussian_passthrough(self):
-        out = sufficient_stat(_model(GAUSSIAN, 2), np.array([2.0, 5.0]))
-        np.testing.assert_array_equal(out, [2.0, 5.0])
+    Monotone coordinate-wise solve with a geometrically expanded bisection
+    bracket, the route a family without a closed form would take. Kept
+    here as an independent cross-check of :func:`inverse_mean_map`.
+    """
+    t = as_vector(tbar, dim=model.dim, name="tbar")
+    _check_mean_interior(model.family, t)
+    family = model.family
+    out = np.empty_like(t)
+    for j, target in enumerate(t):
+        lo, hi = _initial_bracket(family, target)
+        theta = 0.5 * (lo + hi)
+        for _ in range(max_iter):
+            arr = np.array([theta])
+            resid = float(_mean_from_natural(family, arr)[0]) - target
+            if abs(resid) <= tol * max(1.0, abs(target)):
+                break
+            if resid > 0.0:
+                hi = theta
+            else:
+                lo = theta
+            slope = float(_mean_slope(family, arr)[0])
+            step = theta - resid / slope if slope > 0.0 else None
+            if step is None or not (lo < step < hi):
+                step = 0.5 * (lo + hi)
+            theta = step
+        out[j] = theta
+    return Parameter(out, model)
 
-    def test_poisson_passthrough(self):
-        out = sufficient_stat(_model(POISSON), np.array([3.0]))
-        np.testing.assert_array_equal(out, [3.0])
 
-    def test_bernoulli_passthrough(self):
-        out = sufficient_stat(_model(BERNOULLI), np.array([1.0]))
-        np.testing.assert_array_equal(out, [1.0])
-
-    def test_out_of_support_points_rejected(self):
-        with pytest.raises(InputValidationError):
-            sufficient_stat(_model(POISSON), np.array([-1.0]))
-        with pytest.raises(InputValidationError):
-            sufficient_stat(_model(POISSON), np.array([2.5]))
-        with pytest.raises(InputValidationError):
-            sufficient_stat(_model(BERNOULLI), np.array([0.3]))
-        with pytest.raises(InputValidationError):
-            sufficient_stat(_model(EXPONENTIAL), np.array([-0.1]))
+def _initial_bracket(family: str, target: float) -> tuple[float, float]:
+    """A (lo, hi) natural-parameter bracket with mean(lo) < target < mean(hi)."""
+    if family == GAUSSIAN:
+        return target - 1.0, target + 1.0
+    if family == EXPONENTIAL:
+        lo, hi = -2.0 / target, -0.5 / target
+        while float(_mean_from_natural(family, np.array([lo]))[0]) >= target:
+            lo *= 2.0
+        while float(_mean_from_natural(family, np.array([hi]))[0]) <= target:
+            hi *= 0.5
+        return lo, hi
+    lo, hi = -1.0, 1.0
+    while float(_mean_from_natural(family, np.array([lo]))[0]) >= target:
+        lo *= 2.0
+    while float(_mean_from_natural(family, np.array([hi]))[0]) <= target:
+        hi *= 2.0
+    return lo, hi
 
 
 class TestMeanMap:
@@ -172,6 +200,16 @@ class TestEstimate:
     def test_empty_data_rejected(self):
         with pytest.raises(InputValidationError):
             estimate(_model(GAUSSIAN), np.empty((0, 1)))
+
+    def test_out_of_support_points_rejected(self):
+        with pytest.raises(InputValidationError):
+            estimate(_model(POISSON), np.array([[-1.0]]))
+        with pytest.raises(InputValidationError):
+            estimate(_model(POISSON), np.array([[2.5]]))
+        with pytest.raises(InputValidationError):
+            estimate(_model(BERNOULLI), np.array([[0.3]]))
+        with pytest.raises(InputValidationError):
+            estimate(_model(EXPONENTIAL), np.array([[-0.1]]))
 
     def test_degenerate_sample_hits_boundary(self):
         with pytest.raises(BoundaryError):

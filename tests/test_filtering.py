@@ -24,11 +24,8 @@ from collapseguard.filtering import (
     TrainConfig,
     adam_step,
     anchors_from_dataset,
-    classification_loss,
-    config_content_hash,
-    contraction_loss,
+    content_hash,
     fit_pca,
-    forward,
     forward_batch,
     init_filter_params,
     label_by_distance,
@@ -64,6 +61,11 @@ def _dataset(points, labels) -> LabeledDataset:
     return LabeledDataset(pts, np.asarray(labels), features=pts)
 
 
+def _unproject(pca, feats) -> np.ndarray:
+    """Map PCA features back to points; exact when k equals the input dimension."""
+    return feats @ pca.projection.T * pca.scale + pca.mean
+
+
 class TestFitPca:
     def test_collinear_data_gives_full_first_ratio(self):
         """Points on a line have one informative direction."""
@@ -86,7 +88,7 @@ class TestFitPca:
         rng = np.random.default_rng(11)
         data = rng.normal(size=(50, 3)) @ np.diag([2.0, 1.0, 0.5]) + np.array([1.0, -2.0, 0.0])
         pca = fit_pca(data, k=3)
-        np.testing.assert_allclose(pca.inverse_transform(pca.transform(data)), data, atol=1e-8)
+        np.testing.assert_allclose(_unproject(pca, pca.transform(data)), data, atol=1e-8)
 
     def test_single_vector_transform_matches_batch_row(self):
         rng = np.random.default_rng(3)
@@ -115,7 +117,7 @@ class TestFitPca:
         assert pca.zero_variance.tolist() == [False, False, True]
         feats = pca.transform(data)
         assert np.all(np.isfinite(feats))
-        np.testing.assert_allclose(pca.inverse_transform(feats)[:, 2], 7.0, atol=1e-8)
+        np.testing.assert_allclose(_unproject(pca, feats)[:, 2], 7.0, atol=1e-8)
 
     def test_k_outside_valid_range_is_rejected(self):
         data = np.random.default_rng(0).normal(size=(10, 2))
@@ -138,8 +140,6 @@ class TestFitPca:
         pca = fit_pca(np.random.default_rng(0).normal(size=(10, 3)), k=2)
         with pytest.raises(InputValidationError):
             pca.transform(np.zeros((4, 2)))
-        with pytest.raises(InputValidationError):
-            pca.inverse_transform(np.zeros((4, 3)))
 
 
 class TestLabelByDistance:
@@ -199,12 +199,12 @@ class TestLabelByDistance:
 class TestForward:
     def test_zero_parameters_score_one_half(self):
         params = _zero_params(feature_dim=2, hidden_dim=3)
-        assert forward(params, np.array([0.4, -1.0])) == 0.5
+        assert forward_batch(params, np.array([[0.4, -1.0]]))[0] == 0.5
 
     def test_dead_hidden_layer_reduces_to_output_bias(self):
         params = FilterParams(np.zeros((2, 1)), np.full(2, -1.0), np.ones(2), -1.5)
         expected = 1.0 / (1.0 + math.exp(1.5))
-        np.testing.assert_allclose(forward(params, np.array([3.0])), expected, rtol=1e-12)
+        np.testing.assert_allclose(forward_batch(params, np.array([[3.0]])), [expected], rtol=1e-12)
 
     def test_scores_lie_in_the_open_unit_interval(self):
         params = init_filter_params(3, 8, np.random.default_rng(2))
@@ -224,13 +224,13 @@ class TestForward:
         params = init_filter_params(2, 4, np.random.default_rng(8))
         feats = np.random.default_rng(9).normal(size=(10, 2))
         batch = forward_batch(params, feats)
-        singles = np.array([forward(params, row) for row in feats])
+        singles = np.array([forward_batch(params, row[None, :])[0] for row in feats])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
     def test_wrong_feature_dimension_is_rejected(self):
         params = _zero_params(feature_dim=2)
         with pytest.raises(InputValidationError):
-            forward(params, np.zeros(3))
+            forward_batch(params, np.zeros((1, 3)))
         with pytest.raises(InputValidationError):
             forward_batch(params, np.zeros((4, 3)))
 
@@ -272,35 +272,39 @@ class TestLosses:
     def test_uninformative_scores_give_log_two_cross_entropy(self):
         ds = _dataset([[0.0], [1.0], [2.0], [3.0]], [1, 0, 1, 0])
         np.testing.assert_allclose(
-            classification_loss(_zero_params(), ds), math.log(2.0), rtol=1e-12
+            total_loss(_zero_params(), ds, self._config(e_est=1.0)).class_part,
+            math.log(2.0),
+            rtol=1e-12,
         )
 
     def test_confident_correct_scores_give_tiny_cross_entropy(self):
         params = FilterParams(np.zeros((2, 1)), np.zeros(2), np.zeros(2), 40.0)
         ds = _dataset([[0.0], [1.0]], [1, 1])
-        assert classification_loss(params, ds) < 1e-10
+        assert total_loss(params, ds, self._config(e_est=1.0)).class_part < 1e-10
 
     def test_classification_loss_requires_features(self):
         ds = LabeledDataset(np.zeros((2, 1)), np.array([0, 1]))
         with pytest.raises(InputValidationError):
-            classification_loss(_zero_params(), ds)
+            total_loss(_zero_params(), ds, self._config(e_est=1.0))
 
     def test_contraction_hinge_value_is_exact(self):
         """Uniform half weights on {0, 2 sqrt 2} re-estimate to sqrt 2, so the
         certified level (1 - 1/2) * 3 = 1.5 is violated by exactly 0.5."""
         config = self._config(e_est=math.sqrt(3.0))
         ds = _dataset([[0.0], [2.0 * math.sqrt(2.0)]], [1, 0])
-        np.testing.assert_allclose(contraction_loss(_zero_params(), ds, config), 0.5, rtol=1e-12)
+        np.testing.assert_allclose(
+            total_loss(_zero_params(), ds, config).contract_part, 0.5, rtol=1e-12
+        )
 
     def test_contraction_hinge_is_zero_when_satisfied(self):
         config = self._config(e_est=math.sqrt(3.0))
         ds = _dataset([[0.0], [2.0]], [1, 0])
-        assert contraction_loss(_zero_params(), ds, config) == 0.0
+        assert total_loss(_zero_params(), ds, config).contract_part == 0.0
 
     def test_symmetric_candidates_have_zero_contraction_loss(self):
         config = self._config(e_est=math.sqrt(3.0))
         ds = _dataset([[-1.0], [1.0]], [1, 0])
-        assert contraction_loss(_zero_params(), ds, config) == 0.0
+        assert total_loss(_zero_params(), ds, config).contract_part == 0.0
 
     def test_total_loss_combines_parts_with_configured_weights(self):
         config = self._config(e_est=0.05, lambda_contract=2.5, ess_weight=0.1)
@@ -310,8 +314,14 @@ class TestLosses:
         params = init_filter_params(1, 4, rng)
         parts = total_loss(params, ds, config)
         assert parts.total == parts.class_part + 2.5 * parts.contract_part + 0.1 * parts.ess_part
-        assert parts.class_part == classification_loss(params, ds)
-        assert parts.contract_part == contraction_loss(params, ds, config)
+        # the parts recomputed from their definitions, one forward pass each
+        weights = forward_batch(params, ds.features)
+        p = np.clip(weights, 1e-12, 1.0 - 1e-12)
+        y = ds.labels.astype(float)
+        assert parts.class_part == float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        e_new = weighted_estimate(config.model, ds.points, weights).theta - config.theta_good.theta
+        v_new = config.metric.value(e_new)
+        assert parts.contract_part == max(0.0, v_new - config.contraction_threshold())
 
     def test_uniform_weights_have_zero_ess_penalty(self):
         config = self._config(e_est=1.0, ess_weight=0.5)
@@ -403,7 +413,7 @@ class TestLossGradient:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_finite_differences_with_active_hinge(self, seed):
         params, ds, config = self._random_case(seed, active_hinge=True)
-        assert contraction_loss(params, ds, config) > 0.0
+        assert total_loss(params, ds, config).contract_part > 0.0
         analytic = self._flatten(loss_gradient(params, ds, config))
         numeric = self._numeric_grad(params, ds, config)
         scale = max(float(np.linalg.norm(numeric)), 1e-12)
@@ -412,7 +422,7 @@ class TestLossGradient:
     @pytest.mark.parametrize("seed", range(10, 20))
     def test_gradient_matches_finite_differences_with_inactive_hinge(self, seed):
         params, ds, config = self._random_case(seed, active_hinge=False)
-        assert contraction_loss(params, ds, config) == 0.0
+        assert total_loss(params, ds, config).contract_part == 0.0
         analytic = self._flatten(loss_gradient(params, ds, config))
         numeric = self._numeric_grad(params, ds, config)
         scale = max(float(np.linalg.norm(numeric)), 1e-12)
@@ -614,7 +624,7 @@ class TestOraclePullback:
 
     def test_candidates_without_spread_are_rejected(self):
         _, theta_good = _gaussian(1)
-        with pytest.raises(InputValidationError):
+        with pytest.raises(DegenerateSelectionError, match="no spread"):
             oracle_pullback_weights(np.full((5, 1), 2.0), theta_good, gamma=0.5)
 
     def test_invalid_inputs_are_rejected(self):
@@ -797,7 +807,9 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded_pca.mean, pca.mean)
         np.testing.assert_array_equal(loaded_pca.projection, pca.projection)
         np.testing.assert_array_equal(loaded_pca.zero_variance, pca.zero_variance)
-        assert loaded_meta.pop("config_hash") == config_content_hash(meta)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert payload.pop("content_hash") == content_hash(payload)
         assert loaded_meta == meta
 
     def _tamper(self, path, mutate):
@@ -805,12 +817,13 @@ class TestCheckpoint:
         mutate(payload)
         path.write_text(json.dumps(payload))
 
-    def test_unsupported_version_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version_is_rejected(self, tmp_path, version):
         params, pca, meta = self._artifacts()
         path = tmp_path / "checkpoint.json"
         save_filter_checkpoint(path, params, pca, meta)
-        self._tamper(path, lambda p: p.update(format_version=99))
-        with pytest.raises(InputValidationError, match="version"):
+        self._tamper(path, lambda p: p.update(format_version=version))
+        with pytest.raises(InputValidationError, match=f"format_version {version};"):
             load_filter_checkpoint(path)
 
     def test_inconsistent_scorer_shape_is_rejected(self, tmp_path):
@@ -829,12 +842,44 @@ class TestCheckpoint:
         with pytest.raises(InputValidationError, match="hash"):
             load_filter_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "keys", [("params", "w1", 0, 0), ("params", "b2"), ("pca", "mean", 0)]
+    )
+    def test_tampered_weights_or_pca_fail_the_hash_check(self, tmp_path, keys):
+        params, pca, meta = self._artifacts()
+        path = tmp_path / "checkpoint.json"
+        save_filter_checkpoint(path, params, pca, meta)
+
+        def nudge(payload):
+            *parents, last = keys
+            for key in parents:
+                payload = payload[key]
+            payload[last] += 0.5
+
+        self._tamper(path, nudge)
+        with pytest.raises(InputValidationError, match="hash"):
+            load_filter_checkpoint(path)
+
     def test_missing_sections_are_reported_as_malformed(self, tmp_path):
         params, pca, meta = self._artifacts()
         path = tmp_path / "checkpoint.json"
         save_filter_checkpoint(path, params, pca, meta)
         self._tamper(path, lambda p: p.pop("params"))
         with pytest.raises(InputValidationError, match="malformed"):
+            load_filter_checkpoint(path)
+
+    def test_non_object_config_echo_is_reported_as_malformed(self, tmp_path):
+        params, pca, meta = self._artifacts()
+        path = tmp_path / "checkpoint.json"
+        save_filter_checkpoint(path, params, pca, meta)
+
+        def rehash_with_list_echo(payload):
+            payload.pop("content_hash")
+            payload["train_config"] = [1, 2]
+            payload["content_hash"] = content_hash(payload)
+
+        self._tamper(path, rehash_with_list_echo)
+        with pytest.raises(InputValidationError, match="train_config must be a JSON object"):
             load_filter_checkpoint(path)
 
     @pytest.mark.parametrize("failure", ["unencodable-meta", "failed-rename"])
@@ -857,8 +902,8 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
     def test_config_hash_ignores_key_order_but_not_values(self):
-        a = config_content_hash({"alpha": 1, "beta": [1, 2]})
-        b = config_content_hash({"beta": [1, 2], "alpha": 1})
-        c = config_content_hash({"alpha": 2, "beta": [1, 2]})
+        a = content_hash({"alpha": 1, "beta": [1, 2]})
+        b = content_hash({"beta": [1, 2], "alpha": 1})
+        c = content_hash({"alpha": 2, "beta": [1, 2]})
         assert a == b and a != c
         assert len(a) == 64 and all(ch in "0123456789abcdef" for ch in a)

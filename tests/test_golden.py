@@ -1,9 +1,14 @@
 """Byte-level pins of a small CLI pipeline's artifacts.
 
-Two rates tables, their comparison, two plots of one table, and one
-concentration curve per exponential family. Every artifact's SHA-256 is
-pinned, so any change to how results are computed, formatted or written
-shows up here as a changed digest.
+Two rates tables, their comparison, two plots of one table, one
+concentration curve per exponential family, and the filter path: a small
+trained filter's checkpoint and log, and a workflow filtered by it. Every
+artifact's SHA-256 is pinned, so any change to how results are computed,
+formatted or written shows up here as a changed digest.
+
+The pipeline runs inside its directory with relative paths, because the
+workflow's config hash covers ``filter.checkpoint`` and the train summary
+records where the checkpoint went.
 """
 
 import hashlib
@@ -33,6 +38,27 @@ def _concentration(family: str, dim: int, theta: list, seed: int) -> dict:
     }
 
 
+def _train(seed: int) -> dict:
+    return {
+        "scenario": "train-filter",
+        "seed": seed,
+        "model": {"dim": 2},
+        "training": {"rounds": 2, "candidates_per_round": 200, "epochs": 30, "hidden_dim": 8},
+    }
+
+
+def _mlp_workflow(checkpoint: str, seed: int) -> dict:
+    return {
+        "scenario": "workflow-filtered",
+        "seed": seed,
+        "model": {"dim": 2},
+        "horizon": 20,
+        "trials": 8,
+        "schedule": {"kind": "constant", "base": 50},
+        "filter": {"kind": "mlp", "checkpoint": checkpoint, "candidates_per_round": 100},
+    }
+
+
 CONFIGS = {
     "rates-a": ("verify-rates", _rates(2.0, 1.0, 11)),
     "rates-b": ("verify-rates", _rates(3.0, 3.0, 12)),
@@ -40,6 +66,8 @@ CONFIGS = {
     "poisson": ("measure-concentration", _concentration("poisson", 1, [0.2], 22)),
     "bernoulli": ("measure-concentration", _concentration("bernoulli", 2, [2.0, -0.5], 23)),
     "exponential": ("measure-concentration", _concentration("exponential", 1, [-1.5], 24)),
+    "train": ("train-filter", _train(31)),
+    "mlp": ("simulate-workflow", _mlp_workflow("train/checkpoint.json", 32)),
 }
 
 GOLDEN = {
@@ -59,22 +87,27 @@ GOLDEN = {
     "bernoulli/summary.json": "be17d6f0c77e8de890a4ea40d3ea94ea28129ce270dd8580debfc04b46bb09f0",
     "exponential/results.csv": "1d45fe6871568d6f85293380cf7aa322d7cdf17bce36f0c334ebb3c2442e65f8",
     "exponential/summary.json": "393666b5c4fc019964a1dc53082cf10eb775259c784726ab943568561269b884",
+    "train/checkpoint.json": "f0ea26b399dc30d0931366b87dd64c984991c2a9995d6fc9a8066eb000709a7e",
+    "train/training_log.csv": "47d8d20250d6e0f80e04854d5e3acb8480a7dd1735550612ea65b4bccd69fab0",
+    "train/summary.json": "06ec872a9aca335ee5b347c74ff5b94e58b7a10ffe65cc3ce2d0046f52583efa",
+    "mlp/results.csv": "b0407eea29423b8981146219f55ebad56e8c1f9907ce1600bc1a2b401865fb0e",
+    "mlp/summary.json": "71af8a9c2418de49a0c92c71652897bc12a3d5f1be35d07d8ea1ad41234463ac",
 }
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    for label, (command, config) in CONFIGS.items():
-        path = root / f"{label}.json"
-        path.write_text(json.dumps(config))
-        assert main([command, "--config", str(path), "--out", str(root / label)]) == 0
-    assert main(["compare", "--baseline", str(root / "rates-a" / "results.csv"),
-                 "--treatment", str(root / "rates-b" / "results.csv"),
-                 "--out", str(root / "compare")]) == 0
-    for column, kind in (("mse", "semilogy"), ("exceed_0.5", "linear")):
-        assert main(["plot", "--input", str(root / "rates-a" / "results.csv"), "--kind", kind,
-                     "--column", column, "--out", str(root / "plot" / f"{column}-{kind}.svg")]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for label, (command, config) in CONFIGS.items():
+            (root / f"{label}.json").write_text(json.dumps(config))
+            assert main([command, "--config", f"{label}.json", "--out", label]) == 0
+        assert main(["compare", "--baseline", "rates-a/results.csv",
+                     "--treatment", "rates-b/results.csv", "--out", "compare"]) == 0
+        for column, kind in (("mse", "semilogy"), ("exceed_0.5", "linear")):
+            assert main(["plot", "--input", "rates-a/results.csv", "--kind", kind,
+                         "--column", column, "--out", f"plot/{column}-{kind}.svg"]) == 0
     return root
 
 

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from collapseguard.errors import InputValidationError
-from collapseguard.numerics import (
-    RngState,
-    as_generator,
-    gaussian_sample,
-    is_spd,
-    quad_form,
-    sym_eig,
-)
+from collapseguard.filtering import fit_pca
+from collapseguard.numerics import RngState, as_generator, quad_form, sym_eig
+
+
+def _assert_sign_convention(vectors):
+    """Each column's largest-magnitude entry (the first, on a tie) is positive."""
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    assert np.all(vectors[pivots, np.arange(vectors.shape[1])] > 0.0)
 
 
 class TestSymEig:
-    """Symmetric eigendecomposition via cyclic Jacobi rotations."""
+    """Symmetric eigendecomposition through numpy, with a fixed column sign."""
 
     def test_diagonal_matrix_returns_its_entries(self):
         values, vectors = sym_eig(np.diag([2.0, 3.0]))
@@ -47,6 +47,30 @@ class TestSymEig:
             scale = max(np.abs(m).max(), 1.0)
             assert np.abs(recon - m).max() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_columns_follow_the_sign_convention(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(20):
+            g = rng.normal(size=(dim, dim))
+            m = 0.5 * (g + g.T)
+            values, vectors = sym_eig(m)
+            _assert_sign_convention(vectors)
+            assert np.all(np.diff(values) >= 0.0)
+            assert np.abs(vectors @ np.diag(values) @ vectors.T - m).max() <= 1e-10
+
+    def test_a_tie_in_magnitude_makes_the_first_entry_positive(self, monkeypatch):
+        # exact ties, which a solver's rounding need not produce
+        s = np.sqrt(0.5)
+        raw = np.array([[-s, s], [s, s]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 3.0]), raw.copy()))
+        _, vectors = sym_eig(np.eye(2))
+        np.testing.assert_array_equal(vectors, np.array([[s, s], [-s, s]]))
+
+    def test_pca_projection_follows_the_sign_convention(self):
+        rng = np.random.default_rng(17)
+        data = rng.normal(size=(200, 5)) @ rng.normal(size=(5, 5))
+        _assert_sign_convention(fit_pca(data, k=3).projection)
+
     def test_nonfinite_input_rejected(self):
         bad = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(InputValidationError):
@@ -77,61 +101,10 @@ class TestQuadForm:
         rng = np.random.default_rng(7)
         g = rng.normal(size=(4, 4))
         m = g @ g.T + 0.1 * np.eye(4)
-        assert is_spd(m, tol=0.0)
+        assert sym_eig(m)[0][0] > 0.0
         for _ in range(10_000):
             v = rng.normal(size=4)
             assert quad_form(m, v) >= 0.0
-
-
-class TestIsSpd:
-    def test_identity_is_positive_definite(self):
-        assert is_spd(np.eye(3), tol=0.0)
-
-    def test_indefinite_matrix_rejected(self):
-        assert not is_spd(np.diag([1.0, -1.0]), tol=0.0)
-
-    def test_eigenvalue_below_tolerance_fails(self):
-        assert not is_spd(np.diag([1e-14, 1.0]), tol=1e-12)
-
-
-class TestGaussianSample:
-    def test_zero_covariance_returns_mean_exactly(self):
-        mean = np.array([1.0, 1.0])
-        out = gaussian_sample(RngState(seed=3), mean, np.zeros((2, 2)))
-        np.testing.assert_array_equal(out, mean)
-
-    def test_sample_mean_concentrates_with_identity_covariance(self):
-        """Mean of 1e5 standard-normal draws lands within 0.02 per coordinate."""
-        rng = RngState(seed=42).generator()
-        draws = np.stack(
-            [gaussian_sample(rng, np.zeros(2), np.eye(2)) for _ in range(1000)]
-        )
-        extra = rng.standard_normal(size=(99_000, 2))
-        pooled = np.concatenate([draws, extra])
-        assert np.abs(pooled.mean(axis=0)).max() <= 0.02
-
-    def test_seed_replay_is_identical(self):
-        a = gaussian_sample(RngState(seed=42, stream=0), np.zeros(3), np.eye(3))
-        b = gaussian_sample(RngState(seed=42, stream=0), np.zeros(3), np.eye(3))
-        np.testing.assert_array_equal(a, b)
-
-    def test_indefinite_covariance_rejected(self):
-        with pytest.raises(InputValidationError):
-            gaussian_sample(RngState(seed=1), np.zeros(2), np.diag([1.0, -1.0]))
-
-    def test_empirical_covariance_tracks_factored_covariance(self):
-        """Sample covariance converges at the root-n rate: 5 standard errors at n=1e5."""
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        rng = RngState(seed=11).generator()
-        draws = np.stack(
-            [gaussian_sample(rng, np.zeros(2), cov) for _ in range(100_000)]
-        )
-        emp = np.cov(draws.T, bias=True)
-        n = draws.shape[0]
-        for i in range(2):
-            for j in range(2):
-                stderr = np.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
-                assert abs(emp[i, j] - cov[i, j]) <= 5.0 * stderr
 
 
 class TestRngState:
