@@ -64,10 +64,10 @@ from .filtering import (
     forward_batch,
     label_by_distance,
     load_filter_checkpoint,
+    loss_gradient,
     oracle_pullback_weights,
     save_filter_checkpoint,
     simulate_drift_training_data,
-    total_loss,
     train_filter,
 )
 from .numerics import RngState, quad_form, sym_eig
@@ -112,6 +112,7 @@ __all__ = [
     "label_by_distance",
     "limsup_bound",
     "load_filter_checkpoint",
+    "loss_gradient",
     "mean_map",
     "measure_concentration",
     "oracle_pullback_weights",
@@ -125,7 +126,6 @@ __all__ = [
     "save_filter_checkpoint",
     "simulate_drift_training_data",
     "sym_eig",
-    "total_loss",
     "train_filter",
     "weighted_estimate",
 ]

@@ -441,10 +441,7 @@ def measure_concentration(
         for lo in range(0, trials, chunk):
             rows = min(chunk, trials - lo)
             draws = expfam.sample(model, theta, rows * n, gen)
-            tbar = expfam._mean_statistic(draws.reshape(rows, n, model.dim), None)
-            missing = expfam._outside_mean_domain(model.family, tbar).any(axis=1)
-            with np.errstate(all="ignore"):
-                theta_hat = expfam._natural_from_mean(model.family, tbar)
+            theta_hat, ok = expfam._fit_rows(model.family, draws.reshape(rows, n, model.dim), None)
             dist = np.linalg.norm(theta_hat - theta.theta, axis=1)
-            counts[i] += (missing[:, None] | (dist[:, None] >= ds)).sum(axis=0)
+            counts[i] += (~ok[:, None] | (dist[:, None] >= ds)).sum(axis=0)
     return counts / trials

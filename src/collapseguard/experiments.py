@@ -48,11 +48,11 @@ from .filtering import (
     fit_pca,
     forward_batch,
     load_filter_checkpoint,
+    loss_gradient,
     merge_datasets,
     read_json_object,
     save_filter_checkpoint,
     simulate_drift_training_data,
-    total_loss,
     train_filter,
 )
 from .numerics import RngState
@@ -748,11 +748,7 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
         hidden_dim=spec.hidden_dim,
     )
     params, log = train_filter(train_ds, train_config, rng.derive(2))
-    final = (
-        log[-1][1:]
-        if log
-        else tuple(total_loss(params, train_ds, train_config))
-    )
+    final = log[-1] if log else loss_gradient(params, train_ds, train_config)[0]
 
     weights = forward_batch(params, pca.transform(train_points))
     theta_new = expfam.weighted_estimate(model, train_points, weights)
@@ -779,9 +775,9 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
     }
 
     log_lines = [TRAINING_LOG_HEADER]
-    for row in log:
+    for epoch, row in enumerate(log, 1):
         log_lines.append(
-            f"{row.epoch},{_fmt(row.total)},{_fmt(row.class_part)},"
+            f"{epoch},{_fmt(row.total)},{_fmt(row.class_part)},"
             f"{_fmt(row.contract_part)},{_fmt(row.ess_part)}"
         )
 
@@ -791,10 +787,10 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
         "epochs": spec.epochs,
         "n_train": int(train_idx.shape[0]),
         "n_holdout": int(n_hold),
-        "final_total_loss": float(final[0]),
-        "final_class_loss": float(final[1]),
-        "final_contract_loss": float(final[2]),
-        "final_ess_loss": float(final[3]),
+        "final_total_loss": float(final.total),
+        "final_class_loss": float(final.class_part),
+        "final_contract_loss": float(final.contract_part),
+        "final_ess_loss": float(final.ess_part),
         "holdout_accuracy": holdout_accuracy,
         "contraction_certificate": certificate,
         "certified_v_new": float(v_new),

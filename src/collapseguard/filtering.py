@@ -15,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -231,8 +231,12 @@ def forward_batch(params: FilterParams, features) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Losses
+# Loss, gradient and training loop
 # ---------------------------------------------------------------------------
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class LossParts(NamedTuple):
@@ -246,35 +250,28 @@ class LossParts(NamedTuple):
 class TrainConfig:
     """Everything train_filter needs besides the data.
 
-    ``e_est`` may start as None; train_filter resolves it once from the
-    full candidate set before the first epoch and freezes it. The loss
-    functions themselves require a resolved anchor.
+    ``e_est`` is the frozen training anchor: the plain estimate over all
+    candidates minus ``theta_good``.
     """
 
     theta_good: expfam.Parameter
     metric: LyapunovMetric
+    e_est: np.ndarray
     c_fn: ContractionFn = field(default_factory=ContractionFn.example_sqrt)
-    e_est: np.ndarray | None = None
     lambda_contract: float = 1.0
     ess_weight: float = 0.0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 500
     hidden_dim: int = 128
 
     def __post_init__(self):
         if self.metric.dim != self.theta_good.model.dim:
             raise InputValidationError("metric dimension must match the model dimension")
-        if self.e_est is not None:
-            self.e_est = as_vector(self.e_est, dim=self.metric.dim, name="e_est")
+        self.e_est = as_vector(self.e_est, dim=self.metric.dim, name="e_est")
         if self.lambda_contract < 0.0 or self.ess_weight < 0.0:
             raise InputValidationError("loss weights must be nonnegative")
-        if self.learning_rate <= 0.0 or not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise InputValidationError("invalid Adam hyperparameters")
-        if self.eps <= 0.0:
-            raise InputValidationError("eps must be positive")
+        if self.learning_rate <= 0.0:
+            raise InputValidationError("learning_rate must be positive")
         if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 0:
             raise InputValidationError("epochs must be a nonnegative integer")
         if not isinstance(self.hidden_dim, (int, np.integer)) or self.hidden_dim < 1:
@@ -286,8 +283,6 @@ class TrainConfig:
 
     def contraction_threshold(self) -> float:
         """The frozen hinge level (1 - c(e_est)) V(e_est)."""
-        if self.e_est is None:
-            raise InputValidationError("e_est anchor is unresolved; train_filter sets it")
         v_est = self.metric.value(self.e_est)
         c_est = self.c_fn.value(self.metric, self.e_est)
         return (1.0 - c_est) * v_est
@@ -299,160 +294,90 @@ def _require_features(dataset: LabeledDataset) -> np.ndarray:
     return dataset.features
 
 
-def _bce(weights: np.ndarray, labels: np.ndarray) -> float:
-    p = np.clip(weights, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = labels.astype(float)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def _ess_term(weights: np.ndarray) -> float:
-    s1 = float(weights.sum())
-    s2 = float((weights * weights).sum())
-    if s2 == 0.0:
-        return 1.0
-    return 1.0 - (s1 * s1 / s2) / weights.shape[0]
-
-
-def total_loss(params: FilterParams, dataset: LabeledDataset, config: TrainConfig) -> LossParts:
-    """class + lambda * contract + mu * ess, with the parts reported separately.
+def loss_gradient(
+    params: FilterParams, dataset: LabeledDataset, config: TrainConfig
+) -> tuple[LossParts, FilterParams]:
+    """The training loss, class + lambda * contract + mu * ess, and its exact
+    gradient, both from one forward pass.
 
     ``class`` is the mean binary cross-entropy, with probabilities clamped
     only inside the logs. ``contract`` is the hinge on the certified
     decrease, max(0, V(e_new) - (1 - c(e_est)) V(e_est)): e_new comes from
     the weighted re-estimate under the current weights, and the threshold
-    side is frozen at the config anchor.
-    """
-    feats = _require_features(dataset)
-    weights = _forward_cache(params, feats)[3]
-    class_part = _bce(weights, dataset.labels)
-    theta_new = expfam.weighted_estimate(config.model, dataset.points, weights)
-    e_new = theta_new.theta - config.theta_good.theta
-    contract_part = max(0.0, config.metric.value(e_new) - config.contraction_threshold())
-    ess_part = _ess_term(weights)
-    total = class_part + config.lambda_contract * contract_part + config.ess_weight * ess_part
-    return LossParts(total, class_part, contract_part, ess_part)
+    side is frozen at the config anchor. ``ess`` is one minus the effective
+    sample size over n.
 
-
-def loss_gradient(params: FilterParams, dataset: LabeledDataset, config: TrainConfig) -> FilterParams:
-    """Exact gradient of total_loss in the shape of FilterParams.
-
-    Chain rule through sigmoid, ReLU, the weighted mean, and the inverse
-    mean map (diagonal Jacobian 1/variance per coordinate). The clamp in
-    the cross-entropy is treated as inactive, which it is everywhere the
+    The gradient, in the shape of FilterParams, follows the chain rule
+    through sigmoid, ReLU, the weighted mean, and the inverse mean map
+    (diagonal Jacobian 1/variance per coordinate). The clamp in the
+    cross-entropy is treated as inactive, which it is everywhere the
     sigmoid has representable slack.
     """
     feats = _require_features(dataset)
     pre, hidden, _, weights = _forward_cache(params, feats)
     n = feats.shape[0]
     y = dataset.labels.astype(float)
+    p = np.clip(weights, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    class_part = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    theta_new = expfam.weighted_estimate(config.model, dataset.points, weights)
+    e_new = theta_new.theta - config.theta_good.theta
+    contract_part = max(0.0, config.metric.value(e_new) - config.contraction_threshold())
+    s1 = float(weights.sum())
+    s2 = float((weights * weights).sum())
+    ess_part = 1.0 - (s1 * s1 / s2) / n if s2 > 0.0 else 1.0
+    total = class_part + config.lambda_contract * contract_part + config.ess_weight * ess_part
+    parts = LossParts(total, class_part, contract_part, ess_part)
 
     # d(loss)/d(logit) for the classification part
     dlogit = (weights - y) / n
-
-    # contraction part, active only past the hinge
-    if config.lambda_contract > 0.0:
-        model = config.model
-        s1 = float(weights.sum())
-        floor = expfam.WEIGHT_FLOOR_PER_POINT * n
-        if s1 <= floor:
-            raise DegenerateSelectionError(
-                f"weight sum {s1:.3e} is at or below the floor {floor:.3e}"
-            )
-        scaled = weights / weights.max()
-        tbar = (dataset.points * scaled[:, None]).sum(axis=0) / scaled.sum()
-        theta_new = expfam.inverse_mean_map(model, tbar)
-        e_new = theta_new.theta - config.theta_good.theta
-        v_new = config.metric.value(e_new)
-        if v_new - config.contraction_threshold() > 0.0:
-            g_theta = 2.0 * (config.metric.p_matrix @ e_new)
-            g_tbar = g_theta / expfam._mean_slope(model.family, theta_new.theta)
-            g_w = (dataset.points - tbar[None, :]) @ g_tbar / s1
-            dlogit = dlogit + config.lambda_contract * g_w * weights * (1.0 - weights)
-
-    # effective-sample-size part
-    if config.ess_weight > 0.0:
-        s1 = float(weights.sum())
-        s2 = float((weights * weights).sum())
-        if s2 > 0.0:
-            g_w = -(2.0 * s1 * s2 - s1 * s1 * 2.0 * weights) / (n * s2 * s2)
-            dlogit = dlogit + config.ess_weight * g_w * weights * (1.0 - weights)
+    # the hinge part, only past the hinge: the one term that needs the weighted mean
+    if config.lambda_contract > 0.0 and contract_part > 0.0:
+        tbar = expfam._mean_statistic(dataset.points[None], weights[None])[0]
+        g_theta = 2.0 * (config.metric.p_matrix @ e_new)
+        g_tbar = g_theta / expfam._mean_slope(config.model.family, theta_new.theta)
+        g_w = (dataset.points - tbar[None, :]) @ g_tbar / s1
+        dlogit = dlogit + config.lambda_contract * g_w * weights * (1.0 - weights)
+    if config.ess_weight > 0.0 and s2 > 0.0:
+        g_w = -(2.0 * s1 * s2 - s1 * s1 * 2.0 * weights) / (n * s2 * s2)
+        dlogit = dlogit + config.ess_weight * g_w * weights * (1.0 - weights)
 
     g_w2 = hidden.T @ dlogit
     g_b2 = float(dlogit.sum())
     dpre = (dlogit[:, None] * params.w2[None, :]) * (pre > 0.0)
     g_w1 = dpre.T @ feats
     g_b1 = dpre.sum(axis=0)
-    return FilterParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    return parts, FilterParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
-# ---------------------------------------------------------------------------
-# Adam and the training loop
-# ---------------------------------------------------------------------------
+def _flatten(params: FilterParams) -> np.ndarray:
+    return np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]])
 
 
-@dataclass(eq=False)
-class AdamState:
-    m: FilterParams
-    v: FilterParams
-    step: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: FilterParams) -> "AdamState":
-        zero = lambda a: np.zeros_like(a)
-        return cls(
-            m=FilterParams(zero(params.w1), zero(params.b1), zero(params.w2), 0.0),
-            v=FilterParams(zero(params.w1), zero(params.b1), zero(params.w2), 0.0),
-            step=0,
-        )
+def _unflatten(x: np.ndarray, hidden_dim: int, feature_dim: int) -> FilterParams:
+    cut = hidden_dim * feature_dim
+    w1 = x[:cut].reshape(hidden_dim, feature_dim)
+    return FilterParams(w1, x[cut : cut + hidden_dim], x[cut + hidden_dim : -1], x[-1])
 
 
 def adam_step(
-    params: FilterParams,
-    grad: FilterParams,
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[FilterParams, AdamState]:
-    """One bias-corrected Adam update; zero gradient leaves params unchanged."""
-    t = state.step + 1
-    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.eps
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
+    x: np.ndarray, grad: np.ndarray, state: tuple, learning_rate: float
+) -> tuple[np.ndarray, tuple]:
+    """One bias-corrected Adam update of the flat parameter vector ``x``.
 
-    def update(p, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * (g * g)
-        p_new = p - lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + eps)
-        return p_new, m_new, v_new
-
-    new_w1, m_w1, v_w1 = update(params.w1, grad.w1, state.m.w1, state.v.w1)
-    new_b1, m_b1, v_b1 = update(params.b1, grad.b1, state.m.b1, state.v.b1)
-    new_w2, m_w2, v_w2 = update(params.w2, grad.w2, state.m.w2, state.v.w2)
-    b2s, m_b2, v_b2 = update(
-        np.array(params.b2), np.array(grad.b2), np.array(state.m.b2), np.array(state.v.b2)
-    )
-    new_params = FilterParams(new_w1, new_b1, new_w2, float(b2s))
-    new_state = AdamState(
-        m=FilterParams(m_w1, m_b1, m_w2, float(m_b2)),
-        v=FilterParams(v_w1, v_b1, v_w2, float(v_b2)),
-        step=t,
-    )
-    return new_params, new_state
-
-
-class TrainLogRow(NamedTuple):
-    epoch: int
-    total: float
-    class_part: float
-    contract_part: float
-    ess_part: float
-
-
-def resolve_anchor(dataset: LabeledDataset, config: TrainConfig) -> TrainConfig:
-    """Fill in e_est from the full candidate set if the config left it open."""
-    if config.e_est is not None:
-        return config
-    theta_est = expfam.estimate(config.model, dataset.points)
-    return replace(config, e_est=theta_est.theta - config.theta_good.theta)
+    ``state`` is ``(m, v, step)``: the moment vectors and the number of
+    updates taken, zeros and 0 before the first. Adam acts on each element
+    alone, so one flat vector gives the bits of one update per tensor. A
+    zero gradient leaves ``x`` unchanged. Returns ``(x, state)`` after
+    the update.
+    """
+    m, v, step = state
+    t = step + 1
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (grad * grad)
+    corr1 = 1.0 - ADAM_BETA1**t
+    corr2 = 1.0 - ADAM_BETA2**t
+    x = x - learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    return x, (m, v, t)
 
 
 def anchors_from_dataset(
@@ -469,27 +394,31 @@ def train_filter(
     dataset: LabeledDataset,
     config: TrainConfig,
     rng,
-) -> tuple[FilterParams, list[TrainLogRow]]:
-    """Full-batch Adam on total_loss for config.epochs updates.
+) -> tuple[FilterParams, list[LossParts]]:
+    """Full-batch Adam on the loss of loss_gradient for config.epochs updates.
 
-    The log holds one row per completed epoch, evaluated after that
-    epoch's update, so log[-1] is the training loss of the returned
-    parameters and epochs=0 yields an empty log. Datasets with a single
-    class are rejected (the classification target would be degenerate).
+    The log holds the loss parts after each update, so log[-1] is the
+    training loss of the returned parameters and epochs=0 yields an empty
+    log. One loss-and-gradient pass at the initial parameters and one per
+    update make ``epochs + 1`` forward passes: the pass after an update
+    gives both its log row and the next update's gradient. Datasets with a
+    single class are rejected (the classification target would be
+    degenerate).
     """
     feats = _require_features(dataset)
     labels = dataset.labels
     if labels.min() == labels.max():
         raise InputValidationError("training data must contain both classes")
-    config = resolve_anchor(dataset, config)
     params = init_filter_params(feats.shape[1], config.hidden_dim, rng)
-    state = AdamState.zeros_like(params)
-    log: list[TrainLogRow] = []
-    for epoch in range(1, config.epochs + 1):
-        grad = loss_gradient(params, dataset, config)
-        params, state = adam_step(params, grad, state, config)
-        parts = total_loss(params, dataset, config)
-        log.append(TrainLogRow(epoch, *parts))
+    x = _flatten(params)
+    state = (np.zeros_like(x), np.zeros_like(x), 0)
+    _, grad = loss_gradient(params, dataset, config)
+    log: list[LossParts] = []
+    for _ in range(config.epochs):
+        x, state = adam_step(x, _flatten(grad), state, config.learning_rate)
+        params = _unflatten(x, config.hidden_dim, feats.shape[1])
+        parts, grad = loss_gradient(params, dataset, config)
+        log.append(parts)
     return params, log
 
 

@@ -122,11 +122,16 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(eigenvalues, eigenvectors)``: eigenvalues ascending,
     eigenvectors as orthonormal columns, so ``Q @ diag(w) @ Q.T``
     reconstructs ``m``. Each column is signed so that its largest-magnitude
-    entry (the first one, on a tie) is positive; the sign LAPACK happens to
-    return never reaches a caller.
+    entry is positive, where entries within 8 ulps of the largest magnitude
+    count as tied and the first of them wins; the sign LAPACK happens to
+    return never reaches a caller, and neither does rounding noise between
+    nearly equal entries (as in every 2-d PCA, whose eigenvectors sit at
+    45 degrees).
     """
     values, vectors = np.linalg.eigh(as_symmetric_matrix(m))
-    pivots = np.argmax(np.abs(vectors), axis=0)
+    mags = np.abs(vectors)
+    tied = mags >= mags.max(axis=0) * (1.0 - 8.0 * np.finfo(float).eps)
+    pivots = np.argmax(tied, axis=0)
     signs = np.sign(vectors[pivots, np.arange(vectors.shape[1])])
     return values, vectors * signs
 

@@ -34,7 +34,6 @@ from collapseguard.filtering import (
     TrainConfig,
     init_filter_params,
     loss_gradient,
-    total_loss,
 )
 from collapseguard.numerics import RngState
 
@@ -234,7 +233,7 @@ class TestAcceptanceCriteria:
                 ess_weight=float(rng.choice([0.0, 0.3])),
             )
             params = init_filter_params(dim, hidden, rng)
-            analytic = flatten(loss_gradient(params, dataset, config))
+            analytic = flatten(loss_gradient(params, dataset, config)[1])
             flat = flatten(params)
             numeric = np.empty_like(flat)
             for i in range(flat.size):
@@ -243,8 +242,8 @@ class TestAcceptanceCriteria:
                 up[i] += h
                 down[i] -= h
                 numeric[i] = (
-                    total_loss(unflatten(up, params), dataset, config).total
-                    - total_loss(unflatten(down, params), dataset, config).total
+                    loss_gradient(unflatten(up, params), dataset, config)[0].total
+                    - loss_gradient(unflatten(down, params), dataset, config)[0].total
                 ) / (2.0 * h)
             scale = max(float(np.linalg.norm(numeric)), 1e-12)
             max_rel = max(max_rel, float(np.linalg.norm(analytic - numeric)) / scale)

@@ -1,12 +1,14 @@
 """Tests for the command-line interface: exit codes, overrides, artifacts."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import collapseguard
 from collapseguard.cli import main
 from collapseguard.experiments import ResultTable, write_results_csv
 from collapseguard.filtering import (
@@ -394,23 +396,28 @@ class TestCompareAndPlot:
         assert main(argv) == 1
         assert f"{bad}:3: {message}" in capsys.readouterr().err
 
+
 class TestModuleExecution:
-    def test_module_help_lists_the_subcommands(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "collapseguard.cli", "--help"],
+    @staticmethod
+    def _run_module(*args):
+        # the child finds the package where this process found it, installed or not
+        package_root = os.path.dirname(os.path.dirname(collapseguard.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "collapseguard.cli", *args],
             capture_output=True,
             text=True,
             timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_help_lists_the_subcommands(self):
+        proc = self._run_module("--help")
         assert proc.returncode == 0
         for command in ("simulate-dynamics", "simulate-workflow", "train-filter", "compare", "plot"):
             assert command in proc.stdout
 
     def test_module_without_arguments_exits_with_validation_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "collapseguard.cli"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = self._run_module()
+        assert "Traceback" not in proc.stderr
         assert proc.returncode == 1

@@ -467,6 +467,7 @@ class TestRunExperiment:
         log_lines = (tmp_path / "training_log.csv").read_text().splitlines()
         assert log_lines[0] == TRAINING_LOG_HEADER
         assert len(log_lines) == 31
+        assert [line.split(",")[0] for line in log_lines[1:]] == [str(k) for k in range(1, 31)]
         assert result.summary["n_train"] + result.summary["n_holdout"] == 240
         assert result.summary["holdout_accuracy"] is not None
 

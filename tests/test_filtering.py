@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from collapseguard import filtering
 from collapseguard.contraction import LyapunovMetric
 from collapseguard.errors import DegenerateSelectionError, InputValidationError
 from collapseguard.expfam import (
@@ -17,7 +18,6 @@ from collapseguard.expfam import (
     weighted_estimate,
 )
 from collapseguard.filtering import (
-    AdamState,
     FilterHandle,
     FilterParams,
     LabeledDataset,
@@ -33,10 +33,8 @@ from collapseguard.filtering import (
     loss_gradient,
     merge_datasets,
     oracle_pullback_weights,
-    resolve_anchor,
     save_filter_checkpoint,
     simulate_drift_training_data,
-    total_loss,
     train_filter,
 )
 from collapseguard.numerics import RngState
@@ -272,7 +270,7 @@ class TestLosses:
     def test_uninformative_scores_give_log_two_cross_entropy(self):
         ds = _dataset([[0.0], [1.0], [2.0], [3.0]], [1, 0, 1, 0])
         np.testing.assert_allclose(
-            total_loss(_zero_params(), ds, self._config(e_est=1.0)).class_part,
+            loss_gradient(_zero_params(), ds, self._config(e_est=1.0))[0].class_part,
             math.log(2.0),
             rtol=1e-12,
         )
@@ -280,12 +278,12 @@ class TestLosses:
     def test_confident_correct_scores_give_tiny_cross_entropy(self):
         params = FilterParams(np.zeros((2, 1)), np.zeros(2), np.zeros(2), 40.0)
         ds = _dataset([[0.0], [1.0]], [1, 1])
-        assert total_loss(params, ds, self._config(e_est=1.0)).class_part < 1e-10
+        assert loss_gradient(params, ds, self._config(e_est=1.0))[0].class_part < 1e-10
 
     def test_classification_loss_requires_features(self):
         ds = LabeledDataset(np.zeros((2, 1)), np.array([0, 1]))
         with pytest.raises(InputValidationError):
-            total_loss(_zero_params(), ds, self._config(e_est=1.0))
+            loss_gradient(_zero_params(), ds, self._config(e_est=1.0))
 
     def test_contraction_hinge_value_is_exact(self):
         """Uniform half weights on {0, 2 sqrt 2} re-estimate to sqrt 2, so the
@@ -293,18 +291,18 @@ class TestLosses:
         config = self._config(e_est=math.sqrt(3.0))
         ds = _dataset([[0.0], [2.0 * math.sqrt(2.0)]], [1, 0])
         np.testing.assert_allclose(
-            total_loss(_zero_params(), ds, config).contract_part, 0.5, rtol=1e-12
+            loss_gradient(_zero_params(), ds, config)[0].contract_part, 0.5, rtol=1e-12
         )
 
     def test_contraction_hinge_is_zero_when_satisfied(self):
         config = self._config(e_est=math.sqrt(3.0))
         ds = _dataset([[0.0], [2.0]], [1, 0])
-        assert total_loss(_zero_params(), ds, config).contract_part == 0.0
+        assert loss_gradient(_zero_params(), ds, config)[0].contract_part == 0.0
 
     def test_symmetric_candidates_have_zero_contraction_loss(self):
         config = self._config(e_est=math.sqrt(3.0))
         ds = _dataset([[-1.0], [1.0]], [1, 0])
-        assert total_loss(_zero_params(), ds, config).contract_part == 0.0
+        assert loss_gradient(_zero_params(), ds, config)[0].contract_part == 0.0
 
     def test_total_loss_combines_parts_with_configured_weights(self):
         config = self._config(e_est=0.05, lambda_contract=2.5, ess_weight=0.1)
@@ -312,7 +310,7 @@ class TestLosses:
         pts = rng.normal(loc=1.0, size=(20, 1))
         ds = _dataset(pts, rng.integers(0, 2, size=20))
         params = init_filter_params(1, 4, rng)
-        parts = total_loss(params, ds, config)
+        parts = loss_gradient(params, ds, config)[0]
         assert parts.total == parts.class_part + 2.5 * parts.contract_part + 0.1 * parts.ess_part
         # the parts recomputed from their definitions, one forward pass each
         weights = forward_batch(params, ds.features)
@@ -326,7 +324,7 @@ class TestLosses:
     def test_uniform_weights_have_zero_ess_penalty(self):
         config = self._config(e_est=1.0, ess_weight=0.5)
         ds = _dataset([[0.0], [1.0], [2.0]], [1, 0, 1])
-        assert total_loss(_zero_params(), ds, config).ess_part == 0.0
+        assert loss_gradient(_zero_params(), ds, config)[0].ess_part == 0.0
 
     def test_ess_penalty_matches_direct_formula(self):
         config = self._config(e_est=1.0, lambda_contract=0.0, ess_weight=1.0)
@@ -336,7 +334,8 @@ class TestLosses:
         params = init_filter_params(1, 3, rng)
         weights = forward_batch(params, ds.features)
         expected = 1.0 - (weights.sum() ** 2 / (weights**2).sum()) / 15
-        np.testing.assert_allclose(total_loss(params, ds, config).ess_part, expected, rtol=1e-12)
+        parts = loss_gradient(params, ds, config)[0]
+        np.testing.assert_allclose(parts.ess_part, expected, rtol=1e-12)
 
     def test_config_rejects_negative_loss_weights(self):
         with pytest.raises(InputValidationError):
@@ -347,22 +346,9 @@ class TestLosses:
     def test_config_rejects_metric_model_dimension_mismatch(self):
         _, theta_good = _gaussian(2)
         with pytest.raises(InputValidationError):
-            TrainConfig(theta_good=theta_good, metric=LyapunovMetric.identity(3))
-
-    def test_threshold_requires_resolved_anchor(self):
-        model, theta_good = _gaussian(1)
-        config = TrainConfig(theta_good=theta_good, metric=LyapunovMetric.identity(1))
-        with pytest.raises(InputValidationError):
-            config.contraction_threshold()
-
-    def test_resolve_anchor_uses_plain_estimate_over_all_points(self):
-        model, theta_good = _gaussian(1)
-        config = TrainConfig(theta_good=theta_good, metric=LyapunovMetric.identity(1))
-        ds = _dataset([[1.0], [3.0]], [1, 0])
-        resolved = resolve_anchor(ds, config)
-        expected = estimate(model, ds.points).theta - theta_good.theta
-        np.testing.assert_array_equal(resolved.e_est, expected)
-        assert resolve_anchor(ds, resolved) is resolved
+            TrainConfig(
+                theta_good=theta_good, metric=LyapunovMetric.identity(3), e_est=np.zeros(3)
+            )
 
 
 class TestLossGradient:
@@ -388,8 +374,8 @@ class TestLossGradient:
             up, down = flat.copy(), flat.copy()
             up[i] += h
             down[i] -= h
-            f_up = total_loss(self._unflatten(up, params), ds, config).total
-            f_down = total_loss(self._unflatten(down, params), ds, config).total
+            f_up = loss_gradient(self._unflatten(up, params), ds, config)[0].total
+            f_down = loss_gradient(self._unflatten(down, params), ds, config)[0].total
             grad[i] = (f_up - f_down) / (2.0 * h)
         return grad
 
@@ -413,8 +399,8 @@ class TestLossGradient:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_finite_differences_with_active_hinge(self, seed):
         params, ds, config = self._random_case(seed, active_hinge=True)
-        assert total_loss(params, ds, config).contract_part > 0.0
-        analytic = self._flatten(loss_gradient(params, ds, config))
+        assert loss_gradient(params, ds, config)[0].contract_part > 0.0
+        analytic = self._flatten(loss_gradient(params, ds, config)[1])
         numeric = self._numeric_grad(params, ds, config)
         scale = max(float(np.linalg.norm(numeric)), 1e-12)
         assert float(np.linalg.norm(analytic - numeric)) / scale < 1e-5
@@ -422,8 +408,8 @@ class TestLossGradient:
     @pytest.mark.parametrize("seed", range(10, 20))
     def test_gradient_matches_finite_differences_with_inactive_hinge(self, seed):
         params, ds, config = self._random_case(seed, active_hinge=False)
-        assert total_loss(params, ds, config).contract_part == 0.0
-        analytic = self._flatten(loss_gradient(params, ds, config))
+        assert loss_gradient(params, ds, config)[0].contract_part == 0.0
+        analytic = self._flatten(loss_gradient(params, ds, config)[1])
         numeric = self._numeric_grad(params, ds, config)
         scale = max(float(np.linalg.norm(numeric)), 1e-12)
         assert float(np.linalg.norm(analytic - numeric)) / scale < 1e-5
@@ -433,8 +419,8 @@ class TestLossGradient:
 
         params, ds, config = self._random_case(99, active_hinge=False)
         config = replace(config, ess_weight=0.0)
-        with_hinge = loss_gradient(params, ds, config)
-        without = loss_gradient(params, ds, replace(config, lambda_contract=0.0))
+        with_hinge = loss_gradient(params, ds, config)[1]
+        without = loss_gradient(params, ds, replace(config, lambda_contract=0.0))[1]
         np.testing.assert_array_equal(with_hinge.w1, without.w1)
         np.testing.assert_array_equal(with_hinge.w2, without.w2)
         assert with_hinge.b2 == without.b2
@@ -449,7 +435,7 @@ class TestLossGradient:
             ess_weight=0.0,
         )
         ds = _dataset([[0.5], [1.5], [2.5], [3.5]], [1, 0, 1, 0])
-        grad = loss_gradient(_zero_params(), ds, config)
+        grad = loss_gradient(_zero_params(), ds, config)[1]
         np.testing.assert_array_equal(grad.w1, np.zeros((2, 1)))
         np.testing.assert_array_equal(grad.b1, np.zeros(2))
         np.testing.assert_array_equal(grad.w2, np.zeros(2))
@@ -463,44 +449,28 @@ class TestLossGradient:
 
 
 class TestAdamStep:
-    def _config(self):
-        _, theta_good = _gaussian(1)
-        return TrainConfig(
-            theta_good=theta_good,
-            metric=LyapunovMetric.identity(1),
-            e_est=np.array([1.0]),
-            learning_rate=0.01,
-        )
+    @staticmethod
+    def _fresh_state(x):
+        return np.zeros_like(x), np.zeros_like(x), 0
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        params = init_filter_params(2, 3, np.random.default_rng(1))
-        grad = _zero_params(feature_dim=2, hidden_dim=3)
-        state = AdamState.zeros_like(params)
-        new_params, new_state = adam_step(params, grad, state, self._config())
-        np.testing.assert_array_equal(new_params.w1, params.w1)
-        np.testing.assert_array_equal(new_params.w2, params.w2)
-        assert new_params.b2 == params.b2
-        assert new_state.step == 1
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, size=13)
+        new_x, (_, _, step) = adam_step(x, np.zeros_like(x), self._fresh_state(x), 0.01)
+        np.testing.assert_array_equal(new_x, x)
+        assert step == 1
 
     def test_first_step_moves_by_learning_rate_in_sign_direction(self):
-        params = _zero_params(feature_dim=1, hidden_dim=2)
-        grad = FilterParams(np.array([[0.5], [-0.25]]), np.zeros(2), np.zeros(2), 0.75)
-        state = AdamState.zeros_like(params)
-        config = self._config()
-        new_params, _ = adam_step(params, grad, state, config)
-        np.testing.assert_allclose(
-            new_params.w1, -config.learning_rate * np.sign(grad.w1), atol=1e-8
-        )
-        np.testing.assert_allclose(new_params.b2, -config.learning_rate, atol=1e-8)
+        x = np.zeros(7)
+        grad = np.array([0.5, -0.25, 0.0, 0.0, 0.0, 0.0, 0.75])
+        new_x, _ = adam_step(x, grad, self._fresh_state(x), 0.01)
+        np.testing.assert_allclose(new_x, -0.01 * np.sign(grad), atol=1e-8)
 
     def test_step_is_deterministic(self):
         rng = np.random.default_rng(17)
-        params = init_filter_params(2, 2, rng)
-        grad = init_filter_params(2, 2, rng)
-        once, _ = adam_step(params, grad, AdamState.zeros_like(params), self._config())
-        again, _ = adam_step(params, grad, AdamState.zeros_like(params), self._config())
-        np.testing.assert_array_equal(once.w1, again.w1)
-        assert once.b2 == again.b2
+        x, grad = rng.uniform(-1.0, 1.0, size=(2, 9))
+        once, _ = adam_step(x, grad, self._fresh_state(x), 0.01)
+        again, _ = adam_step(x, grad, self._fresh_state(x), 0.01)
+        np.testing.assert_array_equal(once, again)
 
 
 class TestTrainFilter:
@@ -512,11 +482,13 @@ class TestTrainFilter:
         labels = np.concatenate([np.ones(n_per_side, dtype=int), np.zeros(n_per_side, dtype=int)])
         return _dataset(points, labels)
 
-    def _config(self, **overrides):
+    def _config(self, ds, **overrides):
         model = ExpFamilyModel(GAUSSIAN, 1)
+        theta_good = Parameter(np.array([-2.0]), model)
         defaults = dict(
-            theta_good=Parameter(np.array([-2.0]), model),
+            theta_good=theta_good,
             metric=LyapunovMetric.identity(1),
+            e_est=estimate(model, ds.points).theta - theta_good.theta,
             lambda_contract=0.0,
             ess_weight=0.0,
             learning_rate=0.05,
@@ -528,7 +500,7 @@ class TestTrainFilter:
 
     def test_separable_clusters_are_classified_nearly_perfectly(self):
         ds = self._separable_dataset()
-        params, log = train_filter(ds, self._config(), np.random.default_rng(0))
+        params, log = train_filter(ds, self._config(ds), np.random.default_rng(0))
         scores = forward_batch(params, ds.features)
         accuracy = float(np.mean((scores >= 0.5) == (ds.labels == 1)))
         assert accuracy >= 0.99
@@ -536,21 +508,41 @@ class TestTrainFilter:
 
     def test_zero_epochs_return_untrained_params_and_empty_log(self):
         ds = self._separable_dataset(10)
-        params, log = train_filter(ds, self._config(epochs=0), np.random.default_rng(0))
+        params, log = train_filter(ds, self._config(ds, epochs=0), np.random.default_rng(0))
         assert log == []
         assert params.w1.shape == (8, 1)
 
-    def test_log_rows_are_numbered_and_recombine_exactly(self):
+    def test_log_has_one_row_per_update_and_rows_recombine_exactly(self):
         ds = self._separable_dataset(10)
-        config = self._config(epochs=5, lambda_contract=2.5, ess_weight=0.1)
+        config = self._config(ds, epochs=5, lambda_contract=2.5, ess_weight=0.1)
         _, log = train_filter(ds, config, np.random.default_rng(2))
-        assert [row.epoch for row in log] == [1, 2, 3, 4, 5]
+        assert len(log) == 5
         for row in log:
             assert row.total == row.class_part + 2.5 * row.contract_part + 0.1 * row.ess_part
 
+    def test_last_log_row_is_the_loss_of_the_returned_parameters(self):
+        ds = self._separable_dataset(10)
+        config = self._config(ds, epochs=7, lambda_contract=2.5, ess_weight=0.1)
+        params, log = train_filter(ds, config, np.random.default_rng(4))
+        assert log[-1] == loss_gradient(params, ds, config)[0]
+
+    @pytest.mark.parametrize("epochs", [0, 1, 6])
+    def test_each_update_costs_one_forward_pass(self, monkeypatch, epochs):
+        calls = []
+        forward = filtering._forward_cache
+
+        def counting_forward(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(filtering, "_forward_cache", counting_forward)
+        ds = self._separable_dataset(10)
+        train_filter(ds, self._config(ds, epochs=epochs), np.random.default_rng(5))
+        assert len(calls) == epochs + 1
+
     def test_training_is_deterministic_for_a_fixed_seed(self):
         ds = self._separable_dataset(10)
-        config = self._config(epochs=20)
+        config = self._config(ds, epochs=20)
         params_a, log_a = train_filter(ds, config, np.random.default_rng(9))
         params_b, log_b = train_filter(ds, config, np.random.default_rng(9))
         np.testing.assert_array_equal(params_a.w1, params_b.w1)
@@ -559,12 +551,12 @@ class TestTrainFilter:
     def test_single_class_data_is_rejected(self):
         ds = _dataset([[0.0], [1.0]], [1, 1])
         with pytest.raises(InputValidationError):
-            train_filter(ds, self._config(), np.random.default_rng(0))
+            train_filter(ds, self._config(ds), np.random.default_rng(0))
 
     def test_missing_features_are_rejected(self):
         ds = LabeledDataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]))
         with pytest.raises(InputValidationError):
-            train_filter(ds, self._config(), np.random.default_rng(0))
+            train_filter(ds, self._config(ds), np.random.default_rng(0))
 
 
 class TestOraclePullback:

@@ -9,8 +9,10 @@ from collapseguard.numerics import RngState, as_generator, quad_form, sym_eig
 
 
 def _assert_sign_convention(vectors):
-    """Each column's largest-magnitude entry (the first, on a tie) is positive."""
-    pivots = np.argmax(np.abs(vectors), axis=0)
+    """Each column's largest-magnitude entry is positive; entries within 8 ulps
+    of the largest count as tied, and the first of them is the one checked."""
+    mags = np.abs(vectors)
+    pivots = np.argmax(mags >= mags.max(axis=0) * (1.0 - 8.0 * np.finfo(float).eps), axis=0)
     assert np.all(vectors[pivots, np.arange(vectors.shape[1])] > 0.0)
 
 
@@ -65,6 +67,15 @@ class TestSymEig:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 3.0]), raw.copy()))
         _, vectors = sym_eig(np.eye(2))
         np.testing.assert_array_equal(vectors, np.array([[s, s], [-s, s]]))
+
+    def test_a_near_tie_in_magnitude_makes_the_first_entry_positive(self, monkeypatch):
+        # the second entry is larger by 1 ulp, as rounding leaves a 45-degree eigenvector
+        s = np.sqrt(0.5)
+        raw = np.array([[s, s], [-np.nextafter(s, 1.0), np.nextafter(s, 1.0)]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 3.0]), raw.copy()))
+        _, vectors = sym_eig(np.eye(2))
+        np.testing.assert_array_equal(vectors, raw)
+        assert np.all(vectors[0] > 0.0)
 
     def test_pca_projection_follows_the_sign_convention(self):
         rng = np.random.default_rng(17)
