@@ -21,7 +21,6 @@ from .contraction import (
     recurrence_simulate,
 )
 from .dynamics import (
-    ErrorTrajectory,
     NoiseSchedule,
     SampleSchedule,
     TrialStats,
@@ -81,7 +80,6 @@ __all__ = [
     "ContractionFn",
     "ContractionMap",
     "DegenerateSelectionError",
-    "ErrorTrajectory",
     "ExpFamilyModel",
     "ExperimentConfig",
     "FilterHandle",

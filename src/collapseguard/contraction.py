@@ -150,15 +150,14 @@ class RegulatorFn:
     """Convex regulator with f(0) = 0 and f > 0 away from zero.
 
     ``example-sqrt`` is f(r) = r (1 - (r+1)^(-1/2)); ``power-law`` evaluates
-    c1 * r^p and carries the envelope constants (c1, c2, x0) that bracket it
-    near zero for rate fitting.
+    c1 * r^p. Its upper envelope constant c2 (c1 when not given) must be at
+    least c1.
     """
 
     kind: str
     p: float = 2.0
     c1: float = 1.0
     c2: float | None = None
-    x0: float = np.inf
 
     def __post_init__(self):
         if self.kind not in (EXAMPLE_SQRT, POWER_LAW):
@@ -172,16 +171,14 @@ class RegulatorFn:
             if c2 < self.c1:
                 raise InputValidationError("c2 must be >= c1")
             object.__setattr__(self, "c2", c2)
-            if self.x0 <= 0.0:
-                raise InputValidationError("x0 must be positive")
 
     @classmethod
     def example_sqrt(cls) -> "RegulatorFn":
         return cls(EXAMPLE_SQRT)
 
     @classmethod
-    def power_law(cls, p: float, c1: float, c2: float | None = None, x0: float = np.inf) -> "RegulatorFn":
-        return cls(POWER_LAW, p=p, c1=c1, c2=c2, x0=x0)
+    def power_law(cls, p: float, c1: float, c2: float | None = None) -> "RegulatorFn":
+        return cls(POWER_LAW, p=p, c1=c1, c2=c2)
 
     def value(self, r: float) -> float:
         if r < 0.0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expfam
-from .contraction import ContractionMap, LyapunovMetric
+from .contraction import ContractionMap
 from .errors import (
     CollapseGuardError,
     InputValidationError,
@@ -64,19 +64,18 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise energy sigma_t^2 and the metric shaping the draws.
+    """Per-step noise energy sigma_t^2, measured in the map's Lyapunov metric.
 
     ``power-law`` decays as scale * (t+1)^(-beta) and satisfies the
     vanishing-noise assumption; ``constant`` does not and exists as a
     negative control; ``zero`` draws nothing at all.
     """
 
-    kind: str
+    kind: str = POWER_LAW
     beta: float = 1.0
     scale: float = 1.0
-    metric: LyapunovMetric | None = None
 
     def __post_init__(self):
         if self.kind not in (ZERO, POWER_LAW, CONSTANT):
@@ -86,18 +85,6 @@ class NoiseSchedule:
         if self.scale < 0.0:
             raise InputValidationError("scale must be nonnegative")
 
-    @classmethod
-    def zero(cls) -> "NoiseSchedule":
-        return cls(ZERO, scale=0.0)
-
-    @classmethod
-    def power(cls, beta: float, scale: float = 1.0, metric: LyapunovMetric | None = None) -> "NoiseSchedule":
-        return cls(POWER_LAW, beta=beta, scale=scale, metric=metric)
-
-    @classmethod
-    def constant(cls, scale: float, metric: LyapunovMetric | None = None) -> "NoiseSchedule":
-        return cls(CONSTANT, scale=scale, metric=metric)
-
     def sigma_sq_array(self, start: int, stop: int) -> np.ndarray:
         t = np.arange(start, stop, dtype=float)
         if self.kind == ZERO:
@@ -105,18 +92,6 @@ class NoiseSchedule:
         if self.kind == CONSTANT:
             return np.full(stop - start, self.scale)
         return self.scale * (t + 1.0) ** -self.beta
-
-    def transform(self, dim: int) -> np.ndarray | None:
-        """C with C C' = P^{-1}, or None when the metric is (effectively) identity."""
-        if self.metric is None:
-            return None
-        if self.metric.dim != dim:
-            raise InputValidationError(
-                f"noise metric dimension {self.metric.dim} does not match dim {dim}"
-            )
-        if self.metric.is_identity:
-            return None
-        return self.metric.inverse_factor
 
 
 @dataclass(frozen=True)
@@ -128,7 +103,7 @@ class SampleSchedule:
     which always fits real data).
     """
 
-    kind: str
+    kind: str = CONSTANT
     base: int = 100
     exponent: float = 0.0
 
@@ -140,59 +115,25 @@ class SampleSchedule:
         if self.exponent < 0.0:
             raise InputValidationError("exponent must be nonnegative")
 
-    @classmethod
-    def constant_size(cls, base: int) -> "SampleSchedule":
-        return cls(CONSTANT, base=base)
-
-    @classmethod
-    def power(cls, base: int, exponent: float) -> "SampleSchedule":
-        return cls("power", base=base, exponent=exponent)
-
     def size(self, t: int) -> int:
         if t < 0:
             raise InputValidationError("t must be nonnegative")
-        if t == 0 or self.kind == CONSTANT:
-            return int(self.base)
-        return int(math.ceil(self.base * float(t) ** self.exponent))
+        size = int(self.base)
+        if t > 0 and self.kind != CONSTANT:
+            try:
+                size = math.ceil(self.base * float(t) ** self.exponent)
+            except OverflowError:  # t^exponent or its ceiling beyond the float range
+                size = math.inf
+        if size > np.iinfo(np.int64).max:
+            raise InputValidationError(
+                f"schedule size at generation {t} does not fit in a 64-bit integer"
+            )
+        return size
 
 
 # ---------------------------------------------------------------------------
-# Trajectories and aggregation
+# Aggregation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class ErrorTrajectory:
-    """One trial's error path: records (t, e_t, V_t, n_t) for t = 0..horizon.
-
-    After a divergence (V above the cap) the state freezes, so the arrays
-    always have horizon+1 rows; ``diverged_at`` is the first frozen step.
-    """
-
-    ts: np.ndarray
-    errors: np.ndarray
-    vs: np.ndarray
-    ns: np.ndarray
-    horizon: int
-    trial_id: int = 0
-    diverged_at: int | None = None
-
-    def __post_init__(self):
-        n = self.horizon + 1
-        if not (
-            self.ts.shape == (n,)
-            and self.errors.shape[0] == n
-            and self.vs.shape == (n,)
-            and self.ns.shape == (n,)
-        ):
-            raise InputValidationError("trajectory arrays must all have horizon+1 rows")
-
-    @property
-    def dim(self) -> int:
-        return self.errors.shape[1]
-
-    def sq_norms(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.errors, self.errors)
 
 
 @dataclass(eq=False)
@@ -260,31 +201,28 @@ class _TrialFold:
         )
 
 
-def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
-    """Fold trajectories into per-step MSE, mean V, and exceedance fractions.
+def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -> TrialStats:
+    """Fold (trials, steps) paths into per-step MSE, mean V, and exceedance fractions.
 
-    Exceedance at delta is the fraction of trials with ||e_t|| > delta;
-    diverged trials count as exceeding every threshold from their
-    divergence step on. The sample size at a step is the largest over the
-    trials, so it is zero only once every trial has stopped sampling.
-    Mixed horizons are rejected.
+    ``sq_norms`` and ``vs`` hold each trial's ||e_t||^2 and V(e_t),
+    ``diverged_at`` each trial's divergence step (inf if never) and ``ns``
+    each trial's sample sizes. Exceedance at delta is the fraction of trials
+    with ||e_t|| > delta; diverged trials count as exceeding every threshold
+    from their divergence step on. The sample size at a step is the largest
+    over the trials, so it is zero only once every trial has stopped sampling.
+    This is the one-shot form of the fold the simulators run block by block.
     """
-    trajectories = list(trajectories)
-    if not trajectories:
-        raise InputValidationError("need at least one trajectory")
-    ds = _validate_deltas(deltas)
-    first = trajectories[0]
-    for traj in trajectories:
-        if traj.horizon != first.horizon or traj.dim != first.dim:
-            raise InputValidationError("trajectories must share horizon and dimension")
-
-    fold = _TrialFold(first.ts, ds)
-    fold.add(
-        np.array([traj.sq_norms() for traj in trajectories]),
-        np.array([traj.vs for traj in trajectories]),
-        np.array([np.inf if t.diverged_at is None else t.diverged_at for t in trajectories]),
-    )
-    return fold.stats(np.max([traj.ns for traj in trajectories], axis=0))
+    sq, vs, ns = (np.asarray(a) for a in (sq_norms, vs, ns))
+    diverged_at = np.asarray(diverged_at, dtype=float)
+    if sq.ndim != 2 or sq.shape[0] == 0 or not (
+        vs.shape == ns.shape == sq.shape and diverged_at.shape == sq.shape[:1]
+    ):
+        raise InputValidationError(
+            "paths must be nonempty (trials, steps) arrays with one divergence step per trial"
+        )
+    fold = _TrialFold(np.arange(sq.shape[1]), _validate_deltas(deltas))
+    fold.add(sq, vs, diverged_at)
+    return fold.stats(ns.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +230,17 @@ def aggregate_exceedance(trajectories, deltas=DEFAULT_DELTAS) -> TrialStats:
 # ---------------------------------------------------------------------------
 
 
-def _run_blocks(block_fn, args: tuple, trials: int, workers: int):
+def _run_blocks(block_fn, args: tuple, trials: int):
     """Yield ``block_fn((args, lo, hi))`` for each 256-trial block, in trial order.
 
-    The fixed blocks, not the workers, set the reduction order, so any
-    worker count gives the same result. The caller folds each block as it
-    arrives, so a serial run holds one block's results at a time. When a
-    pool is used (more than one worker and more than one block), the first
-    job is pickled up front so that work which cannot reach a worker
-    process fails with a named error.
+    The worker count comes from ``COLLAPSEGUARD_WORKERS``. The fixed blocks,
+    not the workers, set the reduction order, so any worker count gives the
+    same result. The caller folds each block as it arrives, so a serial run
+    holds one block's results at a time. When a pool is used (more than one
+    worker and more than one block), the first job is pickled up front so
+    that work which cannot reach a worker process fails with a named error.
     """
+    workers = worker_count()
     jobs = [(args, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
     if workers < 2 or len(jobs) < 2:
         yield from map(block_fn, jobs)
@@ -335,9 +274,11 @@ def _check_run(rng, trials: int, horizon) -> int:
 def _dynamics_block(job):
     """Simulate one contiguous block of trials, batched across trials.
 
-    Each step draws xi_t with E[xi' P xi] = sigma_t^2 under the noise
-    schedule's metric. A trial freezes once V exceeds the cap; a state
-    that becomes non-finite raises SimulationOverflowError with its step.
+    Each step draws xi_t with E[xi' P xi] = sigma_t^2 in the map's metric P.
+    A trial freezes once V exceeds the cap; a state that becomes non-finite
+    raises SimulationOverflowError with its step. Returns the block's
+    per-step sums, its divergence steps (inf if never) and, when recording,
+    its (trials, horizon+1, dim) error paths.
     """
     (map_, noise, e0, horizon, rng, ds, cap, record), trial_lo, trial_hi = job
     metric = map_.metric
@@ -345,7 +286,7 @@ def _dynamics_block(job):
     b = trial_hi - trial_lo
     gens = [rng.derive(i).generator() for i in range(trial_lo, trial_hi)]
     e_state = np.tile(e0, (b, 1))
-    diverged = np.full(b, -1, dtype=np.int64)
+    diverged = np.full(b, np.inf)
     n = horizon + 1
     sum_sq = np.zeros(n)
     sum_v = np.zeros(n)
@@ -353,7 +294,7 @@ def _dynamics_block(job):
     records = np.empty((b, n, dim)) if record else None
 
     zero_noise = noise.kind == ZERO
-    c_transform = noise.transform(dim)
+    c_transform = None if metric.is_identity else metric.inverse_factor
 
     v_all = metric.values(e_state)
     diverged[v_all > cap] = 0
@@ -361,7 +302,7 @@ def _dynamics_block(job):
     sum_sq[0] = sq.sum()
     sum_v[0] = v_all.sum()
     norms = np.sqrt(sq)
-    div_now = diverged == 0
+    div_now = diverged <= 0
     for j, d in enumerate(ds):
         exceed[j, 0] = ((norms > d) | div_now).sum()
     if record:
@@ -381,7 +322,7 @@ def _dynamics_block(job):
             scales = np.sqrt(noise.sigma_sq_array(t, t + span) / dim)
         for k in range(span):
             step = t + k
-            act = np.nonzero(diverged < 0)[0]
+            act = np.flatnonzero(np.isinf(diverged))
             if act.size:
                 updated = map_.apply_batch(e_state[act])
                 if not zero_noise and scales[k] > 0.0:
@@ -398,7 +339,7 @@ def _dynamics_block(job):
             sum_sq[step + 1] = sq.sum()
             sum_v[step + 1] = v_all.sum()
             norms = np.sqrt(sq)
-            div_now = (diverged >= 0) & (diverged <= step + 1)
+            div_now = diverged <= step + 1
             for j, d in enumerate(ds):
                 exceed[j, step + 1] = ((norms > d) | div_now).sum()
             if record:
@@ -415,50 +356,36 @@ def run_dynamics_trials(
     trials: int,
     rng: RngState,
     deltas=DEFAULT_DELTAS,
-    workers: int | None = None,
     divergence_cap: float = DIVERGENCE_CAP,
     record_trajectories: bool = False,
 ):
     """Monte-Carlo over independent trials of e_{t+1} = A(e_t) e_t + xi_t.
 
-    Trial i draws from ``rng.derive(i)``, so any partition of trials over
-    workers reproduces the serial result bit for bit (reduction happens in
-    fixed 256-trial blocks). A trial freezes, and is marked diverged, once
-    V exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats, list
-    of ErrorTrajectory) when ``record_trajectories`` is set.
+    The noise energy sigma_t^2 is measured in the map's metric P. Trial i
+    draws from ``rng.derive(i)``, so any partition of trials over workers
+    reproduces the serial result bit for bit (reduction happens in fixed
+    256-trial blocks). A trial freezes, and is marked diverged, once V
+    exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats, errors,
+    diverged_at) when ``record_trajectories`` is set: the (trials,
+    horizon+1, dim) error paths and each trial's divergence step, inf if
+    it never diverged.
     """
     horizon = _check_run(rng, trials, horizon)
     ds = _validate_deltas(deltas)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
-    if workers is None:
-        workers = worker_count()
 
     args = (map_, noise, e0, horizon, rng, ds, divergence_cap, record_trajectories)
-    results = _run_blocks(_dynamics_block, args, trials, workers)
-
     n = horizon + 1
     sum_sq = np.zeros(n)
     sum_v = np.zeros(n)
     exceed = np.zeros((len(ds), n))
-    trajectories: list[ErrorTrajectory] = []
-    for lo, (bsq, bv, bex, bdiv, brec) in zip(range(0, trials, _BLOCK), results):
+    paths, frozen = [], []
+    for bsq, bv, bex, bdiv, brec in _run_blocks(_dynamics_block, args, trials):
         sum_sq += bsq
         sum_v += bv
         exceed += bex
-        if record_trajectories:
-            for i, errs in enumerate(brec):
-                diverged_at = int(bdiv[i]) if bdiv[i] >= 0 else None
-                trajectories.append(
-                    ErrorTrajectory(
-                        ts=np.arange(n),
-                        errors=errs.copy(),
-                        vs=map_.metric.values(errs),
-                        ns=np.zeros(n, dtype=np.int64),
-                        horizon=horizon,
-                        trial_id=lo + i,
-                        diverged_at=diverged_at,
-                    )
-                )
+        paths.append(brec)
+        frozen.append(bdiv)
 
     stats = TrialStats(
         ts=np.arange(n),
@@ -469,7 +396,7 @@ def run_dynamics_trials(
         ns=np.zeros(n, dtype=np.int64),
     )
     if record_trajectories:
-        return stats, trajectories
+        return stats, np.concatenate(paths), np.concatenate(frozen)
     return stats
 
 
@@ -576,7 +503,6 @@ def run_workflow_trials(
     deltas=DEFAULT_DELTAS,
     filter_handle=None,
     candidates_per_round: int | None = None,
-    workers: int | None = None,
     divergence_cap: float = DIVERGENCE_CAP,
     record_trajectories: bool = False,
 ):
@@ -585,7 +511,9 @@ def run_workflow_trials(
     Generation 0 fits schedule.size(0) real draws from theta_star; each
     later generation samples from its predecessor's fit and re-estimates,
     recording e_t = theta_hat_t - theta_star with the identity-metric V.
-    A trial freezes once V exceeds ``divergence_cap``.
+    A trial freezes once V exceeds ``divergence_cap``. Returns TrialStats,
+    or (TrialStats, errors, diverged_at) as ``run_dynamics_trials`` does
+    when ``record_trajectories`` is set.
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
@@ -602,8 +530,6 @@ def run_workflow_trials(
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
     ds = _validate_deltas(deltas)
-    if workers is None:
-        workers = worker_count()
 
     n = horizon + 1
     ts = np.arange(n)
@@ -615,26 +541,14 @@ def run_workflow_trials(
     args = (model, theta_star, sizes, filter_handle, rng, divergence_cap, record_trajectories)
     fold = _TrialFold(ts, ds)
     live_ns = np.zeros(n, dtype=np.int64)  # the schedule size while any trial samples, else 0
-    trajectories: list[ErrorTrajectory] = []
-    blocks = _run_blocks(_workflow_block, args, trials, workers)
-    for lo, (vs, diverged, records) in zip(range(0, trials, _BLOCK), blocks):
+    paths, frozen = [], []
+    for vs, diverged, records in _run_blocks(_workflow_block, args, trials):
         fold.add(vs, vs, diverged)
         ns = np.where(ts <= diverged[:, None], sizes, 0)
         live_ns = np.maximum(live_ns, ns.max(axis=0))
-        if record_trajectories:
-            for i in range(vs.shape[0]):
-                trajectories.append(
-                    ErrorTrajectory(
-                        ts=ts.copy(),
-                        errors=records[i],
-                        vs=vs[i],
-                        ns=ns[i],
-                        horizon=horizon,
-                        trial_id=lo + i,
-                        diverged_at=None if np.isinf(diverged[i]) else int(diverged[i]),
-                    )
-                )
+        paths.append(records)
+        frozen.append(diverged)
     stats = fold.stats(live_ns)
     if record_trajectories:
-        return stats, trajectories
+        return stats, np.concatenate(paths), np.concatenate(frozen)
     return stats

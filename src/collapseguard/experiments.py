@@ -192,32 +192,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
-    kind: str = "constant"
-    base: int = 100
-    exponent: float = 0.0
-
-    def __post_init__(self):
-        self.build()
-
-    def build(self) -> SampleSchedule:
-        return SampleSchedule(self.kind, base=self.base, exponent=self.exponent)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str = "power-law"
-    beta: float = 1.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        self.build()
-
-    def build(self, metric: LyapunovMetric | None = None) -> NoiseSchedule:
-        return NoiseSchedule(self.kind, beta=self.beta, scale=self.scale, metric=metric)
-
-
-@dataclass(frozen=True)
 class ContractionSpec:
     kind: str = "example-sqrt"
     alpha: float = 1.0
@@ -367,8 +341,8 @@ class ExperimentConfig:
     deltas: tuple[float, ...] = FIXED_DELTAS
     out_dir: str = "."
     initial_error: tuple[float, ...] | None = None
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    schedule: SampleSchedule = field(default_factory=SampleSchedule)
+    noise: NoiseSchedule = field(default_factory=NoiseSchedule)
     contraction: ContractionSpec = field(default_factory=ContractionSpec)
     filter: FilterSpec = field(default_factory=FilterSpec)
     rates: RatesSpec = field(default_factory=RatesSpec)
@@ -573,14 +547,13 @@ def _run_dynamics(config: ExperimentConfig, chash: str):
     dim = config.model.dim
     metric = LyapunovMetric.identity(dim)
     map_ = ContractionMap.scaled_identity(config.contraction.build(), metric)
-    noise = config.noise.build(metric=None)
     e0 = (
         np.asarray(config.initial_error, dtype=float)
         if config.initial_error is not None
         else np.ones(dim)
     )
     stats = run_dynamics_trials(
-        map_, noise, e0, config.horizon, config.trials, RngState(config.seed),
+        map_, config.noise, e0, config.horizon, config.trials, RngState(config.seed),
         deltas=_merged_deltas(config),
     )
     table = _stats_table("dynamics", stats, config.trials, chash)
@@ -620,13 +593,12 @@ def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int, blocks: int = 20
 
 def _run_workflow(config: ExperimentConfig, chash: str):
     model, theta_star = config.model.build()
-    schedule = config.schedule.build()
     handle = config.filter.build(theta_star)
     filtered = handle is not None
     stats = run_workflow_trials(
         model,
         theta_star,
-        schedule,
+        config.schedule,
         config.horizon,
         config.trials,
         RngState(config.seed),
@@ -863,7 +835,8 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
     """Per-step baseline/treatment MSE ratios plus a trend verdict.
 
     The ratio is 1 where both MSEs are 0 and infinite where only the
-    treatment's is.
+    treatment's is. The trend is the least-squares slope of the finite
+    ratios, exactly 0 when they are all equal.
     """
     if len(baseline) == 0 or len(treatment) == 0:
         raise InputValidationError("both result tables must be nonempty")
@@ -880,9 +853,14 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
         ratios = np.divide(b, tr, out=np.where(b == 0.0, 1.0, np.inf), where=tr != 0.0)
     table = CompareTable(baseline.t, b, tr, ratios)
 
-    ts = baseline.t.astype(float)
     finite = np.isfinite(ratios)
-    trend = _slope(ts[finite], ratios[finite]) if finite.sum() >= 2 else None
+    kept = ratios[finite]
+    if kept.size < 2:
+        trend = None
+    elif np.all(kept == kept[0]):
+        trend = 0.0  # a least-squares fit leaves rounding noise of either sign on a flat series
+    else:
+        trend = _slope(baseline.t[finite], kept)
     summary = {
         "steps": len(ratios),
         "final_ratio": float(ratios[-1]),

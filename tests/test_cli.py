@@ -251,6 +251,29 @@ class TestScenarioCommands:
         assert "exponential natural parameters must be negative" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "schedule, generation",
+        [
+            ({"kind": "power", "base": 10, "exponent": 50}, 3),
+            ({"kind": "power", "base": 10, "exponent": 1100}, 2),
+            ({"kind": "constant", "base": 10**20}, 0),
+        ],
+        ids=["power-beyond-int64", "power-beyond-float", "base-beyond-int64"],
+    )
+    def test_schedule_beyond_int64_names_the_generation(
+        self, tmp_path, capsys, schedule, generation
+    ):
+        config = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "workflow", "seed": 1, "horizon": 100, "trials": 2, "schedule": schedule},
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"schedule size at generation {generation} " in err
+        assert "does not fit in a 64-bit integer" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_constant_noise_dynamics_fails_the_check_gate(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "config.json",

@@ -537,6 +537,15 @@ class TestCompareRuns:
         assert summary["final_ratio"] == 1.0
         assert summary["ratio_trend_slope"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [3, 11, 41, 61, 201])
+    def test_a_run_compared_with_itself_has_an_exactly_flat_trend(self, rows):
+        table = self._rows([float(t + 1) for t in range(rows)])
+        _, summary = compare_runs(table, table)
+        assert summary["ratio_trend_slope"] == 0.0
+        assert summary["trend_increasing"] is False
+        trend_check = compare_checks(summary)[1]
+        assert trend_check.name == "compare-trend-increasing" and not trend_check.passed
+
     def test_growing_gap_yields_an_increasing_trend(self):
         baseline = self._rows([float(t + 1) for t in range(10)])
         treatment = self._rows([0.5] * 10)
