@@ -59,6 +59,7 @@ from .filtering import (
     LabeledDataset,
     PCATransform,
     TrainConfig,
+    TrainingSpec,
     fit_pca,
     forward_batch,
     label_by_distance,
@@ -96,6 +97,7 @@ __all__ = [
     "SampleSchedule",
     "SimulationOverflowError",
     "TrainConfig",
+    "TrainingSpec",
     "TrialStats",
     "check_matrix_contraction",
     "check_regulation",

@@ -2,10 +2,10 @@
 
 The central objects are a quadratic Lyapunov function V(e) = e' P e with
 P positive definite, a state-dependent contraction coefficient c(e) with
-values in [0, c_max] strictly below one, and a convex regulator f with
-f(0) = 0 that lower-bounds the per-step decrease c(e) V(e). The scalar
-recurrence x_{t+1} = max(0, x_t - f(x_t) + b_t) reproduces the decay-rate
-regimes exactly and is cheap enough to run for a million steps.
+values in [0, 1), and a convex regulator f with f(0) = 0 that lower-bounds
+the per-step decrease c(e) V(e). The scalar recurrence
+x_{t+1} = max(0, x_t - f(x_t) + b_t) reproduces the decay-rate regimes
+exactly and is cheap enough to run for a million steps.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .numerics import (
 from . import expfam
 
 EXAMPLE_SQRT = "example-sqrt"
-QUADRATIC_CLAMPED = "quadratic-clamped"
+QUADRATIC = "quadratic"
 CONSTANT = "constant"
 POWER_LAW = "power-law"
-
-DEFAULT_C_MAX = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,39 +88,30 @@ class LyapunovMetric:
 
 @dataclass(frozen=True)
 class ContractionFn:
-    """State-dependent contraction coefficient, clamped into [0, c_max].
+    """Contraction coefficient c(e) in [0, 1); the ``contraction`` config section.
 
-    Kinds: ``example-sqrt`` is 1 - (V(e)+1)^(-1/2), the closed-form pair
-    partner of the example regulator; ``quadratic-clamped`` is
-    min(alpha * ||e||^2, c_max); ``constant`` ignores the state.
+    Kinds: ``example-sqrt`` is 1 - (V(e)+1)^(-1/2), clipped at 1 - 1e-12,
+    the closed-form pair partner of the example regulator; ``quadratic`` is
+    min(alpha * ||e||^2, c_max); ``constant`` is ``level`` everywhere. Each
+    kind checks only the fields it reads.
     """
 
-    kind: str
+    kind: str = EXAMPLE_SQRT
     alpha: float = 1.0
-    level: float = 0.0
-    c_max: float = DEFAULT_C_MAX
+    level: float = 0.5
+    c_max: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in (EXAMPLE_SQRT, QUADRATIC_CLAMPED, CONSTANT):
-            raise InputValidationError(f"unknown contraction kind {self.kind!r}")
-        if not 0.0 < self.c_max < 1.0:
-            raise InputValidationError("c_max must lie in (0, 1)")
-        if self.kind == QUADRATIC_CLAMPED and self.alpha <= 0.0:
-            raise InputValidationError("alpha must be positive")
-        if self.kind == CONSTANT and not 0.0 <= self.level <= self.c_max:
-            raise InputValidationError("constant level must lie in [0, c_max]")
-
-    @classmethod
-    def example_sqrt(cls) -> "ContractionFn":
-        return cls(EXAMPLE_SQRT, c_max=1.0 - 1e-12)
-
-    @classmethod
-    def quadratic(cls, alpha: float, c_max: float = DEFAULT_C_MAX) -> "ContractionFn":
-        return cls(QUADRATIC_CLAMPED, alpha=alpha, c_max=c_max)
-
-    @classmethod
-    def constant(cls, level: float) -> "ContractionFn":
-        return cls(CONSTANT, level=level, c_max=max(level, 1e-12))
+        if self.kind == QUADRATIC:
+            if not 0.0 < self.c_max < 1.0:
+                raise InputValidationError("c_max must lie in (0, 1)")
+            if self.alpha <= 0.0:
+                raise InputValidationError("alpha must be positive")
+        elif self.kind == CONSTANT:
+            if not 0.0 <= self.level < 1.0:
+                raise InputValidationError("level must lie in [0, 1)")
+        elif self.kind != EXAMPLE_SQRT:
+            raise InputValidationError(f"unknown contraction.kind {self.kind!r}")
 
     def value(self, metric: LyapunovMetric, e) -> float:
         err = as_vector(e, dim=metric.dim, name="e")
@@ -132,12 +121,10 @@ class ContractionFn:
         """Vectorized coefficient per row of a (n, dim) batch."""
         if self.kind == EXAMPLE_SQRT:
             v = metric.values(errors)
-            raw = 1.0 - 1.0 / np.sqrt(v + 1.0)
-        elif self.kind == QUADRATIC_CLAMPED:
-            raw = self.alpha * np.einsum("ij,ij->i", errors, errors)
-        else:
-            raw = np.full(errors.shape[0], self.level)
-        return np.clip(raw, 0.0, self.c_max)
+            return np.clip(1.0 - 1.0 / np.sqrt(v + 1.0), 0.0, 1.0 - 1e-12)
+        if self.kind == QUADRATIC:
+            return np.clip(self.alpha * np.einsum("ij,ij->i", errors, errors), 0.0, self.c_max)
+        return np.full(errors.shape[0], self.level)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +159,6 @@ class RegulatorFn:
                 raise InputValidationError("c2 must be >= c1")
             object.__setattr__(self, "c2", c2)
 
-    @classmethod
-    def example_sqrt(cls) -> "RegulatorFn":
-        return cls(EXAMPLE_SQRT)
-
-    @classmethod
-    def power_law(cls, p: float, c1: float, c2: float | None = None) -> "RegulatorFn":
-        return cls(POWER_LAW, p=p, c1=c1, c2=c2)
-
     def value(self, r: float) -> float:
         if r < 0.0:
             raise InputValidationError("regulator argument must be nonnegative")
@@ -204,10 +183,10 @@ class RegulatorFn:
 class ContractionMap:
     """The state-dependent linear update e -> A(e) e.
 
-    ``scaled-identity`` uses A(e) = sqrt(1 - c(e)) I, which satisfies the
-    matrix contraction condition with equality for any metric. An explicit
-    matrix function can be supplied as an escape hatch for experiments
-    with non-diagonal maps.
+    With ``c_fn`` it is the scaled identity A(e) = sqrt(1 - c(e)) I, which
+    satisfies the matrix contraction condition with equality for any
+    metric. A ``matrix_fn`` returning A(e) can be supplied instead as an
+    escape hatch for experiments with non-diagonal maps.
     """
 
     metric: LyapunovMetric
@@ -217,14 +196,6 @@ class ContractionMap:
     def __post_init__(self):
         if (self.c_fn is None) == (self.matrix_fn is None):
             raise InputValidationError("provide exactly one of c_fn or matrix_fn")
-
-    @classmethod
-    def scaled_identity(cls, c_fn: ContractionFn, metric: LyapunovMetric) -> "ContractionMap":
-        return cls(metric=metric, c_fn=c_fn)
-
-    @classmethod
-    def explicit(cls, matrix_fn, metric: LyapunovMetric) -> "ContractionMap":
-        return cls(metric=metric, matrix_fn=matrix_fn)
 
     def apply_batch(self, errors: np.ndarray) -> np.ndarray:
         """Row-wise update of a (n, dim) batch."""

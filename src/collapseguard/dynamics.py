@@ -294,20 +294,24 @@ def _dynamics_block(job):
     records = np.empty((b, n, dim)) if record else None
 
     zero_noise = noise.kind == ZERO
-    c_transform = None if metric.is_identity else metric.inverse_factor
+    identity = metric.is_identity
+    c_transform = None if identity else metric.inverse_factor
 
-    v_all = metric.values(e_state)
-    diverged[v_all > cap] = 0
-    sq = np.einsum("ij,ij->i", e_state, e_state)
-    sum_sq[0] = sq.sum()
-    sum_v[0] = v_all.sum()
-    norms = np.sqrt(sq)
-    div_now = diverged <= 0
-    for j, d in enumerate(ds):
-        exceed[j, 0] = ((norms > d) | div_now).sum()
-    if record:
-        records[:, 0] = e_state
+    def fold(step):
+        # one statistics pass per step; the V that is summed is the V that freezes
+        sq = np.einsum("ij,ij->i", e_state, e_state)
+        v = sq if identity else metric.values(e_state)
+        diverged[np.isinf(diverged) & (v > cap)] = step
+        sum_sq[step] = sq.sum()
+        sum_v[step] = v.sum()
+        norms = np.sqrt(sq)
+        div_now = diverged <= step
+        for j, d in enumerate(ds):
+            exceed[j, step] = ((norms > d) | div_now).sum()
+        if record:
+            records[:, step] = e_state
 
+    fold(0)
     t = 0
     while t < horizon:
         span = min(_CHUNK, horizon - t)
@@ -330,20 +334,7 @@ def _dynamics_block(job):
                 if not np.all(np.isfinite(updated)):
                     raise SimulationOverflowError(step + 1)
                 e_state[act] = updated
-                v_act = metric.values(updated)
-                newly = act[v_act > cap]
-                if newly.size:
-                    diverged[newly] = step + 1
-            sq = np.einsum("ij,ij->i", e_state, e_state)
-            v_all = metric.values(e_state)
-            sum_sq[step + 1] = sq.sum()
-            sum_v[step + 1] = v_all.sum()
-            norms = np.sqrt(sq)
-            div_now = diverged <= step + 1
-            for j, d in enumerate(ds):
-                exceed[j, step + 1] = ((norms > d) | div_now).sum()
-            if record:
-                records[:, step + 1] = e_state
+            fold(step + 1)
         t += span
     return sum_sq, sum_v, exceed, diverged, records
 
@@ -534,6 +525,8 @@ def run_workflow_trials(
     n = horizon + 1
     ts = np.arange(n)
     fixed = candidates_per_round if filter_handle is not None else None
+    if fixed is not None and fixed > np.iinfo(np.int64).max:
+        raise InputValidationError("candidates_per_round does not fit in a 64-bit integer")
     sizes = np.array(
         [schedule.size(t) if t == 0 or fixed is None else fixed for t in range(n)],
         dtype=np.int64,

@@ -42,6 +42,7 @@ from .filtering import (
     FilterHandle,
     LabeledDataset,
     TrainConfig,
+    TrainingSpec,
     anchors_from_dataset,
     atomic_write_text,
     content_hash,
@@ -192,26 +193,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class ContractionSpec:
-    kind: str = "example-sqrt"
-    alpha: float = 1.0
-    level: float = 0.5
-    c_max: float = 0.9
-
-    def __post_init__(self):
-        self.build()
-
-    def build(self) -> ContractionFn:
-        if self.kind == "example-sqrt":
-            return ContractionFn.example_sqrt()
-        if self.kind == "quadratic":
-            return ContractionFn.quadratic(self.alpha, c_max=self.c_max)
-        if self.kind == "constant":
-            return ContractionFn.constant(self.level)
-        raise InputValidationError(f"unknown contraction.kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class FilterSpec:
     kind: str = "none"
     gamma: float = 0.5
@@ -265,9 +246,7 @@ class RatesSpec:
         self.build_regulator()
 
     def build_regulator(self) -> RegulatorFn:
-        if self.kind == "example-sqrt":
-            return RegulatorFn.example_sqrt()
-        return RegulatorFn.power_law(self.p, self.c1, self.c2)
+        return RegulatorFn(self.kind, self.p, self.c1, self.c2)
 
     def build_bounds(self) -> np.ndarray:
         if self.noise_kind == "zero":
@@ -303,33 +282,6 @@ class ConcentrationSpec:
 
 
 @dataclass(frozen=True)
-class TrainingSpec:
-    rounds: int = 3
-    candidates_per_round: int = 1000
-    contamination: float = 0.3
-    drift_scale: float = 1.0
-    epochs: int = 1200
-    hidden_dim: int = 64
-    pca_k: int = 0
-    lambda_contract: float = 1.0
-    ess_weight: float = 0.0
-    learning_rate: float = 3e-3
-    holdout_fraction: float = 0.25
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise InputValidationError("training.rounds must be positive")
-        if self.candidates_per_round < 2:
-            raise InputValidationError("training.candidates_per_round must be at least 2")
-        if not 0.0 <= self.contamination < 1.0:
-            raise InputValidationError("training.contamination must lie in [0, 1)")
-        if self.epochs < 0 or self.hidden_dim < 1 or self.pca_k < 0:
-            raise InputValidationError("training epochs/hidden_dim/pca_k out of range")
-        if not 0.0 <= self.holdout_fraction <= 0.5:
-            raise InputValidationError("training.holdout_fraction must lie in [0, 0.5]")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a scenario run needs; seeds are always explicit."""
 
@@ -343,7 +295,7 @@ class ExperimentConfig:
     initial_error: tuple[float, ...] | None = None
     schedule: SampleSchedule = field(default_factory=SampleSchedule)
     noise: NoiseSchedule = field(default_factory=NoiseSchedule)
-    contraction: ContractionSpec = field(default_factory=ContractionSpec)
+    contraction: ContractionFn = field(default_factory=ContractionFn)
     filter: FilterSpec = field(default_factory=FilterSpec)
     rates: RatesSpec = field(default_factory=RatesSpec)
     concentration: ConcentrationSpec = field(default_factory=ConcentrationSpec)
@@ -546,7 +498,7 @@ def _stats_table(scenario, stats, trials, chash) -> ResultTable:
 def _run_dynamics(config: ExperimentConfig, chash: str):
     dim = config.model.dim
     metric = LyapunovMetric.identity(dim)
-    map_ = ContractionMap.scaled_identity(config.contraction.build(), metric)
+    map_ = ContractionMap(metric, config.contraction)
     e0 = (
         np.asarray(config.initial_error, dtype=float)
         if config.initial_error is not None
@@ -686,15 +638,7 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
     spec = config.training
     rng = RngState(config.seed)
 
-    datasets, trace = simulate_drift_training_data(
-        model,
-        theta_star,
-        spec.rounds,
-        spec.candidates_per_round,
-        spec.contamination,
-        rng.derive(0),
-        drift_scale=spec.drift_scale,
-    )
+    datasets, trace = simulate_drift_training_data(model, theta_star, spec, rng.derive(0))
     pool = merge_datasets(datasets)
     n_total = len(pool)
     n_hold = int(round(spec.holdout_fraction * n_total))
@@ -711,18 +655,14 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
     train_config = TrainConfig(
         theta_good=theta_good,
         metric=LyapunovMetric.identity(model.dim),
-        c_fn=config.contraction.build(),
         e_est=theta_est.theta - theta_good.theta,
-        lambda_contract=spec.lambda_contract,
-        ess_weight=spec.ess_weight,
-        learning_rate=spec.learning_rate,
-        epochs=spec.epochs,
-        hidden_dim=spec.hidden_dim,
+        c_fn=config.contraction,
+        training=spec,
     )
     params, log = train_filter(train_ds, train_config, rng.derive(2))
     final = log[-1] if log else loss_gradient(params, train_ds, train_config)[0]
 
-    weights = forward_batch(params, pca.transform(train_points))
+    weights = forward_batch(params, train_ds.features)
     theta_new = expfam.weighted_estimate(model, train_points, weights)
     v_new = train_config.metric.value(theta_new.theta - theta_good.theta)
     threshold = train_config.contraction_threshold()

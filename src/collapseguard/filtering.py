@@ -246,36 +246,69 @@ class LossParts(NamedTuple):
     ess_part: float
 
 
+@dataclass(frozen=True)
+class TrainingSpec:
+    """Drift data and training hyperparameters; the ``training`` config section.
+
+    ``rounds``, ``candidates_per_round``, ``contamination`` and
+    ``drift_scale`` shape the drift data (simulate_drift_training_data).
+    ``pca_k`` (0 means min(dim, 8)) and ``holdout_fraction`` set the
+    features and the held-out share; the rest set the loss and Adam.
+    """
+
+    rounds: int = 3
+    candidates_per_round: int = 1000
+    contamination: float = 0.3
+    drift_scale: float = 1.0
+    epochs: int = 1200
+    hidden_dim: int = 64
+    pca_k: int = 0
+    lambda_contract: float = 1.0
+    ess_weight: float = 0.0
+    learning_rate: float = 3e-3
+    holdout_fraction: float = 0.25
+
+    def __post_init__(self):
+        for name in ("rounds", "candidates_per_round", "epochs", "hidden_dim", "pca_k"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InputValidationError(f"training.{name} must be an integer")
+        if self.rounds < 1:
+            raise InputValidationError("training.rounds must be positive")
+        if self.candidates_per_round < 2:
+            raise InputValidationError("training.candidates_per_round must be at least 2")
+        if not 0.0 <= self.contamination < 1.0:
+            raise InputValidationError("training.contamination must lie in [0, 1)")
+        if self.drift_scale < 0.0:
+            raise InputValidationError("training.drift_scale must be nonnegative")
+        if self.epochs < 0 or self.hidden_dim < 1 or self.pca_k < 0:
+            raise InputValidationError("training epochs/hidden_dim/pca_k out of range")
+        if self.lambda_contract < 0.0 or self.ess_weight < 0.0:
+            raise InputValidationError("training loss weights must be nonnegative")
+        if self.learning_rate <= 0.0:
+            raise InputValidationError("training.learning_rate must be positive")
+        if not 0.0 <= self.holdout_fraction <= 0.5:
+            raise InputValidationError("training.holdout_fraction must lie in [0, 0.5]")
+
+
 @dataclass(eq=False)
 class TrainConfig:
     """Everything train_filter needs besides the data.
 
     ``e_est`` is the frozen training anchor: the plain estimate over all
-    candidates minus ``theta_good``.
+    candidates minus ``theta_good``. ``training`` gives the loss weights,
+    the learning rate, the epoch count and the hidden width.
     """
 
     theta_good: expfam.Parameter
     metric: LyapunovMetric
     e_est: np.ndarray
-    c_fn: ContractionFn = field(default_factory=ContractionFn.example_sqrt)
-    lambda_contract: float = 1.0
-    ess_weight: float = 0.0
-    learning_rate: float = 1e-3
-    epochs: int = 500
-    hidden_dim: int = 128
+    c_fn: ContractionFn = field(default_factory=ContractionFn)
+    training: TrainingSpec = field(default_factory=TrainingSpec)
 
     def __post_init__(self):
         if self.metric.dim != self.theta_good.model.dim:
             raise InputValidationError("metric dimension must match the model dimension")
         self.e_est = as_vector(self.e_est, dim=self.metric.dim, name="e_est")
-        if self.lambda_contract < 0.0 or self.ess_weight < 0.0:
-            raise InputValidationError("loss weights must be nonnegative")
-        if self.learning_rate <= 0.0:
-            raise InputValidationError("learning_rate must be positive")
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 0:
-            raise InputValidationError("epochs must be a nonnegative integer")
-        if not isinstance(self.hidden_dim, (int, np.integer)) or self.hidden_dim < 1:
-            raise InputValidationError("hidden_dim must be a positive integer")
 
     @property
     def model(self) -> expfam.ExpFamilyModel:
@@ -314,6 +347,7 @@ def loss_gradient(
     sigmoid has representable slack.
     """
     feats = _require_features(dataset)
+    lam, mu = config.training.lambda_contract, config.training.ess_weight
     pre, hidden, _, weights = _forward_cache(params, feats)
     n = feats.shape[0]
     y = dataset.labels.astype(float)
@@ -325,21 +359,21 @@ def loss_gradient(
     s1 = float(weights.sum())
     s2 = float((weights * weights).sum())
     ess_part = 1.0 - (s1 * s1 / s2) / n if s2 > 0.0 else 1.0
-    total = class_part + config.lambda_contract * contract_part + config.ess_weight * ess_part
+    total = class_part + lam * contract_part + mu * ess_part
     parts = LossParts(total, class_part, contract_part, ess_part)
 
     # d(loss)/d(logit) for the classification part
     dlogit = (weights - y) / n
     # the hinge part, only past the hinge: the one term that needs the weighted mean
-    if config.lambda_contract > 0.0 and contract_part > 0.0:
+    if lam > 0.0 and contract_part > 0.0:
         tbar = expfam._mean_statistic(dataset.points[None], weights[None])[0]
         g_theta = 2.0 * (config.metric.p_matrix @ e_new)
         g_tbar = g_theta / expfam._mean_slope(config.model.family, theta_new.theta)
         g_w = (dataset.points - tbar[None, :]) @ g_tbar / s1
-        dlogit = dlogit + config.lambda_contract * g_w * weights * (1.0 - weights)
-    if config.ess_weight > 0.0 and s2 > 0.0:
+        dlogit = dlogit + lam * g_w * weights * (1.0 - weights)
+    if mu > 0.0 and s2 > 0.0:
         g_w = -(2.0 * s1 * s2 - s1 * s1 * 2.0 * weights) / (n * s2 * s2)
-        dlogit = dlogit + config.ess_weight * g_w * weights * (1.0 - weights)
+        dlogit = dlogit + mu * g_w * weights * (1.0 - weights)
 
     g_w2 = hidden.T @ dlogit
     g_b2 = float(dlogit.sum())
@@ -395,7 +429,7 @@ def train_filter(
     config: TrainConfig,
     rng,
 ) -> tuple[FilterParams, list[LossParts]]:
-    """Full-batch Adam on the loss of loss_gradient for config.epochs updates.
+    """Full-batch Adam on the loss of loss_gradient for config.training.epochs updates.
 
     The log holds the loss parts after each update, so log[-1] is the
     training loss of the returned parameters and epochs=0 yields an empty
@@ -409,14 +443,15 @@ def train_filter(
     labels = dataset.labels
     if labels.min() == labels.max():
         raise InputValidationError("training data must contain both classes")
-    params = init_filter_params(feats.shape[1], config.hidden_dim, rng)
+    spec = config.training
+    params = init_filter_params(feats.shape[1], spec.hidden_dim, rng)
     x = _flatten(params)
     state = (np.zeros_like(x), np.zeros_like(x), 0)
     _, grad = loss_gradient(params, dataset, config)
     log: list[LossParts] = []
-    for _ in range(config.epochs):
-        x, state = adam_step(x, _flatten(grad), state, config.learning_rate)
-        params = _unflatten(x, config.hidden_dim, feats.shape[1])
+    for _ in range(spec.epochs):
+        x, state = adam_step(x, _flatten(grad), state, spec.learning_rate)
+        params = _unflatten(x, spec.hidden_dim, feats.shape[1])
         parts, grad = loss_gradient(params, dataset, config)
         log.append(parts)
     return params, log
@@ -608,15 +643,13 @@ class FilterHandle:
 def simulate_drift_training_data(
     model: expfam.ExpFamilyModel,
     theta_star: expfam.Parameter,
-    rounds: int,
-    candidates_per_round: int,
-    contamination: float,
+    spec: TrainingSpec,
     rng: RngState,
-    drift_scale: float = 1.0,
 ) -> tuple[list[LabeledDataset], np.ndarray]:
     """Rounds of drifting candidate sets with distance-to-truth labels.
 
-    Each round draws a (1 - contamination) share of candidates from the
+    ``spec`` supplies rounds, candidates_per_round, contamination and
+    drift_scale. Each round draws a (1 - contamination) share of candidates from the
     current parameter and the rest from a mean-shifted pool (shift of
     ``drift_scale`` along the fixed direction ones/sqrt(dim)); the next
     parameter is the plain estimate over all candidates, so the shifted
@@ -627,22 +660,15 @@ def simulate_drift_training_data(
     """
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
-    if not isinstance(rounds, (int, np.integer)) or rounds < 1:
-        raise InputValidationError("rounds must be a positive integer")
-    if candidates_per_round < 2:
-        raise InputValidationError("candidates_per_round must be at least 2")
-    if not 0.0 <= contamination < 1.0:
-        raise InputValidationError("contamination must lie in [0, 1)")
-    if drift_scale < 0.0:
-        raise InputValidationError("drift_scale must be nonnegative")
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (substreams are derived per round)")
 
     d = model.dim
+    rounds, contamination = spec.rounds, spec.contamination
     direction = np.ones(d) / math.sqrt(d)
-    shift = drift_scale * direction
-    n_bad = int(round(contamination * candidates_per_round))
-    n_good = candidates_per_round - n_bad
+    shift = spec.drift_scale * direction
+    n_bad = int(round(contamination * spec.candidates_per_round))
+    n_good = spec.candidates_per_round - n_bad
 
     datasets: list[LabeledDataset] = []
     trace = np.empty((rounds + 1, d))

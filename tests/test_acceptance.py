@@ -32,6 +32,7 @@ from collapseguard.filtering import (
     FilterParams,
     LabeledDataset,
     TrainConfig,
+    TrainingSpec,
     init_filter_params,
     loss_gradient,
 )
@@ -155,7 +156,7 @@ class TestAcceptanceCriteria:
         measured = []
         ok = True
         for p, beta, want in ((2.0, 1.0, -0.5), (2.0, 2.0, -1.0), (3.0, 3.0, -0.5)):
-            f = RegulatorFn.power_law(p, 1.0)
+            f = RegulatorFn("power-law", p, 1.0)
             traj = recurrence_simulate(f, 1.0, power_law_bounds(10**6, beta), 10**6)
             slope, _ = fit_decay_rate(traj, 0.9)
             measured.append(f"(p={p:g},b={beta:g})={slope:.3f}")
@@ -163,7 +164,7 @@ class TestAcceptanceCriteria:
 
         # linear pull: exponential phase at rate log(1 - c1), then the
         # noise floor takes over and decays at the bound's own exponent
-        f1 = RegulatorFn.power_law(1.0, 0.5)
+        f1 = RegulatorFn("power-law", 1.0, 0.5)
         traj = recurrence_simulate(f1, 1.0, power_law_bounds(10000, 2.0, scale=1e-6), 10000)
         early = float(np.polyfit(np.arange(1, 16), np.log(traj[1:16]), 1)[0])
         tail, _ = fit_decay_rate(traj, 0.5)
@@ -179,7 +180,7 @@ class TestAcceptanceCriteria:
         assert passed, line
 
     def test_criterion_04_noise_ceiling_ignores_the_start(self, acceptance):
-        f = RegulatorFn.power_law(2.0, 1.0)
+        f = RegulatorFn("power-law", 2.0, 1.0)
         ceiling = limsup_bound(f, 0.01)
         tails = []
         ok = abs(ceiling - 0.1) <= 1e-9
@@ -229,8 +230,10 @@ class TestAcceptanceCriteria:
                 theta_good=Parameter(np.zeros(dim), model),
                 metric=metric,
                 e_est=np.full(dim, 0.02 if seed % 2 == 0 else 50.0),
-                lambda_contract=float(rng.choice([0.0, 0.7, 1.7])),
-                ess_weight=float(rng.choice([0.0, 0.3])),
+                training=TrainingSpec(
+                    lambda_contract=float(rng.choice([0.0, 0.7, 1.7])),
+                    ess_weight=float(rng.choice([0.0, 0.3])),
+                ),
             )
             params = init_filter_params(dim, hidden, rng)
             analytic = flatten(loss_gradient(params, dataset, config)[1])

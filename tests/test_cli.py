@@ -274,6 +274,38 @@ class TestScenarioCommands:
         assert "does not fit in a 64-bit integer" in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    def test_candidates_per_round_beyond_int64_is_a_validation_failure(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "workflow-filtered", "seed": 1, "horizon": 3, "trials": 2,
+             "filter": {"kind": "all-ones", "candidates_per_round": 10**23}},
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "candidates_per_round" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lambda_contract", -0.5),
+            ("ess_weight", -0.1),
+            ("learning_rate", 0),
+            ("drift_scale", -1),
+        ],
+    )
+    def test_training_section_is_checked_for_every_scenario(self, tmp_path, capsys, field, value):
+        config = _write_config(
+            tmp_path / "config.json",
+            {"seed": 1, "horizon": 5, "trials": 5, "training": {field: value}},
+        )
+        rc = main(["simulate-dynamics", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "training" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_constant_noise_dynamics_fails_the_check_gate(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "config.json",

@@ -100,58 +100,58 @@ class TestContractionValue:
     """The bounded pull-strength functions c(e)."""
 
     def test_sqrt_form_vanishes_at_origin(self):
-        c = ContractionFn.example_sqrt()
+        c = ContractionFn()
         assert c.value(LyapunovMetric.identity(2), np.zeros(2)) == 0.0
 
     def test_sqrt_form_at_energy_three(self):
         """1 - (3 + 1)^(-1/2) = 0.5."""
-        c = ContractionFn.example_sqrt()
+        c = ContractionFn()
         e = np.array([1.0, 1.0, 1.0])
         out = c.value(LyapunovMetric.identity(3), e)
         assert out == pytest.approx(0.5, abs=1e-12)
 
     def test_quadratic_clamp_engages(self):
-        c = ContractionFn.quadratic(alpha=0.1, c_max=0.9)
+        c = ContractionFn("quadratic", alpha=0.1, c_max=0.9)
         e = np.array([10.0, 0.0])
         out = c.value(LyapunovMetric.identity(2), e)
         assert out == pytest.approx(0.9, abs=0)
 
-    def test_range_stays_in_zero_to_c_max(self):
+    def test_range_stays_in_zero_to_each_kinds_cap(self):
         rng = np.random.default_rng(2)
         metric = LyapunovMetric.identity(3)
-        for c in (
-            ContractionFn.example_sqrt(),
-            ContractionFn.quadratic(alpha=0.5, c_max=0.8),
-            ContractionFn.constant(0.3),
+        for c, cap in (
+            (ContractionFn(), 1.0 - 1e-12),
+            (ContractionFn("quadratic", alpha=0.5, c_max=0.8), 0.8),
+            (ContractionFn("constant", level=0.3), 0.3),
         ):
             for _ in range(200):
                 e = rng.normal(scale=rng.uniform(0.01, 30.0), size=3)
                 value = c.value(metric, e)
-                assert 0.0 <= value <= c.c_max or value == pytest.approx(c.level)
+                assert 0.0 <= value <= cap or value == pytest.approx(c.level)
 
 
 class TestRegulatorValue:
     def test_sqrt_form_vanishes_at_origin(self):
-        assert RegulatorFn.example_sqrt().value(0.0) == 0.0
+        assert RegulatorFn("example-sqrt").value(0.0) == 0.0
 
     def test_sqrt_form_at_three(self):
         """3 * (1 - (3 + 1)^(-1/2)) = 1.5."""
-        assert RegulatorFn.example_sqrt().value(3.0) == pytest.approx(1.5)
+        assert RegulatorFn("example-sqrt").value(3.0) == pytest.approx(1.5)
 
     def test_power_law_square(self):
-        f = RegulatorFn.power_law(p=2, c1=1.0)
+        f = RegulatorFn("power-law", p=2, c1=1.0)
         assert f.value(0.1) == pytest.approx(0.01)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(InputValidationError):
-            RegulatorFn.example_sqrt().value(-0.5)
+            RegulatorFn("example-sqrt").value(-0.5)
 
     def test_midpoint_convexity_on_grid(self):
         grid = np.linspace(0.0, 50.0, 200)
         for f in (
-            RegulatorFn.example_sqrt(),
-            RegulatorFn.power_law(p=2, c1=0.7),
-            RegulatorFn.power_law(p=3, c1=1.3),
+            RegulatorFn("example-sqrt"),
+            RegulatorFn("power-law", p=2, c1=0.7),
+            RegulatorFn("power-law", p=3, c1=1.3),
         ):
             values = np.array([f.value(r) for r in grid])
             mid = np.array([f.value(r) for r in (grid[:-2] + grid[2:]) / 2])
@@ -212,14 +212,14 @@ class TestCheckRegulation:
         metric = LyapunovMetric.identity(2)
         probes = make_probe_points(metric, RngState(seed=4))
         assert check_regulation(
-            ContractionFn.example_sqrt(), RegulatorFn.example_sqrt(), metric, probes
+            ContractionFn(), RegulatorFn("example-sqrt"), metric, probes
         )
 
     def test_zero_pull_fails_against_positive_floor(self):
         metric = LyapunovMetric.identity(2)
         probes = np.array([[1.0, 0.0]])
         assert not check_regulation(
-            ContractionFn.constant(0.0), RegulatorFn.power_law(p=2, c1=1.0),
+            ContractionFn("constant", level=0.0), RegulatorFn("power-law", p=2, c1=1.0),
             metric, probes,
         )
 
@@ -228,8 +228,8 @@ class TestCheckRegulation:
         metric = LyapunovMetric.identity(2)
         probes = make_probe_points(metric, RngState(seed=6), v_max=0.9)
         assert check_regulation(
-            ContractionFn.quadratic(alpha=1.0, c_max=0.99),
-            RegulatorFn.power_law(p=2, c1=0.5),
+            ContractionFn("quadratic", alpha=1.0, c_max=0.99),
+            RegulatorFn("power-law", p=2, c1=0.5),
             metric, probes,
         )
 
@@ -237,7 +237,7 @@ class TestCheckRegulation:
         metric = LyapunovMetric.identity(2)
         with pytest.raises(InputValidationError):
             check_regulation(
-                ContractionFn.example_sqrt(), RegulatorFn.example_sqrt(), metric,
+                ContractionFn(), RegulatorFn("example-sqrt"), metric,
                 np.empty((0, 2)),
             )
 
@@ -246,23 +246,23 @@ class TestContractionMap:
     def test_scaled_identity_equality_case(self):
         """V(A(e) e) = (1 - c(e)) V(e) exactly for the isotropic construction."""
         metric = LyapunovMetric.identity(3)
-        map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
+        map_ = ContractionMap(metric, ContractionFn())
         rng = np.random.default_rng(10)
         for _ in range(100):
             e = rng.normal(scale=rng.uniform(0.1, 10.0), size=3)
             v = metric.value(e)
-            c = ContractionFn.example_sqrt().value(metric, e)
+            c = ContractionFn().value(metric, e)
             v_next = metric.value(map_.apply_batch(e[None, :])[0])
             np.testing.assert_allclose(v_next, (1.0 - c) * v, rtol=1e-12)
 
     def test_explicit_matrix_map(self):
         metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap.explicit(lambda e: 0.5 * np.eye(2), metric)
+        map_ = ContractionMap(metric, matrix_fn=lambda e: 0.5 * np.eye(2))
         np.testing.assert_allclose(map_.apply_batch(np.array([[2.0, 4.0]])), [[1.0, 2.0]])
 
     def test_apply_batch_matches_one_row_batches(self):
         metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
+        map_ = ContractionMap(metric, ContractionFn())
         batch = np.random.default_rng(5).normal(size=(32, 2))
         stacked = np.stack([map_.apply_batch(e[None, :])[0] for e in batch])
         np.testing.assert_allclose(map_.apply_batch(batch), stacked, rtol=1e-14)
@@ -271,23 +271,23 @@ class TestContractionMap:
 class TestRecurrenceSimulate:
     def test_geometric_decay_exact(self):
         """f(x) = 0.5 x with no forcing halves the state each step."""
-        f = RegulatorFn.power_law(p=1, c1=0.5)
+        f = RegulatorFn("power-law", p=1, c1=0.5)
         traj = recurrence_simulate(f, x0=1.0, noise_bounds=np.zeros(10), steps=10)
         np.testing.assert_allclose(traj, 0.5 ** np.arange(11), rtol=1e-15)
         assert traj[10] == pytest.approx(9.765625e-4, rel=1e-12)
 
     def test_zero_forcing_is_monotone_nonincreasing(self):
         for f in (
-            RegulatorFn.example_sqrt(),
-            RegulatorFn.power_law(p=2, c1=1.0),
-            RegulatorFn.power_law(p=3, c1=0.2),
+            RegulatorFn("example-sqrt"),
+            RegulatorFn("power-law", p=2, c1=1.0),
+            RegulatorFn("power-law", p=3, c1=0.2),
         ):
             traj = recurrence_simulate(f, x0=5.0, noise_bounds=np.zeros(500), steps=500)
             assert np.all(np.diff(traj) <= 0.0)
             assert np.all(traj >= 0.0)
 
     def test_trajectory_length_and_start(self):
-        f = RegulatorFn.power_law(p=2, c1=1.0)
+        f = RegulatorFn("power-law", p=2, c1=1.0)
         traj = recurrence_simulate(
             f, x0=2.0, noise_bounds=power_law_bounds(50, beta=1.0), steps=50
         )
@@ -295,7 +295,7 @@ class TestRecurrenceSimulate:
         assert traj[0] == 2.0
 
     def test_bound_sequence_shorter_than_steps_rejected(self):
-        f = RegulatorFn.power_law(p=2, c1=1.0)
+        f = RegulatorFn("power-law", p=2, c1=1.0)
         with pytest.raises(InputValidationError):
             recurrence_simulate(f, x0=1.0, noise_bounds=np.zeros(5), steps=10)
 
@@ -326,25 +326,25 @@ class TestFitDecayRate:
 
 class TestLimsupBound:
     def test_square_regulator(self):
-        f = RegulatorFn.power_law(p=2, c1=1.0)
+        f = RegulatorFn("power-law", p=2, c1=1.0)
         assert limsup_bound(f, 0.01) == pytest.approx(0.1, abs=1e-9)
 
     def test_linear_regulator(self):
-        f = RegulatorFn.power_law(p=1, c1=0.5)
+        f = RegulatorFn("power-law", p=1, c1=0.5)
         assert limsup_bound(f, 0.05) == pytest.approx(0.1, abs=1e-9)
 
     def test_sqrt_regulator_inverts_known_point(self):
-        assert limsup_bound(RegulatorFn.example_sqrt(), 1.5) == pytest.approx(
+        assert limsup_bound(RegulatorFn("example-sqrt"), 1.5) == pytest.approx(
             3.0, abs=1e-9
         )
 
     def test_nonpositive_forcing_rejected(self):
         with pytest.raises(InputValidationError):
-            limsup_bound(RegulatorFn.example_sqrt(), 0.0)
+            limsup_bound(RegulatorFn("example-sqrt"), 0.0)
 
     def test_tail_ceiling_is_start_independent(self):
         """Trajectories from very different starts share the same tail ceiling."""
-        f = RegulatorFn.power_law(p=2, c1=1.0)
+        f = RegulatorFn("power-law", p=2, c1=1.0)
         steps = 100_000
         ceiling = limsup_bound(f, 0.01)
         for x0 in (0.5, 1.0, 10.0):
@@ -358,7 +358,7 @@ class TestLimsupBound:
 class TestRecurrenceRates:
     def test_square_regulator_with_inverse_forcing(self):
         """Forcing (t+1)^(-1) against f(x) = x^2 settles on the -1/2 power."""
-        f = RegulatorFn.power_law(p=2, c1=1.0)
+        f = RegulatorFn("power-law", p=2, c1=1.0)
         traj = recurrence_simulate(
             f, x0=1.0, noise_bounds=power_law_bounds(1_000_000, beta=1.0),
             steps=1_000_000,

@@ -55,8 +55,8 @@ def _one_trial(map_, noise, e0, horizon, seed, **kwargs):
 
 def _noise_increments(noise, dim, horizon, trials, seed, metric=None) -> np.ndarray:
     """(trials, horizon, dim) draws xi_t, read as e_{t+1} - e_t of A = I runs from 0."""
-    identity = ContractionMap.scaled_identity(
-        ContractionFn.constant(0.0), metric or LyapunovMetric.identity(dim)
+    identity = ContractionMap(
+        metric or LyapunovMetric.identity(dim), ContractionFn("constant", level=0.0)
     )
     _, errors, _ = run_dynamics_trials(
         identity, noise, np.zeros(dim), horizon=horizon, trials=trials,
@@ -139,14 +139,14 @@ class TestDynamicsTrajectory:
     def test_constant_quarter_contraction_is_exact(self):
         """A = 0.5 I keeps exactly a quarter of the energy each step."""
         metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap.scaled_identity(ContractionFn.constant(0.75), metric)
+        map_ = ContractionMap(metric, ContractionFn("constant", level=0.75))
         stats, _, _ = _one_trial(map_, ZERO_NOISE, np.array([1.0, 0.0]), horizon=8, seed=1)
         np.testing.assert_allclose(stats.mean_v, 0.25 ** np.arange(9), rtol=1e-12)
 
     def test_sqrt_contraction_first_step_halves_energy_three(self):
         """From V = 3 the state-dependent rate is 0.5, so one step lands on 1.5."""
         metric = LyapunovMetric.identity(3)
-        map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
+        map_ = ContractionMap(metric, ContractionFn())
         stats, _, _ = _one_trial(map_, ZERO_NOISE, np.ones(3), horizon=1, seed=1)
         assert stats.mean_v[0] == pytest.approx(3.0)
         assert stats.mean_v[1] == pytest.approx(1.5, rel=1e-12)
@@ -154,7 +154,7 @@ class TestDynamicsTrajectory:
     def test_identity_map_random_walk_energy_grows_linearly(self):
         """With no pull and unit noise the mean energy at t is t itself."""
         metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap.scaled_identity(ContractionFn.constant(0.0), metric)
+        map_ = ContractionMap(metric, ContractionFn("constant", level=0.0))
         stats = run_dynamics_trials(
             map_, NoiseSchedule("constant", scale=1.0), np.zeros(2), horizon=100,
             trials=1000, rng=RngState(seed=17),
@@ -163,7 +163,7 @@ class TestDynamicsTrajectory:
 
     def test_energy_column_matches_error_column(self):
         metric = LyapunovMetric(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
+        map_ = ContractionMap(metric, ContractionFn())
         stats, errors, _ = _one_trial(
             map_, NoiseSchedule(beta=1.0), np.array([2.0, -1.0]), horizon=40, seed=23,
         )
@@ -173,7 +173,7 @@ class TestDynamicsTrajectory:
 
     def test_divergence_freezes_and_records_step(self):
         metric = LyapunovMetric.identity(1)
-        map_ = ContractionMap.explicit(lambda e: 4.0 * np.eye(1), metric)
+        map_ = ContractionMap(metric, matrix_fn=lambda e: 4.0 * np.eye(1))
         stats, errors, diverged_at = _one_trial(
             map_, ZERO_NOISE, np.array([1.0]), horizon=40, seed=2, divergence_cap=1e6,
         )
@@ -185,7 +185,7 @@ class TestDynamicsTrajectory:
 
     def test_replay_determinism(self):
         metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
+        map_ = ContractionMap(metric, ContractionFn())
         _, a, _ = _one_trial(map_, NoiseSchedule(beta=1.0), np.ones(2), horizon=30, seed=77)
         _, b, _ = _one_trial(map_, NoiseSchedule(beta=1.0), np.ones(2), horizon=30, seed=77)
         np.testing.assert_array_equal(a, b)
@@ -219,7 +219,7 @@ class TestAggregateExceedance:
 
     def test_diverged_trials_count_as_exceeding(self):
         metric = LyapunovMetric.identity(1)
-        blow_up = ContractionMap.explicit(lambda e: 4.0 * np.eye(1), metric)
+        blow_up = ContractionMap(metric, matrix_fn=lambda e: 4.0 * np.eye(1))
         stats, errors, diverged_at = _one_trial(
             blow_up, ZERO_NOISE, np.array([1.0]), horizon=30, seed=3, divergence_cap=1e6,
         )
@@ -250,7 +250,7 @@ class TestRunDynamicsTrials:
 
     def test_leading_trials_do_not_depend_on_the_trial_count(self):
         metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
+        map_ = ContractionMap(metric, ContractionFn())
         noise = NoiseSchedule(beta=1.0)
         many, few = (
             run_dynamics_trials(
@@ -264,7 +264,7 @@ class TestRunDynamicsTrials:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap.scaled_identity(ContractionFn.example_sqrt(), metric)
+        map_ = ContractionMap(metric, ContractionFn())
         noise = NoiseSchedule(beta=1.0)
         runs = []
         for workers in ("1", "2"):
@@ -281,15 +281,13 @@ class TestRunDynamicsTrials:
         [
             {"horizon": -1},
             {"horizon": 2.5},
-            {"map_": ContractionMap.explicit(lambda e: np.eye(3), LyapunovMetric.identity(2))},
+            {"map_": ContractionMap(LyapunovMetric.identity(2), matrix_fn=lambda e: np.eye(3))},
         ],
         ids=["negative-horizon", "fractional-horizon", "wrong-matrix-shape"],
     )
     def test_invalid_run_is_rejected(self, kwargs):
         args = {
-            "map_": ContractionMap.scaled_identity(
-                ContractionFn.example_sqrt(), LyapunovMetric.identity(2)
-            ),
+            "map_": ContractionMap(LyapunovMetric.identity(2), ContractionFn()),
             "noise": ZERO_NOISE,
             "e0": np.ones(2),
             "horizon": 3,
@@ -424,7 +422,7 @@ class TestRunWorkflowFiltered:
 
 
 def _run_lambda_map():
-    map_ = ContractionMap.explicit(lambda e: 0.5 * np.eye(2), LyapunovMetric.identity(2))
+    map_ = ContractionMap(LyapunovMetric.identity(2), matrix_fn=lambda e: 0.5 * np.eye(2))
     run_dynamics_trials(
         map_, ZERO_NOISE, np.ones(2), horizon=2, trials=300, rng=RngState(seed=1),
     )

@@ -176,6 +176,37 @@ class TestConfigParsing:
         training = [f.name for f in dataclasses.fields(type(config.training))]
         assert list(echo["training"]) == training
 
+    @pytest.mark.parametrize(
+        "section, chash",
+        [
+            # example-sqrt reads none of alpha, level and c_max
+            ({"kind": "example-sqrt", "c_max": 5, "level": -3, "alpha": -1}, "60edcff20de5"),
+            ({"kind": "quadratic"}, "3201dd1b2c7e"),
+            ({"kind": "constant"}, "ab21dfdb5683"),
+            ({"kind": "constant", "level": 0}, "6ebe5a6b9997"),
+            ({"kind": "constant", "level": 0.3, "c_max": 5}, "7c1f8a21d680"),
+        ],
+    )
+    def test_contraction_section_accepts_and_hashes(self, section, chash):
+        raw = {"scenario": "dynamics", "seed": 3, "contraction": section}
+        assert config_hash(ExperimentConfig.from_dict(raw)) == chash
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"kind": "quadratic", "c_max": 1}, "c_max must lie in (0, 1)"),
+            ({"kind": "quadratic", "alpha": 0}, "alpha must be positive"),
+            ({"kind": "constant", "level": 1}, "level must lie in [0, 1)"),
+            ({"kind": "constant", "level": -0.1}, "level must lie in [0, 1)"),
+            ({"kind": "quadratic-clamped"}, "unknown contraction.kind 'quadratic-clamped'"),
+        ],
+    )
+    def test_contraction_section_rejects(self, section, message):
+        raw = {"scenario": "dynamics", "seed": 3, "contraction": section}
+        with pytest.raises(InputValidationError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == message
+
     def test_null_sections_take_their_defaults(self):
         config = ExperimentConfig.from_dict(
             {"scenario": "dynamics", "seed": 1, "concentration": None}

@@ -22,6 +22,7 @@ from collapseguard.filtering import (
     FilterParams,
     LabeledDataset,
     TrainConfig,
+    TrainingSpec,
     adam_step,
     anchors_from_dataset,
     content_hash,
@@ -257,15 +258,14 @@ class TestForward:
 
 
 class TestLosses:
-    def _config(self, e_est, **overrides):
+    def _config(self, e_est, **training):
         model, theta_good = _gaussian(1)
-        defaults = dict(
+        return TrainConfig(
             theta_good=theta_good,
             metric=LyapunovMetric.identity(1),
             e_est=np.array([e_est]),
+            training=TrainingSpec(**training),
         )
-        defaults.update(overrides)
-        return TrainConfig(**defaults)
 
     def test_uninformative_scores_give_log_two_cross_entropy(self):
         ds = _dataset([[0.0], [1.0], [2.0], [3.0]], [1, 0, 1, 0])
@@ -337,12 +337,6 @@ class TestLosses:
         parts = loss_gradient(params, ds, config)[0]
         np.testing.assert_allclose(parts.ess_part, expected, rtol=1e-12)
 
-    def test_config_rejects_negative_loss_weights(self):
-        with pytest.raises(InputValidationError):
-            self._config(e_est=1.0, lambda_contract=-0.1)
-        with pytest.raises(InputValidationError):
-            self._config(e_est=1.0, ess_weight=-0.5)
-
     def test_config_rejects_metric_model_dimension_mismatch(self):
         _, theta_good = _gaussian(2)
         with pytest.raises(InputValidationError):
@@ -390,8 +384,7 @@ class TestLossGradient:
             theta_good=theta_good,
             metric=LyapunovMetric(np.array([[2.0, 0.3], [0.3, 1.0]])),
             e_est=e_est,
-            lambda_contract=1.7,
-            ess_weight=0.3,
+            training=TrainingSpec(lambda_contract=1.7, ess_weight=0.3),
         )
         params = init_filter_params(2, 3, rng)
         return params, ds, config
@@ -418,9 +411,10 @@ class TestLossGradient:
         from dataclasses import replace
 
         params, ds, config = self._random_case(99, active_hinge=False)
-        config = replace(config, ess_weight=0.0)
+        config = replace(config, training=replace(config.training, ess_weight=0.0))
         with_hinge = loss_gradient(params, ds, config)[1]
-        without = loss_gradient(params, ds, replace(config, lambda_contract=0.0))[1]
+        no_hinge = replace(config.training, lambda_contract=0.0)
+        without = loss_gradient(params, ds, replace(config, training=no_hinge))[1]
         np.testing.assert_array_equal(with_hinge.w1, without.w1)
         np.testing.assert_array_equal(with_hinge.w2, without.w2)
         assert with_hinge.b2 == without.b2
@@ -431,8 +425,7 @@ class TestLossGradient:
             theta_good=theta_good,
             metric=LyapunovMetric.identity(1),
             e_est=np.array([10.0]),
-            lambda_contract=0.0,
-            ess_weight=0.0,
+            training=TrainingSpec(lambda_contract=0.0, ess_weight=0.0),
         )
         ds = _dataset([[0.5], [1.5], [2.5], [3.5]], [1, 0, 1, 0])
         grad = loss_gradient(_zero_params(), ds, config)[1]
@@ -485,18 +478,16 @@ class TestTrainFilter:
     def _config(self, ds, **overrides):
         model = ExpFamilyModel(GAUSSIAN, 1)
         theta_good = Parameter(np.array([-2.0]), model)
-        defaults = dict(
+        training = dict(
+            lambda_contract=0.0, ess_weight=0.0, learning_rate=0.05, epochs=150, hidden_dim=8
+        )
+        training.update(overrides)
+        return TrainConfig(
             theta_good=theta_good,
             metric=LyapunovMetric.identity(1),
             e_est=estimate(model, ds.points).theta - theta_good.theta,
-            lambda_contract=0.0,
-            ess_weight=0.0,
-            learning_rate=0.05,
-            epochs=150,
-            hidden_dim=8,
+            training=TrainingSpec(**training),
         )
-        defaults.update(overrides)
-        return TrainConfig(**defaults)
 
     def test_separable_clusters_are_classified_nearly_perfectly(self):
         ds = self._separable_dataset()
@@ -679,19 +670,36 @@ class TestFilterHandle:
             FilterHandle.all_ones().weights(np.zeros(3))
 
 
+class TestTrainingSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lambda_contract", -0.1),
+            ("ess_weight", -0.5),
+            ("learning_rate", 0.0),
+            ("epochs", -1),
+            ("epochs", 2.5),
+            ("hidden_dim", 0),
+            ("hidden_dim", 1.5),
+            ("rounds", 0),
+            ("contamination", 1.0),
+            ("drift_scale", -0.5),
+            ("candidates_per_round", 1),
+        ],
+    )
+    def test_out_of_range_fields_are_rejected(self, field, value):
+        with pytest.raises(InputValidationError):
+            TrainingSpec(**{field: value})
+
+
 class TestDriftTrainingData:
     def _run(self, **overrides):
         model, theta_star = _gaussian(2)
-        defaults = dict(
-            model=model,
-            theta_star=theta_star,
-            rounds=3,
-            candidates_per_round=50,
-            contamination=0.3,
-            rng=RngState(seed=123),
-        )
-        defaults.update(overrides)
-        return simulate_drift_training_data(**defaults), defaults["model"], defaults["theta_star"]
+        rng = overrides.pop("rng", RngState(seed=123))
+        training = dict(rounds=3, candidates_per_round=50, contamination=0.3)
+        training.update(overrides)
+        spec = TrainingSpec(**training)
+        return simulate_drift_training_data(model, theta_star, spec, rng), model, theta_star
 
     def test_shapes_and_label_counts_per_round(self):
         (datasets, trace), model, theta_star = self._run()
@@ -721,15 +729,7 @@ class TestDriftTrainingData:
             np.testing.assert_array_equal(ds_a.points, ds_b.points)
             np.testing.assert_array_equal(ds_a.labels, ds_b.labels)
 
-    def test_invalid_arguments_are_rejected(self):
-        with pytest.raises(InputValidationError):
-            self._run(rounds=0)
-        with pytest.raises(InputValidationError):
-            self._run(contamination=1.0)
-        with pytest.raises(InputValidationError):
-            self._run(drift_scale=-0.5)
-        with pytest.raises(InputValidationError):
-            self._run(candidates_per_round=1)
+    def test_a_plain_generator_is_rejected(self):
         with pytest.raises(InputValidationError):
             self._run(rng=np.random.default_rng(0))
 
@@ -740,10 +740,8 @@ class TestDriftTrainingData:
             simulate_drift_training_data(
                 model,
                 Parameter(np.zeros(2), other),
-                rounds=1,
-                candidates_per_round=4,
-                contamination=0.0,
-                rng=RngState(seed=0),
+                TrainingSpec(rounds=1, candidates_per_round=4, contamination=0.0),
+                RngState(seed=0),
             )
 
 
