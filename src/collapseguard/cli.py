@@ -176,11 +176,8 @@ def main(argv=None) -> int:
     except CheckFailureError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
-    except CollapseGuardError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (CollapseGuardError, OSError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -262,45 +262,25 @@ def check_regulation(
 # ---------------------------------------------------------------------------
 
 
-def power_law_bounds(steps: int, beta: float, scale: float = 1.0) -> np.ndarray:
-    """b_t = scale * (t+1)^(-beta) for t = 0..steps-1."""
-    if steps < 0:
-        raise InputValidationError("steps must be nonnegative")
-    if beta < 0.0 or scale < 0.0:
-        raise InputValidationError("beta and scale must be nonnegative")
-    t = np.arange(1, steps + 1, dtype=float)
-    return scale * t**-beta if beta > 0.0 else np.full(steps, scale)
-
-
-def constant_bounds(steps: int, level: float) -> np.ndarray:
-    if level < 0.0:
-        raise InputValidationError("level must be nonnegative")
-    return np.full(steps, float(level))
-
-
-def recurrence_simulate(f: RegulatorFn, x0: float, noise_bounds, steps: int) -> np.ndarray:
+def recurrence_simulate(f: RegulatorFn, x0: float, noise, steps: int) -> np.ndarray:
     """Iterate x_{t+1} = max(0, x_t - f(x_t) + b_t) for ``steps`` updates.
 
-    Returns the full trajectory of length steps+1 including x0. With all
-    bounds zero the sequence is monotone nonincreasing and stays
-    nonnegative by construction.
+    The forcing b_t is ``noise.sigma_sq_array(0, steps)``: a
+    ``dynamics.NoiseSchedule``, the noise energy of the vector dynamics.
+    Returns the full trajectory of length steps+1 including x0. Under zero
+    noise the sequence is monotone nonincreasing and stays nonnegative by
+    construction.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise InputValidationError("steps must be a nonnegative integer")
     if not np.isfinite(x0) or x0 < 0.0:
         raise InputValidationError("x0 must be finite and nonnegative")
-    bounds = np.asarray(noise_bounds, dtype=float)
-    if bounds.ndim != 1 or bounds.shape[0] < steps:
-        raise InputValidationError(f"noise_bounds must supply at least {steps} values")
-    if np.any(bounds[:steps] < 0.0) or not np.all(np.isfinite(bounds[:steps])):
-        raise InputValidationError("noise_bounds must be finite and nonnegative")
 
     fv = f.scalar_fn()
     out = np.empty(steps + 1)
     out[0] = x = float(x0)
-    blist = bounds[:steps].tolist()
-    for t in range(steps):
-        x = x - fv(x) + blist[t]
+    for t, b in enumerate(noise.sigma_sq_array(0, steps).tolist()):
+        x = x - fv(x) + b
         if x < 0.0:
             x = 0.0
         out[t + 1] = x

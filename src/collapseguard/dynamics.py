@@ -70,7 +70,8 @@ class NoiseSchedule:
 
     ``power-law`` decays as scale * (t+1)^(-beta) and satisfies the
     vanishing-noise assumption; ``constant`` does not and exists as a
-    negative control; ``zero`` draws nothing at all.
+    negative control; ``zero`` draws nothing at all. The same schedule is
+    the forcing b_t of the scalar recurrence (contraction.recurrence_simulate).
     """
 
     kind: str = POWER_LAW
@@ -80,10 +81,10 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.kind not in (ZERO, POWER_LAW, CONSTANT):
             raise InputValidationError(f"unknown noise schedule kind {self.kind!r}")
-        if self.kind == POWER_LAW and self.beta <= 0.0:
+        if self.kind == POWER_LAW and not self.beta > 0.0:
             raise InputValidationError("power-law beta must be positive")
-        if self.scale < 0.0:
-            raise InputValidationError("scale must be nonnegative")
+        if not 0.0 <= self.scale < math.inf:
+            raise InputValidationError("scale must be finite and nonnegative")
 
     def sigma_sq_array(self, start: int, stop: int) -> np.ndarray:
         t = np.arange(start, stop, dtype=float)

@@ -24,11 +24,9 @@ from .contraction import (
     ContractionMap,
     LyapunovMetric,
     RegulatorFn,
-    constant_bounds,
     fit_decay_rate,
     limsup_bound,
     measure_concentration,
-    power_law_bounds,
     recurrence_simulate,
 )
 from .dynamics import (
@@ -50,7 +48,6 @@ from .filtering import (
     forward_batch,
     load_filter_checkpoint,
     loss_gradient,
-    merge_datasets,
     read_json_object,
     save_filter_checkpoint,
     simulate_drift_training_data,
@@ -138,6 +135,9 @@ def _parse_value(hint, raw, name: str):
     if hint is int:
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise InputValidationError(f"{name} must be an integer")
+        # seed is unsigned 64-bit and checked by ExperimentConfig
+        if name != "seed" and not -(2**63) <= raw < 2**63:
+            raise InputValidationError(f"{name} does not fit in a 64-bit integer")
         return int(raw)
     if hint is float:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
@@ -223,6 +223,8 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class RatesSpec:
+    """The ``rates`` section; ``regulator`` and ``noise`` are built from it on parse."""
+
     kind: str = "power-law"
     p: float = 2.0
     c1: float = 1.0
@@ -243,17 +245,10 @@ class RatesSpec:
             raise InputValidationError("rates.steps must be at least 2")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise InputValidationError("rates.tail_fraction must lie in (0, 1]")
-        self.build_regulator()
-
-    def build_regulator(self) -> RegulatorFn:
-        return RegulatorFn(self.kind, self.p, self.c1, self.c2)
-
-    def build_bounds(self) -> np.ndarray:
-        if self.noise_kind == "zero":
-            return constant_bounds(self.steps, 0.0)
-        if self.noise_kind == "constant":
-            return constant_bounds(self.steps, self.noise_scale)
-        return power_law_bounds(self.steps, self.noise_beta, self.noise_scale)
+        object.__setattr__(self, "regulator", RegulatorFn(self.kind, self.p, self.c1, self.c2))
+        object.__setattr__(
+            self, "noise", NoiseSchedule(self.noise_kind, self.noise_beta, self.noise_scale)
+        )
 
     def expected_slope(self) -> float | None:
         """Theoretical tail decay exponent, when the theory pins one down."""
@@ -320,6 +315,8 @@ class ExperimentConfig:
             raise InputValidationError("initial_error length must equal model.dim")
         if self.scenario == "workflow-filtered" and self.filter.kind == "none":
             raise InputValidationError("workflow-filtered requires filter.kind != 'none'")
+        if self.scenario == "workflow" and self.filter.kind != "none":
+            raise InputValidationError("workflow requires filter.kind 'none'; use workflow-filtered")
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
@@ -545,8 +542,7 @@ def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int, blocks: int = 20
 
 def _run_workflow(config: ExperimentConfig, chash: str):
     model, theta_star = config.model.build()
-    handle = config.filter.build(theta_star)
-    filtered = handle is not None
+    scenario = config.scenario
     stats = run_workflow_trials(
         model,
         theta_star,
@@ -555,10 +551,10 @@ def _run_workflow(config: ExperimentConfig, chash: str):
         config.trials,
         RngState(config.seed),
         deltas=_merged_deltas(config),
-        filter_handle=handle,
-        candidates_per_round=config.filter.candidates_per_round if filtered else None,
+        # None for a plain workflow, whose filter.kind is "none"
+        filter_handle=config.filter.build(theta_star),
+        candidates_per_round=config.filter.candidates_per_round,
     )
-    scenario = "workflow-filtered" if filtered else "workflow"
     table = _stats_table(scenario, stats, config.trials, chash)
 
     half = config.horizon // 2
@@ -573,7 +569,7 @@ def _run_workflow(config: ExperimentConfig, chash: str):
         "mse_slope_last_half": _slope(stats.ts[half:], stats.mse[half:]),
         "exceedance_final": {_fmt(d): float(stats.exceedance_at(d)[-1]) for d in config.deltas},
     }
-    if not filtered and config.schedule.kind == "constant":
+    if scenario == "workflow" and config.schedule.kind == "constant":
         summary["expected_final_mse"] = config.model.dim * config.horizon / config.schedule.base
         summary["expected_mse_slope"] = config.model.dim / config.schedule.base
     return table, summary
@@ -581,9 +577,7 @@ def _run_workflow(config: ExperimentConfig, chash: str):
 
 def _run_rates(config: ExperimentConfig, chash: str):
     spec = config.rates
-    f = spec.build_regulator()
-    bounds = spec.build_bounds()
-    traj = recurrence_simulate(f, spec.x0, bounds, spec.steps)
+    traj = recurrence_simulate(spec.regulator, spec.x0, spec.noise, spec.steps)
     try:
         slope, r_squared = fit_decay_rate(traj, spec.tail_fraction)
     except InputValidationError:
@@ -603,7 +597,7 @@ def _run_rates(config: ExperimentConfig, chash: str):
         "expected_slope": spec.expected_slope(),
     }
     if spec.noise_kind == "constant" and spec.noise_scale > 0.0:
-        summary["limsup_ceiling"] = limsup_bound(f, spec.noise_scale)
+        summary["limsup_ceiling"] = limsup_bound(spec.regulator, spec.noise_scale)
     return table, summary
 
 
@@ -638,8 +632,7 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
     spec = config.training
     rng = RngState(config.seed)
 
-    datasets, trace = simulate_drift_training_data(model, theta_star, spec, rng.derive(0))
-    pool = merge_datasets(datasets)
+    pool, trace = simulate_drift_training_data(model, theta_star, spec, rng.derive(0))
     n_total = len(pool)
     n_hold = int(round(spec.holdout_fraction * n_total))
     perm = rng.derive(1).generator().permutation(n_total)

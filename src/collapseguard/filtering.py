@@ -645,8 +645,8 @@ def simulate_drift_training_data(
     theta_star: expfam.Parameter,
     spec: TrainingSpec,
     rng: RngState,
-) -> tuple[list[LabeledDataset], np.ndarray]:
-    """Rounds of drifting candidate sets with distance-to-truth labels.
+) -> tuple[LabeledDataset, np.ndarray]:
+    """Rounds of drifting candidate sets with distance-to-truth labels, as one pool.
 
     ``spec`` supplies rounds, candidates_per_round, contamination and
     drift_scale. Each round draws a (1 - contamination) share of candidates from the
@@ -654,9 +654,9 @@ def simulate_drift_training_data(
     ``drift_scale`` along the fixed direction ones/sqrt(dim)); the next
     parameter is the plain estimate over all candidates, so the shifted
     pool drags the chain a little further every round. Labels mark the
-    nearest (1 - contamination) fraction to the true mean as good. Returns
-    the per-round datasets and the (rounds+1, dim) trace of natural
-    parameters, starting at theta_star.
+    nearest (1 - contamination) fraction of each round to the true mean as
+    good. Returns the rounds concatenated in round order and the
+    (rounds+1, dim) trace of natural parameters, starting at theta_star.
     """
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
@@ -670,7 +670,7 @@ def simulate_drift_training_data(
     n_bad = int(round(contamination * spec.candidates_per_round))
     n_good = spec.candidates_per_round - n_bad
 
-    datasets: list[LabeledDataset] = []
+    points, labels = [], []
     trace = np.empty((rounds + 1, d))
     current = theta_star
     trace[0] = current.theta
@@ -685,20 +685,12 @@ def simulate_drift_training_data(
             candidates = np.vstack([clean, shifted])
         else:
             candidates = clean
-        datasets.append(label_by_distance(candidates, theta_star, 1.0 - contamination))
+        labeled = label_by_distance(candidates, theta_star, 1.0 - contamination)
+        points.append(labeled.points)
+        labels.append(labeled.labels)
         current = expfam.estimate(model, candidates)
         trace[r + 1] = current.theta
-    return datasets, trace
-
-
-def merge_datasets(datasets) -> LabeledDataset:
-    """Concatenate per-round labeled datasets into one training pool."""
-    datasets = list(datasets)
-    if not datasets:
-        raise InputValidationError("need at least one dataset")
-    points = np.vstack([ds.points for ds in datasets])
-    labels = np.concatenate([ds.labels for ds in datasets])
-    return LabeledDataset(points, labels)
+    return LabeledDataset(np.vstack(points), np.concatenate(labels)), trace
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ from collapseguard.contraction import (
     LyapunovMetric,
     RegulatorFn,
     check_matrix_contraction,
-    constant_bounds,
     fit_decay_rate,
     limsup_bound,
     measure_concentration,
-    power_law_bounds,
     recurrence_simulate,
 )
+from collapseguard.dynamics import NoiseSchedule
 from collapseguard.expfam import GAUSSIAN, ExpFamilyModel, Parameter
 from collapseguard.experiments import (
     ExperimentConfig,
@@ -157,7 +156,7 @@ class TestAcceptanceCriteria:
         ok = True
         for p, beta, want in ((2.0, 1.0, -0.5), (2.0, 2.0, -1.0), (3.0, 3.0, -0.5)):
             f = RegulatorFn("power-law", p, 1.0)
-            traj = recurrence_simulate(f, 1.0, power_law_bounds(10**6, beta), 10**6)
+            traj = recurrence_simulate(f, 1.0, NoiseSchedule(beta=beta), 10**6)
             slope, _ = fit_decay_rate(traj, 0.9)
             measured.append(f"(p={p:g},b={beta:g})={slope:.3f}")
             ok = ok and abs(slope - want) <= 0.1
@@ -165,7 +164,7 @@ class TestAcceptanceCriteria:
         # linear pull: exponential phase at rate log(1 - c1), then the
         # noise floor takes over and decays at the bound's own exponent
         f1 = RegulatorFn("power-law", 1.0, 0.5)
-        traj = recurrence_simulate(f1, 1.0, power_law_bounds(10000, 2.0, scale=1e-6), 10000)
+        traj = recurrence_simulate(f1, 1.0, NoiseSchedule(beta=2.0, scale=1e-6), 10000)
         early = float(np.polyfit(np.arange(1, 16), np.log(traj[1:16]), 1)[0])
         tail, _ = fit_decay_rate(traj, 0.5)
         early_ok = abs(early - math.log(0.5)) <= 0.05
@@ -185,7 +184,7 @@ class TestAcceptanceCriteria:
         tails = []
         ok = abs(ceiling - 0.1) <= 1e-9
         for x0 in (0.5, 1.0, 10.0):
-            traj = recurrence_simulate(f, x0, constant_bounds(100000, 0.01), 100000)
+            traj = recurrence_simulate(f, x0, NoiseSchedule("constant", scale=0.01), 100000)
             tail_max = float(traj[-10000:].max())
             tails.append(f"x0={x0:g}:{tail_max:.8f}")
             ok = ok and tail_max <= 0.1 + 1e-6

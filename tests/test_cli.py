@@ -252,16 +252,17 @@ class TestScenarioCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "schedule, generation",
+        "schedule, expected",
         [
-            ({"kind": "power", "base": 10, "exponent": 50}, 3),
-            ({"kind": "power", "base": 10, "exponent": 1100}, 2),
-            ({"kind": "constant", "base": 10**20}, 0),
+            ({"kind": "power", "base": 10, "exponent": 50}, "schedule size at generation 3 "),
+            ({"kind": "power", "base": 10, "exponent": 1100}, "schedule size at generation 2 "),
+            # a base beyond int64 is refused when the config is parsed
+            ({"kind": "constant", "base": 10**20}, "schedule.base"),
         ],
         ids=["power-beyond-int64", "power-beyond-float", "base-beyond-int64"],
     )
     def test_schedule_beyond_int64_names_the_generation(
-        self, tmp_path, capsys, schedule, generation
+        self, tmp_path, capsys, schedule, expected
     ):
         config = _write_config(
             tmp_path / "config.json",
@@ -270,7 +271,7 @@ class TestScenarioCommands:
         rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"schedule size at generation {generation} " in err
+        assert expected in err
         assert "does not fit in a 64-bit integer" in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
@@ -286,6 +287,64 @@ class TestScenarioCommands:
         assert "candidates_per_round" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("train-filter", {"training": {"candidates_per_round": 10**23}},
+             "training.candidates_per_round"),
+            ("train-filter", {"training": {"rounds": 10**23}}, "training.rounds"),
+            ("train-filter", {"training": {"hidden_dim": 10**23}}, "training.hidden_dim"),
+            ("verify-rates", {"rates": {"steps": 10**23}}, "rates.steps"),
+            ("measure-concentration", {"concentration": {"sizes": [10**23]}},
+             "concentration.sizes[0]"),
+            ("simulate-dynamics", {"horizon": 10**23}, "horizon"),
+            ("simulate-dynamics", {"model": {"dim": 10**23}}, "model.dim"),
+        ],
+        ids=["candidates", "rounds", "hidden-dim", "rates-steps", "sizes", "horizon", "dim"],
+    )
+    def test_config_integer_beyond_int64_is_a_validation_failure(
+        self, tmp_path, capsys, command, config, field
+    ):
+        path = _write_config(tmp_path / "config.json", {"seed": 1, **config})
+        rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{field} does not fit in a 64-bit integer" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_plain_workflow_with_a_filter_is_refused_before_running(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "workflow", "seed": 1, "horizon": 20, "trials": 4,
+             "filter": {"kind": "oracle-pullback", "gamma": 0.5}},
+        )
+        rc = main(["simulate-workflow", "--config", config, "--check", "--out",
+                   str(tmp_path / "out")])
+        assert rc == 1
+        assert "use workflow-filtered" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 8.00 TiB for an array"),
+             "Unable to allocate 8.00 TiB for an array"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_running_out_of_memory_is_a_runtime_failure(
+        self, tmp_path, capsys, monkeypatch, error, message
+    ):
+        def exhausted(config):
+            raise error
+
+        monkeypatch.setattr("collapseguard.cli.run_experiment", exhausted)
+        rc = main(["simulate-dynamics", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
 
     @pytest.mark.parametrize(
         "field, value",

@@ -12,14 +12,13 @@ from collapseguard.contraction import (
     RegulatorFn,
     check_matrix_contraction,
     check_regulation,
-    constant_bounds,
     fit_decay_rate,
     limsup_bound,
     measure_concentration,
-    power_law_bounds,
     recurrence_simulate,
 )
 from collapseguard import expfam
+from collapseguard.dynamics import NoiseSchedule
 from collapseguard.errors import BoundaryError, InputValidationError
 from collapseguard.expfam import (
     BERNOULLI,
@@ -272,9 +271,18 @@ class TestRecurrenceSimulate:
     def test_geometric_decay_exact(self):
         """f(x) = 0.5 x with no forcing halves the state each step."""
         f = RegulatorFn("power-law", p=1, c1=0.5)
-        traj = recurrence_simulate(f, x0=1.0, noise_bounds=np.zeros(10), steps=10)
+        traj = recurrence_simulate(f, x0=1.0, noise=NoiseSchedule("zero"), steps=10)
         np.testing.assert_allclose(traj, 0.5 ** np.arange(11), rtol=1e-15)
         assert traj[10] == pytest.approx(9.765625e-4, rel=1e-12)
+
+    def test_forcing_is_the_schedules_noise_energy(self):
+        """x_{t+1} = x_t / 2 + 3 (t+1)^(-2) under f(x) = x / 2."""
+        f = RegulatorFn("power-law", p=1, c1=0.5)
+        traj = recurrence_simulate(f, 1.0, NoiseSchedule(beta=2.0, scale=3.0), 4)
+        want = [1.0]
+        for t in range(4):
+            want.append(want[-1] / 2 + 3.0 / (t + 1) ** 2)
+        np.testing.assert_allclose(traj, want, rtol=1e-15)
 
     def test_zero_forcing_is_monotone_nonincreasing(self):
         for f in (
@@ -282,22 +290,15 @@ class TestRecurrenceSimulate:
             RegulatorFn("power-law", p=2, c1=1.0),
             RegulatorFn("power-law", p=3, c1=0.2),
         ):
-            traj = recurrence_simulate(f, x0=5.0, noise_bounds=np.zeros(500), steps=500)
+            traj = recurrence_simulate(f, x0=5.0, noise=NoiseSchedule("zero"), steps=500)
             assert np.all(np.diff(traj) <= 0.0)
             assert np.all(traj >= 0.0)
 
     def test_trajectory_length_and_start(self):
         f = RegulatorFn("power-law", p=2, c1=1.0)
-        traj = recurrence_simulate(
-            f, x0=2.0, noise_bounds=power_law_bounds(50, beta=1.0), steps=50
-        )
+        traj = recurrence_simulate(f, x0=2.0, noise=NoiseSchedule(beta=1.0), steps=50)
         assert traj.shape == (51,)
         assert traj[0] == 2.0
-
-    def test_bound_sequence_shorter_than_steps_rejected(self):
-        f = RegulatorFn("power-law", p=2, c1=1.0)
-        with pytest.raises(InputValidationError):
-            recurrence_simulate(f, x0=1.0, noise_bounds=np.zeros(5), steps=10)
 
 
 class TestFitDecayRate:
@@ -349,7 +350,7 @@ class TestLimsupBound:
         ceiling = limsup_bound(f, 0.01)
         for x0 in (0.5, 1.0, 10.0):
             traj = recurrence_simulate(
-                f, x0=x0, noise_bounds=constant_bounds(steps, 0.01), steps=steps
+                f, x0=x0, noise=NoiseSchedule("constant", scale=0.01), steps=steps
             )
             tail = traj[-steps // 10:]
             assert tail.max() <= ceiling + 1e-6
@@ -360,7 +361,7 @@ class TestRecurrenceRates:
         """Forcing (t+1)^(-1) against f(x) = x^2 settles on the -1/2 power."""
         f = RegulatorFn("power-law", p=2, c1=1.0)
         traj = recurrence_simulate(
-            f, x0=1.0, noise_bounds=power_law_bounds(1_000_000, beta=1.0),
+            f, x0=1.0, noise=NoiseSchedule(beta=1.0),
             steps=1_000_000,
         )
         slope, r_squared = fit_decay_rate(traj)

@@ -1,5 +1,6 @@
 """Tests for the error-dynamics and recursive-training workflow simulators."""
 
+import math
 import re
 
 import numpy as np
@@ -109,6 +110,20 @@ class TestNoiseSchedule:
             sigma_sq = schedule.sigma_sq_array(t, t + 1)[0]
             stderr = sigma_sq * np.sqrt(2.0 / 2.0) / np.sqrt(n)
             assert abs(energy.mean() - sigma_sq) <= 5.0 * stderr
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scale": math.inf},
+            {"scale": math.nan},
+            {"kind": "constant", "scale": -1.0},
+            {"beta": 0.0},
+            {"beta": math.nan},
+        ],
+    )
+    def test_non_finite_or_negative_levels_are_rejected(self, kwargs):
+        with pytest.raises(InputValidationError):
+            NoiseSchedule(**kwargs)
 
     def test_replay_determinism(self):
         schedule = NoiseSchedule(beta=1.0)

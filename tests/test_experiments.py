@@ -9,6 +9,8 @@ import stat
 import numpy as np
 import pytest
 
+from collapseguard.contraction import RegulatorFn
+from collapseguard.dynamics import NoiseSchedule
 from collapseguard.errors import CheckFailureError, InputValidationError
 from collapseguard.experiments import (
     ConcentrationSpec,
@@ -206,6 +208,47 @@ class TestConfigParsing:
         with pytest.raises(InputValidationError) as info:
             ExperimentConfig.from_dict(raw)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"noise_kind": "power-law", "noise_beta": -1}, "power-law beta must be positive"),
+            ({"noise_kind": "power-law", "noise_beta": 0}, "power-law beta must be positive"),
+            ({"noise_kind": "zero", "noise_scale": -1}, "scale must be finite and nonnegative"),
+            ({"noise_kind": "constant", "noise_scale": -1}, "scale must be finite and nonnegative"),
+            ({"noise_kind": "power-law", "noise_scale": -1}, "scale must be finite and nonnegative"),
+            ({"noise_kind": "white"}, "unknown rates.noise_kind 'white'"),
+            ({"kind": "cubic"}, "unknown rates.kind 'cubic'"),
+        ],
+    )
+    def test_rates_noise_is_checked_as_a_schedule_at_parse_time(self, section, message):
+        raw = {"scenario": "rates", "seed": 1, "rates": section}
+        with pytest.raises(InputValidationError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == message
+
+    def test_rates_section_builds_its_schedule_and_regulator(self):
+        rates = ExperimentConfig.from_dict(_full_config_dict()).rates
+        assert rates.noise == NoiseSchedule("power-law", beta=3.0, scale=0.5)
+        assert rates.regulator == RegulatorFn("power-law", p=3.0, c1=0.5, c2=2.0)
+
+    @pytest.mark.parametrize(
+        "override, name",
+        [
+            ({"horizon": 2**63}, "horizon"),
+            ({"model": {"dim": -(2**63) - 1}}, "model.dim"),
+            ({"concentration": {"sizes": [1, 10**23]}}, "concentration.sizes[1]"),
+        ],
+    )
+    def test_integers_beyond_int64_are_rejected_by_name(self, override, name):
+        raw = {"scenario": "dynamics", "seed": 1, **override}
+        with pytest.raises(InputValidationError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == f"{name} does not fit in a 64-bit integer"
+
+    def test_the_largest_unsigned_seed_is_accepted(self):
+        config = ExperimentConfig.from_dict({"scenario": "dynamics", "seed": 2**64 - 1})
+        assert config.seed == 2**64 - 1
 
     def test_null_sections_take_their_defaults(self):
         config = ExperimentConfig.from_dict(

@@ -32,7 +32,6 @@ from collapseguard.filtering import (
     label_by_distance,
     load_filter_checkpoint,
     loss_gradient,
-    merge_datasets,
     oracle_pullback_weights,
     save_filter_checkpoint,
     simulate_drift_training_data,
@@ -702,17 +701,21 @@ class TestDriftTrainingData:
         return simulate_drift_training_data(model, theta_star, spec, rng), model, theta_star
 
     def test_shapes_and_label_counts_per_round(self):
-        (datasets, trace), model, theta_star = self._run()
-        assert len(datasets) == 3 and trace.shape == (4, 2)
+        (pool, trace), model, theta_star = self._run()
+        assert pool.points.shape == (150, 2) and trace.shape == (4, 2)
         np.testing.assert_array_equal(trace[0], theta_star.theta)
-        for ds in datasets:
-            assert len(ds) == 50
-            assert int(ds.labels.sum()) == 35
+        for r in range(3):
+            assert int(pool.labels[50 * r : 50 * (r + 1)].sum()) == 35
+
+    def test_rounds_are_pooled_in_round_order(self):
+        (pool, _), _, _ = self._run()
+        (first, _), _, _ = self._run(rounds=1)
+        np.testing.assert_array_equal(pool.points[:50], first.points)
+        np.testing.assert_array_equal(pool.labels[:50], first.labels)
 
     def test_clean_rounds_label_everything_good(self):
-        (datasets, _), _, _ = self._run(contamination=0.0)
-        for ds in datasets:
-            assert int(ds.labels.sum()) == len(ds)
+        (pool, _), _, _ = self._run(contamination=0.0)
+        assert pool.labels.tolist() == [1] * 150
 
     def test_contaminated_rounds_drag_the_chain_along_the_drift_direction(self):
         (_, trace), model, _ = self._run(
@@ -722,12 +725,11 @@ class TestDriftTrainingData:
         assert float((trace[-1] - trace[0]) @ direction) > 1.0
 
     def test_same_state_replays_identically(self):
-        (datasets_a, trace_a), _, _ = self._run(rng=RngState(seed=77))
-        (datasets_b, trace_b), _, _ = self._run(rng=RngState(seed=77))
+        (pool_a, trace_a), _, _ = self._run(rng=RngState(seed=77))
+        (pool_b, trace_b), _, _ = self._run(rng=RngState(seed=77))
         np.testing.assert_array_equal(trace_a, trace_b)
-        for ds_a, ds_b in zip(datasets_a, datasets_b):
-            np.testing.assert_array_equal(ds_a.points, ds_b.points)
-            np.testing.assert_array_equal(ds_a.labels, ds_b.labels)
+        np.testing.assert_array_equal(pool_a.points, pool_b.points)
+        np.testing.assert_array_equal(pool_a.labels, pool_b.labels)
 
     def test_a_plain_generator_is_rejected(self):
         with pytest.raises(InputValidationError):
@@ -745,18 +747,7 @@ class TestDriftTrainingData:
             )
 
 
-class TestMergeAndAnchors:
-    def test_merge_concatenates_in_round_order(self):
-        first = LabeledDataset(np.array([[0.0], [1.0]]), np.array([1, 0]))
-        second = LabeledDataset(np.array([[2.0]]), np.array([1]))
-        merged = merge_datasets([first, second])
-        np.testing.assert_array_equal(merged.points, np.array([[0.0], [1.0], [2.0]]))
-        assert merged.labels.tolist() == [1, 0, 1]
-
-    def test_merge_rejects_an_empty_list(self):
-        with pytest.raises(InputValidationError):
-            merge_datasets([])
-
+class TestAnchors:
     def test_anchors_match_direct_estimates(self):
         model, _ = _gaussian(2)
         rng = np.random.default_rng(41)
