@@ -2,7 +2,8 @@
 
 Two batched entry points share one trajectory format. ``run_dynamics_trials``
 iterates e_{t+1} = A(e_t) e_t + xi_t, with martingale-difference noise
-whose P-energy follows a schedule, for a whole block of trials per step.
+whose P-energy follows a schedule, for a whole group of trial blocks per
+step.
 ``run_workflow_trials`` re-fits an exponential family on its own samples
 each generation, with or without a reweighting filter in the loop, which
 is where estimation error actually comes from. Its kernel is
@@ -12,9 +13,11 @@ batched fit advances them all.
 
 Both fan one base RngState out into one independent stream per trial
 (trial i draws only from ``rng.derive(i)``) and run fixed 256-trial blocks.
-Dynamics runs reduce block by block; workflow runs add their statistics
-one trial at a time in trial order. Either way results do not depend on
-how many workers ran the trials."""
+A dynamics job advances a contiguous group of blocks in lockstep, as one
+state, and still reduces per block; the block sums are folded in block
+order. A workflow job runs one block and adds its statistics one trial at
+a time in trial order. Either way results do not depend on how many
+workers ran the trials."""
 
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ WORKERS_ENV_VAR = "COLLAPSEGUARD_WORKERS"
 
 _BLOCK = 256
 _CHUNK = 2048
+_LOCKSTEP = 8  # most blocks one dynamics job advances together; keeps a chunk >= 256 steps
 
 
 def worker_count() -> int:
@@ -231,18 +235,22 @@ def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -
 # ---------------------------------------------------------------------------
 
 
-def _run_blocks(block_fn, args: tuple, trials: int):
-    """Yield ``block_fn((args, lo, hi))`` for each 256-trial block, in trial order.
+def _run_blocks(block_fn, args: tuple, trials: int, max_group: int = 1):
+    """Yield ``block_fn((args, lo, hi))`` for each job, in trial order.
 
-    The worker count comes from ``COLLAPSEGUARD_WORKERS``. The fixed blocks,
-    not the workers, set the reduction order, so any worker count gives the
-    same result. The caller folds each block as it arrives, so a serial run
-    holds one block's results at a time. When a pool is used (more than one
-    worker and more than one block), the first job is pickled up front so
+    A job is a contiguous group of 256-trial blocks: as many as spreads the
+    blocks evenly over the workers, at most ``max_group``. The worker count
+    comes from ``COLLAPSEGUARD_WORKERS``. The fixed blocks, not the workers
+    or the groups, set the reduction order, so any worker count gives the
+    same result. The caller folds each job as it arrives, so a serial run
+    holds one job's results at a time. When a pool is used (more than one
+    worker and more than one job), the first job is pickled up front so
     that work which cannot reach a worker process fails with a named error.
     """
     workers = worker_count()
-    jobs = [(args, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    blocks = -(-trials // _BLOCK)
+    rows = _BLOCK * min(max_group, -(-blocks // workers))
+    jobs = [(args, lo, min(lo + rows, trials)) for lo in range(0, trials, rows)]
     if workers < 2 or len(jobs) < 2:
         yield from map(block_fn, jobs)
         return
@@ -267,76 +275,158 @@ def _check_run(rng, trials: int, horizon) -> int:
     return int(horizon)
 
 
+def _check_recording(trials: int, horizon: int, dim: int) -> None:
+    """Refuse, before any draw, error paths too large for memory or for an array index."""
+    shape = (int(trials), int(horizon) + 1, int(dim))
+    size = math.prod(shape) * 8
+    limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), np.iinfo(np.intp).max)
+    if size > limit:
+        raise InputValidationError(
+            f"recorded trajectories of shape {shape} need {size} bytes, beyond the {limit} "
+            f"that physical memory and the array index range allow; record fewer trials "
+            f"or a shorter horizon"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Abstract dynamics
 # ---------------------------------------------------------------------------
 
 
-def _dynamics_block(job):
-    """Simulate one contiguous block of trials, batched across trials.
+def _block_sums(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the sum of each 256-entry slice of ``x`` (the last may be short) to ``out``.
 
-    Each step draws xi_t with E[xi' P xi] = sigma_t^2 in the map's metric P.
-    A trial freezes once V exceeds the cap; a state that becomes non-finite
-    raises SimulationOverflowError with its step. Returns the block's
-    per-step sums, its divergence steps (inf if never) and, when recording,
-    its (trials, horizon+1, dim) error paths.
+    Each sum is the pairwise sum ``x[lo:hi].sum()`` gives, so grouping blocks
+    does not move a bit.
+    """
+    cut = x.shape[0] - x.shape[0] % _BLOCK
+    out[: cut // _BLOCK] = x[:cut].reshape(-1, _BLOCK).sum(axis=1)
+    if cut < x.shape[0]:
+        out[-1] = x[cut:].sum()
+
+
+def _dynamics_block(job):
+    """Simulate a contiguous group of 256-trial blocks in lockstep, batched across trials.
+
+    The group advances as one (rows, dim) state and still reduces per
+    256-trial block. Each step draws xi_t with E[xi' P xi] = sigma_t^2 in the
+    map's metric P; every trial draws from its own stream, in chunks of at
+    most ``_BLOCK * _CHUNK`` (trial, step) pairs. A trial freezes once V
+    exceeds the cap; until the first one does, the whole state is updated
+    without a gather. A state that becomes non-finite raises
+    SimulationOverflowError with the step at which its lowest block lost
+    it, the error running the blocks one after another meets first.
+    Returns the per-block, per-step sums of ||e||^2 and V, each (blocks,
+    horizon+1), the group's exceedance counts, its divergence steps (inf if
+    never) and, when recording, its (rows, horizon+1, dim) error paths.
     """
     (map_, noise, e0, horizon, rng, ds, cap, record), trial_lo, trial_hi = job
     metric = map_.metric
     dim = metric.dim
-    b = trial_hi - trial_lo
+    rows = trial_hi - trial_lo
+    blocks = -(-rows // _BLOCK)
     gens = [rng.derive(i).generator() for i in range(trial_lo, trial_hi)]
-    e_state = np.tile(e0, (b, 1))
-    diverged = np.full(b, np.inf)
+    e_state = np.tile(e0, (rows, 1))
+    diverged = np.full(rows, np.inf)
     n = horizon + 1
-    sum_sq = np.zeros(n)
-    sum_v = np.zeros(n)
+    sum_sq = np.zeros((blocks, n))
+    identity = metric.is_identity
+    sum_v = sum_sq if identity else np.zeros((blocks, n))
     exceed = np.zeros((len(ds), n))
-    records = np.empty((b, n, dim)) if record else None
+    records = np.empty((rows, n, dim)) if record else None
+    frozen = False  # whether any trial has frozen, and so whether to gather the live ones
+    failure = None
 
     zero_noise = noise.kind == ZERO
-    identity = metric.is_identity
     c_transform = None if identity else metric.inverse_factor
+
+    # numpy multiplies a single row by a matrix through its matrix-vector path,
+    # whose last bits differ from the matrix-matrix path. So under a general P a
+    # trial that is the only one, or the only live one, of its block is
+    # evaluated on its own, as it is when its block runs by itself.
+    def alone(act):
+        """Positions in ``e_state[act]`` of the trials alone in their block there."""
+        if identity:
+            return []
+        if isinstance(act, slice):
+            return [rows - 1] if rows % _BLOCK == 1 and rows > 1 else []
+        owner = act // _BLOCK
+        return np.flatnonzero(np.bincount(owner)[owner] == 1) if act.size > 1 else []
 
     def fold(step):
         # one statistics pass per step; the V that is summed is the V that freezes
+        nonlocal frozen
         sq = np.einsum("ij,ij->i", e_state, e_state)
-        v = sq if identity else metric.values(e_state)
-        diverged[np.isinf(diverged) & (v > cap)] = step
-        sum_sq[step] = sq.sum()
-        sum_v[step] = v.sum()
+        _block_sums(sq, sum_sq[:, step])
+        v = sq
+        if not identity:
+            v = metric.values(e_state)
+            for i in alone(slice(None)):
+                v[i] = metric.values(e_state[i : i + 1])[0]
+            _block_sums(v, sum_v[:, step])
+        over = v > cap
+        if over.any():
+            diverged[over & np.isinf(diverged)] = step
+            frozen = True
         norms = np.sqrt(sq)
-        div_now = diverged <= step
+        div_now = diverged <= step if frozen else None
         for j, d in enumerate(ds):
-            exceed[j, step] = ((norms > d) | div_now).sum()
+            past = norms > d
+            if frozen:
+                past |= div_now
+            exceed[j, step] = np.count_nonzero(past)
         if record:
             records[:, step] = e_state
 
     fold(0)
+    # The same path transforms the draws of a one-step chunk. So, whatever the
+    # group size, the only one-step chunk is the last step of a horizon of
+    # 1 mod _CHUNK, where fixed _CHUNK-step chunks put it.
+    end = horizon - 1 if horizon % _CHUNK == 1 else horizon
     t = 0
     while t < horizon:
-        span = min(_CHUNK, horizon - t)
-        bufs = None
-        scales = None
+        stop = end if t < end else horizon
+        span = min(_CHUNK * _BLOCK // rows, stop - t)
+        if stop - t - span == 1:
+            span -= 1  # leave two steps, not one
         if not zero_noise:
-            bufs = np.empty((b, span, dim))
+            bufs = None  # release the last chunk before drawing the next
+            bufs = np.empty((rows, span, dim))
             for i, g in enumerate(gens):
-                bufs[i] = g.standard_normal((span, dim))
+                g.standard_normal(out=bufs[i])
             if c_transform is not None:
                 bufs = bufs @ c_transform.T
             scales = np.sqrt(noise.sigma_sq_array(t, t + span) / dim)
+            bufs *= scales[:, None]
         for k in range(span):
             step = t + k
-            act = np.flatnonzero(np.isinf(diverged))
-            if act.size:
-                updated = map_.apply_batch(e_state[act])
+            act = np.flatnonzero(np.isinf(diverged)) if frozen else slice(None)
+            if not frozen or act.size:
+                batch = e_state[act]
+                updated = map_.apply_batch(batch)
+                for i in alone(act):
+                    updated[i] = map_.apply_batch(batch[i : i + 1])[0]
                 if not zero_noise and scales[k] > 0.0:
-                    updated = updated + scales[k] * bufs[act, k, :]
-                if not np.all(np.isfinite(updated)):
-                    raise SimulationOverflowError(step + 1)
-                e_state[act] = updated
+                    updated += bufs[act, k]
+                if not np.isfinite(updated).all():
+                    # freeze this block and every later one for good (a step of -1);
+                    # a lower block may still fail first
+                    bad = ~np.isfinite(updated).all(axis=1)
+                    first = np.arange(rows)[act][bad][0]
+                    failure = SimulationOverflowError(step + 1)
+                    if first < _BLOCK:
+                        raise failure
+                    updated[bad] = 0.0
+                    diverged[first - first % _BLOCK :] = -1.0
+                    frozen = True
+                if isinstance(act, slice):
+                    e_state = updated
+                else:
+                    e_state[act] = updated
             fold(step + 1)
         t += span
+    if failure is not None:
+        raise failure
     return sum_sq, sum_v, exceed, diverged, records
 
 
@@ -355,16 +445,20 @@ def run_dynamics_trials(
 
     The noise energy sigma_t^2 is measured in the map's metric P. Trial i
     draws from ``rng.derive(i)``, so any partition of trials over workers
-    reproduces the serial result bit for bit (reduction happens in fixed
-    256-trial blocks). A trial freezes, and is marked diverged, once V
+    reproduces the serial result bit for bit: a job advances up to
+    ``_LOCKSTEP`` 256-trial blocks in lockstep, and the per-block sums are
+    folded in block order. A trial freezes, and is marked diverged, once V
     exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats, errors,
     diverged_at) when ``record_trajectories`` is set: the (trials,
     horizon+1, dim) error paths and each trial's divergence step, inf if
-    it never diverged.
+    it never diverged. A recording too large for this machine's memory is
+    refused before any draw.
     """
     horizon = _check_run(rng, trials, horizon)
     ds = _validate_deltas(deltas)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
+    if record_trajectories:
+        _check_recording(trials, horizon, map_.metric.dim)
 
     args = (map_, noise, e0, horizon, rng, ds, divergence_cap, record_trajectories)
     n = horizon + 1
@@ -372,9 +466,10 @@ def run_dynamics_trials(
     sum_v = np.zeros(n)
     exceed = np.zeros((len(ds), n))
     paths, frozen = [], []
-    for bsq, bv, bex, bdiv, brec in _run_blocks(_dynamics_block, args, trials):
-        sum_sq += bsq
-        sum_v += bv
+    for bsq, bv, bex, bdiv, brec in _run_blocks(_dynamics_block, args, trials, _LOCKSTEP):
+        for row_sq, row_v in zip(bsq, bv):
+            sum_sq += row_sq
+            sum_v += row_v
         exceed += bex
         paths.append(brec)
         frozen.append(bdiv)
@@ -505,7 +600,7 @@ def run_workflow_trials(
     recording e_t = theta_hat_t - theta_star with the identity-metric V.
     A trial freezes once V exceeds ``divergence_cap``. Returns TrialStats,
     or (TrialStats, errors, diverged_at) as ``run_dynamics_trials`` does
-    when ``record_trajectories`` is set.
+    when ``record_trajectories`` is set, with the same memory check.
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
@@ -522,6 +617,8 @@ def run_workflow_trials(
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
     ds = _validate_deltas(deltas)
+    if record_trajectories:
+        _check_recording(trials, horizon, model.dim)
 
     n = horizon + 1
     ts = np.arange(n)

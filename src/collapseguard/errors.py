@@ -29,6 +29,10 @@ class SimulationOverflowError(CollapseGuardError):
         self.step = step
         super().__init__(message or f"non-finite state at step {step}")
 
+    def __reduce__(self):
+        # pickled with its step, so that it comes back whole from a worker process
+        return type(self), (self.step, str(self))
+
 
 class CheckFailureError(CollapseGuardError):
     """An experiment ran fine but a requested acceptance check did not pass."""

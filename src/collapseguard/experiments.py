@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -89,7 +90,8 @@ def _parse_fields(cls, raw: dict, path: str):
 
     ``path`` is the section name, or "" at the top level. Unknown keys are
     rejected by name, fields without a default are required, and missing
-    fields take their defaults.
+    fields take their defaults. A section's own checks that fail are
+    reported under the section's name, unless their message already names it.
     """
     specs = fields(cls)
     label = path or "config"
@@ -106,7 +108,12 @@ def _parse_fields(cls, raw: dict, path: str):
         for f in specs
         if f.name in raw
     }
-    return cls(**values)
+    try:
+        return cls(**values)
+    except InputValidationError as exc:
+        if not path or re.search(rf"\b{re.escape(path)}\b", str(exc)):
+            raise
+        raise InputValidationError(f"{path}: {exc}") from exc
 
 
 def _parse_value(hint, raw, name: str):

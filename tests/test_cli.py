@@ -327,6 +327,27 @@ class TestScenarioCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("verify-rates", {"rates": {"noise_beta": 0}},
+             "rates: power-law beta must be positive"),
+            ("simulate-dynamics", {"noise": {"beta": 0}},
+             "noise: power-law beta must be positive"),
+            ("simulate-dynamics", {"contraction": {"kind": "quadratic", "c_max": 2}},
+             "contraction: c_max must lie in (0, 1)"),
+        ],
+        ids=["rates-noise-beta", "noise-beta", "contraction-c-max"],
+    )
+    def test_section_check_failure_names_the_section(
+        self, tmp_path, capsys, command, config, message
+    ):
+        path = _write_config(tmp_path / "config.json", {"seed": 1, **config})
+        rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "error, message",
         [
             (MemoryError("Unable to allocate 8.00 TiB for an array"),

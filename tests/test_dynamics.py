@@ -66,6 +66,11 @@ def _noise_increments(noise, dim, horizon, trials, seed, metric=None) -> np.ndar
     return np.diff(errors, axis=1)
 
 
+def _blow_up_past_2_5(e):
+    """A(e) that sends the state to infinity once its first coordinate passes 2.5."""
+    return np.diag([np.inf, np.inf]) if e[0] > 2.5 else np.zeros((2, 2))
+
+
 def _one_workflow(model, theta_star, schedule, horizon, seed, **kwargs):
     """One workflow trial as (errors, diverged_at); V is the squared error norm."""
     _, errors, diverged_at = run_workflow_trials(
@@ -290,6 +295,86 @@ class TestRunDynamicsTrials:
         one, two = runs
         np.testing.assert_array_equal(one.mse, two.mse)
         np.testing.assert_array_equal(one.exceedance_at(0.2), two.exceedance_at(0.2))
+
+    @pytest.mark.parametrize("freezing", ["few", "most"])
+    @pytest.mark.parametrize("trials", [1, 255, 257, 513, 1000])
+    def test_lockstep_grouping_does_not_change_results(self, trials, freezing, monkeypatch):
+        """Every worker count, and so every grouping of blocks into jobs, gives the same bits.
+
+        At dim 4 under a general P, numpy's matrix-vector path for a lone row
+        differs in its last bits from the matrix-matrix path. The cap freezes
+        either the few trials whose V peaks highest, in some blocks only, or
+        all but the lowest-peaking 2 %, so that blocks run down to one live
+        trial. At 1000 trials one worker draws 524-step chunks, which would
+        leave a one-step chunk at step 524 of the 525.
+        """
+        dim = 4
+        a = np.random.default_rng(3).standard_normal((dim, dim))
+        metric = LyapunovMetric(a @ a.T + 0.5 * np.eye(dim))
+        map_ = ContractionMap(metric, ContractionFn())
+        noise = NoiseSchedule("constant", scale=2.0)
+
+        def run(workers, cap):
+            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+            return run_dynamics_trials(
+                map_, noise, np.zeros(dim), horizon=525, trials=trials, rng=RngState(seed=8),
+                deltas=(0.5, 2.0), divergence_cap=cap, record_trajectories=True,
+            )
+
+        _, free, _ = run("1", np.inf)
+        peaks = np.sort(metric.values(free.reshape(-1, dim)).reshape(trials, -1).max(axis=1))
+        cap = peaks[-min(3, trials)] if freezing == "few" else peaks[trials // 50]
+        stats, paths, diverged_at = run("1", cap)
+        hit = np.unique(np.flatnonzero(np.isfinite(diverged_at)) // 256)
+        if trials == 1000:
+            assert 0 < hit.size < 4 if freezing == "few" else hit.size == 4
+        for workers in ("2", "3"):
+            other, other_paths, other_diverged = run(workers, cap)
+            np.testing.assert_array_equal(other.mse, stats.mse)
+            np.testing.assert_array_equal(other.mean_v, stats.mean_v)
+            for d in (0.5, 2.0):
+                np.testing.assert_array_equal(other.exceedance_at(d), stats.exceedance_at(d))
+            np.testing.assert_array_equal(other_paths, paths)
+            np.testing.assert_array_equal(other_diverged, diverged_at)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflow_names_the_first_block_to_fail(self, workers, monkeypatch):
+        """At this seed the second block loses its state at step 4, the first at step 11.
+
+        Run one block at a time, the first block's failure is met first; in
+        lockstep it still is. With two workers the error crosses from a
+        worker process and keeps its step.
+        """
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+        map_ = ContractionMap(LyapunovMetric.identity(2), matrix_fn=_blow_up_past_2_5)
+        errors = []
+        for trials in (256, 512):
+            with pytest.raises(SimulationOverflowError) as info:
+                run_dynamics_trials(
+                    map_, NoiseSchedule("constant", scale=1.0), np.zeros(2), horizon=60,
+                    trials=trials, rng=RngState(seed=1), divergence_cap=math.inf,
+                )
+            errors.append((info.value.step, str(info.value)))
+        assert errors == [(11, "non-finite state at step 11")] * 2
+
+    @pytest.mark.parametrize("runner", ["dynamics", "workflow"])
+    def test_oversized_recording_is_refused_before_any_draw(self, runner):
+        """A recording beyond this machine's memory fails from the shape alone."""
+        horizon = 2**62
+        if runner == "dynamics":
+            map_ = ContractionMap(LyapunovMetric.identity(2), ContractionFn())
+            call = lambda: run_dynamics_trials(  # noqa: E731
+                map_, ZERO_NOISE, np.ones(2), horizon=horizon, trials=3, rng=RngState(seed=1),
+                record_trajectories=True,
+            )
+        else:
+            model, theta_star = _gaussian(2)
+            call = lambda: run_workflow_trials(  # noqa: E731
+                model, theta_star, SampleSchedule(base=10), horizon=horizon, trials=3,
+                rng=RngState(seed=1), record_trajectories=True,
+            )
+        with pytest.raises(InputValidationError, match=rf"shape \(3, {horizon + 1}, 2\)"):
+            call()
 
     @pytest.mark.parametrize(
         "kwargs",

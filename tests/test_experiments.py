@@ -207,7 +207,9 @@ class TestConfigParsing:
         raw = {"scenario": "dynamics", "seed": 3, "contraction": section}
         with pytest.raises(InputValidationError) as info:
             ExperimentConfig.from_dict(raw)
-        assert str(info.value) == message
+        # a message that does not name its section is prefixed with it
+        named = message.startswith("unknown contraction.")
+        assert str(info.value) == (message if named else f"contraction: {message}")
 
     @pytest.mark.parametrize(
         "section, message",
@@ -225,7 +227,9 @@ class TestConfigParsing:
         raw = {"scenario": "rates", "seed": 1, "rates": section}
         with pytest.raises(InputValidationError) as info:
             ExperimentConfig.from_dict(raw)
-        assert str(info.value) == message
+        # the schedule's own messages are prefixed with the section they come from
+        named = message.startswith("unknown rates.")
+        assert str(info.value) == (message if named else f"rates: {message}")
 
     def test_rates_section_builds_its_schedule_and_regulator(self):
         rates = ExperimentConfig.from_dict(_full_config_dict()).rates
