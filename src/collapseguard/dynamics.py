@@ -275,17 +275,24 @@ def _check_run(rng, trials: int, horizon) -> int:
     return int(horizon)
 
 
-def _check_recording(trials: int, horizon: int, dim: int) -> None:
-    """Refuse, before any draw, error paths too large for memory or for an array index."""
-    shape = (int(trials), int(horizon) + 1, int(dim))
-    size = math.prod(shape) * 8
+def _check_sizes(trials: int, horizon: int, dim: int, ds: tuple, record: bool) -> None:
+    """Refuse, before any allocation or draw, arrays too large for memory or for an array index.
+
+    The per-step statistics are ``horizon + 1`` entries for each of ts, mse,
+    mean_v, ns and each delta's exceedance; a recording adds the (trials,
+    horizon+1, dim) error paths.
+    """
+    statistics = ("per-step statistics", (4 + len(ds), horizon + 1), "use a shorter horizon")
+    recording = ("recorded trajectories", (int(trials), horizon + 1, int(dim)),
+                 "record fewer trials or a shorter horizon")
     limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), np.iinfo(np.intp).max)
-    if size > limit:
-        raise InputValidationError(
-            f"recorded trajectories of shape {shape} need {size} bytes, beyond the {limit} "
-            f"that physical memory and the array index range allow; record fewer trials "
-            f"or a shorter horizon"
-        )
+    for what, shape, advice in (recording, statistics) if record else (statistics,):
+        size = math.prod(shape) * 8
+        if size > limit:
+            raise InputValidationError(
+                f"{what} of shape {shape} need {size} bytes, beyond the {limit} that physical "
+                f"memory and the array index range allow; {advice}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +458,13 @@ def run_dynamics_trials(
     exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats, errors,
     diverged_at) when ``record_trajectories`` is set: the (trials,
     horizon+1, dim) error paths and each trial's divergence step, inf if
-    it never diverged. A recording too large for this machine's memory is
-    refused before any draw.
+    it never diverged. A horizon whose per-step statistics, or a recording,
+    would not fit in this machine's memory is refused before any draw.
     """
     horizon = _check_run(rng, trials, horizon)
     ds = _validate_deltas(deltas)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
-    if record_trajectories:
-        _check_recording(trials, horizon, map_.metric.dim)
+    _check_sizes(trials, horizon, map_.metric.dim, ds, record_trajectories)
 
     args = (map_, noise, e0, horizon, rng, ds, divergence_cap, record_trajectories)
     n = horizon + 1
@@ -600,7 +606,7 @@ def run_workflow_trials(
     recording e_t = theta_hat_t - theta_star with the identity-metric V.
     A trial freezes once V exceeds ``divergence_cap``. Returns TrialStats,
     or (TrialStats, errors, diverged_at) as ``run_dynamics_trials`` does
-    when ``record_trajectories`` is set, with the same memory check.
+    when ``record_trajectories`` is set, with the same memory checks.
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
@@ -617,8 +623,7 @@ def run_workflow_trials(
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
     ds = _validate_deltas(deltas)
-    if record_trajectories:
-        _check_recording(trials, horizon, model.dim)
+    _check_sizes(trials, horizon, model.dim, ds, record_trajectories)
 
     n = horizon + 1
     ts = np.arange(n)

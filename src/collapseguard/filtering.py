@@ -211,16 +211,46 @@ def init_filter_params(feature_dim: int, hidden_dim: int, rng) -> FilterParams:
     )
 
 
-def _forward_cache(params: FilterParams, feats: np.ndarray):
-    pre = feats @ params.w1.T + params.b1
-    hidden = np.maximum(pre, 0.0)
+@dataclass(frozen=True, eq=False)
+class _Workspace:
+    """The (n, hidden) buffers of one loss-and-gradient pass over n points.
+
+    ``train_filter`` owns one for its fixed dataset and hands it to every
+    pass, so that the buffers are allocated once rather than once per epoch.
+    """
+
+    pre: np.ndarray
+    hidden: np.ndarray
+    active: np.ndarray
+    dpre: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, hidden_dim: int) -> "_Workspace":
+        shape = (n, hidden_dim)
+        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape))
+
+
+def _forward_cache(params: FilterParams, feats: np.ndarray, work: _Workspace | None = None):
+    """(pre, hidden, logits, weights) of the scorer on ``feats``.
+
+    ``pre`` and ``hidden`` are written into ``work.pre`` and ``work.hidden``
+    when the caller passes its workspace, and are fresh arrays otherwise;
+    either way the bits are the same.
+    """
+    pre = np.matmul(feats, params.w1.T, out=None if work is None else work.pre)
+    pre += params.b1
+    hidden = np.maximum(pre, 0.0, out=None if work is None else work.hidden)
     logits = hidden @ params.w2 + params.b2
-    weights = np.empty_like(logits)
-    pos = logits >= 0.0
-    weights[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-    exp_neg = np.exp(logits[~pos])
-    weights[~pos] = exp_neg / (1.0 + exp_neg)
-    return pre, hidden, logits, weights
+    return pre, hidden, logits, _sigmoid(logits)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, in one pass.
+
+    exp only ever sees -|x|, so it cannot overflow.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def forward_batch(params: FilterParams, features) -> np.ndarray:
@@ -328,7 +358,10 @@ def _require_features(dataset: LabeledDataset) -> np.ndarray:
 
 
 def loss_gradient(
-    params: FilterParams, dataset: LabeledDataset, config: TrainConfig
+    params: FilterParams,
+    dataset: LabeledDataset,
+    config: TrainConfig,
+    workspace: _Workspace | None = None,
 ) -> tuple[LossParts, FilterParams]:
     """The training loss, class + lambda * contract + mu * ess, and its exact
     gradient, both from one forward pass.
@@ -345,11 +378,17 @@ def loss_gradient(
     (diagonal Jacobian 1/variance per coordinate). The clamp in the
     cross-entropy is treated as inactive, which it is everywhere the
     sigmoid has representable slack.
+
+    ``workspace`` is the caller's ``_Workspace`` for this dataset and
+    hidden width; the pass overwrites it, so its contents are not part of
+    the result. Without one, the pass allocates its own buffers. Both give
+    the same bits.
     """
     feats = _require_features(dataset)
     lam, mu = config.training.lambda_contract, config.training.ess_weight
-    pre, hidden, _, weights = _forward_cache(params, feats)
     n = feats.shape[0]
+    work = workspace if workspace is not None else _Workspace.empty(n, params.hidden_dim)
+    pre, hidden, _, weights = _forward_cache(params, feats, work)
     y = dataset.labels.astype(float)
     p = np.clip(weights, PROB_CLAMP, 1.0 - PROB_CLAMP)
     class_part = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
@@ -377,7 +416,8 @@ def loss_gradient(
 
     g_w2 = hidden.T @ dlogit
     g_b2 = float(dlogit.sum())
-    dpre = (dlogit[:, None] * params.w2[None, :]) * (pre > 0.0)
+    dpre = np.multiply(dlogit[:, None], params.w2[None, :], out=work.dpre)
+    dpre *= np.greater(pre, 0.0, out=work.active)
     g_w1 = dpre.T @ feats
     g_b1 = dpre.sum(axis=0)
     return parts, FilterParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
@@ -435,8 +475,10 @@ def train_filter(
     training loss of the returned parameters and epochs=0 yields an empty
     log. One loss-and-gradient pass at the initial parameters and one per
     update make ``epochs + 1`` forward passes: the pass after an update
-    gives both its log row and the next update's gradient. Datasets with a
-    single class are rejected (the classification target would be
+    gives both its log row and the next update's gradient. The passes
+    share one ``_Workspace`` that this function owns for the whole run, so
+    the (n, hidden) buffers are allocated once, not once per epoch. Datasets
+    with a single class are rejected (the classification target would be
     degenerate).
     """
     feats = _require_features(dataset)
@@ -447,12 +489,13 @@ def train_filter(
     params = init_filter_params(feats.shape[1], spec.hidden_dim, rng)
     x = _flatten(params)
     state = (np.zeros_like(x), np.zeros_like(x), 0)
-    _, grad = loss_gradient(params, dataset, config)
+    work = _Workspace.empty(feats.shape[0], spec.hidden_dim)
+    _, grad = loss_gradient(params, dataset, config, work)
     log: list[LossParts] = []
     for _ in range(spec.epochs):
         x, state = adam_step(x, _flatten(grad), state, spec.learning_rate)
         params = _unflatten(x, spec.hidden_dim, feats.shape[1])
-        parts, grad = loss_gradient(params, dataset, config)
+        parts, grad = loss_gradient(params, dataset, config, work)
         log.append(parts)
     return params, log
 

@@ -347,6 +347,25 @@ class TestScenarioCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("horizon", [2**62, 40_000_000_000], ids=["2**62", "4e10"])
+    @pytest.mark.parametrize("command", ["simulate-workflow", "simulate-dynamics"])
+    def test_horizon_beyond_memory_is_refused_from_its_shape(
+        self, tmp_path, capsys, command, horizon
+    ):
+        """Allocating the per-step statistics first would raise ValueError (2**62)
+        or exit 3 with MemoryError (4e10); the shape check exits 1 before that."""
+        scenario = command.removeprefix("simulate-")
+        path = _write_config(
+            tmp_path / "config.json",
+            {"scenario": scenario, "seed": 1, "horizon": horizon, "trials": 2},
+        )
+        rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: per-step statistics of shape (7, {horizon + 1}) need ")
+        assert err.endswith("; use a shorter horizon\n")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     @pytest.mark.parametrize(
         "error, message",
         [

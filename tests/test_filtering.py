@@ -54,6 +54,15 @@ def _zero_params(feature_dim: int = 1, hidden_dim: int = 2) -> FilterParams:
     )
 
 
+def _bits(*values) -> bytes:
+    """The float64 bytes of the values, so -0.0 and 0.0 (or two NaNs) compare as bits."""
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in values)
+
+
+def _param_bits(params: FilterParams) -> bytes:
+    return _bits(params.w1, params.b1, params.w2, params.b2)
+
+
 def _dataset(points, labels) -> LabeledDataset:
     pts = np.asarray(points, dtype=float)
     return LabeledDataset(pts, np.asarray(labels), features=pts)
@@ -217,6 +226,19 @@ class TestForward:
         feats = np.zeros((3, 1))
         np.testing.assert_array_equal(forward_batch(low, feats), np.zeros(3))
         np.testing.assert_array_equal(forward_batch(high, feats), np.ones(3))
+
+    def test_one_pass_sigmoid_matches_the_two_branch_formula(self):
+        special = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 700.0, -700.0, 745.0, -745.0]
+        logits = np.concatenate(
+            [special, [np.inf, -np.inf], np.random.default_rng(3).normal(scale=30.0, size=2000)]
+        )
+        expected = np.empty_like(logits)
+        pos = logits >= 0.0
+        expected[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+        exp_neg = np.exp(logits[~pos])
+        expected[~pos] = exp_neg / (1.0 + exp_neg)
+        got = filtering._sigmoid(logits)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_batch_scores_match_single_calls(self):
         params = init_filter_params(2, 4, np.random.default_rng(8))
@@ -433,6 +455,19 @@ class TestLossGradient:
         np.testing.assert_array_equal(grad.w2, np.zeros(2))
         assert grad.b2 == 0.0
 
+    @pytest.mark.parametrize("active_hinge", [True, False], ids=["hinge-on", "hinge-off"])
+    def test_workspace_pass_gives_the_bits_of_an_allocating_pass(self, active_hinge):
+        params, ds, config = self._random_case(7, active_hinge)
+        fresh = loss_gradient(params, ds, config)
+        work = filtering._Workspace.empty(len(ds), params.hidden_dim)
+        for buf in (work.pre, work.hidden, work.dpre):
+            buf.fill(np.nan)
+        work.active.fill(True)
+        for _ in range(2):  # stale contents, then the previous pass's, must not leak
+            parts, grad = loss_gradient(params, ds, config, work)
+            assert _bits(*parts) == _bits(*fresh[0])
+            assert _param_bits(grad) == _param_bits(fresh[1])
+
     def test_all_zero_weights_under_hinge_term_are_rejected(self):
         params, ds, config = self._random_case(5, active_hinge=True)
         dead = FilterParams(np.zeros_like(params.w1), params.b1 * 0.0, params.w2 * 0.0, -1000.0)
@@ -529,6 +564,48 @@ class TestTrainFilter:
         ds = self._separable_dataset(10)
         train_filter(ds, self._config(ds, epochs=epochs), np.random.default_rng(5))
         assert len(calls) == epochs + 1
+
+    @staticmethod
+    def _reference_training(ds, config, rng):
+        """train_filter's loop, spelled out with the public, allocating loss_gradient."""
+        spec = config.training
+        params = init_filter_params(ds.features.shape[1], spec.hidden_dim, rng)
+        h, f = params.w1.shape
+        flat = lambda p: np.concatenate([p.w1.ravel(), p.b1, p.w2, [p.b2]])  # noqa: E731
+        x = flat(params)
+        state = (np.zeros_like(x), np.zeros_like(x), 0)
+        _, grad = loss_gradient(params, ds, config)
+        log = []
+        for _ in range(spec.epochs):
+            x, state = adam_step(x, flat(grad), state, spec.learning_rate)
+            params = FilterParams(x[: h * f].reshape(h, f), x[h * f : h * f + h],
+                                  x[h * f + h : -1], x[-1])
+            parts, grad = loss_gradient(params, ds, config)
+            log.append(parts)
+        return params, log
+
+    @pytest.mark.parametrize("epochs", [0, 1, 9])
+    def test_training_matches_a_reference_loop_bit_for_bit(self, epochs):
+        """Every gradient branch runs: the hinge is on and the ESS term is weighted."""
+        rng = np.random.default_rng(23)
+        pts = rng.normal(loc=[1.0, -0.5], scale=0.8, size=(300, 2))
+        ds = _dataset(pts, rng.integers(0, 2, size=300))
+        config = TrainConfig(
+            theta_good=_gaussian(2)[1],
+            metric=LyapunovMetric(np.array([[2.0, 0.3], [0.3, 1.0]])),
+            e_est=np.array([0.02, 0.01]),
+            training=TrainingSpec(
+                lambda_contract=1.7, ess_weight=0.3, epochs=epochs, hidden_dim=6,
+                learning_rate=0.05,
+            ),
+        )
+        params, log = train_filter(ds, config, np.random.default_rng(11))
+        ref_params, ref_log = self._reference_training(ds, config, np.random.default_rng(11))
+        assert _param_bits(params) == _param_bits(ref_params)
+        assert [_bits(*row) for row in log] == [_bits(*row) for row in ref_log]
+        assert len(log) == epochs
+        first = loss_gradient(init_filter_params(2, 6, np.random.default_rng(11)), ds, config)[0]
+        assert first.contract_part > 0.0 and all(row.contract_part > 0.0 for row in log)
 
     def test_training_is_deterministic_for_a_fixed_seed(self):
         ds = self._separable_dataset(10)
