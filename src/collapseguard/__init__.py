@@ -70,7 +70,7 @@ from .filtering import (
     simulate_drift_training_data,
     train_filter,
 )
-from .numerics import RngState, quad_form, sym_eig
+from .numerics import RngState, sym_eig
 
 __version__ = "0.1.0"
 
@@ -116,7 +116,6 @@ __all__ = [
     "mean_map",
     "measure_concentration",
     "oracle_pullback_weights",
-    "quad_form",
     "recurrence_simulate",
     "run_checks",
     "run_dynamics_trials",

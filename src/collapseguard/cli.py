@@ -139,7 +139,6 @@ def _run_compare(args) -> int:
     baseline = read_results_csv(args.baseline)
     treatment = read_results_csv(args.treatment)
     table, summary = compare_runs(baseline, treatment)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "compare.csv")
     write_compare_csv(table, csv_path)
     summary_path = os.path.join(args.out, "compare_summary.json")

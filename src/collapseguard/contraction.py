@@ -23,7 +23,6 @@ from .numerics import (
     RngState,
     as_symmetric_matrix,
     as_vector,
-    quad_form,
     sym_eig,
     symmetrize,
 )
@@ -71,14 +70,15 @@ class LyapunovMetric:
         return vectors / np.sqrt(values)[None, :]
 
     def value(self, e) -> float:
-        """V(e) = e' P e; zero exactly at e = 0."""
-        return quad_form(self.p_matrix, e)
+        """V(e) = e' P e, the row of ``values`` for e alone; zero exactly at e = 0."""
+        return float(self.values(as_vector(e, dim=self.dim, name="e")[None, :])[0])
 
     def values(self, errors: np.ndarray) -> np.ndarray:
-        """V per row of a (n, dim) batch."""
+        """V per row of a (n, dim) batch, by ``einsum``: unlike a BLAS product, it
+        gives a row the same bits whatever the rows around it."""
         if self.is_identity:
             return np.einsum("ij,ij->i", errors, errors)
-        return np.einsum("ij,ij->i", errors @ self.p_matrix, errors)
+        return np.einsum("ij,ij->i", np.einsum("ij,jk->ik", errors, self.p_matrix), errors)
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,9 @@ def _dynamics_block(job):
     The group advances as one (rows, dim) state and still reduces per
     256-trial block. Each step draws xi_t with E[xi' P xi] = sigma_t^2 in the
     map's metric P; every trial draws from its own stream, in chunks of at
-    most ``_BLOCK * _CHUNK`` (trial, step) pairs. A trial freezes once V
+    most ``_BLOCK * _CHUNK`` (trial, step) pairs. The noise shaping, V and
+    the map give each row the bits it gets alone, so neither the group size
+    nor the chunk length moves a result. A trial freezes once V
     exceeds the cap; until the first one does, the whole state is updated
     without a gather. A state that becomes non-finite raises
     SimulationOverflowError with the step at which its lowest block lost
@@ -347,19 +349,6 @@ def _dynamics_block(job):
     zero_noise = noise.kind == ZERO
     c_transform = None if identity else metric.inverse_factor
 
-    # numpy multiplies a single row by a matrix through its matrix-vector path,
-    # whose last bits differ from the matrix-matrix path. So under a general P a
-    # trial that is the only one, or the only live one, of its block is
-    # evaluated on its own, as it is when its block runs by itself.
-    def alone(act):
-        """Positions in ``e_state[act]`` of the trials alone in their block there."""
-        if identity:
-            return []
-        if isinstance(act, slice):
-            return [rows - 1] if rows % _BLOCK == 1 and rows > 1 else []
-        owner = act // _BLOCK
-        return np.flatnonzero(np.bincount(owner)[owner] == 1) if act.size > 1 else []
-
     def fold(step):
         # one statistics pass per step; the V that is summed is the V that freezes
         nonlocal frozen
@@ -368,8 +357,6 @@ def _dynamics_block(job):
         v = sq
         if not identity:
             v = metric.values(e_state)
-            for i in alone(slice(None)):
-                v[i] = metric.values(e_state[i : i + 1])[0]
             _block_sums(v, sum_v[:, step])
         over = v > cap
         if over.any():
@@ -386,33 +373,23 @@ def _dynamics_block(job):
             records[:, step] = e_state
 
     fold(0)
-    # The same path transforms the draws of a one-step chunk. So, whatever the
-    # group size, the only one-step chunk is the last step of a horizon of
-    # 1 mod _CHUNK, where fixed _CHUNK-step chunks put it.
-    end = horizon - 1 if horizon % _CHUNK == 1 else horizon
     t = 0
     while t < horizon:
-        stop = end if t < end else horizon
-        span = min(_CHUNK * _BLOCK // rows, stop - t)
-        if stop - t - span == 1:
-            span -= 1  # leave two steps, not one
+        span = min(_CHUNK * _BLOCK // rows, horizon - t)
         if not zero_noise:
             bufs = None  # release the last chunk before drawing the next
             bufs = np.empty((rows, span, dim))
             for i, g in enumerate(gens):
                 g.standard_normal(out=bufs[i])
             if c_transform is not None:
-                bufs = bufs @ c_transform.T
+                bufs = np.einsum("rsk,jk->rsj", bufs, c_transform)
             scales = np.sqrt(noise.sigma_sq_array(t, t + span) / dim)
             bufs *= scales[:, None]
         for k in range(span):
             step = t + k
             act = np.flatnonzero(np.isinf(diverged)) if frozen else slice(None)
             if not frozen or act.size:
-                batch = e_state[act]
-                updated = map_.apply_batch(batch)
-                for i in alone(act):
-                    updated[i] = map_.apply_batch(batch[i : i + 1])[0]
+                updated = map_.apply_batch(e_state[act])
                 if not zero_noise and scales[k] > 0.0:
                     updated += bufs[act, k]
                 if not np.isfinite(updated).all():

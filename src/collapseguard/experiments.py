@@ -721,7 +721,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dispatch a validated config, write its artifacts, return the table + summary."""
     chash = config_hash(config)
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
     paths: dict[str, str] = {}
 
     if config.scenario == "train-filter":

@@ -135,9 +135,3 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     signs = np.sign(vectors[pivots, np.arange(vectors.shape[1])])
     return values, vectors * signs
 
-
-def quad_form(m, v) -> float:
-    """The scalar v' m v, validated for matching dimensions."""
-    a = as_symmetric_matrix(m)
-    x = as_vector(v, dim=a.shape[0])
-    return float(x @ (a @ x))

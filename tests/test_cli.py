@@ -366,6 +366,30 @@ class TestScenarioCommands:
         assert err.endswith("; use a shorter horizon\n")
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    def test_a_run_that_fails_after_parsing_leaves_no_out_directory(self, tmp_path, capsys):
+        path = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "dynamics", "seed": 1, "horizon": 40000000000, "trials": 2},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate-dynamics", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: per-step statistics of shape ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate-dynamics", "compare"])
+    def test_out_naming_an_existing_file_is_a_runtime_failure(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        if command == "compare":
+            base = _synthetic_results(tmp_path / "base.csv", [1.0, 2.0, 3.0])
+            args = ["compare", "--baseline", base, "--treatment", base]
+        else:
+            config = _write_config(tmp_path / "config.json", {"horizon": 10, "trials": 5})
+            args = ["simulate-dynamics", "--config", config, "--seed", "1"]
+        assert main([*args, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert out.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize(
         "error, message",
         [

@@ -85,6 +85,7 @@ class TestLyapunovValue:
     def test_diagonal_metric(self):
         metric = LyapunovMetric(np.diag([2.0, 3.0]))
         assert metric.value(np.array([1.0, 0.0])) == pytest.approx(2.0)
+        assert metric.value(np.array([1.0, 1.0])) == pytest.approx(5.0)
 
     def test_zero_error_gives_zero(self):
         metric = LyapunovMetric(np.diag([4.0, 9.0]))
@@ -93,6 +94,28 @@ class TestLyapunovValue:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputValidationError):
             LyapunovMetric.identity(2).value(np.ones(3))
+
+    def test_nonnegative_under_a_positive_definite_metric(self):
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(4, 4))
+        metric = LyapunovMetric(g @ g.T + 0.1 * np.eye(4))
+        for _ in range(10_000):
+            assert metric.value(rng.normal(size=4)) >= 0.0
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_a_row_gets_the_bits_it_gets_alone(self, dim):
+        """V, c(e) and the map give each row of a batch the bits of a one-row call."""
+        rng = np.random.default_rng(dim)
+        g = rng.normal(size=(dim, dim))
+        metric = LyapunovMetric(g @ g.T + 0.5 * np.eye(dim))
+        c = ContractionFn("example-sqrt")
+        map_ = ContractionMap(metric, c)
+        batch = rng.normal(scale=3.0, size=(600, dim))
+        for fn in (metric.values, lambda e: c.values(metric, e), map_.apply_batch):
+            alone = np.concatenate([fn(batch[i : i + 1]) for i in range(600)])
+            np.testing.assert_array_equal(fn(batch).view(np.uint64), alone.view(np.uint64))
+        singles = np.array([metric.value(e) for e in batch])
+        np.testing.assert_array_equal(metric.values(batch).view(np.uint64), singles.view(np.uint64))
 
 
 class TestContractionValue:

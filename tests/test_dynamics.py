@@ -268,18 +268,22 @@ class TestRunDynamicsTrials:
             z = root.derive(index).generator().standard_normal((1, dim))[0]
             np.testing.assert_array_equal(increments[index, 0], scale * z)
 
-    def test_leading_trials_do_not_depend_on_the_trial_count(self):
-        metric = LyapunovMetric.identity(2)
+    @pytest.mark.parametrize("dim, general", [(2, False), (4, True)], ids=["identity", "general-p"])
+    def test_leading_trials_do_not_depend_on_the_trial_count(self, dim, general):
+        metric = LyapunovMetric.identity(dim)
+        if general:
+            a = np.random.default_rng(3).standard_normal((dim, dim))
+            metric = LyapunovMetric(a @ a.T + 0.5 * np.eye(dim))
         map_ = ContractionMap(metric, ContractionFn())
         noise = NoiseSchedule(beta=1.0)
         many, few = (
             run_dynamics_trials(
-                map_, noise, np.ones(2), horizon=25, trials=trials, rng=RngState(seed=99),
+                map_, noise, np.ones(dim), horizon=25, trials=trials, rng=RngState(seed=99),
                 record_trajectories=True,
             )[1]
             for trials in (300, 5)
         )
-        assert many.shape == (300, 26, 2) and few.shape == (5, 26, 2)
+        assert many.shape == (300, 26, dim) and few.shape == (5, 26, dim)
         np.testing.assert_array_equal(many[:5], few)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
@@ -301,12 +305,12 @@ class TestRunDynamicsTrials:
     def test_lockstep_grouping_does_not_change_results(self, trials, freezing, monkeypatch):
         """Every worker count, and so every grouping of blocks into jobs, gives the same bits.
 
-        At dim 4 under a general P, numpy's matrix-vector path for a lone row
-        differs in its last bits from the matrix-matrix path. The cap freezes
-        either the few trials whose V peaks highest, in some blocks only, or
-        all but the lowest-peaking 2 %, so that blocks run down to one live
-        trial. At 1000 trials one worker draws 524-step chunks, which would
-        leave a one-step chunk at step 524 of the 525.
+        The run uses a general P at dim 4, where a BLAS product would give a
+        lone row other last bits than the same row in a batch. The cap freezes either the few
+        trials whose V peaks highest, in some blocks only, or all but the
+        lowest-peaking 2 %, so that blocks run down to one live trial. At 1000
+        trials one worker draws 524-step chunks and then a one-step chunk at
+        step 524 of the 525, where the other groupings draw a longer one.
         """
         dim = 4
         a = np.random.default_rng(3).standard_normal((dim, dim))

@@ -5,7 +5,7 @@ import pytest
 
 from collapseguard.errors import InputValidationError
 from collapseguard.filtering import fit_pca
-from collapseguard.numerics import RngState, as_generator, quad_form, sym_eig
+from collapseguard.numerics import RngState, as_generator, sym_eig
 
 
 def _assert_sign_convention(vectors):
@@ -90,32 +90,6 @@ class TestSymEig:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(InputValidationError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestQuadForm:
-    """Double contraction v' M v."""
-
-    def test_identity_sums_squares(self):
-        assert quad_form(np.eye(2), np.array([1.0, 1.0])) == pytest.approx(2.0)
-
-    def test_diagonal_weights_coordinates(self):
-        assert quad_form(np.diag([2.0, 3.0]), np.array([1.0, 1.0])) == pytest.approx(5.0)
-
-    def test_zero_vector_gives_zero(self):
-        assert quad_form(np.diag([7.0, 9.0]), np.zeros(2)) == 0.0
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(InputValidationError):
-            quad_form(np.eye(2), np.ones(3))
-
-    def test_nonnegative_on_positive_definite_matrix(self):
-        rng = np.random.default_rng(7)
-        g = rng.normal(size=(4, 4))
-        m = g @ g.T + 0.1 * np.eye(4)
-        assert sym_eig(m)[0][0] > 0.0
-        for _ in range(10_000):
-            v = rng.normal(size=4)
-            assert quad_form(m, v) >= 0.0
 
 
 class TestRngState:
