@@ -8,8 +8,9 @@ step.
 each generation, with or without a reweighting filter in the loop, which
 is where estimation error actually comes from. Its kernel is
 generation-major: per generation, each live trial of a block draws its
-candidates from its own stream (and gets its filter weights), then one
-batched fit advances them all.
+candidates from its own stream, the filter weighs the whole (rows, n, d)
+chunk in one call that returns (rows, n) weights (row by row if the handle
+takes only one (n, d) set), then one batched fit advances them all.
 
 Both fan one base RngState out into one independent stream per trial
 (trial i draws only from ``rng.derive(i)``) and run fixed 256-trial blocks.
@@ -484,22 +485,47 @@ def _fit_generation(model, points, weights, t):
         raise type(exc)(f"generation {t}: {exc}") from exc
 
 
-def _filter_weights(filter_handle, points, size, t) -> np.ndarray:
-    w = np.asarray(filter_handle.weights(points), dtype=float)
-    if w.shape != (size,):
-        raise InputValidationError(
-            f"generation {t}: filter returned weights of shape {w.shape}, expected ({size},)"
-        )
-    return w
+def _chunk_weights(filter_handle, points, out, t):
+    """Write the filter's weights of each (n, d) row of ``points`` into ``out``.
+
+    One call hands the handle the whole (rows, n, d) chunk, and its result
+    is taken only if its shape is exactly (rows, n). Otherwise, or if that
+    call raises, each row gets a call of its own, in row order, up to the
+    first failure; so a handle that takes only (n, d) works, and the lowest
+    failing row raises its own error. Returns None, or (row, error) of that
+    failure.
+    """
+    rows, size = points.shape[:2]
+    try:
+        w = np.asarray(filter_handle.weights(points), dtype=float)
+        if w.shape == (rows, size):
+            out[:rows] = w
+            return None
+    except Exception:  # the per-row calls below raise each row's own error
+        pass
+    for r in range(rows):
+        try:
+            w = np.asarray(filter_handle.weights(points[r]), dtype=float)
+            if w.shape != (size,):
+                raise InputValidationError(
+                    f"generation {t}: filter returned weights of shape {w.shape}, "
+                    f"expected ({size},)"
+                )
+            out[r] = w
+        except Exception as exc:
+            return r, exc
+    return None
 
 
 def _workflow_block(job):
     """Run one block of workflow trials generation by generation.
 
     Each generation draws every live trial's candidates from its own stream
-    (one call per trial, as a trial-by-trial loop makes them), weighs them
-    trial by trial when filtered, and fits all live trials at once, at most
-    ``STACK_LIMIT`` stacked values at a time. A trial freezes once V
+    (one call per trial, as a trial-by-trial loop makes them) and fits all
+    live trials at once, at most ``STACK_LIMIT`` stacked values at a time.
+    When filtered, the handle weighs each such (rows, n, d) chunk in one
+    call; a result of another shape than (rows, n), or a raise, sends the
+    chunk back to one call per row (``_chunk_weights``). A trial freezes once V
     exceeds the cap. A trial that fails stops, and so does every later
     trial: the block raises the failure of the lowest-index failing trial,
     the error a trial-by-trial loop meets first. Returns the (trials,
@@ -527,16 +553,20 @@ def _workflow_block(job):
             part = live[k : k + rows]
             part = part[part < stop]
             points = np.empty((part.size, size, dim))
-            weights = np.empty((part.size, size)) if filtered else None
-            for r, i in enumerate(part):
+            drawn = 0
+            for i in part:
                 try:
-                    drawn = expfam._draw(family, theta[i], size, gens[i])
-                    if filtered:
-                        weights[r] = _filter_weights(filter_handle, drawn, size, t)
+                    points[drawn] = expfam._draw(family, theta[i], size, gens[i])
                 except Exception as exc:  # raised once no earlier trial can fail first
                     stop, failure = i, exc
                     break
-                points[r] = drawn
+                drawn += 1
+            weights = None
+            if filtered:
+                weights = np.empty((part.size, size))
+                bad = _chunk_weights(filter_handle, points[:drawn], weights, t)
+                if bad is not None:
+                    stop, failure = part[bad[0]], bad[1]
             fit, ok = expfam._fit_rows(family, points, weights)
             for r in np.flatnonzero(~ok & (part < stop)):
                 try:
@@ -587,7 +617,11 @@ def run_workflow_trials(
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
-    reweights its candidates before re-estimating. ``candidates_per_round``
+    reweights its candidates before re-estimating. The handle is first
+    handed a (rows, n, d) chunk of trials and must return (rows, n)
+    weights, each row as its own (n, d) call would; a handle that takes
+    only one (n, d) set, and so raises or returns another shape, is called
+    once per trial instead, with the same result. ``candidates_per_round``
     fixes the candidate count of those generations; None follows the
     sample schedule. A filter emitting all-ones weights reproduces the
     unfiltered workflow exactly on the same streams and counts.

@@ -225,6 +225,11 @@ class FilterSpec:
             # anchored at the true parameter: a diagnostic, not a deployable filter
             return FilterHandle.oracle_pullback(theta_star, self.gamma)
         params, pca, _ = load_filter_checkpoint(self.checkpoint)
+        if pca.input_dim != theta_star.model.dim:
+            raise InputValidationError(
+                f"filter.checkpoint {self.checkpoint} scores points of dimension "
+                f"{pca.input_dim}, but model.dim is {theta_star.model.dim}"
+            )
         return FilterHandle.mlp(params, pca)
 
 

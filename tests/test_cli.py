@@ -227,6 +227,30 @@ class TestScenarioCommands:
         assert rc == 1
         assert message in capsys.readouterr().err
 
+    def test_checkpoint_of_another_dimension_names_the_field_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        pca = fit_pca(np.random.default_rng(0).normal(size=(20, 2)), k=1)
+        params = FilterParams(np.ones((2, 1)), np.zeros(2), np.ones(2), 0.0)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_filter_checkpoint(checkpoint, params, pca, {"note": "dim 2"})
+        config = _write_config(
+            tmp_path / "config.json",
+            {"seed": 1, "horizon": 2, "trials": 2,
+             "model": {"family": "gaussian", "dim": 3, "theta_star": [0.0, 0.0, 0.0]},
+             "filter": {"kind": "mlp", "checkpoint": str(checkpoint)}},
+        )
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a candidate was drawn")
+
+        monkeypatch.setattr(collapseguard.expfam, "_draw", no_draw)
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"filter.checkpoint {checkpoint} scores points of dimension 2" in err
+        assert "model.dim is 3" in err
+
     def test_spreadless_oracle_candidates_map_to_the_runtime_exit_code(self, tmp_path, capsys):
         # two Bernoulli candidates are often equal, so the cloud has no spread
         config = _write_config(

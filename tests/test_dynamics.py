@@ -35,7 +35,7 @@ from collapseguard.expfam import (
     Parameter,
 )
 from collapseguard.filtering import FilterHandle, FilterParams, fit_pca
-from collapseguard.numerics import RngState
+from collapseguard.numerics import STACK_LIMIT, RngState
 
 ZERO_NOISE = NoiseSchedule("zero")
 
@@ -516,6 +516,49 @@ class TestRunWorkflowFiltered:
         assert stats.mse[60] <= 0.05
         assert stats.mse[60] <= stats.mse[5] * 5.0
 
+    def test_the_filter_is_called_once_per_generation_and_chunk(self):
+        model, theta_star = _gaussian(2)
+        handle = _CountingFilter()
+        horizon, trials, size = 3, 300, 1000
+        stats = run_workflow_trials(
+            model, theta_star, SampleSchedule(base=size), horizon=horizon, trials=trials,
+            rng=RngState(seed=4), filter_handle=handle, candidates_per_round=size,
+        )
+        rows = STACK_LIMIT // (size * 2)
+        chunks = sum(-(-block // rows) for block in (256, trials - 256))
+        assert handle.shapes.count((size, 2)) == 0
+        assert len(handle.shapes) == horizon * chunks
+        assert sum(shape[0] for shape in handle.shapes) == horizon * trials
+        plain = run_workflow_trials(
+            model, theta_star, SampleSchedule(base=size), horizon=horizon, trials=trials,
+            rng=RngState(seed=4),
+        )
+        np.testing.assert_array_equal(stats.mse, plain.mse)
+
+    @pytest.mark.parametrize(
+        "handle", [lambda: _OneSetAtATime(), lambda: _OneWeightPerRow()],
+        ids=["raises-on-a-chunk", "wrong-shape-for-a-chunk"],
+    )
+    def test_a_handle_of_one_candidate_set_reproduces_all_ones(self, handle):
+        model, theta_star = _gaussian(2)
+        runs = [
+            run_workflow_trials(
+                model, theta_star, SampleSchedule(base=30), horizon=4, trials=20,
+                rng=RngState(seed=6), filter_handle=h, candidates_per_round=30,
+                record_trajectories=True,
+            )[1]
+            for h in (handle(), FilterHandle.all_ones())
+        ]
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_the_lowest_failing_row_of_a_chunk_raises(self):
+        model, theta_star = _gaussian(1)
+        with pytest.raises(ValueError, match=r"^row 3 fails$"):
+            run_workflow_trials(
+                model, theta_star, SampleSchedule(base=10), horizon=2, trials=10,
+                rng=RngState(seed=1), filter_handle=_FailsOnRows3And7(),
+            )
+
     def test_candidate_count_must_be_positive(self):
         model, theta_star = _gaussian(1)
         with pytest.raises(InputValidationError):
@@ -523,6 +566,49 @@ class TestRunWorkflowFiltered:
                 model, theta_star, SampleSchedule(base=10), horizon=2, seed=1,
                 filter_handle=FilterHandle.all_ones(), candidates_per_round=0,
             )
+
+
+class _CountingFilter:
+    """All-ones weights that record the shape of every candidate array they get."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def weights(self, points):
+        self.shapes.append(np.shape(points)[:-1])
+        return FilterHandle.all_ones().weights(points)
+
+
+class _OneSetAtATime:
+    """All-ones weights for one (n, d) candidate set; a (rows, n, d) chunk raises."""
+
+    def weights(self, points):
+        if np.ndim(points) != 2:
+            raise ValueError("one (n, d) candidate set at a time")
+        return np.ones(len(points))
+
+
+class _OneWeightPerRow:
+    """A handle that reads a chunk as one set: one weight per row, the wrong shape."""
+
+    def weights(self, points):
+        return np.ones(len(points))
+
+
+class _FailsOnRows3And7:
+    """Fails on rows 3 and 7 of a chunk; the chunk call names row 7, the last it met."""
+
+    def __init__(self):
+        self.row = 0
+
+    def weights(self, points):
+        if np.ndim(points) == 3:
+            self.row = 0
+            raise ValueError("row 7 fails")
+        row, self.row = self.row, self.row + 1
+        if row in (3, 7):
+            raise ValueError(f"row {row} fails")
+        return np.ones(len(points))
 
 
 def _run_lambda_map():

@@ -745,6 +745,68 @@ class TestFilterHandle:
         with pytest.raises(InputValidationError):
             FilterHandle.all_ones().weights(np.zeros(3))
 
+    @staticmethod
+    def _handle(kind, dim, gamma=0.5):
+        rng = np.random.default_rng(50 + dim)
+        if kind == "all-ones":
+            return FilterHandle.all_ones()
+        if kind == "oracle-pullback":
+            return FilterHandle.oracle_pullback(_gaussian(dim)[1], gamma)
+        pca = fit_pca(rng.normal(size=(40, dim)), k=min(dim, 2))
+        return FilterHandle.mlp(init_filter_params(pca.k, 8, rng), pca)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["all-ones", "oracle-pullback", "mlp"])
+    def test_a_chunk_gives_each_row_the_bits_of_its_own_call(self, kind, dim):
+        handle = self._handle(kind, dim)
+        pts = np.random.default_rng(60 + dim).normal(loc=0.4, size=(7, 50, dim))
+        chunk = handle.weights(pts)
+        assert chunk.shape == (7, 50)
+        assert _bits(chunk) == _bits(*(handle.weights(p) for p in pts))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_oracle_chunk_mixes_batched_and_fallback_rows_bitwise(self, dim, gamma):
+        _, theta_good = _gaussian(dim)
+        rng = np.random.default_rng(70 + dim)
+        # near rows meet the tolerance at the first residual; far ones clip and need Newton steps
+        locs = np.array([0.1, 3.0, 0.2, 6.0, 0.05, 0.3])[:, None, None]
+        pts = rng.normal(size=(6, 40, dim)) + locs
+        # integer points and their negatives: a mean of exactly zero, the anchor's
+        half = rng.integers(-3, 4, size=(20, dim)).astype(float)
+        pts = np.concatenate([pts, np.concatenate([half, -half])[None]])
+        _, ok = filtering._pullback_rows(pts, theta_good, gamma)
+        assert ok.any() and not ok.all() and not ok[-1]
+        handle = FilterHandle.oracle_pullback(theta_good, gamma)
+        chunk = handle.weights(pts)
+        rows = [oracle_pullback_weights(p, theta_good, gamma).weights for p in pts]
+        assert _bits(chunk) == _bits(*rows)
+        np.testing.assert_array_equal(rows[-1], np.ones(40))
+
+    def test_oracle_chunk_raises_the_lowest_failing_rows_own_error(self):
+        _, theta_good = _gaussian(2)
+        pts = np.random.default_rng(80).normal(loc=0.5, size=(5, 30, 2))
+        pts[1] = 1.0  # no spread
+        pts[3, 0, 0] = np.nan
+        handle = FilterHandle.oracle_pullback(theta_good, 0.5)
+        with pytest.raises(DegenerateSelectionError) as chunk_error:
+            handle.weights(pts)
+        with pytest.raises(DegenerateSelectionError) as row_error:
+            handle.weights(pts[1])
+        assert str(chunk_error.value) == str(row_error.value)
+        with pytest.raises(InputValidationError, match="finite"):
+            handle.weights(pts[2:])
+
+    def test_forward_batch_on_a_stack_matches_its_row_calls(self):
+        rng = np.random.default_rng(90)
+        params = init_filter_params(2, 16, rng)
+        feats = rng.normal(size=(4, 33, 2))
+        stacked = forward_batch(params, feats)
+        assert stacked.shape == (4, 33)
+        assert _bits(stacked) == _bits(*(forward_batch(params, f) for f in feats))
+        with pytest.raises(InputValidationError):
+            forward_batch(params, feats[..., :1])
+
 
 class TestTrainingSpec:
     @pytest.mark.parametrize(
