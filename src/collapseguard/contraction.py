@@ -17,12 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputValidationError
+from .errors import InputValidationError, SimulationOverflowError
 from .numerics import (
     STACK_LIMIT,
     RngState,
     as_symmetric_matrix,
     as_vector,
+    check_fits,
     sym_eig,
     symmetrize,
 )
@@ -269,7 +270,8 @@ def recurrence_simulate(f: RegulatorFn, x0: float, noise, steps: int) -> np.ndar
     ``dynamics.NoiseSchedule``, the noise energy of the vector dynamics.
     Returns the full trajectory of length steps+1 including x0. Under zero
     noise the sequence is monotone nonincreasing and stays nonnegative by
-    construction.
+    construction. A state beyond the float range raises
+    SimulationOverflowError with the step it was lost at.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise InputValidationError("steps must be a nonnegative integer")
@@ -279,11 +281,16 @@ def recurrence_simulate(f: RegulatorFn, x0: float, noise, steps: int) -> np.ndar
     fv = f.scalar_fn()
     out = np.empty(steps + 1)
     out[0] = x = float(x0)
-    for t, b in enumerate(noise.sigma_sq_array(0, steps).tolist()):
-        x = x - fv(x) + b
-        if x < 0.0:
-            x = 0.0
-        out[t + 1] = x
+    try:
+        for t, b in enumerate(noise.sigma_sq_array(0, steps).tolist()):
+            x = x - fv(x) + b
+            if x < 0.0:
+                x = 0.0
+            out[t + 1] = x
+    except OverflowError:  # f(x) beyond the float range
+        raise SimulationOverflowError(t + 1) from None
+    if not np.isfinite(out[-1]):  # a non-finite state stays non-finite
+        raise SimulationOverflowError(int(np.argmin(np.isfinite(out))))
     return out
 
 
@@ -319,22 +326,31 @@ def limsup_bound(f: RegulatorFn, b: float, tol: float = 1e-12) -> float:
     """Largest solution L of f(x) = b, by bisection to absolute tolerance.
 
     This is the limiting ceiling of the noisy recurrence under a constant
-    bound b; it does not depend on the starting point.
+    bound b; it does not depend on the starting point. Bisection also stops
+    once no float lies strictly between the bounds, where the tolerance is
+    below their spacing.
     """
     if b <= 0.0 or not np.isfinite(b):
         raise InputValidationError("b must be finite and positive")
     fv = f.scalar_fn()
+
+    def above(x: float) -> bool:
+        try:
+            return fv(x) > b
+        except OverflowError:  # x**p beyond the float range: compare c1 x^p with b by logs
+            return math.log(f.c1) + f.p * math.log(x) > math.log(b)
+
     hi = 1.0
-    for _ in range(2000):
-        if fv(hi) > b:
-            break
+    while not above(hi):
         hi *= 2.0
-    else:
-        raise InputValidationError("regulator never exceeds b; no finite bound")
+        if hi == math.inf:
+            raise InputValidationError("regulator does not exceed b in the float range")
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if fv(mid) > b:
+        if not lo < mid < hi:
+            break
+        if above(mid):
             hi = mid
         else:
             lo = mid
@@ -363,8 +379,9 @@ def measure_concentration(
     on the boundary, possible for small discrete samples) exceeds every
     delta. Trials are drawn in chunks of at most ``STACK_LIMIT`` values,
     each continuing the size's stream, so the draws are those of one
-    whole-stream draw. No tail constants are asserted; the curve itself is
-    the product.
+    whole-stream draw. A size whose one-trial draw cannot fit in memory is
+    refused before any draw. No tail constants are asserted; the curve
+    itself is the product.
     """
     ds = np.asarray(deltas, dtype=float)
     if ds.ndim != 1 or ds.shape[0] == 0:
@@ -378,6 +395,7 @@ def measure_concentration(
     for n in sizes:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise InputValidationError("sizes must be positive integers")
+        check_fits(f"one trial's draws at size {n}", (int(n), model.dim), "use smaller sizes")
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (substreams are derived per size)")
 

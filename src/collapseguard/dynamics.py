@@ -14,11 +14,12 @@ takes only one (n, d) set), then one batched fit advances them all.
 
 Both fan one base RngState out into one independent stream per trial
 (trial i draws only from ``rng.derive(i)``) and run fixed 256-trial blocks.
-A dynamics job advances a contiguous group of blocks in lockstep, as one
-state, and still reduces per block; the block sums are folded in block
-order. A workflow job runs one block and adds its statistics one trial at
-a time in trial order. Either way results do not depend on how many
-workers ran the trials."""
+Both kernels return the same job, and one fold, ``_TrialFold``, turns the
+jobs into the run's statistics. A dynamics job advances a contiguous group
+of blocks in lockstep, as one state, and still reduces per block; its block
+sums are added in block order. A workflow job runs one block, and its
+statistics are added one trial at a time in trial order. Either way results
+do not depend on how many workers ran the trials."""
 
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .errors import (
     InputValidationError,
     SimulationOverflowError,
 )
-from .numerics import STACK_LIMIT, RngState, as_vector
+from .numerics import STACK_LIMIT, RngState, as_vector, check_fits
 
 ZERO = "zero"
 POWER_LAW = "power-law"
@@ -170,41 +171,54 @@ def _validate_deltas(deltas) -> tuple[float, ...]:
     return out
 
 
-class _TrialFold:
-    """Per-step sums over trials, added one trial at a time in trial order.
+def _exceed_counts(sq: np.ndarray, diverged_at: np.ndarray, ds: tuple[float, ...]) -> np.ndarray:
+    """(deltas, steps) counts of the trials with ||e_t|| > delta or diverged by step t."""
+    norms = np.sqrt(sq)
+    div = np.arange(sq.shape[1])[None, :] >= diverged_at[:, None]
+    return np.array([((norms > d) | div).sum(axis=0) for d in ds])
 
-    The order is part of the result: summing each 256-trial block first and
-    then adding the partial sums would change the last bits of ``mse``.
+
+class _TrialFold:
+    """The one reduction of a run's jobs into its result, added in job order.
+
+    A job is ``(sum_sq rows, sum_v rows, exceedance counts, n_t row,
+    diverged_at, records)``, ``records`` None unless recording. Rows are
+    added one at a time, so each kernel keeps its own order: a dynamics row
+    is a 256-trial block's pairwise sum, a workflow row is one trial.
     """
 
-    def __init__(self, ts: np.ndarray, ds: tuple[float, ...]):
-        self.ts = ts
+    def __init__(self, steps: int, ds: tuple[float, ...]):
         self.ds = ds
-        self.sum_sq = np.zeros(ts.shape[0])
-        self.sum_v = np.zeros(ts.shape[0])
-        self.counts = np.zeros((len(ds), ts.shape[0]))
-        self.trials = 0
+        self.sum_sq = np.zeros(steps)
+        self.sum_v = np.zeros(steps)
+        self.counts = np.zeros((len(ds), steps))
+        self.ns = np.zeros(steps, dtype=np.int64)
+        self.diverged, self.paths = [], []
 
-    def add(self, sq: np.ndarray, vs: np.ndarray, diverged_at: np.ndarray) -> None:
-        """Fold (trials, steps) squared norms and V values; ``diverged_at`` is inf if never."""
+    def add(self, job) -> None:
+        sq, vs, counts, ns, diverged_at, records = job
         for row_sq, row_v in zip(sq, vs):
             self.sum_sq += row_sq
             self.sum_v += row_v
-        norms = np.sqrt(sq)
-        div = self.ts[None, :] >= diverged_at[:, None]
-        for j, d in enumerate(self.ds):
-            self.counts[j] += ((norms > d) | div).sum(axis=0)
-        self.trials += sq.shape[0]
+        self.counts += counts
+        self.ns = np.maximum(self.ns, ns)
+        self.diverged.append(diverged_at)
+        self.paths.append(records)
 
-    def stats(self, ns: np.ndarray) -> TrialStats:
-        return TrialStats(
-            ts=self.ts.copy(),
-            mse=self.sum_sq / self.trials,
-            mean_v=self.sum_v / self.trials,
-            exceedance={d: self.counts[j] / self.trials for j, d in enumerate(self.ds)},
-            trials=self.trials,
-            ns=ns.copy(),
+    def result(self, record: bool):
+        """TrialStats, or (TrialStats, errors, diverged_at) when ``record`` is set."""
+        trials = sum(d.shape[0] for d in self.diverged)
+        stats = TrialStats(
+            ts=np.arange(self.sum_sq.shape[0]),
+            mse=self.sum_sq / trials,
+            mean_v=self.sum_v / trials,
+            exceedance={d: self.counts[j] / trials for j, d in enumerate(self.ds)},
+            trials=trials,
+            ns=self.ns,
         )
+        if record:
+            return stats, np.concatenate(self.paths), np.concatenate(self.diverged)
+        return stats
 
 
 def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -> TrialStats:
@@ -216,7 +230,7 @@ def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -
     with ||e_t|| > delta; diverged trials count as exceeding every threshold
     from their divergence step on. The sample size at a step is the largest
     over the trials, so it is zero only once every trial has stopped sampling.
-    This is the one-shot form of the fold the simulators run block by block.
+    This is ``_TrialFold`` on one job that holds every trial.
     """
     sq, vs, ns = (np.asarray(a) for a in (sq_norms, vs, ns))
     diverged_at = np.asarray(diverged_at, dtype=float)
@@ -226,9 +240,10 @@ def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -
         raise InputValidationError(
             "paths must be nonempty (trials, steps) arrays with one divergence step per trial"
         )
-    fold = _TrialFold(np.arange(sq.shape[1]), _validate_deltas(deltas))
-    fold.add(sq, vs, diverged_at)
-    return fold.stats(ns.max(axis=0))
+    ds = _validate_deltas(deltas)
+    fold = _TrialFold(sq.shape[1], ds)
+    fold.add((sq, vs, _exceed_counts(sq, diverged_at, ds), ns.max(axis=0), diverged_at, None))
+    return fold.result(False)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +298,10 @@ def _check_sizes(trials: int, horizon: int, dim: int, ds: tuple, record: bool) -
     mean_v, ns and each delta's exceedance; a recording adds the (trials,
     horizon+1, dim) error paths.
     """
-    statistics = ("per-step statistics", (4 + len(ds), horizon + 1), "use a shorter horizon")
-    recording = ("recorded trajectories", (int(trials), horizon + 1, int(dim)),
-                 "record fewer trials or a shorter horizon")
-    limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), np.iinfo(np.intp).max)
-    for what, shape, advice in (recording, statistics) if record else (statistics,):
-        size = math.prod(shape) * 8
-        if size > limit:
-            raise InputValidationError(
-                f"{what} of shape {shape} need {size} bytes, beyond the {limit} that physical "
-                f"memory and the array index range allow; {advice}"
-            )
+    if record:
+        check_fits("recorded trajectories", (int(trials), horizon + 1, int(dim)),
+                   "record fewer trials or a shorter horizon")
+    check_fits("per-step statistics", (4 + len(ds), horizon + 1), "use a shorter horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +334,9 @@ def _dynamics_block(job):
     without a gather. A state that becomes non-finite raises
     SimulationOverflowError with the step at which its lowest block lost
     it, the error running the blocks one after another meets first.
-    Returns the per-block, per-step sums of ||e||^2 and V, each (blocks,
-    horizon+1), the group's exceedance counts, its divergence steps (inf if
-    never) and, when recording, its (rows, horizon+1, dim) error paths.
+    Returns the ``_TrialFold`` job: per-block, per-step sums of ||e||^2 and
+    V, each (blocks, horizon+1), and an n_t of 0 (the dynamics draw no
+    samples).
     """
     (map_, noise, e0, horizon, rng, ds, cap, record), trial_lo, trial_hi = job
     metric = map_.metric
@@ -412,7 +420,7 @@ def _dynamics_block(job):
         t += span
     if failure is not None:
         raise failure
-    return sum_sq, sum_v, exceed, diverged, records
+    return sum_sq, sum_v, exceed, 0, diverged, records
 
 
 def run_dynamics_trials(
@@ -431,12 +439,12 @@ def run_dynamics_trials(
     The noise energy sigma_t^2 is measured in the map's metric P. Trial i
     draws from ``rng.derive(i)``, so any partition of trials over workers
     reproduces the serial result bit for bit: a job advances up to
-    ``_LOCKSTEP`` 256-trial blocks in lockstep, and the per-block sums are
-    folded in block order. A trial freezes, and is marked diverged, once V
-    exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats, errors,
-    diverged_at) when ``record_trajectories`` is set: the (trials,
-    horizon+1, dim) error paths and each trial's divergence step, inf if
-    it never diverged. A horizon whose per-step statistics, or a recording,
+    ``_LOCKSTEP`` 256-trial blocks in lockstep, and ``_TrialFold`` adds the
+    per-block sums in block order. A trial freezes, and is marked diverged,
+    once V exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats,
+    errors, diverged_at) when ``record_trajectories`` is set: the (trials,
+    horizon+1, dim) error paths and each trial's divergence step, inf if it
+    never diverged. A horizon whose per-step statistics, or a recording,
     would not fit in this machine's memory is refused before any draw.
     """
     horizon = _check_run(rng, trials, horizon)
@@ -445,30 +453,10 @@ def run_dynamics_trials(
     _check_sizes(trials, horizon, map_.metric.dim, ds, record_trajectories)
 
     args = (map_, noise, e0, horizon, rng, ds, divergence_cap, record_trajectories)
-    n = horizon + 1
-    sum_sq = np.zeros(n)
-    sum_v = np.zeros(n)
-    exceed = np.zeros((len(ds), n))
-    paths, frozen = [], []
-    for bsq, bv, bex, bdiv, brec in _run_blocks(_dynamics_block, args, trials, _LOCKSTEP):
-        for row_sq, row_v in zip(bsq, bv):
-            sum_sq += row_sq
-            sum_v += row_v
-        exceed += bex
-        paths.append(brec)
-        frozen.append(bdiv)
-
-    stats = TrialStats(
-        ts=np.arange(n),
-        mse=sum_sq / trials,
-        mean_v=sum_v / trials,
-        exceedance={d: exceed[j] / trials for j, d in enumerate(ds)},
-        trials=trials,
-        ns=np.zeros(n, dtype=np.int64),
-    )
-    if record_trajectories:
-        return stats, np.concatenate(paths), np.concatenate(frozen)
-    return stats
+    fold = _TrialFold(horizon + 1, ds)
+    for job in _run_blocks(_dynamics_block, args, trials, _LOCKSTEP):
+        fold.add(job)
+    return fold.result(record_trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +516,11 @@ def _workflow_block(job):
     chunk back to one call per row (``_chunk_weights``). A trial freezes once V
     exceeds the cap. A trial that fails stops, and so does every later
     trial: the block raises the failure of the lowest-index failing trial,
-    the error a trial-by-trial loop meets first. Returns the (trials,
-    horizon+1) V paths, the divergence steps (inf if never) and, when
-    recording, the (trials, horizon+1, dim) error paths.
+    the error a trial-by-trial loop meets first. Returns the ``_TrialFold``
+    job: the (trials, horizon+1) V paths as both sums (the metric is the
+    identity), and n_t, the schedule size while any trial samples, else 0.
     """
-    (model, theta_star, sizes, filter_handle, rng, cap, record), lo, hi = job
+    (model, theta_star, sizes, filter_handle, rng, ds, cap, record), lo, hi = job
     family, dim = model.family, model.dim
     b, n = hi - lo, sizes.shape[0]
     gens = [rng.derive(i).generator() for i in range(lo, hi)]
@@ -590,7 +578,8 @@ def _workflow_block(job):
             records[:, t] = errors
     if failure is not None:
         raise failure
-    return vs, diverged, records
+    ns = np.where(np.arange(n) <= diverged[:, None], sizes, 0).max(axis=0)
+    return vs, vs, _exceed_counts(vs, diverged, ds), ns, diverged, records
 
 
 def run_workflow_trials(
@@ -611,9 +600,10 @@ def run_workflow_trials(
     Generation 0 fits schedule.size(0) real draws from theta_star; each
     later generation samples from its predecessor's fit and re-estimates,
     recording e_t = theta_hat_t - theta_star with the identity-metric V.
-    A trial freezes once V exceeds ``divergence_cap``. Returns TrialStats,
-    or (TrialStats, errors, diverged_at) as ``run_dynamics_trials`` does
-    when ``record_trajectories`` is set, with the same memory checks.
+    A trial freezes once V exceeds ``divergence_cap``. ``_TrialFold`` adds
+    the statistics one trial at a time, and returns TrialStats, or
+    (TrialStats, errors, diverged_at) as ``run_dynamics_trials`` does when
+    ``record_trajectories`` is set, with the same memory checks.
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
@@ -637,7 +627,6 @@ def run_workflow_trials(
     _check_sizes(trials, horizon, model.dim, ds, record_trajectories)
 
     n = horizon + 1
-    ts = np.arange(n)
     fixed = candidates_per_round if filter_handle is not None else None
     if fixed is not None and fixed > np.iinfo(np.int64).max:
         raise InputValidationError("candidates_per_round does not fit in a 64-bit integer")
@@ -645,17 +634,8 @@ def run_workflow_trials(
         [schedule.size(t) if t == 0 or fixed is None else fixed for t in range(n)],
         dtype=np.int64,
     )
-    args = (model, theta_star, sizes, filter_handle, rng, divergence_cap, record_trajectories)
-    fold = _TrialFold(ts, ds)
-    live_ns = np.zeros(n, dtype=np.int64)  # the schedule size while any trial samples, else 0
-    paths, frozen = [], []
-    for vs, diverged, records in _run_blocks(_workflow_block, args, trials):
-        fold.add(vs, vs, diverged)
-        ns = np.where(ts <= diverged[:, None], sizes, 0)
-        live_ns = np.maximum(live_ns, ns.max(axis=0))
-        paths.append(records)
-        frozen.append(diverged)
-    stats = fold.stats(live_ns)
-    if record_trajectories:
-        return stats, np.concatenate(paths), np.concatenate(frozen)
-    return stats
+    args = (model, theta_star, sizes, filter_handle, rng, ds, divergence_cap, record_trajectories)
+    fold = _TrialFold(n, ds)
+    for job in _run_blocks(_workflow_block, args, trials):
+        fold.add(job)
+    return fold.result(record_trajectories)

@@ -642,6 +642,10 @@ def _run_concentration(config: ExperimentConfig, chash: str):
 def _run_train_filter(config: ExperimentConfig, chash: str):
     model, theta_star = config.model.build()
     spec = config.training
+    if spec.pca_k > model.dim:
+        raise InputValidationError(
+            f"training.pca_k ({spec.pca_k}) must not exceed model.dim ({model.dim})"
+        )
     rng = RngState(config.seed)
 
     pool, trace = simulate_drift_training_data(model, theta_star, spec, rng.derive(0))

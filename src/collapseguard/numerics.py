@@ -9,6 +9,8 @@ from its own state without coordination.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,17 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # concentration curves process trials in chunks of this size, and their
 # results do not depend on it
 STACK_LIMIT = 1 << 18
+
+
+def check_fits(what: str, shape: tuple[int, ...], advice: str) -> None:
+    """Refuse a float64 array of ``shape`` beyond physical memory or the array index range."""
+    size = math.prod(shape) * 8
+    limit = min(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), np.iinfo(np.intp).max)
+    if size > limit:
+        raise InputValidationError(
+            f"{what} of shape {shape} need {size} bytes, beyond the {limit} that physical "
+            f"memory and the array index range allow; {advice}"
+        )
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:

@@ -508,6 +508,46 @@ class TestScenarioCommands:
         assert (out / "checkpoint.json").exists()
         assert (out / "training_log.csv").exists()
 
+    def test_pca_k_above_model_dim_names_both_fields_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = _write_config(
+            tmp_path / "config.json", {"seed": 1, "model": {"dim": 2}, "training": {"pca_k": 5}}
+        )
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drift data was drawn")
+
+        monkeypatch.setattr("collapseguard.experiments.simulate_drift_training_data", no_draw)
+        rc = main(["train-filter", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: training.pca_k (5) must not exceed model.dim (2)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_rates_state_beyond_the_float_range_is_a_runtime_failure(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json", {"seed": 1, "rates": {"x0": 1e160, "steps": 10}}
+        )
+        rc = main(["verify-rates", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == "runtime error: non-finite state at step 1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_concentration_size_beyond_memory_is_a_validation_failure(self, tmp_path, capsys):
+        size = 3074457345618258603
+        config = _write_config(
+            tmp_path / "config.json",
+            {"seed": 1, "model": {"dim": 3}, "concentration": {"sizes": [size]}},
+        )
+        rc = main(["measure-concentration", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: one trial's draws at size {size} of shape ({size}, 3) need ")
+        assert err.endswith("; use smaller sizes\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompareAndPlot:
     def test_compare_writes_ratio_artifacts(self, tmp_path):

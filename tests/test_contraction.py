@@ -1,6 +1,7 @@
 """Tests for Lyapunov metrics, contraction checking, and recurrence machinery."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from collapseguard.contraction import (
 )
 from collapseguard import expfam
 from collapseguard.dynamics import NoiseSchedule
-from collapseguard.errors import BoundaryError, InputValidationError
+from collapseguard.errors import BoundaryError, InputValidationError, SimulationOverflowError
 from collapseguard.expfam import (
     BERNOULLI,
     EXPONENTIAL,
@@ -323,6 +324,21 @@ class TestRecurrenceSimulate:
         assert traj.shape == (51,)
         assert traj[0] == 2.0
 
+    def test_a_regulator_value_beyond_the_float_range_names_the_step(self):
+        """x0^2 overflows at the first update: a SimulationOverflowError, not OverflowError."""
+        f = RegulatorFn("power-law", p=2, c1=1.0)
+        with pytest.raises(SimulationOverflowError, match="non-finite state at step 1") as info:
+            recurrence_simulate(f, x0=1e160, noise=NoiseSchedule("zero"), steps=10)
+        assert info.value.step == 1
+
+    def test_a_state_that_becomes_non_finite_is_not_returned(self):
+        """x_1 = 0.99 * 1.7e308 + 1e308 is inf, and x_2 = inf - inf is nan."""
+        f = RegulatorFn("power-law", p=1, c1=0.01)
+        noise = NoiseSchedule("constant", scale=1e308)
+        with pytest.raises(SimulationOverflowError) as info:
+            recurrence_simulate(f, x0=1.7e308, noise=noise, steps=5)
+        assert info.value.step == 1
+
 
 class TestFitDecayRate:
     def test_exact_inverse_law(self):
@@ -348,6 +364,21 @@ class TestFitDecayRate:
             fit_decay_rate(x)
 
 
+def _limsup_within(seconds: int, f, b):
+    """``limsup_bound(f, b)``, or a TimeoutError if it has not returned after ``seconds``."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"limsup_bound(b={b}) did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        return limsup_bound(f, b)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestLimsupBound:
     def test_square_regulator(self):
         f = RegulatorFn("power-law", p=2, c1=1.0)
@@ -365,6 +396,23 @@ class TestLimsupBound:
     def test_nonpositive_forcing_rejected(self):
         with pytest.raises(InputValidationError):
             limsup_bound(RegulatorFn("example-sqrt"), 0.0)
+
+    @pytest.mark.parametrize("b", [1e8, 1e30, 1e300])
+    def test_a_ceiling_wider_apart_than_the_tolerance_returns(self, b):
+        """Above 8192 adjacent floats lie more than 1e-12 apart, so the bisection
+        must stop on its bounds meeting."""
+        ceiling = _limsup_within(5, RegulatorFn("power-law", p=2, c1=1.0), b)
+        assert ceiling == pytest.approx(math.sqrt(b), rel=1e-15)
+
+    def test_a_regulator_that_overflows_before_the_root_compares_by_logs(self):
+        """x^2 passes the float range near x = 1.3e154, below the root 1e155 of 1e-10 x^2 = 1e300."""
+        ceiling = limsup_bound(RegulatorFn("power-law", p=2, c1=1e-10), 1e300)
+        assert ceiling == pytest.approx(1e155, rel=1e-12)
+
+    @pytest.mark.parametrize("p, c1, b", [(1.0, 1.0, 1.7e308), (1.0001, 1e-300, 1e300)])
+    def test_a_root_beyond_the_float_range_is_refused(self, p, c1, b):
+        with pytest.raises(InputValidationError, match="does not exceed b in the float range"):
+            _limsup_within(5, RegulatorFn("power-law", p=p, c1=c1), b)
 
     def test_tail_ceiling_is_start_independent(self):
         """Trajectories from very different starts share the same tail ceiling."""
@@ -448,6 +496,22 @@ class TestMeasureConcentration:
             model, theta, sizes=[1, 10], deltas=[1.0], trials=500, rng=RngState(seed=77)
         )
         assert np.array_equal(a, b)
+
+    def test_a_size_beyond_memory_is_refused_before_any_draw(self, monkeypatch):
+        model = ExpFamilyModel(GAUSSIAN, 3)
+        theta = Parameter(np.zeros(3), model)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before refusing the size")
+
+        monkeypatch.setattr(expfam, "sample", no_draw)
+        size = 3074457345618258603
+        with pytest.raises(
+            InputValidationError, match=rf"size {size} of shape \({size}, 3\) need "
+        ):
+            measure_concentration(
+                model, theta, sizes=[10, size], deltas=[1.0], trials=100, rng=RngState(seed=1)
+            )
 
     @pytest.mark.parametrize("deltas", [[], [[0.5]], [0.5, -0.1]])
     def test_bad_deltas_rejected(self, deltas):

@@ -256,6 +256,40 @@ class TestAggregateExceedance:
         assert stats.trials == 2
 
 
+class TestDynamicsFoldMatchesTheReferenceFold:
+    """A recorded dynamics run's statistics are ``aggregate_exceedance`` of its own paths."""
+
+    @pytest.mark.parametrize(
+        "p_matrix",
+        [np.eye(2), np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])],
+        ids=["identity", "general-dim3"],
+    )
+    def test_a_recorded_run_folds_as_its_paths_do(self, p_matrix):
+        metric = LyapunovMetric(p_matrix)
+        map_ = ContractionMap(metric, ContractionFn("constant", level=0.1))
+        deltas, trials = (0.5, 1.0, 2.0, 4.0), 300
+        stats, errors, diverged_at = run_dynamics_trials(
+            map_, NoiseSchedule("constant", scale=1.0), np.ones(metric.dim), horizon=40,
+            trials=trials, rng=RngState(seed=5), deltas=deltas, divergence_cap=25.0,
+            record_trajectories=True,
+        )
+        # precondition: two blocks, and some trials of each freeze under the cap while others run on
+        assert 0 < np.isfinite(diverged_at[:256]).sum() < 256
+        assert 0 < np.isfinite(diverged_at[256:]).sum() < trials - 256
+        sq = np.einsum("tsi,tsi->ts", errors, errors)
+        vs = np.stack([metric.values(path) for path in errors])
+        ref = aggregate_exceedance(sq, vs, diverged_at, np.zeros(sq.shape, dtype=int), deltas)
+        for name in ("ts", "ns"):
+            np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
+        assert stats.trials == ref.trials == trials
+        assert stats.exceedance.keys() == ref.exceedance.keys()
+        for delta in deltas:
+            np.testing.assert_array_equal(stats.exceedance_at(delta), ref.exceedance_at(delta))
+        # the run adds 256-trial pairwise block sums, the reference one trial at a time
+        np.testing.assert_allclose(stats.mse, ref.mse, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stats.mean_v, ref.mean_v, rtol=1e-12, atol=0)
+
+
 class TestRunDynamicsTrials:
     def test_first_step_is_the_scaled_draw_of_the_trial_stream(self):
         """From e0 = 0 under A = I, trial i's first state is its own stream's first draw."""

@@ -5,7 +5,7 @@ import pytest
 
 from collapseguard.errors import InputValidationError
 from collapseguard.filtering import fit_pca
-from collapseguard.numerics import RngState, as_generator, sym_eig
+from collapseguard.numerics import RngState, as_generator, check_fits, sym_eig
 
 
 def _assert_sign_convention(vectors):
@@ -122,3 +122,16 @@ class TestRngState:
         gen = state.generator()
         assert isinstance(as_generator(state), np.random.Generator)
         assert as_generator(gen) is gen
+
+
+class TestCheckFits:
+    def test_a_small_array_passes(self):
+        check_fits("a vector", (1000,), "use a shorter one")
+
+    @pytest.mark.parametrize("shape", [(2**62, 2), (2**30, 2**10)], ids=["index-range", "memory"])
+    def test_an_array_beyond_the_index_range_or_memory_is_refused(self, shape):
+        with pytest.raises(
+            InputValidationError, match=rf"^a vector of shape \({shape[0]}, {shape[1]}\) need "
+        ) as info:
+            check_fits("a vector", shape, "use a shorter one")
+        assert str(info.value).endswith("; use a shorter one")
