@@ -161,9 +161,16 @@ class RegulatorFn:
             object.__setattr__(self, "c2", c2)
 
     def value(self, r: float) -> float:
+        """f(r); a power law whose r^p overflows is evaluated by logs, inf beyond the float range."""
         if r < 0.0:
             raise InputValidationError("regulator argument must be nonnegative")
-        return self.scalar_fn()(r)
+        try:
+            return self.scalar_fn()(r)
+        except OverflowError:  # r**p of a power law; c1 < 1 may bring c1 r^p back in range
+            try:
+                return math.exp(math.log(self.c1) + self.p * math.log(r))
+            except OverflowError:
+                return math.inf
 
     def scalar_fn(self) -> Callable[[float], float]:
         """A plain closure for tight loops (no per-call validation)."""

@@ -7,10 +7,11 @@ step.
 ``run_workflow_trials`` re-fits an exponential family on its own samples
 each generation, with or without a reweighting filter in the loop, which
 is where estimation error actually comes from. Its kernel is
-generation-major: per generation, each live trial of a block draws its
-candidates from its own stream, the filter weighs the whole (rows, n, d)
-chunk in one call that returns (rows, n) weights (row by row if the handle
-takes only one (n, d) set), then one batched fit advances them all.
+generation-major: per generation, ``expfam._draw_rows`` draws each live
+trial's candidates from its own stream straight into its row of the
+chunk, the filter weighs the whole (rows, n, d) chunk in one call that
+returns (rows, n) weights (row by row if the handle takes only one (n, d)
+set), then one batched fit advances them all.
 
 Both fan one base RngState out into one independent stream per trial
 (trial i draws only from ``rng.derive(i)``) and run fixed 256-trial blocks.
@@ -508,9 +509,11 @@ def _chunk_weights(filter_handle, points, out, t):
 def _workflow_block(job):
     """Run one block of workflow trials generation by generation.
 
-    Each generation draws every live trial's candidates from its own stream
-    (one call per trial, as a trial-by-trial loop makes them) and fits all
-    live trials at once, at most ``STACK_LIMIT`` stacked values at a time.
+    Each generation takes the live trials in chunks of at most
+    ``STACK_LIMIT`` stacked values. ``expfam._draw_rows`` draws each trial's
+    candidates straight into its row of the chunk, one call of the trial's
+    own stream as a trial-by-trial loop makes it, and then fits all rows of
+    the chunk at once.
     When filtered, the handle weighs each such (rows, n, d) chunk in one
     call; a result of another shape than (rows, n), or a raise, sends the
     chunk back to one call per row (``_chunk_weights``). A trial freezes once V
@@ -541,14 +544,9 @@ def _workflow_block(job):
             part = live[k : k + rows]
             part = part[part < stop]
             points = np.empty((part.size, size, dim))
-            drawn = 0
-            for i in part:
-                try:
-                    points[drawn] = expfam._draw(family, theta[i], size, gens[i])
-                except Exception as exc:  # raised once no earlier trial can fail first
-                    stop, failure = i, exc
-                    break
-                drawn += 1
+            drawn, error = expfam._draw_rows(family, theta[part], [gens[i] for i in part], points)
+            if error is not None:  # raised once no earlier trial can fail first
+                stop, failure = part[drawn], error
             weights = None
             if filtered:
                 weights = np.empty((part.size, size))

@@ -192,11 +192,20 @@ class ModelSpec:
         # the default (ones) lies outside some natural domains, so check the effective value
         theta = np.ones(self.dim) if self.theta_star is None else np.array(self.theta_star, float)
         try:
-            return model, expfam.Parameter(theta, model)
+            param = expfam.Parameter(theta, model)
         except InputValidationError as exc:
             raise InputValidationError(
                 f"model.theta_star {theta.tolist()} is invalid: {exc}"
             ) from exc
+        if model.family == expfam.POISSON:
+            with np.errstate(over="ignore"):  # exp(theta) = inf lies above the limit too
+                too_large = np.any(np.exp(theta) > expfam.POISSON_RATE_MAX)
+            if too_large:
+                raise InputValidationError(
+                    f"model.theta_star {theta.tolist()} is invalid: its poisson rate exp(theta) "
+                    f"exceeds {expfam.POISSON_RATE_MAX:.6g}, the largest rate numpy can sample"
+                )
+        return model, param
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ _ALIASES = {"gaussian": GAUSSIAN, "normal": GAUSSIAN}
 
 WEIGHT_FLOOR_PER_POINT = 1e-6
 
+# the largest rate numpy's Poisson sampler accepts (its POISSON_LAM_MAX)
+POISSON_RATE_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
 
 @dataclass(frozen=True)
 class ExpFamilyModel:
@@ -259,23 +262,50 @@ def _fit_rows(family: str, points: np.ndarray, weights: np.ndarray | None):
     return theta, ok
 
 
-def _draw(family: str, theta: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """n i.i.d. points, shape (n, dim), at the natural parameter vector ``theta``."""
-    d = theta.shape[0]
+def _draw_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray):
+    """Draw each row ``out[r]`` (n, dim) i.i.d. at ``theta_rows[r]`` from ``gens[r]``.
+
+    One call of each row's own generator, in row order, fills that row;
+    then the family's transform maps all drawn rows in one pass. The bits
+    are those of one ``sample`` call per row. Stops at the first row whose
+    call raises and returns ``(drawn, error)``: rows before ``drawn`` hold
+    their points, later rows nothing; ``error`` is None when all rows drew.
+    """
+    drawn, error = 0, None
+    for gen in gens:
+        row = out[drawn]
+        try:
+            if family == GAUSSIAN:
+                gen.standard_normal(out=row)
+            elif family == BERNOULLI:
+                gen.random(out=row)
+            elif family == POISSON:
+                row[...] = gen.poisson(lam=np.exp(theta_rows[drawn]), size=row.shape)
+            else:
+                row[...] = gen.exponential(scale=-1.0 / theta_rows[drawn], size=row.shape)
+        except Exception as exc:
+            error = exc
+            break
+        drawn += 1
     if family == GAUSSIAN:
-        return theta + gen.standard_normal((n, d))
-    if family == POISSON:
-        return gen.poisson(lam=np.exp(theta), size=(n, d)).astype(float)
-    if family == BERNOULLI:
-        p = 1.0 / (1.0 + np.exp(-theta))
-        return (gen.random((n, d)) < p).astype(float)
-    return gen.exponential(scale=-1.0 / theta, size=(n, d))
+        out[:drawn] += theta_rows[:drawn, None, :]
+    elif family == BERNOULLI:
+        p = 1.0 / (1.0 + np.exp(-theta_rows[:drawn, None, :]))
+        out[:drawn] = out[:drawn] < p
+    return drawn, error
 
 
 def sample(model: ExpFamilyModel, theta: Parameter, n: int, rng) -> np.ndarray:
-    """Draw n i.i.d. points from the parameterized distribution, shape (n, dim)."""
+    """Draw n i.i.d. points from the parameterized distribution, shape (n, dim).
+
+    The one-row call of ``_draw_rows``, the one draw path of the package.
+    """
     if theta.model != model:
         raise InputValidationError("parameter belongs to a different model")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputValidationError("n must be a positive integer")
-    return _draw(model.family, theta.theta, int(n), as_generator(rng))
+    out = np.empty((1, int(n), model.dim))
+    _, error = _draw_rows(model.family, theta.theta[None], [as_generator(rng)], out)
+    if error is not None:
+        raise error
+    return out[0]

@@ -244,7 +244,7 @@ class TestScenarioCommands:
         def no_draw(*args, **kwargs):
             raise AssertionError("a candidate was drawn")
 
-        monkeypatch.setattr(collapseguard.expfam, "_draw", no_draw)
+        monkeypatch.setattr(collapseguard.expfam, "_draw_rows", no_draw)
         rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -273,6 +273,27 @@ class TestScenarioCommands:
         err = capsys.readouterr().err
         assert "model.theta_star [1.0] is invalid" in err
         assert "exponential natural parameters must be negative" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("theta", [44.0, 1000.0])
+    def test_poisson_rate_beyond_numpy_limit_names_the_field_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, theta
+    ):
+        config = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "workflow", "seed": 1, "horizon": 3, "trials": 2,
+             "model": {"family": "poisson", "dim": 1, "theta_star": [theta]}},
+        )
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a candidate was drawn")
+
+        monkeypatch.setattr(collapseguard.expfam, "_draw_rows", no_draw)
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"model.theta_star [{theta}] is invalid" in err
+        assert "the largest rate numpy can sample" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -169,6 +169,14 @@ class TestRegulatorValue:
         with pytest.raises(InputValidationError):
             RegulatorFn("example-sqrt").value(-0.5)
 
+    def test_a_power_law_beyond_the_float_range_is_infinite(self):
+        assert RegulatorFn("power-law", p=2).value(1e200) == math.inf
+
+    def test_a_power_law_whose_power_overflows_is_evaluated_by_logs(self):
+        """r^2 = 1e310 overflows, but c1 r^2 = 1e300 lies in the float range."""
+        value = RegulatorFn("power-law", p=2, c1=1e-10).value(1e155)
+        assert value == pytest.approx(1e300, rel=1e-12)
+
     def test_midpoint_convexity_on_grid(self):
         grid = np.linspace(0.0, 50.0, 200)
         for f in (
@@ -254,6 +262,22 @@ class TestCheckRegulation:
             ContractionFn("quadratic", alpha=1.0, c_max=0.99),
             RegulatorFn("power-law", p=2, c1=0.5),
             metric, probes,
+        )
+
+    def test_a_regulator_beyond_the_float_range_fails_the_check(self):
+        """At V = 1e200, f(V) = V^2 lies beyond the float range, far above c V = V / 2."""
+        metric = LyapunovMetric.identity(1)
+        assert not check_regulation(
+            ContractionFn("constant", level=0.5), RegulatorFn("power-law", p=2, c1=1.0),
+            metric, np.array([[1e-3], [1e100]]),
+        )
+
+    def test_a_regulator_whose_power_overflows_is_compared_by_logs(self):
+        """At V = 1e200, f(V) = 1e-300 V^2 = 1e100 stays below c V = 5e199 although V^2 overflows."""
+        metric = LyapunovMetric.identity(1)
+        assert check_regulation(
+            ContractionFn("constant", level=0.5), RegulatorFn("power-law", p=2, c1=1e-300),
+            metric, np.array([[1e-3], [1e100]]),
         )
 
     def test_empty_probes_rejected(self):

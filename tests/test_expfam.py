@@ -14,9 +14,11 @@ from collapseguard.expfam import (
     FAMILIES,
     GAUSSIAN,
     POISSON,
+    POISSON_RATE_MAX,
     ExpFamilyModel,
     Parameter,
     _check_mean_interior,
+    _draw_rows,
     _mean_from_natural,
     _mean_slope,
     estimate,
@@ -320,3 +322,74 @@ class TestSample:
         model = _model(GAUSSIAN)
         with pytest.raises(InputValidationError):
             sample(model, Parameter(np.zeros(1), model), 0, RngState(seed=1))
+
+
+def _theta_for(family: str, dim: int, shift: float = 0.0) -> np.ndarray:
+    if family == EXPONENTIAL:
+        return np.linspace(-1.7, -0.3, dim) - shift
+    return np.linspace(-0.8, 1.1, dim) + shift
+
+
+def _raw_draw(family: str, theta: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """The numpy formula of each family, independent of the package's kernel."""
+    d = theta.shape[0]
+    if family == GAUSSIAN:
+        return theta + gen.standard_normal((n, d))
+    if family == POISSON:
+        return gen.poisson(np.exp(theta), (n, d)).astype(float)
+    if family == BERNOULLI:
+        return (gen.random((n, d)) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
+    return gen.exponential(-1.0 / theta, (n, d))
+
+
+class _FailingGenerator:
+    """A stand-in stream whose every draw raises."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def _fail(self, *args, **kwargs):
+        raise self.error
+
+    standard_normal = random = poisson = exponential = _fail
+
+
+class TestDrawKernel:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_sample_gives_the_bits_of_the_numpy_formula(self, family, dim, n):
+        theta = _theta_for(family, dim)
+        rng = RngState(seed=17).derive(dim * 1000 + n)
+        drawn = sample(_model(family, dim), Parameter(theta, _model(family, dim)), n, rng)
+        expected = _raw_draw(family, theta, n, rng.generator())
+        assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+        np.testing.assert_array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_raising_row_stops_the_chunk_after_the_rows_before_it(self, family):
+        dim, n, rows, k = 2, 7, 5, 3
+        thetas = np.stack([_theta_for(family, dim, 0.1 * r) for r in range(rows)])
+        rng = RngState(seed=23)
+        error = ValueError("row 3 cannot draw")
+        gens = [rng.derive(r).generator() for r in range(rows)]
+        gens[k] = _FailingGenerator(error)
+        out = np.empty((rows, n, dim))
+        drawn, raised = _draw_rows(family, thetas, gens, out)
+        assert drawn == k and raised is error
+        model = _model(family, dim)
+        for r in range(k):
+            lone = sample(model, Parameter(thetas[r], model), n, rng.derive(r))
+            np.testing.assert_array_equal(out[r], lone)
+
+    def test_sample_raises_the_error_of_its_one_row(self):
+        model = _model(POISSON)
+        theta = Parameter(np.array([np.log(POISSON_RATE_MAX) + 1.0]), model)
+        with pytest.raises(ValueError, match="lam value too large"):
+            sample(model, theta, 3, RngState(seed=2))
+
+    def test_the_poisson_rate_limit_is_numpys(self):
+        gen = RngState(seed=3).generator()
+        assert gen.poisson(POISSON_RATE_MAX) >= 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            gen.poisson(np.nextafter(POISSON_RATE_MAX, np.inf))
