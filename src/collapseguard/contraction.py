@@ -414,7 +414,7 @@ def measure_concentration(
         for lo in range(0, trials, chunk):
             rows = min(chunk, trials - lo)
             draws = expfam.sample(model, theta, rows * n, gen)
-            theta_hat, ok = expfam._fit_rows(model.family, draws.reshape(rows, n, model.dim), None)
+            theta_hat, code = expfam._fit_rows(model.family, draws.reshape(rows, n, -1), None)
             dist = np.linalg.norm(theta_hat - theta.theta, axis=1)
-            counts[i] += (~ok[:, None] | (dist[:, None] >= ds)).sum(axis=0)
+            counts[i] += ((code != 0)[:, None] | (dist[:, None] >= ds)).sum(axis=0)
     return counts / trials

@@ -465,13 +465,11 @@ def run_dynamics_trials(
 # ---------------------------------------------------------------------------
 
 
-def _fit_generation(model, points, weights, t):
-    try:
-        if weights is None:
-            return expfam.estimate(model, points)
-        return expfam.weighted_estimate(model, points, weights)
-    except CollapseGuardError as exc:
-        raise type(exc)(f"generation {t}: {exc}") from exc
+def _in_generation(t, exc):
+    """A refusal of the expfam kernels as generation ``t``'s error; any other error as it is."""
+    if isinstance(exc, CollapseGuardError):
+        return type(exc)(f"generation {t}: {exc}")
+    return exc
 
 
 def _chunk_weights(filter_handle, points, out, t):
@@ -480,9 +478,10 @@ def _chunk_weights(filter_handle, points, out, t):
     One call hands the handle the whole (rows, n, d) chunk, and its result
     is taken only if its shape is exactly (rows, n). Otherwise, or if that
     call raises, each row gets a call of its own, in row order, up to the
-    first failure; so a handle that takes only (n, d) works, and the lowest
-    failing row raises its own error. Returns None, or (row, error) of that
-    failure.
+    first failure. The per-row path stays: duck-typed handles that take
+    only (n, d) are a supported API, and a chunk error does not say which
+    row raised it, while the lowest failing row's own error must be raised.
+    Returns None, or (row, error) of that failure.
     """
     rows, size = points.shape[:2]
     try:
@@ -512,12 +511,10 @@ def _workflow_block(job):
     Each generation takes the live trials in chunks of at most
     ``STACK_LIMIT`` stacked values. ``expfam._draw_rows`` draws each trial's
     candidates straight into its row of the chunk, one call of the trial's
-    own stream as a trial-by-trial loop makes it, and then fits all rows of
-    the chunk at once.
-    When filtered, the handle weighs each such (rows, n, d) chunk in one
-    call; a result of another shape than (rows, n), or a raise, sends the
-    chunk back to one call per row (``_chunk_weights``). A trial freezes once V
-    exceeds the cap. A trial that fails stops, and so does every later
+    own stream, and then fits all rows at once; a refused draw or fit raises
+    its one-row call's error, prefixed with the generation. When filtered,
+    ``_chunk_weights`` weighs each such (rows, n, d) chunk. A trial freezes
+    once V exceeds the cap. A trial that fails stops, and so does every later
     trial: the block raises the failure of the lowest-index failing trial,
     the error a trial-by-trial loop meets first. Returns the ``_TrialFold``
     job: the (trials, horizon+1) V paths as both sums (the metric is the
@@ -546,21 +543,19 @@ def _workflow_block(job):
             points = np.empty((part.size, size, dim))
             drawn, error = expfam._draw_rows(family, theta[part], [gens[i] for i in part], points)
             if error is not None:  # raised once no earlier trial can fail first
-                stop, failure = part[drawn], error
+                stop, failure = part[drawn], _in_generation(t, error)
             weights = None
             if filtered:
                 weights = np.empty((part.size, size))
                 bad = _chunk_weights(filter_handle, points[:drawn], weights, t)
                 if bad is not None:
                     stop, failure = part[bad[0]], bad[1]
-            fit, ok = expfam._fit_rows(family, points, weights)
-            for r in np.flatnonzero(~ok & (part < stop)):
-                try:
-                    w = None if weights is None else weights[r]
-                    fit[r] = _fit_generation(model, points[r], w, t).theta
-                except Exception as exc:
-                    stop, failure = part[r], exc
-                    break
+            fit, code = expfam._fit_rows(family, points, weights)
+            coded = np.flatnonzero((code != 0) & (part < stop))
+            if coded.size:
+                r = coded[0]
+                error = expfam._fit_error(family, code[r], None if weights is None else weights[r])
+                stop, failure = part[r], _in_generation(t, error)
             err = fit - theta_star.theta
             lost = np.flatnonzero(~np.isfinite(err).all(axis=1) & (part < stop))
             if lost.size:
@@ -607,12 +602,12 @@ def run_workflow_trials(
     method, see the filtering module) every generation past the first
     reweights its candidates before re-estimating. The handle is first
     handed a (rows, n, d) chunk of trials and must return (rows, n)
-    weights, each row as its own (n, d) call would; a handle that takes
-    only one (n, d) set, and so raises or returns another shape, is called
-    once per trial instead, with the same result. ``candidates_per_round``
-    fixes the candidate count of those generations; None follows the
-    sample schedule. A filter emitting all-ones weights reproduces the
-    unfiltered workflow exactly on the same streams and counts.
+    weights, each row as its own (n, d) call would. Duck-typed handles that
+    take only one (n, d) set, and so raise or return another shape, are
+    supported: they are called once per trial, with the same result.
+    ``candidates_per_round`` fixes the candidate count of those generations;
+    None follows the sample schedule. A filter emitting all-ones weights
+    reproduces the unfiltered workflow exactly on the same streams and counts.
     """
     horizon = _check_run(rng, trials, horizon)
     if filter_handle is not None and not hasattr(filter_handle, "weights"):

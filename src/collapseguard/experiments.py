@@ -202,8 +202,8 @@ class ModelSpec:
                 too_large = np.any(np.exp(theta) > expfam.POISSON_RATE_MAX)
             if too_large:
                 raise InputValidationError(
-                    f"model.theta_star {theta.tolist()} is invalid: its poisson rate exp(theta) "
-                    f"exceeds {expfam.POISSON_RATE_MAX:.6g}, the largest rate numpy can sample"
+                    f"model.theta_star {theta.tolist()} is invalid: "
+                    f"its poisson rate exp(theta) {expfam._BEYOND_RATE_MAX}"
                 )
         return model, param
 

@@ -37,6 +37,7 @@ WEIGHT_FLOOR_PER_POINT = 1e-6
 
 # the largest rate numpy's Poisson sampler accepts (its POISSON_LAM_MAX)
 POISSON_RATE_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+_BEYOND_RATE_MAX = f"exceeds {POISSON_RATE_MAX:.6g}, the largest rate numpy can sample"
 
 
 @dataclass(frozen=True)
@@ -67,59 +68,50 @@ class Parameter:
 
     def __post_init__(self):
         theta = as_vector(self.theta, dim=self.model.dim, name="theta")
-        _check_natural_domain(self.model.family, theta)
+        if self.model.family == EXPONENTIAL and not np.all(theta < 0.0):
+            raise _fit_error(EXPONENTIAL, _THETA_DOMAIN)
         object.__setattr__(self, "theta", theta)
 
 
-def _check_natural_domain(family: str, theta: np.ndarray) -> None:
-    if family == EXPONENTIAL and not np.all(theta < 0.0):
-        raise InputValidationError("exponential natural parameters must be negative")
+# The fit checks in the order the one-row functions make them. A row's fit
+# code is the first check it fails, 0 if it passes all of them.
+_POINTS_NONFINITE, _OFF_SUPPORT, _WEIGHTS_RANGE, _WEIGHT_FLOOR = range(1, 5)
+_MEAN_NONFINITE, _MEAN_DOMAIN, _THETA_NONFINITE, _THETA_DOMAIN = range(5, 9)
 
-
-_SUPPORT_MESSAGES = {
-    POISSON: "poisson data must be nonnegative integers",
-    BERNOULLI: "bernoulli data must be 0/1 valued",
-    EXPONENTIAL: "exponential data must be nonnegative",
+_FIT_ERRORS = {  # the (type, message) of each code's error
+    _POINTS_NONFINITE: (InputValidationError, "points must be finite"),
+    _OFF_SUPPORT: (InputValidationError, "{family} data must be {support}"),
+    _WEIGHTS_RANGE: (InputValidationError, "weights must be finite and lie in [0, 1]"),
+    _WEIGHT_FLOOR: (
+        DegenerateSelectionError, "weight sum {total:.3e} is at or below the floor {floor:.3e}"
+    ),
+    _MEAN_NONFINITE: (BoundaryError, "mean statistic is not finite"),
+    _MEAN_DOMAIN: (BoundaryError, "{family} mean statistic must {domain}"),
+    _THETA_NONFINITE: (InputValidationError, "theta must be finite"),
+    _THETA_DOMAIN: (InputValidationError, "exponential natural parameters must be negative"),
 }
+_SUPPORT = {POISSON: "nonnegative integers", BERNOULLI: "0/1 valued", EXPONENTIAL: "nonnegative"}
+_DOMAIN = {BERNOULLI: "lie strictly inside (0, 1)"}  # the others: be strictly positive
 
-_MEAN_DOMAIN_MESSAGES = {
-    POISSON: "poisson mean statistic must be strictly positive",
-    BERNOULLI: "bernoulli mean statistic must lie strictly inside (0, 1)",
-    EXPONENTIAL: "exponential mean statistic must be strictly positive",
-}
+
+def _fit_error(family: str, code: int, weights: np.ndarray | None = None) -> Exception:
+    """The error of a row with fit ``code`` (nonzero); ``weights`` are the row's own (n,)."""
+    kind, message = _FIT_ERRORS[int(code)]
+    total = 0.0 if weights is None else float(weights.sum())
+    floor = 0.0 if weights is None else WEIGHT_FLOOR_PER_POINT * weights.size
+    return kind(message.format(
+        family=family, support=_SUPPORT.get(family), total=total, floor=floor,
+        domain=_DOMAIN.get(family, "be strictly positive"),
+    ))
 
 
 def _off_support(family: str, points: np.ndarray) -> np.ndarray:
-    """Elementwise mask of points outside the family's support."""
+    """Elementwise mask of points outside the support of a family other than the Gaussian."""
     if family == POISSON:
         return (points < 0.0) | (points != np.floor(points))
     if family == BERNOULLI:
         return (points != 0.0) & (points != 1.0)
-    if family == EXPONENTIAL:
-        return points < 0.0
-    return np.zeros(points.shape, dtype=bool)
-
-
-def _outside_mean_domain(family: str, tbar: np.ndarray) -> np.ndarray:
-    """Elementwise mask of mean statistics that are not finite or not in the open mean domain."""
-    out = ~np.isfinite(tbar)
-    if family == BERNOULLI:
-        out |= (tbar <= 0.0) | (tbar >= 1.0)
-    elif family in (POISSON, EXPONENTIAL):
-        out |= tbar <= 0.0
-    return out
-
-
-def _check_support(family: str, points: np.ndarray) -> None:
-    if np.any(_off_support(family, points)):
-        raise InputValidationError(_SUPPORT_MESSAGES[family])
-
-
-def _check_mean_interior(family: str, tbar: np.ndarray) -> None:
-    if not np.all(np.isfinite(tbar)):
-        raise BoundaryError("mean statistic is not finite")
-    if np.any(_outside_mean_domain(family, tbar)):
-        raise BoundaryError(_MEAN_DOMAIN_MESSAGES[family])
+    return points < 0.0
 
 
 def _mean_from_natural(family: str, theta: np.ndarray) -> np.ndarray:
@@ -159,20 +151,17 @@ def _mean_slope(family: str, theta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def as_dataset(model: ExpFamilyModel, points, name: str = "points") -> np.ndarray:
-    """Validate a data batch as an (n, dim) float64 array on the family support."""
+def _as_points(model: ExpFamilyModel, points) -> np.ndarray:
+    """A data batch as an (n, dim) float64 array of at least one point; checks shape only."""
     data = np.asarray(points, dtype=float)
     if data.ndim == 1:
         data = data[None, :]
     if data.ndim != 2 or data.shape[1] != model.dim:
         raise InputValidationError(
-            f"{name} must have shape (n, {model.dim}), got {np.asarray(points).shape}"
+            f"points must have shape (n, {model.dim}), got {np.asarray(points).shape}"
         )
     if data.shape[0] < 1:
-        raise InputValidationError(f"{name} must contain at least one point")
-    if not np.all(np.isfinite(data)):
-        raise InputValidationError(f"{name} must be finite")
-    _check_support(model.family, data)
+        raise InputValidationError("points must contain at least one point")
     return data
 
 
@@ -186,8 +175,9 @@ def mean_map(model: ExpFamilyModel, theta: Parameter) -> np.ndarray:
 def inverse_mean_map(model: ExpFamilyModel, tbar) -> Parameter:
     """Natural parameter whose mean statistic equals ``tbar`` (closed form)."""
     t = as_vector(tbar, dim=model.dim, name="tbar")
-    _check_mean_interior(model.family, t)
-    return Parameter(_natural_from_mean(model.family, t), model)
+    with np.errstate(all="ignore"):
+        theta, code = _natural_rows(model.family, t[None], [])
+    return _one_fit(model, theta, code)
 
 
 def _mean_statistic(points: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -204,10 +194,8 @@ def _mean_statistic(points: np.ndarray, weights: np.ndarray | None) -> np.ndarra
 
 def estimate(model: ExpFamilyModel, points) -> Parameter:
     """Maximum-likelihood fit: inverse mean map of the average statistic."""
-    data = as_dataset(model, points)
-    tbar = _mean_statistic(data[None], None)[0]
-    _check_mean_interior(model.family, tbar)
-    return Parameter(_natural_from_mean(model.family, tbar), model)
+    data = _as_points(model, points)
+    return _one_fit(model, *_fit_rows(model.family, data[None], None))
 
 
 def weighted_estimate(model: ExpFamilyModel, points, weights) -> Parameter:
@@ -217,49 +205,60 @@ def weighted_estimate(model: ExpFamilyModel, points, weights) -> Parameter:
     that keeps nothing defines no estimate). Weights are rescaled by their
     maximum before averaging so that constant weights cancel exactly.
     """
-    data = as_dataset(model, points)
+    data = _as_points(model, points)
     w = np.asarray(weights, dtype=float)
     if w.shape != (data.shape[0],):
-        raise InputValidationError(
-            f"weights must have shape ({data.shape[0]},), got {w.shape}"
-        )
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0) or np.any(w > 1.0):
-        raise InputValidationError("weights must be finite and lie in [0, 1]")
-    total = float(w.sum())
-    floor = WEIGHT_FLOOR_PER_POINT * data.shape[0]
-    if total <= floor:
-        raise DegenerateSelectionError(
-            f"weight sum {total:.3e} is at or below the floor {floor:.3e}"
-        )
-    tbar = _mean_statistic(data[None], w[None])[0]
-    _check_mean_interior(model.family, tbar)
-    return Parameter(_natural_from_mean(model.family, tbar), model)
+        _, code = _fit_rows(model.family, data[None], None)
+        if 0 < code[0] < _WEIGHTS_RANGE:  # the points' own checks come first
+            raise _fit_error(model.family, code[0])
+        raise InputValidationError(f"weights must have shape ({data.shape[0]},), got {w.shape}")
+    return _one_fit(model, *_fit_rows(model.family, data[None], w[None]), w)
+
+
+def _one_fit(model: ExpFamilyModel, theta: np.ndarray, code: np.ndarray, weights=None):
+    """The Parameter of a one-row fit, or the error of its code raised."""
+    if code[0]:
+        raise _fit_error(model.family, code[0], weights)
+    return Parameter(theta[0], model)
 
 
 def _fit_rows(family: str, points: np.ndarray, weights: np.ndarray | None):
     """``estimate`` (or ``weighted_estimate``) of every batch in ``points`` (rows, n, dim).
 
-    Returns the natural parameters (rows, dim) and a mask of the rows that
-    pass every check the one-batch functions make: finite data on the
-    support, weights in [0, 1] above the floor, a mean statistic inside the
-    mean domain and a finite parameter in the natural domain. A row outside
-    the mask holds no fit; refitting it with the one-batch function raises
-    its error.
+    The one implementation of the fit and its checks. Returns the natural
+    parameters (rows, dim) and each row's fit code: 0 for a row with a fit,
+    else the first check it fails, in the order of ``_FIT_ERRORS``. A coded
+    row holds no fit; ``_fit_error`` builds the error it raises.
     """
     with np.errstate(all="ignore"):
-        ok = np.isfinite(points).all(axis=(1, 2))
-        ok &= ~_off_support(family, points).any(axis=(1, 2))
+        checks = [(_POINTS_NONFINITE, ~np.isfinite(points).all(axis=(1, 2)))]
+        if family != GAUSSIAN:
+            checks.append((_OFF_SUPPORT, _off_support(family, points).any(axis=(1, 2))))
         if weights is not None:
-            in_range = np.isfinite(weights) & (weights >= 0.0) & (weights <= 1.0)
-            ok &= in_range.all(axis=1)
-            ok &= weights.sum(axis=1) > WEIGHT_FLOOR_PER_POINT * points.shape[1]
-        tbar = _mean_statistic(points, weights)
-        ok &= ~_outside_mean_domain(family, tbar).any(axis=1)
-        theta = _natural_from_mean(family, tbar)
-    ok &= np.isfinite(theta).all(axis=1)
-    if family == EXPONENTIAL:
-        ok &= (theta < 0.0).all(axis=1)
-    return theta, ok
+            in_range = (weights >= 0.0) & (weights <= 1.0)  # False at NaN too
+            checks.append((_WEIGHTS_RANGE, ~in_range.all(axis=1)))
+            floor = WEIGHT_FLOOR_PER_POINT * points.shape[1]
+            checks.append((_WEIGHT_FLOOR, weights.sum(axis=1) <= floor))
+        return _natural_rows(family, _mean_statistic(points, weights), checks)
+
+
+def _natural_rows(family: str, tbar: np.ndarray, checks: list):
+    """Natural parameters of the means ``tbar`` (rows, dim) and each row's fit code.
+
+    ``checks`` holds the (code, row mask) pairs of the earlier checks. Call
+    it with floating-point warnings off."""
+    theta = _natural_from_mean(family, tbar)
+    checks.append((_MEAN_NONFINITE, ~np.isfinite(tbar).all(axis=1)))
+    if family != GAUSSIAN:  # the open mean domain; a NaN or inf was caught just above
+        outside = (tbar <= 0.0) | (tbar >= 1.0) if family == BERNOULLI else tbar <= 0.0
+        checks.append((_MEAN_DOMAIN, outside.any(axis=1)))
+    if family == EXPONENTIAL:  # -1/tbar is the only map that can leave the reals
+        checks.append((_THETA_NONFINITE, ~np.isfinite(theta).all(axis=1)))
+        checks.append((_THETA_DOMAIN, ~(theta < 0.0).all(axis=1)))
+    code = np.zeros(tbar.shape[0], dtype=np.int8)
+    for c, bad in reversed(checks):  # the first check a row fails is written last
+        code[bad] = c
+    return theta, code
 
 
 def _draw_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray):
@@ -270,6 +269,8 @@ def _draw_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray):
     are those of one ``sample`` call per row. Stops at the first row whose
     call raises and returns ``(drawn, error)``: rows before ``drawn`` hold
     their points, later rows nothing; ``error`` is None when all rows drew.
+    A Poisson row whose rate numpy cannot sample fails with a BoundaryError
+    before its call.
     """
     drawn, error = 0, None
     for gen in gens:
@@ -280,7 +281,10 @@ def _draw_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray):
             elif family == BERNOULLI:
                 gen.random(out=row)
             elif family == POISSON:
-                row[...] = gen.poisson(lam=np.exp(theta_rows[drawn]), size=row.shape)
+                rate = np.exp(theta_rows[drawn])
+                if np.any(rate > POISSON_RATE_MAX):
+                    raise BoundaryError(f"poisson rate {rate.max()} {_BEYOND_RATE_MAX}")
+                row[...] = gen.poisson(lam=rate, size=row.shape)
             else:
                 row[...] = gen.exponential(scale=-1.0 / theta_rows[drawn], size=row.shape)
         except Exception as exc:

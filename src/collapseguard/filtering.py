@@ -565,16 +565,17 @@ def oracle_pullback_weights(
     if pts.shape[1] != anchor.shape[0]:
         raise InputValidationError("candidates dimension does not match the anchor model")
 
-    mean = pts.mean(axis=0)
-    offset = mean - anchor
+    mean, offset, centered, spread, tilt = _first_step(pts[None], anchor, gamma)
+    mean, offset, centered, spread = mean[0], offset[0], centered[0], spread[0]
     offset_sq = float(offset @ offset)
     if gamma == 0.0 or offset_sq == 0.0:
         return PullbackResult(np.ones(n), gamma, True)
-
-    centered = pts - mean
-    spread = centered.T @ centered / n
     if float(np.trace(spread)) <= 0.0:
         raise DegenerateSelectionError("candidate cloud has no spread; cannot tilt weights")
+    if tilt is None:  # a singular spread takes the least-squares tilt
+        tilt = 0.5 * np.linalg.lstsq(spread, -gamma * offset, rcond=None)[0]
+    else:
+        tilt = tilt[0]
     target = mean - gamma * offset
 
     base = 0.5
@@ -589,7 +590,6 @@ def oracle_pullback_weights(
         wmean = (pts * w[:, None]).sum(axis=0) / s
         return w, wmean, float(np.linalg.norm(target - wmean))
 
-    tilt = base * _solve_psd(spread, -gamma * offset)
     weights, wmean, rnorm = residual(tilt)
     reached = rnorm <= tol_abs
     for _ in range(200):
@@ -626,30 +626,43 @@ def oracle_pullback_weights(
             weights = fallback
 
     s = float(weights.sum())
-    if s <= expfam.WEIGHT_FLOOR_PER_POINT * n:
+    if s <= floor:
         raise DegenerateSelectionError("pullback produced an empty selection")
     wmean = (pts * weights[:, None]).sum(axis=0) / s
     achieved = 1.0 - float((wmean - anchor) @ offset) / offset_sq
-    reached = float(np.linalg.norm(target - wmean)) <= tol * (1.0 + float(np.linalg.norm(target)))
+    reached = float(np.linalg.norm(target - wmean)) <= tol_abs
     return PullbackResult(weights, achieved, reached)
+
+
+def _first_step(pts: np.ndarray, anchor: np.ndarray, gamma: float):
+    """Means, offsets from the anchor, centered points, spreads and tilts of ``pts`` (rows, n, d).
+
+    The tilts (rows, d) come from one stacked solve, None if any spread is
+    singular. Stacked ``np.matmul`` and ``np.linalg.solve`` run the BLAS and
+    LAPACK routine of a lone matrix on each, so every row keeps its bits."""
+    mean = pts.mean(axis=1)
+    offset = mean - anchor
+    centered = pts - mean[:, None, :]
+    spread = np.matmul(centered.transpose(0, 2, 1), centered) / pts.shape[1]
+    try:
+        tilt = 0.5 * np.linalg.solve(spread, -gamma * offset[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        tilt = None
+    return mean, offset, centered, spread, tilt
 
 
 def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
     """``oracle_pullback_weights`` of every candidate set in ``pts`` (rows, n, d) at once.
 
-    Computes the per-row function's first step for all rows in one pass:
-    the mean, the spread, one stacked solve for the tilt, the clipped
-    weights, their weighted mean and its residual. Returns the weights
-    (rows, n) and a mask of the rows whose first residual meets the default
-    tolerance, 1e-8, with every check passed; for those the per-row
-    function stops at the first residual and returns these very bits. A
-    row outside the mask (a missed tolerance, a zero offset, no spread,
-    non-finite data, a weight sum at the floor, or any singular spread in
-    the stack) holds no weights: the per-row function gives them, or
-    raises its error. The products are stacked ``np.matmul`` calls, which
-    run the per-row function's BLAS routine on each matrix and so keep its
-    bits; the residual is tested with a relative margin of 1e-9, since its
-    norm is not the per-row function's BLAS dot.
+    Takes the first step of all rows at once (``_first_step``, shared with
+    the per-row function), then the clipped weights and their residual.
+    Returns the weights (rows, n) and a mask of the rows whose first
+    residual meets the default tolerance, 1e-8, with every check passed;
+    the per-row function returns these very bits for them. A row outside
+    the mask (a missed tolerance, a zero offset, no spread, non-finite data,
+    a weight sum at the floor, or any singular spread in the stack) holds
+    no weights. The residual is tested with a relative margin of 1e-9,
+    since its norm is not the per-row function's BLAS dot.
     """
     rows, n, d = pts.shape
     weights = np.empty((rows, n))
@@ -657,15 +670,10 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
     if n < 2 or d != anchor.shape[0] or not 0.0 < gamma <= 1.0:
         return weights, np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        mean = pts.mean(axis=1)
-        offset = mean - anchor
-        centered = pts - mean[:, None, :]
-        spread = np.matmul(centered.transpose(0, 2, 1), centered) / n
-        try:
-            tilt = 0.5 * np.linalg.solve(spread, -gamma * offset[:, :, None])
-        except np.linalg.LinAlgError:
+        mean, offset, centered, spread, tilt = _first_step(pts, anchor, gamma)
+        if tilt is None:
             return weights, np.zeros(rows, dtype=bool)
-        np.clip(0.5 + np.matmul(centered, tilt)[:, :, 0], 0.0, 1.0, out=weights)
+        np.clip(0.5 + np.matmul(centered, tilt[:, :, None])[:, :, 0], 0.0, 1.0, out=weights)
         s = weights.sum(axis=1)
         target = mean - gamma * offset
         miss = target - (pts * weights[:, :, None]).sum(axis=1) / s[:, None]
@@ -677,14 +685,6 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
         ok &= s > expfam.WEIGHT_FLOOR_PER_POINT * n
         ok &= rnorm <= tol_abs * (1.0 - 1e-9)
     return weights, ok
-
-
-def _solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return x
 
 
 def _nearest_prefix_weights(pts: np.ndarray, target: np.ndarray) -> np.ndarray:

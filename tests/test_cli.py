@@ -296,6 +296,24 @@ class TestScenarioCommands:
         assert "the largest rate numpy can sample" in err
         assert not (tmp_path / "out").exists()
 
+    def test_poisson_rate_beyond_numpy_limit_in_a_later_generation_is_a_runtime_error(
+        self, tmp_path, capsys
+    ):
+        # theta_star is the largest theta whose rate numpy accepts; a refit can exceed it
+        config = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "workflow", "seed": 1, "horizon": 3, "trials": 4,
+             "schedule": {"kind": "constant", "base": 1},
+             "model": {"family": "poisson", "dim": 1, "theta_star": [43.668272371983825]}},
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "generation 1: poisson rate" in err
+        assert "the largest rate numpy can sample" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "schedule, expected",
         [

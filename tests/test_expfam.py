@@ -17,8 +17,9 @@ from collapseguard.expfam import (
     POISSON_RATE_MAX,
     ExpFamilyModel,
     Parameter,
-    _check_mean_interior,
     _draw_rows,
+    _fit_error,
+    _fit_rows,
     _mean_from_natural,
     _mean_slope,
     estimate,
@@ -49,7 +50,7 @@ def numeric_inverse_mean_map(
     here as an independent cross-check of :func:`inverse_mean_map`.
     """
     t = as_vector(tbar, dim=model.dim, name="tbar")
-    _check_mean_interior(model.family, t)
+    inverse_mean_map(model, t)  # refuses a boundary mean; its value is not used below
     family = model.family
     out = np.empty_like(t)
     for j, target in enumerate(t):
@@ -287,6 +288,141 @@ class TestWeightedEstimate:
             weighted_estimate(_model(GAUSSIAN), points, np.array([0.5, -0.1, 0.5]))
 
 
+# One (4, 1) batch per fit code a family can reach, with its weights, its code
+# and the pinned type and message of the error its one-row call raises. Code 8,
+# an exponential theta that is not negative, is unreachable from data: -1/tbar
+# of a positive mean is negative or -inf.
+_NAN, _INF = np.nan, np.inf
+_ONES = [1.0, 1.0, 1.0, 1.0]
+_FLOOR = "weight sum {} is at or below the floor 4.000e-06"
+_CODED_ROWS = {
+    GAUSSIAN: [
+        ([0.5, -1.0, 2.0, 0.25], _ONES, 0, None, None),
+        ([0.0, _NAN, 1.0, 2.0], _ONES, 1, InputValidationError, "points must be finite"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 1.5, 1.0, 1.0], 3, InputValidationError,
+         "weights must be finite and lie in [0, 1]"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0] * 4, 4, DegenerateSelectionError,
+         _FLOOR.format("0.000e+00")),
+        ([1e308] * 4, _ONES, 5, BoundaryError, "mean statistic is not finite"),
+    ],
+    POISSON: [
+        ([0.0, 1.0, 3.0, 2.0], [0.5, 1.0, 0.25, 1.0], 0, None, None),
+        ([0.0, 1.0, _NAN, 2.0], _ONES, 1, InputValidationError, "points must be finite"),
+        ([0.0, 1.5, 2.0, 1.0], _ONES, 2, InputValidationError,
+         "poisson data must be nonnegative integers"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, -0.5, 1.0, 1.0], 3, InputValidationError,
+         "weights must be finite and lie in [0, 1]"),
+        ([0.0, 1.0, 2.0, 3.0], [1e-7] * 4, 4, DegenerateSelectionError,
+         _FLOOR.format("4.000e-07")),
+        ([1e308] * 4, _ONES, 5, BoundaryError, "mean statistic is not finite"),
+        ([0.0] * 4, _ONES, 6, BoundaryError, "poisson mean statistic must be strictly positive"),
+    ],
+    BERNOULLI: [
+        ([0.0, 1.0, 1.0, 0.0], _ONES, 0, None, None),
+        ([_NAN, 1.0, 1.0, 0.0], _ONES, 1, InputValidationError, "points must be finite"),
+        ([0.0, 0.5, 1.0, 1.0], _ONES, 2, InputValidationError, "bernoulli data must be 0/1 valued"),
+        ([0.0, 1.0, 1.0, 0.0], [1.0, _NAN, 1.0, 1.0], 3, InputValidationError,
+         "weights must be finite and lie in [0, 1]"),
+        ([0.0, 1.0, 1.0, 0.0], [0.0] * 4, 4, DegenerateSelectionError,
+         _FLOOR.format("0.000e+00")),
+        ([1.0] * 4, _ONES, 6, BoundaryError,
+         "bernoulli mean statistic must lie strictly inside (0, 1)"),
+    ],
+    EXPONENTIAL: [
+        ([0.5, 1.0, 2.0, 0.1], _ONES, 0, None, None),
+        ([0.5, _INF, 2.0, 0.1], _ONES, 1, InputValidationError, "points must be finite"),
+        ([0.5, -1.0, 2.0, 0.1], _ONES, 2, InputValidationError,
+         "exponential data must be nonnegative"),
+        ([0.5, 1.0, 2.0, 0.1], [1.0, 1.0, _INF, 1.0], 3, InputValidationError,
+         "weights must be finite and lie in [0, 1]"),
+        ([0.5, 1.0, 2.0, 0.1], [0.0] * 4, 4, DegenerateSelectionError,
+         _FLOOR.format("0.000e+00")),
+        ([1e308] * 4, _ONES, 5, BoundaryError, "mean statistic is not finite"),
+        ([0.0] * 4, _ONES, 6, BoundaryError,
+         "exponential mean statistic must be strictly positive"),
+        ([1e-320] * 4, _ONES, 7, InputValidationError, "theta must be finite"),
+    ],
+}
+
+
+class TestFitCodes:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_row_gets_the_code_and_the_error_of_its_first_failing_check(self, family):
+        rows = _CODED_ROWS[family]
+        points = np.array([r[0] for r in rows])[:, :, None]
+        weights = np.array([r[1] for r in rows])
+        theta, code = _fit_rows(family, points, weights)
+        assert code.tolist() == [r[2] for r in rows]
+        model = _model(family)
+        for (_, w, c, kind, message), pts, fit in zip(rows, points, theta):
+            if c == 0:
+                assert weighted_estimate(model, pts, w).theta.tobytes() == fit.tobytes()
+                continue
+            with pytest.raises(kind) as info:
+                weighted_estimate(model, pts, w)
+            assert type(info.value) is kind and str(info.value) == message
+            built = _fit_error(family, c, np.asarray(w))
+            assert type(built) is kind and str(built) == message
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_unweighted_rows_get_the_codes_and_errors_of_estimate(self, family):
+        rows = [r for r in _CODED_ROWS[family] if r[2] not in (3, 4)]
+        points = np.array([r[0] for r in rows])[:, :, None]
+        theta, code = _fit_rows(family, points, None)
+        assert code.tolist() == [r[2] for r in rows]
+        model = _model(family)
+        for (_, _, c, kind, message), pts, fit in zip(rows, points, theta):
+            if c == 0:
+                assert estimate(model, pts).theta.tobytes() == fit.tobytes()
+                continue
+            with pytest.raises(kind) as info:
+                estimate(model, pts)
+            assert type(info.value) is kind and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "family, points, weights, kind, message",
+        [
+            (GAUSSIAN, [[_NAN], [1.0]], [1.0], InputValidationError, "points must be finite"),
+            (POISSON, [[-1.0], [2.0]], [1.5, 0.5], InputValidationError,
+             "poisson data must be nonnegative integers"),
+            (BERNOULLI, [[1.0], [1.0]], [1e-7, 1e-7], DegenerateSelectionError,
+             "weight sum 2.000e-07 is at or below the floor 2.000e-06"),
+            (BERNOULLI, [[0.5], [_NAN]], [1.0, 1.0], InputValidationError,
+             "points must be finite"),
+            (BERNOULLI, [[1.0], [1.0]], [1.0], InputValidationError,
+             "weights must have shape (2,), got (1,)"),
+            (EXPONENTIAL, [[1e-320], [1e-320]], [1.0, 1.0, 1.0], InputValidationError,
+             "weights must have shape (2,), got (3,)"),
+            (GAUSSIAN, [[0.0], [1.0]], [_NAN, 0.0], InputValidationError,
+             "weights must be finite and lie in [0, 1]"),
+            (GAUSSIAN, [[0.0], [1.0]], [-1.0, 0.5], InputValidationError,
+             "weights must be finite and lie in [0, 1]"),
+            (GAUSSIAN, [[1e308], [1e308]], [0.0, 0.0], DegenerateSelectionError,
+             "weight sum 0.000e+00 is at or below the floor 2.000e-06"),
+        ],
+    )
+    def test_a_multi_fault_input_raises_its_first_error(
+        self, family, points, weights, kind, message
+    ):
+        with pytest.raises(kind) as info:
+            weighted_estimate(_model(family), points, weights)
+        assert type(info.value) is kind and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "family, tbar, kind, message",
+        [
+            (POISSON, [_NAN], InputValidationError, "tbar must be finite"),
+            (EXPONENTIAL, [0.0], BoundaryError,
+             "exponential mean statistic must be strictly positive"),
+            (EXPONENTIAL, [1e-320], InputValidationError, "theta must be finite"),
+        ],
+    )
+    def test_inverse_mean_map_raises_the_fit_errors_of_a_mean(self, family, tbar, kind, message):
+        with pytest.raises(kind) as info:
+            inverse_mean_map(_model(family), tbar)
+        assert type(info.value) is kind and str(info.value) == message
+
+
 class TestSample:
     def test_gaussian_mean_concentration(self):
         model = _model(GAUSSIAN)
@@ -385,7 +521,7 @@ class TestDrawKernel:
     def test_sample_raises_the_error_of_its_one_row(self):
         model = _model(POISSON)
         theta = Parameter(np.array([np.log(POISSON_RATE_MAX) + 1.0]), model)
-        with pytest.raises(ValueError, match="lam value too large"):
+        with pytest.raises(BoundaryError, match="the largest rate numpy can sample"):
             sample(model, theta, 3, RngState(seed=2))
 
     def test_the_poisson_rate_limit_is_numpys(self):

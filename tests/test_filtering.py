@@ -1,5 +1,6 @@
 """Tests for feature extraction, the trained scorer, and oracle reweighting."""
 
+import hashlib
 import json
 import math
 import os
@@ -680,6 +681,27 @@ class TestOraclePullback:
         assert not result.target_reached
         assert 0.0 < result.achieved_gamma < 0.2
         assert float(result.weights.sum()) > 0.0
+
+    @pytest.mark.parametrize(
+        "constant, achieved, reached", [(0.0, 0.5, True), (0.75, 0.17382997189999294, False)]
+    )
+    def test_a_singular_spread_takes_the_least_squares_tilt(self, constant, achieved, reached):
+        """A 2-d cloud with one constant coordinate, whose spread the stacked solve
+        refuses, against pinned values. With the constant at the anchor's coordinate
+        the target is reachable; off it, the pull is partial."""
+        model, _ = _gaussian(2)
+        theta_good = Parameter(np.array([0.3, 0.0]), model)
+        pts = RngState(seed=31).generator().standard_normal((50, 2))
+        pts[:, 1] = constant
+        assert filtering._first_step(pts[None], theta_good.theta, 0.5)[4] is None
+        result = oracle_pullback_weights(pts, theta_good, gamma=0.5)
+        assert hashlib.sha256(_bits(result.weights)).hexdigest() == (
+            "ea9f386091b58e9ad3c6bbc6df4295fb0644fd4152a0990ccee08e6e24299482"
+        )
+        assert result.achieved_gamma == achieved and result.target_reached == reached
+        chunk = FilterHandle.oracle_pullback(theta_good, 0.5).weights(np.stack([pts, pts[::-1]]))
+        flipped = oracle_pullback_weights(pts[::-1], theta_good, gamma=0.5)
+        assert _bits(chunk) == _bits(result.weights, flipped.weights)
 
     def test_candidates_without_spread_are_rejected(self):
         _, theta_good = _gaussian(1)
