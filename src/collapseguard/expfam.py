@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, DegenerateSelectionError, InputValidationError
-from .numerics import as_generator, as_vector
+from .numerics import as_generator, as_vector, point_sums
 
 GAUSSIAN = "gaussian-mean-known-cov"
 POISSON = "poisson"
@@ -187,9 +187,9 @@ def _mean_statistic(points: np.ndarray, weights: np.ndarray | None) -> np.ndarra
     that constant weights cancel exactly.
     """
     if weights is None:
-        return points.sum(axis=1) / points.shape[1]
+        return point_sums(points) / points.shape[1]
     scaled = weights / weights.max(axis=1, keepdims=True)
-    return (points * scaled[:, :, None]).sum(axis=1) / scaled.sum(axis=1)[:, None]
+    return point_sums(points * scaled[:, :, None]) / scaled.sum(axis=1)[:, None]
 
 
 def estimate(model: ExpFamilyModel, points) -> Parameter:

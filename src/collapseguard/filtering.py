@@ -23,7 +23,7 @@ import numpy as np
 from . import expfam
 from .contraction import ContractionFn, LyapunovMetric
 from .errors import DegenerateSelectionError, InputValidationError
-from .numerics import RngState, as_generator, as_vector, sym_eig
+from .numerics import RngState, as_generator, as_vector, point_sums, sym_eig
 
 CHECKPOINT_VERSION = 2
 
@@ -218,43 +218,52 @@ def init_filter_params(feature_dim: int, hidden_dim: int, rng) -> FilterParams:
 
 @dataclass(frozen=True, eq=False)
 class _Workspace:
-    """The (n, hidden) buffers of one loss-and-gradient pass over n points.
+    """The buffers and per-run constants of loss-and-gradient passes over one dataset.
 
-    ``train_filter`` owns one for its fixed dataset and hands it to every
-    pass, so that the buffers are allocated once rather than once per epoch.
+    ``hidden``, ``active`` and ``dpre`` are the (n, hidden) buffers that
+    every pass overwrites. ``labels`` (the 0/1 labels as floats) and
+    ``threshold`` (``config.contraction_threshold()``) depend only on the
+    dataset and the config, so they are computed once, here. ``train_filter``
+    owns one for its fixed dataset and config and hands it to every pass, so
+    that neither the buffers nor the constants are made once per epoch.
     """
 
-    pre: np.ndarray
     hidden: np.ndarray
     active: np.ndarray
     dpre: np.ndarray
+    labels: np.ndarray
+    threshold: float
 
     @classmethod
-    def empty(cls, n: int, hidden_dim: int) -> "_Workspace":
-        shape = (n, hidden_dim)
-        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape))
+    def for_run(cls, dataset: LabeledDataset, config: TrainConfig, hidden_dim: int) -> "_Workspace":
+        shape = (len(dataset), hidden_dim)
+        return cls(
+            np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape),
+            dataset.labels.astype(float), config.contraction_threshold(),
+        )
 
 
 def _forward_cache(
     params: FilterParams,
     feats: np.ndarray,
-    work: _Workspace | None = None,
+    hidden: np.ndarray | None = None,
     bias: np.ndarray | None = None,
 ):
-    """(pre, hidden, logits, weights) of the scorer on ``feats``.
+    """(hidden, weights) of the scorer on ``feats``.
 
-    ``pre`` and ``hidden`` are written into ``work.pre`` and ``work.hidden``
-    when the caller passes its workspace, and are fresh arrays otherwise;
-    either way the bits are the same. ``bias``, if given, is ``params.b1``
-    tiled to the (n, hidden) shape of ``pre``: added over one contiguous
-    array it takes half the time of the broadcast (hidden,) row, with the
-    same sum in every element.
+    The hidden layer is one (n, hidden) array: the pre-activation is written
+    into ``hidden`` (a fresh array when None) and the ReLU is applied in
+    place, which gives the bits of a separate output. Its entries are > 0
+    exactly where the pre-activation's are, NaN included, so the backward
+    pass takes its ReLU mask from it. ``bias``, if given, is ``params.b1``
+    tiled to the (n, hidden) shape: added over one contiguous array it takes
+    half the time of the broadcast (hidden,) row, with the same sum in every
+    element.
     """
-    pre = np.matmul(feats, params.w1.T, out=None if work is None else work.pre)
-    pre += params.b1 if bias is None else bias
-    hidden = np.maximum(pre, 0.0, out=None if work is None else work.hidden)
-    logits = hidden @ params.w2 + params.b2
-    return pre, hidden, logits, _sigmoid(logits)
+    hidden = np.matmul(feats, params.w1.T, out=hidden)
+    hidden += params.b1 if bias is None else bias
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden, _sigmoid(hidden @ params.w2 + params.b2)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -269,9 +278,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def forward_batch(params: FilterParams, features) -> np.ndarray:
     """Scorer weights of (n, k) features, or of each row of a (rows, n, k) stack.
 
-    The rows of a stack run one at a time through one ``_Workspace`` and
-    one tiled bias, so each gets the bits of its own call. They are never
-    stacked into one product: at 200 rows of 1000 candidates its
+    The rows of a stack run one at a time through one (n, hidden) buffer
+    and one tiled bias, so each gets the bits of its own call. They are
+    never stacked into one product: at 200 rows of 1000 candidates its
     temporaries made that 4x slower per row.
     """
     feats = np.asarray(features, dtype=float)
@@ -280,11 +289,11 @@ def forward_batch(params: FilterParams, features) -> np.ndarray:
             f"features must be (n, {params.feature_dim}) or (rows, n, {params.feature_dim})"
         )
     stack = feats if feats.ndim == 3 else feats[None]
-    work = _Workspace.empty(stack.shape[1], params.hidden_dim)
+    hidden = np.empty((stack.shape[1], params.hidden_dim))
     bias = np.tile(params.b1, (stack.shape[1], 1))
     out = np.empty(stack.shape[:2])
     for r, row in enumerate(stack):
-        out[r] = _forward_cache(params, row, work, bias)[3]
+        out[r] = _forward_cache(params, row, hidden, bias)[1]
     return out if feats.ndim == 3 else out[0]
 
 
@@ -407,22 +416,24 @@ def loss_gradient(
     cross-entropy is treated as inactive, which it is everywhere the
     sigmoid has representable slack.
 
-    ``workspace`` is the caller's ``_Workspace`` for this dataset and
-    hidden width; the pass overwrites it, so its contents are not part of
-    the result. Without one, the pass allocates its own buffers. Both give
-    the same bits.
+    ``workspace`` is the caller's ``_Workspace.for_run`` of this dataset,
+    config and hidden width; the pass overwrites its buffers, so their
+    contents are not part of the result, and reads its constants. Without
+    one, the pass makes its own. Both give the same bits.
     """
     feats = _require_features(dataset)
     lam, mu = config.training.lambda_contract, config.training.ess_weight
     n = feats.shape[0]
-    work = workspace if workspace is not None else _Workspace.empty(n, params.hidden_dim)
-    pre, hidden, _, weights = _forward_cache(params, feats, work)
-    y = dataset.labels.astype(float)
+    work = workspace
+    if work is None:
+        work = _Workspace.for_run(dataset, config, params.hidden_dim)
+    hidden, weights = _forward_cache(params, feats, work.hidden)
+    y = work.labels
     p = np.clip(weights, PROB_CLAMP, 1.0 - PROB_CLAMP)
     class_part = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
     theta_new = expfam.weighted_estimate(config.model, dataset.points, weights)
     e_new = theta_new.theta - config.theta_good.theta
-    contract_part = max(0.0, config.metric.value(e_new) - config.contraction_threshold())
+    contract_part = max(0.0, config.metric.value(e_new) - work.threshold)
     s1 = float(weights.sum())
     s2 = float((weights * weights).sum())
     ess_part = 1.0 - (s1 * s1 / s2) / n if s2 > 0.0 else 1.0
@@ -444,8 +455,13 @@ def loss_gradient(
 
     g_w2 = hidden.T @ dlogit
     g_b2 = float(dlogit.sum())
-    dpre = np.multiply(dlogit[:, None], params.w2[None, :], out=work.dpre)
-    dpre *= np.greater(pre, 0.0, out=work.active)
+    # einsum writes the outer product in half the time of the broadcast
+    # multiply. It adds each product to a zeroed output, so a -0.0 product
+    # comes out +0.0; but the BLAS product and the numpy sum below both
+    # start from +0.0, where a zero of either sign adds the same, so the
+    # gradient keeps its bits.
+    dpre = np.einsum("i,j->ij", dlogit, params.w2, out=work.dpre)
+    dpre *= np.greater(hidden, 0.0, out=work.active)
     g_w1 = dpre.T @ feats
     g_b1 = dpre.sum(axis=0)
     return parts, FilterParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
@@ -505,9 +521,9 @@ def train_filter(
     update make ``epochs + 1`` forward passes: the pass after an update
     gives both its log row and the next update's gradient. The passes
     share one ``_Workspace`` that this function owns for the whole run, so
-    the (n, hidden) buffers are allocated once, not once per epoch. Datasets
-    with a single class are rejected (the classification target would be
-    degenerate).
+    the (n, hidden) buffers, the float labels and the contraction threshold
+    are made once, not once per epoch. Datasets with a single class are
+    rejected (the classification target would be degenerate).
     """
     feats = _require_features(dataset)
     labels = dataset.labels
@@ -517,7 +533,7 @@ def train_filter(
     params = init_filter_params(feats.shape[1], spec.hidden_dim, rng)
     x = _flatten(params)
     state = (np.zeros_like(x), np.zeros_like(x), 0)
-    work = _Workspace.empty(feats.shape[0], spec.hidden_dim)
+    work = _Workspace.for_run(dataset, config, spec.hidden_dim)
     _, grad = loss_gradient(params, dataset, config, work)
     log: list[LossParts] = []
     for _ in range(spec.epochs):
@@ -565,17 +581,15 @@ def oracle_pullback_weights(
     if pts.shape[1] != anchor.shape[0]:
         raise InputValidationError("candidates dimension does not match the anchor model")
 
-    mean, offset, centered, spread, tilt = _first_step(pts[None], anchor, gamma)
-    mean, offset, centered, spread = mean[0], offset[0], centered[0], spread[0]
+    mean, offset, centered, spread, tilt, solved = _first_step(pts[None], anchor, gamma)
+    mean, offset, centered, spread, tilt = mean[0], offset[0], centered[0], spread[0], tilt[0]
     offset_sq = float(offset @ offset)
     if gamma == 0.0 or offset_sq == 0.0:
         return PullbackResult(np.ones(n), gamma, True)
     if float(np.trace(spread)) <= 0.0:
         raise DegenerateSelectionError("candidate cloud has no spread; cannot tilt weights")
-    if tilt is None:  # a singular spread takes the least-squares tilt
+    if not solved[0]:  # a singular spread takes the least-squares tilt
         tilt = 0.5 * np.linalg.lstsq(spread, -gamma * offset, rcond=None)[0]
-    else:
-        tilt = tilt[0]
     target = mean - gamma * offset
 
     base = 0.5
@@ -637,18 +651,29 @@ def oracle_pullback_weights(
 def _first_step(pts: np.ndarray, anchor: np.ndarray, gamma: float):
     """Means, offsets from the anchor, centered points, spreads and tilts of ``pts`` (rows, n, d).
 
-    The tilts (rows, d) come from one stacked solve, None if any spread is
-    singular. Stacked ``np.matmul`` and ``np.linalg.solve`` run the BLAS and
-    LAPACK routine of a lone matrix on each, so every row keeps its bits."""
-    mean = pts.mean(axis=1)
+    The tilts (rows, d) come from one stacked solve. If a spread is
+    singular, that solve raises, and the rows are solved one at a time.
+    The last value is the mask of rows with a solved tilt; a singular row's
+    tilt is NaN. Stacked ``np.matmul`` and ``np.linalg.solve`` run the BLAS
+    and LAPACK routine of a lone matrix on each, so every row keeps its
+    bits, and a lone solve gives the bits of the stacked one."""
+    n = pts.shape[1]
+    mean = point_sums(pts) / n
     offset = mean - anchor
     centered = pts - mean[:, None, :]
-    spread = np.matmul(centered.transpose(0, 2, 1), centered) / pts.shape[1]
+    spread = np.matmul(centered.transpose(0, 2, 1), centered) / n
+    rhs = -gamma * offset[:, :, None]
+    solved = np.ones(len(pts), dtype=bool)
     try:
-        tilt = 0.5 * np.linalg.solve(spread, -gamma * offset[:, :, None])[:, :, 0]
+        tilt = np.linalg.solve(spread, rhs)
     except np.linalg.LinAlgError:
-        tilt = None
-    return mean, offset, centered, spread, tilt
+        tilt = np.full(rhs.shape, np.nan)
+        for r in range(len(pts)):
+            try:
+                tilt[r] = np.linalg.solve(spread[r], rhs[r])
+            except np.linalg.LinAlgError:
+                solved[r] = False
+    return mean, offset, centered, spread, 0.5 * tilt[:, :, 0], solved
 
 
 def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
@@ -660,9 +685,9 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
     residual meets the default tolerance, 1e-8, with every check passed;
     the per-row function returns these very bits for them. A row outside
     the mask (a missed tolerance, a zero offset, no spread, non-finite data,
-    a weight sum at the floor, or any singular spread in the stack) holds
-    no weights. The residual is tested with a relative margin of 1e-9,
-    since its norm is not the per-row function's BLAS dot.
+    a weight sum at the floor, or a singular spread) holds no weights. The
+    residual is tested with a relative margin of 1e-9, since its norm is
+    not the per-row function's BLAS dot.
     """
     rows, n, d = pts.shape
     weights = np.empty((rows, n))
@@ -670,16 +695,14 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
     if n < 2 or d != anchor.shape[0] or not 0.0 < gamma <= 1.0:
         return weights, np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        mean, offset, centered, spread, tilt = _first_step(pts, anchor, gamma)
-        if tilt is None:
-            return weights, np.zeros(rows, dtype=bool)
+        mean, offset, centered, spread, tilt, ok = _first_step(pts, anchor, gamma)
         np.clip(0.5 + np.matmul(centered, tilt[:, :, None])[:, :, 0], 0.0, 1.0, out=weights)
         s = weights.sum(axis=1)
         target = mean - gamma * offset
-        miss = target - (pts * weights[:, :, None]).sum(axis=1) / s[:, None]
+        miss = target - point_sums(pts * weights[:, :, None]) / s[:, None]
         rnorm = np.sqrt(np.einsum("ij,ij->i", miss, miss))
         tol_abs = 1e-8 * (1.0 + np.sqrt(np.einsum("ij,ij->i", target, target)))
-        ok = np.isfinite(pts).all(axis=(1, 2))
+        ok &= np.isfinite(pts).all(axis=(1, 2))
         ok &= np.einsum("ij,ij->i", offset, offset) > 0.0
         ok &= np.trace(spread, axis1=1, axis2=2) > 0.0
         ok &= s > expfam.WEIGHT_FLOOR_PER_POINT * n

@@ -70,6 +70,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def point_sums(stack: np.ndarray) -> np.ndarray:
+    """``stack.sum(axis=1)`` of a (rows, n, d) stack, with the same bits.
+
+    On a C-ordered stack with d >= 2 numpy adds axis 1 in order, one point
+    after the other, but its inner loop runs over the d entries of a point;
+    ``np.cumsum`` adds in the same order and is about 2.5x faster at
+    (16, 1000, 2). numpy's sum starts from +0.0, so ``+ 0.0`` turns the -0.0
+    of an all -0.0 column into its +0.0 and changes no other value. At
+    d = 1 numpy sums pairwise, and other layouts set their own order, so
+    ``sum`` stays there.
+    """
+    if stack.shape[2] < 2 or not stack.flags.c_contiguous:
+        return stack.sum(axis=1)
+    return np.cumsum(stack, axis=1)[:, -1] + 0.0
+
+
 # ---------------------------------------------------------------------------
 # Seeded randomness
 # ---------------------------------------------------------------------------

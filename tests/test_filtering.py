@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from collapseguard import filtering
+from collapseguard import expfam, filtering
 from collapseguard.contraction import LyapunovMetric
 from collapseguard.errors import DegenerateSelectionError, InputValidationError
 from collapseguard.expfam import (
@@ -460,14 +460,62 @@ class TestLossGradient:
     def test_workspace_pass_gives_the_bits_of_an_allocating_pass(self, active_hinge):
         params, ds, config = self._random_case(7, active_hinge)
         fresh = loss_gradient(params, ds, config)
-        work = filtering._Workspace.empty(len(ds), params.hidden_dim)
-        for buf in (work.pre, work.hidden, work.dpre):
+        work = filtering._Workspace.for_run(ds, config, params.hidden_dim)
+        # the hoisted constants are the values an allocating pass computes itself
+        constants = _bits(ds.labels.astype(float), config.contraction_threshold())
+        assert _bits(work.labels, work.threshold) == constants
+        for buf in (work.hidden, work.dpre):
             buf.fill(np.nan)
         work.active.fill(True)
         for _ in range(2):  # stale contents, then the previous pass's, must not leak
             parts, grad = loss_gradient(params, ds, config, work)
             assert _bits(*parts) == _bits(*fresh[0])
             assert _param_bits(grad) == _param_bits(fresh[1])
+            assert _bits(work.labels, work.threshold) == constants  # read, never written
+
+    @staticmethod
+    def _reference_gradient(params, ds, config) -> FilterParams:
+        """loss_gradient's gradient with the backward pass in its literal form,
+        ``dlogit[:, None] * w2 * (pre > 0)``, and a separate pre-activation."""
+        feats, y, n = ds.features, ds.labels.astype(float), len(ds)
+        lam, mu = config.training.lambda_contract, config.training.ess_weight
+        pre = feats @ params.w1.T + params.b1
+        hidden = np.maximum(pre, 0.0)
+        weights = filtering._sigmoid(hidden @ params.w2 + params.b2)
+        theta_new = weighted_estimate(config.model, ds.points, weights)
+        e_new = theta_new.theta - config.theta_good.theta
+        s1, s2 = float(weights.sum()), float((weights * weights).sum())
+        dlogit = (weights - y) / n
+        if lam > 0.0 and config.metric.value(e_new) - config.contraction_threshold() > 0.0:
+            tbar = expfam._mean_statistic(ds.points[None], weights[None])[0]
+            g_theta = 2.0 * (config.metric.p_matrix @ e_new)
+            g_tbar = g_theta / expfam._mean_slope(config.model.family, theta_new.theta)
+            g_w = (ds.points - tbar[None, :]) @ g_tbar / s1
+            dlogit = dlogit + lam * g_w * weights * (1.0 - weights)
+        if mu > 0.0:
+            g_w = -(2.0 * s1 * s2 - s1 * s1 * 2.0 * weights) / (n * s2 * s2)
+            dlogit = dlogit + mu * g_w * weights * (1.0 - weights)
+        dpre = dlogit[:, None] * params.w2 * (pre > 0)
+        return FilterParams(dpre.T @ feats, dpre.sum(axis=0), hidden.T @ dlogit, dlogit.sum())
+
+    @pytest.mark.parametrize("zero_w2", [False, True], ids=["w2-nonzero", "w2-zero-entry"])
+    @pytest.mark.parametrize("active_hinge", [True, False], ids=["hinge-on", "hinge-off"])
+    def test_backward_pass_gives_the_bits_of_the_literal_products(self, active_hinge, zero_w2):
+        """Unit 0 is dead (its pre-activation is negative at every point), and
+        label-1 points give negative dlogit, so the masked products are -0.0
+        there; an exactly zero output weight makes the products of a live
+        unit zeros of both signs, which the outer product writes as +0.0."""
+        params, ds, config = self._random_case(11, active_hinge)
+        w1, b1, w2 = params.w1.copy(), params.b1.copy(), params.w2.copy()
+        w1[0], b1[0] = 0.0, -1.0
+        if zero_w2:
+            w2[1] = 0.0
+        params = FilterParams(w1, b1, w2, params.b2)
+        pre = ds.features @ w1.T + b1
+        assert (pre[:, 0] < 0.0).all() and (pre[:, 1:] > 0.0).any()
+        parts, grad = loss_gradient(params, ds, config)
+        assert (parts.contract_part > 0.0) == active_hinge
+        assert _param_bits(grad) == _param_bits(self._reference_gradient(params, ds, config))
 
     def test_all_zero_weights_under_hinge_term_are_rejected(self):
         params, ds, config = self._random_case(5, active_hinge=True)
@@ -693,7 +741,7 @@ class TestOraclePullback:
         theta_good = Parameter(np.array([0.3, 0.0]), model)
         pts = RngState(seed=31).generator().standard_normal((50, 2))
         pts[:, 1] = constant
-        assert filtering._first_step(pts[None], theta_good.theta, 0.5)[4] is None
+        assert not filtering._first_step(pts[None], theta_good.theta, 0.5)[5][0]
         result = oracle_pullback_weights(pts, theta_good, gamma=0.5)
         assert hashlib.sha256(_bits(result.weights)).hexdigest() == (
             "ea9f386091b58e9ad3c6bbc6df4295fb0644fd4152a0990ccee08e6e24299482"
@@ -804,6 +852,25 @@ class TestFilterHandle:
         rows = [oracle_pullback_weights(p, theta_good, gamma).weights for p in pts]
         assert _bits(chunk) == _bits(*rows)
         np.testing.assert_array_equal(rows[-1], np.ones(40))
+
+    @pytest.mark.parametrize("family, singular", [("gaussian", 2), ("bernoulli", 0)])
+    def test_a_singular_spread_keeps_every_other_row_of_the_chunk_batched(self, family, singular):
+        """One row with a constant coordinate makes the stacked solve raise; the
+        rows are then solved one at a time, and only that row goes per-row."""
+        model = ExpFamilyModel(family, 2)
+        theta_good = Parameter(np.array([0.2, -0.1]), model)
+        rng = np.random.default_rng(95)
+        if family == "bernoulli":
+            pts = (rng.random((6, 40, 2)) < 0.45).astype(float)
+            pts[singular, :, 1] = 1.0
+        else:
+            pts = rng.normal(loc=0.3, size=(6, 40, 2))
+            pts[singular, :, 0] = 0.7
+        _, ok = filtering._pullback_rows(pts, theta_good, 0.5)
+        np.testing.assert_array_equal(ok, np.arange(6) != singular)
+        chunk = FilterHandle.oracle_pullback(theta_good, 0.5).weights(pts)
+        rows = [oracle_pullback_weights(p, theta_good, 0.5).weights for p in pts]
+        assert _bits(chunk) == _bits(*rows)
 
     def test_oracle_chunk_raises_the_lowest_failing_rows_own_error(self):
         _, theta_good = _gaussian(2)

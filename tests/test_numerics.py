@@ -5,7 +5,7 @@ import pytest
 
 from collapseguard.errors import InputValidationError
 from collapseguard.filtering import fit_pca
-from collapseguard.numerics import RngState, as_generator, check_fits, sym_eig
+from collapseguard.numerics import RngState, as_generator, check_fits, point_sums, sym_eig
 
 
 def _assert_sign_convention(vectors):
@@ -135,3 +135,22 @@ class TestCheckFits:
         ) as info:
             check_fits("a vector", shape, "use a shorter one")
         assert str(info.value).endswith("; use a shorter one")
+
+
+class TestPointSums:
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 131])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_gives_the_bits_of_sum_over_axis_one(self, d, rows, n):
+        """Magnitudes over 600 decades make every addition round, and zeros of
+        both signs (an all -0.0 column among them) check the sign of zero."""
+        rng = np.random.default_rng(1000 * d + rows + n)
+        x = rng.normal(size=(rows, n, d)) * 10.0 ** rng.integers(-300, 300, size=(rows, n, d))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[0, :, -1] = -0.0
+        want = x.sum(axis=1)
+        np.testing.assert_array_equal(point_sums(x).view(np.int64), want.view(np.int64))
+        other = np.asfortranarray(x)  # another layout sets another order: numpy's own
+        want = other.sum(axis=1)
+        np.testing.assert_array_equal(point_sums(other).view(np.int64), want.view(np.int64))
