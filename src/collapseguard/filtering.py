@@ -218,20 +218,19 @@ def init_filter_params(feature_dim: int, hidden_dim: int, rng) -> FilterParams:
 
 @dataclass(frozen=True, eq=False)
 class _Workspace:
-    """The buffers and per-run constants of loss-and-gradient passes over one dataset.
+    """The buffers and the contraction threshold of loss-and-gradient passes over one dataset.
 
     ``hidden``, ``active`` and ``dpre`` are the (n, hidden) buffers that
-    every pass overwrites. ``labels`` (the 0/1 labels as floats) and
-    ``threshold`` (``config.contraction_threshold()``) depend only on the
-    dataset and the config, so they are computed once, here. ``train_filter``
-    owns one for its fixed dataset and config and hands it to every pass, so
-    that neither the buffers nor the constants are made once per epoch.
+    every pass overwrites. ``threshold`` is ``config.contraction_threshold()``,
+    computed once here rather than once per pass. ``train_filter`` owns one
+    for its fixed dataset and config and hands it to every pass. A workspace
+    is valid only for the dataset and config it was built from: a pass with
+    another config would apply the stale threshold without an error.
     """
 
     hidden: np.ndarray
     active: np.ndarray
     dpre: np.ndarray
-    labels: np.ndarray
     threshold: float
 
     @classmethod
@@ -239,7 +238,7 @@ class _Workspace:
         shape = (len(dataset), hidden_dim)
         return cls(
             np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape),
-            dataset.labels.astype(float), config.contraction_threshold(),
+            config.contraction_threshold(),
         )
 
 
@@ -418,7 +417,7 @@ def loss_gradient(
 
     ``workspace`` is the caller's ``_Workspace.for_run`` of this dataset,
     config and hidden width; the pass overwrites its buffers, so their
-    contents are not part of the result, and reads its constants. Without
+    contents are not part of the result, and reads its threshold. Without
     one, the pass makes its own. Both give the same bits.
     """
     feats = _require_features(dataset)
@@ -428,7 +427,7 @@ def loss_gradient(
     if work is None:
         work = _Workspace.for_run(dataset, config, params.hidden_dim)
     hidden, weights = _forward_cache(params, feats, work.hidden)
-    y = work.labels
+    y = dataset.labels.astype(float)
     p = np.clip(weights, PROB_CLAMP, 1.0 - PROB_CLAMP)
     class_part = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
     theta_new = expfam.weighted_estimate(config.model, dataset.points, weights)
@@ -521,9 +520,9 @@ def train_filter(
     update make ``epochs + 1`` forward passes: the pass after an update
     gives both its log row and the next update's gradient. The passes
     share one ``_Workspace`` that this function owns for the whole run, so
-    the (n, hidden) buffers, the float labels and the contraction threshold
-    are made once, not once per epoch. Datasets with a single class are
-    rejected (the classification target would be degenerate).
+    the (n, hidden) buffers and the contraction threshold are made once,
+    not once per epoch. Datasets with a single class are rejected (the
+    classification target would be degenerate).
     """
     feats = _require_features(dataset)
     labels = dataset.labels
@@ -581,15 +580,17 @@ def oracle_pullback_weights(
     if pts.shape[1] != anchor.shape[0]:
         raise InputValidationError("candidates dimension does not match the anchor model")
 
-    mean, offset, centered, spread, tilt, solved = _first_step(pts[None], anchor, gamma)
-    mean, offset, centered, spread, tilt = mean[0], offset[0], centered[0], spread[0], tilt[0]
+    mean, offset, centered, spread, tilt = _first_step(pts[None], anchor, gamma)
+    mean, offset, centered, spread = mean[0], offset[0], centered[0], spread[0]
     offset_sq = float(offset @ offset)
     if gamma == 0.0 or offset_sq == 0.0:
         return PullbackResult(np.ones(n), gamma, True)
     if float(np.trace(spread)) <= 0.0:
         raise DegenerateSelectionError("candidate cloud has no spread; cannot tilt weights")
-    if not solved[0]:  # a singular spread takes the least-squares tilt
+    if tilt is None:  # a singular spread takes the least-squares tilt
         tilt = 0.5 * np.linalg.lstsq(spread, -gamma * offset, rcond=None)[0]
+    else:
+        tilt = tilt[0]
     target = mean - gamma * offset
 
     base = 0.5
@@ -651,29 +652,19 @@ def oracle_pullback_weights(
 def _first_step(pts: np.ndarray, anchor: np.ndarray, gamma: float):
     """Means, offsets from the anchor, centered points, spreads and tilts of ``pts`` (rows, n, d).
 
-    The tilts (rows, d) come from one stacked solve. If a spread is
-    singular, that solve raises, and the rows are solved one at a time.
-    The last value is the mask of rows with a solved tilt; a singular row's
-    tilt is NaN. Stacked ``np.matmul`` and ``np.linalg.solve`` run the BLAS
-    and LAPACK routine of a lone matrix on each, so every row keeps its
-    bits, and a lone solve gives the bits of the stacked one."""
+    The tilts (rows, d) come from one stacked solve, None if any spread is
+    singular. Stacked ``np.matmul`` and ``np.linalg.solve`` run the BLAS and
+    LAPACK routine of a lone matrix on each, so every row keeps its bits."""
     n = pts.shape[1]
     mean = point_sums(pts) / n
     offset = mean - anchor
     centered = pts - mean[:, None, :]
     spread = np.matmul(centered.transpose(0, 2, 1), centered) / n
-    rhs = -gamma * offset[:, :, None]
-    solved = np.ones(len(pts), dtype=bool)
     try:
-        tilt = np.linalg.solve(spread, rhs)
+        tilt = 0.5 * np.linalg.solve(spread, -gamma * offset[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        tilt = np.full(rhs.shape, np.nan)
-        for r in range(len(pts)):
-            try:
-                tilt[r] = np.linalg.solve(spread[r], rhs[r])
-            except np.linalg.LinAlgError:
-                solved[r] = False
-    return mean, offset, centered, spread, 0.5 * tilt[:, :, 0], solved
+        tilt = None
+    return mean, offset, centered, spread, tilt
 
 
 def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
@@ -685,9 +676,9 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
     residual meets the default tolerance, 1e-8, with every check passed;
     the per-row function returns these very bits for them. A row outside
     the mask (a missed tolerance, a zero offset, no spread, non-finite data,
-    a weight sum at the floor, or a singular spread) holds no weights. The
-    residual is tested with a relative margin of 1e-9, since its norm is
-    not the per-row function's BLAS dot.
+    a weight sum at the floor, or any singular spread in the stack) holds
+    no weights. The residual is tested with a relative margin of 1e-9,
+    since its norm is not the per-row function's BLAS dot.
     """
     rows, n, d = pts.shape
     weights = np.empty((rows, n))
@@ -695,14 +686,16 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
     if n < 2 or d != anchor.shape[0] or not 0.0 < gamma <= 1.0:
         return weights, np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        mean, offset, centered, spread, tilt, ok = _first_step(pts, anchor, gamma)
+        mean, offset, centered, spread, tilt = _first_step(pts, anchor, gamma)
+        if tilt is None:
+            return weights, np.zeros(rows, dtype=bool)
         np.clip(0.5 + np.matmul(centered, tilt[:, :, None])[:, :, 0], 0.0, 1.0, out=weights)
         s = weights.sum(axis=1)
         target = mean - gamma * offset
         miss = target - point_sums(pts * weights[:, :, None]) / s[:, None]
         rnorm = np.sqrt(np.einsum("ij,ij->i", miss, miss))
         tol_abs = 1e-8 * (1.0 + np.sqrt(np.einsum("ij,ij->i", target, target)))
-        ok &= np.isfinite(pts).all(axis=(1, 2))
+        ok = np.isfinite(pts).all(axis=(1, 2))
         ok &= np.einsum("ij,ij->i", offset, offset) > 0.0
         ok &= np.trace(spread, axis1=1, axis2=2) > 0.0
         ok &= s > expfam.WEIGHT_FLOOR_PER_POINT * n

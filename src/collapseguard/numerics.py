@@ -79,9 +79,11 @@ def point_sums(stack: np.ndarray) -> np.ndarray:
     (16, 1000, 2). numpy's sum starts from +0.0, so ``+ 0.0`` turns the -0.0
     of an all -0.0 column into its +0.0 and changes no other value. At
     d = 1 numpy sums pairwise, and other layouts set their own order, so
-    ``sum`` stays there.
+    ``sum`` stays there. So does a stack over ``STACK_LIMIT`` values, where
+    the (rows, n, d) cumsum would double the peak memory; every chunked
+    caller stays under it.
     """
-    if stack.shape[2] < 2 or not stack.flags.c_contiguous:
+    if stack.shape[2] < 2 or stack.size > STACK_LIMIT or not stack.flags.c_contiguous:
         return stack.sum(axis=1)
     return np.cumsum(stack, axis=1)[:, -1] + 0.0
 

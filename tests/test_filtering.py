@@ -461,9 +461,9 @@ class TestLossGradient:
         params, ds, config = self._random_case(7, active_hinge)
         fresh = loss_gradient(params, ds, config)
         work = filtering._Workspace.for_run(ds, config, params.hidden_dim)
-        # the hoisted constants are the values an allocating pass computes itself
-        constants = _bits(ds.labels.astype(float), config.contraction_threshold())
-        assert _bits(work.labels, work.threshold) == constants
+        # the hoisted threshold is the value an allocating pass computes itself
+        threshold = _bits(config.contraction_threshold())
+        assert _bits(work.threshold) == threshold
         for buf in (work.hidden, work.dpre):
             buf.fill(np.nan)
         work.active.fill(True)
@@ -471,7 +471,7 @@ class TestLossGradient:
             parts, grad = loss_gradient(params, ds, config, work)
             assert _bits(*parts) == _bits(*fresh[0])
             assert _param_bits(grad) == _param_bits(fresh[1])
-            assert _bits(work.labels, work.threshold) == constants  # read, never written
+            assert _bits(work.threshold) == threshold  # read, never written
 
     @staticmethod
     def _reference_gradient(params, ds, config) -> FilterParams:
@@ -741,7 +741,7 @@ class TestOraclePullback:
         theta_good = Parameter(np.array([0.3, 0.0]), model)
         pts = RngState(seed=31).generator().standard_normal((50, 2))
         pts[:, 1] = constant
-        assert not filtering._first_step(pts[None], theta_good.theta, 0.5)[5][0]
+        assert filtering._first_step(pts[None], theta_good.theta, 0.5)[4] is None
         result = oracle_pullback_weights(pts, theta_good, gamma=0.5)
         assert hashlib.sha256(_bits(result.weights)).hexdigest() == (
             "ea9f386091b58e9ad3c6bbc6df4295fb0644fd4152a0990ccee08e6e24299482"
@@ -854,9 +854,9 @@ class TestFilterHandle:
         np.testing.assert_array_equal(rows[-1], np.ones(40))
 
     @pytest.mark.parametrize("family, singular", [("gaussian", 2), ("bernoulli", 0)])
-    def test_a_singular_spread_keeps_every_other_row_of_the_chunk_batched(self, family, singular):
-        """One row with a constant coordinate makes the stacked solve raise; the
-        rows are then solved one at a time, and only that row goes per-row."""
+    def test_a_singular_spread_sends_the_chunk_per_row_with_the_same_bits(self, family, singular):
+        """One row with a constant coordinate makes the stacked solve raise, so
+        no row is batched; every row then gets the bits of its own call."""
         model = ExpFamilyModel(family, 2)
         theta_good = Parameter(np.array([0.2, -0.1]), model)
         rng = np.random.default_rng(95)
@@ -865,9 +865,11 @@ class TestFilterHandle:
             pts[singular, :, 1] = 1.0
         else:
             pts = rng.normal(loc=0.3, size=(6, 40, 2))
-            pts[singular, :, 0] = 0.7
+            pts[singular, :, 0] = 0.5
+        anchor = expfam.mean_map(model, theta_good)
+        assert filtering._first_step(pts, anchor, 0.5)[4] is None
         _, ok = filtering._pullback_rows(pts, theta_good, 0.5)
-        np.testing.assert_array_equal(ok, np.arange(6) != singular)
+        assert not ok.any()
         chunk = FilterHandle.oracle_pullback(theta_good, 0.5).weights(pts)
         rows = [oracle_pullback_weights(p, theta_good, 0.5).weights for p in pts]
         assert _bits(chunk) == _bits(*rows)

@@ -1,11 +1,20 @@
 """Tests for the dense linear-algebra and seeded-randomness primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from collapseguard.errors import InputValidationError
 from collapseguard.filtering import fit_pca
-from collapseguard.numerics import RngState, as_generator, check_fits, point_sums, sym_eig
+from collapseguard.numerics import (
+    STACK_LIMIT,
+    RngState,
+    as_generator,
+    check_fits,
+    point_sums,
+    sym_eig,
+)
 
 
 def _assert_sign_convention(vectors):
@@ -154,3 +163,16 @@ class TestPointSums:
         other = np.asfortranarray(x)  # another layout sets another order: numpy's own
         want = other.sum(axis=1)
         np.testing.assert_array_equal(point_sums(other).view(np.int64), want.view(np.int64))
+
+    def test_a_stack_over_the_limit_adds_no_stack_sized_array(self):
+        """Above ``STACK_LIMIT`` values the helper is numpy's ``sum``, whose peak
+        is the (rows, d) result, not a cumsum as large as the stack."""
+        x = np.random.default_rng(3).normal(size=(2, STACK_LIMIT // 4 + 1, 2))
+        tracemalloc.start()
+        try:
+            got = point_sums(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 8
+        np.testing.assert_array_equal(got.view(np.int64), x.sum(axis=1).view(np.int64))
