@@ -14,8 +14,9 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import NoReturn, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -428,60 +429,71 @@ def write_results_csv(table: ResultTable, path) -> None:
     atomic_write_text(path, _csv_text(CSV_HEADER, columns))
 
 
-def _parse_cells(path, cells: list[str], name: str, kind) -> np.ndarray:
-    """One column parsed with ``int`` or ``float``; a bad cell is reported by line and column."""
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        return np.fromiter(map(kind, cells), dtype=dtype, count=len(cells))
-    except (ValueError, OverflowError):
-        for line, cell in enumerate(cells, start=2):
+# One field per CSV_HEADER column; the two strings stay whole as Python objects.
+_CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "O i8 i8 f8 f8 f8 f8 f8 i8 O".split())))
+
+
+def _shared_value(path, name: str, column: np.ndarray):
+    """The value every row holds in a column the table keeps once."""
+    off = np.flatnonzero(column != column[0])
+    if off.size:
+        raise InputValidationError(f"{path}:{off[0] + 2}: column {name} differs from line 2")
+    return column[0]
+
+
+def _scan_body(path, body: list[str], refusal) -> NoReturn:
+    """Raise the first fault of a body ``np.loadtxt`` refused.
+
+    That is the first line without 10 columns, else the first bad cell of mse,
+    mean_V, the exceed columns, trials, t and n_t. A cell passes as in numpy's
+    reader: stripped, it holds only ASCII and no underscore, ``int``/``float``
+    takes it and its dtype holds the value.
+    """
+    for line, text in enumerate(body, start=2):
+        if text.count(",") != 9:
+            raise InputValidationError(f"{path}:{line}: expected 10 columns")
+    cells = ",".join(body).split(",")
+    for name in (*_CSV_DTYPE.names[3:9], "t", "n_t"):
+        dtype = _CSV_DTYPE[name]
+        for line, cell in enumerate(cells[_CSV_DTYPE.names.index(name)::10], start=2):
             try:
-                dtype(kind(cell))
+                value = cell.strip()
+                if "_" in value or not value.isascii():
+                    raise ValueError
+                dtype.type(int(value) if dtype.kind == "i" else float(value))
             except (ValueError, OverflowError):
-                what = "an integer" if kind is int else "a number"
+                what = "an integer" if dtype.kind == "i" else "a number"
                 raise InputValidationError(
                     f"{path}:{line}: column {name} must hold {what}, got {cell!r}"
                 ) from None
-        raise
-
-
-def _shared_cell(path, cells, name: str, default):
-    """The value every row holds in a column the table keeps once; ``default`` if no rows."""
-    if not cells:
-        return default
-    if cells.count(cells[0]) != len(cells):
-        line = next(i for i, cell in enumerate(cells, start=2) if cell != cells[0])
-        raise InputValidationError(f"{path}:{line}: column {name} differs from line 2")
-    return cells[0]
+    raise InputValidationError(f"{path}: cannot parse the results: {refusal}")
 
 
 def read_results_csv(path) -> ResultTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputValidationError(f"cannot read results {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise InputValidationError(f"{path} does not carry the expected results schema")
     body = lines[1:]
-    for i, line in enumerate(body, start=2):
-        if line.count(",") != 9:
-            raise InputValidationError(f"{path}:{i}: expected 10 columns")
-    cells = ",".join(body).split(",") if body else []
-    names = CSV_HEADER.split(",")
-    column = {name: cells[k::10] for k, name in enumerate(names)}
-    number = {name: _parse_cells(path, column[name], name, float) for name in names[3:8]}
-    trials = _parse_cells(path, column["trials"], "trials", int)
-    return ResultTable(
-        scenario=_shared_cell(path, column["scenario"], "scenario", ""),
-        t=_parse_cells(path, column["t"], "t", int),
-        n_t=_parse_cells(path, column["n_t"], "n_t", int),
-        mse=number["mse"],
-        mean_v=number["mean_V"],
-        exceed=np.column_stack([number[name] for name in names[5:8]]),
-        trials=_shared_cell(path, trials.tolist(), "trials", 0),
-        config_hash=_shared_cell(path, column["config_hash"], "config_hash", ""),
-    )
+    if not body:
+        return ResultTable("", [], [], [], [], np.empty((0, len(FIXED_DELTAS))), 0, "")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # older numpy reads "1.5" as 1
+            rec = np.loadtxt(body, delimiter=",", comments=None, dtype=_CSV_DTYPE, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning) as exc:
+        _scan_body(path, body, exc)
+    if len(rec) != len(body):  # loadtxt skips blank lines
+        _scan_body(path, body, "a blank line")
+    scenario, trials, chash = (_shared_value(path, name, rec[name])
+                               for name in ("scenario", "trials", "config_hash"))
+    # copies, so that no column pins the records and their strings
+    t, n_t, mse, mean_v = (rec[name].copy() for name in _CSV_DTYPE.names[1:5])
+    exceed = np.column_stack([rec[name] for name in _CSV_DTYPE.names[5:8]])
+    return ResultTable(scenario, t, n_t, mse, mean_v, exceed, int(trials), chash)
 
 
 def write_summary(summary: dict, path) -> None:
@@ -791,9 +803,9 @@ class CompareTable:
 def compare_runs(baseline: ResultTable, treatment: ResultTable):
     """Per-step baseline/treatment MSE ratios plus a trend verdict.
 
-    The ratio is 1 where both MSEs are 0 and infinite where only the
-    treatment's is. The trend is the least-squares slope of the finite
-    ratios, exactly 0 when they are all equal.
+    Every MSE must be finite. The ratio is 1 where both are 0 and infinite
+    where only the treatment's is. The trend is the least-squares slope of
+    the finite ratios, exactly 0 when they are all equal.
     """
     if len(baseline) == 0 or len(treatment) == 0:
         raise InputValidationError("both result tables must be nonempty")
@@ -806,6 +818,10 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
             f"step grids differ at t={baseline.t[i]} vs t={treatment.t[i]}"
         )
     b, tr = baseline.mse, treatment.mse
+    for label, mse in (("baseline", b), ("treatment", tr)):
+        if not np.isfinite(mse).all():
+            i = np.flatnonzero(~np.isfinite(mse))[0]
+            raise InputValidationError(f"{label} mse must be finite, got {mse[i]} at t={baseline.t[i]}")
     with np.errstate(all="ignore"):
         ratios = np.divide(b, tr, out=np.where(b == 0.0, 1.0, np.inf), where=tr != 0.0)
     table = CompareTable(baseline.t, b, tr, ratios)
@@ -844,20 +860,9 @@ def write_compare_csv(table: CompareTable, path) -> None:
 # ---------------------------------------------------------------------------
 
 PLOT_KINDS = ("linear", "semilogy", "loglog")
-PLOT_COLUMNS = ("mse", "mean_V", "exceed_0.1", "exceed_0.2", "exceed_0.5")
+PLOT_COLUMNS = _CSV_DTYPE.names[3:8]  # mse, mean_V and the exceed columns
 
 _SVG_W, _SVG_H, _SVG_M = 640.0, 480.0, 56.0
-
-
-def _column_values(table: ResultTable, column: str) -> np.ndarray:
-    if column == "mse":
-        return table.mse
-    if column == "mean_V":
-        return table.mean_v
-    idx = {f"exceed_{_fmt(d)}": i for i, d in enumerate(FIXED_DELTAS)}
-    if column in idx:
-        return table.exceed[:, idx[column]]
-    raise InputValidationError(f"unknown plot column {column!r}; expected one of {PLOT_COLUMNS}")
 
 
 def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
@@ -867,7 +872,9 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
     if len(table) == 0:
         raise InputValidationError("cannot plot an empty result table")
     xs = table.t.astype(float)
-    ys = _column_values(table, column)
+    ys = dict(zip(PLOT_COLUMNS, (table.mse, table.mean_v, *table.exceed.T))).get(column)
+    if ys is None:
+        raise InputValidationError(f"unknown plot column {column!r}; expected one of {PLOT_COLUMNS}")
     if not np.all(np.isfinite(ys)):
         raise InputValidationError("plot values must be finite")
     if kind == "loglog" and np.any(xs <= 0.0):

@@ -677,6 +677,42 @@ class TestCompareAndPlot:
         assert main(argv) == 1
         assert f"{bad}:3: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["plot", "compare"])
+    def test_a_results_file_that_is_not_utf8_is_a_validation_failure(
+        self, tmp_path, capsys, command
+    ):
+        good = _synthetic_results(tmp_path / "good.csv", [1.0, 2.0])
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + (tmp_path / "good.csv").read_text().encode("utf-16-le"))
+        if command == "plot":
+            argv = ["plot", "--input", str(bad), "--out", str(tmp_path / "p.svg")]
+        else:
+            argv = ["compare", "--baseline", good, "--treatment", str(bad),
+                    "--out", str(tmp_path / "cmp")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read results {bad}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "p.svg").exists() and not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["baseline", "treatment"])
+    def test_compare_refuses_a_non_finite_mse(self, tmp_path, capsys, side, cell):
+        good = _synthetic_results(tmp_path / "good.csv", [1.0, 2.0, 3.0])
+        lines = (tmp_path / "good.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[3] = cell
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        paths = {"baseline": good, "treatment": good, side: str(bad)}
+        out = tmp_path / "cmp"
+        argv = ["compare", "--baseline", paths["baseline"], "--treatment", paths["treatment"],
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {side} mse must be finite, got {cell} at t=2\n"
+        assert not out.exists()
+
 
 class TestModuleExecution:
     @staticmethod

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from collapseguard.experiments import (
     write_results_csv,
     write_summary,
 )
+from collapseguard.experiments import _scan_body
 from collapseguard.filtering import load_filter_checkpoint
 
 
@@ -376,6 +379,316 @@ class TestResultsCsv:
             read_results_csv(tmp_path / "absent.csv")
 
 
+# The reader as it was before it parsed the body with np.loadtxt, kept as the
+# reference its outcomes are compared with, bit for bit.
+def _reference_parse_cells(path, cells, name, kind):
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, cells), dtype=dtype, count=len(cells))
+    except (ValueError, OverflowError):
+        for line, cell in enumerate(cells, start=2):
+            try:
+                dtype(kind(cell))
+            except (ValueError, OverflowError):
+                what = "an integer" if kind is int else "a number"
+                raise InputValidationError(
+                    f"{path}:{line}: column {name} must hold {what}, got {cell!r}"
+                ) from None
+        raise
+
+
+def _reference_shared_cell(path, cells, name, default):
+    if not cells:
+        return default
+    if cells.count(cells[0]) != len(cells):
+        line = next(i for i, cell in enumerate(cells, start=2) if cell != cells[0])
+        raise InputValidationError(f"{path}:{line}: column {name} differs from line 2")
+    return cells[0]
+
+
+def _reference_read_results_csv(path) -> ResultTable:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise InputValidationError(f"cannot read results {path}: {exc}") from exc
+    if not lines or lines[0] != CSV_HEADER:
+        raise InputValidationError(f"{path} does not carry the expected results schema")
+    body = lines[1:]
+    for i, line in enumerate(body, start=2):
+        if line.count(",") != 9:
+            raise InputValidationError(f"{path}:{i}: expected 10 columns")
+    cells = ",".join(body).split(",") if body else []
+    names = CSV_HEADER.split(",")
+    column = {name: cells[k::10] for k, name in enumerate(names)}
+    number = {name: _reference_parse_cells(path, column[name], name, float) for name in names[3:8]}
+    trials = _reference_parse_cells(path, column["trials"], "trials", int)
+    return ResultTable(
+        scenario=_reference_shared_cell(path, column["scenario"], "scenario", ""),
+        t=_reference_parse_cells(path, column["t"], "t", int),
+        n_t=_reference_parse_cells(path, column["n_t"], "n_t", int),
+        mse=number["mse"],
+        mean_v=number["mean_V"],
+        exceed=np.column_stack([number[name] for name in names[5:8]]),
+        trials=_reference_shared_cell(path, trials.tolist(), "trials", 0),
+        config_hash=_reference_shared_cell(path, column["config_hash"], "config_hash", ""),
+    )
+
+
+def _outcome(read, path):
+    """What ``read`` makes of ``path``: its error message, or each field's type and bits."""
+    try:
+        table = read(path)
+    except InputValidationError as exc:
+        return str(exc)
+    fields = {}
+    for f in dataclasses.fields(table):
+        value = getattr(table, f.name)
+        if isinstance(value, np.ndarray):
+            bits = value.view(np.int64) if value.dtype == np.float64 else value
+            fields[f.name] = (value.dtype.str, value.shape, bits)
+        else:
+            fields[f.name] = (type(value).__name__, (), value)
+    return fields
+
+
+def _assert_reads_as_before(path):
+    old, new = _outcome(_reference_read_results_csv, path), _outcome(read_results_csv, path)
+    assert type(new) is type(old), (old, new)
+    if isinstance(old, str):
+        assert new == old
+        return
+    for name, (kind, shape, bits) in old.items():
+        assert new[name][:2] == (kind, shape), name
+        assert np.array_equal(new[name][2], bits), name
+
+
+def _results_text(columns) -> str:
+    """A results file with ``columns`` (ten lists of cells) as its body."""
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+
+
+def _random_columns(rng, rows, fmt="%.12g") -> list[list[str]]:
+    """Ten columns of cells: random int64 steps and sizes, random float64 bit patterns."""
+    ints = rng.integers(-(2**63), 2**63 - 1, size=(2, rows), dtype=np.int64, endpoint=True)
+    floats = rng.integers(0, 2**64 - 1, size=(5, rows), dtype=np.uint64, endpoint=True)
+    return [
+        ["rates"] * rows,
+        *[list(map(str, column)) for column in ints.tolist()],
+        *[[fmt % v for v in column] for column in floats.view(np.float64).tolist()],
+        ["20"] * rows,
+        ["abc123def456"] * rows,
+    ]
+
+
+def _edited(columns, line: int, column: int, cell: str) -> list[list[str]]:
+    """``columns`` with the cell of file line ``line`` in ``column`` replaced."""
+    columns = [list(c) for c in columns]
+    columns[column][line - 2] = cell
+    return columns
+
+
+_GOOD = [
+    ["rates"] * 4, ["0", "1", "2", "3"], ["100"] * 4, ["0.5", "1", "1.5", "2"],
+    ["1.25"] * 4, ["1", "0.5", "0.25", "0"], ["0"] * 4, ["0"] * 4, ["20"] * 4,
+    ["abc123def456"] * 4,
+]
+_GOOD_LINES = _results_text(_GOOD).splitlines()
+
+
+def _with_lines(*lines: str) -> str:
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
+# Inputs whose outcome, a table or an error message, is the same for both readers.
+_UNMOVED = {
+    "blank-body-line": _with_lines(_GOOD_LINES[1], "", _GOOD_LINES[2]),
+    "blank-last-line": _results_text(_GOOD) + "\n",
+    "whitespace-only-line": _with_lines(_GOOD_LINES[1], "   ", _GOOD_LINES[2]),
+    "trailing-comma": _with_lines(_GOOD_LINES[1], _GOOD_LINES[2] + ","),
+    "quoted-comma": _results_text(_edited(_GOOD, 3, 0, '"a,c"')),
+    "quoted-cells": _results_text([['"rates"'] * 4, *_GOOD[1:]]),
+    "hash-in-config-hash": _results_text([*_GOOD[:9], ["abc#def"] * 4]),
+    "hash-in-number": _results_text(_edited(_GOOD, 2, 3, "#1")),
+    "spaces-around-numbers": _results_text(_edited(_edited(_GOOD, 2, 1, " 0 "), 3, 3, "\t1 ")),
+    "tab-around-trials": _results_text([*_GOOD[:8], ["\t20", "20 ", "+20", "020"], _GOOD[9]]),
+    "spaces-around-scenario": _results_text(_edited(_GOOD, 4, 0, " rates")),
+    "form-feed-in-number": _results_text(_edited(_GOOD, 3, 4, "1.\f25")),
+    "form-feed-ending-a-line": _with_lines(_GOOD_LINES[1] + "\f", _GOOD_LINES[2]),
+    "carriage-returns": _results_text(_GOOD).replace("\n", "\r\n"),
+    "float-in-t": _results_text(_edited(_GOOD, 3, 1, "1.5")),
+    "float-in-n_t": _results_text(_edited(_GOOD, 5, 2, "1e2")),
+    "twenty-digit-t": _results_text(_edited(_GOOD, 3, 1, "12345678901234567890")),
+    "int64-bounds": _results_text(
+        _edited(_edited(_GOOD, 2, 1, str(-(2**63))), 3, 2, str(2**63 - 1))
+    ),
+    "twenty-digit-trials": _results_text([*_GOOD[:8], ["12345678901234567890"] * 4, _GOOD[9]]),
+    "empty-number": _results_text(_edited(_GOOD, 4, 5, "")),
+    "word-in-number": _results_text(_edited(_GOOD, 5, 7, "abc")),
+    "nan-in-t": _results_text(_edited(_GOOD, 2, 1, "nan")),
+    "signed-and-padded-ints": _results_text(_edited(_edited(_GOOD, 2, 1, "-0"), 3, 1, "+001")),
+    "overflowing-float": _results_text(_edited(_edited(_GOOD, 2, 3, "1e400"), 3, 4, "-1e-400")),
+    "nan-and-inf-spellings": _results_text(
+        [*_GOOD[:3], ["NaN", "-nan", "Infinity", "-INF"], *_GOOD[4:]]
+    ),
+    "differing-scenario": _results_text(_edited(_GOOD, 4, 0, "dynamics")),
+    "differing-trials": _results_text(_edited(_GOOD, 3, 8, "21")),
+    "differing-config-hash": _results_text(_edited(_GOOD, 5, 9, "abc123def457")),
+    "nul-in-scenario": _results_text([["ra\0tes"] * 4, *_GOOD[1:]]),
+    "trials-before-scenario": _results_text(_edited(_edited(_GOOD, 3, 0, "x"), 4, 8, "ten")),
+    "mse-before-t": _results_text(_edited(_edited(_GOOD, 2, 1, "x"), 5, 3, "y")),
+    "columns-before-numbers": _with_lines(
+        _GOOD_LINES[1].replace("rates", "x").replace(",0.5,", ",y,"), _GOOD_LINES[2] + ","
+    ),
+    "wrong-header": "t,mse\n0,1\n",
+    "empty-file": "",
+}
+
+
+class TestResultsReaderAgainstTheReference:
+    """The np.loadtxt reader against the per-cell reader it replaced."""
+
+    @pytest.mark.parametrize("fmt", ["%.12g", "%r"])
+    def test_random_bit_patterns_read_the_same_bits(self, tmp_path, fmt):
+        path = tmp_path / "results.csv"
+        columns = _random_columns(np.random.default_rng(19), 2000, fmt)
+        path.write_text(_results_text(columns))
+        _assert_reads_as_before(path)
+        if fmt == "%r":  # repr round-trips, so the table holds the very bits written
+            mse = read_results_csv(path).mse
+            assert np.array_equal(mse.view(np.int64), np.array(columns[3], float).view(np.int64))
+
+    def test_zeros_non_finite_values_and_subnormals(self, tmp_path):
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
+        rows = len(values)
+        for fmt in ("%.12g", "%r"):
+            cells = [fmt % v for v in values]
+            columns = [["rates"] * rows, list(map(str, range(rows))), ["0"] * rows,
+                       *[cells] * 5, ["1"] * rows, ["h"] * rows]
+            path = tmp_path / "special.csv"
+            path.write_text(_results_text(columns))
+            _assert_reads_as_before(path)
+        mse = read_results_csv(path).mse
+        assert np.signbit(mse[1]) and mse[1] == 0.0 and np.isnan(mse[2])
+        assert mse[5] == 5e-324
+
+    @pytest.mark.parametrize("rows", [1, 100_001])
+    def test_one_row_and_many_rows(self, tmp_path, rows):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_random_columns(np.random.default_rng(rows), rows)))
+        _assert_reads_as_before(path)
+
+    def test_the_header_only_table(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(CSV_HEADER + "\n")
+        _assert_reads_as_before(path)
+
+    @pytest.mark.parametrize("name", list(_UNMOVED))
+    def test_outcome_does_not_move(self, tmp_path, name):
+        path = tmp_path / "results.csv"
+        path.write_text(_UNMOVED[name])
+        _assert_reads_as_before(path)
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (3, "1_5", "column mse must hold a number, got '1_5'"),
+            (1, "1_5", "column t must hold an integer, got '1_5'"),
+            (1, "٣", "column t must hold an integer, got '٣'"),
+            (4, "٣.5", "column mean_V must hold a number, got '٣.5'"),
+        ],
+        ids=["underscore-float", "underscore-int", "arabic-indic-int", "arabic-indic-float"],
+    )
+    def test_cells_numpy_does_not_parse_are_now_refused(self, tmp_path, column, cell, message):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_edited(_GOOD, 3, column, cell)))
+        assert not isinstance(_outcome(_reference_read_results_csv, path), str)
+        with pytest.raises(InputValidationError) as info:
+            read_results_csv(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    def test_a_bad_number_is_now_reported_before_a_differing_scenario(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_edited(_edited(_GOOD, 3, 0, "x"), 2, 1, "1.5")))
+        assert _outcome(_reference_read_results_csv, path) == (
+            f"{path}:3: column scenario differs from line 2"
+        )
+        assert _outcome(read_results_csv, path) == (
+            f"{path}:2: column t must hold an integer, got '1.5'"
+        )
+
+    def test_a_unit_separator_around_a_number_is_now_read(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_edited(_GOOD, 3, 1, "1\x1f")))
+        assert "must hold an integer" in _outcome(_reference_read_results_csv, path)
+        assert read_results_csv(path).t.tolist() == [0, 1, 2, 3]
+
+    def test_the_scan_refuses_exactly_the_cells_numpy_refuses(self, tmp_path):
+        rng = np.random.default_rng(7)
+        alphabet = list("0123456789+-.eE_ nainfty") + ["\t", "\xa0", "　", "\x1f", "\0", "٣"]
+        cells = ["", " ", "1.5", "1e400", "9223372036854775807", "9223372036854775808",
+                 "-9223372036854775809", "1_5", "٣", "5\x1f", "\xa05 ", "0x10", "inf"]
+        cells += ["".join(rng.choice(alphabet, size=rng.integers(1, 6))) for _ in range(400)]
+        path = tmp_path / "results.csv"
+        for column, dtype in ((1, np.int64), (3, np.float64)):
+            for cell in cells:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        refused = len(np.loadtxt([cell], dtype=dtype, delimiter=",",
+                                                 comments=None, ndmin=1)) != 1
+                    except (ValueError, OverflowError, Warning):
+                        refused = True
+                line = _edited(_GOOD, 2, column, cell)
+                path.write_text(_results_text(line))
+                outcome = _outcome(read_results_csv, path)
+                assert isinstance(outcome, str) == refused, (cell, outcome)
+                body = _results_text(line).splitlines()[1:]
+                with pytest.raises(InputValidationError) as info:
+                    _scan_body(path, body, "no fault")
+                assert ("must hold" in str(info.value)) == refused, (cell, str(info.value))
+
+    def test_a_refusal_the_scan_cannot_place_is_still_reported(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_GOOD))
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(InputValidationError) as info:
+            read_results_csv(path)
+        assert str(info.value) == f"{path}: cannot parse the results: refused"
+
+    def test_columns_own_their_data(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_random_columns(np.random.default_rng(3), 100)))
+        table = read_results_csv(path)
+        for name in ("t", "n_t", "mse", "mean_v", "exceed"):
+            assert getattr(table, name).flags.owndata, name
+        assert type(table.scenario) is str and type(table.config_hash) is str
+        assert type(table.trials) is int
+
+    def test_reading_a_large_table_stays_small(self, tmp_path):
+        # 10.7 MB of text: the per-cell reader peaked at 102 MB on it, this one at 45 MB
+        path = tmp_path / "results.csv"
+        rows = 100_000
+        rng = np.random.default_rng(5)
+        write_results_csv(
+            ResultTable("rates", np.arange(rows), np.full(rows, 100), rng.random(rows),
+                        rng.random(rows), rng.random((rows, 3)), 20, "abc123def456"),
+            path,
+        )
+        tracemalloc.start()
+        try:
+            read_results_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+
+
 class TestAtomicWrite:
     def test_creates_parent_directories_and_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "deep" / "nested" / "file.txt"
@@ -652,6 +965,15 @@ class TestCompareRuns:
         )
         with pytest.raises(InputValidationError, match="grids"):
             compare_runs(rows, shifted)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["baseline", "treatment"])
+    def test_a_non_finite_mse_is_refused_with_its_table_and_step(self, side, value):
+        tables = {"baseline": self._rows([1.0, 2.0, 3.0]), "treatment": self._rows([1.0, 2.0, 3.0])}
+        tables[side] = self._rows([1.0, value, 3.0])
+        with pytest.raises(InputValidationError) as info:
+            compare_runs(tables["baseline"], tables["treatment"])
+        assert str(info.value) == f"{side} mse must be finite, got {value} at t=1"
 
     def test_compare_csv_has_the_pinned_header(self, tmp_path):
         rows, _ = compare_runs(self._rows([1.0, 4.0]), self._rows([1.0, 2.0]))
