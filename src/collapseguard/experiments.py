@@ -520,40 +520,36 @@ def _slope(ts: np.ndarray, ys: np.ndarray) -> float:
     return float(np.polyfit(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
 
-def _stats_table(scenario, stats, trials, chash) -> ResultTable:
+def _trial_result(config: ExperimentConfig, chash: str, stats):
+    """The results table of a dynamics or workflow run and the summary keys both share."""
     exceed = np.column_stack([stats.exceedance_at(d) for d in FIXED_DELTAS])
-    return ResultTable(scenario, stats.ts, stats.ns, stats.mse, stats.mean_v, exceed, trials, chash)
-
-
-def _run_dynamics(config: ExperimentConfig, chash: str):
-    dim = config.model.dim
-    metric = LyapunovMetric.identity(dim)
-    map_ = ContractionMap(metric, config.contraction)
-    e0 = (
-        np.asarray(config.initial_error, dtype=float)
-        if config.initial_error is not None
-        else np.ones(dim)
-    )
-    stats = run_dynamics_trials(
-        map_, config.noise, e0, config.horizon, config.trials, RngState(config.seed),
-        deltas=_merged_deltas(config),
-    )
-    table = _stats_table("dynamics", stats, config.trials, chash)
-
-    burn_in = max(1, config.horizon // 10)
+    table = ResultTable(config.scenario, stats.ts, stats.ns, stats.mse, stats.mean_v, exceed,
+                        config.trials, chash)
     summary = {
-        "scenario": "dynamics",
+        "scenario": config.scenario,
         "config_hash": chash,
         "trials": config.trials,
         "horizon": config.horizon,
         "final_mse": float(stats.mse[-1]),
         "final_mean_V": float(stats.mean_v[-1]),
         "exceedance_final": {_fmt(d): float(stats.exceedance_at(d)[-1]) for d in config.deltas},
-        "burn_in": burn_in,
-        "max_exceedance_rise_after_burn_in": exceedance_trend_rise(
-            stats.exceedance_at(0.2), burn_in
-        ),
     }
+    return table, summary
+
+
+def _run_dynamics(config: ExperimentConfig, chash: str):
+    dim = config.model.dim
+    map_ = ContractionMap(LyapunovMetric.identity(dim), config.contraction)
+    e0 = np.ones(dim) if config.initial_error is None else np.asarray(config.initial_error, float)
+    stats = run_dynamics_trials(
+        map_, config.noise, e0, config.horizon, config.trials, RngState(config.seed),
+        deltas=_merged_deltas(config),
+    )
+    table, summary = _trial_result(config, chash, stats)
+    burn_in = summary["burn_in"] = max(1, config.horizon // 10)
+    summary["max_exceedance_rise_after_burn_in"] = exceedance_trend_rise(
+        stats.exceedance_at(0.2), burn_in
+    )
     return table, summary
 
 
@@ -575,7 +571,6 @@ def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int, blocks: int = 20
 
 def _run_workflow(config: ExperimentConfig, chash: str):
     model, theta_star = config.model.build()
-    scenario = config.scenario
     stats = run_workflow_trials(
         model,
         theta_star,
@@ -588,21 +583,11 @@ def _run_workflow(config: ExperimentConfig, chash: str):
         filter_handle=config.filter.build(theta_star),
         candidates_per_round=config.filter.candidates_per_round,
     )
-    table = _stats_table(scenario, stats, config.trials, chash)
-
+    table, summary = _trial_result(config, chash, stats)
     half = config.horizon // 2
-    summary = {
-        "scenario": scenario,
-        "config_hash": chash,
-        "trials": config.trials,
-        "horizon": config.horizon,
-        "final_mse": float(stats.mse[-1]),
-        "final_mean_V": float(stats.mean_v[-1]),
-        "mse_slope": _slope(stats.ts, stats.mse),
-        "mse_slope_last_half": _slope(stats.ts[half:], stats.mse[half:]),
-        "exceedance_final": {_fmt(d): float(stats.exceedance_at(d)[-1]) for d in config.deltas},
-    }
-    if scenario == "workflow" and config.schedule.kind == "constant":
+    summary["mse_slope"] = _slope(stats.ts, stats.mse)
+    summary["mse_slope_last_half"] = _slope(stats.ts[half:], stats.mse[half:])
+    if config.scenario == "workflow" and config.schedule.kind == "constant":
         summary["expected_final_mse"] = config.model.dim * config.horizon / config.schedule.base
         summary["expected_mse_slope"] = config.model.dim / config.schedule.base
     return table, summary
@@ -660,7 +645,8 @@ def _run_concentration(config: ExperimentConfig, chash: str):
     return table, summary
 
 
-def _run_train_filter(config: ExperimentConfig, chash: str):
+def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str]) -> dict:
+    """Train a filter, write its training log and checkpoint into ``paths``, return the summary."""
     model, theta_star = config.model.build()
     spec = config.training
     if spec.pca_k > model.dim:
@@ -704,25 +690,8 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
     else:
         holdout_accuracy = None
 
-    meta = {
-        "scenario": "train-filter",
-        "family": model.family,
-        "dim": model.dim,
-        "seed": config.seed,
-        "pca_k": k,
-        "theta_good": theta_good.theta.tolist(),
-        "e_est": train_config.e_est.tolist(),
-        "training": _echo(spec),
-        "contraction": _echo(config.contraction),
-    }
-
-    log_lines = [TRAINING_LOG_HEADER]
-    for epoch, row in enumerate(log, 1):
-        log_lines.append(
-            f"{epoch},{_fmt(row.total)},{_fmt(row.class_part)},"
-            f"{_fmt(row.contract_part)},{_fmt(row.ess_part)}"
-        )
-
+    paths["training_log"] = os.path.join(config.out_dir, "training_log.csv")
+    paths["checkpoint"] = os.path.join(config.out_dir, "checkpoint.json")
     summary = {
         "scenario": "train-filter",
         "config_hash": chash,
@@ -739,49 +708,48 @@ def _run_train_filter(config: ExperimentConfig, chash: str):
         "certified_threshold": float(threshold),
         "drift_trace_final": trace[-1].tolist(),
         "explained_variance_ratio": pca.explained_variance_ratio.tolist(),
+        "checkpoint": paths["checkpoint"],
     }
-    artifacts = {
-        "training_log": "\n".join(log_lines) + "\n",
-        "checkpoint": (params, pca, meta),
+    losses = np.array(log, dtype=float).reshape(-1, len(final)).T
+    columns = [_int_cells(np.arange(1, len(log) + 1)), *map(_float_cells, losses)]
+    atomic_write_text(paths["training_log"], _csv_text(TRAINING_LOG_HEADER, columns))
+    meta = {
+        "scenario": "train-filter",
+        "family": model.family,
+        "dim": model.dim,
+        "seed": config.seed,
+        "pca_k": k,
+        "theta_good": theta_good.theta.tolist(),
+        "e_est": train_config.e_est.tolist(),
+        "training": _echo(spec),
+        "contraction": _echo(config.contraction),
     }
-    return summary, artifacts
+    save_filter_checkpoint(paths["checkpoint"], params, pca, meta)
+    return summary
+
+
+# a table scenario's runner returns its results table and its summary
+_TABLE_RUNNERS = {
+    "dynamics": _run_dynamics,
+    "workflow": _run_workflow,
+    "workflow-filtered": _run_workflow,
+    "rates": _run_rates,
+    "concentration": _run_concentration,
+}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch a validated config, write its artifacts, return the table + summary."""
+    """Run a validated config's scenario, write its artifacts, return the table + summary."""
     chash = config_hash(config)
-    out = config.out_dir
     paths: dict[str, str] = {}
-
     if config.scenario == "train-filter":
-        table = None
-        summary, artifacts = _run_train_filter(config, chash)
-        log_path = os.path.join(out, "training_log.csv")
-        atomic_write_text(log_path, artifacts["training_log"])
-        paths["training_log"] = log_path
-        ckpt_path = os.path.join(out, "checkpoint.json")
-        params, pca, meta = artifacts["checkpoint"]
-        save_filter_checkpoint(ckpt_path, params, pca, meta)
-        paths["checkpoint"] = ckpt_path
-        summary["checkpoint"] = ckpt_path
+        table, summary = None, _run_train_filter(config, chash, paths)
     else:
-        if config.scenario == "dynamics":
-            table, summary = _run_dynamics(config, chash)
-        elif config.scenario in ("workflow", "workflow-filtered"):
-            table, summary = _run_workflow(config, chash)
-        elif config.scenario == "rates":
-            table, summary = _run_rates(config, chash)
-        elif config.scenario == "concentration":
-            table, summary = _run_concentration(config, chash)
-        else:  # pragma: no cover - scenario set is closed by validation
-            raise InputValidationError(f"unhandled scenario {config.scenario!r}")
-        csv_path = os.path.join(out, "results.csv")
-        write_results_csv(table, csv_path)
-        paths["results"] = csv_path
-
-    summary_path = os.path.join(out, "summary.json")
-    write_summary(summary, summary_path)
-    paths["summary"] = summary_path
+        table, summary = _TABLE_RUNNERS[config.scenario](config, chash)
+        paths["results"] = os.path.join(config.out_dir, "results.csv")
+        write_results_csv(table, paths["results"])
+    paths["summary"] = os.path.join(config.out_dir, "summary.json")
+    write_summary(summary, paths["summary"])
     return ExperimentResult(table=table, summary=summary, paths=paths)
 
 
@@ -866,7 +834,7 @@ _SVG_W, _SVG_H, _SVG_M = 640.0, 480.0, 56.0
 
 
 def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
-    """Render one polyline (vertex per row) with min/max axis labels as SVG."""
+    """Render one polyline (a vertex per row; loglog skips t=0) with min/max axis labels as SVG."""
     if kind not in PLOT_KINDS:
         raise InputValidationError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
     if len(table) == 0:
@@ -875,10 +843,12 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
     ys = dict(zip(PLOT_COLUMNS, (table.mse, table.mean_v, *table.exceed.T))).get(column)
     if ys is None:
         raise InputValidationError(f"unknown plot column {column!r}; expected one of {PLOT_COLUMNS}")
+    if kind == "loglog":  # log10(t) has no point at t=0
+        xs, ys = xs[xs > 0.0], ys[xs > 0.0]
+        if xs.size == 0:
+            raise InputValidationError("loglog needs a row with t > 0")
     if not np.all(np.isfinite(ys)):
         raise InputValidationError("plot values must be finite")
-    if kind == "loglog" and np.any(xs <= 0.0):
-        raise InputValidationError("loglog requires positive step values; trim t=0 rows first")
     if kind in ("semilogy", "loglog") and np.any(ys <= 0.0):
         raise InputValidationError(f"{kind} requires positive {column} values")
 

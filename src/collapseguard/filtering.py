@@ -16,6 +16,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -849,31 +850,31 @@ def content_hash(data: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+_floats, _bools = partial(np.asarray, dtype=float), partial(np.asarray, dtype=bool)
+
+# The checkpoint's layout: each stored field, section by section in file order,
+# with the conversion that reads it back. Saving applies the same conversion to
+# the attribute of that name on the section's object.
+_CHECKPOINT_FIELDS = {
+    "pca": {"mean": _floats, "scale": _floats, "projection": _floats,
+            "explained_variance_ratio": _floats, "zero_variance": _bools},
+    "params": {"hidden_dim": int, "feature_dim": int,
+               "w1": _floats, "b1": _floats, "w2": _floats, "b2": float},
+}
+
+
 def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_meta: dict) -> None:
     """Write a versioned JSON container with the PCA, the scorer, and a config echo.
 
     ``content_hash`` covers every other field, so the loader notices an
     edited weight as well as an edited echo.
     """
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "pca": {
-            "mean": pca.mean.tolist(),
-            "scale": pca.scale.tolist(),
-            "projection": pca.projection.tolist(),
-            "explained_variance_ratio": pca.explained_variance_ratio.tolist(),
-            "zero_variance": pca.zero_variance.astype(bool).tolist(),
-        },
-        "params": {
-            "hidden_dim": params.hidden_dim,
-            "feature_dim": params.feature_dim,
-            "w1": params.w1.tolist(),
-            "b1": params.b1.tolist(),
-            "w2": params.w2.tolist(),
-            "b2": params.b2,
-        },
-        "train_config": train_meta,
-    }
+    objects = {"pca": pca, "params": params}
+    payload = {"format_version": CHECKPOINT_VERSION}
+    for section, table in _CHECKPOINT_FIELDS.items():
+        payload[section] = {key: np.asarray(read(getattr(objects[section], key))).tolist()
+                            for key, read in table.items()}
+    payload["train_config"] = train_meta
     payload["content_hash"] = content_hash(payload)
     atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
@@ -923,25 +924,12 @@ def load_filter_checkpoint(path) -> tuple[FilterParams, PCATransform, dict]:
             f"unsupported checkpoint format_version {version!r}; expected {CHECKPOINT_VERSION}"
         )
     try:
-        raw_pca = payload["pca"]
-        raw_params = payload["params"]
-        pca = PCATransform(
-            mean=np.asarray(raw_pca["mean"], dtype=float),
-            scale=np.asarray(raw_pca["scale"], dtype=float),
-            projection=np.asarray(raw_pca["projection"], dtype=float),
-            explained_variance_ratio=np.asarray(raw_pca["explained_variance_ratio"], dtype=float),
-            zero_variance=np.asarray(raw_pca["zero_variance"], dtype=bool),
-        )
-        params = FilterParams(
-            w1=np.asarray(raw_params["w1"], dtype=float),
-            b1=np.asarray(raw_params["b1"], dtype=float),
-            w2=np.asarray(raw_params["w2"], dtype=float),
-            b2=float(raw_params["b2"]),
-        )
-        hidden = int(raw_params["hidden_dim"])
-        feat = int(raw_params["feature_dim"])
+        pca_fields, scorer = ({key: read(payload[section][key]) for key, read in table.items()}
+                              for section, table in _CHECKPOINT_FIELDS.items())
+        hidden, feat = scorer.pop("hidden_dim"), scorer.pop("feature_dim")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputValidationError(f"malformed checkpoint: {exc}") from exc
+    pca, params = PCATransform(**pca_fields), FilterParams(**scorer)
     if pca.projection.ndim != 2 or pca.projection.shape[0] != pca.mean.shape[0]:
         raise InputValidationError("checkpoint PCA projection does not match its mean dimension")
     if params.w1.shape != (hidden, feat):

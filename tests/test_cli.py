@@ -638,6 +638,26 @@ class TestCompareAndPlot:
         assert rc == 0
         assert out.read_text().startswith("<svg")
 
+    def test_loglog_plot_of_a_rates_run_skips_the_t0_row(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json", {"scenario": "rates", "seed": 1, "rates": {"steps": 50}}
+        )
+        out = tmp_path / "o"
+        assert main(["verify-rates", "--config", config, "--out", str(out)]) == 0
+        svg = tmp_path / "p.svg"
+        argv = ["plot", "--input", str(out / "results.csv"), "--kind", "loglog", "--out", str(svg)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert len(svg.read_text().split('points="')[1].split('"')[0].split()) == 50
+
+    def test_loglog_plot_of_a_t0_only_table_is_a_validation_failure(self, tmp_path, capsys):
+        results = _synthetic_results(tmp_path / "results.csv", [1.0])
+        svg = tmp_path / "p.svg"
+        rc = main(["plot", "--input", results, "--kind", "loglog", "--out", str(svg)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: loglog needs a row with t > 0\n"
+        assert not svg.exists()
+
     def test_plot_rejects_an_unknown_column(self, tmp_path):
         results = _synthetic_results(tmp_path / "results.csv", [1.0, 2.0])
         rc = main(["plot", "--input", results, "--column", "nope", "--out", str(tmp_path / "p.svg")])

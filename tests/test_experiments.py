@@ -862,6 +862,37 @@ class TestRunExperiment:
         assert result.summary["n_train"] + result.summary["n_holdout"] == 240
         assert result.summary["holdout_accuracy"] is not None
 
+    def test_zero_epoch_training_writes_a_header_only_log(self, tmp_path, monkeypatch):
+        from collapseguard.experiments import loss_gradient
+
+        passes = []
+
+        def recording(params, *args):
+            passes.append((params, loss_gradient(params, *args)))
+            return passes[-1][1]
+
+        monkeypatch.setattr("collapseguard.experiments.loss_gradient", recording)
+        config = ExperimentConfig.from_dict(
+            {
+                "scenario": "train-filter",
+                "seed": 8,
+                "model": {"dim": 2},
+                "training": {"rounds": 2, "candidates_per_round": 120, "epochs": 0,
+                             "hidden_dim": 8},
+                "out_dir": str(tmp_path),
+            }
+        )
+        result = run_experiment(config)
+        assert (tmp_path / "training_log.csv").read_text() == TRAINING_LOG_HEADER + "\n"
+        # with no update, the final losses are those of the one pass at the initial weights
+        (params, (initial, _)), = passes
+        saved, _, _ = load_filter_checkpoint(result.paths["checkpoint"])
+        np.testing.assert_array_equal(saved.w1.view(np.int64), params.w1.view(np.int64))
+        assert saved.b2 == params.b2 == 0.0
+        for part, key in zip(initial, ("total", "class", "contract", "ess")):
+            assert result.summary[f"final_{key}_loss"] == part
+        assert result.summary["epochs"] == 0
+
     def test_mlp_checkpoint_drives_a_filtered_workflow(self, tmp_path):
         train_config = ExperimentConfig.from_dict(
             {
@@ -1016,9 +1047,24 @@ class TestEmitPlot:
         emit_plot(rows, "linear", path)
         assert "<polyline" in path.read_text()
 
+    def test_loglog_skips_the_t0_row(self, tmp_path):
+        path = tmp_path / "p.svg"
+        emit_plot(self._rows(17), "loglog", path)
+        svg = path.read_text()
+        assert len(svg.split('points="')[1].split('"')[0].split()) == 16
+        assert ">t=1</text>" in svg and ">t=0</text>" not in svg
+
     def test_log_domains_are_validated(self, tmp_path):
-        with pytest.raises(InputValidationError, match="t=0"):
-            emit_plot(self._rows(), "loglog", tmp_path / "p.svg")
+        only_t0 = _table("dynamics", [0], 100, 1.0, 1.0, 0.0, 10, "feedc0ffee12")
+        with pytest.raises(InputValidationError, match=r"t > 0"):
+            emit_plot(only_t0, "loglog", tmp_path / "p.svg")
+        # a zero at t=0 is skipped by loglog, but not a zero at a kept step
+        mse = [0.0, 1.0, 0.0, 2.0]
+        with pytest.raises(InputValidationError, match="positive mse"):
+            emit_plot(_table("dynamics", range(4), 100, mse, 1.0, 0.0, 10, "feedc0ffee12"),
+                      "loglog", tmp_path / "p.svg")
+        emit_plot(_table("dynamics", range(2), 100, mse[:2], 1.0, 0.0, 10, "feedc0ffee12"),
+                  "loglog", tmp_path / "p.svg")
         zero_rows = _table("dynamics", range(1, 5), 100, 0.0, 1.0, 0.0, 10, "feedc0ffee12")
         with pytest.raises(InputValidationError, match="positive"):
             emit_plot(zero_rows, "semilogy", tmp_path / "p.svg")

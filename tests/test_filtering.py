@@ -1011,17 +1011,36 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         save_filter_checkpoint(path, params, pca, meta)
         loaded_params, loaded_pca, loaded_meta = load_filter_checkpoint(path)
-        np.testing.assert_array_equal(loaded_params.w1, params.w1)
-        np.testing.assert_array_equal(loaded_params.b1, params.b1)
-        np.testing.assert_array_equal(loaded_params.w2, params.w2)
-        assert loaded_params.b2 == params.b2
-        np.testing.assert_array_equal(loaded_pca.mean, pca.mean)
-        np.testing.assert_array_equal(loaded_pca.projection, pca.projection)
+
+        def bits(value):
+            return np.asarray(value, dtype=float).view(np.int64)
+
+        for name in ("mean", "scale", "projection", "explained_variance_ratio"):
+            np.testing.assert_array_equal(bits(getattr(loaded_pca, name)), bits(getattr(pca, name)))
+        assert loaded_pca.zero_variance.dtype == bool
         np.testing.assert_array_equal(loaded_pca.zero_variance, pca.zero_variance)
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(
+                bits(getattr(loaded_params, name)), bits(getattr(params, name))
+            )
         payload = json.loads(path.read_text())
         assert payload["format_version"] == 2
         assert payload.pop("content_hash") == content_hash(payload)
         assert loaded_meta == meta
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("pca", key) for key in
+         ("mean", "scale", "projection", "explained_variance_ratio", "zero_variance")]
+        + [("params", key) for key in ("hidden_dim", "feature_dim", "w1", "b1", "w2", "b2")],
+    )
+    def test_a_missing_stored_key_is_reported_as_malformed(self, tmp_path, section, key):
+        params, pca, meta = self._artifacts()
+        path = tmp_path / "checkpoint.json"
+        save_filter_checkpoint(path, params, pca, meta)
+        self._tamper(path, lambda p: p[section].pop(key))
+        with pytest.raises(InputValidationError, match=f"malformed checkpoint: '{key}'"):
+            load_filter_checkpoint(path)
 
     def _tamper(self, path, mutate):
         payload = json.loads(path.read_text())
