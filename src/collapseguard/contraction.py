@@ -106,7 +106,7 @@ class ContractionFn:
         if self.kind == QUADRATIC:
             if not 0.0 < self.c_max < 1.0:
                 raise InputValidationError("c_max must lie in (0, 1)")
-            if self.alpha <= 0.0:
+            if not self.alpha > 0.0:
                 raise InputValidationError("alpha must be positive")
         elif self.kind == CONSTANT:
             if not 0.0 <= self.level < 1.0:
@@ -151,12 +151,12 @@ class RegulatorFn:
         if self.kind not in (EXAMPLE_SQRT, POWER_LAW):
             raise InputValidationError(f"unknown regulator kind {self.kind!r}")
         if self.kind == POWER_LAW:
-            if self.p < 1.0:
+            if not self.p >= 1.0:
                 raise InputValidationError("power-law exponent p must be >= 1 for convexity")
-            if self.c1 <= 0.0:
+            if not self.c1 > 0.0:
                 raise InputValidationError("c1 must be positive")
             c2 = self.c1 if self.c2 is None else self.c2
-            if c2 < self.c1:
+            if not c2 >= self.c1:
                 raise InputValidationError("c2 must be >= c1")
             object.__setattr__(self, "c2", c2)
 
@@ -393,7 +393,7 @@ def measure_concentration(
     ds = np.asarray(deltas, dtype=float)
     if ds.ndim != 1 or ds.shape[0] == 0:
         raise InputValidationError("deltas must be a non-empty sequence")
-    if np.any(ds < 0.0):
+    if not np.all(ds >= 0.0):
         raise InputValidationError("deltas must be nonnegative")
     if trials < 100:
         raise InputValidationError("trials must be at least 100 for a stable fraction")

@@ -1,9 +1,9 @@
 """Error-dynamics simulators: abstract contraction updates and model workflows.
 
-Two batched entry points share one trajectory format. ``run_dynamics_trials``
-iterates e_{t+1} = A(e_t) e_t + xi_t, with martingale-difference noise
-whose P-energy follows a schedule, for a whole group of trial blocks per
-step.
+Two batched entry points return the same per-step statistics.
+``run_dynamics_trials`` iterates e_{t+1} = A(e_t) e_t + xi_t, with
+martingale-difference noise whose P-energy follows a schedule, for a whole
+group of trial blocks per step.
 ``run_workflow_trials`` re-fits an exponential family on its own samples
 each generation, with or without a reweighting filter in the loop, which
 is where estimation error actually comes from. Its kernel is
@@ -120,7 +120,7 @@ class SampleSchedule:
             raise InputValidationError(f"unknown sample schedule kind {self.kind!r}")
         if not isinstance(self.base, (int, np.integer)) or self.base < 1:
             raise InputValidationError("base sample size must be a positive integer")
-        if self.exponent < 0.0:
+        if not self.exponent >= 0.0:
             raise InputValidationError("exponent must be nonnegative")
 
     def size(self, t: int) -> int:
@@ -180,12 +180,12 @@ def _exceed_counts(sq: np.ndarray, diverged_at: np.ndarray, ds: tuple[float, ...
 
 
 class _TrialFold:
-    """The one reduction of a run's jobs into its result, added in job order.
+    """The one reduction of a run's jobs into its TrialStats, added in job order.
 
     A job is ``(sum_sq rows, sum_v rows, exceedance counts, n_t row,
-    diverged_at, records)``, ``records`` None unless recording. Rows are
-    added one at a time, so each kernel keeps its own order: a dynamics row
-    is a 256-trial block's pairwise sum, a workflow row is one trial.
+    diverged_at)``. Rows are added one at a time, so each kernel keeps its
+    own order: a dynamics row is a 256-trial block's pairwise sum, a
+    workflow row is one trial.
     """
 
     def __init__(self, steps: int, ds: tuple[float, ...]):
@@ -194,22 +194,20 @@ class _TrialFold:
         self.sum_v = np.zeros(steps)
         self.counts = np.zeros((len(ds), steps))
         self.ns = np.zeros(steps, dtype=np.int64)
-        self.diverged, self.paths = [], []
+        self.trials = 0
 
     def add(self, job) -> None:
-        sq, vs, counts, ns, diverged_at, records = job
+        sq, vs, counts, ns, diverged_at = job
         for row_sq, row_v in zip(sq, vs):
             self.sum_sq += row_sq
             self.sum_v += row_v
         self.counts += counts
         self.ns = np.maximum(self.ns, ns)
-        self.diverged.append(diverged_at)
-        self.paths.append(records)
+        self.trials += diverged_at.shape[0]
 
-    def result(self, record: bool):
-        """TrialStats, or (TrialStats, errors, diverged_at) when ``record`` is set."""
-        trials = sum(d.shape[0] for d in self.diverged)
-        stats = TrialStats(
+    def result(self) -> TrialStats:
+        trials = self.trials
+        return TrialStats(
             ts=np.arange(self.sum_sq.shape[0]),
             mse=self.sum_sq / trials,
             mean_v=self.sum_v / trials,
@@ -217,9 +215,6 @@ class _TrialFold:
             trials=trials,
             ns=self.ns,
         )
-        if record:
-            return stats, np.concatenate(self.paths), np.concatenate(self.diverged)
-        return stats
 
 
 def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -> TrialStats:
@@ -243,8 +238,8 @@ def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -
         )
     ds = _validate_deltas(deltas)
     fold = _TrialFold(sq.shape[1], ds)
-    fold.add((sq, vs, _exceed_counts(sq, diverged_at, ds), ns.max(axis=0), diverged_at, None))
-    return fold.result(False)
+    fold.add((sq, vs, _exceed_counts(sq, diverged_at, ds), ns.max(axis=0), diverged_at))
+    return fold.result()
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +277,22 @@ def _run_blocks(block_fn, args: tuple, trials: int, max_group: int = 1):
         yield from pool.map(block_fn, jobs)
 
 
-def _check_run(rng, trials: int, horizon) -> int:
+def _check_run(rng, trials: int, horizon, deltas) -> tuple[int, tuple[float, ...]]:
+    """Both runners' shared checks; returns the horizon as an int and the deltas.
+
+    A horizon whose per-step statistics (``horizon + 1`` entries for each of
+    ts, mse, mean_v, ns and each delta's exceedance) would not fit in memory
+    or an array index is refused here, before any allocation or draw.
+    """
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
     if trials < 1:
         raise InputValidationError("trials must be positive")
     if not isinstance(horizon, (int, np.integer)) or horizon < 0:
         raise InputValidationError("horizon must be a nonnegative integer")
-    return int(horizon)
-
-
-def _check_sizes(trials: int, horizon: int, dim: int, ds: tuple, record: bool) -> None:
-    """Refuse, before any allocation or draw, arrays too large for memory or for an array index.
-
-    The per-step statistics are ``horizon + 1`` entries for each of ts, mse,
-    mean_v, ns and each delta's exceedance; a recording adds the (trials,
-    horizon+1, dim) error paths.
-    """
-    if record:
-        check_fits("recorded trajectories", (int(trials), horizon + 1, int(dim)),
-                   "record fewer trials or a shorter horizon")
-    check_fits("per-step statistics", (4 + len(ds), horizon + 1), "use a shorter horizon")
+    ds = _validate_deltas(deltas)
+    check_fits("per-step statistics", (4 + len(ds), int(horizon) + 1), "use a shorter horizon")
+    return int(horizon), ds
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +329,7 @@ def _dynamics_block(job):
     V, each (blocks, horizon+1), and an n_t of 0 (the dynamics draw no
     samples).
     """
-    (map_, noise, e0, horizon, rng, ds, cap, record), trial_lo, trial_hi = job
+    (map_, noise, e0, horizon, rng, ds, cap), trial_lo, trial_hi = job
     metric = map_.metric
     dim = metric.dim
     rows = trial_hi - trial_lo
@@ -352,7 +342,6 @@ def _dynamics_block(job):
     identity = metric.is_identity
     sum_v = sum_sq if identity else np.zeros((blocks, n))
     exceed = np.zeros((len(ds), n))
-    records = np.empty((rows, n, dim)) if record else None
     frozen = False  # whether any trial has frozen, and so whether to gather the live ones
     failure = None
 
@@ -379,8 +368,6 @@ def _dynamics_block(job):
             if frozen:
                 past |= div_now
             exceed[j, step] = np.count_nonzero(past)
-        if record:
-            records[:, step] = e_state
 
     fold(0)
     t = 0
@@ -421,7 +408,7 @@ def _dynamics_block(job):
         t += span
     if failure is not None:
         raise failure
-    return sum_sq, sum_v, exceed, 0, diverged, records
+    return sum_sq, sum_v, exceed, 0, diverged
 
 
 def run_dynamics_trials(
@@ -433,8 +420,7 @@ def run_dynamics_trials(
     rng: RngState,
     deltas=DEFAULT_DELTAS,
     divergence_cap: float = DIVERGENCE_CAP,
-    record_trajectories: bool = False,
-):
+) -> TrialStats:
     """Monte-Carlo over independent trials of e_{t+1} = A(e_t) e_t + xi_t.
 
     The noise energy sigma_t^2 is measured in the map's metric P. Trial i
@@ -442,22 +428,17 @@ def run_dynamics_trials(
     reproduces the serial result bit for bit: a job advances up to
     ``_LOCKSTEP`` 256-trial blocks in lockstep, and ``_TrialFold`` adds the
     per-block sums in block order. A trial freezes, and is marked diverged,
-    once V exceeds ``divergence_cap``. Returns TrialStats, or (TrialStats,
-    errors, diverged_at) when ``record_trajectories`` is set: the (trials,
-    horizon+1, dim) error paths and each trial's divergence step, inf if it
-    never diverged. A horizon whose per-step statistics, or a recording,
+    once V exceeds ``divergence_cap``. A horizon whose per-step statistics
     would not fit in this machine's memory is refused before any draw.
     """
-    horizon = _check_run(rng, trials, horizon)
-    ds = _validate_deltas(deltas)
+    horizon, ds = _check_run(rng, trials, horizon, deltas)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
-    _check_sizes(trials, horizon, map_.metric.dim, ds, record_trajectories)
 
-    args = (map_, noise, e0, horizon, rng, ds, divergence_cap, record_trajectories)
+    args = (map_, noise, e0, horizon, rng, ds, divergence_cap)
     fold = _TrialFold(horizon + 1, ds)
     for job in _run_blocks(_dynamics_block, args, trials, _LOCKSTEP):
         fold.add(job)
-    return fold.result(record_trajectories)
+    return fold.result()
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +501,14 @@ def _workflow_block(job):
     job: the (trials, horizon+1) V paths as both sums (the metric is the
     identity), and n_t, the schedule size while any trial samples, else 0.
     """
-    (model, theta_star, sizes, filter_handle, rng, ds, cap, record), lo, hi = job
+    (model, theta_star, sizes, filter_handle, rng, ds, cap), lo, hi = job
     family, dim = model.family, model.dim
     b, n = hi - lo, sizes.shape[0]
     gens = [rng.derive(i).generator() for i in range(lo, hi)]
     theta = np.tile(theta_star.theta, (b, 1))
-    errors = np.zeros((b, dim))
     v_now = np.zeros(b)
     vs = np.empty((b, n))
     diverged = np.full(b, np.inf)
-    records = np.empty((b, n, dim)) if record else None
     stop, failure = b, None  # trials from ``stop`` on have stopped on ``failure``
 
     for t in range(n):
@@ -563,16 +542,13 @@ def _workflow_block(job):
             keep = part < stop
             part, fit, err = part[keep], fit[keep], err[keep]
             theta[part] = fit
-            errors[part] = err
             v_now[part] = np.einsum("ij,ij->i", err, err)
             diverged[part[v_now[part] > cap]] = t
         vs[:, t] = v_now
-        if record:
-            records[:, t] = errors
     if failure is not None:
         raise failure
     ns = np.where(np.arange(n) <= diverged[:, None], sizes, 0).max(axis=0)
-    return vs, vs, _exceed_counts(vs, diverged, ds), ns, diverged, records
+    return vs, vs, _exceed_counts(vs, diverged, ds), ns, diverged
 
 
 def run_workflow_trials(
@@ -586,17 +562,15 @@ def run_workflow_trials(
     filter_handle=None,
     candidates_per_round: int | None = None,
     divergence_cap: float = DIVERGENCE_CAP,
-    record_trajectories: bool = False,
-):
+) -> TrialStats:
     """Monte-Carlo over workflow trials; trial i runs on ``rng.derive(i)``.
 
     Generation 0 fits schedule.size(0) real draws from theta_star; each
     later generation samples from its predecessor's fit and re-estimates,
-    recording e_t = theta_hat_t - theta_star with the identity-metric V.
+    tracking e_t = theta_hat_t - theta_star with the identity-metric V.
     A trial freezes once V exceeds ``divergence_cap``. ``_TrialFold`` adds
-    the statistics one trial at a time, and returns TrialStats, or
-    (TrialStats, errors, diverged_at) as ``run_dynamics_trials`` does when
-    ``record_trajectories`` is set, with the same memory checks.
+    the statistics one trial at a time into TrialStats, with the memory
+    check of ``run_dynamics_trials``.
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
@@ -609,15 +583,13 @@ def run_workflow_trials(
     None follows the sample schedule. A filter emitting all-ones weights
     reproduces the unfiltered workflow exactly on the same streams and counts.
     """
-    horizon = _check_run(rng, trials, horizon)
+    horizon, ds = _check_run(rng, trials, horizon, deltas)
     if filter_handle is not None and not hasattr(filter_handle, "weights"):
         raise InputValidationError("filter_handle must expose a weights(points) method")
     if candidates_per_round is not None and candidates_per_round < 1:
         raise InputValidationError("candidates_per_round must be positive when given")
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
-    ds = _validate_deltas(deltas)
-    _check_sizes(trials, horizon, model.dim, ds, record_trajectories)
 
     n = horizon + 1
     fixed = candidates_per_round if filter_handle is not None else None
@@ -627,8 +599,8 @@ def run_workflow_trials(
         [schedule.size(t) if t == 0 or fixed is None else fixed for t in range(n)],
         dtype=np.int64,
     )
-    args = (model, theta_star, sizes, filter_handle, rng, ds, divergence_cap, record_trajectories)
+    args = (model, theta_star, sizes, filter_handle, rng, ds, divergence_cap)
     fold = _TrialFold(n, ds)
     for job in _run_blocks(_workflow_block, args, trials):
         fold.add(job)
-    return fold.result(record_trajectories)
+    return fold.result()

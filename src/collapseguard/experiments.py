@@ -335,6 +335,8 @@ class ExperimentConfig:
             raise InputValidationError("deltas must be positive")
         if self.initial_error is not None and len(self.initial_error) != self.model.dim:
             raise InputValidationError("initial_error length must equal model.dim")
+        if not math.isfinite(sum(x * x for x in self.initial_error or ())):
+            raise InputValidationError("initial_error's squared norm must be finite")
         if self.scenario == "workflow-filtered" and self.filter.kind == "none":
             raise InputValidationError("workflow-filtered requires filter.kind != 'none'")
         if self.scenario == "workflow" and self.filter.kind != "none":
@@ -490,7 +492,7 @@ def read_results_csv(path) -> ResultTable:
         _scan_body(path, body, "a blank line")
     scenario, trials, chash = (_shared_value(path, name, rec[name])
                                for name in ("scenario", "trials", "config_hash"))
-    # copies, so that no column pins the records and their strings
+    # copies, so that no column keeps the structured array and its strings alive
     t, n_t, mse, mean_v = (rec[name].copy() for name in _CSV_DTYPE.names[1:5])
     exceed = np.column_stack([rec[name] for name in _CSV_DTYPE.names[5:8]])
     return ResultTable(scenario, t, n_t, mse, mean_v, exceed, int(trials), chash)

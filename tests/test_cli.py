@@ -429,6 +429,18 @@ class TestScenarioCommands:
         assert err.endswith("; use a shorter horizon\n")
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    def test_an_initial_error_whose_squared_norm_overflows_is_refused(self, tmp_path, capsys):
+        """||e0||^2 = 1e400 is inf, which would fill every results.csv row and the summary."""
+        path = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "dynamics", "seed": 1, "initial_error": [1e200], "horizon": 5,
+             "trials": 2},
+        )
+        rc = main(["simulate-dynamics", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: initial_error's squared norm must be finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_a_run_that_fails_after_parsing_leaves_no_out_directory(self, tmp_path, capsys):
         path = _write_config(
             tmp_path / "config.json",

@@ -1,6 +1,7 @@
 """Tests for Lyapunov metrics, contraction checking, and recurrence machinery."""
 
 import math
+import re
 import signal
 
 import numpy as np
@@ -187,6 +188,33 @@ class TestRegulatorValue:
             values = np.array([f.value(r) for r in grid])
             mid = np.array([f.value(r) for r in (grid[:-2] + grid[2:]) / 2])
             assert np.all(mid <= (values[:-2] + values[2:]) / 2 + 1e-12)
+
+
+def _concentration_at(deltas):
+    model = ExpFamilyModel(GAUSSIAN, 1)
+    return measure_concentration(
+        model, Parameter(np.zeros(1), model), sizes=[1], deltas=deltas, trials=100,
+        rng=RngState(seed=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ContractionFn("quadratic", alpha=math.nan), "alpha must be positive"),
+        (lambda: RegulatorFn("power-law", p=math.nan),
+         "power-law exponent p must be >= 1 for convexity"),
+        (lambda: RegulatorFn("power-law", c1=math.nan), "c1 must be positive"),
+        (lambda: RegulatorFn("power-law", c2=math.nan), "c2 must be >= c1"),
+        (lambda: _concentration_at([math.nan, 0.5]), "deltas must be nonnegative"),
+    ],
+    ids=["contraction-alpha", "regulator-p", "regulator-c1", "regulator-c2",
+         "concentration-delta"],
+)
+def test_a_nan_input_is_refused(call, message):
+    """A NaN fails each check rather than passing it, so it cannot evaluate to NaN later."""
+    with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestCheckMatrixContraction:

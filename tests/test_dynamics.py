@@ -13,6 +13,8 @@ from collapseguard.contraction import (
     LyapunovMetric,
 )
 from collapseguard.dynamics import (
+    DEFAULT_DELTAS,
+    DIVERGENCE_CAP,
     NoiseSchedule,
     SampleSchedule,
     aggregate_exceedance,
@@ -45,11 +47,92 @@ def _gaussian(dim: int = 1):
     return model, Parameter(np.ones(dim), model)
 
 
-def _one_trial(map_, noise, e0, horizon, seed, **kwargs):
+def _reference_dynamics(map_, noise, e0, horizon, trials, rng, cap=math.inf, group=1):
+    """Dynamics trials replayed one at a time, step by step: (errors, sq, vs, diverged_at).
+
+    Trial i draws its noise path from ``rng.derive(i)``, shapes it by the
+    metric's inverse factor and scales step t by sqrt(sigma_t^2 / dim); a step
+    adds it only where that scale is positive. A trial freezes, holding its
+    state, from the step whose V first exceeds ``cap``. ``errors`` holds the
+    (trials, horizon+1, dim) paths, ``sq`` and ``vs`` their ||e||^2 and V,
+    ``diverged_at`` each freezing step, inf if none. Each trial runs alone on
+    a (1, dim) state unless ``group`` > 1 runs that many as one state: the
+    same bits, since V and the map give a row the bits of its one-row call
+    (test_contraction.py pins this), only faster.
+    """
+    metric, dim = map_.metric, map_.metric.dim
+    n = horizon + 1
+    errors, sq, vs = np.empty((trials, n, dim)), np.empty((trials, n)), np.empty((trials, n))
+    diverged_at = np.full(trials, np.inf)
+    scales = np.sqrt(noise.sigma_sq_array(0, horizon) / dim)
+    for lo in range(0, trials, group):
+        hi = min(lo + group, trials)
+        xi = np.zeros((hi - lo, horizon, dim))
+        if noise.kind != "zero":
+            for i in range(lo, hi):
+                rng.derive(i).generator().standard_normal(out=xi[i - lo])
+            if not metric.is_identity:
+                xi = np.einsum("rsk,jk->rsj", xi, metric.inverse_factor)
+            xi *= scales[:, None]
+        e = np.tile(np.asarray(e0, dtype=float), (hi - lo, 1))
+        live = np.ones(hi - lo, dtype=bool)
+        for t in range(n):
+            errors[lo:hi, t] = e
+            sq[lo:hi, t] = np.einsum("ij,ij->i", e, e)
+            vs[lo:hi, t] = metric.values(e)
+            over = live & (vs[lo:hi, t] > cap)
+            diverged_at[lo:hi][over] = t
+            live &= ~over
+            if t < horizon:
+                moved = map_.apply_batch(e)
+                if scales[t] > 0.0:
+                    moved += xi[:, t]
+                e = np.where(live[:, None], moved, e)
+    return errors, sq, vs, diverged_at
+
+
+def _block_sums(x) -> np.ndarray:
+    """Per-step sums over the trials of (trials, steps) ``x``, added as a dynamics run adds them.
+
+    Each step's 256-trial blocks are summed as contiguous 1-d slices, and the
+    block sums are added in block order, starting from zeros.
+    """
+    columns = np.ascontiguousarray(x.T)
+    total = np.zeros(x.shape[1])
+    for lo in range(0, x.shape[0], 256):
+        total += np.array([column[lo : lo + 256].sum() for column in columns])
+    return total
+
+
+def _dynamics_stats(sq, vs, diverged_at, deltas):
+    """The TrialStats a dynamics run folds from these paths: exceedance as
+    ``aggregate_exceedance`` counts it, MSE and mean V from ``_block_sums``."""
+    stats = aggregate_exceedance(sq, vs, diverged_at, np.zeros(sq.shape, dtype=int), deltas)
+    stats.mse, stats.mean_v = (_block_sums(x) / sq.shape[0] for x in (sq, vs))
+    return stats
+
+
+def _checked_reference(
+    map_, noise, e0, horizon, trials, seed, deltas=DEFAULT_DELTAS,
+    divergence_cap=DIVERGENCE_CAP, group=1,
+):
+    """(stats, errors, vs, diverged_at): a run's statistics, and the reference paths they fold
+    from bit for bit."""
+    rng = RngState(seed=seed)
+    stats = run_dynamics_trials(
+        map_, noise, e0, horizon, trials, rng, deltas=deltas, divergence_cap=divergence_cap
+    )
+    errors, sq, vs, diverged_at = _reference_dynamics(
+        map_, noise, e0, horizon, trials, rng, divergence_cap, group
+    )
+    _assert_stats_equal(stats, _dynamics_stats(sq, vs, diverged_at, deltas))
+    return stats, errors, vs, diverged_at
+
+
+def _one_trial(map_, noise, e0, horizon, seed, divergence_cap=DIVERGENCE_CAP):
     """One dynamics trial as (stats, errors, diverged_at); its V path is ``stats.mean_v``."""
-    stats, errors, diverged_at = run_dynamics_trials(
-        map_, noise, e0, horizon=horizon, trials=1, rng=RngState(seed=seed),
-        record_trajectories=True, **kwargs,
+    stats, errors, _, diverged_at = _checked_reference(
+        map_, noise, e0, horizon, 1, seed, divergence_cap=divergence_cap
     )
     return stats, errors[0], diverged_at[0]
 
@@ -59,10 +142,9 @@ def _noise_increments(noise, dim, horizon, trials, seed, metric=None) -> np.ndar
     identity = ContractionMap(
         metric or LyapunovMetric.identity(dim), ContractionFn("constant", level=0.0)
     )
-    _, errors, _ = run_dynamics_trials(
-        identity, noise, np.zeros(dim), horizon=horizon, trials=trials,
-        rng=RngState(seed=seed), record_trajectories=True,
-    )
+    errors = _checked_reference(
+        identity, noise, np.zeros(dim), horizon, trials, seed, group=trials
+    )[1]
     return np.diff(errors, axis=1)
 
 
@@ -72,12 +154,10 @@ def _blow_up_past_2_5(e):
 
 
 def _one_workflow(model, theta_star, schedule, horizon, seed, **kwargs):
-    """One workflow trial as (errors, diverged_at); V is the squared error norm."""
-    _, errors, diverged_at = run_workflow_trials(
-        model, theta_star, schedule, horizon=horizon, trials=1, rng=RngState(seed=seed),
-        record_trajectories=True, **kwargs,
+    """One workflow trial's statistics; its ``mse`` is that trial's V path."""
+    return run_workflow_trials(
+        model, theta_star, schedule, horizon=horizon, trials=1, rng=RngState(seed=seed), **kwargs,
     )
-    return errors[0], diverged_at[0]
 
 
 class TestNoiseSchedule:
@@ -153,6 +233,11 @@ class TestSampleSchedule:
     def test_invalid_base_rejected(self):
         with pytest.raises(InputValidationError):
             SampleSchedule(base=0)
+
+    @pytest.mark.parametrize("kind", ["constant", "power"])
+    def test_a_nan_exponent_is_rejected(self, kind):
+        with pytest.raises(InputValidationError, match="^exponent must be nonnegative$"):
+            SampleSchedule(kind, exponent=math.nan)
 
 
 class TestDynamicsTrajectory:
@@ -257,37 +342,36 @@ class TestAggregateExceedance:
 
 
 class TestDynamicsFoldMatchesTheReferenceFold:
-    """A recorded dynamics run's statistics are ``aggregate_exceedance`` of its own paths."""
+    """A dynamics run's statistics are the block fold of the per-trial reference paths."""
 
     @pytest.mark.parametrize(
         "p_matrix",
         [np.eye(2), np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])],
         ids=["identity", "general-dim3"],
     )
-    def test_a_recorded_run_folds_as_its_paths_do(self, p_matrix):
+    def test_a_run_folds_as_the_reference_paths_do(self, p_matrix, monkeypatch):
         metric = LyapunovMetric(p_matrix)
         map_ = ContractionMap(metric, ContractionFn("constant", level=0.1))
+        noise, e0, rng = NoiseSchedule("constant", scale=1.0), np.ones(metric.dim), RngState(5)
         deltas, trials = (0.5, 1.0, 2.0, 4.0), 300
-        stats, errors, diverged_at = run_dynamics_trials(
-            map_, NoiseSchedule("constant", scale=1.0), np.ones(metric.dim), horizon=40,
-            trials=trials, rng=RngState(seed=5), deltas=deltas, divergence_cap=25.0,
-            record_trajectories=True,
-        )
+        errors, sq, vs, diverged_at = _reference_dynamics(map_, noise, e0, 40, trials, rng, 25.0)
         # precondition: two blocks, and some trials of each freeze under the cap while others run on
         assert 0 < np.isfinite(diverged_at[:256]).sum() < 256
         assert 0 < np.isfinite(diverged_at[256:]).sum() < trials - 256
-        sq = np.einsum("tsi,tsi->ts", errors, errors)
-        vs = np.stack([metric.values(path) for path in errors])
-        ref = aggregate_exceedance(sq, vs, diverged_at, np.zeros(sq.shape, dtype=int), deltas)
-        for name in ("ts", "ns"):
-            np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
-        assert stats.trials == ref.trials == trials
-        assert stats.exceedance.keys() == ref.exceedance.keys()
-        for delta in deltas:
-            np.testing.assert_array_equal(stats.exceedance_at(delta), ref.exceedance_at(delta))
-        # the run adds 256-trial pairwise block sums, the reference one trial at a time
-        np.testing.assert_allclose(stats.mse, ref.mse, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(stats.mean_v, ref.mean_v, rtol=1e-12, atol=0)
+        # at every worker count each statistic, MSE and mean V included, is the
+        # reference fold bit for bit
+        expected = _dynamics_stats(sq, vs, diverged_at, deltas)
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+            stats = run_dynamics_trials(
+                map_, noise, e0, 40, trials, rng, deltas=deltas, divergence_cap=25.0
+            )
+            _assert_stats_equal(stats, expected)
+        # all trials run as one reference state get the bits each gets alone
+        grouped = _reference_dynamics(map_, noise, e0, 40, trials, rng, 25.0, trials)
+        assert grouped[0].tobytes() == errors.tobytes()
+        assert grouped[2].tobytes() == vs.tobytes()
+        assert grouped[3].tobytes() == diverged_at.tobytes()
 
 
 class TestRunDynamicsTrials:
@@ -311,11 +395,7 @@ class TestRunDynamicsTrials:
         map_ = ContractionMap(metric, ContractionFn())
         noise = NoiseSchedule(beta=1.0)
         many, few = (
-            run_dynamics_trials(
-                map_, noise, np.ones(dim), horizon=25, trials=trials, rng=RngState(seed=99),
-                record_trajectories=True,
-            )[1]
-            for trials in (300, 5)
+            _checked_reference(map_, noise, np.ones(dim), 25, trials, 99)[1] for trials in (300, 5)
         )
         assert many.shape == (300, 26, dim) and few.shape == (5, 26, dim)
         np.testing.assert_array_equal(many[:5], few)
@@ -344,7 +424,8 @@ class TestRunDynamicsTrials:
         trials whose V peaks highest, in some blocks only, or all but the
         lowest-peaking 2 %, so that blocks run down to one live trial. At 1000
         trials one worker draws 524-step chunks and then a one-step chunk at
-        step 524 of the 525, where the other groupings draw a longer one.
+        step 524 of the 525, where the other groupings draw a longer one. Every
+        grouping folds the reference paths, run as one state, bit for bit.
         """
         dim = 4
         a = np.random.default_rng(3).standard_normal((dim, dim))
@@ -352,28 +433,25 @@ class TestRunDynamicsTrials:
         map_ = ContractionMap(metric, ContractionFn())
         noise = NoiseSchedule("constant", scale=2.0)
 
-        def run(workers, cap):
-            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
-            return run_dynamics_trials(
-                map_, noise, np.zeros(dim), horizon=525, trials=trials, rng=RngState(seed=8),
-                deltas=(0.5, 2.0), divergence_cap=cap, record_trajectories=True,
+        def reference(cap):
+            return _reference_dynamics(
+                map_, noise, np.zeros(dim), 525, trials, RngState(seed=8), cap, group=trials
             )
 
-        _, free, _ = run("1", np.inf)
-        peaks = np.sort(metric.values(free.reshape(-1, dim)).reshape(trials, -1).max(axis=1))
+        peaks = np.sort(reference(np.inf)[2].max(axis=1))
         cap = peaks[-min(3, trials)] if freezing == "few" else peaks[trials // 50]
-        stats, paths, diverged_at = run("1", cap)
+        _, sq, vs, diverged_at = reference(cap)
         hit = np.unique(np.flatnonzero(np.isfinite(diverged_at)) // 256)
         if trials == 1000:
             assert 0 < hit.size < 4 if freezing == "few" else hit.size == 4
-        for workers in ("2", "3"):
-            other, other_paths, other_diverged = run(workers, cap)
-            np.testing.assert_array_equal(other.mse, stats.mse)
-            np.testing.assert_array_equal(other.mean_v, stats.mean_v)
-            for d in (0.5, 2.0):
-                np.testing.assert_array_equal(other.exceedance_at(d), stats.exceedance_at(d))
-            np.testing.assert_array_equal(other_paths, paths)
-            np.testing.assert_array_equal(other_diverged, diverged_at)
+        expected = _dynamics_stats(sq, vs, diverged_at, (0.5, 2.0))
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+            stats = run_dynamics_trials(
+                map_, noise, np.zeros(dim), horizon=525, trials=trials, rng=RngState(seed=8),
+                deltas=(0.5, 2.0), divergence_cap=cap,
+            )
+            _assert_stats_equal(stats, expected)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_overflow_names_the_first_block_to_fail(self, workers, monkeypatch):
@@ -394,25 +472,6 @@ class TestRunDynamicsTrials:
                 )
             errors.append((info.value.step, str(info.value)))
         assert errors == [(11, "non-finite state at step 11")] * 2
-
-    @pytest.mark.parametrize("runner", ["dynamics", "workflow"])
-    def test_oversized_recording_is_refused_before_any_draw(self, runner):
-        """A recording beyond this machine's memory fails from the shape alone."""
-        horizon = 2**62
-        if runner == "dynamics":
-            map_ = ContractionMap(LyapunovMetric.identity(2), ContractionFn())
-            call = lambda: run_dynamics_trials(  # noqa: E731
-                map_, ZERO_NOISE, np.ones(2), horizon=horizon, trials=3, rng=RngState(seed=1),
-                record_trajectories=True,
-            )
-        else:
-            model, theta_star = _gaussian(2)
-            call = lambda: run_workflow_trials(  # noqa: E731
-                model, theta_star, SampleSchedule(base=10), horizon=horizon, trials=3,
-                rng=RngState(seed=1), record_trajectories=True,
-            )
-        with pytest.raises(InputValidationError, match=rf"shape \(3, {horizon + 1}, 2\)"):
-            call()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -440,18 +499,19 @@ class TestRunDynamicsTrials:
 class TestRunWorkflow:
     def test_zero_horizon_contains_only_initial_fit_error(self):
         model, theta_star = _gaussian(1)
-        errors, _ = _one_workflow(model, theta_star, SampleSchedule(base=100), horizon=0, seed=12)
-        assert errors.shape == (1, 1)
-        assert abs(errors[0, 0]) < 1.0
+        stats = _one_workflow(model, theta_star, SampleSchedule(base=100), horizon=0, seed=12)
+        assert stats.mse.shape == (1,)
+        assert stats.mse[0] < 1.0
 
     def test_error_is_estimate_minus_truth(self):
         model, theta_star = _gaussian(2)
-        stats, errors, _ = run_workflow_trials(
-            model, theta_star, SampleSchedule(base=50), horizon=3, trials=1,
-            rng=RngState(seed=13), record_trajectories=True,
-        )
-        assert errors.shape == (1, 4, 2)
-        np.testing.assert_allclose(stats.mean_v, (errors[0] ** 2).sum(axis=1), rtol=1e-12)
+        schedule = SampleSchedule(base=50)
+        stats = _one_workflow(model, theta_star, schedule, horizon=3, seed=13)
+        outcomes = _reference_outcomes(model, theta_star, schedule, 3, 1, 13)
+        _assert_matches_reference(stats, outcomes, DEFAULT_DELTAS)
+        errors = outcomes[0][0]
+        assert errors.shape == (4, 2)
+        np.testing.assert_allclose(stats.mean_v, (errors**2).sum(axis=1), rtol=1e-12)
 
     def test_mean_squared_error_accumulates_at_inverse_sample_rate(self):
         """Constant n = 100: after T generations the expected energy is T/100."""
@@ -518,12 +578,12 @@ class TestRunWorkflowFiltered:
     def test_all_ones_filter_matches_unfiltered_bitwise(self):
         model, theta_star = _gaussian(2)
         schedule = SampleSchedule(base=80)
-        plain, _ = _one_workflow(model, theta_star, schedule, horizon=12, seed=21)
-        filtered, _ = _one_workflow(
+        plain = _one_workflow(model, theta_star, schedule, horizon=12, seed=21)
+        filtered = _one_workflow(
             model, theta_star, schedule, horizon=12, seed=21,
             filter_handle=FilterHandle.all_ones(), candidates_per_round=80,
         )
-        np.testing.assert_array_equal(plain, filtered)
+        assert plain.mse.tobytes() == filtered.mse.tobytes()
 
     def test_all_zero_weights_raise_degenerate_selection(self):
         model, theta_star = _gaussian(1)
@@ -575,15 +635,14 @@ class TestRunWorkflowFiltered:
     )
     def test_a_handle_of_one_candidate_set_reproduces_all_ones(self, handle):
         model, theta_star = _gaussian(2)
-        runs = [
+        one_set, all_ones = (
             run_workflow_trials(
                 model, theta_star, SampleSchedule(base=30), horizon=4, trials=20,
                 rng=RngState(seed=6), filter_handle=h, candidates_per_round=30,
-                record_trajectories=True,
-            )[1]
+            )
             for h in (handle(), FilterHandle.all_ones())
-        ]
-        assert runs[0].tobytes() == runs[1].tobytes()
+        )
+        _assert_stats_equal(one_set, all_ones)
 
     def test_the_lowest_failing_row_of_a_chunk_raises(self):
         model, theta_star = _gaussian(1)
@@ -743,11 +802,10 @@ def _reference_paths(outcomes):
     return tuple(np.array(column) for column in zip(*outcomes))
 
 
-def _assert_matches_reference(stats, errors, diverged_at, outcomes, deltas):
-    """Paths equal the reference's bit for bit, and stats equal the fold of its arrays."""
-    ref_errors, ref_vs, ref_ns, ref_diverged_at = _reference_paths(outcomes)
-    np.testing.assert_array_equal(errors, ref_errors)
-    np.testing.assert_array_equal(diverged_at, ref_diverged_at)
+def _assert_matches_reference(stats, outcomes, deltas):
+    """Stats equal the fold of the reference trials' arrays bit for bit; the workflow adds
+    one trial at a time, as ``aggregate_exceedance`` does."""
+    _, ref_vs, ref_ns, ref_diverged_at = _reference_paths(outcomes)
     _assert_stats_equal(
         stats, aggregate_exceedance(ref_vs, ref_vs, ref_diverged_at, ref_ns, deltas)
     )
@@ -795,20 +853,14 @@ class TestWorkflowMatchesTrialLoop:
             }
         trials, horizon, seed = 300, 4, 17
         schedule = _SCHEDULES[schedule_kind]
-        stats, errors, diverged_at = run_workflow_trials(
+        stats = run_workflow_trials(
             model, theta_star, schedule, horizon=horizon, trials=trials,
-            rng=RngState(seed=seed), deltas=(0.05, 0.2, 1.0), record_trajectories=True,
-            **extra,
+            rng=RngState(seed=seed), deltas=(0.05, 0.2, 1.0), **extra,
         )
         outcomes = _reference_outcomes(
             model, theta_star, schedule, horizon, trials, seed, **extra
         )
-        _assert_matches_reference(stats, errors, diverged_at, outcomes, (0.05, 0.2, 1.0))
-        unrecorded = run_workflow_trials(
-            model, theta_star, schedule, horizon=horizon, trials=trials,
-            rng=RngState(seed=seed), deltas=(0.05, 0.2, 1.0), **extra,
-        )
-        _assert_stats_equal(unrecorded, stats)
+        _assert_matches_reference(stats, outcomes, (0.05, 0.2, 1.0))
 
     def test_first_failure_in_trial_order_is_raised(self):
         """Bernoulli fits on 4 draws hit the boundary in most trials, at different generations."""
@@ -841,16 +893,15 @@ class TestWorkflowMatchesTrialLoop:
         schedule = SampleSchedule(base=10)
         horizon, trials, seed, cap = 8, 300, 9, 0.05
         deltas = (0.1, 1e6)
-        stats, errors, diverged_at = run_workflow_trials(
+        stats = run_workflow_trials(
             model, theta_star, schedule, horizon=horizon, trials=trials,
             rng=RngState(seed=seed), deltas=deltas, divergence_cap=cap,
-            record_trajectories=True,
         )
         outcomes = _reference_outcomes(
             model, theta_star, schedule, horizon, trials, seed, divergence_cap=cap
         )
-        _assert_matches_reference(stats, errors, diverged_at, outcomes, deltas)
-        _, vs, ns, _ = _reference_paths(outcomes)
+        _assert_matches_reference(stats, outcomes, deltas)
+        errors, vs, ns, diverged_at = _reference_paths(outcomes)
         diverged = np.flatnonzero(np.isfinite(diverged_at))
         assert 0 < diverged.size < trials
         assert np.any(diverged_at[diverged] > 0)
@@ -873,24 +924,22 @@ class TestWorkflowMatchesTrialLoop:
         model, theta_star = _gaussian(1)
         schedule = SampleSchedule(base=10)
         horizon, trials, seed, cap = 8, 50, 9, 0.05
-        stats, errors, diverged_at = run_workflow_trials(
+        stats = run_workflow_trials(
             model, theta_star, schedule, horizon=horizon, trials=trials,
-            rng=RngState(seed=seed), divergence_cap=cap, record_trajectories=True,
+            rng=RngState(seed=seed), divergence_cap=cap,
         )
+        outcomes = _reference_outcomes(
+            model, theta_star, schedule, horizon, trials, seed, divergence_cap=cap
+        )
+        _assert_matches_reference(stats, outcomes, DEFAULT_DELTAS)
+        _, _, ns, diverged_at = _reference_paths(outcomes)
         sampling = np.arange(horizon + 1)[None, :] <= diverged_at[:, None]
         live = sampling.any(axis=0)
         first = diverged_at[0]
         # precondition: another trial still samples after trial 0 has frozen
         assert np.isfinite(first) and first < horizon and live[int(first) + 1]
+        np.testing.assert_array_equal(ns, np.where(sampling, 10, 0))
         np.testing.assert_array_equal(stats.ns, np.where(live, 10, 0))
-        sq = np.einsum("tij,tij->ti", errors, errors)
-        aggregated = aggregate_exceedance(sq, sq, diverged_at, np.where(sampling, 10, 0))
-        np.testing.assert_array_equal(aggregated.ns, stats.ns)
-        unrecorded = run_workflow_trials(
-            model, theta_star, schedule, horizon=horizon, trials=trials,
-            rng=RngState(seed=seed), divergence_cap=cap,
-        )
-        np.testing.assert_array_equal(unrecorded.ns, stats.ns)
 
     def test_filter_weights_of_the_wrong_shape_are_rejected(self):
         model, theta_star = _gaussian(1)
