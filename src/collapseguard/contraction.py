@@ -162,7 +162,7 @@ class RegulatorFn:
 
     def value(self, r: float) -> float:
         """f(r); a power law whose r^p overflows is evaluated by logs, inf beyond the float range."""
-        if r < 0.0:
+        if not r >= 0.0:
             raise InputValidationError("regulator argument must be nonnegative")
         try:
             return self.scalar_fn()(r)
@@ -189,35 +189,20 @@ class RegulatorFn:
 
 @dataclass(frozen=True, eq=False)
 class ContractionMap:
-    """The state-dependent linear update e -> A(e) e.
+    """The state-dependent linear update e -> A(e) e with A(e) = sqrt(1 - c(e)) I.
 
-    With ``c_fn`` it is the scaled identity A(e) = sqrt(1 - c(e)) I, which
-    satisfies the matrix contraction condition with equality for any
-    metric. A ``matrix_fn`` returning A(e) can be supplied instead as an
-    escape hatch for experiments with non-diagonal maps.
+    This scaled identity satisfies the matrix contraction condition with
+    equality for any metric. Another map is a subclass whose ``apply_batch``
+    updates the whole (n, dim) batch at once.
     """
 
     metric: LyapunovMetric
-    c_fn: ContractionFn | None = None
-    matrix_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if (self.c_fn is None) == (self.matrix_fn is None):
-            raise InputValidationError("provide exactly one of c_fn or matrix_fn")
+    c_fn: ContractionFn
 
     def apply_batch(self, errors: np.ndarray) -> np.ndarray:
         """Row-wise update of a (n, dim) batch."""
-        if self.c_fn is not None:
-            scale = np.sqrt(1.0 - self.c_fn.values(self.metric, errors))
-            return scale[:, None] * errors
-        d = self.metric.dim
-        rows = []
-        for row in errors:
-            a = np.asarray(self.matrix_fn(row), dtype=float)
-            if a.shape != (d, d):
-                raise InputValidationError("matrix_fn must return a (dim, dim) matrix")
-            rows.append(a @ row)
-        return np.stack(rows)
+        scale = np.sqrt(1.0 - self.c_fn.values(self.metric, errors))
+        return scale[:, None] * errors
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +210,11 @@ class ContractionMap:
 # ---------------------------------------------------------------------------
 
 
-def check_matrix_contraction(a, metric: LyapunovMetric, c_at_e: float, tol: float | None = None) -> bool:
+def check_matrix_contraction(a, metric: LyapunovMetric, c_at_e: float) -> bool:
     """Whether A' P A <= (1 - c) P holds in the semidefinite order.
 
-    Decided through the smallest eigenvalue of (1 - c) P - A' P A; ``tol``
-    defaults to 1e-9 times the largest magnitude entry of P.
+    Decided through the smallest eigenvalue of (1 - c) P - A' P A, with a
+    tolerance of 1e-9 times the largest magnitude entry of P.
     """
     mat = np.asarray(a, dtype=float)
     d = metric.dim
@@ -237,8 +222,7 @@ def check_matrix_contraction(a, metric: LyapunovMetric, c_at_e: float, tol: floa
         raise InputValidationError(f"a must be a finite ({d}, {d}) matrix")
     if not 0.0 <= c_at_e < 1.0:
         raise InputValidationError("c_at_e must lie in [0, 1)")
-    if tol is None:
-        tol = 1e-9 * float(np.max(np.abs(metric.p_matrix)))
+    tol = 1e-9 * float(np.max(np.abs(metric.p_matrix)))
     gap = (1.0 - c_at_e) * metric.p_matrix - mat.T @ metric.p_matrix @ mat
     values, _ = sym_eig(symmetrize(gap))
     return bool(values[0] >= -tol)
@@ -249,9 +233,8 @@ def check_regulation(
     f: RegulatorFn,
     metric: LyapunovMetric,
     probe_points: np.ndarray,
-    tol: float = 1e-12,
 ) -> bool:
-    """Whether c(e) V(e) >= f(V(e)) - tol at every probe point."""
+    """Whether c(e) V(e) >= f(V(e)) - 1e-12 at every probe point."""
     probes = np.asarray(probe_points, dtype=float)
     if probes.ndim == 1:
         probes = probes[None, :]
@@ -262,7 +245,7 @@ def check_regulation(
     v = metric.values(probes)
     cv = c.values(metric, probes) * v
     fv = np.array([f.value(float(r)) for r in v])
-    return bool(np.all(cv >= fv - tol))
+    return bool(np.all(cv >= fv - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +312,8 @@ def fit_decay_rate(trajectory, tail_fraction: float = 0.9) -> tuple[float, float
     return float(slope), r_squared
 
 
-def limsup_bound(f: RegulatorFn, b: float, tol: float = 1e-12) -> float:
-    """Largest solution L of f(x) = b, by bisection to absolute tolerance.
+def limsup_bound(f: RegulatorFn, b: float) -> float:
+    """Largest solution L of f(x) = b, by bisection to an absolute tolerance of 1e-12.
 
     This is the limiting ceiling of the noisy recurrence under a constant
     bound b; it does not depend on the starting point. Bisection also stops
@@ -353,7 +336,7 @@ def limsup_bound(f: RegulatorFn, b: float, tol: float = 1e-12) -> float:
         if hi == math.inf:
             raise InputValidationError("regulator does not exceed b in the float range")
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

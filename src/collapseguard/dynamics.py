@@ -10,8 +10,7 @@ is where estimation error actually comes from. Its kernel is
 generation-major: per generation, ``expfam._draw_rows`` draws each live
 trial's candidates from its own stream straight into its row of the
 chunk, the filter weighs the whole (rows, n, d) chunk in one call that
-returns (rows, n) weights (row by row if the handle takes only one (n, d)
-set), then one batched fit advances them all.
+returns (rows, n) weights, then one batched fit advances them all.
 
 Both fan one base RngState out into one independent stream per trial
 (trial i draws only from ``rng.derive(i)``) and run fixed 256-trial blocks.
@@ -454,35 +453,36 @@ def _in_generation(t, exc):
 
 
 def _chunk_weights(filter_handle, points, out, t):
-    """Write the filter's weights of each (n, d) row of ``points`` into ``out``.
+    """Write the filter's (rows, n) weights of the (rows, n, d) chunk ``points`` into ``out``.
 
-    One call hands the handle the whole (rows, n, d) chunk, and its result
-    is taken only if its shape is exactly (rows, n). Otherwise, or if that
-    call raises, each row gets a call of its own, in row order, up to the
-    first failure. The per-row path stays: duck-typed handles that take
-    only (n, d) are a supported API, and a chunk error does not say which
-    row raised it, while the lowest failing row's own error must be raised.
-    Returns None, or (row, error) of that failure.
+    One call weighs the chunk; a result of another shape is charged to its
+    first row. If the call raises, the rows are called alone, as (n, d) sets
+    in row order, only to find the lowest failing row, whose own error must
+    be raised; the rows before it keep the n weights of their own calls. If
+    no row fails alone, the handle has broken the chunk contract, which is
+    raised. An empty chunk makes no call. Returns None, or (row, error).
     """
     rows, size = points.shape[:2]
+    if rows == 0:
+        return None
     try:
         w = np.asarray(filter_handle.weights(points), dtype=float)
-        if w.shape == (rows, size):
-            out[:rows] = w
-            return None
-    except Exception:  # the per-row calls below raise each row's own error
-        pass
-    for r in range(rows):
-        try:
-            w = np.asarray(filter_handle.weights(points[r]), dtype=float)
-            if w.shape != (size,):
-                raise InputValidationError(
-                    f"generation {t}: filter returned weights of shape {w.shape}, "
-                    f"expected ({size},)"
-                )
-            out[r] = w
-        except Exception as exc:
-            return r, exc
+    except Exception as chunk_error:
+        for r in range(rows):
+            try:
+                out[r] = np.reshape(filter_handle.weights(points[r]), size)  # n, not broadcast
+            except Exception as exc:
+                return r, exc
+        raise InputValidationError(
+            f"generation {t}: filter raised on a (rows, n, d) chunk but on none of its rows "
+            f"alone; weights must take the whole chunk ({chunk_error})"
+        ) from chunk_error
+    if w.shape != (rows, size):
+        return 0, InputValidationError(
+            f"generation {t}: filter returned weights of shape {w.shape}, "
+            f"expected {(rows, size)}"
+        )
+    out[:rows] = w
     return None
 
 
@@ -494,7 +494,8 @@ def _workflow_block(job):
     candidates straight into its row of the chunk, one call of the trial's
     own stream, and then fits all rows at once; a refused draw or fit raises
     its one-row call's error, prefixed with the generation. When filtered,
-    ``_chunk_weights`` weighs each such (rows, n, d) chunk. A trial freezes
+    ``_chunk_weights`` weighs each such chunk in one call, and calls its rows
+    alone only to find the row a failing call belongs to. A trial freezes
     once V exceeds the cap. A trial that fails stops, and so does every later
     trial: the block raises the failure of the lowest-index failing trial,
     the error a trial-by-trial loop meets first. Returns the ``_TrialFold``
@@ -574,11 +575,11 @@ def run_workflow_trials(
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
-    reweights its candidates before re-estimating. The handle is first
-    handed a (rows, n, d) chunk of trials and must return (rows, n)
-    weights, each row as its own (n, d) call would. Duck-typed handles that
-    take only one (n, d) set, and so raise or return another shape, are
-    supported: they are called once per trial, with the same result.
+    reweights its candidates before re-estimating. The handle is handed a
+    (rows, n, d) chunk of trials and must return (rows, n) weights, each
+    row as a call on its (n, d) set alone would; another shape is refused.
+    When a chunk call raises, the rows are called alone to find the lowest
+    trial that fails; if none does, the handle is refused.
     ``candidates_per_round`` fixes the candidate count of those generations;
     None follows the sample schedule. A filter emitting all-ones weights
     reproduces the unfiltered workflow exactly on the same streams and counts.

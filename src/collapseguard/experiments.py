@@ -10,7 +10,6 @@ deterministic for a fixed (config, seed) pair and written atomically.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -44,6 +43,7 @@ from .filtering import (
     TrainConfig,
     TrainingSpec,
     anchors_from_dataset,
+    atomic_write_json,
     atomic_write_text,
     content_hash,
     fit_pca,
@@ -223,7 +223,7 @@ class FilterSpec:
             raise InputValidationError("filter.gamma must lie in (0, 1]")
         if self.kind == "mlp" and not self.checkpoint:
             raise InputValidationError("filter.kind 'mlp' requires filter.checkpoint")
-        if self.candidates_per_round < 2:
+        if not self.candidates_per_round >= 2:
             raise InputValidationError("filter.candidates_per_round must be at least 2")
 
     def build(self, theta_star: expfam.Parameter) -> FilterHandle | None:
@@ -263,7 +263,7 @@ class RatesSpec:
             raise InputValidationError(f"unknown rates.kind {self.kind!r}")
         if self.noise_kind not in ("power-law", "constant", "zero"):
             raise InputValidationError(f"unknown rates.noise_kind {self.noise_kind!r}")
-        if self.steps < 2:
+        if not self.steps >= 2:
             raise InputValidationError("rates.steps must be at least 2")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise InputValidationError("rates.tail_fraction must lie in (0, 1]")
@@ -290,11 +290,11 @@ class ConcentrationSpec:
     trials: int = 10000
 
     def __post_init__(self):
-        if len(self.sizes) == 0 or any(n < 1 for n in self.sizes):
+        if len(self.sizes) == 0 or any(not n >= 1 for n in self.sizes):
             raise InputValidationError("concentration.sizes must be positive integers")
-        if self.delta < 0.0:
+        if not self.delta >= 0.0:
             raise InputValidationError("concentration.delta must be nonnegative")
-        if self.trials < 100:
+        if not self.trials >= 100:
             raise InputValidationError("concentration.trials must be at least 100")
 
 
@@ -327,11 +327,11 @@ class ExperimentConfig:
             raise InputValidationError("seed must be an explicit integer (no clock defaults)")
         if not 0 <= self.seed < 2**64:
             raise InputValidationError("seed must fit in an unsigned 64-bit integer")
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise InputValidationError("horizon must be positive")
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise InputValidationError("trials must be positive")
-        if len(self.deltas) == 0 or any(d <= 0.0 for d in self.deltas):
+        if len(self.deltas) == 0 or any(not d > 0.0 for d in self.deltas):
             raise InputValidationError("deltas must be positive")
         if self.initial_error is not None and len(self.initial_error) != self.model.dim:
             raise InputValidationError("initial_error length must equal model.dim")
@@ -499,7 +499,7 @@ def read_results_csv(path) -> ResultTable:
 
 
 def write_summary(summary: dict, path) -> None:
-    atomic_write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write_json(path, summary, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +555,17 @@ def _run_dynamics(config: ExperimentConfig, chash: str):
     return table, summary
 
 
-def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int, blocks: int = 20) -> float:
+def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int) -> float:
     """Largest increase between successive block means of the tail curve.
 
     Per-step differences of a Monte-Carlo exceedance curve are dominated by
     trial-crossing noise, so the nonincreasing-trend verdict is taken on
-    block averages of the post-burn-in steps instead.
+    the averages of up to 20 blocks of the post-burn-in steps instead.
     """
     tail = np.asarray(exceedance, dtype=float)[burn_in:]
     if tail.shape[0] < 2:
         return 0.0
-    count = min(blocks, tail.shape[0])
+    count = min(20, tail.shape[0])
     means = np.array([chunk.mean() for chunk in np.array_split(tail, count)])
     rises = np.diff(means)
     return float(rises.max()) if rises.size else 0.0
@@ -774,8 +774,9 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
     """Per-step baseline/treatment MSE ratios plus a trend verdict.
 
     Every MSE must be finite. The ratio is 1 where both are 0 and infinite
-    where only the treatment's is. The trend is the least-squares slope of
-    the finite ratios, exactly 0 when they are all equal.
+    where only the treatment's is (None as the summary's final ratio). The
+    trend is the least-squares slope of the finite ratios, exactly 0 when
+    they are all equal.
     """
     if len(baseline) == 0 or len(treatment) == 0:
         raise InputValidationError("both result tables must be nonempty")
@@ -806,7 +807,7 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
         trend = _slope(baseline.t[finite], kept)
     summary = {
         "steps": len(ratios),
-        "final_ratio": float(ratios[-1]),
+        "final_ratio": float(ratios[-1]) if np.isfinite(ratios[-1]) else None,
         "ratio_trend_slope": trend,
         "trend_increasing": bool(trend is not None and trend > 0.0),
         "baseline_final_mse": float(b[-1]),
@@ -991,6 +992,8 @@ def run_checks(config: ExperimentConfig, summary: dict) -> list[CheckResult]:
 def compare_checks(summary: dict) -> list[CheckResult]:
     """Checks for a baseline-vs-treatment comparison summary."""
     ratio, trend = summary["final_ratio"], summary.get("ratio_trend_slope")
+    if ratio is None and summary["treatment_final_mse"] == 0.0:  # an infinite ratio
+        ratio = math.inf
     return [
         CheckResult("compare-final-ratio", ratio > 5.0, ratio, 5.0,
                     "terminal unfiltered/filtered MSE ratio"),

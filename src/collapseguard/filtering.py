@@ -23,12 +23,13 @@ import numpy as np
 
 from . import expfam
 from .contraction import ContractionFn, LyapunovMetric
-from .errors import DegenerateSelectionError, InputValidationError
+from .errors import CollapseGuardError, DegenerateSelectionError, InputValidationError
 from .numerics import RngState, as_generator, as_vector, point_sums, sym_eig
 
 CHECKPOINT_VERSION = 2
 
 PROB_CLAMP = 1e-12
+PULLBACK_TOL = 1e-8  # the oracle's residual tolerance, relative to 1 + ||target||
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +346,13 @@ class TrainingSpec:
             raise InputValidationError("training.candidates_per_round must be at least 2")
         if not 0.0 <= self.contamination < 1.0:
             raise InputValidationError("training.contamination must lie in [0, 1)")
-        if self.drift_scale < 0.0:
+        if not self.drift_scale >= 0.0:
             raise InputValidationError("training.drift_scale must be nonnegative")
         if self.epochs < 0 or self.hidden_dim < 1 or self.pca_k < 0:
             raise InputValidationError("training epochs/hidden_dim/pca_k out of range")
-        if self.lambda_contract < 0.0 or self.ess_weight < 0.0:
+        if not (self.lambda_contract >= 0.0 and self.ess_weight >= 0.0):
             raise InputValidationError("training loss weights must be nonnegative")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise InputValidationError("training.learning_rate must be positive")
         if not 0.0 <= self.holdout_fraction <= 0.5:
             raise InputValidationError("training.holdout_fraction must lie in [0, 0.5]")
@@ -559,15 +560,16 @@ class PullbackResult:
 
 
 def oracle_pullback_weights(
-    candidates, theta_good: expfam.Parameter, gamma: float, tol: float = 1e-8
+    candidates, theta_good: expfam.Parameter, gamma: float
 ) -> PullbackResult:
     """Weights whose weighted mean lands at anchor + (1-gamma)(mean - anchor).
 
     Solves for a linear tilt of the weights along the candidate spread
     (clipped to [0, 1], around a 0.5 base) by damped Newton iteration on
-    the weighted-mean residual; when clipping makes the target unreachable
-    it falls back to the nearest prefix subset and reports the achieved
-    pull instead of failing.
+    the weighted-mean residual, until its norm is at most ``PULLBACK_TOL``
+    (1 + ||target||); when clipping makes the target unreachable it falls
+    back to the nearest prefix subset and reports the achieved pull
+    instead of failing.
     """
     pts = np.asarray(candidates, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -596,7 +598,7 @@ def oracle_pullback_weights(
 
     base = 0.5
     floor = expfam.WEIGHT_FLOOR_PER_POINT * n
-    tol_abs = tol * (1.0 + float(np.linalg.norm(target)))
+    tol_abs = PULLBACK_TOL * (1.0 + float(np.linalg.norm(target)))
 
     def residual(tilt_vec):
         w = np.clip(base + centered @ tilt_vec, 0.0, 1.0)
@@ -674,7 +676,7 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
     Takes the first step of all rows at once (``_first_step``, shared with
     the per-row function), then the clipped weights and their residual.
     Returns the weights (rows, n) and a mask of the rows whose first
-    residual meets the default tolerance, 1e-8, with every check passed;
+    residual meets the tolerance, ``PULLBACK_TOL``, with every check passed;
     the per-row function returns these very bits for them. A row outside
     the mask (a missed tolerance, a zero offset, no spread, non-finite data,
     a weight sum at the floor, or any singular spread in the stack) holds
@@ -695,7 +697,7 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
         target = mean - gamma * offset
         miss = target - point_sums(pts * weights[:, :, None]) / s[:, None]
         rnorm = np.sqrt(np.einsum("ij,ij->i", miss, miss))
-        tol_abs = 1e-8 * (1.0 + np.sqrt(np.einsum("ij,ij->i", target, target)))
+        tol_abs = PULLBACK_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", target, target)))
         ok = np.isfinite(pts).all(axis=(1, 2))
         ok &= np.einsum("ij,ij->i", offset, offset) > 0.0
         ok &= np.trace(spread, axis1=1, axis2=2) > 0.0
@@ -876,7 +878,7 @@ def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_
                             for key, read in table.items()}
     payload["train_config"] = train_meta
     payload["content_hash"] = content_hash(payload)
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    atomic_write_json(path, payload, indent=1)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -899,6 +901,15 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_json(path, data, **dump_options) -> None:
+    """``atomic_write_text`` of ``data`` as strict JSON; a NaN or infinity fails naming the file."""
+    try:
+        text = json.dumps(data, allow_nan=False, **dump_options)
+    except ValueError as exc:
+        raise CollapseGuardError(f"cannot write {path} as strict JSON: {exc}") from exc
+    atomic_write_text(path, text + "\n")
 
 
 def read_json_object(path, what: str) -> dict:

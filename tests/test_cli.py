@@ -611,6 +611,25 @@ class TestCompareAndPlot:
         summary = json.loads((out / "compare_summary.json").read_text())
         assert summary["final_ratio"] == pytest.approx(100.0)
 
+    def test_an_infinite_final_ratio_is_written_as_strict_json(self, tmp_path, capsys):
+        baseline = _synthetic_results(tmp_path / "base.csv", [1.0, 1.0])
+        treatment = _synthetic_results(tmp_path / "treat.csv", [1.0, 0.0])
+        out = tmp_path / "cmp"
+        argv = ["compare", "--baseline", baseline, "--treatment", treatment, "--out", str(out)]
+        assert main(argv) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        text = (out / "compare_summary.json").read_text()
+        assert json.loads(text, parse_constant=refuse)["final_ratio"] is None
+        capsys.readouterr()
+        # one finite ratio gives no trend, so the run fails that check, but not the ratio's
+        assert main(argv + ["--check"]) == 2
+        stdout = capsys.readouterr().out
+        assert "PASS compare-final-ratio: measured=inf" in stdout
+        assert "FAIL compare-trend-increasing" in stdout
+
     def test_compare_check_passes_for_a_growing_gap(self, tmp_path, capsys):
         baseline = _synthetic_results(tmp_path / "base.csv", [float(t + 1) for t in range(10)])
         treatment = _synthetic_results(tmp_path / "treat.csv", [0.1] * 10)

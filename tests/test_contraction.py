@@ -206,10 +206,12 @@ def _concentration_at(deltas):
          "power-law exponent p must be >= 1 for convexity"),
         (lambda: RegulatorFn("power-law", c1=math.nan), "c1 must be positive"),
         (lambda: RegulatorFn("power-law", c2=math.nan), "c2 must be >= c1"),
+        (lambda: RegulatorFn("power-law").value(math.nan),
+         "regulator argument must be nonnegative"),
         (lambda: _concentration_at([math.nan, 0.5]), "deltas must be nonnegative"),
     ],
     ids=["contraction-alpha", "regulator-p", "regulator-c1", "regulator-c2",
-         "concentration-delta"],
+         "regulator-argument", "concentration-delta"],
 )
 def test_a_nan_input_is_refused(call, message):
     """A NaN fails each check rather than passing it, so it cannot evaluate to NaN later."""
@@ -329,11 +331,6 @@ class TestContractionMap:
             c = ContractionFn().value(metric, e)
             v_next = metric.value(map_.apply_batch(e[None, :])[0])
             np.testing.assert_allclose(v_next, (1.0 - c) * v, rtol=1e-12)
-
-    def test_explicit_matrix_map(self):
-        metric = LyapunovMetric.identity(2)
-        map_ = ContractionMap(metric, matrix_fn=lambda e: 0.5 * np.eye(2))
-        np.testing.assert_allclose(map_.apply_batch(np.array([[2.0, 4.0]])), [[1.0, 2.0]])
 
     def test_apply_batch_matches_one_row_batches(self):
         metric = LyapunovMetric.identity(2)

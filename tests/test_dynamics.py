@@ -148,9 +148,18 @@ def _noise_increments(noise, dim, horizon, trials, seed, metric=None) -> np.ndar
     return np.diff(errors, axis=1)
 
 
-def _blow_up_past_2_5(e):
-    """A(e) that sends the state to infinity once its first coordinate passes 2.5."""
-    return np.diag([np.inf, np.inf]) if e[0] > 2.5 else np.zeros((2, 2))
+class _Quadrupling(ContractionMap):
+    """A(e) = 4 I, which expands: a map outside Assumption 1. Its ``c_fn`` is unused."""
+
+    def apply_batch(self, errors):
+        return 4.0 * errors
+
+
+class _BlowUpPast2_5(ContractionMap):
+    """A(e) that sends the state to infinity once its first coordinate passes 2.5, else to 0."""
+
+    def apply_batch(self, errors):
+        return np.where(errors[:, :1] > 2.5, np.inf, 0.0) * np.ones_like(errors)
 
 
 def _one_workflow(model, theta_star, schedule, horizon, seed, **kwargs):
@@ -277,8 +286,7 @@ class TestDynamicsTrajectory:
             assert stats.mean_v[t] == pytest.approx(metric.value(errors[t]), rel=1e-12)
 
     def test_divergence_freezes_and_records_step(self):
-        metric = LyapunovMetric.identity(1)
-        map_ = ContractionMap(metric, matrix_fn=lambda e: 4.0 * np.eye(1))
+        map_ = _Quadrupling(LyapunovMetric.identity(1), ContractionFn())
         stats, errors, diverged_at = _one_trial(
             map_, ZERO_NOISE, np.array([1.0]), horizon=40, seed=2, divergence_cap=1e6,
         )
@@ -323,8 +331,7 @@ class TestAggregateExceedance:
                 aggregate_exceedance(*args)
 
     def test_diverged_trials_count_as_exceeding(self):
-        metric = LyapunovMetric.identity(1)
-        blow_up = ContractionMap(metric, matrix_fn=lambda e: 4.0 * np.eye(1))
+        blow_up = _Quadrupling(LyapunovMetric.identity(1), ContractionFn())
         stats, errors, diverged_at = _one_trial(
             blow_up, ZERO_NOISE, np.array([1.0]), horizon=30, seed=3, divergence_cap=1e6,
         )
@@ -462,7 +469,7 @@ class TestRunDynamicsTrials:
         worker process and keeps its step.
         """
         monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
-        map_ = ContractionMap(LyapunovMetric.identity(2), matrix_fn=_blow_up_past_2_5)
+        map_ = _BlowUpPast2_5(LyapunovMetric.identity(2), ContractionFn())
         errors = []
         for trials in (256, 512):
             with pytest.raises(SimulationOverflowError) as info:
@@ -475,12 +482,8 @@ class TestRunDynamicsTrials:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"horizon": -1},
-            {"horizon": 2.5},
-            {"map_": ContractionMap(LyapunovMetric.identity(2), matrix_fn=lambda e: np.eye(3))},
-        ],
-        ids=["negative-horizon", "fractional-horizon", "wrong-matrix-shape"],
+        [{"horizon": -1}, {"horizon": 2.5}],
+        ids=["negative-horizon", "fractional-horizon"],
     )
     def test_invalid_run_is_rejected(self, kwargs):
         args = {
@@ -630,19 +633,24 @@ class TestRunWorkflowFiltered:
         np.testing.assert_array_equal(stats.mse, plain.mse)
 
     @pytest.mark.parametrize(
-        "handle", [lambda: _OneSetAtATime(), lambda: _OneWeightPerRow()],
+        "handle, message, cause",
+        [
+            (lambda: _OneSetAtATime(), "generation 1: filter raised on a (rows, n, d) chunk but "
+             "on none of its rows alone; weights must take the whole chunk (one (n, d) "
+             "candidate set at a time)", ValueError),
+            (lambda: _OneWeightPerRow(), "generation 1: filter returned weights of shape (20,), "
+             "expected (20, 30)", type(None)),
+        ],
         ids=["raises-on-a-chunk", "wrong-shape-for-a-chunk"],
     )
-    def test_a_handle_of_one_candidate_set_reproduces_all_ones(self, handle):
+    def test_a_handle_of_one_candidate_set_is_refused(self, handle, message, cause):
         model, theta_star = _gaussian(2)
-        one_set, all_ones = (
+        with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$") as info:
             run_workflow_trials(
                 model, theta_star, SampleSchedule(base=30), horizon=4, trials=20,
-                rng=RngState(seed=6), filter_handle=h, candidates_per_round=30,
+                rng=RngState(seed=6), filter_handle=handle(), candidates_per_round=30,
             )
-            for h in (handle(), FilterHandle.all_ones())
-        )
-        _assert_stats_equal(one_set, all_ones)
+        assert type(info.value.__cause__) is cause
 
     def test_the_lowest_failing_row_of_a_chunk_raises(self):
         model, theta_star = _gaussian(1)
@@ -651,6 +659,35 @@ class TestRunWorkflowFiltered:
                 model, theta_star, SampleSchedule(base=10), horizon=2, trials=10,
                 rng=RngState(seed=1), filter_handle=_FailsOnRows3And7(),
             )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_the_lowest_failing_trial_of_a_filter_is_raised(self, workers, monkeypatch):
+        """A chunk call that raises is charged to the lowest trial whose own call raises.
+
+        ``_FailsPastAMean`` fails on its data alone, so its chunk calls raise
+        exactly when a row would alone, but name the last such row's mean.
+        """
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+        model = ExpFamilyModel(GAUSSIAN, 1)
+        theta_star = Parameter(np.zeros(1), model)
+        schedule, trials, seed, handle = SampleSchedule(base=10), 300, 1, _FailsPastAMean()
+        first = {}
+        for horizon in (4, 5):
+            outcomes = _reference_outcomes(
+                model, theta_star, schedule, horizon, trials, seed, filter_handle=handle
+            )
+            first[horizon] = next(
+                (i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, Exception)
+            )
+            with pytest.raises(DegenerateSelectionError) as info:
+                run_workflow_trials(
+                    model, theta_star, schedule, horizon=horizon, trials=trials,
+                    rng=RngState(seed=seed), filter_handle=handle,
+                )
+            assert str(info.value) == str(first[horizon][1])
+        # precondition: the lowest failing trial of the horizon-5 run fails only at
+        # generation 5, so the lowest of the horizon-4 run, a later trial, fails earlier
+        assert first[5][0] < first[4][0]
 
     def test_candidate_count_must_be_positive(self):
         model, theta_star = _gaussian(1)
@@ -673,7 +710,8 @@ class _CountingFilter:
 
 
 class _OneSetAtATime:
-    """All-ones weights for one (n, d) candidate set; a (rows, n, d) chunk raises."""
+    """All-ones weights for one (n, d) candidate set; a (rows, n, d) chunk raises, which
+    breaks the chunk contract."""
 
     def weights(self, points):
         if np.ndim(points) != 2:
@@ -688,8 +726,27 @@ class _OneWeightPerRow:
         return np.ones(len(points))
 
 
+class _FailsPastAMean:
+    """All-ones weights; a candidate set whose mean passes 1.0 raises, naming that mean.
+
+    Whether a set fails depends on its data alone, so a chunk call raises
+    exactly when one of its rows would alone. It names the last such row.
+    """
+
+    def weights(self, points):
+        stack = np.asarray(points)
+        means = [row[:, 0].mean() for row in (stack if stack.ndim == 3 else stack[None])]
+        past = [m for m in means if m > 1.0]
+        if past:
+            raise DegenerateSelectionError(f"candidate mean {past[-1]:.6f} is past 1.0")
+        return np.ones(stack.shape[:-1])
+
+
 class _FailsOnRows3And7:
-    """Fails on rows 3 and 7 of a chunk; the chunk call names row 7, the last it met."""
+    """Fails on rows 3 and 7 of a chunk, counted over the one-set calls after a chunk call.
+
+    A chunk call raises only if it holds one of these rows, naming the last it holds.
+    """
 
     def __init__(self):
         self.row = 0
@@ -697,15 +754,22 @@ class _FailsOnRows3And7:
     def weights(self, points):
         if np.ndim(points) == 3:
             self.row = 0
-            raise ValueError("row 7 fails")
+            failing = [r for r in (3, 7) if r < len(points)]
+            if failing:
+                raise ValueError(f"row {failing[-1]} fails")
+            return np.ones(np.shape(points)[:2])
         row, self.row = self.row, self.row + 1
         if row in (3, 7):
             raise ValueError(f"row {row} fails")
         return np.ones(len(points))
 
 
-def _run_lambda_map():
-    map_ = ContractionMap(LyapunovMetric.identity(2), matrix_fn=lambda e: 0.5 * np.eye(2))
+def _run_local_map():
+    class LocalMap(ContractionMap):
+        def apply_batch(self, errors):
+            return 0.5 * errors
+
+    map_ = LocalMap(LyapunovMetric.identity(2), ContractionFn())
     run_dynamics_trials(
         map_, ZERO_NOISE, np.ones(2), horizon=2, trials=300, rng=RngState(seed=1),
     )
@@ -714,7 +778,7 @@ def _run_lambda_map():
 def _run_local_filter():
     class LocalFilter:
         def weights(self, points):
-            return np.ones(len(points))
+            return np.ones(np.shape(points)[:-1])
 
     model, theta_star = _gaussian(1)
     run_workflow_trials(
@@ -724,7 +788,7 @@ def _run_local_filter():
 
 
 @pytest.mark.parametrize(
-    "run", [_run_lambda_map, _run_local_filter], ids=["lambda-matrix-fn", "local-filter-class"]
+    "run", [_run_local_map, _run_local_filter], ids=["local-map-class", "local-filter-class"]
 )
 def test_work_that_cannot_be_pickled_raises_a_named_error(run, monkeypatch):
     monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "2")
@@ -946,7 +1010,7 @@ class TestWorkflowMatchesTrialLoop:
         with pytest.raises(
             InputValidationError,
             match=re.escape(
-                "generation 1: filter returned weights of shape (11,), expected (10,)"
+                "generation 1: filter returned weights of shape (4,), expected (3, 10)"
             ),
         ):
             run_workflow_trials(

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ import pytest
 
 from collapseguard.contraction import RegulatorFn
 from collapseguard.dynamics import NoiseSchedule
-from collapseguard.errors import CheckFailureError, InputValidationError
+from collapseguard.errors import CheckFailureError, CollapseGuardError, InputValidationError
 from collapseguard.experiments import (
     ConcentrationSpec,
     COMPARE_HEADER,
@@ -21,6 +22,8 @@ from collapseguard.experiments import (
     TRAINING_LOG_HEADER,
     CheckResult,
     ExperimentConfig,
+    FilterSpec,
+    RatesSpec,
     ResultTable,
     atomic_write_text,
     compare_checks,
@@ -252,6 +255,32 @@ class TestConfigParsing:
         with pytest.raises(InputValidationError) as info:
             ExperimentConfig.from_dict(raw)
         assert str(info.value) == f"{name} does not fit in a 64-bit integer"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ConcentrationSpec(delta=math.nan), "concentration.delta must be nonnegative"),
+            (lambda: ExperimentConfig(scenario="dynamics", seed=1, deltas=(math.nan,)),
+             "deltas must be positive"),
+            (lambda: ExperimentConfig(scenario="dynamics", seed=1, deltas=(0.1, math.nan)),
+             "deltas must be positive"),
+            (lambda: ExperimentConfig(scenario="dynamics", seed=1, horizon=math.nan),
+             "horizon must be positive"),
+            (lambda: ExperimentConfig(scenario="dynamics", seed=1, trials=math.nan),
+             "trials must be positive"),
+            (lambda: ConcentrationSpec(sizes=(1, math.nan)),
+             "concentration.sizes must be positive integers"),
+            (lambda: ConcentrationSpec(trials=math.nan), "concentration.trials must be at least 100"),
+            (lambda: FilterSpec(candidates_per_round=math.nan),
+             "filter.candidates_per_round must be at least 2"),
+            (lambda: RatesSpec(steps=math.nan), "rates.steps must be at least 2"),
+        ],
+        ids=["concentration-delta", "deltas", "a-later-delta", "horizon", "trials",
+             "concentration-sizes", "concentration-trials", "filter-candidates", "rates-steps"],
+    )
+    def test_a_nan_field_is_rejected(self, build, message):
+        with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_the_largest_unsigned_seed_is_accepted(self):
         config = ExperimentConfig.from_dict({"scenario": "dynamics", "seed": 2**64 - 1})
@@ -720,6 +749,15 @@ class TestAtomicWrite:
         assert json.loads(text) == {"alpha": 1, "beta": 2}
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_summary_value_is_a_runtime_failure_naming_the_file(self, tmp_path, value):
+        path = tmp_path / "summary.json"
+        with pytest.raises(CollapseGuardError, match=f"^cannot write {re.escape(str(path))} ") as info:
+            write_summary({"final_mse": value}, path)
+        assert not isinstance(info.value, InputValidationError)  # exit 3, not 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRunExperiment:
     def test_dynamics_writes_one_row_per_step_and_a_summary(self, tmp_path):
         config = _config(out_dir=str(tmp_path))
@@ -982,7 +1020,9 @@ class TestCompareRuns:
         compare, summary = compare_runs(baseline, treatment)
         assert compare.ratio[0] == 1.0
         assert math.isinf(compare.ratio[1])
-        assert math.isinf(summary["final_ratio"])
+        # strict JSON has no infinity: the summary holds null, which the check reads as a pass
+        assert summary["final_ratio"] is None
+        assert compare_checks(summary)[0].passed
 
     def test_mismatched_tables_are_rejected(self):
         rows = self._rows([1.0, 2.0])

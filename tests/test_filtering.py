@@ -4,13 +4,18 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from collapseguard import expfam, filtering
 from collapseguard.contraction import LyapunovMetric
-from collapseguard.errors import DegenerateSelectionError, InputValidationError
+from collapseguard.errors import (
+    CollapseGuardError,
+    DegenerateSelectionError,
+    InputValidationError,
+)
 from collapseguard.expfam import (
     GAUSSIAN,
     ExpFamilyModel,
@@ -920,6 +925,20 @@ class TestTrainingSpec:
         with pytest.raises(InputValidationError):
             TrainingSpec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("drift_scale", "training.drift_scale must be nonnegative"),
+            ("lambda_contract", "training loss weights must be nonnegative"),
+            ("ess_weight", "training loss weights must be nonnegative"),
+            ("learning_rate", "training.learning_rate must be positive"),
+        ],
+        ids=["drift_scale", "lambda_contract", "ess_weight", "learning_rate"],
+    )
+    def test_a_nan_field_is_rejected(self, field, message):
+        with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$"):
+            TrainingSpec(**{field: math.nan})
+
 
 class TestDriftTrainingData:
     def _run(self, **overrides):
@@ -1041,6 +1060,16 @@ class TestCheckpoint:
         self._tamper(path, lambda p: p[section].pop(key))
         with pytest.raises(InputValidationError, match=f"malformed checkpoint: '{key}'"):
             load_filter_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_weight_is_a_runtime_failure_naming_the_file(self, tmp_path, value):
+        params, pca, meta = self._artifacts()
+        broken = FilterParams(params.w1, params.b1, params.w2, value)
+        path = tmp_path / "checkpoint.json"
+        with pytest.raises(CollapseGuardError, match=f"^cannot write {re.escape(str(path))} ") as info:
+            save_filter_checkpoint(path, broken, pca, meta)
+        assert not isinstance(info.value, InputValidationError)  # exit 3, not 1
+        assert list(tmp_path.iterdir()) == []
 
     def _tamper(self, path, mutate):
         payload = json.loads(path.read_text())
