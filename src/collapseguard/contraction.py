@@ -199,6 +199,10 @@ class ContractionMap:
     metric: LyapunovMetric
     c_fn: ContractionFn
 
+    def __post_init__(self):
+        if not (isinstance(self.metric, LyapunovMetric) and isinstance(self.c_fn, ContractionFn)):
+            raise InputValidationError("a ContractionMap needs a LyapunovMetric and a ContractionFn")
+
     def apply_batch(self, errors: np.ndarray) -> np.ndarray:
         """Row-wise update of a (n, dim) batch."""
         scale = np.sqrt(1.0 - self.c_fn.values(self.metric, errors))

@@ -456,11 +456,12 @@ def _chunk_weights(filter_handle, points, out, t):
     """Write the filter's (rows, n) weights of the (rows, n, d) chunk ``points`` into ``out``.
 
     One call weighs the chunk; a result of another shape is charged to its
-    first row. If the call raises, the rows are called alone, as (n, d) sets
-    in row order, only to find the lowest failing row, whose own error must
-    be raised; the rows before it keep the n weights of their own calls. If
-    no row fails alone, the handle has broken the chunk contract, which is
-    raised. An empty chunk makes no call. Returns None, or (row, error).
+    first row. If the call raises, the rows are called alone, as one-row
+    (1, n, d) chunks in row order, only to find the lowest failing row, whose
+    own error must be raised; the rows before it keep the n weights of their
+    own calls. If no row fails alone, the handle has broken the chunk
+    contract, which is raised. An empty chunk makes no call. Returns None,
+    or (row, error).
     """
     rows, size = points.shape[:2]
     if rows == 0:
@@ -470,7 +471,7 @@ def _chunk_weights(filter_handle, points, out, t):
     except Exception as chunk_error:
         for r in range(rows):
             try:
-                out[r] = np.reshape(filter_handle.weights(points[r]), size)  # n, not broadcast
+                out[r] = np.reshape(filter_handle.weights(points[r : r + 1]), (1, size))[0]
             except Exception as exc:
                 return r, exc
         raise InputValidationError(
@@ -577,9 +578,10 @@ def run_workflow_trials(
     method, see the filtering module) every generation past the first
     reweights its candidates before re-estimating. The handle is handed a
     (rows, n, d) chunk of trials and must return (rows, n) weights, each
-    row as a call on its (n, d) set alone would; another shape is refused.
-    When a chunk call raises, the rows are called alone to find the lowest
-    trial that fails; if none does, the handle is refused.
+    row as a call on its one-row (1, n, d) chunk would; another shape is
+    refused. When a chunk call raises, the rows are called alone, as one-row
+    chunks, to find the lowest trial that fails; if none does, the handle is
+    refused.
     ``candidates_per_round`` fixes the candidate count of those generations;
     None follows the sample schedule. A filter emitting all-ones weights
     reproduces the unfiltered workflow exactly on the same streams and counts.

@@ -401,34 +401,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _int_cells(column: np.ndarray) -> list[str]:
-    return list(map(str, column.tolist()))
+def _format_rows(row: str, columns) -> str:
+    """``row`` %-formatted once per row of the equal-length ``columns``, in one pass.
 
-
-def _float_cells(column: np.ndarray) -> list[str]:
-    # "%.12g" % x is the same string as format(x, ".12g")
-    return list(map("%.12g".__mod__, column.tolist()))
-
-
-def _csv_text(header: str, columns: list[list[str]]) -> str:
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    ``row`` holds one field per column; "%d" % i is str(i) and "%.12g" % x
+    is format(x, ".12g"). A literal ``%`` in ``row`` must be written ``%%``.
+    """
+    width, rows = len(columns), len(columns[0])
+    values = [None] * (width * rows)
+    for j, column in enumerate(columns):
+        values[j::width] = column.tolist()
+    return (row * rows) % tuple(values)
 
 
 def write_results_csv(table: ResultTable, path) -> None:
-    rows = len(table)
-    if rows == 0:
+    if len(table) == 0:
         raise InputValidationError("refusing to write an empty results table")
-    columns = [
-        [table.scenario] * rows,
-        _int_cells(table.t),
-        _int_cells(table.n_t),
-        _float_cells(table.mse),
-        _float_cells(table.mean_v),
-        *map(_float_cells, table.exceed.T),
-        [str(table.trials)] * rows,
-        [table.config_hash] * rows,
-    ]
-    atomic_write_text(path, _csv_text(CSV_HEADER, columns))
+    shared = (str(s).replace("%", "%%") for s in (table.scenario, table.trials, table.config_hash))
+    scenario, trials, chash = shared
+    row = f"{scenario},%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,{trials},{chash}\n"
+    columns = [table.t, table.n_t, table.mse, table.mean_v, *table.exceed.T]
+    atomic_write_text(path, f"{CSV_HEADER}\n" + _format_rows(row, columns))
 
 
 # One field per CSV_HEADER column; the two strings stay whole as Python objects.
@@ -713,8 +706,9 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
         "checkpoint": paths["checkpoint"],
     }
     losses = np.array(log, dtype=float).reshape(-1, len(final)).T
-    columns = [_int_cells(np.arange(1, len(log) + 1)), *map(_float_cells, losses)]
-    atomic_write_text(paths["training_log"], _csv_text(TRAINING_LOG_HEADER, columns))
+    row = "%d" + ",%.12g" * len(losses) + "\n"
+    text = _format_rows(row, [np.arange(1, len(log) + 1), *losses])
+    atomic_write_text(paths["training_log"], f"{TRAINING_LOG_HEADER}\n{text}")
     meta = {
         "scenario": "train-filter",
         "family": model.family,
@@ -817,13 +811,9 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
 
 
 def write_compare_csv(table: CompareTable, path) -> None:
-    columns = [
-        _int_cells(table.t),
-        _float_cells(table.baseline_mse),
-        _float_cells(table.treatment_mse),
-        _float_cells(table.ratio),
-    ]
-    atomic_write_text(path, _csv_text(COMPARE_HEADER, columns))
+    columns = [table.t, table.baseline_mse, table.treatment_mse, table.ratio]
+    text = _format_rows("%d,%.12g,%.12g,%.12g\n", columns)
+    atomic_write_text(path, f"{COMPARE_HEADER}\n{text}")
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +855,7 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
 
     sx = scaled(px, float(px.min()), float(px.max()), _SVG_M, _SVG_W - _SVG_M)
     sy = scaled(py, float(py.min()), float(py.max()), _SVG_H - _SVG_M, _SVG_M)
-    points = " ".join(map("%.3f,%.3f".__mod__, zip(sx.tolist(), sy.tolist())))
+    points = _format_rows("%.3f,%.3f ", [sx, sy])[:-1]
 
     frame = (
         f'<rect x="{_SVG_M}" y="{_SVG_M}" width="{_SVG_W - 2 * _SVG_M}" '

@@ -339,6 +339,22 @@ class TestContractionMap:
         stacked = np.stack([map_.apply_batch(e[None, :])[0] for e in batch])
         np.testing.assert_allclose(map_.apply_batch(batch), stacked, rtol=1e-14)
 
+    @pytest.mark.parametrize(
+        "metric, c_fn",
+        [
+            (LyapunovMetric.identity(2), None),
+            (LyapunovMetric.identity(2), lambda metric, e: 0.5),
+            (LyapunovMetric.identity(2), RegulatorFn("example-sqrt")),
+            (np.eye(2), ContractionFn()),
+            (None, ContractionFn()),
+        ],
+        ids=["no-c-fn", "callable-c-fn", "regulator-as-c-fn", "matrix-as-metric", "no-metric"],
+    )
+    def test_a_map_is_built_only_from_a_metric_and_a_contraction_fn(self, metric, c_fn):
+        with pytest.raises(InputValidationError) as info:
+            ContractionMap(metric, c_fn)
+        assert str(info.value) == "a ContractionMap needs a LyapunovMetric and a ContractionFn"
+
 
 class TestRecurrenceSimulate:
     def test_geometric_decay_exact(self):

@@ -633,19 +633,21 @@ class TestRunWorkflowFiltered:
         np.testing.assert_array_equal(stats.mse, plain.mse)
 
     @pytest.mark.parametrize(
-        "handle, message, cause",
+        "handle, error, message, cause",
         [
-            (lambda: _OneSetAtATime(), "generation 1: filter raised on a (rows, n, d) chunk but "
-             "on none of its rows alone; weights must take the whole chunk (one (n, d) "
-             "candidate set at a time)", ValueError),
-            (lambda: _OneWeightPerRow(), "generation 1: filter returned weights of shape (20,), "
-             "expected (20, 30)", type(None)),
+            (lambda: _OneSetAtATime(), ValueError, "one (n, d) candidate set at a time",
+             type(None)),
+            (lambda: _OneWeightPerRow(), InputValidationError, "generation 1: filter returned "
+             "weights of shape (20,), expected (20, 30)", type(None)),
+            (lambda: _OneRowAtATime(), InputValidationError, "generation 1: filter raised on a "
+             "(rows, n, d) chunk but on none of its rows alone; weights must take the whole "
+             "chunk (one row at a time)", ValueError),
         ],
-        ids=["raises-on-a-chunk", "wrong-shape-for-a-chunk"],
+        ids=["raises-on-a-chunk", "wrong-shape-for-a-chunk", "raises-on-several-rows"],
     )
-    def test_a_handle_of_one_candidate_set_is_refused(self, handle, message, cause):
+    def test_a_handle_of_one_candidate_set_is_refused(self, handle, error, message, cause):
         model, theta_star = _gaussian(2)
-        with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$") as info:
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
             run_workflow_trials(
                 model, theta_star, SampleSchedule(base=30), horizon=4, trials=20,
                 rng=RngState(seed=6), filter_handle=handle(), candidates_per_round=30,
@@ -657,7 +659,17 @@ class TestRunWorkflowFiltered:
         with pytest.raises(ValueError, match=r"^row 3 fails$"):
             run_workflow_trials(
                 model, theta_star, SampleSchedule(base=10), horizon=2, trials=10,
-                rng=RngState(seed=1), filter_handle=_FailsOnRows3And7(),
+                rng=RngState(seed=1), filter_handle=_FailsOnRows(3, 7),
+            )
+
+    def test_a_chunk_only_handle_is_charged_to_its_failing_row(self):
+        """The rows are called alone as one-row chunks, never as (n, d) sets, which
+        ``_FailsOnRows`` refuses with ``chunks only``."""
+        model, theta_star = _gaussian(1)
+        with pytest.raises(ValueError, match=r"^row 5 fails$"):
+            run_workflow_trials(
+                model, theta_star, SampleSchedule(base=10), horizon=2, trials=10,
+                rng=RngState(seed=1), filter_handle=_FailsOnRows(5),
             )
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -710,13 +722,23 @@ class _CountingFilter:
 
 
 class _OneSetAtATime:
-    """All-ones weights for one (n, d) candidate set; a (rows, n, d) chunk raises, which
-    breaks the chunk contract."""
+    """All-ones weights for one (n, d) candidate set; every chunk raises, a one-row chunk
+    too, so the chunk's first row fails with this error."""
 
     def weights(self, points):
         if np.ndim(points) != 2:
             raise ValueError("one (n, d) candidate set at a time")
         return np.ones(len(points))
+
+
+class _OneRowAtATime:
+    """All-ones weights for a one-row chunk; a chunk of several rows raises, which breaks
+    the chunk contract."""
+
+    def weights(self, points):
+        if len(points) != 1:
+            raise ValueError("one row at a time")
+        return np.ones(np.shape(points)[:2])
 
 
 class _OneWeightPerRow:
@@ -742,26 +764,29 @@ class _FailsPastAMean:
         return np.ones(stack.shape[:-1])
 
 
-class _FailsOnRows3And7:
-    """Fails on rows 3 and 7 of a chunk, counted over the one-set calls after a chunk call.
+class _FailsOnRows:
+    """Fails on the given rows of a chunk, counted over the one-row chunks called after a
+    chunk of several rows. An (n, d) set raises ``chunks only``.
 
     A chunk call raises only if it holds one of these rows, naming the last it holds.
     """
 
-    def __init__(self):
-        self.row = 0
+    def __init__(self, *failing):
+        self.failing, self.row = failing, 0
 
     def weights(self, points):
-        if np.ndim(points) == 3:
+        if np.ndim(points) != 3:
+            raise ValueError("chunks only")
+        if len(points) > 1:
             self.row = 0
-            failing = [r for r in (3, 7) if r < len(points)]
-            if failing:
-                raise ValueError(f"row {failing[-1]} fails")
+            held = [r for r in self.failing if r < len(points)]
+            if held:
+                raise ValueError(f"row {held[-1]} fails")
             return np.ones(np.shape(points)[:2])
         row, self.row = self.row, self.row + 1
-        if row in (3, 7):
+        if row in self.failing:
             raise ValueError(f"row {row} fails")
-        return np.ones(len(points))
+        return np.ones(np.shape(points)[:2])
 
 
 def _run_local_map():

@@ -21,6 +21,7 @@ from collapseguard.experiments import (
     CSV_HEADER,
     TRAINING_LOG_HEADER,
     CheckResult,
+    CompareTable,
     ExperimentConfig,
     FilterSpec,
     RatesSpec,
@@ -40,7 +41,7 @@ from collapseguard.experiments import (
     write_results_csv,
     write_summary,
 )
-from collapseguard.experiments import _scan_body
+from collapseguard.experiments import _format_rows, _scan_body
 from collapseguard.filtering import load_filter_checkpoint
 
 
@@ -406,6 +407,69 @@ class TestResultsCsv:
     def test_missing_file_is_reported(self, tmp_path):
         with pytest.raises(InputValidationError, match="cannot read"):
             read_results_csv(tmp_path / "absent.csv")
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-5, 1e16,
+                123456789012.5, -123456789012.5, 0.1, 1.0 / 3.0, 2.0**63, 1.7976931348623157e308]
+_INT64_EDGES = [-(2**63), 2**63 - 1, -1, 0, 1]
+
+
+def _edge_floats(rng, count) -> np.ndarray:
+    """The edge floats, then random float64 bit patterns, ``count`` values in all."""
+    size = count - len(_EDGE_FLOATS)
+    bits = rng.integers(0, 2**64 - 1, size=size, dtype=np.uint64, endpoint=True)
+    return np.concatenate([_EDGE_FLOATS, bits.view(np.float64)])
+
+
+class TestOnePassWriterAgainstPerCellFormulas:
+    """Each writer's text equals the one its cells give formatted one at a time."""
+
+    def test_results_csv(self, tmp_path):
+        rng = np.random.default_rng(23)
+        rows = 2000
+        ints = rng.integers(-(2**63), 2**63 - 1, size=(2, rows), dtype=np.int64, endpoint=True)
+        ints[:, : len(_INT64_EDGES)] = _INT64_EDGES
+        floats = np.stack([_edge_floats(rng, rows) for _ in range(5)])
+        table = ResultTable("rates", ints[0], ints[1], floats[0], floats[1], floats[2:].T, 20,
+                            "abc123def456")
+        path = tmp_path / "results.csv"
+        write_results_csv(table, path)
+        lines = [
+            ",".join(["rates", str(t), str(n), *(format(x, ".12g") for x in xs), "20",
+                      "abc123def456"])
+            for t, n, *xs in zip(*ints.tolist(), *floats.tolist())
+        ]
+        assert path.read_text() == "\n".join([CSV_HEADER, *lines]) + "\n"
+
+    def test_compare_csv(self, tmp_path):
+        rng = np.random.default_rng(24)
+        rows = 2000
+        t = rng.integers(-(2**63), 2**63 - 1, size=rows, dtype=np.int64, endpoint=True)
+        t[: len(_INT64_EDGES)] = _INT64_EDGES
+        columns = [_edge_floats(rng, rows) for _ in range(3)]
+        path = tmp_path / "compare.csv"
+        write_compare_csv(CompareTable(t, *columns), path)
+        lines = [
+            ",".join([str(step), *(format(x, ".12g") for x in xs)])
+            for step, *xs in zip(t.tolist(), *(c.tolist() for c in columns))
+        ]
+        assert path.read_text() == "\n".join([COMPARE_HEADER, *lines]) + "\n"
+
+    def test_polyline_points(self):
+        xs = np.array([-0.0004, -0.0, 0.0, 0.0004, 0.0005, 0.0015, 56.0, 583.9995, 1e-300])
+        ys = xs[::-1].copy()
+        expected = " ".join("%.3f,%.3f" % pair for pair in zip(xs.tolist(), ys.tolist()))
+        assert _format_rows("%.3f,%.3f ", [xs, ys])[:-1] == expected
+        assert expected.startswith("-0.000,0.000 -0.000,")
+
+    def test_a_percent_sign_in_the_shared_cells_round_trips(self, tmp_path):
+        table = _table("dyn%amics%%", range(3), 100, [0.5, 1.0, 1.5], 1.25, (1.0, 0.5, 0.0),
+                       20, "%d%s%.12g%")
+        path = tmp_path / "results.csv"
+        write_results_csv(table, path)
+        first = path.read_text().splitlines()[1]
+        assert first == "dyn%amics%%,0,100,0.5,1.25,1,0.5,0,20,%d%s%.12g%"
+        assert _same_table(read_results_csv(path), table)
 
 
 # The reader as it was before it parsed the body with np.loadtxt, kept as the
