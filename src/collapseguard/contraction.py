@@ -122,9 +122,9 @@ class ContractionFn:
         """Vectorized coefficient per row of a (n, dim) batch."""
         if self.kind == EXAMPLE_SQRT:
             v = metric.values(errors)
-            return np.clip(1.0 - 1.0 / np.sqrt(v + 1.0), 0.0, 1.0 - 1e-12)
+            return (1.0 - 1.0 / np.sqrt(v + 1.0)).clip(0.0, 1.0 - 1e-12)
         if self.kind == QUADRATIC:
-            return np.clip(self.alpha * np.einsum("ij,ij->i", errors, errors), 0.0, self.c_max)
+            return (self.alpha * np.einsum("ij,ij->i", errors, errors)).clip(0.0, self.c_max)
         return np.full(errors.shape[0], self.level)
 
 

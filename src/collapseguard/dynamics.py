@@ -3,7 +3,9 @@
 Two batched entry points return the same per-step statistics.
 ``run_dynamics_trials`` iterates e_{t+1} = A(e_t) e_t + xi_t, with
 martingale-difference noise whose P-energy follows a schedule, for a whole
-group of trial blocks per step.
+group of trial blocks per step. A step costs the map, the noise add and one
+check of the new state; the per-step statistics are folded from a short
+history of ||e||^2 and V once per ``_WINDOW`` steps.
 ``run_workflow_trials`` re-fits an exponential family on its own samples
 each generation, with or without a reweighting filter in the loop, which
 is where estimation error actually comes from. Its kernel is
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ WORKERS_ENV_VAR = "COLLAPSEGUARD_WORKERS"
 _BLOCK = 256
 _CHUNK = 2048
 _LOCKSTEP = 8  # most blocks one dynamics job advances together; keeps a chunk >= 256 steps
+_WINDOW = 64  # dynamics steps whose statistics are folded in one pass
 
 
 def worker_count() -> int:
@@ -272,16 +274,20 @@ def _run_blocks(block_fn, args: tuple, trials: int, max_group: int = 1):
             f"trial arguments cannot be sent to worker processes ({exc}); use a "
             f"module-level function or class, or set {WORKERS_ENV_VAR}=1"
         ) from exc
+    from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(block_fn, jobs)
 
 
-def _check_run(rng, trials: int, horizon, deltas) -> tuple[int, tuple[float, ...]]:
+def _check_run(rng, trials: int, horizon, deltas, cap) -> tuple[int, tuple[float, ...]]:
     """Both runners' shared checks; returns the horizon as an int and the deltas.
 
     A horizon whose per-step statistics (``horizon + 1`` entries for each of
     ts, mse, mean_v, ns and each delta's exceedance) would not fit in memory
-    or an array index is refused here, before any allocation or draw.
+    or an array index is refused here, before any allocation or draw. The
+    divergence cap must be nonnegative: inf freezes no trial, and a NaN cap,
+    which no V exceeds, is refused rather than freezing none in silence.
     """
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
@@ -289,6 +295,8 @@ def _check_run(rng, trials: int, horizon, deltas) -> tuple[int, tuple[float, ...
         raise InputValidationError("trials must be positive")
     if not isinstance(horizon, (int, np.integer)) or horizon < 0:
         raise InputValidationError("horizon must be a nonnegative integer")
+    if not cap >= 0.0:
+        raise InputValidationError("divergence_cap must be nonnegative (inf freezes no trial)")
     ds = _validate_deltas(deltas)
     check_fits("per-step statistics", (4 + len(ds), int(horizon) + 1), "use a shorter horizon")
     return int(horizon), ds
@@ -300,15 +308,17 @@ def _check_run(rng, trials: int, horizon, deltas) -> tuple[int, tuple[float, ...
 
 
 def _block_sums(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the sum of each 256-entry slice of ``x`` (the last may be short) to ``out``.
+    """Write each step's sums of the 256-trial slices of ``x`` to ``out``.
 
-    Each sum is the pairwise sum ``x[lo:hi].sum()`` gives, so grouping blocks
-    does not move a bit.
+    ``x`` is (steps, rows) and ``out`` (blocks, steps); the last slice may be
+    short. Each sum is the pairwise sum ``x[k, lo:hi].sum()`` gives, so
+    neither grouping blocks nor summing a window of steps at once moves a bit.
     """
-    cut = x.shape[0] - x.shape[0] % _BLOCK
-    out[: cut // _BLOCK] = x[:cut].reshape(-1, _BLOCK).sum(axis=1)
-    if cut < x.shape[0]:
-        out[-1] = x[cut:].sum()
+    steps, rows = x.shape
+    cut = rows - rows % _BLOCK
+    out[: cut // _BLOCK] = x[:, :cut].reshape(steps, -1, _BLOCK).sum(axis=2).T
+    if cut < rows:
+        out[-1] = x[:, cut:].sum(axis=1)
 
 
 def _dynamics_block(job):
@@ -319,14 +329,19 @@ def _dynamics_block(job):
     map's metric P; every trial draws from its own stream, in chunks of at
     most ``_BLOCK * _CHUNK`` (trial, step) pairs. The noise shaping, V and
     the map give each row the bits it gets alone, so neither the group size
-    nor the chunk length moves a result. A trial freezes once V
-    exceeds the cap; until the first one does, the whole state is updated
-    without a gather. A state that becomes non-finite raises
-    SimulationOverflowError with the step at which its lowest block lost
-    it, the error running the blocks one after another meets first.
-    Returns the ``_TrialFold`` job: per-block, per-step sums of ||e||^2 and
-    V, each (blocks, horizon+1), and an n_t of 0 (the dynamics draw no
-    samples).
+    nor the chunk length moves a result.
+
+    A step writes each row's ||e||^2 (and V, under a general P) into a
+    ``_WINDOW``-step history and makes one check: the largest V of the rows
+    it moved is finite and at most the cap. Only a step that fails the check
+    looks further. A state that became non-finite raises
+    SimulationOverflowError with the step at which its lowest block lost it,
+    the error running the blocks one after another meets first; a trial whose
+    V exceeds the cap freezes, and from then on only the live rows are
+    gathered and moved. The block sums and exceedance counts are folded from
+    the history once per window. Returns the ``_TrialFold`` job: per-block,
+    per-step sums of ||e||^2 and V, each (blocks, horizon+1), and an n_t of 0
+    (the dynamics draw no samples).
     """
     (map_, noise, e0, horizon, rng, ds, cap), trial_lo, trial_hi = job
     metric = map_.metric
@@ -341,70 +356,78 @@ def _dynamics_block(job):
     identity = metric.is_identity
     sum_v = sum_sq if identity else np.zeros((blocks, n))
     exceed = np.zeros((len(ds), n))
+    hist_sq = np.empty((_WINDOW, rows))
+    hist_v = hist_sq if identity else np.empty((_WINDOW, rows))
     frozen = False  # whether any trial has frozen, and so whether to gather the live ones
     failure = None
 
     zero_noise = noise.kind == ZERO
     c_transform = None if identity else metric.inverse_factor
+    per_chunk = _CHUNK * _BLOCK // rows
+    limit = min(cap, np.finfo(float).max)  # so that the one check also finds a non-finite V
 
-    def fold(step):
-        # one statistics pass per step; the V that is summed is the V that freezes
-        nonlocal frozen
-        sq = np.einsum("ij,ij->i", e_state, e_state)
-        _block_sums(sq, sum_sq[:, step])
-        v = sq
+    def record(step):
+        # the state's ||e||^2 and V into the history; the V that is summed is the V that freezes
+        k = step % _WINDOW
+        np.einsum("ij,ij->i", e_state, e_state, out=hist_sq[k])
         if not identity:
-            v = metric.values(e_state)
-            _block_sums(v, sum_v[:, step])
-        over = v > cap
-        if over.any():
-            diverged[over & np.isinf(diverged)] = step
-            frozen = True
-        norms = np.sqrt(sq)
-        div_now = diverged <= step if frozen else None
-        for j, d in enumerate(ds):
-            past = norms > d
-            if frozen:
-                past |= div_now
-            exceed[j, step] = np.count_nonzero(past)
+            hist_v[k] = metric.values(e_state)
+        return hist_v[k]
 
-    fold(0)
-    t = 0
-    while t < horizon:
-        span = min(_CHUNK * _BLOCK // rows, horizon - t)
-        if not zero_noise:
-            bufs = None  # release the last chunk before drawing the next
-            bufs = np.empty((rows, span, dim))
-            for i, g in enumerate(gens):
-                g.standard_normal(out=bufs[i])
-            if c_transform is not None:
-                bufs = np.einsum("rsk,jk->rsj", bufs, c_transform)
-            scales = np.sqrt(noise.sigma_sq_array(t, t + span) / dim)
-            bufs *= scales[:, None]
-        for k in range(span):
-            step = t + k
-            act = np.flatnonzero(np.isinf(diverged)) if frozen else slice(None)
-            if not frozen or act.size:
-                updated = map_.apply_batch(e_state[act])
-                if not zero_noise and scales[k] > 0.0:
-                    updated += bufs[act, k]
-                if not np.isfinite(updated).all():
-                    # freeze this block and every later one for good (a step of -1);
-                    # a lower block may still fail first
-                    bad = ~np.isfinite(updated).all(axis=1)
-                    first = np.arange(rows)[act][bad][0]
-                    failure = SimulationOverflowError(step + 1)
-                    if first < _BLOCK:
-                        raise failure
-                    updated[bad] = 0.0
-                    diverged[first - first % _BLOCK :] = -1.0
-                    frozen = True
-                if isinstance(act, slice):
-                    e_state = updated
-                else:
-                    e_state[act] = updated
-            fold(step + 1)
-        t += span
+    def flush(last):
+        # one statistics pass over the window that ends at step ``last``
+        lo = last - last % _WINDOW
+        sq = hist_sq[: last + 1 - lo]
+        _block_sums(sq, sum_sq[:, lo : last + 1])
+        if not identity:
+            _block_sums(hist_v[: last + 1 - lo], sum_v[:, lo : last + 1])
+        norms = np.sqrt(sq)
+        div = diverged <= np.arange(lo, last + 1)[:, None]
+        for j, d in enumerate(ds):
+            exceed[j, lo : last + 1] = np.count_nonzero((norms > d) | div, axis=1)
+
+    for step in range(n):
+        act = np.flatnonzero(np.isinf(diverged)) if frozen else slice(None)
+        moved = not frozen or act.size > 0
+        if step and moved:
+            k = (step - 1) % per_chunk
+            if k == 0 and not zero_noise:
+                span = min(per_chunk, horizon - step + 1)
+                bufs = None  # release the last chunk before drawing the next
+                bufs = np.empty((rows, span, dim))
+                for i, g in enumerate(gens):
+                    g.standard_normal(out=bufs[i])
+                if c_transform is not None:
+                    bufs = np.einsum("rsk,jk->rsj", bufs, c_transform)
+                scales = np.sqrt(noise.sigma_sq_array(step - 1, step - 1 + span) / dim)
+                bufs *= scales[:, None]
+            updated = map_.apply_batch(e_state[act])
+            if not zero_noise and scales[k] > 0.0:
+                updated += bufs[act, k]
+            if frozen:
+                e_state[act] = updated
+            else:
+                e_state = updated
+        v = record(step)
+        if moved and not v[act].max() <= limit:
+            bad = ~np.isfinite(e_state).all(axis=1)
+            if bad.any():
+                # freeze this block and every later one for good (a step of -1);
+                # a lower block may still fail first
+                first = np.flatnonzero(bad)[0]
+                failure = SimulationOverflowError(step)
+                if first < _BLOCK:
+                    raise failure
+                e_state[bad] = 0.0
+                diverged[first - first % _BLOCK :] = -1.0
+                frozen = True
+                v = record(step)
+            over = v > cap
+            if over.any():
+                diverged[over & np.isinf(diverged)] = step
+                frozen = True
+        if step % _WINDOW == _WINDOW - 1 or step == horizon:
+            flush(step)
     if failure is not None:
         raise failure
     return sum_sq, sum_v, exceed, 0, diverged
@@ -427,10 +450,10 @@ def run_dynamics_trials(
     reproduces the serial result bit for bit: a job advances up to
     ``_LOCKSTEP`` 256-trial blocks in lockstep, and ``_TrialFold`` adds the
     per-block sums in block order. A trial freezes, and is marked diverged,
-    once V exceeds ``divergence_cap``. A horizon whose per-step statistics
+    once V exceeds ``divergence_cap`` (nonnegative, inf included). A horizon whose per-step statistics
     would not fit in this machine's memory is refused before any draw.
     """
-    horizon, ds = _check_run(rng, trials, horizon, deltas)
+    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
 
     args = (map_, noise, e0, horizon, rng, ds, divergence_cap)
@@ -586,7 +609,7 @@ def run_workflow_trials(
     None follows the sample schedule. A filter emitting all-ones weights
     reproduces the unfiltered workflow exactly on the same streams and counts.
     """
-    horizon, ds = _check_run(rng, trials, horizon, deltas)
+    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap)
     if filter_handle is not None and not hasattr(filter_handle, "weights"):
         raise InputValidationError("filter_handle must expose a weights(points) method")
     if candidates_per_round is not None and candidates_per_round < 1:

@@ -767,17 +767,30 @@ class TestCompareAndPlot:
 
 class TestModuleExecution:
     @staticmethod
-    def _run_module(*args):
+    def _run_python(*args):
         # the child finds the package where this process found it, installed or not
         package_root = os.path.dirname(os.path.dirname(collapseguard.__file__))
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "collapseguard.cli", *args],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             timeout=60,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def _run_module(self, *args):
+        return self._run_python("-m", "collapseguard.cli", *args)
+
+    def test_importing_the_cli_leaves_the_process_pool_out(self):
+        """A serial run does not pay for importing multiprocessing; only a pool imports it."""
+        proc = self._run_python(
+            "-c",
+            "import sys, collapseguard.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_help_lists_the_subcommands(self):
         proc = self._run_module("--help")

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from collapseguard import expfam
+from collapseguard import dynamics, expfam
 from collapseguard.contraction import (
     ContractionFn,
     ContractionMap,
@@ -482,8 +482,8 @@ class TestRunDynamicsTrials:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"horizon": -1}, {"horizon": 2.5}],
-        ids=["negative-horizon", "fractional-horizon"],
+        [{"horizon": -1}, {"horizon": 2.5}, {"divergence_cap": math.nan}],
+        ids=["negative-horizon", "fractional-horizon", "nan-cap"],
     )
     def test_invalid_run_is_rejected(self, kwargs):
         args = {
@@ -497,6 +497,115 @@ class TestRunDynamicsTrials:
         }
         with pytest.raises(InputValidationError):
             run_dynamics_trials(**args)
+
+
+_GENERAL_P3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+_WINDOW = dynamics._WINDOW
+
+
+class TestStatisticsWindows:
+    """A dynamics run folds its statistics once per ``_WINDOW`` steps; no window edge moves a
+    bit, at any worker count."""
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW - 1, 2 * _WINDOW, 2 * _WINDOW + 1],
+    )
+    @pytest.mark.parametrize(
+        "p_matrix, noise",
+        [
+            (np.eye(2), NoiseSchedule("constant", scale=1.0)),
+            (_GENERAL_P3, NoiseSchedule("constant", scale=1.0)),
+            (_GENERAL_P3, ZERO_NOISE),
+        ],
+        ids=["identity", "general-dim3", "general-dim3-zero-noise"],
+    )
+    def test_a_horizon_at_a_window_edge_folds_as_the_reference(
+        self, horizon, p_matrix, noise, monkeypatch
+    ):
+        """Under noise the cap freezes the half of the trials whose V peaks highest, at steps
+        spread over the run."""
+        metric = LyapunovMetric(p_matrix)
+        map_ = ContractionMap(metric, ContractionFn("constant", level=0.1))
+        e0, trials, deltas = np.linspace(1.0, 2.0, metric.dim), 300, (0.5, 2.0, 4.0)
+
+        def reference(cap):
+            return _reference_dynamics(
+                map_, noise, e0, horizon, trials, RngState(seed=9), cap, group=trials
+            )
+
+        cap = np.median(reference(math.inf)[2].max(axis=1))
+        _, sq, vs, diverged_at = reference(cap)
+        expected = _dynamics_stats(sq, vs, diverged_at, deltas)
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+            stats = run_dynamics_trials(
+                map_, noise, e0, horizon, trials, RngState(seed=9), deltas=deltas,
+                divergence_cap=cap,
+            )
+            _assert_stats_equal(stats, expected)
+
+    @pytest.mark.parametrize(
+        "step", [_WINDOW - 1, _WINDOW], ids=["last-of-a-window", "first-of-the-next"]
+    )
+    def test_a_trial_freezing_at_a_window_edge_folds_as_the_reference(self, step, monkeypatch):
+        """A random walk under a general P at dim 3, with the cap set so that a trial whose V
+        sets a new high at ``step`` freezes there: the highest such trial's earlier peak."""
+        metric = LyapunovMetric(_GENERAL_P3)
+        map_ = ContractionMap(metric, ContractionFn("constant", level=0.0))
+        noise, horizon, trials = NoiseSchedule("constant", scale=1.0), 2 * _WINDOW, 300
+
+        def reference(cap):
+            return _reference_dynamics(
+                map_, noise, np.zeros(3), horizon, trials, RngState(seed=6), cap, group=trials
+            )
+
+        vs = reference(math.inf)[2]
+        before = vs[:, :step].max(axis=1)
+        cap = before[vs[:, step] > before].max()
+        _, sq, vs, diverged_at = reference(cap)
+        # precondition: a trial freezes at ``step``, some before it and some never
+        assert step in diverged_at and (diverged_at < step).any() and np.isinf(diverged_at).any()
+        expected = _dynamics_stats(sq, vs, diverged_at, (1.0, 3.0))
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+            stats = run_dynamics_trials(
+                map_, noise, np.zeros(3), horizon, trials, RngState(seed=6), deltas=(1.0, 3.0),
+                divergence_cap=cap,
+            )
+            _assert_stats_equal(stats, expected)
+
+    @pytest.mark.parametrize("seed, scale, step", [(196, 0.76, 63), (180, 0.96, 64)])
+    def test_a_state_lost_at_a_window_edge_in_a_later_block_raises_in_block_order(
+        self, seed, scale, step, monkeypatch
+    ):
+        """Under an infinite cap only the finiteness of the state stops a run.
+
+        At seed 196 the second block loses its state at step 63, the last
+        step of the first window, and the first block never does: the run
+        raises at step 63. At seed 180 the second block loses it at step 64,
+        the first step of the second window, and the first block at step 69:
+        the run raises at step 69, the error running the blocks one after
+        another meets first.
+        """
+        map_ = _BlowUpPast2_5(LyapunovMetric.identity(2), ContractionFn())
+        noise, horizon, trials = NoiseSchedule("constant", scale=scale), 2 * _WINDOW, 512
+        errors = _reference_dynamics(
+            map_, noise, np.zeros(2), horizon, trials, RngState(seed=seed), group=trials
+        )[0]
+        lost = ~np.isfinite(errors).all(axis=2)
+        first = [np.flatnonzero(lost[lo : lo + 256].any(axis=0)) for lo in (0, 256)]
+        # precondition: the second block first loses its state at a window edge
+        assert step in (_WINDOW - 1, _WINDOW) and first[1][0] == step
+        expected = first[0][0] if first[0].size else step
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+            with pytest.raises(SimulationOverflowError) as info:
+                run_dynamics_trials(
+                    map_, noise, np.zeros(2), horizon, trials, RngState(seed=seed),
+                    divergence_cap=math.inf,
+                )
+            assert info.value.step == expected
 
 
 class TestRunWorkflow:
@@ -575,6 +684,15 @@ class TestRunWorkflow:
         assert one.exceedance.keys() == two.exceedance.keys()
         for delta in one.exceedance:
             np.testing.assert_array_equal(one.exceedance[delta], two.exceedance[delta])
+
+    def test_a_nan_divergence_cap_is_refused(self):
+        """No V exceeds a NaN cap, so it would freeze no trial and say nothing."""
+        model, theta_star = _gaussian(1)
+        with pytest.raises(InputValidationError, match="divergence_cap"):
+            _one_workflow(
+                model, theta_star, SampleSchedule(base=10), horizon=2, seed=1,
+                divergence_cap=math.nan,
+            )
 
 
 class TestRunWorkflowFiltered:
