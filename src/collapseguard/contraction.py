@@ -272,6 +272,7 @@ def recurrence_simulate(f: RegulatorFn, x0: float, noise, steps: int) -> np.ndar
     if not np.isfinite(x0) or x0 < 0.0:
         raise InputValidationError("x0 must be finite and nonnegative")
 
+    check_fits("trajectory values", (int(steps) + 1,), "use fewer steps")
     fv = f.scalar_fn()
     out = np.empty(steps + 1)
     out[0] = x = float(x0)

@@ -676,7 +676,7 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
     weights = forward_batch(params, train_ds.features)
     theta_new = expfam.weighted_estimate(model, train_points, weights)
     v_new = train_config.metric.value(theta_new.theta - theta_good.theta)
-    threshold = train_config.contraction_threshold()
+    threshold = train_config.threshold
     certificate = bool(v_new <= threshold)
 
     if n_hold > 0:

@@ -220,28 +220,17 @@ def init_filter_params(feature_dim: int, hidden_dim: int, rng) -> FilterParams:
 
 @dataclass(frozen=True, eq=False)
 class _Workspace:
-    """The buffers and the contraction threshold of loss-and-gradient passes over one dataset.
-
-    ``hidden``, ``active`` and ``dpre`` are the (n, hidden) buffers that
-    every pass overwrites. ``threshold`` is ``config.contraction_threshold()``,
-    computed once here rather than once per pass. ``train_filter`` owns one
-    for its fixed dataset and config and hands it to every pass. A workspace
-    is valid only for the dataset and config it was built from: a pass with
-    another config would apply the stale threshold without an error.
-    """
+    """The (n, hidden) buffers that every loss-and-gradient pass over one dataset
+    overwrites; ``train_filter`` owns one for its run and hands it to every pass."""
 
     hidden: np.ndarray
     active: np.ndarray
     dpre: np.ndarray
-    threshold: float
 
     @classmethod
-    def for_run(cls, dataset: LabeledDataset, config: TrainConfig, hidden_dim: int) -> "_Workspace":
+    def for_run(cls, dataset: LabeledDataset, hidden_dim: int) -> "_Workspace":
         shape = (len(dataset), hidden_dim)
-        return cls(
-            np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape),
-            config.contraction_threshold(),
-        )
+        return cls(np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape))
 
 
 def _forward_cache(
@@ -358,13 +347,14 @@ class TrainingSpec:
             raise InputValidationError("training.holdout_fraction must lie in [0, 0.5]")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TrainConfig:
     """Everything train_filter needs besides the data.
 
     ``e_est`` is the frozen training anchor: the plain estimate over all
     candidates minus ``theta_good``. ``training`` gives the loss weights,
-    the learning rate, the epoch count and the hidden width.
+    the learning rate, the epoch count and the hidden width. ``threshold``,
+    the hinge level (1 - c(e_est)) V(e_est), is computed once on construction.
     """
 
     theta_good: expfam.Parameter
@@ -372,21 +362,19 @@ class TrainConfig:
     e_est: np.ndarray
     c_fn: ContractionFn = field(default_factory=ContractionFn)
     training: TrainingSpec = field(default_factory=TrainingSpec)
+    threshold: float = field(init=False)
 
     def __post_init__(self):
         if self.metric.dim != self.theta_good.model.dim:
             raise InputValidationError("metric dimension must match the model dimension")
-        self.e_est = as_vector(self.e_est, dim=self.metric.dim, name="e_est")
+        e_est = as_vector(self.e_est, dim=self.metric.dim, name="e_est")
+        c_est = self.c_fn.value(self.metric, e_est)
+        object.__setattr__(self, "e_est", e_est)
+        object.__setattr__(self, "threshold", (1.0 - c_est) * self.metric.value(e_est))
 
     @property
     def model(self) -> expfam.ExpFamilyModel:
         return self.theta_good.model
-
-    def contraction_threshold(self) -> float:
-        """The frozen hinge level (1 - c(e_est)) V(e_est)."""
-        v_est = self.metric.value(self.e_est)
-        c_est = self.c_fn.value(self.metric, self.e_est)
-        return (1.0 - c_est) * v_est
 
 
 def _require_features(dataset: LabeledDataset) -> np.ndarray:
@@ -417,24 +405,22 @@ def loss_gradient(
     cross-entropy is treated as inactive, which it is everywhere the
     sigmoid has representable slack.
 
-    ``workspace`` is the caller's ``_Workspace.for_run`` of this dataset,
-    config and hidden width; the pass overwrites its buffers, so their
-    contents are not part of the result, and reads its threshold. Without
-    one, the pass makes its own. Both give the same bits.
+    ``workspace`` is the caller's ``_Workspace.for_run`` of this dataset
+    and hidden width; the pass overwrites its buffers, so their contents
+    are not part of the result. Without one, the pass makes its own. Both
+    give the same bits.
     """
     feats = _require_features(dataset)
     lam, mu = config.training.lambda_contract, config.training.ess_weight
     n = feats.shape[0]
-    work = workspace
-    if work is None:
-        work = _Workspace.for_run(dataset, config, params.hidden_dim)
+    work = workspace or _Workspace.for_run(dataset, params.hidden_dim)
     hidden, weights = _forward_cache(params, feats, work.hidden)
     y = dataset.labels.astype(float)
     p = np.clip(weights, PROB_CLAMP, 1.0 - PROB_CLAMP)
     class_part = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
     theta_new = expfam.weighted_estimate(config.model, dataset.points, weights)
     e_new = theta_new.theta - config.theta_good.theta
-    contract_part = max(0.0, config.metric.value(e_new) - work.threshold)
+    contract_part = max(0.0, config.metric.value(e_new) - config.threshold)
     s1 = float(weights.sum())
     s2 = float((weights * weights).sum())
     ess_part = 1.0 - (s1 * s1 / s2) / n if s2 > 0.0 else 1.0
@@ -522,9 +508,9 @@ def train_filter(
     update make ``epochs + 1`` forward passes: the pass after an update
     gives both its log row and the next update's gradient. The passes
     share one ``_Workspace`` that this function owns for the whole run, so
-    the (n, hidden) buffers and the contraction threshold are made once,
-    not once per epoch. Datasets with a single class are rejected (the
-    classification target would be degenerate).
+    the (n, hidden) buffers are made once, not once per epoch. Datasets
+    with a single class are rejected (the classification target would be
+    degenerate).
     """
     feats = _require_features(dataset)
     labels = dataset.labels
@@ -534,7 +520,7 @@ def train_filter(
     params = init_filter_params(feats.shape[1], spec.hidden_dim, rng)
     x = _flatten(params)
     state = (np.zeros_like(x), np.zeros_like(x), 0)
-    work = _Workspace.for_run(dataset, config, spec.hidden_dim)
+    work = _Workspace.for_run(dataset, spec.hidden_dim)
     _, grad = loss_gradient(params, dataset, config, work)
     log: list[LossParts] = []
     for _ in range(spec.epochs):
@@ -574,6 +560,11 @@ def oracle_pullback_weights(
     pts = np.asarray(candidates, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InputValidationError("candidates must be an (n, d) array with n >= 2")
+    return _pullback_row(pts, theta_good, gamma)
+
+
+def _pullback_row(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float) -> PullbackResult:
+    """``oracle_pullback_weights`` of one (n, d) candidate set, n >= 2, after its shape check."""
     if not np.all(np.isfinite(pts)):
         raise InputValidationError("candidates must be finite")
     if not 0.0 <= gamma <= 1.0:
@@ -583,17 +574,20 @@ def oracle_pullback_weights(
     if pts.shape[1] != anchor.shape[0]:
         raise InputValidationError("candidates dimension does not match the anchor model")
 
-    mean, offset, centered, spread, tilt = _first_step(pts[None], anchor, gamma)
-    mean, offset, centered, spread = mean[0], offset[0], centered[0], spread[0]
+    # the first step of _pullback_rows on this row alone: the same BLAS and LAPACK calls
+    mean = point_sums(pts[None])[0] / n
+    offset = mean - anchor
+    centered = pts - mean
+    spread = centered.T @ centered / n
     offset_sq = float(offset @ offset)
     if gamma == 0.0 or offset_sq == 0.0:
         return PullbackResult(np.ones(n), gamma, True)
     if float(np.trace(spread)) <= 0.0:
         raise DegenerateSelectionError("candidate cloud has no spread; cannot tilt weights")
-    if tilt is None:  # a singular spread takes the least-squares tilt
+    try:
+        tilt = 0.5 * np.linalg.solve(spread, -gamma * offset)
+    except np.linalg.LinAlgError:  # a singular spread takes the least-squares tilt
         tilt = 0.5 * np.linalg.lstsq(spread, -gamma * offset, rcond=None)[0]
-    else:
-        tilt = tilt[0]
     target = mean - gamma * offset
 
     base = 0.5
@@ -652,58 +646,48 @@ def oracle_pullback_weights(
     return PullbackResult(weights, achieved, reached)
 
 
-def _first_step(pts: np.ndarray, anchor: np.ndarray, gamma: float):
-    """Means, offsets from the anchor, centered points, spreads and tilts of ``pts`` (rows, n, d).
+def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float) -> np.ndarray:
+    """The oracle's weights (rows, n) of the candidate sets ``pts`` (rows, n, d).
 
-    The tilts (rows, d) come from one stacked solve, None if any spread is
-    singular. Stacked ``np.matmul`` and ``np.linalg.solve`` run the BLAS and
-    LAPACK routine of a lone matrix on each, so every row keeps its bits."""
-    n = pts.shape[1]
-    mean = point_sums(pts) / n
-    offset = mean - anchor
-    centered = pts - mean[:, None, :]
-    spread = np.matmul(centered.transpose(0, 2, 1), centered) / n
-    try:
-        tilt = 0.5 * np.linalg.solve(spread, -gamma * offset[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        tilt = None
-    return mean, offset, centered, spread, tilt
-
-
-def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float):
-    """``oracle_pullback_weights`` of every candidate set in ``pts`` (rows, n, d) at once.
-
-    Takes the first step of all rows at once (``_first_step``, shared with
-    the per-row function), then the clipped weights and their residual.
-    Returns the weights (rows, n) and a mask of the rows whose first
-    residual meets the tolerance, ``PULLBACK_TOL``, with every check passed;
-    the per-row function returns these very bits for them. A row outside
-    the mask (a missed tolerance, a zero offset, no spread, non-finite data,
-    a weight sum at the floor, or any singular spread in the stack) holds
-    no weights. The residual is tested with a relative margin of 1e-9,
-    since its norm is not the per-row function's BLAS dot.
+    All rows take the first step at once; stacked ``np.matmul`` and
+    ``np.linalg.solve`` run a lone matrix's routine on each row, so a row
+    that meets ``PULLBACK_TOL`` there with every check passed (with a
+    relative margin of 1e-9, as its norm is not a BLAS dot) has the bits of
+    its own call. ``_pullback_row`` finishes the other rows in row order, so
+    the lowest failing row raises its own error.
     """
     rows, n, d = pts.shape
-    weights = np.empty((rows, n))
+    if n < 2:
+        raise InputValidationError("candidates must be an (n, d) array with n >= 2")
     anchor = expfam.mean_map(theta_good.model, theta_good)
-    if n < 2 or d != anchor.shape[0] or not 0.0 < gamma <= 1.0:
-        return weights, np.zeros(rows, dtype=bool)
+    weights = np.empty((rows, n))
+    ok = np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        mean, offset, centered, spread, tilt = _first_step(pts, anchor, gamma)
-        if tilt is None:
-            return weights, np.zeros(rows, dtype=bool)
-        np.clip(0.5 + np.matmul(centered, tilt[:, :, None])[:, :, 0], 0.0, 1.0, out=weights)
-        s = weights.sum(axis=1)
-        target = mean - gamma * offset
-        miss = target - point_sums(pts * weights[:, :, None]) / s[:, None]
-        rnorm = np.sqrt(np.einsum("ij,ij->i", miss, miss))
-        tol_abs = PULLBACK_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", target, target)))
-        ok = np.isfinite(pts).all(axis=(1, 2))
-        ok &= np.einsum("ij,ij->i", offset, offset) > 0.0
-        ok &= np.trace(spread, axis1=1, axis2=2) > 0.0
-        ok &= s > expfam.WEIGHT_FLOOR_PER_POINT * n
-        ok &= rnorm <= tol_abs * (1.0 - 1e-9)
-    return weights, ok
+        if d == anchor.shape[0] and 0.0 < gamma <= 1.0:  # else every row goes alone
+            mean = point_sums(pts) / n
+            offset = mean - anchor
+            centered = pts - mean[:, None, :]
+            spread = np.matmul(centered.transpose(0, 2, 1), centered) / n
+            try:
+                tilt = 0.5 * np.linalg.solve(spread, -gamma * offset[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # one singular spread fails the whole stack
+                pass
+            else:
+                np.add(0.5, np.matmul(centered, tilt[:, :, None])[:, :, 0], out=weights)
+                np.clip(weights, 0.0, 1.0, out=weights)
+                s = weights.sum(axis=1)
+                target = mean - gamma * offset
+                miss = target - point_sums(pts * weights[:, :, None]) / s[:, None]
+                rnorm = np.sqrt(np.einsum("ij,ij->i", miss, miss))
+                tol_abs = PULLBACK_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", target, target)))
+                ok = np.isfinite(pts).all(axis=(1, 2))
+                ok &= np.einsum("ij,ij->i", offset, offset) > 0.0
+                ok &= np.trace(spread, axis1=1, axis2=2) > 0.0
+                ok &= s > expfam.WEIGHT_FLOOR_PER_POINT * n
+                ok &= rnorm <= tol_abs * (1.0 - 1e-9)
+    for r in np.flatnonzero(~ok):
+        weights[r] = _pullback_row(pts[r], theta_good, gamma).weights
+    return weights
 
 
 def _nearest_prefix_weights(pts: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -758,29 +742,21 @@ class FilterHandle:
         return cls(kind="oracle-pullback", theta_good=theta_good, gamma=gamma)
 
     def weights(self, points) -> np.ndarray:
-        """Weights (n,) of one (n, d) candidate set, or (rows, n) of a (rows, n, d) stack.
+        """Weights (rows, n) of a (rows, n, d) stack of candidate sets.
 
-        Each row of a stack gets the bits of its own call. The oracle runs
-        the rows that meet the tolerance at the first residual in one pass
-        (``_pullback_rows``) and the rest one at a time through
-        ``oracle_pullback_weights``, in row order, so the lowest failing
-        row raises its own error.
+        Each row gets the bits of its own one-row call. The oracle is one
+        ``_pullback_rows`` call, which raises the lowest failing row's error.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim not in (2, 3):
-            raise InputValidationError("points must be an (n, d) array or a (rows, n, d) stack")
-        stack = pts if pts.ndim == 3 else pts[None]
+        if pts.ndim != 3:
+            raise InputValidationError("points must be a (rows, n, d) stack of candidate sets")
         if self.kind == "all-ones":
-            weights = np.ones(stack.shape[:2])
-        elif self.kind == "oracle-pullback":
-            weights, ok = _pullback_rows(stack, self.theta_good, self.gamma)
-            for r in np.flatnonzero(~ok):
-                weights[r] = oracle_pullback_weights(stack[r], self.theta_good, self.gamma).weights
-        elif self.kind == "mlp":
-            weights = forward_batch(self.params, self.pca.transform(stack))
-        else:
-            raise InputValidationError(f"unknown filter kind {self.kind!r}")
-        return weights if pts.ndim == 3 else weights[0]
+            return np.ones(pts.shape[:2])
+        if self.kind == "oracle-pullback":
+            return _pullback_rows(pts, self.theta_good, self.gamma)
+        if self.kind == "mlp":
+            return forward_batch(self.params, self.pca.transform(pts))
+        raise InputValidationError(f"unknown filter kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +927,10 @@ def load_filter_checkpoint(path) -> tuple[FilterParams, PCATransform, dict]:
         raise InputValidationError(
             f"scorer expects {feat} features but the stored PCA yields {pca.k}"
         )
+    for section, fields in zip(_CHECKPOINT_FIELDS, (pca_fields, scorer)):
+        for key, value in fields.items():
+            if not np.isfinite(value).all():
+                raise InputValidationError(f"checkpoint {path}: {section}.{key} is not finite")
     if payload.pop("content_hash", None) != content_hash(payload):
         raise InputValidationError("checkpoint content hash does not match its contents")
     meta = payload.get("train_config", {})

@@ -10,9 +10,11 @@ import pytest
 
 import collapseguard
 from collapseguard.cli import main
+from collapseguard.contraction import RegulatorFn, limsup_bound
 from collapseguard.experiments import ResultTable, write_results_csv
 from collapseguard.filtering import (
     FilterParams,
+    content_hash,
     fit_pca,
     save_filter_checkpoint,
 )
@@ -226,6 +228,35 @@ class TestScenarioCommands:
         rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value", [("params", "w2", float("nan")), ("pca", "scale", float("inf"))],
+        ids=["nan-in-params", "infinity-in-pca"],
+    )
+    def test_a_non_finite_stored_value_is_refused_naming_the_file_and_field(
+        self, tmp_path, capsys, section, key, value
+    ):
+        """The value is re-hashed, so only the finiteness check can refuse it."""
+        pca = fit_pca(np.random.default_rng(0).normal(size=(20, 1)), k=1)
+        params = FilterParams(np.ones((2, 1)), np.zeros(2), np.ones(2), 0.0)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_filter_checkpoint(checkpoint, params, pca, {"note": "small"})
+        payload = json.loads(checkpoint.read_text())
+        payload[section][key][0] = value
+        payload.pop("content_hash")
+        payload["content_hash"] = content_hash(payload)
+        checkpoint.write_text(json.dumps(payload))
+        config = _write_config(
+            tmp_path / "config.json",
+            {"seed": 1, "horizon": 2, "trials": 2,
+             "filter": {"kind": "mlp", "checkpoint": str(checkpoint)}},
+        )
+        rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {checkpoint}: {section}.{key} is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_of_another_dimension_names_the_field_before_any_draw(
         self, tmp_path, capsys, monkeypatch
@@ -523,6 +554,19 @@ class TestScenarioCommands:
         assert rc == 0
         assert "PASS rates-decay-slope" in capsys.readouterr().out
 
+    def test_constant_noise_rates_report_the_ceiling_and_apply_no_check(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json",
+            {"seed": 1, "rates": {"steps": 2000, "noise_kind": "constant", "noise_scale": 0.5}},
+        )
+        out = tmp_path / "out"
+        rc = main(["verify-rates", "--config", config, "--check", "--out", str(out)])
+        assert rc == 0
+        assert "no acceptance checks apply to this configuration\n" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["expected_slope"] is None
+        assert summary["limsup_ceiling"] == limsup_bound(RegulatorFn("power-law", 2.0, 1.0), 0.5)
+
     def test_concentration_check_passes(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "config.json",
@@ -558,6 +602,30 @@ class TestScenarioCommands:
         assert main(["train-filter", "--config", config, "--out", str(out)]) == 0
         assert (out / "checkpoint.json").exists()
         assert (out / "training_log.csv").exists()
+
+    def test_train_filter_without_a_holdout_runs_the_two_other_checks(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json",
+            {
+                "seed": 8,
+                "model": {"dim": 2},
+                "training": {
+                    "rounds": 2,
+                    "candidates_per_round": 120,
+                    "epochs": 25,
+                    "hidden_dim": 8,
+                    "learning_rate": 0.01,
+                    "holdout_fraction": 0,
+                },
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["train-filter", "--config", config, "--check", "--out", str(out)]) == 0
+        checks = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(("PASS", "FAIL"))]
+        assert checks == ["PASS train-contract-final", "PASS train-contraction-certificate"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_holdout"] == 0 and summary["holdout_accuracy"] is None
 
     def test_pca_k_above_model_dim_names_both_fields_before_any_draw(
         self, tmp_path, capsys, monkeypatch
@@ -597,6 +665,19 @@ class TestScenarioCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: one trial's draws at size {size} of shape ({size}, 3) need ")
         assert err.endswith("; use smaller sizes\n")
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("steps", [2**62, 10**15], ids=["2**62", "1e15"])
+    def test_rates_steps_beyond_memory_are_refused_from_their_shape(self, tmp_path, capsys, steps):
+        """Allocating the trajectory would raise ValueError (2**62) or exit 3 with
+        MemoryError (1e15); the shape check exits 1 before that."""
+        config = _write_config(tmp_path / "config.json", {"seed": 1, "rates": {"steps": steps}})
+        rc = main(["verify-rates", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trajectory values of shape ({steps + 1},) need ")
+        assert err.endswith("; use fewer steps\n")
         assert not (tmp_path / "out").exists()
 
 

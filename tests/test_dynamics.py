@@ -958,7 +958,7 @@ def _reference_trial(model, theta_star, schedule, horizon, gen, handle, candidat
         size = candidates if filtered and candidates is not None else schedule.size(t)
         points = expfam.sample(model, current, size, gen)
         if filtered:
-            w = np.asarray(handle.weights(points), dtype=float)
+            w = np.asarray(handle.weights(points[None])[0], dtype=float)
             if w.shape != (size,):
                 raise InputValidationError(
                     f"generation {t}: filter returned weights of shape {w.shape}, "

@@ -346,7 +346,7 @@ class TestLosses:
         assert parts.class_part == float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
         e_new = weighted_estimate(config.model, ds.points, weights).theta - config.theta_good.theta
         v_new = config.metric.value(e_new)
-        assert parts.contract_part == max(0.0, v_new - config.contraction_threshold())
+        assert parts.contract_part == max(0.0, v_new - config.threshold)
 
     def test_uniform_weights_have_zero_ess_penalty(self):
         config = self._config(e_est=1.0, ess_weight=0.5)
@@ -363,6 +363,18 @@ class TestLosses:
         expected = 1.0 - (weights.sum() ** 2 / (weights**2).sum()) / 15
         parts = loss_gradient(params, ds, config)[0]
         np.testing.assert_allclose(parts.ess_part, expected, rtol=1e-12)
+
+    def test_threshold_is_the_hinge_level_of_the_configs_own_anchor(self):
+        from dataclasses import FrozenInstanceError, replace
+
+        config = self._config(e_est=0.05)
+        for cfg in (config, replace(config, e_est=np.array([0.3]))):
+            v_est = cfg.metric.value(cfg.e_est)
+            c_est = cfg.c_fn.value(cfg.metric, cfg.e_est)
+            assert _bits(cfg.threshold) == _bits((1.0 - c_est) * v_est)
+        assert config.threshold != replace(config, e_est=np.array([0.3])).threshold
+        with pytest.raises(FrozenInstanceError):
+            config.threshold = 0.0
 
     def test_config_rejects_metric_model_dimension_mismatch(self):
         _, theta_good = _gaussian(2)
@@ -465,10 +477,7 @@ class TestLossGradient:
     def test_workspace_pass_gives_the_bits_of_an_allocating_pass(self, active_hinge):
         params, ds, config = self._random_case(7, active_hinge)
         fresh = loss_gradient(params, ds, config)
-        work = filtering._Workspace.for_run(ds, config, params.hidden_dim)
-        # the hoisted threshold is the value an allocating pass computes itself
-        threshold = _bits(config.contraction_threshold())
-        assert _bits(work.threshold) == threshold
+        work = filtering._Workspace.for_run(ds, params.hidden_dim)
         for buf in (work.hidden, work.dpre):
             buf.fill(np.nan)
         work.active.fill(True)
@@ -476,7 +485,6 @@ class TestLossGradient:
             parts, grad = loss_gradient(params, ds, config, work)
             assert _bits(*parts) == _bits(*fresh[0])
             assert _param_bits(grad) == _param_bits(fresh[1])
-            assert _bits(work.threshold) == threshold  # read, never written
 
     @staticmethod
     def _reference_gradient(params, ds, config) -> FilterParams:
@@ -491,7 +499,7 @@ class TestLossGradient:
         e_new = theta_new.theta - config.theta_good.theta
         s1, s2 = float(weights.sum()), float((weights * weights).sum())
         dlogit = (weights - y) / n
-        if lam > 0.0 and config.metric.value(e_new) - config.contraction_threshold() > 0.0:
+        if lam > 0.0 and config.metric.value(e_new) - config.threshold > 0.0:
             tbar = expfam._mean_statistic(ds.points[None], weights[None])[0]
             g_theta = 2.0 * (config.metric.p_matrix @ e_new)
             g_tbar = g_theta / expfam._mean_slope(config.model.family, theta_new.theta)
@@ -746,7 +754,7 @@ class TestOraclePullback:
         theta_good = Parameter(np.array([0.3, 0.0]), model)
         pts = RngState(seed=31).generator().standard_normal((50, 2))
         pts[:, 1] = constant
-        assert filtering._first_step(pts[None], theta_good.theta, 0.5)[4] is None
+        _assert_the_stacked_solve_refuses(np.stack([pts, pts[::-1]]))
         result = oracle_pullback_weights(pts, theta_good, gamma=0.5)
         assert hashlib.sha256(_bits(result.weights)).hexdigest() == (
             "ea9f386091b58e9ad3c6bbc6df4295fb0644fd4152a0990ccee08e6e24299482"
@@ -776,10 +784,31 @@ class TestOraclePullback:
             oracle_pullback_weights(np.zeros((4, 2)), theta_good, gamma=0.5)
 
 
+def _assert_the_stacked_solve_refuses(pts):
+    """The stacked solve of the oracle's first step raises on the spreads of ``pts`` (rows, n, d)."""
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    spread = np.matmul(centered.transpose(0, 2, 1), centered) / pts.shape[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(spread, np.ones(pts.shape[::2] + (1,)))
+
+
+def _count_finished_rows(monkeypatch, pts) -> list[int]:
+    """The rows of ``pts`` that the oracle kernel hands to its one-row continuation, in call order."""
+    finished = []
+    continuation = filtering._pullback_row
+
+    def counting(row, *args):
+        finished.append(next(r for r, p in enumerate(pts) if np.shares_memory(row, p)))
+        return continuation(row, *args)
+
+    monkeypatch.setattr(filtering, "_pullback_row", counting)
+    return finished
+
+
 class TestFilterHandle:
     def test_all_ones_handle_keeps_every_candidate(self):
         handle = FilterHandle.all_ones()
-        np.testing.assert_array_equal(handle.weights(np.zeros((7, 2))), np.ones(7))
+        np.testing.assert_array_equal(handle.weights(np.zeros((1, 7, 2)))[0], np.ones(7))
 
     def test_mlp_handle_matches_direct_scoring(self):
         rng = np.random.default_rng(33)
@@ -789,7 +818,7 @@ class TestFilterHandle:
         handle = FilterHandle.mlp(params, pca)
         pts = rng.normal(size=(12, 3))
         np.testing.assert_array_equal(
-            handle.weights(pts), forward_batch(params, pca.transform(pts))
+            handle.weights(pts[None])[0], forward_batch(params, pca.transform(pts))
         )
 
     def test_oracle_handle_matches_direct_pullback(self):
@@ -797,7 +826,7 @@ class TestFilterHandle:
         pts = np.random.default_rng(35).normal(loc=[1.0, 1.0], size=(30, 2))
         handle = FilterHandle.oracle_pullback(theta_good, gamma=0.5)
         np.testing.assert_array_equal(
-            handle.weights(pts), oracle_pullback_weights(pts, theta_good, 0.5).weights
+            handle.weights(pts[None])[0], oracle_pullback_weights(pts, theta_good, 0.5).weights
         )
 
     def test_mlp_handle_rejects_feature_dimension_mismatch(self):
@@ -819,6 +848,9 @@ class TestFilterHandle:
             FilterHandle(kind="nope").weights(np.zeros((2, 1)))
         with pytest.raises(InputValidationError):
             FilterHandle.all_ones().weights(np.zeros(3))
+        for kind in ("all-ones", "oracle-pullback", "mlp"):  # one (n, d) set is not a chunk
+            with pytest.raises(InputValidationError, match="stack"):
+                self._handle(kind, 2).weights(np.ones((5, 2)))
 
     @staticmethod
     def _handle(kind, dim, gamma=0.5):
@@ -837,11 +869,11 @@ class TestFilterHandle:
         pts = np.random.default_rng(60 + dim).normal(loc=0.4, size=(7, 50, dim))
         chunk = handle.weights(pts)
         assert chunk.shape == (7, 50)
-        assert _bits(chunk) == _bits(*(handle.weights(p) for p in pts))
+        assert _bits(chunk) == _bits(*(handle.weights(p[None])[0] for p in pts))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
-    def test_oracle_chunk_mixes_batched_and_fallback_rows_bitwise(self, dim, gamma):
+    def test_oracle_chunk_mixes_batched_and_fallback_rows_bitwise(self, monkeypatch, dim, gamma):
         _, theta_good = _gaussian(dim)
         rng = np.random.default_rng(70 + dim)
         # near rows meet the tolerance at the first residual; far ones clip and need Newton steps
@@ -850,16 +882,18 @@ class TestFilterHandle:
         # integer points and their negatives: a mean of exactly zero, the anchor's
         half = rng.integers(-3, 4, size=(20, dim)).astype(float)
         pts = np.concatenate([pts, np.concatenate([half, -half])[None]])
-        _, ok = filtering._pullback_rows(pts, theta_good, gamma)
-        assert ok.any() and not ok.all() and not ok[-1]
         handle = FilterHandle.oracle_pullback(theta_good, gamma)
+        finished = _count_finished_rows(monkeypatch, pts)
         chunk = handle.weights(pts)
+        assert 0 < len(finished) < len(pts) and finished[-1] == len(pts) - 1
         rows = [oracle_pullback_weights(p, theta_good, gamma).weights for p in pts]
         assert _bits(chunk) == _bits(*rows)
         np.testing.assert_array_equal(rows[-1], np.ones(40))
 
     @pytest.mark.parametrize("family, singular", [("gaussian", 2), ("bernoulli", 0)])
-    def test_a_singular_spread_sends_the_chunk_per_row_with_the_same_bits(self, family, singular):
+    def test_a_singular_spread_sends_the_chunk_per_row_with_the_same_bits(
+        self, monkeypatch, family, singular
+    ):
         """One row with a constant coordinate makes the stacked solve raise, so
         no row is batched; every row then gets the bits of its own call."""
         model = ExpFamilyModel(family, 2)
@@ -871,11 +905,10 @@ class TestFilterHandle:
         else:
             pts = rng.normal(loc=0.3, size=(6, 40, 2))
             pts[singular, :, 0] = 0.5
-        anchor = expfam.mean_map(model, theta_good)
-        assert filtering._first_step(pts, anchor, 0.5)[4] is None
-        _, ok = filtering._pullback_rows(pts, theta_good, 0.5)
-        assert not ok.any()
+        _assert_the_stacked_solve_refuses(pts)
+        finished = _count_finished_rows(monkeypatch, pts)
         chunk = FilterHandle.oracle_pullback(theta_good, 0.5).weights(pts)
+        assert finished == list(range(len(pts)))
         rows = [oracle_pullback_weights(p, theta_good, 0.5).weights for p in pts]
         assert _bits(chunk) == _bits(*rows)
 
@@ -888,7 +921,7 @@ class TestFilterHandle:
         with pytest.raises(DegenerateSelectionError) as chunk_error:
             handle.weights(pts)
         with pytest.raises(DegenerateSelectionError) as row_error:
-            handle.weights(pts[1])
+            handle.weights(pts[1:2])
         assert str(chunk_error.value) == str(row_error.value)
         with pytest.raises(InputValidationError, match="finite"):
             handle.weights(pts[2:])
