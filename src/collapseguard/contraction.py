@@ -35,6 +35,13 @@ CONSTANT = "constant"
 POWER_LAW = "power-law"
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _silent_square(x: np.ndarray) -> np.ndarray:
+    """``x * x``, as silent as ``einsum`` when a square overflows or meets a
+    signaling NaN; the decorator costs less per call than a ``with`` block."""
+    return x * x
+
+
 @dataclass(frozen=True, eq=False)
 class LyapunovMetric:
     """Positive definite P defining V(e) = e' P e."""
@@ -76,8 +83,14 @@ class LyapunovMetric:
 
     def values(self, errors: np.ndarray) -> np.ndarray:
         """V per row of a (n, dim) batch, by ``einsum``: unlike a BLAS product, it
-        gives a row the same bits whatever the rows around it."""
+        gives a row the same bits whatever the rows around it.
+
+        Under P = I at dim 1 V is the bare square, which has ``einsum``'s bits:
+        ``einsum`` adds its one product to +0.0, and a square is never -0.0.
+        """
         if self.is_identity:
+            if self.dim == 1:
+                return _silent_square(errors[:, 0])
             return np.einsum("ij,ij->i", errors, errors)
         return np.einsum("ij,ij->i", np.einsum("ij,jk->ik", errors, self.p_matrix), errors)
 
@@ -115,14 +128,18 @@ class ContractionFn:
             raise InputValidationError(f"unknown contraction.kind {self.kind!r}")
 
     def value(self, metric: LyapunovMetric, e) -> float:
-        err = as_vector(e, dim=metric.dim, name="e")
-        return float(self.values(metric, err[None, :])[0])
+        err = as_vector(e, dim=metric.dim, name="e")[None, :]
+        return float(self.values(err, metric.values(err))[0])
 
-    def values(self, metric: LyapunovMetric, errors: np.ndarray) -> np.ndarray:
-        """Vectorized coefficient per row of a (n, dim) batch."""
+    def values(self, errors: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Vectorized coefficient per row of a (n, dim) batch whose rows have V ``v``.
+
+        ``example-sqrt`` reads only ``v``, ``quadratic`` only the squared norm of
+        ``errors`` and ``constant`` only their row count. The clip at 1 - 1e-12
+        is ``np.minimum`` of ``np.maximum``, which has ``clip``'s bits.
+        """
         if self.kind == EXAMPLE_SQRT:
-            v = metric.values(errors)
-            return (1.0 - 1.0 / np.sqrt(v + 1.0)).clip(0.0, 1.0 - 1e-12)
+            return np.minimum(np.maximum(1.0 - 1.0 / np.sqrt(v + 1.0), 0.0), 1.0 - 1e-12)
         if self.kind == QUADRATIC:
             return (self.alpha * np.einsum("ij,ij->i", errors, errors)).clip(0.0, self.c_max)
         return np.full(errors.shape[0], self.level)
@@ -192,8 +209,9 @@ class ContractionMap:
     """The state-dependent linear update e -> A(e) e with A(e) = sqrt(1 - c(e)) I.
 
     This scaled identity satisfies the matrix contraction condition with
-    equality for any metric. Another map is a subclass whose ``apply_batch``
-    updates the whole (n, dim) batch at once.
+    equality for any metric. Another map is a subclass whose
+    ``apply_batch(errors, v)`` updates the whole (n, dim) batch at once, given
+    each row's V under ``metric`` in ``v``, which it may ignore.
     """
 
     metric: LyapunovMetric
@@ -203,9 +221,9 @@ class ContractionMap:
         if not (isinstance(self.metric, LyapunovMetric) and isinstance(self.c_fn, ContractionFn)):
             raise InputValidationError("a ContractionMap needs a LyapunovMetric and a ContractionFn")
 
-    def apply_batch(self, errors: np.ndarray) -> np.ndarray:
-        """Row-wise update of a (n, dim) batch."""
-        scale = np.sqrt(1.0 - self.c_fn.values(self.metric, errors))
+    def apply_batch(self, errors: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Row-wise update of a (n, dim) batch whose rows have V ``v``."""
+        scale = np.sqrt(1.0 - self.c_fn.values(errors, v))
         return scale[:, None] * errors
 
 
@@ -247,7 +265,7 @@ def check_regulation(
     if probes.shape[0] == 0:
         raise InputValidationError("probe_points must be non-empty")
     v = metric.values(probes)
-    cv = c.values(metric, probes) * v
+    cv = c.values(probes, v) * v
     fv = np.array([f.value(float(r)) for r in v])
     return bool(np.all(cv >= fv - 1e-12))
 

@@ -4,8 +4,9 @@ Two batched entry points return the same per-step statistics.
 ``run_dynamics_trials`` iterates e_{t+1} = A(e_t) e_t + xi_t, with
 martingale-difference noise whose P-energy follows a schedule, for a whole
 group of trial blocks per step. A step costs the map, the noise add and one
-check of the new state; the per-step statistics are folded from a short
-history of ||e||^2 and V once per ``_WINDOW`` steps.
+check of the new state, whose V the next step's map reads; the per-step
+statistics are folded from a short history of ||e||^2 and V once per
+``_WINDOW`` steps.
 ``run_workflow_trials`` re-fits an exponential family on its own samples
 each generation, with or without a reweighting filter in the loop, which
 is where estimation error actually comes from. Its kernel is
@@ -331,10 +332,11 @@ def _dynamics_block(job):
     the map give each row the bits it gets alone, so neither the group size
     nor the chunk length moves a result.
 
-    A step writes each row's ||e||^2 (and V, under a general P) into a
+    A step writes each row's V (and ||e||^2, under a general P) into a
     ``_WINDOW``-step history and makes one check: the largest V of the rows
-    it moved is finite and at most the cap. Only a step that fails the check
-    looks further. A state that became non-finite raises
+    it moved is finite and at most the cap. The next step hands the map the
+    V of its rows from that history, so V is computed once per step. Only a
+    step that fails the check looks further. A state that became non-finite raises
     SimulationOverflowError with the step at which its lowest block lost it,
     the error running the blocks one after another meets first; a trial whose
     V exceeds the cap freezes, and from then on only the live rows are
@@ -367,11 +369,12 @@ def _dynamics_block(job):
     limit = min(cap, np.finfo(float).max)  # so that the one check also finds a non-finite V
 
     def record(step):
-        # the state's ||e||^2 and V into the history; the V that is summed is the V that freezes
+        # the state's V (and ||e||^2, under a general P) into the history; the V
+        # that is summed is the V that freezes and the V the next step's map reads
         k = step % _WINDOW
-        np.einsum("ij,ij->i", e_state, e_state, out=hist_sq[k])
+        hist_v[k] = metric.values(e_state)
         if not identity:
-            hist_v[k] = metric.values(e_state)
+            np.einsum("ij,ij->i", e_state, e_state, out=hist_sq[k])
         return hist_v[k]
 
     def flush(last):
@@ -401,7 +404,7 @@ def _dynamics_block(job):
                     bufs = np.einsum("rsk,jk->rsj", bufs, c_transform)
                 scales = np.sqrt(noise.sigma_sq_array(step - 1, step - 1 + span) / dim)
                 bufs *= scales[:, None]
-            updated = map_.apply_batch(e_state[act])
+            updated = map_.apply_batch(e_state[act], hist_v[(step - 1) % _WINDOW][act])
             if not zero_noise and scales[k] > 0.0:
                 updated += bufs[act, k]
             if frozen:

@@ -55,7 +55,7 @@ from .filtering import (
     simulate_drift_training_data,
     train_filter,
 )
-from .numerics import RngState
+from .numerics import RngState, check_fits
 
 SCENARIOS = (
     "dynamics",
@@ -188,6 +188,7 @@ class ModelSpec:
 
     def build(self) -> tuple[expfam.ExpFamilyModel, expfam.Parameter]:
         model = expfam.ExpFamilyModel(self.family, self.dim)
+        check_fits("model.dim's parameter vector", (self.dim,), "use a smaller model.dim")
         if self.theta_star is not None and len(self.theta_star) != self.dim:
             raise InputValidationError("model.theta_star length must equal model.dim")
         # the default (ones) lies outside some natural domains, so check the effective value
@@ -341,6 +342,29 @@ class ExperimentConfig:
             raise InputValidationError("workflow-filtered requires filter.kind != 'none'")
         if self.scenario == "workflow" and self.filter.kind != "none":
             raise InputValidationError("workflow requires filter.kind 'none'; use workflow-filtered")
+        self._check_sizes()
+
+    def _check_sizes(self) -> None:
+        """Refuse, before any draw, a size field whose largest array would not fit."""
+        dim, scenario = self.model.dim, self.scenario
+        oracle = scenario == "workflow-filtered" and self.filter.kind == "oracle-pullback"
+        if scenario in ("dynamics", "train-filter") or oracle:
+            # the metric P, the PCA covariance or the oracle's spread
+            check_fits("model.dim's matrices", (dim, dim), "use a smaller model.dim")
+        if scenario in ("workflow", "workflow-filtered"):
+            check_fits("one trial's schedule.base draws", (self.schedule.base, dim),
+                       "use a smaller schedule.base")
+        if scenario == "workflow-filtered":
+            check_fits("one trial's filter.candidates_per_round candidates",
+                       (self.filter.candidates_per_round, dim),
+                       "use a smaller filter.candidates_per_round")
+        if scenario == "train-filter":
+            spec = self.training
+            points = spec.rounds * spec.candidates_per_round
+            check_fits("the training.rounds x training.candidates_per_round drift points",
+                       (points, dim), "use fewer training.rounds or candidates_per_round")
+            check_fits("the training.hidden_dim activations of the drift points",
+                       (points, spec.hidden_dim), "use a smaller training.hidden_dim")
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":

@@ -408,6 +408,46 @@ class TestScenarioCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("simulate-workflow", {"scenario": "workflow", "model": {"dim": 2**62}}, "model.dim"),
+            # a vector of 2**20 fits, the (dim, dim) metric of the dynamics does not
+            ("simulate-dynamics", {"model": {"dim": 2**20}}, "model.dim's matrices"),
+            ("simulate-workflow", {"scenario": "workflow", "schedule": {"base": 2**62}},
+             "schedule.base"),
+            ("simulate-workflow",
+             {"scenario": "workflow-filtered",
+              "filter": {"kind": "all-ones", "candidates_per_round": 2**62}},
+             "filter.candidates_per_round"),
+            ("train-filter", {"training": {"rounds": 2**62}}, "training.rounds"),
+            ("train-filter", {"training": {"candidates_per_round": 2**62}},
+             "training.candidates_per_round"),
+            ("train-filter", {"training": {"hidden_dim": 2**62}}, "training.hidden_dim"),
+        ],
+        ids=[
+            "dim", "dim-matrix", "base", "filter-candidates", "rounds", "training-candidates",
+            "hidden-dim",
+        ],
+    )
+    def test_a_size_beyond_memory_is_refused_by_name_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, command, config, field
+    ):
+        """Each of these sizes an array that numpy refuses with a raw ValueError at 2**62."""
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a random stream was opened")
+
+        monkeypatch.setattr(collapseguard.numerics.RngState, "generator", no_stream)
+        path = _write_config(tmp_path / "config.json", {"seed": 1, "horizon": 3, **config})
+        rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and "beyond the" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_plain_workflow_with_a_filter_is_refused_before_running(self, tmp_path, capsys):
         config = _write_config(
             tmp_path / "config.json",

@@ -3,6 +3,7 @@
 import math
 import re
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from collapseguard.contraction import (
     recurrence_simulate,
 )
 from collapseguard import expfam
-from collapseguard.dynamics import NoiseSchedule
+from collapseguard.dynamics import NoiseSchedule, run_dynamics_trials
 from collapseguard.errors import BoundaryError, InputValidationError, SimulationOverflowError
 from collapseguard.expfam import (
     BERNOULLI,
@@ -113,7 +114,11 @@ class TestLyapunovValue:
         c = ContractionFn("example-sqrt")
         map_ = ContractionMap(metric, c)
         batch = rng.normal(scale=3.0, size=(600, dim))
-        for fn in (metric.values, lambda e: c.values(metric, e), map_.apply_batch):
+        for fn in (
+            metric.values,
+            lambda e: c.values(e, metric.values(e)),
+            lambda e: map_.apply_batch(e, metric.values(e)),
+        ):
             alone = np.concatenate([fn(batch[i : i + 1]) for i in range(600)])
             np.testing.assert_array_equal(fn(batch).view(np.uint64), alone.view(np.uint64))
         singles = np.array([metric.value(e) for e in batch])
@@ -329,15 +334,17 @@ class TestContractionMap:
             e = rng.normal(scale=rng.uniform(0.1, 10.0), size=3)
             v = metric.value(e)
             c = ContractionFn().value(metric, e)
-            v_next = metric.value(map_.apply_batch(e[None, :])[0])
+            v_next = metric.value(map_.apply_batch(e[None, :], np.array([v]))[0])
             np.testing.assert_allclose(v_next, (1.0 - c) * v, rtol=1e-12)
 
     def test_apply_batch_matches_one_row_batches(self):
         metric = LyapunovMetric.identity(2)
         map_ = ContractionMap(metric, ContractionFn())
         batch = np.random.default_rng(5).normal(size=(32, 2))
-        stacked = np.stack([map_.apply_batch(e[None, :])[0] for e in batch])
-        np.testing.assert_allclose(map_.apply_batch(batch), stacked, rtol=1e-14)
+        stacked = np.stack([map_.apply_batch(e[None], metric.values(e[None]))[0] for e in batch])
+        np.testing.assert_allclose(
+            map_.apply_batch(batch, metric.values(batch)), stacked, rtol=1e-14
+        )
 
     @pytest.mark.parametrize(
         "metric, c_fn",
@@ -354,6 +361,88 @@ class TestContractionMap:
         with pytest.raises(InputValidationError) as info:
             ContractionMap(metric, c_fn)
         assert str(info.value) == "a ContractionMap needs a LyapunovMetric and a ContractionFn"
+
+
+def _random_bit_patterns(count: int, seed: int) -> np.ndarray:
+    """``count`` float64 values from uniformly random 64-bit patterns: every sign,
+    exponent, subnormal, infinity and NaN payload can come up."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+def _einsum_v(metric: LyapunovMetric, errors: np.ndarray) -> np.ndarray:
+    """V as ``LyapunovMetric.values`` computed it before its dim-1 product."""
+    if metric.is_identity:
+        return np.einsum("ij,ij->i", errors, errors)
+    return np.einsum("ij,ij->i", np.einsum("ij,jk->ik", errors, metric.p_matrix), errors)
+
+
+def _clipped_sqrt_coefficient(v: np.ndarray) -> np.ndarray:
+    """The ``example-sqrt`` coefficient as a ``clip``, as it was computed before."""
+    return (1.0 - 1.0 / np.sqrt(v + 1.0)).clip(0.0, 1.0 - 1e-12)
+
+
+class TestOneVPerStep:
+    """The map takes the V the dynamics step recorded, and the cheaper forms of V and
+    c(e) have the bits of the forms they replace."""
+
+    SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e154, -1e154, 1e155, -1e155,
+                math.inf, -math.inf, math.nan]
+
+    def test_dim1_v_is_the_einsum_bit_for_bit(self):
+        e = np.concatenate([self.SPECIALS, _random_bit_patterns(200_000, 1)])[:, None]
+        with np.errstate(all="ignore"):
+            expected = np.einsum("ij,ij->i", e, e)
+        with warnings.catch_warnings():  # signaling NaNs and overflows, silent as in einsum
+            warnings.simplefilter("error", RuntimeWarning)
+            got = LyapunovMetric.identity(1).values(e)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.isinf(got[6]) and np.isnan(got[10])
+
+    def test_sqrt_coefficient_is_the_clip_bit_for_bit(self):
+        v = np.concatenate([self.SPECIALS, [1.0, 1e308, 0.5, -0.5, -1.0, -2.0],
+                            _random_bit_patterns(200_000, 2)])
+        with np.errstate(all="ignore"):
+            expected = _clipped_sqrt_coefficient(v)
+            got = ContractionFn().values(np.zeros((v.shape[0], 1)), v)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("dim, general", [(1, False), (1, True), (2, False), (3, True)])
+    def test_the_map_given_v_is_the_map_that_computed_v_bit_for_bit(self, dim, general):
+        rng = np.random.default_rng(dim)
+        metric = LyapunovMetric.identity(dim)
+        if general:
+            g = rng.normal(size=(dim, dim))
+            metric = LyapunovMetric(g @ g.T + 0.5 * np.eye(dim))
+        map_ = ContractionMap(metric, ContractionFn())
+        errors = rng.normal(scale=rng.uniform(1e-3, 1e3, size=(5000, 1)), size=(5000, dim))
+        errors[:len(self.SPECIALS) - 3, 0] = self.SPECIALS[:-3]  # the finite ones
+        with np.errstate(all="ignore"):
+            scale = np.sqrt(1.0 - _clipped_sqrt_coefficient(_einsum_v(metric, errors)))
+            expected = scale[:, None] * errors
+            got = map_.apply_batch(errors, metric.values(errors))
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_a_v_that_overflows_raises_no_runtime_warning(self):
+        """The bare square overflows at 1e155, where the einsum it replaces is silent."""
+        metric = LyapunovMetric.identity(1)
+        map_ = ContractionMap(metric, ContractionFn())
+        e = np.array([[1e155], [-1e155], [2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = metric.values(e)
+            moved = map_.apply_batch(e, v)
+            assert metric.value(np.array([1e155])) == math.inf
+            assert ContractionFn().value(metric, np.array([1e155])) == 1.0 - 1e-12
+            # a run from there: the first V is inf, and no cap freezes the trials
+            stats = run_dynamics_trials(
+                map_, NoiseSchedule("zero"), np.array([1e155]), 3, 2, RngState(1),
+                divergence_cap=math.inf,
+            )
+        np.testing.assert_array_equal(v, [math.inf, math.inf, 4.0])
+        kept = np.array([[1.0 - (1.0 - 1e-12)]] * 2 + [[1.0 - (1.0 - 1.0 / math.sqrt(5.0))]])
+        np.testing.assert_array_equal(moved, np.sqrt(kept) * e)  # 1 - c(e) at V = inf, inf, 4
+        assert stats.mean_v[0] == math.inf and np.all(np.isfinite(stats.mean_v[1:]))
 
 
 class TestRecurrenceSimulate:

@@ -84,7 +84,7 @@ def _reference_dynamics(map_, noise, e0, horizon, trials, rng, cap=math.inf, gro
             diverged_at[lo:hi][over] = t
             live &= ~over
             if t < horizon:
-                moved = map_.apply_batch(e)
+                moved = map_.apply_batch(e, vs[lo:hi, t])
                 if scales[t] > 0.0:
                     moved += xi[:, t]
                 e = np.where(live[:, None], moved, e)
@@ -151,14 +151,14 @@ def _noise_increments(noise, dim, horizon, trials, seed, metric=None) -> np.ndar
 class _Quadrupling(ContractionMap):
     """A(e) = 4 I, which expands: a map outside Assumption 1. Its ``c_fn`` is unused."""
 
-    def apply_batch(self, errors):
+    def apply_batch(self, errors, v):
         return 4.0 * errors
 
 
 class _BlowUpPast2_5(ContractionMap):
     """A(e) that sends the state to infinity once its first coordinate passes 2.5, else to 0."""
 
-    def apply_batch(self, errors):
+    def apply_batch(self, errors, v):
         return np.where(errors[:, :1] > 2.5, np.inf, 0.0) * np.ones_like(errors)
 
 
@@ -379,6 +379,23 @@ class TestDynamicsFoldMatchesTheReferenceFold:
         assert grouped[0].tobytes() == errors.tobytes()
         assert grouped[2].tobytes() == vs.tobytes()
         assert grouped[3].tobytes() == diverged_at.tobytes()
+
+    def test_after_a_freeze_the_map_reads_the_v_each_live_row_recorded(self, monkeypatch):
+        """Under a general P the ``example-sqrt`` map reads V, not ||e||^2; once some
+        trials freeze, the kernel hands it the recorded V of the live rows only."""
+        metric = LyapunovMetric(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]))
+        map_ = ContractionMap(metric, ContractionFn())
+        noise, e0, rng = NoiseSchedule("constant", scale=4.0), np.ones(3), RngState(5)
+        trials, cap = 300, 20.0
+        _, sq, vs, diverged_at = _reference_dynamics(map_, noise, e0, 40, trials, rng, cap, trials)
+        # precondition: both blocks hold trials that freeze and trials that run on
+        assert 0 < np.isfinite(diverged_at[:256]).sum() < 256
+        assert 0 < np.isfinite(diverged_at[256:]).sum() < trials - 256
+        expected = _dynamics_stats(sq, vs, diverged_at, DEFAULT_DELTAS)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+            stats = run_dynamics_trials(map_, noise, e0, 40, trials, rng, divergence_cap=cap)
+            _assert_stats_equal(stats, expected)
 
 
 class TestRunDynamicsTrials:
@@ -909,7 +926,7 @@ class _FailsOnRows:
 
 def _run_local_map():
     class LocalMap(ContractionMap):
-        def apply_batch(self, errors):
+        def apply_batch(self, errors, v):
             return 0.5 * errors
 
     map_ = LocalMap(LyapunovMetric.identity(2), ContractionFn())
