@@ -24,13 +24,13 @@ from .experiments import (
     compare_runs,
     emit_plot,
     ensure_checks_pass,
-    read_config_json,
     read_results_csv,
     run_checks,
     run_experiment,
     write_compare_csv,
     write_summary,
 )
+from .filtering import read_json_object
 
 _COMMAND_SCENARIOS = {
     "simulate-dynamics": ("dynamics",),
@@ -107,7 +107,7 @@ def _resolve_scenario(command: str, raw: dict) -> str:
 
 
 def _run_scenario_command(args) -> int:
-    raw = read_config_json(args.config) if args.config is not None else {}
+    raw = read_json_object(args.config, "config") if args.config is not None else {}
     raw["scenario"] = _resolve_scenario(args.command, raw)
     if args.seed is not None:
         raw["seed"] = args.seed

@@ -18,15 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputValidationError, SimulationOverflowError
-from .numerics import (
-    STACK_LIMIT,
-    RngState,
-    as_symmetric_matrix,
-    as_vector,
-    check_fits,
-    sym_eig,
-    symmetrize,
-)
+from .numerics import STACK_LIMIT, RngState, as_symmetric_matrix, as_vector, check_fits, sym_eig
 from . import expfam
 
 EXAMPLE_SQRT = "example-sqrt"
@@ -246,7 +238,7 @@ def check_matrix_contraction(a, metric: LyapunovMetric, c_at_e: float) -> bool:
         raise InputValidationError("c_at_e must lie in [0, 1)")
     tol = 1e-9 * float(np.max(np.abs(metric.p_matrix)))
     gap = (1.0 - c_at_e) * metric.p_matrix - mat.T @ metric.p_matrix @ mat
-    values, _ = sym_eig(symmetrize(gap))
+    values, _ = sym_eig((gap + gap.T) / 2.0)  # exactly symmetric, as sym_eig requires
     return bool(values[0] >= -tol)
 
 
@@ -258,8 +250,6 @@ def check_regulation(
 ) -> bool:
     """Whether c(e) V(e) >= f(V(e)) - 1e-12 at every probe point."""
     probes = np.asarray(probe_points, dtype=float)
-    if probes.ndim == 1:
-        probes = probes[None, :]
     if probes.ndim != 2 or probes.shape[1] != metric.dim:
         raise InputValidationError(f"probe_points must have shape (n, {metric.dim})")
     if probes.shape[0] == 0:

@@ -598,7 +598,8 @@ def run_workflow_trials(
     tracking e_t = theta_hat_t - theta_star with the identity-metric V.
     A trial freezes once V exceeds ``divergence_cap``. ``_TrialFold`` adds
     the statistics one trial at a time into TrialStats, with the memory
-    check of ``run_dynamics_trials``.
+    check of ``run_dynamics_trials``; a largest generation whose draws
+    would not fit in memory is refused, by name, before any draw.
 
     With ``filter_handle`` (anything with a ``weights(points) -> array``
     method, see the filtering module) every generation past the first
@@ -628,6 +629,9 @@ def run_workflow_trials(
         [schedule.size(t) if t == 0 or fixed is None else fixed for t in range(n)],
         dtype=np.int64,
     )
+    t_max = int(sizes.argmax())
+    check_fits(f"generation {t_max}'s draws", (int(sizes[t_max]), model.dim),
+               "use a smaller schedule or a shorter horizon")
     args = (model, theta_star, sizes, filter_handle, rng, ds, divergence_cap)
     fold = _TrialFold(n, ds)
     for job in _run_blocks(_workflow_block, args, trials):

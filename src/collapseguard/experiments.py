@@ -31,6 +31,7 @@ from .contraction import (
     recurrence_simulate,
 )
 from .dynamics import (
+    DEFAULT_DELTAS,
     NoiseSchedule,
     SampleSchedule,
     run_dynamics_trials,
@@ -50,7 +51,6 @@ from .filtering import (
     forward_batch,
     load_filter_checkpoint,
     loss_gradient,
-    read_json_object,
     save_filter_checkpoint,
     simulate_drift_training_data,
     train_filter,
@@ -66,8 +66,6 @@ SCENARIOS = (
     "train-filter",
 )
 
-FIXED_DELTAS = (0.1, 0.2, 0.5)
-
 CSV_HEADER = "scenario,t,n_t,mse,mean_V,exceed_0.1,exceed_0.2,exceed_0.5,trials,config_hash"
 COMPARE_HEADER = "t,baseline_mse,treatment_mse,ratio"
 TRAINING_LOG_HEADER = "epoch,total,class_part,contract_part,ess_part"
@@ -79,11 +77,6 @@ GAUSSIAN_TAIL_3 = math.erfc(3.0 / math.sqrt(2.0))
 # Config schema: a config dataclass's fields and annotations are the only
 # declaration of its config fields; parsing, echo and hashing walk them.
 # ---------------------------------------------------------------------------
-
-
-def read_config_json(path) -> dict:
-    """Read a JSON config file into the raw mapping ``ExperimentConfig.from_dict`` takes."""
-    return read_json_object(path, "config")
 
 
 def _parse_fields(cls, raw: dict, path: str):
@@ -308,7 +301,7 @@ class ExperimentConfig:
     model: ModelSpec = field(default_factory=ModelSpec)
     horizon: int = 100
     trials: int = 100
-    deltas: tuple[float, ...] = FIXED_DELTAS
+    deltas: tuple[float, ...] = DEFAULT_DELTAS
     out_dir: str = "."
     initial_error: tuple[float, ...] | None = None
     schedule: SampleSchedule = field(default_factory=SampleSchedule)
@@ -392,7 +385,7 @@ def config_hash(config: ExperimentConfig) -> str:
 class ResultTable:
     """A results table as columns, one entry per row (a step, or a sample size).
 
-    ``exceed`` holds the exceedance columns at ``FIXED_DELTAS``, shape
+    ``exceed`` holds the exceedance columns at ``DEFAULT_DELTAS``, shape
     (rows, 3). The scenario, trial count and config hash are shared by
     every row.
     """
@@ -412,7 +405,7 @@ class ResultTable:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         rows = self.t.shape
         if not (self.t.ndim == 1 and self.n_t.shape == self.mse.shape == self.mean_v.shape == rows
-                and self.exceed.shape == rows + (len(FIXED_DELTAS),)):
+                and self.exceed.shape == rows + (len(DEFAULT_DELTAS),)):
             raise InputValidationError(
                 "result columns must share one row count, with one exceed column per fixed delta"
             )
@@ -498,7 +491,7 @@ def read_results_csv(path) -> ResultTable:
         raise InputValidationError(f"{path} does not carry the expected results schema")
     body = lines[1:]
     if not body:
-        return ResultTable("", [], [], [], [], np.empty((0, len(FIXED_DELTAS))), 0, "")
+        return ResultTable("", [], [], [], [], np.empty((0, len(DEFAULT_DELTAS))), 0, "")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # older numpy reads "1.5" as 1
@@ -532,7 +525,7 @@ class ExperimentResult:
 
 
 def _merged_deltas(config: ExperimentConfig) -> tuple[float, ...]:
-    return tuple(sorted(set(float(d) for d in config.deltas) | set(FIXED_DELTAS)))
+    return tuple(sorted(set(float(d) for d in config.deltas) | set(DEFAULT_DELTAS)))
 
 
 def _slope(ts: np.ndarray, ys: np.ndarray) -> float:
@@ -541,7 +534,7 @@ def _slope(ts: np.ndarray, ys: np.ndarray) -> float:
 
 def _trial_result(config: ExperimentConfig, chash: str, stats):
     """The results table of a dynamics or workflow run and the summary keys both share."""
-    exceed = np.column_stack([stats.exceedance_at(d) for d in FIXED_DELTAS])
+    exceed = np.column_stack([stats.exceedance_at(d) for d in DEFAULT_DELTAS])
     table = ResultTable(config.scenario, stats.ts, stats.ns, stats.mse, stats.mean_v, exceed,
                         config.trials, chash)
     summary = {
@@ -551,7 +544,8 @@ def _trial_result(config: ExperimentConfig, chash: str, stats):
         "horizon": config.horizon,
         "final_mse": float(stats.mse[-1]),
         "final_mean_V": float(stats.mean_v[-1]),
-        "exceedance_final": {_fmt(d): float(stats.exceedance_at(d)[-1]) for d in config.deltas},
+        "exceedance_final": {_fmt(d): float(stats.exceedance_at(d)[-1])
+                             for d in _merged_deltas(config)},
     }
     return table, summary
 
@@ -621,7 +615,7 @@ def _run_rates(config: ExperimentConfig, chash: str):
         slope, r_squared = None, None
 
     steps = traj.shape[0]
-    exceed = (traj[:, None] >= np.array(FIXED_DELTAS)).astype(float)
+    exceed = (traj[:, None] >= np.array(DEFAULT_DELTAS)).astype(float)
     table = ResultTable("rates", np.arange(steps), np.zeros(steps), traj, traj, exceed, 1, chash)
     summary = {
         "scenario": "rates",
@@ -644,7 +638,7 @@ def _run_concentration(config: ExperimentConfig, chash: str):
     rng = RngState(config.seed)
     # one pass over the draws: the configured delta, then the fixed-delta columns
     curve = measure_concentration(
-        model, theta, spec.sizes, (spec.delta,) + FIXED_DELTAS, spec.trials, rng
+        model, theta, spec.sizes, (spec.delta,) + DEFAULT_DELTAS, spec.trials, rng
     )
     rows = len(spec.sizes)
     table = ResultTable(
@@ -685,7 +679,7 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
 
     k = spec.pca_k if spec.pca_k > 0 else min(model.dim, 8)
     pca = fit_pca(train_points, k)
-    train_ds = LabeledDataset(train_points, train_labels).with_features(pca)
+    train_ds = LabeledDataset(train_points, train_labels, pca.transform(train_points))
     theta_est, theta_good = anchors_from_dataset(model, train_ds)
     train_config = TrainConfig(
         theta_good=theta_good,
@@ -964,13 +958,12 @@ def run_checks(config: ExperimentConfig, summary: dict) -> list[CheckResult]:
         checks.append(_at_most("filtered-mse-slope-last-half", summary["mse_slope_last_half"],
                                0.0, "late-run MSE trend must be flat or falling"))
     elif scenario == "dynamics":
-        final = summary["exceedance_final"].get(_fmt(0.2))
-        if final is not None:
-            checks.append(_at_most("dynamics-final-exceedance-0.2", final, 0.05,
-                                   "terminal exceedance fraction at delta=0.2"))
-        checks.append(_at_most("dynamics-exceedance-monotone",
-                               summary["max_exceedance_rise_after_burn_in"], 0.02,
-                               "largest block-mean exceedance increase after burn-in"))
+        checks += [
+            _at_most("dynamics-final-exceedance-0.2", summary["exceedance_final"][_fmt(0.2)],
+                     0.05, "terminal exceedance fraction at delta=0.2"),
+            _at_most("dynamics-exceedance-monotone", summary["max_exceedance_rise_after_burn_in"],
+                     0.02, "largest block-mean exceedance increase after burn-in"),
+        ]
     elif scenario == "rates":
         expected, fitted = summary.get("expected_slope"), summary.get("fitted_slope")
         if expected is not None and fitted is not None:

@@ -154,12 +154,8 @@ def _mean_slope(family: str, theta: np.ndarray) -> np.ndarray:
 def _as_points(model: ExpFamilyModel, points) -> np.ndarray:
     """A data batch as an (n, dim) float64 array of at least one point; checks shape only."""
     data = np.asarray(points, dtype=float)
-    if data.ndim == 1:
-        data = data[None, :]
     if data.ndim != 2 or data.shape[1] != model.dim:
-        raise InputValidationError(
-            f"points must have shape (n, {model.dim}), got {np.asarray(points).shape}"
-        )
+        raise InputValidationError(f"points must have shape (n, {model.dim}), got {data.shape}")
     if data.shape[0] < 1:
         raise InputValidationError("points must contain at least one point")
     return data

@@ -56,21 +56,17 @@ class PCATransform:
         return self.projection.shape[1]
 
     def transform(self, x) -> np.ndarray:
-        """Features of one point (d,), of points (n, d), or of a stack (rows, n, d).
+        """Features of points (n, d) or of a stack (rows, n, d).
 
         A stack is one ``np.matmul`` call, which projects each (n, d) row
         with the BLAS routine that row gets alone, so each row keeps its bits.
         """
         data = np.asarray(x, dtype=float)
-        single = data.ndim == 1
-        if single:
-            data = data[None, :]
         if data.ndim not in (2, 3) or data.shape[-1] != self.input_dim:
             raise InputValidationError(
-                f"points must have dimension {self.input_dim}, got shape {np.asarray(x).shape}"
+                f"points must be (n, {self.input_dim}) or a stack of them, got shape {data.shape}"
             )
-        z = ((data - self.mean) / self.scale) @ self.projection
-        return z[0] if single else z
+        return ((data - self.mean) / self.scale) @ self.projection
 
 
 def fit_pca(data, k: int) -> PCATransform:
@@ -141,9 +137,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def with_features(self, pca: PCATransform) -> "LabeledDataset":
-        return LabeledDataset(self.points, self.labels, pca.transform(self.points))
 
 
 def label_by_distance(candidates, reference: expfam.Parameter, good_fraction: float) -> LabeledDataset:
@@ -233,16 +226,12 @@ class _Workspace:
         return cls(np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape))
 
 
-def _forward_cache(
-    params: FilterParams,
-    feats: np.ndarray,
-    hidden: np.ndarray | None = None,
-    bias: np.ndarray | None = None,
-):
+def _forward_cache(params: FilterParams, feats: np.ndarray, hidden: np.ndarray,
+                   bias: np.ndarray | None = None):
     """(hidden, weights) of the scorer on ``feats``.
 
     The hidden layer is one (n, hidden) array: the pre-activation is written
-    into ``hidden`` (a fresh array when None) and the ReLU is applied in
+    into the caller's ``hidden`` buffer and the ReLU is applied in
     place, which gives the bits of a separate output. Its entries are > 0
     exactly where the pre-activation's are, NaN included, so the backward
     pass takes its ReLU mask from it. ``bias``, if given, is ``params.b1``

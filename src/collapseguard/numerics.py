@@ -37,8 +37,8 @@ def check_fits(what: str, shape: tuple[int, ...], advice: str) -> None:
         )
 
 
-def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and return a finite 1-d float64 array."""
+def as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
+    """Validate and return a finite 1-d float64 array of length ``dim``."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise InputValidationError(f"{name} must be 1-dimensional, got shape {v.shape}")
@@ -46,7 +46,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise InputValidationError(f"{name} must be non-empty")
     if not np.all(np.isfinite(v)):
         raise InputValidationError(f"{name} must be finite")
-    if dim is not None and v.shape[0] != dim:
+    if v.shape[0] != dim:
         raise InputValidationError(f"{name} must have dimension {dim}, got {v.shape[0]}")
     return v
 
@@ -63,11 +63,6 @@ def as_symmetric_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.array_equal(a, a.T):
         raise InputValidationError(f"{name} must be symmetric (entry [i,j] == entry [j,i])")
     return a
-
-
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average a nearly-symmetric matrix with its transpose, exactly symmetric result."""
-    return (m + m.T) / 2.0
 
 
 def point_sums(stack: np.ndarray) -> np.ndarray:

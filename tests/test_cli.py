@@ -36,6 +36,9 @@ def _synthetic_results(path, mses) -> str:
     return str(path)
 
 
+_BEYOND_INT64 = "does not fit in a 64-bit integer"
+
+
 class TestScenarioCommands:
     def test_no_arguments_is_a_validation_failure(self, capsys):
         assert main([]) == 1
@@ -49,6 +52,19 @@ class TestScenarioCommands:
         assert (out / "results.csv").exists() and (out / "summary.json").exists()
         stdout = capsys.readouterr().out
         assert stdout.count("wrote ") == 2
+
+    def test_extra_deltas_keep_the_fixed_delta_check(self, tmp_path, capsys):
+        config = _write_config(
+            tmp_path / "config.json", {"horizon": 30, "trials": 15, "deltas": [0.3]}
+        )
+        out = tmp_path / "out"
+        rc = main(
+            ["simulate-dynamics", "--config", config, "--seed", "3", "--out", str(out), "--check"]
+        )
+        assert rc in (0, 2)
+        assert "dynamics-final-exceedance-0.2" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary["exceedance_final"]) == ["0.1", "0.2", "0.3", "0.5"]
 
     def test_seed_flag_is_effective_and_replayable(self, tmp_path):
         config = _write_config(tmp_path / "config.json", {"horizon": 20, "trials": 10})
@@ -348,12 +364,18 @@ class TestScenarioCommands:
     @pytest.mark.parametrize(
         "schedule, expected",
         [
-            ({"kind": "power", "base": 10, "exponent": 50}, "schedule size at generation 3 "),
-            ({"kind": "power", "base": 10, "exponent": 1100}, "schedule size at generation 2 "),
+            ({"kind": "power", "base": 10, "exponent": 50},
+             ("schedule size at generation 3 ", _BEYOND_INT64)),
+            ({"kind": "power", "base": 10, "exponent": 1100},
+             ("schedule size at generation 2 ", _BEYOND_INT64)),
             # a base beyond int64 is refused when the config is parsed
-            ({"kind": "constant", "base": 10**20}, "schedule.base"),
+            ({"kind": "constant", "base": 10**20}, ("schedule.base", _BEYOND_INT64)),
+            # sizes that fit in int64 but not in memory: 10 * 100**8 draws at generation 100
+            ({"kind": "power", "base": 10, "exponent": 8},
+             ("generation 100's draws", "physical memory")),
         ],
-        ids=["power-beyond-int64", "power-beyond-float", "base-beyond-int64"],
+        ids=["power-beyond-int64", "power-beyond-float", "base-beyond-int64",
+             "power-beyond-memory"],
     )
     def test_schedule_beyond_int64_names_the_generation(
         self, tmp_path, capsys, schedule, expected
@@ -365,9 +387,9 @@ class TestScenarioCommands:
         rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert expected in err
-        assert "does not fit in a 64-bit integer" in err
-        assert not (tmp_path / "out" / "results.csv").exists()
+        assert all(part in err for part in expected)
+        assert "Traceback" not in err and err.count("error:") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_candidates_per_round_beyond_int64_is_a_validation_failure(self, tmp_path, capsys):
         config = _write_config(

@@ -322,6 +322,9 @@ class TestCheckRegulation:
                 ContractionFn(), RegulatorFn("example-sqrt"), metric,
                 np.empty((0, 2)),
             )
+        # a 1-d array is refused, not read as one probe point
+        with pytest.raises(InputValidationError, match=r"shape \(n, 2\)"):
+            check_regulation(ContractionFn(), RegulatorFn("example-sqrt"), metric, np.ones(2))
 
 
 class TestContractionMap:

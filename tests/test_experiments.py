@@ -33,7 +33,6 @@ from collapseguard.experiments import (
     emit_plot,
     ensure_checks_pass,
     exceedance_trend_rise,
-    read_config_json,
     read_results_csv,
     run_checks,
     run_experiment,
@@ -42,7 +41,7 @@ from collapseguard.experiments import (
     write_summary,
 )
 from collapseguard.experiments import _format_rows, _scan_body
-from collapseguard.filtering import load_filter_checkpoint
+from collapseguard.filtering import load_filter_checkpoint, read_json_object
 
 
 def _full_config_dict() -> dict:
@@ -148,20 +147,20 @@ class TestConfigParsing:
         with pytest.raises(InputValidationError, match="checkpoint"):
             ExperimentConfig.from_dict(raw)
 
-    def test_read_config_json_reads_json_and_reports_bad_files(self, tmp_path):
+    def test_read_json_object_reads_a_config_and_reports_bad_files(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scenario": "dynamics", "seed": 9}))
-        assert ExperimentConfig.from_dict(read_config_json(path)).seed == 9
-        with pytest.raises(InputValidationError, match="cannot read"):
-            read_config_json(tmp_path / "missing.json")
+        assert ExperimentConfig.from_dict(read_json_object(path, "config")).seed == 9
+        with pytest.raises(InputValidationError, match="cannot read config"):
+            read_json_object(tmp_path / "missing.json", "config")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(InputValidationError, match="JSON"):
-            read_config_json(bad)
+            read_json_object(bad, "config")
         listed = tmp_path / "list.json"
         listed.write_text("[1]")
         with pytest.raises(InputValidationError, match="JSON object"):
-            read_config_json(listed)
+            read_json_object(listed, "config")
 
     @pytest.mark.parametrize(
         "override, message",

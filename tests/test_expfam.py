@@ -203,6 +203,11 @@ class TestEstimate:
     def test_empty_data_rejected(self):
         with pytest.raises(InputValidationError):
             estimate(_model(GAUSSIAN), np.empty((0, 1)))
+        # a 1-d array is refused, not read as one point
+        with pytest.raises(InputValidationError, match=r"got \(1,\)"):
+            estimate(_model(GAUSSIAN), np.zeros(1))
+        with pytest.raises(InputValidationError, match=r"got \(1,\)"):
+            weighted_estimate(_model(GAUSSIAN), np.zeros(1), np.ones(1))
 
     def test_out_of_support_points_rejected(self):
         with pytest.raises(InputValidationError):

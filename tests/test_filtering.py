@@ -103,13 +103,11 @@ class TestFitPca:
         pca = fit_pca(data, k=3)
         np.testing.assert_allclose(_unproject(pca, pca.transform(data)), data, atol=1e-8)
 
-    def test_single_vector_transform_matches_batch_row(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(size=(20, 4))
+    def test_single_vector_transform_is_refused(self):
+        data = np.random.default_rng(3).normal(size=(20, 4))
         pca = fit_pca(data, k=2)
-        single = pca.transform(data[5])
-        assert single.shape == (2,)
-        np.testing.assert_allclose(single, pca.transform(data)[5], rtol=1e-12)
+        with pytest.raises(InputValidationError, match=r"got shape \(4,\)"):
+            pca.transform(data[5])
 
     def test_projection_columns_are_orthonormal(self):
         rng = np.random.default_rng(19)
