@@ -335,16 +335,8 @@ def limsup_bound(f: RegulatorFn, b: float) -> float:
     """
     if b <= 0.0 or not np.isfinite(b):
         raise InputValidationError("b must be finite and positive")
-    fv = f.scalar_fn()
-
-    def above(x: float) -> bool:
-        try:
-            return fv(x) > b
-        except OverflowError:  # x**p beyond the float range: compare c1 x^p with b by logs
-            return math.log(f.c1) + f.p * math.log(x) > math.log(b)
-
     hi = 1.0
-    while not above(hi):
+    while not f.value(hi) > b:
         hi *= 2.0
         if hi == math.inf:
             raise InputValidationError("regulator does not exceed b in the float range")
@@ -353,7 +345,7 @@ def limsup_bound(f: RegulatorFn, b: float) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if above(mid):
+        if f.value(mid) > b:
             hi = mid
         else:
             lo = mid

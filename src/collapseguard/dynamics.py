@@ -40,6 +40,7 @@ from .errors import (
     InputValidationError,
     SimulationOverflowError,
 )
+from .filtering import FilterHandle
 from .numerics import STACK_LIMIT, RngState, as_vector, check_fits
 
 ZERO = "zero"
@@ -478,38 +479,26 @@ def _in_generation(t, exc):
     return exc
 
 
-def _chunk_weights(filter_handle, points, out, t):
+def _chunk_weights(filter_handle, points, out):
     """Write the filter's (rows, n) weights of the (rows, n, d) chunk ``points`` into ``out``.
 
-    One call weighs the chunk; a result of another shape is charged to its
-    first row. If the call raises, the rows are called alone, as one-row
-    (1, n, d) chunks in row order, only to find the lowest failing row, whose
-    own error must be raised; the rows before it keep the n weights of their
-    own calls. If no row fails alone, the handle has broken the chunk
-    contract, which is raised. An empty chunk makes no call. Returns None,
-    or (row, error).
+    If the chunk call raises a refusal, the rows are called alone, as one-row
+    chunks in row order, only to find the lowest failing row; the rows before
+    it keep the weights of their own calls. An empty chunk makes no call.
+    Returns None, or (row, error).
     """
-    rows, size = points.shape[:2]
+    rows = points.shape[0]
     if rows == 0:
         return None
     try:
-        w = np.asarray(filter_handle.weights(points), dtype=float)
-    except Exception as chunk_error:
+        out[:rows] = filter_handle.weights(points)
+    except CollapseGuardError:
         for r in range(rows):
             try:
-                out[r] = np.reshape(filter_handle.weights(points[r : r + 1]), (1, size))[0]
-            except Exception as exc:
+                out[r] = filter_handle.weights(points[r : r + 1])[0]
+            except CollapseGuardError as exc:
                 return r, exc
-        raise InputValidationError(
-            f"generation {t}: filter raised on a (rows, n, d) chunk but on none of its rows "
-            f"alone; weights must take the whole chunk ({chunk_error})"
-        ) from chunk_error
-    if w.shape != (rows, size):
-        return 0, InputValidationError(
-            f"generation {t}: filter returned weights of shape {w.shape}, "
-            f"expected {(rows, size)}"
-        )
-    out[:rows] = w
+        raise
     return None
 
 
@@ -519,15 +508,15 @@ def _workflow_block(job):
     Each generation takes the live trials in chunks of at most
     ``STACK_LIMIT`` stacked values. ``expfam._draw_rows`` draws each trial's
     candidates straight into its row of the chunk, one call of the trial's
-    own stream, and then fits all rows at once; a refused draw or fit raises
-    its one-row call's error, prefixed with the generation. When filtered,
-    ``_chunk_weights`` weighs each such chunk in one call, and calls its rows
-    alone only to find the row a failing call belongs to. A trial freezes
-    once V exceeds the cap. A trial that fails stops, and so does every later
-    trial: the block raises the failure of the lowest-index failing trial,
-    the error a trial-by-trial loop meets first. Returns the ``_TrialFold``
-    job: the (trials, horizon+1) V paths as both sums (the metric is the
-    identity), and n_t, the schedule size while any trial samples, else 0.
+    own stream, and then fits all rows at once; when filtered,
+    ``_chunk_weights`` weighs each chunk in between. A refused draw, weighing
+    or fit raises its one-row call's error, prefixed with the generation.
+    A trial freezes once V exceeds the cap. A trial that fails stops, and so
+    does every later trial: the block raises the failure of the lowest-index
+    failing trial, the error a trial-by-trial loop meets first. Returns the
+    ``_TrialFold`` job: the (trials, horizon+1) V paths as both sums (the
+    metric is the identity), and n_t, the schedule size while any trial
+    samples, else 0.
     """
     (model, theta_star, sizes, filter_handle, rng, ds, cap), lo, hi = job
     family, dim = model.family, model.dim
@@ -554,9 +543,9 @@ def _workflow_block(job):
             weights = None
             if filtered:
                 weights = np.empty((part.size, size))
-                bad = _chunk_weights(filter_handle, points[:drawn], weights, t)
+                bad = _chunk_weights(filter_handle, points[:drawn], weights)
                 if bad is not None:
-                    stop, failure = part[bad[0]], bad[1]
+                    stop, failure = part[bad[0]], _in_generation(t, bad[1])
             fit, code = expfam._fit_rows(family, points, weights)
             coded = np.flatnonzero((code != 0) & (part < stop))
             if coded.size:
@@ -587,7 +576,7 @@ def run_workflow_trials(
     trials: int,
     rng: RngState,
     deltas=DEFAULT_DELTAS,
-    filter_handle=None,
+    filter_handle: FilterHandle | None = None,
     candidates_per_round: int | None = None,
     divergence_cap: float = DIVERGENCE_CAP,
 ) -> TrialStats:
@@ -601,21 +590,15 @@ def run_workflow_trials(
     check of ``run_dynamics_trials``; a largest generation whose draws
     would not fit in memory is refused, by name, before any draw.
 
-    With ``filter_handle`` (anything with a ``weights(points) -> array``
-    method, see the filtering module) every generation past the first
-    reweights its candidates before re-estimating. The handle is handed a
-    (rows, n, d) chunk of trials and must return (rows, n) weights, each
-    row as a call on its one-row (1, n, d) chunk would; another shape is
-    refused. When a chunk call raises, the rows are called alone, as one-row
-    chunks, to find the lowest trial that fails; if none does, the handle is
-    refused.
+    With ``filter_handle`` every generation past the first reweights its
+    candidates before re-estimating.
     ``candidates_per_round`` fixes the candidate count of those generations;
     None follows the sample schedule. A filter emitting all-ones weights
     reproduces the unfiltered workflow exactly on the same streams and counts.
     """
     horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap)
-    if filter_handle is not None and not hasattr(filter_handle, "weights"):
-        raise InputValidationError("filter_handle must expose a weights(points) method")
+    if filter_handle is not None and not isinstance(filter_handle, FilterHandle):
+        raise InputValidationError("filter_handle must be a FilterHandle")
     if candidates_per_round is not None and candidates_per_round < 1:
         raise InputValidationError("candidates_per_round must be positive when given")
     if theta_star.model != model:

@@ -298,18 +298,29 @@ class TestScenarioCommands:
         assert f"filter.checkpoint {checkpoint} scores points of dimension 2" in err
         assert "model.dim is 3" in err
 
-    def test_spreadless_oracle_candidates_map_to_the_runtime_exit_code(self, tmp_path, capsys):
-        # two Bernoulli candidates are often equal, so the cloud has no spread
+    @pytest.mark.parametrize(
+        "seed, theta, candidates, horizon, trials, generation",
+        [(3, 0.0, 2, 20, 5, 7), (7, -2.0, 4, 50, 300, 2)],
+        ids=["two-candidates", "four-candidates"],
+    )
+    def test_spreadless_oracle_candidates_map_to_the_runtime_exit_code(
+        self, tmp_path, capsys, seed, theta, candidates, horizon, trials, generation
+    ):
+        # a few Bernoulli candidates are often all equal, so the cloud has no spread
         config = _write_config(
             tmp_path / "config.json",
-            {"scenario": "workflow-filtered", "seed": 3,
-             "model": {"family": "bernoulli", "dim": 1, "theta_star": [0.0]},
-             "horizon": 20, "trials": 5,
-             "filter": {"kind": "oracle-pullback", "gamma": 0.5, "candidates_per_round": 2}},
+            {"scenario": "workflow-filtered", "seed": seed,
+             "model": {"family": "bernoulli", "dim": 1, "theta_star": [theta]},
+             "horizon": horizon, "trials": trials,
+             "filter": {"kind": "oracle-pullback", "gamma": 0.5,
+                        "candidates_per_round": candidates}},
         )
         rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 3
-        assert "candidate cloud has no spread" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"runtime error: generation {generation}: candidate cloud has no spread; "
+            "cannot tilt weights\n"
+        )
 
     def test_invalid_default_theta_star_names_the_field(self, tmp_path, capsys):
         config = _write_config(

@@ -748,93 +748,86 @@ class TestRunWorkflowFiltered:
         assert stats.mse[60] <= 0.05
         assert stats.mse[60] <= stats.mse[5] * 5.0
 
-    def test_the_filter_is_called_once_per_generation_and_chunk(self):
+    def test_the_filter_is_called_once_per_generation_and_chunk(self, monkeypatch):
         model, theta_star = _gaussian(2)
-        handle = _CountingFilter()
+        shapes, weights = [], FilterHandle.weights
+
+        def recording(handle, points):
+            shapes.append(np.shape(points)[:-1])
+            return weights(handle, points)
+
+        monkeypatch.setattr(FilterHandle, "weights", recording)
         horizon, trials, size = 3, 300, 1000
         stats = run_workflow_trials(
             model, theta_star, SampleSchedule(base=size), horizon=horizon, trials=trials,
-            rng=RngState(seed=4), filter_handle=handle, candidates_per_round=size,
+            rng=RngState(seed=4), filter_handle=FilterHandle.all_ones(),
+            candidates_per_round=size,
         )
         rows = STACK_LIMIT // (size * 2)
         chunks = sum(-(-block // rows) for block in (256, trials - 256))
-        assert handle.shapes.count((size, 2)) == 0
-        assert len(handle.shapes) == horizon * chunks
-        assert sum(shape[0] for shape in handle.shapes) == horizon * trials
+        assert shapes.count((size, 2)) == 0
+        assert len(shapes) == horizon * chunks
+        assert sum(shape[0] for shape in shapes) == horizon * trials
         plain = run_workflow_trials(
             model, theta_star, SampleSchedule(base=size), horizon=horizon, trials=trials,
             rng=RngState(seed=4),
         )
         np.testing.assert_array_equal(stats.mse, plain.mse)
 
-    @pytest.mark.parametrize(
-        "handle, error, message, cause",
-        [
-            (lambda: _OneSetAtATime(), ValueError, "one (n, d) candidate set at a time",
-             type(None)),
-            (lambda: _OneWeightPerRow(), InputValidationError, "generation 1: filter returned "
-             "weights of shape (20,), expected (20, 30)", type(None)),
-            (lambda: _OneRowAtATime(), InputValidationError, "generation 1: filter raised on a "
-             "(rows, n, d) chunk but on none of its rows alone; weights must take the whole "
-             "chunk (one row at a time)", ValueError),
-        ],
-        ids=["raises-on-a-chunk", "wrong-shape-for-a-chunk", "raises-on-several-rows"],
-    )
-    def test_a_handle_of_one_candidate_set_is_refused(self, handle, error, message, cause):
-        model, theta_star = _gaussian(2)
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-            run_workflow_trials(
-                model, theta_star, SampleSchedule(base=30), horizon=4, trials=20,
-                rng=RngState(seed=6), filter_handle=handle(), candidates_per_round=30,
-            )
-        assert type(info.value.__cause__) is cause
+    def test_a_handle_that_is_not_a_filter_handle_is_refused_before_any_draw(
+        self, monkeypatch
+    ):
+        class AllOnes:
+            def weights(self, points):
+                return np.ones(np.shape(points)[:-1])
 
-    def test_the_lowest_failing_row_of_a_chunk_raises(self):
-        model, theta_star = _gaussian(1)
-        with pytest.raises(ValueError, match=r"^row 3 fails$"):
-            run_workflow_trials(
-                model, theta_star, SampleSchedule(base=10), horizon=2, trials=10,
-                rng=RngState(seed=1), filter_handle=_FailsOnRows(3, 7),
-            )
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a candidate was drawn")
 
-    def test_a_chunk_only_handle_is_charged_to_its_failing_row(self):
-        """The rows are called alone as one-row chunks, never as (n, d) sets, which
-        ``_FailsOnRows`` refuses with ``chunks only``."""
+        monkeypatch.setattr(expfam, "_draw_rows", no_draw)
         model, theta_star = _gaussian(1)
-        with pytest.raises(ValueError, match=r"^row 5 fails$"):
+        with pytest.raises(InputValidationError, match="^filter_handle must be a FilterHandle$"):
             run_workflow_trials(
-                model, theta_star, SampleSchedule(base=10), horizon=2, trials=10,
-                rng=RngState(seed=1), filter_handle=_FailsOnRows(5),
+                model, theta_star, SampleSchedule(base=10), horizon=2, trials=3,
+                rng=RngState(seed=1), filter_handle=AllOnes(),
             )
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_the_lowest_failing_trial_of_a_filter_is_raised(self, workers, monkeypatch):
-        """A chunk call that raises is charged to the lowest trial whose own call raises.
+    def test_the_lowest_failing_trial_of_an_oracle_is_raised(self, workers, monkeypatch):
+        """A refused oracle chunk is charged to its lowest trial whose own call refuses.
 
-        ``_FailsPastAMean`` fails on its data alone, so its chunk calls raise
-        exactly when a row would alone, but name the last such row's mean.
+        Bernoulli clouds of 20 candidates near p = 0.12 often hold no 1, so the
+        oracle refuses them at different generations in different trials. A
+        refusal charged to another row of the chunk would stop the trials from
+        that row on, and the run would raise an earlier generation's refusal.
         """
         monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
-        model = ExpFamilyModel(GAUSSIAN, 1)
-        theta_star = Parameter(np.zeros(1), model)
-        schedule, trials, seed, handle = SampleSchedule(base=10), 300, 1, _FailsPastAMean()
-        first = {}
-        for horizon in (4, 5):
-            outcomes = _reference_outcomes(
-                model, theta_star, schedule, horizon, trials, seed, filter_handle=handle
+        model = ExpFamilyModel(BERNOULLI, 1)
+        theta_star = Parameter(np.array([-2.0]), model)
+        extra = {
+            "filter_handle": FilterHandle.oracle_pullback(theta_star, gamma=0.5),
+            "candidates_per_round": 20,
+        }
+        schedule, horizon, trials, seed = SampleSchedule(base=100), 4, 300, 7
+        outcomes = _reference_outcomes(
+            model, theta_star, schedule, horizon, trials, seed, **extra
+        )
+        failures = [(i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, Exception)]
+        first_trial, first_exc = failures[0]
+
+        # preconditions: the lowest failing trial is not the first row of its chunk,
+        # and a later trial of its chunk is refused at an earlier generation
+        assert first_trial % 256 % (STACK_LIMIT // 20) != 0
+        assert any(
+            i < 256 and _generation(exc) < _generation(first_exc) for i, exc in failures
+        )
+        with pytest.raises(DegenerateSelectionError) as info:
+            run_workflow_trials(
+                model, theta_star, schedule, horizon=horizon, trials=trials,
+                rng=RngState(seed=seed), **extra,
             )
-            first[horizon] = next(
-                (i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, Exception)
-            )
-            with pytest.raises(DegenerateSelectionError) as info:
-                run_workflow_trials(
-                    model, theta_star, schedule, horizon=horizon, trials=trials,
-                    rng=RngState(seed=seed), filter_handle=handle,
-                )
-            assert str(info.value) == str(first[horizon][1])
-        # precondition: the lowest failing trial of the horizon-5 run fails only at
-        # generation 5, so the lowest of the horizon-4 run, a later trial, fails earlier
-        assert first[5][0] < first[4][0]
+        assert type(first_exc) is DegenerateSelectionError
+        assert str(info.value) == str(first_exc)
 
     def test_candidate_count_must_be_positive(self):
         model, theta_star = _gaussian(1)
@@ -845,115 +838,17 @@ class TestRunWorkflowFiltered:
             )
 
 
-class _CountingFilter:
-    """All-ones weights that record the shape of every candidate array they get."""
-
-    def __init__(self):
-        self.shapes = []
-
-    def weights(self, points):
-        self.shapes.append(np.shape(points)[:-1])
-        return FilterHandle.all_ones().weights(points)
-
-
-class _OneSetAtATime:
-    """All-ones weights for one (n, d) candidate set; every chunk raises, a one-row chunk
-    too, so the chunk's first row fails with this error."""
-
-    def weights(self, points):
-        if np.ndim(points) != 2:
-            raise ValueError("one (n, d) candidate set at a time")
-        return np.ones(len(points))
-
-
-class _OneRowAtATime:
-    """All-ones weights for a one-row chunk; a chunk of several rows raises, which breaks
-    the chunk contract."""
-
-    def weights(self, points):
-        if len(points) != 1:
-            raise ValueError("one row at a time")
-        return np.ones(np.shape(points)[:2])
-
-
-class _OneWeightPerRow:
-    """A handle that reads a chunk as one set: one weight per row, the wrong shape."""
-
-    def weights(self, points):
-        return np.ones(len(points))
-
-
-class _FailsPastAMean:
-    """All-ones weights; a candidate set whose mean passes 1.0 raises, naming that mean.
-
-    Whether a set fails depends on its data alone, so a chunk call raises
-    exactly when one of its rows would alone. It names the last such row.
-    """
-
-    def weights(self, points):
-        stack = np.asarray(points)
-        means = [row[:, 0].mean() for row in (stack if stack.ndim == 3 else stack[None])]
-        past = [m for m in means if m > 1.0]
-        if past:
-            raise DegenerateSelectionError(f"candidate mean {past[-1]:.6f} is past 1.0")
-        return np.ones(stack.shape[:-1])
-
-
-class _FailsOnRows:
-    """Fails on the given rows of a chunk, counted over the one-row chunks called after a
-    chunk of several rows. An (n, d) set raises ``chunks only``.
-
-    A chunk call raises only if it holds one of these rows, naming the last it holds.
-    """
-
-    def __init__(self, *failing):
-        self.failing, self.row = failing, 0
-
-    def weights(self, points):
-        if np.ndim(points) != 3:
-            raise ValueError("chunks only")
-        if len(points) > 1:
-            self.row = 0
-            held = [r for r in self.failing if r < len(points)]
-            if held:
-                raise ValueError(f"row {held[-1]} fails")
-            return np.ones(np.shape(points)[:2])
-        row, self.row = self.row, self.row + 1
-        if row in self.failing:
-            raise ValueError(f"row {row} fails")
-        return np.ones(np.shape(points)[:2])
-
-
-def _run_local_map():
+def test_work_that_cannot_be_pickled_raises_a_named_error(monkeypatch):
     class LocalMap(ContractionMap):
         def apply_batch(self, errors, v):
             return 0.5 * errors
 
-    map_ = LocalMap(LyapunovMetric.identity(2), ContractionFn())
-    run_dynamics_trials(
-        map_, ZERO_NOISE, np.ones(2), horizon=2, trials=300, rng=RngState(seed=1),
-    )
-
-
-def _run_local_filter():
-    class LocalFilter:
-        def weights(self, points):
-            return np.ones(np.shape(points)[:-1])
-
-    model, theta_star = _gaussian(1)
-    run_workflow_trials(
-        model, theta_star, SampleSchedule(base=10), horizon=2, trials=300,
-        rng=RngState(seed=1), filter_handle=LocalFilter(),
-    )
-
-
-@pytest.mark.parametrize(
-    "run", [_run_local_map, _run_local_filter], ids=["local-map-class", "local-filter-class"]
-)
-def test_work_that_cannot_be_pickled_raises_a_named_error(run, monkeypatch):
     monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "2")
+    map_ = LocalMap(LyapunovMetric.identity(2), ContractionFn())
     with pytest.raises(InputValidationError, match="COLLAPSEGUARD_WORKERS=1"):
-        run()
+        run_dynamics_trials(
+            map_, ZERO_NOISE, np.ones(2), horizon=2, trials=300, rng=RngState(seed=1),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -974,15 +869,9 @@ def _reference_trial(model, theta_star, schedule, horizon, gen, handle, candidat
         filtered = handle is not None and t > 0
         size = candidates if filtered and candidates is not None else schedule.size(t)
         points = expfam.sample(model, current, size, gen)
-        if filtered:
-            w = np.asarray(handle.weights(points[None])[0], dtype=float)
-            if w.shape != (size,):
-                raise InputValidationError(
-                    f"generation {t}: filter returned weights of shape {w.shape}, "
-                    f"expected ({size},)"
-                )
         try:
             if filtered:
+                w = handle.weights(points[None])[0]
                 fitted = expfam.weighted_estimate(model, points, w)
             else:
                 fitted = expfam.estimate(model, points)
@@ -1017,6 +906,11 @@ def _reference_outcomes(
         except CollapseGuardError as exc:
             outcomes.append(exc)
     return outcomes
+
+
+def _generation(exc):
+    """The generation a workflow refusal names in its ``generation t: `` prefix."""
+    return int(re.match(r"generation (\d+):", str(exc)).group(1))
 
 
 def _reference_paths(outcomes):
@@ -1096,12 +990,8 @@ class TestWorkflowMatchesTrialLoop:
         failures = [(i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, Exception)]
         assert len(failures) >= 2
         first_trial, first_exc = failures[0]
-
-        def generation(exc):
-            return int(re.match(r"generation (\d+):", str(exc)).group(1))
-
         assert any(
-            i > first_trial and generation(exc) < generation(first_exc)
+            i > first_trial and _generation(exc) < _generation(first_exc)
             for i, exc in failures
         ), "no later trial fails at an earlier generation; the ordering is not exercised"
         with pytest.raises(CollapseGuardError) as info:
@@ -1164,21 +1054,3 @@ class TestWorkflowMatchesTrialLoop:
         assert np.isfinite(first) and first < horizon and live[int(first) + 1]
         np.testing.assert_array_equal(ns, np.where(sampling, 10, 0))
         np.testing.assert_array_equal(stats.ns, np.where(live, 10, 0))
-
-    def test_filter_weights_of_the_wrong_shape_are_rejected(self):
-        model, theta_star = _gaussian(1)
-        with pytest.raises(
-            InputValidationError,
-            match=re.escape(
-                "generation 1: filter returned weights of shape (4,), expected (3, 10)"
-            ),
-        ):
-            run_workflow_trials(
-                model, theta_star, SampleSchedule(base=10), horizon=3,
-                trials=3, rng=RngState(seed=1), filter_handle=_OneWeightTooMany(),
-            )
-
-
-class _OneWeightTooMany:
-    def weights(self, points):
-        return np.ones(len(points) + 1)
