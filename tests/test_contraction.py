@@ -566,6 +566,14 @@ class TestLimsupBound:
         ceiling = limsup_bound(RegulatorFn("power-law", p=2, c1=1e-10), 1e300)
         assert ceiling == pytest.approx(1e155, rel=1e-12)
 
+    def test_a_bracket_whose_value_passes_the_float_range_exceeds_b(self):
+        """For b the largest float, x^2 at 2^512 still falls short of b by logs, so the
+        root is bracketed at 2^513, where f is inf; inf exceeds every finite b."""
+        f, b = RegulatorFn("power-law", p=2, c1=1.0), float(np.finfo(float).max)
+        assert f.value(2.0**512) < b and f.value(2.0**513) == math.inf
+        ceiling = _limsup_within(5, f, b)
+        assert ceiling == pytest.approx(math.sqrt(b), rel=1e-12)
+
     @pytest.mark.parametrize("p, c1, b", [(1.0, 1.0, 1.7e308), (1.0001, 1e-300, 1e300)])
     def test_a_root_beyond_the_float_range_is_refused(self, p, c1, b):
         with pytest.raises(InputValidationError, match="does not exceed b in the float range"):

@@ -28,6 +28,7 @@ from collapseguard.errors import (
     InputValidationError,
     SimulationOverflowError,
 )
+from collapseguard.experiments import FilterSpec
 from collapseguard.expfam import (
     BERNOULLI,
     EXPONENTIAL,
@@ -774,13 +775,18 @@ class TestRunWorkflowFiltered:
         )
         np.testing.assert_array_equal(stats.mse, plain.mse)
 
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            lambda: _DuckTypedAllOnes(),
+            lambda: FilterSpec(kind="all-ones"),
+            lambda: FilterHandle.all_ones().weights,
+        ],
+        ids=["duck-typed-weights", "unbuilt-filter-spec", "bound-weights-method"],
+    )
     def test_a_handle_that_is_not_a_filter_handle_is_refused_before_any_draw(
-        self, monkeypatch
+        self, handle, monkeypatch
     ):
-        class AllOnes:
-            def weights(self, points):
-                return np.ones(np.shape(points)[:-1])
-
         def no_draw(*args, **kwargs):
             raise AssertionError("a candidate was drawn")
 
@@ -789,8 +795,27 @@ class TestRunWorkflowFiltered:
         with pytest.raises(InputValidationError, match="^filter_handle must be a FilterHandle$"):
             run_workflow_trials(
                 model, theta_star, SampleSchedule(base=10), horizon=2, trials=3,
-                rng=RngState(seed=1), filter_handle=AllOnes(),
+                rng=RngState(seed=1), filter_handle=handle(),
             )
+
+    def test_an_error_that_is_not_a_refusal_propagates_from_the_chunk_call(self, monkeypatch):
+        """Only a ``CollapseGuardError`` sends the rows of a chunk to be called alone;
+        any other error of the filter is a fault and leaves the run as it is raised."""
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "1")
+        calls = []
+
+        def broken(handle, points):
+            calls.append(np.shape(points))
+            raise RuntimeError("broken scorer")
+
+        monkeypatch.setattr(FilterHandle, "weights", broken)
+        model, theta_star = _gaussian(1)
+        with pytest.raises(RuntimeError, match="^broken scorer$"):
+            run_workflow_trials(
+                model, theta_star, SampleSchedule(base=10), horizon=2, trials=7,
+                rng=RngState(seed=1), filter_handle=FilterHandle.all_ones(),
+            )
+        assert calls == [(7, 10, 1)]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_the_lowest_failing_trial_of_an_oracle_is_raised(self, workers, monkeypatch):
@@ -836,6 +861,37 @@ class TestRunWorkflowFiltered:
                 model, theta_star, SampleSchedule(base=10), horizon=2, seed=1,
                 filter_handle=FilterHandle.all_ones(), candidates_per_round=0,
             )
+
+
+class _DuckTypedAllOnes:
+    """All-ones weights through a ``weights`` method, without being a ``FilterHandle``."""
+
+    def weights(self, points):
+        return np.ones(np.shape(points)[:-1])
+
+
+class TestChunkWeights:
+    def test_the_rows_before_the_lowest_refusing_row_keep_their_own_weights(self):
+        """Rows 1 and 2 hold one value each, so the oracle refuses both; the chunk is
+        charged to row 1, and row 0 keeps the weights of its own one-row call."""
+        model = ExpFamilyModel(BERNOULLI, 1)
+        handle = FilterHandle.oracle_pullback(Parameter(np.array([-2.0]), model), gamma=0.5)
+        points = np.zeros((3, 8, 1))
+        points[0, :3] = 1.0
+        out = np.full((3, 8), np.nan)
+        row, error = dynamics._chunk_weights(handle, points, out)
+        assert row == 1
+        assert type(error) is DegenerateSelectionError
+        assert str(error) == "candidate cloud has no spread; cannot tilt weights"
+        np.testing.assert_array_equal(out[0], handle.weights(points[:1])[0])
+
+    def test_an_empty_chunk_makes_no_call(self, monkeypatch):
+        def no_call(handle, points):
+            raise AssertionError("the filter was called")
+
+        monkeypatch.setattr(FilterHandle, "weights", no_call)
+        out = np.empty((2, 5))
+        assert dynamics._chunk_weights(FilterHandle.all_ones(), np.empty((0, 5, 1)), out) is None
 
 
 def test_work_that_cannot_be_pickled_raises_a_named_error(monkeypatch):
