@@ -278,7 +278,7 @@ def _run_blocks(block_fn, args: tuple, trials: int, max_group: int = 1):
         ) from exc
     from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         yield from pool.map(block_fn, jobs)
 
 
@@ -293,8 +293,8 @@ def _check_run(rng, trials: int, horizon, deltas, cap) -> tuple[int, tuple[float
     """
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
-    if trials < 1:
-        raise InputValidationError("trials must be positive")
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+        raise InputValidationError("trials must be a positive integer")
     if not isinstance(horizon, (int, np.integer)) or horizon < 0:
         raise InputValidationError("horizon must be a nonnegative integer")
     if not cap >= 0.0:
@@ -472,53 +472,40 @@ def run_dynamics_trials(
 # ---------------------------------------------------------------------------
 
 
-def _in_generation(t, exc):
-    """A refusal of the expfam kernels as generation ``t``'s error; any other error as it is."""
-    if isinstance(exc, CollapseGuardError):
-        return type(exc)(f"generation {t}: {exc}")
-    return exc
-
-
-def _chunk_weights(filter_handle, points, out):
-    """Write the filter's (rows, n) weights of the (rows, n, d) chunk ``points`` into ``out``.
-
-    If the chunk call raises a refusal, the rows are called alone, as one-row
-    chunks in row order, only to find the lowest failing row; the rows before
-    it keep the weights of their own calls. An empty chunk makes no call.
-    Returns None, or (row, error).
-    """
-    rows = points.shape[0]
-    if rows == 0:
-        return None
-    try:
-        out[:rows] = filter_handle.weights(points)
-    except CollapseGuardError:
-        for r in range(rows):
-            try:
-                out[r] = filter_handle.weights(points[r : r + 1])[0]
-            except CollapseGuardError as exc:
-                return r, exc
-        raise
-    return None
-
-
 def _workflow_block(job):
     """Run one block of workflow trials generation by generation.
 
     Each generation takes the live trials in chunks of at most
     ``STACK_LIMIT`` stacked values. ``expfam._draw_rows`` draws each trial's
     candidates straight into its row of the chunk, one call of the trial's
-    own stream, and then fits all rows at once; when filtered,
-    ``_chunk_weights`` weighs each chunk in between. A refused draw, weighing
-    or fit raises its one-row call's error, prefixed with the generation.
-    A trial freezes once V exceeds the cap. A trial that fails stops, and so
-    does every later trial: the block raises the failure of the lowest-index
-    failing trial, the error a trial-by-trial loop meets first. Returns the
-    ``_TrialFold`` job: the (trials, horizon+1) V paths as both sums (the
-    metric is the identity), and n_t, the schedule size while any trial
-    samples, else 0.
+    own stream; when filtered, one ``FilterHandle.weights`` call weighs the
+    chunk; then one fit advances all rows. A refused draw, weighing or fit
+    raises its error prefixed with the generation; a non-finite fit raises
+    SimulationOverflowError. A trial freezes once V exceeds the cap.
+
+    The batched pass stops at the first refusal it meets. A block of more
+    than one trial then replays its trials as one-trial blocks, in trial
+    order, and raises the first one's error: that of the lowest-index
+    failing trial, the error a trial-by-trial loop meets first. A row's
+    draws, weights and fit have the bits of its own call, so the replay
+    meets the same refusal. An error that is not a ``CollapseGuardError``
+    propagates as it is. Returns the ``_TrialFold`` job: the
+    (trials, horizon+1) V paths as both sums (the metric is the identity),
+    and n_t, the schedule size while any trial samples, else 0.
     """
-    (model, theta_star, sizes, filter_handle, rng, ds, cap), lo, hi = job
+    args, lo, hi = job
+    try:
+        return _workflow_pass(args, lo, hi)
+    except CollapseGuardError:
+        if hi - lo > 1:
+            for i in range(lo, hi):
+                _workflow_pass(args, i, i + 1)
+        raise
+
+
+def _workflow_pass(args, lo, hi):
+    """The batched pass of ``_workflow_block`` over trials lo to hi - 1."""
+    model, theta_star, sizes, filter_handle, rng, ds, cap = args
     family, dim = model.family, model.dim
     b, n = hi - lo, sizes.shape[0]
     gens = [rng.derive(i).generator() for i in range(lo, hi)]
@@ -526,7 +513,6 @@ def _workflow_block(job):
     v_now = np.zeros(b)
     vs = np.empty((b, n))
     diverged = np.full(b, np.inf)
-    stop, failure = b, None  # trials from ``stop`` on have stopped on ``failure``
 
     for t in range(n):
         size = int(sizes[t])
@@ -535,35 +521,24 @@ def _workflow_block(job):
         rows = max(1, STACK_LIMIT // (size * dim))
         for k in range(0, live.size, rows):
             part = live[k : k + rows]
-            part = part[part < stop]
             points = np.empty((part.size, size, dim))
-            drawn, error = expfam._draw_rows(family, theta[part], [gens[i] for i in part], points)
-            if error is not None:  # raised once no earlier trial can fail first
-                stop, failure = part[drawn], _in_generation(t, error)
-            weights = None
-            if filtered:
-                weights = np.empty((part.size, size))
-                bad = _chunk_weights(filter_handle, points[:drawn], weights)
-                if bad is not None:
-                    stop, failure = part[bad[0]], _in_generation(t, bad[1])
-            fit, code = expfam._fit_rows(family, points, weights)
-            coded = np.flatnonzero((code != 0) & (part < stop))
-            if coded.size:
-                r = coded[0]
-                error = expfam._fit_error(family, code[r], None if weights is None else weights[r])
-                stop, failure = part[r], _in_generation(t, error)
+            try:
+                expfam._draw_rows(family, theta[part], [gens[i] for i in part], points)
+                weights = filter_handle.weights(points) if filtered else None
+                fit, code = expfam._fit_rows(family, points, weights)
+                if code.any():
+                    r = np.flatnonzero(code)[0]
+                    row_weights = None if weights is None else weights[r]
+                    raise expfam._fit_error(family, code[r], row_weights)
+            except CollapseGuardError as exc:
+                raise type(exc)(f"generation {t}: {exc}") from exc
             err = fit - theta_star.theta
-            lost = np.flatnonzero(~np.isfinite(err).all(axis=1) & (part < stop))
-            if lost.size:
-                stop, failure = part[lost[0]], SimulationOverflowError(t)
-            keep = part < stop
-            part, fit, err = part[keep], fit[keep], err[keep]
+            if not np.isfinite(err).all():
+                raise SimulationOverflowError(t)
             theta[part] = fit
             v_now[part] = np.einsum("ij,ij->i", err, err)
             diverged[part[v_now[part] > cap]] = t
         vs[:, t] = v_now
-    if failure is not None:
-        raise failure
     ns = np.where(np.arange(n) <= diverged[:, None], sizes, 0).max(axis=0)
     return vs, vs, _exceed_counts(vs, diverged, ds), ns, diverged
 
@@ -588,7 +563,9 @@ def run_workflow_trials(
     A trial freezes once V exceeds ``divergence_cap``. ``_TrialFold`` adds
     the statistics one trial at a time into TrialStats, with the memory
     check of ``run_dynamics_trials``; a largest generation whose draws
-    would not fit in memory is refused, by name, before any draw.
+    would not fit in memory is refused, by name, before any draw. A run
+    with a refused trial raises the error of the lowest-index failing trial,
+    found by replaying its refused block one trial at a time.
 
     With ``filter_handle`` every generation past the first reweights its
     candidates before re-estimating.

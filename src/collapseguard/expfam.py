@@ -257,55 +257,44 @@ def _natural_rows(family: str, tbar: np.ndarray, checks: list):
     return theta, code
 
 
-def _draw_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray):
+def _draw_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray) -> None:
     """Draw each row ``out[r]`` (n, dim) i.i.d. at ``theta_rows[r]`` from ``gens[r]``.
 
     One call of each row's own generator, in row order, fills that row;
-    then the family's transform maps all drawn rows in one pass. The bits
-    are those of one ``sample`` call per row. Stops at the first row whose
-    call raises and returns ``(drawn, error)``: rows before ``drawn`` hold
-    their points, later rows nothing; ``error`` is None when all rows drew.
-    A Poisson row whose rate numpy cannot sample fails with a BoundaryError
-    before its call.
+    then the family's transform maps all rows in one pass. The bits are
+    those of one ``sample`` call per row. A row whose call raises stops the
+    draw with that error. A Poisson row whose rate numpy cannot sample fails
+    with a BoundaryError before its call.
     """
-    drawn, error = 0, None
-    for gen in gens:
-        row = out[drawn]
-        try:
-            if family == GAUSSIAN:
-                gen.standard_normal(out=row)
-            elif family == BERNOULLI:
-                gen.random(out=row)
-            elif family == POISSON:
-                rate = np.exp(theta_rows[drawn])
-                if np.any(rate > POISSON_RATE_MAX):
-                    raise BoundaryError(f"poisson rate {rate.max()} {_BEYOND_RATE_MAX}")
-                row[...] = gen.poisson(lam=rate, size=row.shape)
-            else:
-                row[...] = gen.exponential(scale=-1.0 / theta_rows[drawn], size=row.shape)
-        except Exception as exc:
-            error = exc
-            break
-        drawn += 1
+    for r, gen in enumerate(gens):
+        row = out[r]
+        if family == GAUSSIAN:
+            gen.standard_normal(out=row)
+        elif family == BERNOULLI:
+            gen.random(out=row)
+        elif family == POISSON:
+            rate = np.exp(theta_rows[r])
+            if np.any(rate > POISSON_RATE_MAX):
+                raise BoundaryError(f"poisson rate {rate.max()} {_BEYOND_RATE_MAX}")
+            row[...] = gen.poisson(lam=rate, size=row.shape)
+        else:
+            row[...] = gen.exponential(scale=-1.0 / theta_rows[r], size=row.shape)
     if family == GAUSSIAN:
-        out[:drawn] += theta_rows[:drawn, None, :]
+        out += theta_rows[:, None, :]
     elif family == BERNOULLI:
-        p = 1.0 / (1.0 + np.exp(-theta_rows[:drawn, None, :]))
-        out[:drawn] = out[:drawn] < p
-    return drawn, error
+        out[...] = out < 1.0 / (1.0 + np.exp(-theta_rows[:, None, :]))
 
 
 def sample(model: ExpFamilyModel, theta: Parameter, n: int, rng) -> np.ndarray:
     """Draw n i.i.d. points from the parameterized distribution, shape (n, dim).
 
-    The one-row call of ``_draw_rows``, the one draw path of the package.
+    The one-row call of ``_draw_rows``, the one draw path of the package;
+    its error is raised as it is.
     """
     if theta.model != model:
         raise InputValidationError("parameter belongs to a different model")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputValidationError("n must be a positive integer")
     out = np.empty((1, int(n), model.dim))
-    _, error = _draw_rows(model.family, theta.theta[None], [as_generator(rng)], out)
-    if error is not None:
-        raise error
+    _draw_rows(model.family, theta.theta[None], [as_generator(rng)], out)
     return out[0]

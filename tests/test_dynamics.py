@@ -1,5 +1,6 @@
 """Tests for the error-dynamics and recursive-training workflow simulators."""
 
+import concurrent.futures
 import math
 import re
 
@@ -439,6 +440,32 @@ class TestRunDynamicsTrials:
         np.testing.assert_array_equal(one.mse, two.mse)
         np.testing.assert_array_equal(one.exceedance_at(0.2), two.exceedance_at(0.2))
 
+    def test_the_pool_is_no_larger_than_its_job_list(self, monkeypatch):
+        """64 workers for 300 trials (2 jobs) open a pool of 2; a recorder that maps
+        in this process stands in for the pool, so no process starts."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "64")
+        map_ = ContractionMap(LyapunovMetric.identity(2), ContractionFn())
+        run_dynamics_trials(
+            map_, ZERO_NOISE, np.ones(2), horizon=2, trials=300, rng=RngState(seed=1),
+        )
+        assert sizes == [2]
+
     @pytest.mark.parametrize("freezing", ["few", "most"])
     @pytest.mark.parametrize("trials", [1, 255, 257, 513, 1000])
     def test_lockstep_grouping_does_not_change_results(self, trials, freezing, monkeypatch):
@@ -854,6 +881,68 @@ class TestRunWorkflowFiltered:
         assert type(first_exc) is DegenerateSelectionError
         assert str(info.value) == str(first_exc)
 
+    def test_a_refused_block_replays_its_trials_only_up_to_the_lowest_failing_one(
+        self, monkeypatch
+    ):
+        """After the refused chunk every call is a one-row chunk: trials 0..first-1 each
+        weigh all their generations alone, then the first failing trial raises."""
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "1")
+        model = ExpFamilyModel(BERNOULLI, 1)
+        theta_star = Parameter(np.array([-2.0]), model)
+        extra = {
+            "filter_handle": FilterHandle.oracle_pullback(theta_star, gamma=0.5),
+            "candidates_per_round": 20,
+        }
+        schedule, horizon, trials, seed = SampleSchedule(base=100), 4, 300, 7
+        outcomes = _reference_outcomes(
+            model, theta_star, schedule, horizon, trials, seed, **extra
+        )
+        first_trial, first_exc = next(
+            (i, exc) for i, exc in enumerate(outcomes) if isinstance(exc, Exception)
+        )
+        calls, refused, weights = [], [], FilterHandle.weights
+
+        def recording(handle, points):
+            calls.append(np.shape(points)[0])
+            try:
+                return weights(handle, points)
+            except DegenerateSelectionError:
+                refused.append(len(calls) - 1)
+                raise
+
+        monkeypatch.setattr(FilterHandle, "weights", recording)
+        with pytest.raises(DegenerateSelectionError) as info:
+            run_workflow_trials(
+                model, theta_star, schedule, horizon=horizon, trials=trials,
+                rng=RngState(seed=seed), **extra,
+            )
+        assert str(info.value) == str(first_exc)
+        chunk, last = refused
+        assert calls[chunk] > 1 and last == len(calls) - 1
+        replay = calls[chunk + 1 :]
+        assert replay == [1] * len(replay)
+        # generations 1..horizon of each earlier trial, then 1..g of the failing one
+        assert len(replay) == first_trial * horizon + _generation(first_exc)
+
+    def test_a_draw_fault_that_is_not_a_refusal_propagates_without_a_replay(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "1")
+        calls, draw_rows = [], expfam._draw_rows
+
+        def broken(family, theta_rows, gens, out):
+            calls.append(out.shape)
+            draw_rows(family, theta_rows, [_BrokenStream()] * len(gens), out)
+
+        monkeypatch.setattr(expfam, "_draw_rows", broken)
+        model, theta_star = _gaussian(1)
+        with pytest.raises(RuntimeError, match="^broken stream$"):
+            run_workflow_trials(
+                model, theta_star, SampleSchedule(base=10), horizon=2, trials=7,
+                rng=RngState(seed=1),
+            )
+        assert calls == [(7, 10, 1)]
+
     def test_candidate_count_must_be_positive(self):
         model, theta_star = _gaussian(1)
         with pytest.raises(InputValidationError):
@@ -863,6 +952,13 @@ class TestRunWorkflowFiltered:
             )
 
 
+class _BrokenStream:
+    """A stand-in stream whose Gaussian draw fails with an error that is not a refusal."""
+
+    def standard_normal(self, out):
+        raise RuntimeError("broken stream")
+
+
 class _DuckTypedAllOnes:
     """All-ones weights through a ``weights`` method, without being a ``FilterHandle``."""
 
@@ -870,28 +966,27 @@ class _DuckTypedAllOnes:
         return np.ones(np.shape(points)[:-1])
 
 
-class TestChunkWeights:
-    def test_the_rows_before_the_lowest_refusing_row_keep_their_own_weights(self):
-        """Rows 1 and 2 hold one value each, so the oracle refuses both; the chunk is
-        charged to row 1, and row 0 keeps the weights of its own one-row call."""
-        model = ExpFamilyModel(BERNOULLI, 1)
-        handle = FilterHandle.oracle_pullback(Parameter(np.array([-2.0]), model), gamma=0.5)
-        points = np.zeros((3, 8, 1))
-        points[0, :3] = 1.0
-        out = np.full((3, 8), np.nan)
-        row, error = dynamics._chunk_weights(handle, points, out)
-        assert row == 1
-        assert type(error) is DegenerateSelectionError
-        assert str(error) == "candidate cloud has no spread; cannot tilt weights"
-        np.testing.assert_array_equal(out[0], handle.weights(points[:1])[0])
+def _dynamics_of(trials):
+    map_ = ContractionMap(LyapunovMetric.identity(2), ContractionFn())
+    return run_dynamics_trials(
+        map_, ZERO_NOISE, np.ones(2), horizon=2, trials=trials, rng=RngState(seed=1),
+    )
 
-    def test_an_empty_chunk_makes_no_call(self, monkeypatch):
-        def no_call(handle, points):
-            raise AssertionError("the filter was called")
 
-        monkeypatch.setattr(FilterHandle, "weights", no_call)
-        out = np.empty((2, 5))
-        assert dynamics._chunk_weights(FilterHandle.all_ones(), np.empty((0, 5, 1)), out) is None
+def _workflow_of(trials):
+    model, theta_star = _gaussian(1)
+    return run_workflow_trials(
+        model, theta_star, SampleSchedule(base=10), 2, trials, RngState(seed=1),
+    )
+
+
+@pytest.mark.parametrize(
+    "trials", [2.5, np.float64(3.0), True], ids=["float", "numpy-float", "bool"]
+)
+@pytest.mark.parametrize("runner", [_dynamics_of, _workflow_of], ids=["dynamics", "workflow"])
+def test_a_trial_count_that_is_not_an_integer_is_refused(runner, trials):
+    with pytest.raises(InputValidationError, match="^trials must be a positive integer$"):
+        runner(trials)
 
 
 def test_work_that_cannot_be_pickled_raises_a_named_error(monkeypatch):

@@ -508,20 +508,18 @@ class TestDrawKernel:
         np.testing.assert_array_equal(drawn, expected)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_a_raising_row_stops_the_chunk_after_the_rows_before_it(self, family):
+    def test_the_first_raising_row_propagates_its_error(self, family):
+        """Row 3's error leaves the call as it is raised; row 4, which would raise
+        another, is never called."""
         dim, n, rows, k = 2, 7, 5, 3
         thetas = np.stack([_theta_for(family, dim, 0.1 * r) for r in range(rows)])
         rng = RngState(seed=23)
         error = ValueError("row 3 cannot draw")
-        gens = [rng.derive(r).generator() for r in range(rows)]
-        gens[k] = _FailingGenerator(error)
-        out = np.empty((rows, n, dim))
-        drawn, raised = _draw_rows(family, thetas, gens, out)
-        assert drawn == k and raised is error
-        model = _model(family, dim)
-        for r in range(k):
-            lone = sample(model, Parameter(thetas[r], model), n, rng.derive(r))
-            np.testing.assert_array_equal(out[r], lone)
+        gens = [rng.derive(r).generator() for r in range(k)]
+        gens += [_FailingGenerator(error), _FailingGenerator(ValueError("row 4"))]
+        with pytest.raises(ValueError) as info:
+            _draw_rows(family, thetas, gens, np.empty((rows, n, dim)))
+        assert info.value is error
 
     def test_sample_raises_the_error_of_its_one_row(self):
         model = _model(POISSON)
