@@ -10,9 +10,11 @@ statistics are folded from a short history of ||e||^2 and V once per
 ``run_workflow_trials`` re-fits an exponential family on its own samples
 each generation, with or without a reweighting filter in the loop, which
 is where estimation error actually comes from. Its kernel is
-generation-major: per generation, ``expfam._draw_rows`` draws each live
-trial's candidates from its own stream straight into its row of the
-chunk, the filter weighs the whole (rows, n, d) chunk in one call that
+generation-major and draws per window of generations: each live trial fills
+its row of a window, at most ``_DRAW_WINDOW`` values per block, with one
+call of its own stream. Per generation, the family's transform maps a copy
+of the generation's slice of the window to draws at each trial's current
+fit, the filter weighs the whole (rows, n, d) chunk in one call that
 returns (rows, n) weights, then one batched fit advances them all.
 
 Both fan one base RngState out into one independent stream per trial
@@ -55,6 +57,7 @@ _BLOCK = 256
 _CHUNK = 2048
 _LOCKSTEP = 8  # most blocks one dynamics job advances together; keeps a chunk >= 256 steps
 _WINDOW = 64  # dynamics steps whose statistics are folded in one pass
+_DRAW_WINDOW = 1 << 16  # most values of draws a workflow block holds, over a window of generations
 
 
 def worker_count() -> int:
@@ -295,7 +298,7 @@ def _check_run(rng, trials: int, horizon, deltas, cap) -> tuple[int, tuple[float
         raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
     if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
         raise InputValidationError("trials must be a positive integer")
-    if not isinstance(horizon, (int, np.integer)) or horizon < 0:
+    if not isinstance(horizon, (int, np.integer)) or isinstance(horizon, bool) or horizon < 0:
         raise InputValidationError("horizon must be a nonnegative integer")
     if not cap >= 0.0:
         raise InputValidationError("divergence_cap must be nonnegative (inf freezes no trial)")
@@ -476,10 +479,10 @@ def _workflow_block(job):
     """Run one block of workflow trials generation by generation.
 
     Each generation takes the live trials in chunks of at most
-    ``STACK_LIMIT`` stacked values. ``expfam._draw_rows`` draws each trial's
-    candidates straight into its row of the chunk, one call of the trial's
-    own stream; when filtered, one ``FilterHandle.weights`` call weighs the
-    chunk; then one fit advances all rows. A refused draw, weighing or fit
+    ``STACK_LIMIT`` stacked values, one chunk whenever the generation's
+    draws fit in a window (see ``_workflow_pass``). The chunk's draws come
+    from the window; when filtered, one ``FilterHandle.weights`` call weighs
+    the chunk; then one fit advances all rows. A refused draw, weighing or fit
     raises its error prefixed with the generation; a non-finite fit raises
     SimulationOverflowError. A trial freezes once V exceeds the cap.
 
@@ -504,7 +507,21 @@ def _workflow_block(job):
 
 
 def _workflow_pass(args, lo, hi):
-    """The batched pass of ``_workflow_block`` over trials lo to hi - 1."""
+    """The batched pass of ``_workflow_block`` over trials lo to hi - 1.
+
+    Draws come in windows of generations. A window opens for the live
+    trials and spans the most generations whose draws for them fit in
+    ``_DRAW_WINDOW`` values, one at least; a Poisson window spans one,
+    because its draws depend on the rate. Each trial fills its row of the
+    window with one call of its own stream (``expfam._base_rows``). Each
+    generation copies its slice of the window into a contiguous chunk, as
+    numpy runs a buffered, slower loop on a strided slice, and maps it to
+    draws at the trials' current theta (``expfam._transform_rows``). A
+    generation whose draws alone exceed the bound is its own window, drawn
+    chunk by chunk. A stream yields the same values in one call as in one
+    call per generation, and a trial frozen inside a window leaves its
+    stream unread after it, so the windows move no bit.
+    """
     model, theta_star, sizes, filter_handle, rng, ds, cap = args
     family, dim = model.family, model.dim
     b, n = hi - lo, sizes.shape[0]
@@ -513,17 +530,33 @@ def _workflow_pass(args, lo, hi):
     v_now = np.zeros(b)
     vs = np.empty((b, n))
     diverged = np.full(b, np.inf)
+    span = 1 if expfam._DRAWS[family][1] is None else n  # most generations in a window
+    start = stop = 0
+    window = drawn = None
 
     for t in range(n):
         size = int(sizes[t])
         filtered = filter_handle is not None and t > 0
         live = np.flatnonzero(np.isinf(diverged))
-        rows = max(1, STACK_LIMIT // (size * dim))
+        if t == stop:  # open the next window
+            values = live.size * dim
+            reach = np.cumsum(sizes[t : t + max(1, min(span, _DRAW_WINDOW // max(values, 1)))])
+            start, stop = t, t + max(1, int(np.count_nonzero(reach * values <= _DRAW_WINDOW)))
+            total, offset = int(reach[stop - t - 1]), 0
+        rows = max(1, STACK_LIMIT // (size * dim))  # one chunk whenever the window fits
         for k in range(0, live.size, rows):
             part = live[k : k + rows]
-            points = np.empty((part.size, size, dim))
             try:
-                expfam._draw_rows(family, theta[part], [gens[i] for i in part], points)
+                if t == start:
+                    window = points = None  # the last window is released before the next is drawn
+                    window = np.empty((part.size, total, dim))
+                    expfam._base_rows(family, theta[part], [gens[i] for i in part], window)
+                    drawn = part
+                points = window[:, offset : offset + size]
+                if part.size < drawn.size:  # trials frozen since the window was drawn
+                    points = points[np.searchsorted(drawn, part)]
+                points = np.ascontiguousarray(points)
+                expfam._transform_rows(family, theta[part], points)
                 weights = filter_handle.weights(points) if filtered else None
                 fit, code = expfam._fit_rows(family, points, weights)
                 if code.any():
@@ -539,6 +572,8 @@ def _workflow_pass(args, lo, hi):
             v_now[part] = np.einsum("ij,ij->i", err, err)
             diverged[part[v_now[part] > cap]] = t
         vs[:, t] = v_now
+        offset += size
+    window = points = None
     ns = np.where(np.arange(n) <= diverged[:, None], sizes, 0).max(axis=0)
     return vs, vs, _exceed_counts(vs, diverged, ds), ns, diverged
 
@@ -576,8 +611,12 @@ def run_workflow_trials(
     horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap)
     if filter_handle is not None and not isinstance(filter_handle, FilterHandle):
         raise InputValidationError("filter_handle must be a FilterHandle")
-    if candidates_per_round is not None and candidates_per_round < 1:
-        raise InputValidationError("candidates_per_round must be positive when given")
+    if candidates_per_round is not None and (
+        not isinstance(candidates_per_round, (int, np.integer))
+        or isinstance(candidates_per_round, bool)
+        or candidates_per_round < 1
+    ):
+        raise InputValidationError("candidates_per_round must be a positive integer when given")
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
 
@@ -596,4 +635,5 @@ def run_workflow_trials(
     fold = _TrialFold(n, ds)
     for job in _run_blocks(_workflow_block, args, trials):
         fold.add(job)
+        del job  # not held while the next block runs
     return fold.result()

@@ -257,44 +257,78 @@ def _natural_rows(family: str, tbar: np.ndarray, checks: list):
     return theta, code
 
 
-def _draw_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray) -> None:
-    """Draw each row ``out[r]`` (n, dim) i.i.d. at ``theta_rows[r]`` from ``gens[r]``.
+def _shift(draws: np.ndarray, theta: np.ndarray) -> None:
+    draws += theta
 
-    One call of each row's own generator, in row order, fills that row;
-    then the family's transform maps all rows in one pass. The bits are
-    those of one ``sample`` call per row. A row whose call raises stops the
-    draw with that error. A Poisson row whose rate numpy cannot sample fails
-    with a BoundaryError before its call.
+
+def _below_mean(draws: np.ndarray, theta: np.ndarray) -> None:
+    np.less(draws, 1.0 / (1.0 + np.exp(-theta)), out=draws)
+
+
+def _scale(draws: np.ndarray, theta: np.ndarray) -> None:
+    draws *= -1.0 / theta
+
+
+# family -> (the Generator method of its base draw, the in-place transform of
+# base draws to draws at theta). The base draws of the Gaussian, the Bernoulli
+# and the exponential do not depend on theta; a Poisson draw depends on its
+# rate, so its base draw is the final draw and it has no transform.
+_DRAWS = {
+    GAUSSIAN: ("standard_normal", _shift),
+    BERNOULLI: ("random", _below_mean),
+    EXPONENTIAL: ("standard_exponential", _scale),
+    POISSON: ("poisson", None),
+}
+
+
+def _base_rows(family: str, theta_rows: np.ndarray, gens, out: np.ndarray) -> None:
+    """Fill each row ``out[r]`` (m, dim) with base draws, one call of ``gens[r]`` per row.
+
+    Rows are drawn in row order; a row whose call raises stops the draw with
+    that error. A stream yields the same values in one call as in several
+    calls of the same total size, so a row may hold the draws of several
+    generations. A Poisson row draws at the rate of ``theta_rows[r]`` and
+    fails with a BoundaryError before its call when numpy cannot sample
+    that rate; the other families ignore ``theta_rows``.
     """
+    method = _DRAWS[family][0]
     for r, gen in enumerate(gens):
         row = out[r]
-        if family == GAUSSIAN:
-            gen.standard_normal(out=row)
-        elif family == BERNOULLI:
-            gen.random(out=row)
-        elif family == POISSON:
+        if family == POISSON:
             rate = np.exp(theta_rows[r])
             if np.any(rate > POISSON_RATE_MAX):
                 raise BoundaryError(f"poisson rate {rate.max()} {_BEYOND_RATE_MAX}")
-            row[...] = gen.poisson(lam=rate, size=row.shape)
+            row[...] = getattr(gen, method)(lam=rate, size=row.shape)
         else:
-            row[...] = gen.exponential(scale=-1.0 / theta_rows[r], size=row.shape)
-    if family == GAUSSIAN:
-        out += theta_rows[:, None, :]
-    elif family == BERNOULLI:
-        out[...] = out < 1.0 / (1.0 + np.exp(-theta_rows[:, None, :]))
+            getattr(gen, method)(out=row)
+
+
+def _transform_rows(family: str, theta_rows: np.ndarray, draws: np.ndarray) -> None:
+    """Map base draws (rows, n, dim) in place to draws at ``theta_rows`` (rows, dim).
+
+    The bits are those of numpy's own sampler: a Gaussian adds theta, a
+    Bernoulli tests u < sigmoid(theta), an exponential scales by -1/theta
+    (the product ``exponential(scale=...)`` forms); a Poisson draw is
+    already final.
+    """
+    transform = _DRAWS[family][1]
+    if transform is not None:
+        transform(draws, theta_rows[:, None, :])
 
 
 def sample(model: ExpFamilyModel, theta: Parameter, n: int, rng) -> np.ndarray:
     """Draw n i.i.d. points from the parameterized distribution, shape (n, dim).
 
-    The one-row call of ``_draw_rows``, the one draw path of the package;
-    its error is raised as it is.
+    One ``_base_rows`` call of one row, then ``_transform_rows``: the draw
+    path the workflow kernel takes per window of generations. Its error is
+    raised as it is.
     """
     if theta.model != model:
         raise InputValidationError("parameter belongs to a different model")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputValidationError("n must be a positive integer")
+    theta_rows = theta.theta[None]
     out = np.empty((1, int(n), model.dim))
-    _draw_rows(model.family, theta.theta[None], [as_generator(rng)], out)
+    _base_rows(model.family, theta_rows, [as_generator(rng)], out)
+    _transform_rows(model.family, theta_rows, out)
     return out[0]

@@ -9,6 +9,7 @@ from its own state without coordination.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -68,17 +69,20 @@ def as_symmetric_matrix(m, name: str = "matrix") -> np.ndarray:
 def point_sums(stack: np.ndarray) -> np.ndarray:
     """``stack.sum(axis=1)`` of a (rows, n, d) stack, with the same bits.
 
-    On a C-ordered stack with d >= 2 numpy adds axis 1 in order, one point
-    after the other, but its inner loop runs over the d entries of a point;
-    ``np.cumsum`` adds in the same order and is about 2.5x faster at
-    (16, 1000, 2). numpy's sum starts from +0.0, so ``+ 0.0`` turns the -0.0
-    of an all -0.0 column into its +0.0 and changes no other value. At
-    d = 1 numpy sums pairwise, and other layouts set their own order, so
-    ``sum`` stays there. So does a stack over ``STACK_LIMIT`` values, where
-    the (rows, n, d) cumsum would double the peak memory; every chunked
-    caller stays under it.
+    On a stack whose rows are each C-ordered, with d >= 2, numpy adds axis 1
+    in order, one point after the other, but its inner loop runs over the d
+    entries of a point; ``np.cumsum`` adds in the same order and is about
+    2.5x faster at (16, 1000, 2). The rows need not be adjacent, as in a
+    slice of a window of draws: the order is the same. numpy's sum starts
+    from +0.0, so ``+ 0.0`` turns the -0.0 of an all -0.0 column into its
+    +0.0 and changes no other value. At d = 1 numpy sums pairwise, and other
+    layouts set their own order, so ``sum`` stays there. So does a stack
+    over ``STACK_LIMIT`` values, where the (rows, n, d) cumsum would double
+    the peak memory; every chunked caller stays under it.
     """
-    if stack.shape[2] < 2 or stack.size > STACK_LIMIT or not stack.flags.c_contiguous:
+    d, step = stack.shape[2], stack.itemsize
+    rows_c_ordered = stack.strides[1] == d * step and stack.strides[2] == step
+    if d < 2 or stack.size > STACK_LIMIT or not rows_c_ordered:
         return stack.sum(axis=1)
     return np.cumsum(stack, axis=1)[:, -1] + 0.0
 
@@ -123,9 +127,41 @@ class RngState:
         return RngState(self.seed, mixed)
 
     def generator(self) -> np.random.Generator:
-        """Fresh numpy Generator positioned at the start of this stream."""
+        """Fresh numpy Generator positioned at the start of this stream.
+
+        Its Philox key is ``(seed, stream)`` and its counter 0, the state
+        ``Philox(key=...)`` builds, without the ``SeedSequence`` that call
+        makes first and that draws entropy from the system.
+        """
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_philox_key()(key)))
+
+
+@functools.cache
+def _philox_key() -> type:
+    """The seed sequence class that hands Philox one given key.
+
+    Philox asks its seed sequence for two 64-bit words, takes them as its
+    key and keeps the sequence for its life, where ``Philox(key=...)`` keeps
+    none; so the key is let go once read, and the class has no instance
+    dict. It is a registered ``ISeedSequence``, not a subclass, which would
+    bring a dict. It is built on first use, because naming ``numpy.random``
+    when this module is imported would load it with every import.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey:
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            key, self.key = self.key, None
+            return key
+
+    ISeedSequence.register(PhiloxKey)
+    return PhiloxKey
 
 
 def as_generator(rng) -> np.random.Generator:

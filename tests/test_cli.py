@@ -291,7 +291,7 @@ class TestScenarioCommands:
         def no_draw(*args, **kwargs):
             raise AssertionError("a candidate was drawn")
 
-        monkeypatch.setattr(collapseguard.expfam, "_draw_rows", no_draw)
+        monkeypatch.setattr(collapseguard.expfam, "_base_rows", no_draw)
         rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -346,7 +346,7 @@ class TestScenarioCommands:
         def no_draw(*args, **kwargs):
             raise AssertionError("a candidate was drawn")
 
-        monkeypatch.setattr(collapseguard.expfam, "_draw_rows", no_draw)
+        monkeypatch.setattr(collapseguard.expfam, "_base_rows", no_draw)
         rc = main(["simulate-workflow", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -817,7 +818,7 @@ class TestRunWorkflowFiltered:
         def no_draw(*args, **kwargs):
             raise AssertionError("a candidate was drawn")
 
-        monkeypatch.setattr(expfam, "_draw_rows", no_draw)
+        monkeypatch.setattr(expfam, "_base_rows", no_draw)
         model, theta_star = _gaussian(1)
         with pytest.raises(InputValidationError, match="^filter_handle must be a FilterHandle$"):
             run_workflow_trials(
@@ -928,20 +929,21 @@ class TestRunWorkflowFiltered:
         self, monkeypatch
     ):
         monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "1")
-        calls, draw_rows = [], expfam._draw_rows
+        calls, base_rows = [], expfam._base_rows
 
         def broken(family, theta_rows, gens, out):
             calls.append(out.shape)
-            draw_rows(family, theta_rows, [_BrokenStream()] * len(gens), out)
+            base_rows(family, theta_rows, [_BrokenStream()] * len(gens), out)
 
-        monkeypatch.setattr(expfam, "_draw_rows", broken)
+        monkeypatch.setattr(expfam, "_base_rows", broken)
         model, theta_star = _gaussian(1)
         with pytest.raises(RuntimeError, match="^broken stream$"):
             run_workflow_trials(
                 model, theta_star, SampleSchedule(base=10), horizon=2, trials=7,
                 rng=RngState(seed=1),
             )
-        assert calls == [(7, 10, 1)]
+        # one window holds the draws of all three generations
+        assert calls == [(7, 30, 1)]
 
     def test_candidate_count_must_be_positive(self):
         model, theta_star = _gaussian(1)
@@ -1205,3 +1207,132 @@ class TestWorkflowMatchesTrialLoop:
         assert np.isfinite(first) and first < horizon and live[int(first) + 1]
         np.testing.assert_array_equal(ns, np.where(sampling, 10, 0))
         np.testing.assert_array_equal(stats.ns, np.where(live, 10, 0))
+
+
+# ---------------------------------------------------------------------------
+# Windowed draws against one sample call per generation
+# ---------------------------------------------------------------------------
+
+_GROWING = SampleSchedule("power", base=30, exponent=1.5)  # 30, 30, 85, 156, 240, 336, 441
+
+_WINDOW_CASES = {
+    # label: (family, dim, theta, schedule, horizon, oracle candidates or None, cap)
+    "gaussian-2d-growing": (GAUSSIAN, 2, [1.0, -0.5], _GROWING, 6, None, 1e12),
+    "poisson-growing": (POISSON, 1, [np.log(3.0)], _GROWING, 6, None, 1e12),
+    "bernoulli-growing": (BERNOULLI, 1, [0.0], _GROWING, 6, None, 1e12),
+    "exponential-growing": (EXPONENTIAL, 1, [-1.0], _GROWING, 6, None, 1e12),
+    "frozen-mid-window": (GAUSSIAN, 1, [0.0], SampleSchedule(base=10), 8, None, 0.05),
+    "oracle-filtered": (GAUSSIAN, 2, [1.0, -0.5], SampleSchedule(base=100), 4, 40, 1e12),
+}
+
+
+class TestWindowedDraws:
+    """The kernel draws a trial's window of generations in one call of its stream.
+
+    Every case is compared bit for bit with ``_reference_outcomes``, whose
+    trials call ``expfam.sample`` once per generation: sizes that change
+    inside a window, the Poisson's one-generation windows, trials frozen
+    inside a window and oracle weights on chunks copied from a window, with
+    one worker and with two.
+    """
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+    def test_windows_give_the_bits_of_one_sample_call_per_generation(
+        self, case, workers, monkeypatch
+    ):
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+        family, dim, theta, schedule, horizon, candidates, cap = _WINDOW_CASES[case]
+        model = ExpFamilyModel(family, dim)
+        theta_star = Parameter(np.array(theta), model)
+        extra = {"divergence_cap": cap}
+        if candidates is not None:
+            extra["filter_handle"] = FilterHandle.oracle_pullback(theta_star, gamma=0.5)
+            extra["candidates_per_round"] = candidates
+        trials, seed, deltas = 300, 9, (0.05, 0.2, 1.0)
+        outcomes = _reference_outcomes(model, theta_star, schedule, horizon, trials, seed, **extra)
+        widths, base_rows = [], expfam._base_rows
+
+        def recording(family, theta_rows, gens, out):
+            widths.append(out.shape[1])
+            base_rows(family, theta_rows, gens, out)
+
+        monkeypatch.setattr(expfam, "_base_rows", recording)
+        stats = run_workflow_trials(
+            model, theta_star, schedule, horizon=horizon, trials=trials,
+            rng=RngState(seed=seed), deltas=deltas, **extra,
+        )
+        _assert_matches_reference(stats, outcomes, deltas)
+        if workers == "2":
+            return  # the draws ran in the worker processes
+        sizes = [schedule.size(t) for t in range(horizon + 1)]
+        if case == "frozen-mid-window":
+            # one window per block holds every generation, and trials freeze inside it
+            assert widths == [10 * (horizon + 1)] * 2
+            diverged_at = _reference_paths(outcomes)[3]
+            assert np.any((diverged_at > 0) & (diverged_at < horizon))
+        elif case == "oracle-filtered":
+            assert 3 * candidates in widths  # generations 1 to 3 of the first block
+        elif family == POISSON:
+            assert set(widths) <= set(sizes)  # one generation per window
+        else:
+            # wider than any generation, so a window holds sizes that differ
+            assert max(widths) > max(sizes)
+
+    def test_a_collapse_sized_block_peaks_under_1_1_mb(self, monkeypatch):
+        """256 trials of 100 draws over 61 generations: the window of draws, the
+        V paths and the streams. A wider window would raise the run's peak."""
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "1")
+        model, theta_star = _gaussian(1)
+        run = lambda: run_workflow_trials(  # noqa: E731
+            model, theta_star, SampleSchedule(base=100), horizon=60, trials=256,
+            rng=RngState(seed=1),
+        )
+        run()  # lazy set-up outside the traced run
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1e6
+
+
+@pytest.mark.parametrize(
+    "value", [0, 2.5, np.float64(3.0), True], ids=["zero", "float", "numpy-float", "bool"]
+)
+def test_a_candidate_count_that_is_not_a_positive_integer_is_refused_before_any_draw(
+    value, monkeypatch
+):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a candidate was drawn")
+
+    monkeypatch.setattr(expfam, "_base_rows", no_draw)
+    model, theta_star = _gaussian(1)
+    with pytest.raises(
+        InputValidationError, match="^candidates_per_round must be a positive integer when given$"
+    ):
+        run_workflow_trials(
+            model, theta_star, SampleSchedule(base=10), 2, 3, RngState(seed=1),
+            filter_handle=FilterHandle.all_ones(), candidates_per_round=value,
+        )
+
+
+@pytest.mark.parametrize(
+    "horizon", [True, 2.5, np.float64(3.0)], ids=["bool", "float", "numpy-float"]
+)
+@pytest.mark.parametrize("runner", ["dynamics", "workflow"])
+def test_a_horizon_that_is_not_an_integer_is_refused(runner, horizon, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a candidate was drawn")
+
+    monkeypatch.setattr(expfam, "_base_rows", no_draw)
+    with pytest.raises(InputValidationError, match="^horizon must be a nonnegative integer$"):
+        if runner == "dynamics":
+            map_ = ContractionMap(LyapunovMetric.identity(2), ContractionFn())
+            run_dynamics_trials(map_, ZERO_NOISE, np.ones(2), horizon, 2, RngState(seed=1))
+        else:
+            model, theta_star = _gaussian(1)
+            run_workflow_trials(
+                model, theta_star, SampleSchedule(base=10), horizon, 2, RngState(seed=1)
+            )

@@ -17,7 +17,7 @@ from collapseguard.expfam import (
     POISSON_RATE_MAX,
     ExpFamilyModel,
     Parameter,
-    _draw_rows,
+    _base_rows,
     _fit_error,
     _fit_rows,
     _mean_from_natural,
@@ -492,7 +492,7 @@ class _FailingGenerator:
     def _fail(self, *args, **kwargs):
         raise self.error
 
-    standard_normal = random = poisson = exponential = _fail
+    standard_normal = random = poisson = standard_exponential = _fail
 
 
 class TestDrawKernel:
@@ -518,7 +518,7 @@ class TestDrawKernel:
         gens = [rng.derive(r).generator() for r in range(k)]
         gens += [_FailingGenerator(error), _FailingGenerator(ValueError("row 4"))]
         with pytest.raises(ValueError) as info:
-            _draw_rows(family, thetas, gens, np.empty((rows, n, dim)))
+            _base_rows(family, thetas, gens, np.empty((rows, n, dim)))
         assert info.value is error
 
     def test_sample_raises_the_error_of_its_one_row(self):

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra and seeded-randomness primitives."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -126,6 +128,37 @@ class TestRngState:
         with pytest.raises(InputValidationError):
             RngState(seed=2**64)
 
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(0, 0), (2**64 - 1, 2**64 - 1)]
+        + [tuple(map(int, key)) for key in np.random.default_rng(8).integers(
+            0, 2**64, size=(4, 2), dtype=np.uint64, endpoint=False
+        )],
+    )
+    def test_the_stream_is_philox_keyed_by_seed_and_stream(self, seed, stream):
+        """Key, counter and buffer state equal those ``Philox(key=...)`` builds."""
+        got = RngState(seed, stream).generator()
+        keyed = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        a, b = got.bit_generator.state, keyed.state
+        assert a["bit_generator"] == b["bit_generator"] == "Philox"
+        for name in ("counter", "key"):
+            np.testing.assert_array_equal(a["state"][name], b["state"][name])
+        np.testing.assert_array_equal(a["buffer"], b["buffer"])
+        assert (a["buffer_pos"], a["has_uint32"], a["uinteger"]) == (
+            b["buffer_pos"], b["has_uint32"], b["uinteger"]
+        )
+        np.testing.assert_array_equal(
+            got.standard_normal(9), np.random.Generator(keyed).standard_normal(9)
+        )
+
+    def test_importing_the_package_does_not_load_numpy_random(self):
+        code = "import sys, collapseguard.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": ":".join(sys.path)},
+        )
+        assert out.stdout == "False\n"
+
     def test_as_generator_accepts_state_and_generator(self):
         state = RngState(seed=21)
         gen = state.generator()
@@ -161,8 +194,14 @@ class TestPointSums:
         want = x.sum(axis=1)
         np.testing.assert_array_equal(point_sums(x).view(np.int64), want.view(np.int64))
         other = np.asfortranarray(x)  # another layout sets another order: numpy's own
-        want = other.sum(axis=1)
-        np.testing.assert_array_equal(point_sums(other).view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(
+            point_sums(other).view(np.int64), other.sum(axis=1).view(np.int64)
+        )
+        wide = np.zeros((rows, 3 * n, d))  # a slice of a window: C-ordered rows, apart
+        wide[:, n : 2 * n] = x
+        np.testing.assert_array_equal(
+            point_sums(wide[:, n : 2 * n]).view(np.int64), want.view(np.int64)
+        )
 
     def test_a_stack_over_the_limit_adds_no_stack_sized_array(self):
         """Above ``STACK_LIMIT`` values the helper is numpy's ``sum``, whose peak
