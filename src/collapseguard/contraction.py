@@ -11,6 +11,7 @@ exactly and is cheap enough to run for a million steps.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -18,7 +19,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputValidationError, SimulationOverflowError
-from .numerics import STACK_LIMIT, RngState, as_symmetric_matrix, as_vector, check_fits, sym_eig
+from .numerics import (
+    STACK_LIMIT,
+    RngState,
+    as_symmetric_matrix,
+    as_vector,
+    check_fits,
+    check_int,
+    sym_eig,
+)
 from . import expfam
 
 EXAMPLE_SQRT = "example-sqrt"
@@ -275,23 +284,22 @@ def recurrence_simulate(f: RegulatorFn, x0: float, noise, steps: int) -> np.ndar
     construction. A state beyond the float range raises
     SimulationOverflowError with the step it was lost at.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise InputValidationError("steps must be a nonnegative integer")
+    steps = check_int(steps, "steps", 0)
     if not np.isfinite(x0) or x0 < 0.0:
         raise InputValidationError("x0 must be finite and nonnegative")
 
-    check_fits("trajectory values", (int(steps) + 1,), "use fewer steps")
+    check_fits("trajectory values", (steps + 1,), "use fewer steps")
     fv = f.scalar_fn()
-    out = np.empty(steps + 1)
-    out[0] = x = float(x0)
+    path = array("d", [x := float(x0)])  # 8 bytes a step, where a list holds a float object
     try:
-        for t, b in enumerate(noise.sigma_sq_array(0, steps).tolist()):
+        for b in noise.sigma_sq_array(0, steps).tolist():
             x = x - fv(x) + b
             if x < 0.0:
                 x = 0.0
-            out[t + 1] = x
+            path.append(x)
     except OverflowError:  # f(x) beyond the float range
-        raise SimulationOverflowError(t + 1) from None
+        raise SimulationOverflowError(len(path)) from None
+    out = np.array(path)
     if not np.isfinite(out[-1]):  # a non-finite state stays non-finite
         raise SimulationOverflowError(int(np.argmin(np.isfinite(out))))
     return out
@@ -388,8 +396,7 @@ def measure_concentration(
     if len(sizes) == 0:
         raise InputValidationError("sizes must be non-empty")
     for n in sizes:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise InputValidationError("sizes must be positive integers")
+        check_int(n, "each size", 1)
         check_fits(f"one trial's draws at size {n}", (int(n), model.dim), "use smaller sizes")
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (substreams are derived per size)")

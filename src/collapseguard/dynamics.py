@@ -43,7 +43,7 @@ from .errors import (
     SimulationOverflowError,
 )
 from .filtering import FilterHandle
-from .numerics import STACK_LIMIT, RngState, as_vector, check_fits
+from .numerics import STACK_LIMIT, RngState, as_vector, check_fits, check_int
 
 ZERO = "zero"
 POWER_LAW = "power-law"
@@ -124,8 +124,7 @@ class SampleSchedule:
     def __post_init__(self):
         if self.kind not in (CONSTANT, "power"):
             raise InputValidationError(f"unknown sample schedule kind {self.kind!r}")
-        if not isinstance(self.base, (int, np.integer)) or self.base < 1:
-            raise InputValidationError("base sample size must be a positive integer")
+        check_int(self.base, "base sample size", 1)
         if not self.exponent >= 0.0:
             raise InputValidationError("exponent must be nonnegative")
 
@@ -257,17 +256,24 @@ def _run_blocks(block_fn, args: tuple, trials: int, max_group: int = 1):
     """Yield ``block_fn((args, lo, hi))`` for each job, in trial order.
 
     A job is a contiguous group of 256-trial blocks: as many as spreads the
-    blocks evenly over the workers, at most ``max_group``. The worker count
-    comes from ``COLLAPSEGUARD_WORKERS``. The fixed blocks, not the workers
-    or the groups, set the reduction order, so any worker count gives the
-    same result. The caller folds each job as it arrives, so a serial run
-    holds one job's results at a time. When a pool is used (more than one
-    worker and more than one job), the first job is pickled up front so
-    that work which cannot reach a worker process fails with a named error.
+    blocks evenly over the workers, at most ``max_group``. With
+    ``max_group`` 1 (the workflow, whose fold adds one trial at a time) a
+    job is at most one block, cut smaller so that every worker has one
+    when there are fewer blocks than workers. The worker count comes from
+    ``COLLAPSEGUARD_WORKERS``. The fixed blocks, or single trials, not the
+    workers or the groups, set the reduction order, so any worker count
+    gives the same result. The caller folds each job as it arrives, so a
+    serial run holds one job's results at a time. When a pool is used (more
+    than one worker and more than one job), the first job is pickled up
+    front so that work which cannot reach a worker process fails with a
+    named error.
     """
     workers = worker_count()
     blocks = -(-trials // _BLOCK)
-    rows = _BLOCK * min(max_group, -(-blocks // workers))
+    if max_group == 1:
+        rows = min(_BLOCK, -(-trials // workers))
+    else:
+        rows = _BLOCK * min(max_group, -(-blocks // workers))
     jobs = [(args, lo, min(lo + rows, trials)) for lo in range(0, trials, rows)]
     if workers < 2 or len(jobs) < 2:
         yield from map(block_fn, jobs)
@@ -296,15 +302,13 @@ def _check_run(rng, trials: int, horizon, deltas, cap) -> tuple[int, tuple[float
     """
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-        raise InputValidationError("trials must be a positive integer")
-    if not isinstance(horizon, (int, np.integer)) or isinstance(horizon, bool) or horizon < 0:
-        raise InputValidationError("horizon must be a nonnegative integer")
+    check_int(trials, "trials", 1)
+    horizon = check_int(horizon, "horizon", 0)
     if not cap >= 0.0:
         raise InputValidationError("divergence_cap must be nonnegative (inf freezes no trial)")
     ds = _validate_deltas(deltas)
-    check_fits("per-step statistics", (4 + len(ds), int(horizon) + 1), "use a shorter horizon")
-    return int(horizon), ds
+    check_fits("per-step statistics", (4 + len(ds), horizon + 1), "use a shorter horizon")
+    return horizon, ds
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +615,8 @@ def run_workflow_trials(
     horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap)
     if filter_handle is not None and not isinstance(filter_handle, FilterHandle):
         raise InputValidationError("filter_handle must be a FilterHandle")
-    if candidates_per_round is not None and (
-        not isinstance(candidates_per_round, (int, np.integer))
-        or isinstance(candidates_per_round, bool)
-        or candidates_per_round < 1
-    ):
-        raise InputValidationError("candidates_per_round must be a positive integer when given")
+    if candidates_per_round is not None:
+        check_int(candidates_per_round, "candidates_per_round", 1)
     if theta_star.model != model:
         raise InputValidationError("theta_star belongs to a different model")
 

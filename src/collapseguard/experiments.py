@@ -15,6 +15,7 @@ import os
 import re
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from itertools import chain
 from typing import NoReturn, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -69,6 +70,11 @@ SCENARIOS = (
 CSV_HEADER = "scenario,t,n_t,mse,mean_V,exceed_0.1,exceed_0.2,exceed_0.5,trials,config_hash"
 COMPARE_HEADER = "t,baseline_mse,treatment_mse,ratio"
 TRAINING_LOG_HEADER = "epoch,total,class_part,contract_part,ess_part"
+
+# The CSV layer formats _BLOCK_ROWS rows at a time and reads about _READ_CHARS
+# characters at a time, so its memory does not grow with a table's rows.
+_BLOCK_ROWS = 4096
+_READ_CHARS = 1 << 19
 
 GAUSSIAN_TAIL_3 = math.erfc(3.0 / math.sqrt(2.0))
 
@@ -418,17 +424,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _format_rows(row: str, columns) -> str:
-    """``row`` %-formatted once per row of the equal-length ``columns``, in one pass.
+def _format_rows(row: str, columns):
+    """Yield ``row`` %-formatted once per row of the equal-length ``columns``.
 
-    ``row`` holds one field per column; "%d" % i is str(i) and "%.12g" % x
-    is format(x, ".12g"). A literal ``%`` in ``row`` must be written ``%%``.
+    Each piece is one %-pass over ``_BLOCK_ROWS`` rows, so the text of a
+    table is never held whole. ``row`` holds one field per column; "%d" % i
+    is str(i) and "%.12g" % x is format(x, ".12g"). A literal ``%`` in
+    ``row`` must be written ``%%``.
     """
-    width, rows = len(columns), len(columns[0])
-    values = [None] * (width * rows)
-    for j, column in enumerate(columns):
-        values[j::width] = column.tolist()
-    return (row * rows) % tuple(values)
+    width = len(columns)
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [column[lo : lo + _BLOCK_ROWS] for column in columns]
+        rows = len(block[0])
+        values = [None] * (width * rows)
+        for j, column in enumerate(block):
+            values[j::width] = column.tolist()
+        yield (row * rows) % tuple(values)
 
 
 def write_results_csv(table: ResultTable, path) -> None:
@@ -438,19 +449,35 @@ def write_results_csv(table: ResultTable, path) -> None:
     scenario, trials, chash = shared
     row = f"{scenario},%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,{trials},{chash}\n"
     columns = [table.t, table.n_t, table.mse, table.mean_v, *table.exceed.T]
-    atomic_write_text(path, f"{CSV_HEADER}\n" + _format_rows(row, columns))
+    atomic_write_text(path, chain([f"{CSV_HEADER}\n"], _format_rows(row, columns)))
 
 
 # One field per CSV_HEADER column; the two strings stay whole as Python objects.
 _CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "O i8 i8 f8 f8 f8 f8 f8 i8 O".split())))
+_SHARED_COLUMNS = ("scenario", "trials", "config_hash")  # in the order their faults are raised
 
 
-def _shared_value(path, name: str, column: np.ndarray):
-    """The value every row holds in a column the table keeps once."""
-    off = np.flatnonzero(column != column[0])
-    if off.size:
-        raise InputValidationError(f"{path}:{off[0] + 2}: column {name} differs from line 2")
-    return column[0]
+def _line_pieces(fh):
+    """Yield the lines of ``fh`` in pieces, each cut from about ``_READ_CHARS`` characters.
+
+    Each piece of text ends just after a newline. ``fh`` reads with universal
+    newlines, so no ``\\r`` is left, and the pieces' ``splitlines()`` give
+    exactly the lines of the whole text.
+    """
+    parts = []
+    while chunk := fh.read(_READ_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            parts.append(chunk)
+            continue
+        parts.append(chunk[:cut])
+        lines = "".join(parts).splitlines()
+        parts = [chunk[cut:]]
+        del chunk  # not held while the caller parses the piece
+        yield lines
+        del lines  # nor the lines while the next piece is read
+    if parts:
+        yield "".join(parts).splitlines()
 
 
 def _scan_body(path, body: list[str], refusal) -> NoReturn:
@@ -481,31 +508,73 @@ def _scan_body(path, body: list[str], refusal) -> NoReturn:
     raise InputValidationError(f"{path}: cannot parse the results: {refusal}")
 
 
-def read_results_csv(path) -> ResultTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputValidationError(f"cannot read results {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise InputValidationError(f"{path} does not carry the expected results schema")
-    body = lines[1:]
-    if not body:
-        return ResultTable("", [], [], [], [], np.empty((0, len(DEFAULT_DELTAS))), 0, "")
+def _parse_piece(path, body: list[str]) -> np.ndarray:
+    """The records of ``body``, some lines of the file.
+
+    A refusal or a blank line reads the whole body again for ``_scan_body``,
+    so that its fault is placed as if the file had been parsed at once.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # older numpy reads "1.5" as 1
+            warnings.simplefilter("ignore", UserWarning)  # "no data": blank lines, refused below
             rec = np.loadtxt(body, delimiter=",", comments=None, dtype=_CSV_DTYPE, ndmin=1)
+        if len(rec) == len(body):  # loadtxt skips blank lines
+            return rec
+        refusal = "a blank line"
     except (ValueError, OverflowError, DeprecationWarning) as exc:
-        _scan_body(path, body, exc)
-    if len(rec) != len(body):  # loadtxt skips blank lines
-        _scan_body(path, body, "a blank line")
-    scenario, trials, chash = (_shared_value(path, name, rec[name])
-                               for name in ("scenario", "trials", "config_hash"))
-    # copies, so that no column keeps the structured array and its strings alive
-    t, n_t, mse, mean_v = (rec[name].copy() for name in _CSV_DTYPE.names[1:5])
-    exceed = np.column_stack([rec[name] for name in _CSV_DTYPE.names[5:8]])
-    return ResultTable(scenario, t, n_t, mse, mean_v, exceed, int(trials), chash)
+        refusal = exc
+    with open(path, "r", encoding="utf-8") as fh:
+        _scan_body(path, fh.read().splitlines()[1:], refusal)
+
+
+def read_results_csv(path) -> ResultTable:
+    """Read a results table in pieces, holding its columns and one piece's records.
+
+    Every piece parses before a shared column that differs from line 2 is
+    refused, so a bad cell anywhere is reported first.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_pieces(path, _line_pieces(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputValidationError(f"cannot read results {path}: {exc}") from exc
+
+
+def _read_pieces(path, pieces) -> ResultTable:
+    body = next(pieces, [])
+    if not body or body[0] != CSV_HEADER:
+        for _ in pieces:  # an undecodable byte further on is reported first
+            pass
+        raise InputValidationError(f"{path} does not carry the expected results schema")
+    del body[0]
+    parts = {name: [] for name in ("t", "n_t", "mse", "mean_V", "exceed")}
+    shared, differs, line = None, {}, 2
+    while body is not None:
+        if body:
+            rec = _parse_piece(path, body)
+            if shared is None:
+                shared = {name: rec[name][0] for name in _SHARED_COLUMNS}
+            for name in _SHARED_COLUMNS:
+                off = np.flatnonzero(rec[name] != shared[name])
+                if off.size:
+                    differs.setdefault(name, line + int(off[0]))
+            # copies, so that no column keeps the records and their strings alive
+            for name in _CSV_DTYPE.names[1:5]:
+                parts[name].append(rec[name].copy())
+            parts["exceed"].append(np.column_stack([rec[name] for name in _CSV_DTYPE.names[5:8]]))
+            line += len(body)
+            del rec  # before the next piece is parsed
+        body = next(pieces, None)
+    for name in _SHARED_COLUMNS:
+        if name in differs:
+            raise InputValidationError(f"{path}:{differs[name]}: column {name} differs from line 2")
+    if shared is None:
+        return ResultTable("", [], [], [], [], np.empty((0, len(DEFAULT_DELTAS))), 0, "")
+    # one column at a time, so that no column is held both in pieces and whole
+    t, n_t, mse, mean_v, exceed = (np.concatenate(parts.pop(name)) for name in list(parts))
+    return ResultTable(shared["scenario"], t, n_t, mse, mean_v, exceed, int(shared["trials"]),
+                       shared["config_hash"])
 
 
 def write_summary(summary: dict, path) -> None:
@@ -726,7 +795,7 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
     losses = np.array(log, dtype=float).reshape(-1, len(final)).T
     row = "%d" + ",%.12g" * len(losses) + "\n"
     text = _format_rows(row, [np.arange(1, len(log) + 1), *losses])
-    atomic_write_text(paths["training_log"], f"{TRAINING_LOG_HEADER}\n{text}")
+    atomic_write_text(paths["training_log"], chain([f"{TRAINING_LOG_HEADER}\n"], text))
     meta = {
         "scenario": "train-filter",
         "family": model.family,
@@ -831,7 +900,7 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
 def write_compare_csv(table: CompareTable, path) -> None:
     columns = [table.t, table.baseline_mse, table.treatment_mse, table.ratio]
     text = _format_rows("%d,%.12g,%.12g,%.12g\n", columns)
-    atomic_write_text(path, f"{COMPARE_HEADER}\n{text}")
+    atomic_write_text(path, chain([f"{COMPARE_HEADER}\n"], text))
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +942,6 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
 
     sx = scaled(px, float(px.min()), float(px.max()), _SVG_M, _SVG_W - _SVG_M)
     sy = scaled(py, float(py.min()), float(py.max()), _SVG_H - _SVG_M, _SVG_M)
-    points = _format_rows("%.3f,%.3f ", [sx, sy])[:-1]
 
     frame = (
         f'<rect x="{_SVG_M}" y="{_SVG_M}" width="{_SVG_W - 2 * _SVG_M}" '
@@ -891,15 +959,16 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
         f'<text x="{_SVG_W / 2}" y="{_SVG_M - 12}" font-size="12" '
         f'font-family="monospace" text-anchor="middle">{column} ({kind})</text>'
     )
-    svg = (
+    first = "%.3f,%.3f" % (sx[0], sy[0])
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W:.0f}" '
         f'height="{_SVG_H:.0f}" viewBox="0 0 {_SVG_W:.0f} {_SVG_H:.0f}">\n'
         f'<rect width="{_SVG_W:.0f}" height="{_SVG_H:.0f}" fill="#ffffff"/>\n'
         f"{frame}\n{labels}\n"
-        f'<polyline fill="none" stroke="#1f6feb" stroke-width="1.5" points="{points}"/>\n'
-        "</svg>\n"
+        f'<polyline fill="none" stroke="#1f6feb" stroke-width="1.5" points="{first}'
     )
-    atomic_write_text(path, svg)
+    points = _format_rows(" %.3f,%.3f", [sx[1:], sy[1:]])  # a space before each later vertex
+    atomic_write_text(path, chain([head], points, ['"/>\n</svg>\n']))
 
 
 # ---------------------------------------------------------------------------

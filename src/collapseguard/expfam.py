@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, DegenerateSelectionError, InputValidationError
-from .numerics import as_generator, as_vector, point_sums
+from .numerics import as_generator, as_vector, check_int, point_sums
 
 GAUSSIAN = "gaussian-mean-known-cov"
 POISSON = "poisson"
@@ -54,9 +54,7 @@ class ExpFamilyModel:
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
         object.__setattr__(self, "family", family)
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise InputValidationError("dim must be a positive integer")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_int(self.dim, "dim", 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,10 +323,9 @@ def sample(model: ExpFamilyModel, theta: Parameter, n: int, rng) -> np.ndarray:
     """
     if theta.model != model:
         raise InputValidationError("parameter belongs to a different model")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputValidationError("n must be a positive integer")
+    n = check_int(n, "n", 1)
     theta_rows = theta.theta[None]
-    out = np.empty((1, int(n), model.dim))
+    out = np.empty((1, n, model.dim))
     _base_rows(model.family, theta_rows, [as_generator(rng)], out)
     _transform_rows(model.family, theta_rows, out)
     return out[0]

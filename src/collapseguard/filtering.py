@@ -24,7 +24,7 @@ import numpy as np
 from . import expfam
 from .contraction import ContractionFn, LyapunovMetric
 from .errors import CollapseGuardError, DegenerateSelectionError, InputValidationError
-from .numerics import RngState, as_generator, as_vector, point_sums, sym_eig
+from .numerics import RngState, as_generator, as_vector, check_int, point_sums, sym_eig
 
 CHECKPOINT_VERSION = 2
 
@@ -79,7 +79,7 @@ def fit_pca(data, k: int) -> PCATransform:
     if x.ndim != 2:
         raise InputValidationError("data must be a 2-d array of points")
     n, d = x.shape
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= d:
+    if check_int(k, "k", 1) > d:
         raise InputValidationError(f"k must lie in [1, {d}]")
     if n < k + 1:
         raise InputValidationError(f"need at least {k + 1} points to fit k={k} components")
@@ -316,8 +316,7 @@ class TrainingSpec:
 
     def __post_init__(self):
         for name in ("rounds", "candidates_per_round", "epochs", "hidden_dim", "pca_k"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InputValidationError(f"training.{name} must be an integer")
+            check_int(getattr(self, name), f"training.{name}")
         if self.rounds < 1:
             raise InputValidationError("training.rounds must be positive")
         if self.candidates_per_round < 2:
@@ -846,18 +845,20 @@ def save_filter_checkpoint(path, params: FilterParams, pca: PCATransform, train_
     atomic_write_json(path, payload, indent=1)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials.
+def atomic_write_text(path, text) -> None:
+    """Write ``text`` via a sibling temp file and rename, so readers never see partials.
 
-    The file gets the mode ``open`` would give it (0666 less the umask),
-    not the 0600 of a fresh temp file.
+    ``text`` is a str or an iterable of str pieces, written in order. If a
+    piece raises, neither the file nor the temp file is left behind. The
+    file gets the mode ``open`` would give it (0666 less the umask), not the
+    0600 of a fresh temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

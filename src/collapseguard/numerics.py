@@ -38,6 +38,20 @@ def check_fits(what: str, shape: tuple[int, ...], advice: str) -> None:
         )
 
 
+_INTEGER_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; it must be a Python or numpy integer, not a bool.
+
+    ``minimum``, None, 0 or 1, is the least value allowed.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
+        raise InputValidationError(f"{name} must be {_INTEGER_KINDS[minimum]}")
+    return int(value)
+
+
 def as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
     """Validate and return a finite 1-d float64 array of length ``dim``."""
     v = np.asarray(x, dtype=float)
@@ -114,9 +128,7 @@ class RngState:
 
     def __post_init__(self):
         for field_name, value in (("seed", self.seed), ("stream", self.stream)):
-            if not isinstance(value, (int, np.integer)):
-                raise InputValidationError(f"{field_name} must be an integer")
-            if not 0 <= int(value) <= _MASK64:
+            if not 0 <= check_int(value, field_name) <= _MASK64:
                 raise InputValidationError(f"{field_name} must fit in 64 unsigned bits")
 
     def derive(self, index: int) -> "RngState":

@@ -91,7 +91,12 @@ def trained_filter_run(acceptance_dir):
 
 @pytest.fixture(scope="session")
 def prevention_runs(acceptance_dir, trained_filter_run):
-    """Unfiltered, oracle-filtered, and trained-filtered 2-d workflows."""
+    """Unfiltered, oracle-filtered, and trained-filtered 2-d workflows.
+
+    They run on two workers, which split the 200 trials into two jobs.
+    Results do not depend on the worker count (tests/test_dynamics.py holds
+    that), so this only shortens the suite.
+    """
     base = {
         "seed": 7,
         "model": {"dim": 2},
@@ -99,23 +104,25 @@ def prevention_runs(acceptance_dir, trained_filter_run):
         "trials": 200,
         "schedule": {"kind": "constant", "base": 100},
     }
-    plain = _run({"scenario": "workflow", **base}, acceptance_dir / "plain")
-    oracle = _run(
-        {
-            "scenario": "workflow-filtered",
-            "filter": {"kind": "oracle-pullback", "gamma": 0.5},
-            **base,
-        },
-        acceptance_dir / "oracle",
-    )
-    mlp = _run(
-        {
-            "scenario": "workflow-filtered",
-            "filter": {"kind": "mlp", "checkpoint": trained_filter_run.paths["checkpoint"]},
-            **base,
-        },
-        acceptance_dir / "mlp",
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("COLLAPSEGUARD_WORKERS", "2")
+        plain = _run({"scenario": "workflow", **base}, acceptance_dir / "plain")
+        oracle = _run(
+            {
+                "scenario": "workflow-filtered",
+                "filter": {"kind": "oracle-pullback", "gamma": 0.5},
+                **base,
+            },
+            acceptance_dir / "oracle",
+        )
+        mlp = _run(
+            {
+                "scenario": "workflow-filtered",
+                "filter": {"kind": "mlp", "checkpoint": trained_filter_run.paths["checkpoint"]},
+                **base,
+            },
+            acceptance_dir / "mlp",
+        )
     return plain, oracle, mlp
 
 

@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import math
+import operator
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -163,6 +165,22 @@ class _BlowUpPast2_5(ContractionMap):
 
     def apply_batch(self, errors, v):
         return np.where(errors[:, :1] > 2.5, np.inf, 0.0) * np.ones_like(errors)
+
+
+class _InProcessPool:
+    """A ``ProcessPoolExecutor`` stand-in that maps in this process, so no process starts."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
 
 
 def _one_workflow(model, theta_star, schedule, horizon, seed, **kwargs):
@@ -442,30 +460,36 @@ class TestRunDynamicsTrials:
         np.testing.assert_array_equal(one.exceedance_at(0.2), two.exceedance_at(0.2))
 
     def test_the_pool_is_no_larger_than_its_job_list(self, monkeypatch):
-        """64 workers for 300 trials (2 jobs) open a pool of 2; a recorder that maps
-        in this process stands in for the pool, so no process starts."""
+        """64 workers for 300 trials (2 jobs) open a pool of 2."""
         sizes = []
 
-        class InProcessPool:
+        class Recording(_InProcessPool):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "64")
         map_ = ContractionMap(LyapunovMetric.identity(2), ContractionFn())
         run_dynamics_trials(
             map_, ZERO_NOISE, np.ones(2), horizon=2, trials=300, rng=RngState(seed=1),
         )
         assert sizes == [2]
+
+    @pytest.mark.parametrize(
+        "trials, workers, jobs",
+        [
+            (300, 1, [(0, 256), (256, 300)]),
+            (300, 2, [(0, 150), (150, 300)]),
+            (5, 4, [(0, 2), (2, 4), (4, 5)]),
+            (600, 2, [(0, 256), (256, 512), (512, 600)]),
+        ],
+    )
+    def test_a_workflow_job_is_at_most_one_block_cut_to_use_every_worker(
+        self, trials, workers, jobs, monkeypatch
+    ):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", str(workers))
+        assert list(dynamics._run_blocks(operator.itemgetter(1, 2), (), trials)) == jobs
 
     @pytest.mark.parametrize("freezing", ["few", "most"])
     @pytest.mark.parametrize("trials", [1, 255, 257, 513, 1000])
@@ -925,6 +949,52 @@ class TestRunWorkflowFiltered:
         # generations 1..horizon of each earlier trial, then 1..g of the failing one
         assert len(replay) == first_trial * horizon + _generation(first_exc)
 
+    def test_a_later_job_refused_first_does_not_mask_the_lowest_failing_trial(
+        self, tmp_path, monkeypatch
+    ):
+        """Two workers split 301 trials into jobs of 151 and 150 trials.
+
+        The first job's batched chunks are slowed by 1 s, so the second job's
+        chunk is refused first in wall time. The run still raises the error of the
+        lowest failing trial, trial 7 of the first job, as ``pool.map``
+        yields the jobs in order and each job replays its own refused chunk.
+        """
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "2")
+        model = ExpFamilyModel(BERNOULLI, 1)
+        theta_star = Parameter(np.array([-2.0]), model)
+        extra = {
+            "filter_handle": FilterHandle.oracle_pullback(theta_star, gamma=0.5),
+            "candidates_per_round": 20,
+        }
+        schedule, horizon, trials, seed = SampleSchedule(base=100), 4, 301, 7
+        outcomes = _reference_outcomes(
+            model, theta_star, schedule, horizon, trials, seed, **extra
+        )
+        failures = [i for i, exc in enumerate(outcomes) if isinstance(exc, Exception)]
+        assert failures[0] == 7 and 151 in failures
+        log, weights = tmp_path / "refusals.txt", FilterHandle.weights
+
+        def slowed(handle, points):
+            if len(points) == 151:  # a batched chunk of the first job
+                time.sleep(1.0)
+            try:
+                return weights(handle, points)
+            except DegenerateSelectionError:
+                with open(log, "a") as fh:
+                    fh.write(f"{time.monotonic()!r} {len(points)}\n")
+                raise
+
+        monkeypatch.setattr(FilterHandle, "weights", slowed)  # worker processes fork with it
+        with pytest.raises(DegenerateSelectionError) as info:
+            run_workflow_trials(
+                model, theta_star, schedule, horizon=horizon, trials=trials,
+                rng=RngState(seed=seed), **extra,
+            )
+        assert str(info.value) == str(outcomes[7])
+        refusals = sorted(tuple(map(float, line.split())) for line in log.read_text().splitlines())
+        assert refusals[0][1] == 150  # the second job's chunk was refused first
+        assert 151 in {rows for _, rows in refusals}
+
     def test_a_draw_fault_that_is_not_a_refusal_propagates_without_a_replay(
         self, monkeypatch
     ):
@@ -1310,7 +1380,7 @@ def test_a_candidate_count_that_is_not_a_positive_integer_is_refused_before_any_
     monkeypatch.setattr(expfam, "_base_rows", no_draw)
     model, theta_star = _gaussian(1)
     with pytest.raises(
-        InputValidationError, match="^candidates_per_round must be a positive integer when given$"
+        InputValidationError, match="^candidates_per_round must be a positive integer$"
     ):
         run_workflow_trials(
             model, theta_star, SampleSchedule(base=10), 2, 3, RngState(seed=1),

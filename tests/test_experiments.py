@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from collapseguard import experiments
 from collapseguard.contraction import RegulatorFn
 from collapseguard.dynamics import NoiseSchedule
 from collapseguard.errors import CheckFailureError, CollapseGuardError, InputValidationError
@@ -458,7 +459,7 @@ class TestOnePassWriterAgainstPerCellFormulas:
         xs = np.array([-0.0004, -0.0, 0.0, 0.0004, 0.0005, 0.0015, 56.0, 583.9995, 1e-300])
         ys = xs[::-1].copy()
         expected = " ".join("%.3f,%.3f" % pair for pair in zip(xs.tolist(), ys.tolist()))
-        assert _format_rows("%.3f,%.3f ", [xs, ys])[:-1] == expected
+        assert "".join(_format_rows("%.3f,%.3f ", [xs, ys]))[:-1] == expected
         assert expected.startswith("-0.000,0.000 -0.000,")
 
     def test_a_percent_sign_in_the_shared_cells_round_trips(self, tmp_path):
@@ -469,6 +470,82 @@ class TestOnePassWriterAgainstPerCellFormulas:
         first = path.read_text().splitlines()[1]
         assert first == "dyn%amics%%,0,100,0.5,1.25,1,0.5,0,20,%d%s%.12g%"
         assert _same_table(read_results_csv(path), table)
+
+
+def _reference_format_rows(row: str, columns) -> str:
+    """The writers' formatter as it was: one %-pass over every row of the table."""
+    width, rows = len(columns), len(columns[0])
+    values = [None] * (width * rows)
+    for j, column in enumerate(columns):
+        values[j::width] = column.tolist()
+    return (row * rows) % tuple(values)
+
+
+def _reference_polyline(ys) -> str:
+    """The points of a linear plot of ``ys`` over t = 0, 1, ..., formatted in one pass."""
+    xs = np.arange(len(ys), dtype=float)
+    m, w, h = 56.0, 640.0, 480.0
+    sx = m + (xs - xs.min()) / (xs.max() - xs.min()) * ((w - m) - m)
+    sy = (h - m) + (ys - ys.min()) / (ys.max() - ys.min()) * (m - (h - m))
+    return _reference_format_rows("%.3f,%.3f ", [sx, sy])[:-1]
+
+
+class TestBlockWiseWriter:
+    """The writers format a block of rows at a time; their bytes are the one-pass bytes."""
+
+    @staticmethod
+    def _large_table(rows):
+        rng = np.random.default_rng(31)
+        return ResultTable("rates", np.arange(rows), rng.integers(1, 10**6, rows),
+                           rng.random(rows), rng.random(rows), rng.random((rows, 3)), 20,
+                           "abc123def456")
+
+    def _assert_one_pass_bytes(self, table, tmp_path):
+        results, compare, svg = (tmp_path / name for name in ("r.csv", "c.csv", "p.svg"))
+        write_results_csv(table, results)
+        row = "rates,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,20,abc123def456\n"
+        columns = [table.t, table.n_t, table.mse, table.mean_v, *table.exceed.T]
+        assert results.read_bytes() == (
+            f"{CSV_HEADER}\n" + _reference_format_rows(row, columns)
+        ).encode()
+        ratios = CompareTable(table.t, table.mse, table.mean_v, table.mse / table.mean_v)
+        write_compare_csv(ratios, compare)
+        columns = [ratios.t, ratios.baseline_mse, ratios.treatment_mse, ratios.ratio]
+        assert compare.read_bytes() == (
+            f"{COMPARE_HEADER}\n" + _reference_format_rows("%d,%.12g,%.12g,%.12g\n", columns)
+        ).encode()
+        emit_plot(table, "linear", svg)
+        head, tail = svg.read_text().split(' points="')
+        assert tail == _reference_polyline(table.mse) + '"/>\n</svg>\n'
+        assert head.endswith('stroke-width="1.5"')
+
+    def test_a_large_table_compare_table_and_plot_are_the_one_pass_bytes(self, tmp_path):
+        self._assert_one_pass_bytes(self._large_table(100_001), tmp_path)
+
+    @pytest.mark.parametrize("rows", [2, 3, 4, 7])
+    def test_block_boundaries_move_no_byte(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 3)
+        self._assert_one_pass_bytes(self._large_table(rows), tmp_path)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+    def test_polyline_points_at_every_block_boundary(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 3)
+        path = tmp_path / "p.svg"
+        emit_plot(_table("rates", range(rows), 100, np.arange(1.0, rows + 1.0) ** 2, 1.0,
+                         (0.5, 0.25, 0.0), 10, "feedc0ffee12"), "semilogy", path)
+        points = path.read_text().split('points="')[1].split('"')[0]
+        assert len(points.split(" ")) == rows and points == points.strip()
+
+    def test_writing_a_large_table_stays_small(self, tmp_path):
+        # a 10.4 MB file: the one-pass writer peaked at 43.5 MB on it, this one at 1.8 MB
+        table = self._large_table(100_000)
+        tracemalloc.start()
+        try:
+            write_results_csv(table, tmp_path / "results.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 # The reader as it was before it parsed the body with np.loadtxt, kept as the
@@ -763,7 +840,9 @@ class TestResultsReaderAgainstTheReference:
         assert type(table.trials) is int
 
     def test_reading_a_large_table_stays_small(self, tmp_path):
-        # 10.7 MB of text: the per-cell reader peaked at 102 MB on it, this one at 45 MB
+        # 10.4 MB of text: the per-cell reader peaked at 102 MB on it, the whole-body
+        # np.loadtxt reader at 42 MB, and this one, which holds one piece's records and
+        # the table's 6.4 MB of columns, at 8.9 MB
         path = tmp_path / "results.csv"
         rows = 100_000
         rng = np.random.default_rng(5)
@@ -778,7 +857,95 @@ class TestResultsReaderAgainstTheReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60e6
+        assert peak < 12e6
+
+
+# 60 rows of about 50 characters: at a piece size of 200 characters, later lines
+# sit in later pieces
+_GOOD_60 = [
+    ["rates"] * 60, [str(t) for t in range(60)], ["100"] * 60, [repr(0.5 * t) for t in range(60)],
+    ["1.25"] * 60, ["1"] * 60, ["0.5"] * 60, ["0"] * 60, ["20"] * 60, ["abc123def456"] * 60,
+]
+_LINES_60 = _results_text(_GOOD_60).splitlines()[1:]
+
+
+def _broken_line(separator: str) -> str:
+    """The 60 good lines with ``separator`` inside line 32."""
+    return _with_lines(*_LINES_60[:30], _LINES_60[30][:20] + separator + _LINES_60[30][20:],
+                       *_LINES_60[31:])
+
+
+# Inputs whose faults sit in later pieces at a small piece size; each reads as the
+# reference does, the line a message names included.
+_ACROSS_PIECES = {
+    "clean": _results_text(_GOOD_60),
+    "bad-cell-in-a-later-piece": _results_text(_edited(_GOOD_60, 55, 3, "x")),
+    "bad-t-in-the-last-line": _results_text(_edited(_GOOD_60, 61, 1, "1.5")),
+    "short-line-in-a-later-piece": _with_lines(*_LINES_60[:40], "rates,1,2", *_LINES_60[40:]),
+    "earlier-scenario-mismatch-then-a-later-bad-cell": _results_text(
+        _edited(_edited(_GOOD_60, 3, 0, "other"), 58, 4, "y")
+    ),
+    "earlier-config-hash-mismatch-then-a-later-bad-trials": _results_text(
+        _edited(_edited(_GOOD_60, 4, 9, "other"), 50, 8, "twenty")
+    ),
+    "earlier-trials-mismatch-then-a-later-scenario-mismatch": _results_text(
+        _edited(_edited(_GOOD_60, 5, 8, "21"), 57, 0, "other")
+    ),
+    "later-config-hash-mismatch": _results_text(_edited(_GOOD_60, 59, 9, "other")),
+    "blank-line-in-a-later-piece": _with_lines(*_LINES_60[:45], "", *_LINES_60[45:]),
+    "blank-line-then-a-later-bad-cell": _with_lines(
+        *_LINES_60[:10], "", *_results_text(_edited(_GOOD_60, 55, 5, "z")).splitlines()[11:]
+    ),
+    "form-feed-inside-a-line": _broken_line("\x0c"),
+    "next-line-inside-a-line": _broken_line("\x85"),
+    "line-separator-inside-a-line": _broken_line("\u2028"),
+    "form-feed-inside-the-header": _results_text(_GOOD_60).replace("mse", "m\x0cse", 1),
+    "form-feed-after-the-header": _results_text(_GOOD_60).replace("\n", "\x0c", 1),
+    "crlf": _results_text(_GOOD_60).replace("\n", "\r\n"),
+    "lone-carriage-returns": _results_text(_GOOD_60).replace("\n", "\r"),
+    "no-trailing-newline": _results_text(_GOOD_60)[:-1],
+    "header-only": CSV_HEADER + "\n",
+    "header-without-a-newline": CSV_HEADER,
+    "header-then-blank-lines": CSV_HEADER + "\n\n\n",
+    "wrong-header": _results_text(_GOOD_60).replace("scenario", "t", 1),
+    "empty-file": "",
+}
+
+
+class TestPieceWiseReaderAgainstTheReference:
+    """Pieces of a few lines, of one character, or of the default size read as the reference."""
+
+    @pytest.mark.parametrize("chars", [1, 7, 200, None], ids=["1", "7", "200", "default"])
+    @pytest.mark.parametrize("name", list(_ACROSS_PIECES))
+    def test_outcome_across_pieces(self, tmp_path, monkeypatch, name, chars):
+        if chars is not None:
+            monkeypatch.setattr(experiments, "_READ_CHARS", chars)
+        path = tmp_path / "results.csv"
+        path.write_bytes(_ACROSS_PIECES[name].encode())
+        _assert_reads_as_before(path)
+
+    def test_small_pieces_cut_the_test_files_where_the_faults_are_in_later_pieces(self):
+        text = _ACROSS_PIECES["bad-cell-in-a-later-piece"]
+        assert text.index(",x,") > 10 * 200
+
+    @pytest.mark.parametrize(
+        "name", ["wrong-header", "bad-cell-in-a-later-piece", "later-config-hash-mismatch"]
+    )
+    def test_an_undecodable_byte_further_on_is_reported_first(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(experiments, "_READ_CHARS", 200)
+        path = tmp_path / "results.csv"
+        path.write_bytes(_ACROSS_PIECES[name].encode() + b"\xff\n")
+        with pytest.raises(InputValidationError, match=f"^cannot read results {re.escape(str(path))}: "
+                           "'utf-8' codec can't decode byte 0xff"):
+            read_results_csv(path)
+
+    def test_a_large_table_reads_piece_by_piece_as_the_reference(self, tmp_path):
+        path = tmp_path / "results.csv"
+        columns = _edited(_random_columns(np.random.default_rng(41), 30_000), 29_000, 0, "x")
+        path.write_text(_results_text(columns))
+        assert os.path.getsize(path) > 4 * (1 << 19)
+        _assert_reads_as_before(path)
+        assert _outcome(read_results_csv, path) == f"{path}:29000: column scenario differs from line 2"
 
 
 class TestAtomicWrite:
@@ -793,6 +960,27 @@ class TestAtomicWrite:
         atomic_write_text(target, "old\n")
         atomic_write_text(target, "new\n")
         assert target.read_text() == "new\n"
+
+    def test_pieces_are_written_in_order(self, tmp_path):
+        target = tmp_path / "file.txt"
+        atomic_write_text(target, iter(["pay", "", "load\n"]))
+        assert target.read_text() == "payload\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "over-a-file"])
+    def test_a_piece_that_raises_leaves_no_file_and_no_temp_file(self, tmp_path, existing):
+        target = tmp_path / "file.txt"
+        if existing:
+            target.write_text("old\n")
+
+        def pieces():
+            yield "partial\n" * 10_000
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="^formatting failed$"):
+            atomic_write_text(target, pieces())
+        assert [p.name for p in tmp_path.iterdir()] == (["file.txt"] if existing else [])
+        if existing:
+            assert target.read_text() == "old\n"
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_files_get_the_mode_the_umask_allows(self, tmp_path, umask, mode):

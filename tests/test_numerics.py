@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra and seeded-randomness primitives."""
 
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,13 +8,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from collapseguard import expfam
+from collapseguard.contraction import RegulatorFn, recurrence_simulate
+from collapseguard.dynamics import NoiseSchedule, SampleSchedule
 from collapseguard.errors import InputValidationError
-from collapseguard.filtering import fit_pca
+from collapseguard.expfam import GAUSSIAN, ExpFamilyModel, Parameter
+from collapseguard.filtering import TrainingSpec, fit_pca
 from collapseguard.numerics import (
     STACK_LIMIT,
     RngState,
     as_generator,
     check_fits,
+    check_int,
     point_sums,
     sym_eig,
 )
@@ -215,3 +221,52 @@ class TestPointSums:
             tracemalloc.stop()
         assert peak < x.nbytes // 8
         np.testing.assert_array_equal(got.view(np.int64), x.sum(axis=1).view(np.int64))
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint64(3), np.int8(3)])
+    def test_python_and_numpy_integers_pass_as_int(self, value):
+        checked = check_int(value, "x", 1)
+        assert checked == 3 and type(checked) is int
+
+    @pytest.mark.parametrize(
+        "value, minimum, message",
+        [
+            (True, None, "x must be an integer"),
+            (np.bool_(True), None, "x must be an integer"),
+            (2.0, None, "x must be an integer"),
+            ("2", None, "x must be an integer"),
+            (False, 0, "x must be a nonnegative integer"),
+            (-1, 0, "x must be a nonnegative integer"),
+            (0, 1, "x must be a positive integer"),
+            (True, 1, "x must be a positive integer"),
+        ],
+    )
+    def test_bools_other_types_and_small_values_are_refused(self, value, minimum, message):
+        with pytest.raises(InputValidationError, match=f"^{message}$"):
+            check_int(value, "x", minimum)
+
+
+_GAUSSIAN_1 = ExpFamilyModel(GAUSSIAN, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SampleSchedule(base=True), "base sample size must be a positive integer"),
+        (lambda: ExpFamilyModel(GAUSSIAN, dim=True), "dim must be a positive integer"),
+        (lambda: RngState(True, False), "seed must be an integer"),
+        (lambda: RngState(1, False), "stream must be an integer"),
+        (lambda: expfam.sample(_GAUSSIAN_1, Parameter(np.zeros(1), _GAUSSIAN_1), True, 1),
+         "n must be a positive integer"),
+        (lambda: recurrence_simulate(RegulatorFn("power-law"), 1.0, NoiseSchedule("zero"), True),
+         "steps must be a nonnegative integer"),
+        (lambda: fit_pca(np.arange(8.0).reshape(4, 2), k=True), "k must be a positive integer"),
+        (lambda: TrainingSpec(epochs=True), "training.epochs must be an integer"),
+    ],
+    ids=["schedule-base", "model-dim", "rng-seed", "rng-stream", "sample-n", "recurrence-steps",
+         "pca-k", "training-epochs"],
+)
+def test_an_entry_point_refuses_a_bool_for_an_integer(call, message):
+    with pytest.raises(InputValidationError, match=f"^{re.escape(message)}$"):
+        call()
