@@ -136,8 +136,9 @@ def _run_scenario_command(args) -> int:
 
 
 def _run_compare(args) -> int:
-    baseline = read_results_csv(args.baseline)
-    treatment = read_results_csv(args.treatment)
+    # compare reads only the steps and the MSE of each table
+    baseline = read_results_csv(args.baseline, keep=("t", "mse"))
+    treatment = read_results_csv(args.treatment, keep=("t", "mse"))
     table, summary = compare_runs(baseline, treatment)
     csv_path = os.path.join(args.out, "compare.csv")
     write_compare_csv(table, csv_path)
@@ -154,7 +155,7 @@ def _run_compare(args) -> int:
 
 
 def _run_plot(args) -> int:
-    table = read_results_csv(args.input)
+    table = read_results_csv(args.input, keep=("t", args.column))
     emit_plot(table, args.kind, args.out, column=args.column)
     print(f"wrote {args.out}")
     return 0

@@ -291,24 +291,38 @@ def _run_blocks(block_fn, args: tuple, trials: int, max_group: int = 1):
         yield from pool.map(block_fn, jobs)
 
 
-def _check_run(rng, trials: int, horizon, deltas, cap) -> tuple[int, tuple[float, ...]]:
+def _check_run(rng, trials: int, horizon, deltas, cap, job_rows) -> tuple[int, tuple[float, ...]]:
     """Both runners' shared checks; returns the horizon as an int and the deltas.
 
-    A horizon whose per-step statistics (``horizon + 1`` entries for each of
-    ts, mse, mean_v, ns and each delta's exceedance) would not fit in memory
-    or an array index is refused here, before any allocation or draw. The
-    divergence cap must be nonnegative: inf freezes no trial, and a NaN cap,
-    which no V exceeds, is refused rather than freezing none in silence.
+    A run whose per-step arrays would not fit in memory or an array index is
+    refused here, before any allocation or draw. Each array is ``horizon + 1``
+    long: the statistics (ts, mse, mean_v, ns and each delta's exceedance),
+    one job's exceedance counts, and the ``job_rows(trials)`` rows that one
+    job of the runner's kernel holds besides. The divergence cap must be
+    nonnegative: inf freezes no trial, and a NaN cap, which no V exceeds, is
+    refused rather than freezing none in silence.
     """
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
-    check_int(trials, "trials", 1)
+    trials = check_int(trials, "trials", 1)
     horizon = check_int(horizon, "horizon", 0)
     if not cap >= 0.0:
         raise InputValidationError("divergence_cap must be nonnegative (inf freezes no trial)")
     ds = _validate_deltas(deltas)
-    check_fits("per-step statistics", (4 + len(ds), horizon + 1), "use a shorter horizon")
+    check_fits("per-step statistics", (4 + 2 * len(ds) + job_rows(trials), horizon + 1),
+               "use a shorter horizon or fewer trials")
     return horizon, ds
+
+
+def _dynamics_rows(trials: int) -> int:
+    """Rows one dynamics job holds: its blocks' sums of ||e||^2 and of V."""
+    return 2 * min(-(-trials // _BLOCK), _LOCKSTEP)
+
+
+def _workflow_rows(trials: int) -> int:
+    """Rows one workflow job holds: its trials' V paths, the norms that
+    ``_exceed_counts`` takes of them (or the n_t sizes) and their masks."""
+    return 3 * min(trials, _BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +475,11 @@ def run_dynamics_trials(
     reproduces the serial result bit for bit: a job advances up to
     ``_LOCKSTEP`` 256-trial blocks in lockstep, and ``_TrialFold`` adds the
     per-block sums in block order. A trial freezes, and is marked diverged,
-    once V exceeds ``divergence_cap`` (nonnegative, inf included). A horizon whose per-step statistics
-    would not fit in this machine's memory is refused before any draw.
+    once V exceeds ``divergence_cap`` (nonnegative, inf included). A horizon
+    and trial count whose per-step statistics and block sums would not fit
+    in this machine's memory are refused before any draw.
     """
-    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap)
+    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap, _dynamics_rows)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
 
     args = (map_, noise, e0, horizon, rng, ds, divergence_cap)
@@ -600,9 +615,10 @@ def run_workflow_trials(
     later generation samples from its predecessor's fit and re-estimates,
     tracking e_t = theta_hat_t - theta_star with the identity-metric V.
     A trial freezes once V exceeds ``divergence_cap``. ``_TrialFold`` adds
-    the statistics one trial at a time into TrialStats, with the memory
-    check of ``run_dynamics_trials``; a largest generation whose draws
-    would not fit in memory is refused, by name, before any draw. A run
+    the statistics one trial at a time into TrialStats. A horizon and trial
+    count whose statistics and one job's V paths would not fit in memory
+    are refused before any draw, as is, by name, a largest generation whose
+    draws would not fit. A run
     with a refused trial raises the error of the lowest-index failing trial,
     found by replaying its refused block one trial at a time.
 
@@ -612,7 +628,7 @@ def run_workflow_trials(
     None follows the sample schedule. A filter emitting all-ones weights
     reproduces the unfiltered workflow exactly on the same streams and counts.
     """
-    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap)
+    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap, _workflow_rows)
     if filter_handle is not None and not isinstance(filter_handle, FilterHandle):
         raise InputValidationError("filter_handle must be a FilterHandle")
     if candidates_per_round is not None:

@@ -393,25 +393,31 @@ class ResultTable:
 
     ``exceed`` holds the exceedance columns at ``DEFAULT_DELTAS``, shape
     (rows, 3). The scenario, trial count and config hash are shared by
-    every row.
+    every row. A column other than ``t`` is None in a table read without it
+    (see ``read_results_csv``), so that code reaching for it fails.
     """
 
     scenario: str
     t: np.ndarray
-    n_t: np.ndarray
-    mse: np.ndarray
-    mean_v: np.ndarray
-    exceed: np.ndarray
+    n_t: np.ndarray | None
+    mse: np.ndarray | None
+    mean_v: np.ndarray | None
+    exceed: np.ndarray | None
     trials: int
     config_hash: str
 
     def __post_init__(self):
         for name, dtype in (("t", np.int64), ("n_t", np.int64), ("mse", float),
                             ("mean_v", float), ("exceed", float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            column = getattr(self, name)
+            if column is not None or name == "t":
+                object.__setattr__(self, name, np.asarray(column, dtype=dtype))
         rows = self.t.shape
-        if not (self.t.ndim == 1 and self.n_t.shape == self.mse.shape == self.mean_v.shape == rows
-                and self.exceed.shape == rows + (len(DEFAULT_DELTAS),)):
+        shapes = {"n_t": rows, "mse": rows, "mean_v": rows,
+                  "exceed": rows + (len(DEFAULT_DELTAS),)}
+        if self.t.ndim != 1 or any(getattr(self, name) is not None
+                                   and getattr(self, name).shape != shape
+                                   for name, shape in shapes.items()):
             raise InputValidationError(
                 "result columns must share one row count, with one exceed column per fixed delta"
             )
@@ -445,6 +451,11 @@ def _format_rows(row: str, columns):
 def write_results_csv(table: ResultTable, path) -> None:
     if len(table) == 0:
         raise InputValidationError("refusing to write an empty results table")
+    missing = [name for name in _TABLE_COLUMNS if getattr(table, name) is None]
+    if missing:
+        raise InputValidationError(
+            f"refusing to write a results table read without its {', '.join(missing)} column(s)"
+        )
     shared = (str(s).replace("%", "%%") for s in (table.scenario, table.trials, table.config_hash))
     scenario, trials, chash = shared
     row = f"{scenario},%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,{trials},{chash}\n"
@@ -455,6 +466,9 @@ def write_results_csv(table: ResultTable, path) -> None:
 # One field per CSV_HEADER column; the two strings stay whole as Python objects.
 _CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "O i8 i8 f8 f8 f8 f8 f8 i8 O".split())))
 _SHARED_COLUMNS = ("scenario", "trials", "config_hash")  # in the order their faults are raised
+# the CSV columns of each ResultTable column, in the table's order
+_TABLE_COLUMNS = {"t": ("t",), "n_t": ("n_t",), "mse": ("mse",), "mean_v": ("mean_V",),
+                  "exceed": _CSV_DTYPE.names[5:8]}
 
 
 def _line_pieces(fh):
@@ -528,27 +542,38 @@ def _parse_piece(path, body: list[str]) -> np.ndarray:
         _scan_body(path, fh.read().splitlines()[1:], refusal)
 
 
-def read_results_csv(path) -> ResultTable:
-    """Read a results table in pieces, holding its columns and one piece's records.
+def read_results_csv(path, keep: Sequence[str] | None = None) -> ResultTable:
+    """Read a results table in pieces, holding its kept columns and one piece's records.
 
-    Every piece parses before a shared column that differs from line 2 is
-    refused, so a bad cell anywhere is reported first.
+    ``keep`` names the numeric CSV columns to hold; None holds them all. ``t``
+    is always held, and an exceed column holds all three. The other columns
+    are None in the table, but every cell of every column is parsed and
+    checked all the same, so a file reads or fails the same whatever is
+    kept. Every piece parses before a shared column that differs from line 2
+    is refused, so a bad cell anywhere is reported first.
     """
+    if keep is None:
+        held = set(_TABLE_COLUMNS)
+    else:
+        held = {"t"} | {name for name, csv in _TABLE_COLUMNS.items() if set(csv) & set(keep)}
+        unknown = set(keep) - set(_CSV_DTYPE.names[1:8])
+        if unknown:
+            raise ValueError(f"not numeric results columns: {sorted(unknown)}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _read_pieces(path, _line_pieces(fh))
+            return _read_pieces(path, _line_pieces(fh), held)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputValidationError(f"cannot read results {path}: {exc}") from exc
 
 
-def _read_pieces(path, pieces) -> ResultTable:
+def _read_pieces(path, pieces, held: set[str]) -> ResultTable:
     body = next(pieces, [])
     if not body or body[0] != CSV_HEADER:
         for _ in pieces:  # an undecodable byte further on is reported first
             pass
         raise InputValidationError(f"{path} does not carry the expected results schema")
     del body[0]
-    parts = {name: [] for name in ("t", "n_t", "mse", "mean_V", "exceed")}
+    parts = {name: [] for name in _TABLE_COLUMNS if name in held}
     shared, differs, line = None, {}, 2
     while body is not None:
         if body:
@@ -560,9 +585,10 @@ def _read_pieces(path, pieces) -> ResultTable:
                 if off.size:
                     differs.setdefault(name, line + int(off[0]))
             # copies, so that no column keeps the records and their strings alive
-            for name in _CSV_DTYPE.names[1:5]:
-                parts[name].append(rec[name].copy())
-            parts["exceed"].append(np.column_stack([rec[name] for name in _CSV_DTYPE.names[5:8]]))
+            for name, chunks in parts.items():
+                csv = _TABLE_COLUMNS[name]
+                chunks.append(rec[csv[0]].copy() if len(csv) == 1
+                              else np.column_stack([rec[c] for c in csv]))
             line += len(body)
             del rec  # before the next piece is parsed
         body = next(pieces, None)
@@ -570,11 +596,15 @@ def _read_pieces(path, pieces) -> ResultTable:
         if name in differs:
             raise InputValidationError(f"{path}:{differs[name]}: column {name} differs from line 2")
     if shared is None:
-        return ResultTable("", [], [], [], [], np.empty((0, len(DEFAULT_DELTAS))), 0, "")
-    # one column at a time, so that no column is held both in pieces and whole
-    t, n_t, mse, mean_v, exceed = (np.concatenate(parts.pop(name)) for name in list(parts))
-    return ResultTable(shared["scenario"], t, n_t, mse, mean_v, exceed, int(shared["trials"]),
-                       shared["config_hash"])
+        shared = {"scenario": "", "trials": 0, "config_hash": ""}
+        empty = {"exceed": np.empty((0, len(DEFAULT_DELTAS)))}
+        columns = {name: empty.get(name, []) if name in held else None for name in _TABLE_COLUMNS}
+    else:
+        # one column at a time, so that no column is held both in pieces and whole
+        columns = {name: np.concatenate(parts.pop(name)) if name in held else None
+                   for name in _TABLE_COLUMNS}
+    return ResultTable(shared["scenario"], **columns, trials=int(shared["trials"]),
+                       config_hash=shared["config_hash"])
 
 
 def write_summary(summary: dict, path) -> None:
@@ -598,7 +628,8 @@ def _merged_deltas(config: ExperimentConfig) -> tuple[float, ...]:
 
 
 def _slope(ts: np.ndarray, ys: np.ndarray) -> float:
-    return float(np.polyfit(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), 1)[0])
+    # polyfit converts both to float64 itself (x + 0.0), exactly for integer steps below 2**53
+    return float(np.polyfit(ts, ys, 1)[0])
 
 
 def _trial_result(config: ExperimentConfig, chash: str, stats):
@@ -879,13 +910,13 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
     table = CompareTable(baseline.t, b, tr, ratios)
 
     finite = np.isfinite(ratios)
-    kept = ratios[finite]
+    ts, kept = (baseline.t, ratios) if finite.all() else (baseline.t[finite], ratios[finite])
     if kept.size < 2:
         trend = None
     elif np.all(kept == kept[0]):
         trend = 0.0  # a least-squares fit leaves rounding noise of either sign on a flat series
     else:
-        trend = _slope(baseline.t[finite], kept)
+        trend = _slope(ts, kept)
     summary = {
         "steps": len(ratios),
         "final_ratio": float(ratios[-1]) if np.isfinite(ratios[-1]) else None,
@@ -919,10 +950,13 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
         raise InputValidationError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
     if len(table) == 0:
         raise InputValidationError("cannot plot an empty result table")
-    xs = table.t.astype(float)
-    ys = dict(zip(PLOT_COLUMNS, (table.mse, table.mean_v, *table.exceed.T))).get(column)
-    if ys is None:
+    if column not in PLOT_COLUMNS:
         raise InputValidationError(f"unknown plot column {column!r}; expected one of {PLOT_COLUMNS}")
+    xs = table.t.astype(float)
+    if column in _TABLE_COLUMNS["exceed"]:
+        ys = table.exceed[:, _TABLE_COLUMNS["exceed"].index(column)]
+    else:
+        ys = table.mse if column == "mse" else table.mean_v
     if kind == "loglog":  # log10(t) has no point at t=0
         xs, ys = xs[xs > 0.0], ys[xs > 0.0]
         if xs.size == 0:

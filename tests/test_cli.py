@@ -1,9 +1,11 @@
 """Tests for the command-line interface: exit codes, overrides, artifacts."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,17 @@ import pytest
 import collapseguard
 from collapseguard.cli import main
 from collapseguard.contraction import RegulatorFn, limsup_bound
-from collapseguard.experiments import ResultTable, write_results_csv
+from collapseguard.experiments import (
+    PLOT_COLUMNS,
+    PLOT_KINDS,
+    ResultTable,
+    compare_runs,
+    emit_plot,
+    read_results_csv,
+    write_compare_csv,
+    write_results_csv,
+    write_summary,
+)
 from collapseguard.filtering import (
     FilterParams,
     content_hash,
@@ -37,6 +49,13 @@ def _synthetic_results(path, mses) -> str:
 
 
 _BEYOND_INT64 = "does not fit in a 64-bit integer"
+
+
+def _physical_memory(monkeypatch, nbytes: int) -> None:
+    """Make ``check_fits`` see ``nbytes`` of physical memory, in pages of 8 bytes."""
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": nbytes // 8}
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
 
 
 class TestScenarioCommands:
@@ -529,9 +548,35 @@ class TestScenarioCommands:
         rc = main([command, "--config", path, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: per-step statistics of shape (7, {horizon + 1}) need ")
-        assert err.endswith("; use a shorter horizon\n")
+        # the statistics, one job's exceedance counts, and two trials' paths or one block's sums
+        rows = 16 if scenario == "workflow" else 12
+        assert err.startswith(f"error: per-step statistics of shape ({rows}, {horizon + 1}) need ")
+        assert err.endswith("; use a shorter horizon or fewer trials\n")
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_a_workflow_whose_paths_exceed_memory_is_refused_before_any_stream(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The statistics take 280 MB; 256 trials' V paths and their temporaries take 30 GB."""
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a random stream was opened")
+
+        monkeypatch.setattr(collapseguard.numerics.RngState, "generator", no_stream)
+        _physical_memory(monkeypatch, 8 << 30)
+        path = _write_config(
+            tmp_path / "config.json",
+            {"scenario": "workflow", "seed": 1, "model": {"dim": 1}, "horizon": 5_000_000,
+             "trials": 256},
+        )
+        rc = main(["simulate-workflow", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: per-step statistics of shape (778, 5000001) need 31120006224 bytes, beyond "
+            f"the {8 << 30} that physical memory and the array index range allow; use a shorter "
+            "horizon or fewer trials\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_an_initial_error_whose_squared_norm_overflows_is_refused(self, tmp_path, capsys):
         """||e0||^2 = 1e400 is inf, which would fill every results.csv row and the summary."""
@@ -860,8 +905,10 @@ class TestCompareAndPlot:
             (3, "abc", "column mse must hold a number, got 'abc'"),
             (1, "1.5", "column t must hold an integer, got '1.5'"),
             (8, "ten", "column trials must hold an integer, got 'ten'"),
+            (4, "x", "column mean_V must hold a number, got 'x'"),
+            (7, "abc", "column exceed_0.5 must hold a number, got 'abc'"),
         ],
-        ids=["float-column", "int-column", "trials"],
+        ids=["float-column", "int-column", "trials", "unread-mean_V", "unread-exceed"],
     )
     @pytest.mark.parametrize("command", ["plot", "compare"])
     def test_malformed_csv_field_is_a_validation_failure(
@@ -917,6 +964,108 @@ class TestCompareAndPlot:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {side} mse must be finite, got {cell} at t=2\n"
         assert not out.exists()
+
+
+def _random_results(path, rng, mse, negative_zeros=False) -> str:
+    """A results file with ``mse`` and random other columns, -0.0 cells among them if asked."""
+    rows = len(mse)
+    mean_v, exceed = rng.random(rows), rng.random((rows, 3))
+    if negative_zeros:
+        mean_v[::3], exceed[1::4] = -0.0, -0.0
+    table = ResultTable("workflow", np.arange(rows), rng.integers(1, 1000, rows), mse, mean_v,
+                        exceed, 10, "feedc0ffee12")
+    write_results_csv(table, path)
+    return str(path)
+
+
+# (baseline mse, treatment mse) pairs whose compare outputs reach each branch of the trend
+_COMPARE_CASES = {
+    "non-finite-ratio": ([1.0, 2.0, 3.0, 4.0, 6.0], [1.0, 0.0, 2.0, 0.5, 0.0]),
+    "zero-over-zero": ([0.0, 1.0, 3.0, 5.0], [0.0, 2.0, 1.0, 0.5]),
+    "flat-ratio": ([0.5, 1.5, 2.5, 7.0], [0.25, 0.75, 1.25, 3.5]),
+    "negative-zeros": ([-0.0, 1.0, 2.0, -0.0, 4.0], [-0.0, 0.5, -0.0, 1.0, 0.25]),
+    "one-finite-ratio": ([1.0, 1.0, 1.0], [0.0, 0.0, 1.0]),
+    "random": (np.random.default_rng(7).random(1000), np.random.default_rng(8).random(1000)),
+}
+
+
+class TestColumnsKeptByCompareAndPlot:
+    """compare and plot read only the columns they use; their bytes are those of full tables."""
+
+    @pytest.mark.parametrize("case", list(_COMPARE_CASES))
+    def test_compare_writes_the_bytes_of_full_tables(self, tmp_path, case):
+        rng = np.random.default_rng(32)
+        mses = _COMPARE_CASES[case]
+        baseline = _random_results(tmp_path / "b.csv", rng, mses[0], negative_zeros=True)
+        treatment = _random_results(tmp_path / "t.csv", rng, mses[1], negative_zeros=True)
+        out, ref = tmp_path / "cmp", tmp_path / "ref"
+        rc = main(["compare", "--baseline", baseline, "--treatment", treatment, "--out", str(out)])
+        assert rc == 0
+        table, summary = compare_runs(read_results_csv(baseline), read_results_csv(treatment))
+        write_compare_csv(table, ref / "compare.csv")
+        write_summary(summary, ref / "compare_summary.json")
+        for name in ("compare.csv", "compare_summary.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        if case == "flat-ratio":
+            assert summary["ratio_trend_slope"] == 0.0
+
+    @pytest.mark.parametrize("kind", PLOT_KINDS)
+    @pytest.mark.parametrize("column", PLOT_COLUMNS)
+    def test_plot_writes_the_bytes_of_a_full_table(self, tmp_path, column, kind):
+        rng = np.random.default_rng(33)
+        negative_zeros = kind == "linear"  # the log kinds refuse a zero
+        results = _random_results(tmp_path / "r.csv", rng, rng.random(500) + 0.5, negative_zeros)
+        out, ref = tmp_path / "p.svg", tmp_path / "ref.svg"
+        rc = main(["plot", "--input", results, "--kind", kind, "--column", column, "--out", str(out)])
+        assert rc == 0
+        emit_plot(read_results_csv(results), kind, ref, column=column)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_the_readers_hold_only_the_columns_they_keep(self, tmp_path, monkeypatch):
+        kept = []
+
+        def recording(path, keep=None):
+            table = read_results_csv(path, keep)
+            kept.append([f.name for f in dataclasses.fields(table)
+                         if isinstance(getattr(table, f.name), np.ndarray)])
+            return table
+
+        monkeypatch.setattr(collapseguard.cli, "read_results_csv", recording)
+        results = _synthetic_results(tmp_path / "r.csv", [1.0, 2.0, 3.0])
+        main(["compare", "--baseline", results, "--treatment", results, "--out", str(tmp_path)])
+        main(["plot", "--input", results, "--column", "mean_V", "--out", str(tmp_path / "p.svg")])
+        main(["plot", "--input", results, "--column", "exceed_0.2", "--out", str(tmp_path / "q.svg")])
+        assert kept == [["t", "mse"], ["t", "mse"], ["t", "mean_v"], ["t", "exceed"]]
+
+    @pytest.fixture(scope="class")
+    def large_tables(self, tmp_path_factory):
+        # two 10.4 MB results files of 10^5 rows, as verify-rates writes at 10^5 steps
+        root = tmp_path_factory.mktemp("large")
+        rng = np.random.default_rng(34)
+        return [_random_results(root / f"{name}.csv", rng, rng.random(100_000) + 0.5)
+                for name in ("b", "t")]
+
+    @pytest.mark.parametrize(
+        "command, bound",
+        # traced 8.9 MB (compare) and 5.3 MB (plot); reading whole tables took 19.5 and 9.5 MB
+        [("compare", 12e6), ("plot", 7.5e6)],
+    )
+    def test_compare_and_plot_of_large_tables_stay_small(self, tmp_path, large_tables, command,
+                                                         bound):
+        baseline, treatment = large_tables
+        if command == "compare":
+            argv = ["compare", "--baseline", baseline, "--treatment", treatment,
+                    "--out", str(tmp_path)]
+        else:
+            argv = ["plot", "--input", baseline, "--kind", "semilogy", "--out", str(tmp_path / "p.svg")]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < bound
 
 
 class TestModuleExecution:

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import operator
+import os
 import re
 import time
 import tracemalloc
@@ -1366,6 +1367,39 @@ class TestWindowedDraws:
         finally:
             tracemalloc.stop()
         assert peak < 1.1e6
+
+
+# (runner, trials, whether refused) at horizon 999 and room for 20 rows of 1000
+# floats: the statistics and one job's exceedance counts take 10 rows, a dynamics
+# job 2 per block of 256 trials (at most 8 blocks), a workflow job 3 per trial (at most 256)
+@pytest.mark.parametrize(
+    "runner, trials, refused",
+    [("dynamics", 1280, False), ("dynamics", 1281, True), ("dynamics", 10**6, True),
+     ("workflow", 3, False), ("workflow", 4, True)],
+)
+def test_a_run_is_refused_by_the_rows_its_kernel_holds(runner, trials, refused, monkeypatch):
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 20 * 1000}
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+    ran = []
+    monkeypatch.setattr(dynamics, "_run_blocks", lambda *args: ran.append(args) or iter(()))
+    monkeypatch.setattr(dynamics._TrialFold, "result", lambda self: None)
+    model, theta_star = _gaussian(1)
+    map_ = ContractionMap(LyapunovMetric.identity(1), ContractionFn())
+    run = {
+        "dynamics": lambda: run_dynamics_trials(map_, ZERO_NOISE, np.ones(1), 999, trials,
+                                                RngState(seed=1)),
+        "workflow": lambda: run_workflow_trials(model, theta_star, SampleSchedule(base=10), 999,
+                                                trials, RngState(seed=1)),
+    }[runner]
+    if refused:
+        with pytest.raises(InputValidationError, match=r"^per-step statistics of shape "
+                           r"\(\d+, 1000\) need .*; use a shorter horizon or fewer trials$"):
+            run()
+        assert not ran
+    else:
+        run()
+        assert len(ran) == 1
 
 
 @pytest.mark.parametrize(

@@ -948,6 +948,66 @@ class TestPieceWiseReaderAgainstTheReference:
         assert _outcome(read_results_csv, path) == f"{path}:29000: column scenario differs from line 2"
 
 
+_ALL_INPUTS = {
+    **{f"unmoved-{name}": text for name, text in _UNMOVED.items()},
+    **{f"pieces-{name}": text for name, text in _ACROSS_PIECES.items()},
+}
+
+
+class TestKeptColumns:
+    """A read that keeps some columns parses every cell as a full read and holds its bits."""
+
+    @pytest.mark.parametrize(
+        "keep, held",
+        [(("t", "mse"), {"t", "mse"}), (("exceed_0.2",), {"t", "exceed"}),
+         (("n_t", "mean_V", "exceed_0.1", "exceed_0.5"), {"t", "n_t", "mean_v", "exceed"})],
+        ids=["compare", "one-exceed", "all-but-mse"],
+    )
+    @pytest.mark.parametrize("name", list(_ALL_INPUTS))
+    def test_a_kept_read_fails_as_a_full_read_or_holds_its_bits(
+        self, tmp_path, monkeypatch, name, keep, held
+    ):
+        monkeypatch.setattr(experiments, "_READ_CHARS", 200)  # faults in later pieces
+        path = tmp_path / "results.csv"
+        path.write_bytes(_ALL_INPUTS[name].encode())
+        full = _outcome(read_results_csv, path)
+        kept = _outcome(lambda p: read_results_csv(p, keep=keep), path)
+        if isinstance(full, str):
+            assert kept == full
+            return
+        for field, (kind, shape, bits) in full.items():
+            if field in ("t", "n_t", "mse", "mean_v", "exceed") and field not in held:
+                assert kept[field] == ("NoneType", (), None), field
+            else:
+                assert kept[field][:2] == (kind, shape) and np.array_equal(kept[field][2], bits)
+
+    def test_keep_names_numeric_csv_columns(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_GOOD))
+        with pytest.raises(ValueError, match="'mean_v'"):
+            read_results_csv(path, keep=("t", "mean_v"))
+        with pytest.raises(ValueError, match="'scenario'"):
+            read_results_csv(path, keep=("scenario",))
+
+    def test_a_table_read_without_a_column_cannot_be_written(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(_GOOD))
+        table = read_results_csv(path, keep=("mse",))
+        with pytest.raises(InputValidationError, match="without its n_t, mean_v, exceed column"):
+            write_results_csv(table, tmp_path / "again.csv")
+        assert not (tmp_path / "again.csv").exists()
+        write_results_csv(read_results_csv(path), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text() == _results_text(_GOOD)
+
+    def test_a_table_needs_its_steps(self):
+        with pytest.raises(TypeError):
+            ResultTable("rates", None, None, [1.0], None, None, 1, "abc")
+        table = ResultTable("rates", [0, 1], None, [1.0, 2.0], None, None, 1, "abc")
+        assert table.mse.dtype == np.float64 and table.exceed is None
+        with pytest.raises(InputValidationError, match="one row count"):
+            ResultTable("rates", [0, 1], None, [1.0], None, None, 1, "abc")
+
+
 class TestAtomicWrite:
     def test_creates_parent_directories_and_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "deep" / "nested" / "file.txt"
@@ -1304,6 +1364,22 @@ class TestCompareRuns:
         lines = path.read_text().splitlines()
         assert lines[0] == COMPARE_HEADER == "t,baseline_mse,treatment_mse,ratio"
         assert lines[2] == "1,4,2,2"
+
+
+    @pytest.mark.parametrize("infinite", [False, True])
+    def test_the_trend_is_the_float_fit_of_the_finite_ratios(self, infinite):
+        rng = np.random.default_rng(35)
+        b, tr = rng.random(2000), rng.random(2000)
+        if infinite:
+            tr[rng.integers(0, 2000, 50)] = 0.0
+        t = np.arange(2000)
+        table, summary = compare_runs(*(_table("x", t, 1, m, 1.0, 0.0, 1, "h") for m in (b, tr)))
+        finite = np.isfinite(table.ratio)
+        assert finite.all() != infinite
+        # the fit as it was made before: float copies of the finite entries
+        expected = np.polyfit(np.asarray(t[finite], dtype=float),
+                              np.asarray(table.ratio[finite], dtype=float), 1)[0]
+        assert np.float64(summary["ratio_trend_slope"]).tobytes() == expected.tobytes()
 
 
 class TestEmitPlot:
