@@ -391,7 +391,7 @@ def measure_concentration(
         raise InputValidationError("deltas must be a non-empty sequence")
     if not np.all(ds >= 0.0):
         raise InputValidationError("deltas must be nonnegative")
-    if trials < 100:
+    if check_int(trials, "trials", 1) < 100:
         raise InputValidationError("trials must be at least 100 for a stable fraction")
     if len(sizes) == 0:
         raise InputValidationError("sizes must be non-empty")

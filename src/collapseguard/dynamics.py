@@ -17,17 +17,16 @@ of the generation's slice of the window to draws at each trial's current
 fit, the filter weighs the whole (rows, n, d) chunk in one call that
 returns (rows, n) weights, then one batched fit advances them all.
 
-Both fan one base RngState out into one independent stream per trial
-(trial i draws only from ``rng.derive(i)``) and run fixed 256-trial blocks.
-Both kernels return the same job, and one fold, ``_TrialFold``, turns the
-jobs into the run's statistics. A dynamics job advances a contiguous group
-of blocks in lockstep, as one state, and still reduces per block; its block
-sums are added in block order. A workflow job runs one block, and its
-statistics are added one trial at a time in trial order. Either way results
-do not depend on how many workers ran the trials."""
+Both fan one base RngState out into one stream per trial (trial i draws only
+from ``rng.derive(i)``) and share one job protocol, ``_run_trials``: a job is
+a run of a kernel's units (256-trial blocks, which a dynamics job advances in
+lockstep and still reduces per block, or single workflow trials), one fold,
+``_TrialFold``, adds the jobs in trial order, and a failed job replays its
+units alone. So neither results nor errors depend on the worker count."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -252,55 +251,74 @@ def aggregate_exceedance(sq_norms, vs, diverged_at, ns, deltas=DEFAULT_DELTAS) -
 # ---------------------------------------------------------------------------
 
 
-def _run_blocks(block_fn, args: tuple, trials: int, max_group: int = 1):
-    """Yield ``block_fn((args, lo, hi))`` for each job, in trial order.
+def _job_trials(kernel, trials: int, workers: int) -> int:
+    """Trials per job: whole units spread evenly over the workers, at most the kernel's most."""
+    _, unit, most, _ = kernel
+    units = -(-trials // unit)
+    return unit * min(most, -(-units // workers))
 
-    A job is a contiguous group of 256-trial blocks: as many as spreads the
-    blocks evenly over the workers, at most ``max_group``. With
-    ``max_group`` 1 (the workflow, whose fold adds one trial at a time) a
-    job is at most one block, cut smaller so that every worker has one
-    when there are fewer blocks than workers. The worker count comes from
-    ``COLLAPSEGUARD_WORKERS``. The fixed blocks, or single trials, not the
-    workers or the groups, set the reduction order, so any worker count
-    gives the same result. The caller folds each job as it arrives, so a
-    serial run holds one job's results at a time. When a pool is used (more
-    than one worker and more than one job), the first job is pickled up
-    front so that work which cannot reach a worker process fails with a
-    named error.
+
+def _run_job(job):
+    """Run one job's pass; a failed job of more than one unit replays its units alone.
+
+    The replay runs the units one at a time, in trial order, and raises the
+    first one's error: the error running them one after another meets first,
+    though the pass may have met a later unit's. The failed pass's frames,
+    and with them its arrays, are dropped first. Only a ``CollapseGuardError``
+    is replayed.
+    """
+    (pass_, unit, _, _), args, lo, hi = job
+    try:
+        return pass_(args, lo, hi)
+    except CollapseGuardError:
+        if hi - lo <= unit:
+            raise
+    for u in range(lo, hi, unit):
+        pass_(args, u, min(u + unit, hi))
+    return pass_(args, lo, hi)  # a replay that met no failure: the pass raises its own again
+
+
+def _run_trials(kernel, args: tuple, trials: int, fold: _TrialFold) -> TrialStats:
+    """Run a kernel's trials as jobs, add them to ``fold`` in trial order and return its result.
+
+    A kernel is ``(pass, unit, most units per job, rows held per unit)``;
+    ``pass(args, lo, hi)`` returns the ``_TrialFold`` job of trials lo to hi - 1.
+    The units, not the jobs, set the reduction order, so any worker count
+    gives the same result. Before a pool runs (more than one worker and job),
+    the first job is pickled, so that work which cannot reach a worker fails
+    with a named error.
     """
     workers = worker_count()
-    blocks = -(-trials // _BLOCK)
-    if max_group == 1:
-        rows = min(_BLOCK, -(-trials // workers))
-    else:
-        rows = _BLOCK * min(max_group, -(-blocks // workers))
-    jobs = [(args, lo, min(lo + rows, trials)) for lo in range(0, trials, rows)]
-    if workers < 2 or len(jobs) < 2:
-        yield from map(block_fn, jobs)
-        return
-    try:
-        pickle.dumps(jobs[0])
-    except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        raise InputValidationError(
-            f"trial arguments cannot be sent to worker processes ({exc}); use a "
-            f"module-level function or class, or set {WORKERS_ENV_VAR}=1"
-        ) from exc
-    from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
+    size = _job_trials(kernel, trials, workers)
+    jobs = [(kernel, args, lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    pool = None
+    if workers > 1 and len(jobs) > 1:
+        try:
+            pickle.dumps(jobs[0])
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise InputValidationError(
+                f"trial arguments cannot be sent to worker processes ({exc}); use a "
+                f"module-level function or class, or set {WORKERS_ENV_VAR}=1"
+            ) from exc
+        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool runs
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        yield from pool.map(block_fn, jobs)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+    with pool or contextlib.nullcontext():
+        for job in pool.map(_run_job, jobs) if pool else map(_run_job, jobs):
+            fold.add(job)
+            del job  # not held while the next job runs
+    return fold.result()
 
 
-def _check_run(rng, trials: int, horizon, deltas, cap, job_rows) -> tuple[int, tuple[float, ...]]:
+def _check_run(rng, trials: int, horizon, deltas, cap, kernel) -> tuple[int, tuple[float, ...]]:
     """Both runners' shared checks; returns the horizon as an int and the deltas.
 
-    A run whose per-step arrays would not fit in memory or an array index is
-    refused here, before any allocation or draw. Each array is ``horizon + 1``
-    long: the statistics (ts, mse, mean_v, ns and each delta's exceedance),
-    one job's exceedance counts, and the ``job_rows(trials)`` rows that one
-    job of the runner's kernel holds besides. The divergence cap must be
-    nonnegative: inf freezes no trial, and a NaN cap, which no V exceeds, is
-    refused rather than freezing none in silence.
+    A run whose ``horizon + 1``-long arrays would not fit in memory or an
+    array index is refused here, before any allocation or draw: the
+    statistics (ts, mse, mean_v, ns and each delta's exceedance) and, for each
+    job that runs at once (at most one per worker), its exceedance counts and
+    the kernel's rows per unit. The divergence cap must be nonnegative (inf
+    freezes no trial); a NaN cap, which no V exceeds, is refused.
     """
     if not isinstance(rng, RngState):
         raise InputValidationError("rng must be an RngState (per-trial streams are derived)")
@@ -309,20 +327,12 @@ def _check_run(rng, trials: int, horizon, deltas, cap, job_rows) -> tuple[int, t
     if not cap >= 0.0:
         raise InputValidationError("divergence_cap must be nonnegative (inf freezes no trial)")
     ds = _validate_deltas(deltas)
-    check_fits("per-step statistics", (4 + 2 * len(ds) + job_rows(trials), horizon + 1),
-               "use a shorter horizon or fewer trials")
+    workers, (_, unit, _, rows) = worker_count(), kernel
+    size = _job_trials(kernel, trials, workers)
+    held = min(workers, -(-trials // size))
+    check_fits("per-step statistics", (4 + len(ds) + held * (len(ds) + rows * size // unit),
+                                       horizon + 1), "use a shorter horizon or fewer trials")
     return horizon, ds
-
-
-def _dynamics_rows(trials: int) -> int:
-    """Rows one dynamics job holds: its blocks' sums of ||e||^2 and of V."""
-    return 2 * min(-(-trials // _BLOCK), _LOCKSTEP)
-
-
-def _workflow_rows(trials: int) -> int:
-    """Rows one workflow job holds: its trials' V paths, the norms that
-    ``_exceed_counts`` takes of them (or the n_t sizes) and their masks."""
-    return 3 * min(trials, _BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +354,7 @@ def _block_sums(x: np.ndarray, out: np.ndarray) -> None:
         out[-1] = x[:, cut:].sum(axis=1)
 
 
-def _dynamics_block(job):
+def _dynamics_pass(args, trial_lo, trial_hi):
     """Simulate a contiguous group of 256-trial blocks in lockstep, batched across trials.
 
     The group advances as one (rows, dim) state and still reduces per
@@ -358,16 +368,16 @@ def _dynamics_block(job):
     ``_WINDOW``-step history and makes one check: the largest V of the rows
     it moved is finite and at most the cap. The next step hands the map the
     V of its rows from that history, so V is computed once per step. Only a
-    step that fails the check looks further. A state that became non-finite raises
-    SimulationOverflowError with the step at which its lowest block lost it,
-    the error running the blocks one after another meets first; a trial whose
-    V exceeds the cap freezes, and from then on only the live rows are
+    step that fails the check looks further. A state that became non-finite
+    raises SimulationOverflowError at that step, whichever block lost it
+    (``_run_job`` replays the blocks). A trial whose V exceeds the cap
+    freezes, and from then on only the live rows are
     gathered and moved. The block sums and exceedance counts are folded from
     the history once per window. Returns the ``_TrialFold`` job: per-block,
     per-step sums of ||e||^2 and V, each (blocks, horizon+1), and an n_t of 0
     (the dynamics draw no samples).
     """
-    (map_, noise, e0, horizon, rng, ds, cap), trial_lo, trial_hi = job
+    map_, noise, e0, horizon, rng, ds, cap = args
     metric = map_.metric
     dim = metric.dim
     rows = trial_hi - trial_lo
@@ -383,7 +393,6 @@ def _dynamics_block(job):
     hist_sq = np.empty((_WINDOW, rows))
     hist_v = hist_sq if identity else np.empty((_WINDOW, rows))
     frozen = False  # whether any trial has frozen, and so whether to gather the live ones
-    failure = None
 
     zero_noise = noise.kind == ZERO
     c_transform = None if identity else metric.inverse_factor
@@ -435,26 +444,14 @@ def _dynamics_block(job):
                 e_state = updated
         v = record(step)
         if moved and not v[act].max() <= limit:
-            bad = ~np.isfinite(e_state).all(axis=1)
-            if bad.any():
-                # freeze this block and every later one for good (a step of -1);
-                # a lower block may still fail first
-                first = np.flatnonzero(bad)[0]
-                failure = SimulationOverflowError(step)
-                if first < _BLOCK:
-                    raise failure
-                e_state[bad] = 0.0
-                diverged[first - first % _BLOCK :] = -1.0
-                frozen = True
-                v = record(step)
+            if not np.isfinite(e_state).all():
+                raise SimulationOverflowError(step)
             over = v > cap
             if over.any():
                 diverged[over & np.isinf(diverged)] = step
                 frozen = True
         if step % _WINDOW == _WINDOW - 1 or step == horizon:
             flush(step)
-    if failure is not None:
-        raise failure
     return sum_sq, sum_v, exceed, 0, diverged
 
 
@@ -475,18 +472,20 @@ def run_dynamics_trials(
     reproduces the serial result bit for bit: a job advances up to
     ``_LOCKSTEP`` 256-trial blocks in lockstep, and ``_TrialFold`` adds the
     per-block sums in block order. A trial freezes, and is marked diverged,
-    once V exceeds ``divergence_cap`` (nonnegative, inf included). A horizon
-    and trial count whose per-step statistics and block sums would not fit
-    in this machine's memory are refused before any draw.
+    once V exceeds ``divergence_cap`` (nonnegative, inf included). A lost
+    state raises SimulationOverflowError at the step its lowest failing block
+    lost it. A run whose statistics and the block sums of the jobs that run
+    at once would not fit in memory is refused before any draw.
     """
-    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap, _dynamics_rows)
+    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap, _DYNAMICS)
     e0 = as_vector(e0, dim=map_.metric.dim, name="e0")
 
     args = (map_, noise, e0, horizon, rng, ds, divergence_cap)
-    fold = _TrialFold(horizon + 1, ds)
-    for job in _run_blocks(_dynamics_block, args, trials, _LOCKSTEP):
-        fold.add(job)
-    return fold.result()
+    return _run_trials(_DYNAMICS, args, trials, _TrialFold(horizon + 1, ds))
+
+
+# 256-trial blocks, at most 8 per job, each holding its sums of ||e||^2 and of V
+_DYNAMICS = (_dynamics_pass, _BLOCK, _LOCKSTEP, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,39 +493,20 @@ def run_dynamics_trials(
 # ---------------------------------------------------------------------------
 
 
-def _workflow_block(job):
-    """Run one block of workflow trials generation by generation.
+def _workflow_pass(args, lo, hi):
+    """Run workflow trials lo to hi - 1 generation by generation.
 
     Each generation takes the live trials in chunks of at most
     ``STACK_LIMIT`` stacked values, one chunk whenever the generation's
-    draws fit in a window (see ``_workflow_pass``). The chunk's draws come
-    from the window; when filtered, one ``FilterHandle.weights`` call weighs
-    the chunk; then one fit advances all rows. A refused draw, weighing or fit
-    raises its error prefixed with the generation; a non-finite fit raises
-    SimulationOverflowError. A trial freezes once V exceeds the cap.
-
-    The batched pass stops at the first refusal it meets. A block of more
-    than one trial then replays its trials as one-trial blocks, in trial
-    order, and raises the first one's error: that of the lowest-index
-    failing trial, the error a trial-by-trial loop meets first. A row's
-    draws, weights and fit have the bits of its own call, so the replay
-    meets the same refusal. An error that is not a ``CollapseGuardError``
-    propagates as it is. Returns the ``_TrialFold`` job: the
-    (trials, horizon+1) V paths as both sums (the metric is the identity),
-    and n_t, the schedule size while any trial samples, else 0.
-    """
-    args, lo, hi = job
-    try:
-        return _workflow_pass(args, lo, hi)
-    except CollapseGuardError:
-        if hi - lo > 1:
-            for i in range(lo, hi):
-                _workflow_pass(args, i, i + 1)
-        raise
-
-
-def _workflow_pass(args, lo, hi):
-    """The batched pass of ``_workflow_block`` over trials lo to hi - 1.
+    draws fit in a window. The chunk's draws come from the window; when
+    filtered, one ``FilterHandle.weights`` call weighs the chunk; then one
+    fit advances all rows. The pass raises at the first refusal it meets: a
+    draw, weighing or fit refusal prefixed with the generation, or the
+    SimulationOverflowError of a non-finite fit. A row's draws, weights and
+    fit have the bits of its own call, so a one-trial replay meets the same
+    refusal. A trial freezes once V exceeds the cap. Returns the
+    ``_TrialFold`` job: the V paths as both sums (the metric is the
+    identity) and n_t, the schedule size while any trial samples, else 0.
 
     Draws come in windows of generations. A window opens for the live
     trials and spans the most generations whose draws for them fit in
@@ -597,6 +577,10 @@ def _workflow_pass(args, lo, hi):
     return vs, vs, _exceed_counts(vs, diverged, ds), ns, diverged
 
 
+# single trials, at most 256 per job, each holding its V path, its norms (or n_t) and masks
+_WORKFLOW = (_workflow_pass, 1, _BLOCK, 3)
+
+
 def run_workflow_trials(
     model: expfam.ExpFamilyModel,
     theta_star: expfam.Parameter,
@@ -615,12 +599,12 @@ def run_workflow_trials(
     later generation samples from its predecessor's fit and re-estimates,
     tracking e_t = theta_hat_t - theta_star with the identity-metric V.
     A trial freezes once V exceeds ``divergence_cap``. ``_TrialFold`` adds
-    the statistics one trial at a time into TrialStats. A horizon and trial
-    count whose statistics and one job's V paths would not fit in memory
-    are refused before any draw, as is, by name, a largest generation whose
-    draws would not fit. A run
-    with a refused trial raises the error of the lowest-index failing trial,
-    found by replaying its refused block one trial at a time.
+    the statistics one trial at a time into TrialStats. A run whose
+    statistics and the V paths of the jobs that run at once would not fit in
+    memory is refused before any draw, as is, by name, a largest generation
+    whose draws would not fit. A run with a refused trial raises the error
+    of the lowest-index failing trial, found by replaying its refused job
+    one trial at a time.
 
     With ``filter_handle`` every generation past the first reweights its
     candidates before re-estimating.
@@ -628,7 +612,7 @@ def run_workflow_trials(
     None follows the sample schedule. A filter emitting all-ones weights
     reproduces the unfiltered workflow exactly on the same streams and counts.
     """
-    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap, _workflow_rows)
+    horizon, ds = _check_run(rng, trials, horizon, deltas, divergence_cap, _WORKFLOW)
     if filter_handle is not None and not isinstance(filter_handle, FilterHandle):
         raise InputValidationError("filter_handle must be a FilterHandle")
     if candidates_per_round is not None:
@@ -648,8 +632,4 @@ def run_workflow_trials(
     check_fits(f"generation {t_max}'s draws", (int(sizes[t_max]), model.dim),
                "use a smaller schedule or a shorter horizon")
     args = (model, theta_star, sizes, filter_handle, rng, ds, divergence_cap)
-    fold = _TrialFold(n, ds)
-    for job in _run_blocks(_workflow_block, args, trials):
-        fold.add(job)
-        del job  # not held while the next block runs
-    return fold.result()
+    return _run_trials(_WORKFLOW, args, trials, _TrialFold(n, ds))

@@ -886,7 +886,8 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
     """Per-step baseline/treatment MSE ratios plus a trend verdict.
 
     Every MSE must be finite. The ratio is 1 where both are 0 and infinite
-    where only the treatment's is (None as the summary's final ratio). The
+    where only the treatment's is or the quotient overflows (None as the
+    summary's final ratio; its check takes the sign of the two MSEs). The
     trend is the least-squares slope of the finite ratios, exactly 0 when
     they are all equal.
     """
@@ -1102,8 +1103,9 @@ def run_checks(config: ExperimentConfig, summary: dict) -> list[CheckResult]:
 def compare_checks(summary: dict) -> list[CheckResult]:
     """Checks for a baseline-vs-treatment comparison summary."""
     ratio, trend = summary["final_ratio"], summary.get("ratio_trend_slope")
-    if ratio is None and summary["treatment_final_mse"] == 0.0:  # an infinite ratio
-        ratio = math.inf
+    if ratio is None:  # an infinite ratio, signed as the quotient of the two final MSEs
+        b, tr = summary["baseline_final_mse"], summary["treatment_final_mse"]
+        ratio = math.copysign(math.inf, b * tr)
     return [
         CheckResult("compare-final-ratio", ratio > 5.0, ratio, 5.0,
                     "terminal unfiltered/filtered MSE ratio"),

@@ -829,6 +829,28 @@ class TestCompareAndPlot:
         assert "PASS compare-final-ratio: measured=inf" in stdout
         assert "FAIL compare-trend-increasing" in stdout
 
+    @pytest.mark.parametrize(
+        "baseline_last, verdict",
+        [(1e300, "PASS compare-final-ratio: measured=inf"),
+         (-1e300, "FAIL compare-final-ratio: measured=-inf")],
+        ids=["positive", "negative-baseline"],
+    )
+    def test_a_final_ratio_that_overflows_is_checked_as_infinite(
+        self, tmp_path, capsys, baseline_last, verdict
+    ):
+        """1e300 / 1e-300 overflows: the summary writes a null ratio, and the check
+        reads it as an infinity signed as the quotient, with no traceback."""
+        baseline = _synthetic_results(tmp_path / "base.csv", [1.0, baseline_last])
+        treatment = _synthetic_results(tmp_path / "treat.csv", [1.0, 1e-300])
+        argv = ["compare", "--baseline", baseline, "--treatment", treatment,
+                "--out", str(tmp_path / "cmp"), "--check"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert verdict in captured.out
+        assert "FAIL compare-trend-increasing" in captured.out
+        assert "compare-trend-increasing" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_compare_check_passes_for_a_growing_gap(self, tmp_path, capsys):
         baseline = _synthetic_results(tmp_path / "base.csv", [float(t + 1) for t in range(10)])
         treatment = _synthetic_results(tmp_path / "treat.csv", [0.1] * 10)

@@ -651,6 +651,17 @@ class TestMeasureConcentration:
                 model, theta, sizes=[1], deltas=[1.0], trials=50, rng=RngState(seed=1)
             )
 
+    @pytest.mark.parametrize(
+        "trials", [150.5, np.float64(200.0), True], ids=["float", "numpy-float", "bool"]
+    )
+    def test_a_trial_count_that_is_not_an_integer_is_refused(self, trials):
+        model = ExpFamilyModel(GAUSSIAN, 1)
+        theta = Parameter(np.zeros(1), model)
+        with pytest.raises(InputValidationError, match="^trials must be a positive integer$"):
+            measure_concentration(
+                model, theta, sizes=[1], deltas=[1.0], trials=trials, rng=RngState(seed=1)
+            )
+
     def test_replay_determinism(self):
         model = ExpFamilyModel(GAUSSIAN, 1)
         theta = Parameter(np.zeros(1), model)

@@ -2,11 +2,11 @@
 
 import concurrent.futures
 import math
-import operator
 import os
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -166,6 +166,24 @@ class _BlowUpPast2_5(ContractionMap):
 
     def apply_batch(self, errors, v):
         return np.where(errors[:, :1] > 2.5, np.inf, 0.0) * np.ones_like(errors)
+
+
+def _bounds(args, lo, hi):
+    """A kernel pass whose job is its trial bounds."""
+    return lo, hi
+
+
+class _JobList:
+    """A fold that keeps the jobs it is given, in order, as its result."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def add(self, job):
+        self.jobs.append(job)
+
+    def result(self):
+        return self.jobs
 
 
 class _InProcessPool:
@@ -490,7 +508,8 @@ class TestRunDynamicsTrials:
     ):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setenv("COLLAPSEGUARD_WORKERS", str(workers))
-        assert list(dynamics._run_blocks(operator.itemgetter(1, 2), (), trials)) == jobs
+        kernel = (_bounds, *dynamics._WORKFLOW[1:])
+        assert dynamics._run_trials(kernel, (), trials, _JobList()) == jobs
 
     @pytest.mark.parametrize("freezing", ["few", "most"])
     @pytest.mark.parametrize("trials", [1, 255, 257, 513, 1000])
@@ -550,6 +569,34 @@ class TestRunDynamicsTrials:
                 )
             errors.append((info.value.step, str(info.value)))
         assert errors == [(11, "non-finite state at step 11")] * 2
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_a_later_block_lost_first_does_not_mask_the_second_blocks_step(
+        self, workers, monkeypatch
+    ):
+        """At this seed, of seven blocks, the first never loses its state, the second
+        loses it at step 33, the third at step 10 and the fourth at step 2.
+
+        Each worker count runs the first three blocks in one job (of 7, 4 or 3
+        blocks), whose pass meets a later block's failure first. The job then
+        replays its blocks one at a time and raises the second block's step.
+        """
+        map_ = _BlowUpPast2_5(LyapunovMetric.identity(2), ContractionFn())
+        noise, horizon, trials, seed = NoiseSchedule("constant", scale=0.9), 40, 7 * 256, 147
+        errors = _reference_dynamics(
+            map_, noise, np.zeros(2), horizon, trials, RngState(seed=seed), group=trials
+        )[0]
+        lost = ~np.isfinite(errors).all(axis=2)
+        first = [np.flatnonzero(lost[lo : lo + 256].any(axis=0))[:1] for lo in range(0, 1024, 256)]
+        # precondition: the first block never fails, and each later one fails earlier
+        assert first[0].size == 0 and first[1][0] > first[2][0] > first[3][0]
+        monkeypatch.setenv("COLLAPSEGUARD_WORKERS", workers)
+        with pytest.raises(SimulationOverflowError) as info:
+            run_dynamics_trials(
+                map_, noise, np.zeros(2), horizon, trials, RngState(seed=seed),
+                divergence_cap=math.inf,
+            )
+        assert info.value.step == first[1][0]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -1370,20 +1417,39 @@ class TestWindowedDraws:
 
 
 # (runner, trials, whether refused) at horizon 999 and room for 20 rows of 1000
-# floats: the statistics and one job's exceedance counts take 10 rows, a dynamics
-# job 2 per block of 256 trials (at most 8 blocks), a workflow job 3 per trial (at most 256)
+# floats: the statistics take 7 rows, and each job that runs at once its 3 rows of
+# exceedance counts, plus 2 per block of 256 trials for a dynamics job (at most 8
+# blocks) or 3 per trial for a workflow job (at most 256)
 @pytest.mark.parametrize(
     "runner, trials, refused",
     [("dynamics", 1280, False), ("dynamics", 1281, True), ("dynamics", 10**6, True),
      ("workflow", 3, False), ("workflow", 4, True)],
 )
 def test_a_run_is_refused_by_the_rows_its_kernel_holds(runner, trials, refused, monkeypatch):
+    monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "1")
+    _assert_refused_by_rows(runner, trials, refused, monkeypatch)
+
+
+# as above, with two jobs at once: 768 trials are two jobs of 2 and 1 blocks, 3
+# trials two jobs of 2 and 1 trials; one worker runs each of these runs as one job
+@pytest.mark.parametrize(
+    "runner, trials, refused",
+    [("dynamics", 512, False), ("dynamics", 768, True), ("dynamics", 1280, True),
+     ("workflow", 2, False), ("workflow", 3, True)],
+)
+def test_a_run_is_refused_by_the_rows_its_jobs_hold_at_once(
+    runner, trials, refused, monkeypatch
+):
+    monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "2")
+    _assert_refused_by_rows(runner, trials, refused, monkeypatch)
+
+
+def _assert_refused_by_rows(runner, trials, refused, monkeypatch):
     pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 20 * 1000}
     sysconf = os.sysconf
     monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
     ran = []
-    monkeypatch.setattr(dynamics, "_run_blocks", lambda *args: ran.append(args) or iter(()))
-    monkeypatch.setattr(dynamics._TrialFold, "result", lambda self: None)
+    monkeypatch.setattr(dynamics, "_run_trials", lambda *args: ran.append(args))
     model, theta_star = _gaussian(1)
     map_ = ContractionMap(LyapunovMetric.identity(1), ContractionFn())
     run = {
@@ -1400,6 +1466,51 @@ def test_a_run_is_refused_by_the_rows_its_kernel_holds(runner, trials, refused, 
     else:
         run()
         assert len(ran) == 1
+
+
+@pytest.mark.parametrize(
+    "kernel, trials, jobs",
+    [("_DYNAMICS", 2049, [(0, 2048), (2048, 2049)]), ("_WORKFLOW", 300, [(0, 256), (256, 300)])],
+)
+def test_a_clean_run_makes_one_pass_per_job(kernel, trials, jobs, monkeypatch):
+    monkeypatch.setenv("COLLAPSEGUARD_WORKERS", "1")
+    calls = []
+    run_pass, *rest = getattr(dynamics, kernel)
+
+    def counting(args, lo, hi):
+        calls.append((lo, hi))
+        return run_pass(args, lo, hi)
+
+    monkeypatch.setattr(dynamics, kernel, (counting, *rest))
+    model, theta_star = _gaussian(1)
+    if kernel == "_DYNAMICS":
+        map_ = ContractionMap(LyapunovMetric.identity(2), ContractionFn())
+        run_dynamics_trials(map_, NoiseSchedule(), np.ones(2), 3, trials, RngState(seed=1))
+    else:
+        run_workflow_trials(model, theta_star, SampleSchedule(base=10), 3, trials,
+                            RngState(seed=1))
+    assert calls == jobs
+
+
+def test_a_failed_pass_holds_none_of_its_arrays_while_its_units_replay():
+    """A job of five units whose pass fails in its third: the pass's array is
+    gone before the first unit replays, and the third unit's error is raised."""
+    passes = []  # (lo, hi, a weak reference to the pass's array)
+    alive = []  # at each replayed unit, whether the failed pass's array is alive
+
+    def failing(args, lo, hi):
+        if passes:
+            alive.append(passes[0][2]() is not None)
+        held = np.zeros(1000)
+        passes.append((lo, hi, weakref.ref(held)))
+        if lo <= 2 < hi:
+            raise SimulationOverflowError(hi - lo)
+
+    with pytest.raises(SimulationOverflowError) as info:
+        dynamics._run_job(((failing, 1, 5, 3), (), 0, 5))
+    assert info.value.step == 1
+    assert [(lo, hi) for lo, hi, _ in passes] == [(0, 5), (0, 1), (1, 2), (2, 3)]
+    assert alive == [False] * 3
 
 
 @pytest.mark.parametrize(
