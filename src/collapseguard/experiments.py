@@ -387,43 +387,45 @@ def config_hash(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+# One field per CSV_HEADER column; the two strings stay whole as Python objects.
+_CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "O i8 i8 f8 f8 f8 f8 f8 i8 O".split())))
+RESULT_COLUMNS = _CSV_DTYPE.names[1:8]  # t, n_t, mse, mean_V and the exceed columns
+_SHARED_COLUMNS = ("scenario", "trials", "config_hash")  # in the order their faults are raised
+
+
 @dataclass(frozen=True, eq=False)
 class ResultTable:
-    """A results table as columns, one entry per row (a step, or a sample size).
+    """A results table: one array per numeric results.csv column, named as in its header.
 
-    ``exceed`` holds the exceedance columns at ``DEFAULT_DELTAS``, shape
-    (rows, 3). The scenario, trial count and config hash are shared by
-    every row. A column other than ``t`` is None in a table read without it
-    (see ``read_results_csv``), so that code reaching for it fails.
+    ``columns`` maps names of ``RESULT_COLUMNS`` to equal-length 1-d arrays,
+    one entry per row (a step, or a sample size), and is kept in that order;
+    ``table[name]`` reads one. ``t`` is always there. A table read with
+    ``keep`` (see ``read_results_csv``) holds only ``t`` and the kept columns,
+    so that code reaching for another fails. The scenario, trial count and
+    config hash are shared by every row.
     """
 
     scenario: str
-    t: np.ndarray
-    n_t: np.ndarray | None
-    mse: np.ndarray | None
-    mean_v: np.ndarray | None
-    exceed: np.ndarray | None
+    columns: dict[str, np.ndarray]
     trials: int
     config_hash: str
 
     def __post_init__(self):
-        for name, dtype in (("t", np.int64), ("n_t", np.int64), ("mse", float),
-                            ("mean_v", float), ("exceed", float)):
-            column = getattr(self, name)
-            if column is not None or name == "t":
-                object.__setattr__(self, name, np.asarray(column, dtype=dtype))
-        rows = self.t.shape
-        shapes = {"n_t": rows, "mse": rows, "mean_v": rows,
-                  "exceed": rows + (len(DEFAULT_DELTAS),)}
-        if self.t.ndim != 1 or any(getattr(self, name) is not None
-                                   and getattr(self, name).shape != shape
-                                   for name, shape in shapes.items()):
-            raise InputValidationError(
-                "result columns must share one row count, with one exceed column per fixed delta"
-            )
+        if "t" not in self.columns or not set(self.columns) <= set(RESULT_COLUMNS):
+            raise TypeError(f"result columns must be t and some of {RESULT_COLUMNS}, "
+                            f"got {list(self.columns)}")
+        columns = {name: np.asarray(self.columns[name], dtype=_CSV_DTYPE[name])
+                   for name in RESULT_COLUMNS if name in self.columns}
+        object.__setattr__(self, "columns", columns)
+        rows = columns["t"].shape
+        if len(rows) != 1 or any(column.shape != rows for column in columns.values()):
+            raise InputValidationError("result columns must be 1-d and share one row count")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return self.columns["t"].shape[0]
 
 
 def _fmt(x: float) -> str:
@@ -451,7 +453,7 @@ def _format_rows(row: str, columns):
 def write_results_csv(table: ResultTable, path) -> None:
     if len(table) == 0:
         raise InputValidationError("refusing to write an empty results table")
-    missing = [name for name in _TABLE_COLUMNS if getattr(table, name) is None]
+    missing = [name for name in RESULT_COLUMNS if name not in table.columns]
     if missing:
         raise InputValidationError(
             f"refusing to write a results table read without its {', '.join(missing)} column(s)"
@@ -459,16 +461,8 @@ def write_results_csv(table: ResultTable, path) -> None:
     shared = (str(s).replace("%", "%%") for s in (table.scenario, table.trials, table.config_hash))
     scenario, trials, chash = shared
     row = f"{scenario},%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,{trials},{chash}\n"
-    columns = [table.t, table.n_t, table.mse, table.mean_v, *table.exceed.T]
+    columns = [table[name] for name in RESULT_COLUMNS]
     atomic_write_text(path, chain([f"{CSV_HEADER}\n"], _format_rows(row, columns)))
-
-
-# One field per CSV_HEADER column; the two strings stay whole as Python objects.
-_CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "O i8 i8 f8 f8 f8 f8 f8 i8 O".split())))
-_SHARED_COLUMNS = ("scenario", "trials", "config_hash")  # in the order their faults are raised
-# the CSV columns of each ResultTable column, in the table's order
-_TABLE_COLUMNS = {"t": ("t",), "n_t": ("n_t",), "mse": ("mse",), "mean_v": ("mean_V",),
-                  "exceed": _CSV_DTYPE.names[5:8]}
 
 
 def _line_pieces(fh):
@@ -545,20 +539,17 @@ def _parse_piece(path, body: list[str]) -> np.ndarray:
 def read_results_csv(path, keep: Sequence[str] | None = None) -> ResultTable:
     """Read a results table in pieces, holding its kept columns and one piece's records.
 
-    ``keep`` names the numeric CSV columns to hold; None holds them all. ``t``
-    is always held, and an exceed column holds all three. The other columns
-    are None in the table, but every cell of every column is parsed and
-    checked all the same, so a file reads or fails the same whatever is
-    kept. Every piece parses before a shared column that differs from line 2
-    is refused, so a bad cell anywhere is reported first.
+    ``keep`` names the numeric CSV columns to hold; None holds them all. The
+    table holds ``t`` and exactly the kept columns, but every cell of every
+    column is parsed and checked all the same, so a file reads or fails the
+    same whatever is kept. Every piece parses before a shared column that
+    differs from line 2 is refused, so a bad cell anywhere is reported first.
     """
-    if keep is None:
-        held = set(_TABLE_COLUMNS)
-    else:
-        held = {"t"} | {name for name, csv in _TABLE_COLUMNS.items() if set(csv) & set(keep)}
-        unknown = set(keep) - set(_CSV_DTYPE.names[1:8])
+    if keep is not None:
+        unknown = set(keep) - set(RESULT_COLUMNS)
         if unknown:
             raise ValueError(f"not numeric results columns: {sorted(unknown)}")
+    held = [name for name in RESULT_COLUMNS if keep is None or name == "t" or name in keep]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _read_pieces(path, _line_pieces(fh), held)
@@ -566,14 +557,15 @@ def read_results_csv(path, keep: Sequence[str] | None = None) -> ResultTable:
         raise InputValidationError(f"cannot read results {path}: {exc}") from exc
 
 
-def _read_pieces(path, pieces, held: set[str]) -> ResultTable:
+def _read_pieces(path, pieces, held: list[str]) -> ResultTable:
     body = next(pieces, [])
     if not body or body[0] != CSV_HEADER:
         for _ in pieces:  # an undecodable byte further on is reported first
             pass
         raise InputValidationError(f"{path} does not carry the expected results schema")
     del body[0]
-    parts = {name: [] for name in _TABLE_COLUMNS if name in held}
+    # an empty first chunk gives a header-only file its empty, typed columns
+    parts = {name: [np.empty(0, _CSV_DTYPE[name])] for name in held}
     shared, differs, line = None, {}, 2
     while body is not None:
         if body:
@@ -586,9 +578,7 @@ def _read_pieces(path, pieces, held: set[str]) -> ResultTable:
                     differs.setdefault(name, line + int(off[0]))
             # copies, so that no column keeps the records and their strings alive
             for name, chunks in parts.items():
-                csv = _TABLE_COLUMNS[name]
-                chunks.append(rec[csv[0]].copy() if len(csv) == 1
-                              else np.column_stack([rec[c] for c in csv]))
+                chunks.append(rec[name].copy())
             line += len(body)
             del rec  # before the next piece is parsed
         body = next(pieces, None)
@@ -597,14 +587,9 @@ def _read_pieces(path, pieces, held: set[str]) -> ResultTable:
             raise InputValidationError(f"{path}:{differs[name]}: column {name} differs from line 2")
     if shared is None:
         shared = {"scenario": "", "trials": 0, "config_hash": ""}
-        empty = {"exceed": np.empty((0, len(DEFAULT_DELTAS)))}
-        columns = {name: empty.get(name, []) if name in held else None for name in _TABLE_COLUMNS}
-    else:
-        # one column at a time, so that no column is held both in pieces and whole
-        columns = {name: np.concatenate(parts.pop(name)) if name in held else None
-                   for name in _TABLE_COLUMNS}
-    return ResultTable(shared["scenario"], **columns, trials=int(shared["trials"]),
-                       config_hash=shared["config_hash"])
+    # one column at a time, so that no column is held both in pieces and whole
+    columns = {name: np.concatenate(parts.pop(name)) for name in held}
+    return ResultTable(shared["scenario"], columns, int(shared["trials"]), shared["config_hash"])
 
 
 def write_summary(summary: dict, path) -> None:
@@ -634,9 +619,9 @@ def _slope(ts: np.ndarray, ys: np.ndarray) -> float:
 
 def _trial_result(config: ExperimentConfig, chash: str, stats):
     """The results table of a dynamics or workflow run and the summary keys both share."""
-    exceed = np.column_stack([stats.exceedance_at(d) for d in DEFAULT_DELTAS])
-    table = ResultTable(config.scenario, stats.ts, stats.ns, stats.mse, stats.mean_v, exceed,
-                        config.trials, chash)
+    columns = {"t": stats.ts, "n_t": stats.ns, "mse": stats.mse, "mean_V": stats.mean_v,
+               **dict(zip(RESULT_COLUMNS[4:], map(stats.exceedance_at, DEFAULT_DELTAS)))}
+    table = ResultTable(config.scenario, columns, config.trials, chash)
     summary = {
         "scenario": config.scenario,
         "config_hash": chash,
@@ -715,8 +700,11 @@ def _run_rates(config: ExperimentConfig, chash: str):
         slope, r_squared = None, None
 
     steps = traj.shape[0]
-    exceed = (traj[:, None] >= np.array(DEFAULT_DELTAS)).astype(float)
-    table = ResultTable("rates", np.arange(steps), np.zeros(steps), traj, traj, exceed, 1, chash)
+    # one (3, steps) array: three separate ones raised the peak resident memory
+    exceed = (traj >= np.array(DEFAULT_DELTAS)[:, None]).astype(float)
+    columns = {"t": np.arange(steps), "n_t": np.zeros(steps), "mse": traj, "mean_V": traj,
+               **dict(zip(RESULT_COLUMNS[4:], exceed))}
+    table = ResultTable("rates", columns, 1, chash)
     summary = {
         "scenario": "rates",
         "config_hash": chash,
@@ -741,10 +729,9 @@ def _run_concentration(config: ExperimentConfig, chash: str):
         model, theta, spec.sizes, (spec.delta,) + DEFAULT_DELTAS, spec.trials, rng
     )
     rows = len(spec.sizes)
-    table = ResultTable(
-        "concentration", np.arange(rows), spec.sizes, np.zeros(rows), np.zeros(rows),
-        curve[:, 1:], spec.trials, chash,
-    )
+    columns = {"t": np.arange(rows), "n_t": spec.sizes, "mse": np.zeros(rows),
+               "mean_V": np.zeros(rows), **dict(zip(RESULT_COLUMNS[4:], curve[:, 1:].T))}
+    table = ResultTable("concentration", columns, spec.trials, chash)
     exceed = curve[:, 0].tolist()
     summary = {
         "scenario": "concentration",
@@ -885,33 +872,33 @@ class CompareTable:
 def compare_runs(baseline: ResultTable, treatment: ResultTable):
     """Per-step baseline/treatment MSE ratios plus a trend verdict.
 
-    Every MSE must be finite. The ratio is 1 where both are 0 and infinite
-    where only the treatment's is or the quotient overflows (None as the
-    summary's final ratio; its check takes the sign of the two MSEs). The
-    trend is the least-squares slope of the finite ratios, exactly 0 when
-    they are all equal.
+    Every MSE must be finite and nonnegative (-0.0 passes). The ratio is 1
+    where both are 0 and +inf where only the treatment's is or the quotient
+    overflows (None as the summary's final ratio). The trend is the
+    least-squares slope of the finite ratios, exactly 0 when they are all
+    equal.
     """
     if len(baseline) == 0 or len(treatment) == 0:
         raise InputValidationError("both result tables must be nonempty")
     if len(baseline) != len(treatment):
         raise InputValidationError("result tables differ in row count")
-    off = np.flatnonzero(baseline.t != treatment.t)
+    t, b, tr = baseline["t"], baseline["mse"], treatment["mse"]
+    off = np.flatnonzero(t != treatment["t"])
     if off.size:
         i = off[0]
-        raise InputValidationError(
-            f"step grids differ at t={baseline.t[i]} vs t={treatment.t[i]}"
-        )
-    b, tr = baseline.mse, treatment.mse
+        raise InputValidationError(f"step grids differ at t={t[i]} vs t={treatment['t'][i]}")
     for label, mse in (("baseline", b), ("treatment", tr)):
-        if not np.isfinite(mse).all():
-            i = np.flatnonzero(~np.isfinite(mse))[0]
-            raise InputValidationError(f"{label} mse must be finite, got {mse[i]} at t={baseline.t[i]}")
+        bad = np.flatnonzero(~np.isfinite(mse) | (mse < 0.0))
+        if bad.size:
+            i = bad[0]
+            rule = "nonnegative" if np.isfinite(mse[i]) else "finite"
+            raise InputValidationError(f"{label} mse must be {rule}, got {_fmt(mse[i])} at t={t[i]}")
     with np.errstate(all="ignore"):
         ratios = np.divide(b, tr, out=np.where(b == 0.0, 1.0, np.inf), where=tr != 0.0)
-    table = CompareTable(baseline.t, b, tr, ratios)
+    table = CompareTable(t, b, tr, ratios)
 
     finite = np.isfinite(ratios)
-    ts, kept = (baseline.t, ratios) if finite.all() else (baseline.t[finite], ratios[finite])
+    ts, kept = (t, ratios) if finite.all() else (t[finite], ratios[finite])
     if kept.size < 2:
         trend = None
     elif np.all(kept == kept[0]):
@@ -940,7 +927,7 @@ def write_compare_csv(table: CompareTable, path) -> None:
 # ---------------------------------------------------------------------------
 
 PLOT_KINDS = ("linear", "semilogy", "loglog")
-PLOT_COLUMNS = _CSV_DTYPE.names[3:8]  # mse, mean_V and the exceed columns
+PLOT_COLUMNS = RESULT_COLUMNS[2:]  # mse, mean_V and the exceed columns
 
 _SVG_W, _SVG_H, _SVG_M = 640.0, 480.0, 56.0
 
@@ -953,11 +940,7 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
         raise InputValidationError("cannot plot an empty result table")
     if column not in PLOT_COLUMNS:
         raise InputValidationError(f"unknown plot column {column!r}; expected one of {PLOT_COLUMNS}")
-    xs = table.t.astype(float)
-    if column in _TABLE_COLUMNS["exceed"]:
-        ys = table.exceed[:, _TABLE_COLUMNS["exceed"].index(column)]
-    else:
-        ys = table.mse if column == "mse" else table.mean_v
+    xs, ys = table["t"].astype(float), table[column]
     if kind == "loglog":  # log10(t) has no point at t=0
         xs, ys = xs[xs > 0.0], ys[xs > 0.0]
         if xs.size == 0:
@@ -1103,9 +1086,8 @@ def run_checks(config: ExperimentConfig, summary: dict) -> list[CheckResult]:
 def compare_checks(summary: dict) -> list[CheckResult]:
     """Checks for a baseline-vs-treatment comparison summary."""
     ratio, trend = summary["final_ratio"], summary.get("ratio_trend_slope")
-    if ratio is None:  # an infinite ratio, signed as the quotient of the two final MSEs
-        b, tr = summary["baseline_final_mse"], summary["treatment_final_mse"]
-        ratio = math.copysign(math.inf, b * tr)
+    if ratio is None:  # compare_runs writes +inf, its only non-finite ratio, as null
+        ratio = math.inf
     return [
         CheckResult("compare-final-ratio", ratio > 5.0, ratio, 5.0,
                     "terminal unfiltered/filtered MSE ratio"),

@@ -83,20 +83,17 @@ def as_symmetric_matrix(m, name: str = "matrix") -> np.ndarray:
 def point_sums(stack: np.ndarray) -> np.ndarray:
     """``stack.sum(axis=1)`` of a (rows, n, d) stack, with the same bits.
 
-    On a stack whose rows are each C-ordered, with d >= 2, numpy adds axis 1
-    in order, one point after the other, but its inner loop runs over the d
-    entries of a point; ``np.cumsum`` adds in the same order and is about
-    2.5x faster at (16, 1000, 2). The rows need not be adjacent, as in a
-    slice of a window of draws: the order is the same. numpy's sum starts
-    from +0.0, so ``+ 0.0`` turns the -0.0 of an all -0.0 column into its
-    +0.0 and changes no other value. At d = 1 numpy sums pairwise, and other
-    layouts set their own order, so ``sum`` stays there. So does a stack
-    over ``STACK_LIMIT`` values, where the (rows, n, d) cumsum would double
-    the peak memory; every chunked caller stays under it.
+    On a C-contiguous stack with d >= 2, numpy adds axis 1 in order, one
+    point after the other, but its inner loop runs over the d entries of a
+    point; ``np.cumsum`` adds in the same order and is about 2.5x faster at
+    (16, 1000, 2). numpy's sum starts from +0.0, so ``+ 0.0`` turns the -0.0
+    of an all -0.0 column into its +0.0 and changes no other value. At d = 1
+    numpy sums pairwise, and other layouts set their own order, so ``sum``
+    stays there. So does a stack over ``STACK_LIMIT`` values, where the
+    (rows, n, d) cumsum would double the peak memory; every chunked caller
+    stays under it.
     """
-    d, step = stack.shape[2], stack.itemsize
-    rows_c_ordered = stack.strides[1] == d * step and stack.strides[2] == step
-    if d < 2 or stack.size > STACK_LIMIT or not rows_c_ordered:
+    if stack.shape[2] < 2 or stack.size > STACK_LIMIT or not stack.flags.c_contiguous:
         return stack.sum(axis=1)
     return np.cumsum(stack, axis=1)[:, -1] + 0.0
 

@@ -1,6 +1,5 @@
 """Tests for the command-line interface: exit codes, overrides, artifacts."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +15,7 @@ from collapseguard.contraction import RegulatorFn, limsup_bound
 from collapseguard.experiments import (
     PLOT_COLUMNS,
     PLOT_KINDS,
+    RESULT_COLUMNS,
     ResultTable,
     compare_runs,
     emit_plot,
@@ -40,10 +40,8 @@ def _write_config(path, payload: dict) -> str:
 def _synthetic_results(path, mses) -> str:
     mses = np.asarray(mses, dtype=float)
     rows = mses.shape[0]
-    table = ResultTable(
-        "workflow", np.arange(rows), np.full(rows, 100), mses, mses, np.zeros((rows, 3)), 10,
-        "feedc0ffee12",
-    )
+    columns = [np.arange(rows), np.full(rows, 100), mses, mses, *np.zeros((3, rows))]
+    table = ResultTable("workflow", dict(zip(RESULT_COLUMNS, columns)), 10, "feedc0ffee12")
     write_results_csv(table, path)
     return str(path)
 
@@ -829,27 +827,40 @@ class TestCompareAndPlot:
         assert "PASS compare-final-ratio: measured=inf" in stdout
         assert "FAIL compare-trend-increasing" in stdout
 
-    @pytest.mark.parametrize(
-        "baseline_last, verdict",
-        [(1e300, "PASS compare-final-ratio: measured=inf"),
-         (-1e300, "FAIL compare-final-ratio: measured=-inf")],
-        ids=["positive", "negative-baseline"],
-    )
+    @pytest.mark.parametrize("baseline_last", [1e300, -1e300], ids=["positive", "negative-baseline"])
     def test_a_final_ratio_that_overflows_is_checked_as_infinite(
-        self, tmp_path, capsys, baseline_last, verdict
+        self, tmp_path, capsys, baseline_last
     ):
         """1e300 / 1e-300 overflows: the summary writes a null ratio, and the check
-        reads it as an infinity signed as the quotient, with no traceback."""
+        reads it as +inf, with no traceback. A negative baseline MSE is refused."""
         baseline = _synthetic_results(tmp_path / "base.csv", [1.0, baseline_last])
         treatment = _synthetic_results(tmp_path / "treat.csv", [1.0, 1e-300])
         argv = ["compare", "--baseline", baseline, "--treatment", treatment,
                 "--out", str(tmp_path / "cmp"), "--check"]
-        assert main(argv) == 2
+        rc = main(argv)
         captured = capsys.readouterr()
-        assert verdict in captured.out
+        assert "Traceback" not in captured.err
+        if baseline_last < 0.0:
+            assert rc == 1
+            assert captured.err == "error: baseline mse must be nonnegative, got -1e+300 at t=1\n"
+            assert not (tmp_path / "cmp").exists()
+            return
+        assert rc == 2
+        assert "PASS compare-final-ratio: measured=inf" in captured.out
         assert "FAIL compare-trend-increasing" in captured.out
         assert "compare-trend-increasing" in captured.err
-        assert "Traceback" not in captured.err
+
+    def test_compare_refuses_a_negative_mse_and_writes_nothing(self, tmp_path, capsys):
+        """[1, 2, -3] against [1, 1, 0] once wrote an inf ratio whose check read -inf."""
+        baseline = _synthetic_results(tmp_path / "base.csv", [1.0, 2.0, -3.0])
+        treatment = _synthetic_results(tmp_path / "treat.csv", [1.0, 1.0, 0.0])
+        out = tmp_path / "cmp"
+        argv = ["compare", "--baseline", baseline, "--treatment", treatment, "--out", str(out),
+                "--check"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: baseline mse must be nonnegative, got -3 at t=2\n"
+        assert captured.out == "" and not out.exists()
 
     def test_compare_check_passes_for_a_growing_gap(self, tmp_path, capsys):
         baseline = _synthetic_results(tmp_path / "base.csv", [float(t + 1) for t in range(10)])
@@ -994,8 +1005,8 @@ def _random_results(path, rng, mse, negative_zeros=False) -> str:
     mean_v, exceed = rng.random(rows), rng.random((rows, 3))
     if negative_zeros:
         mean_v[::3], exceed[1::4] = -0.0, -0.0
-    table = ResultTable("workflow", np.arange(rows), rng.integers(1, 1000, rows), mse, mean_v,
-                        exceed, 10, "feedc0ffee12")
+    columns = [np.arange(rows), rng.integers(1, 1000, rows), mse, mean_v, *exceed.T]
+    table = ResultTable("workflow", dict(zip(RESULT_COLUMNS, columns)), 10, "feedc0ffee12")
     write_results_csv(table, path)
     return str(path)
 
@@ -1048,8 +1059,7 @@ class TestColumnsKeptByCompareAndPlot:
 
         def recording(path, keep=None):
             table = read_results_csv(path, keep)
-            kept.append([f.name for f in dataclasses.fields(table)
-                         if isinstance(getattr(table, f.name), np.ndarray)])
+            kept.append(list(table.columns))
             return table
 
         monkeypatch.setattr(collapseguard.cli, "read_results_csv", recording)
@@ -1057,7 +1067,7 @@ class TestColumnsKeptByCompareAndPlot:
         main(["compare", "--baseline", results, "--treatment", results, "--out", str(tmp_path)])
         main(["plot", "--input", results, "--column", "mean_V", "--out", str(tmp_path / "p.svg")])
         main(["plot", "--input", results, "--column", "exceed_0.2", "--out", str(tmp_path / "q.svg")])
-        assert kept == [["t", "mse"], ["t", "mse"], ["t", "mean_v"], ["t", "exceed"]]
+        assert kept == [["t", "mse"], ["t", "mse"], ["t", "mean_V"], ["t", "exceed_0.2"]]
 
     @pytest.fixture(scope="class")
     def large_tables(self, tmp_path_factory):
@@ -1116,6 +1126,19 @@ class TestModuleExecution:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_the_package_imports_nothing_but_numpy_and_the_standard_library(self):
+        """numpy is the only runtime dependency. The modules present at a bare start
+        (.pth files and install finders among them) are the baseline."""
+        proc = self._run_python(
+            "-c",
+            "import sys; bare = set(sys.modules); import collapseguard, collapseguard.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - bare}))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        allowed = set(sys.stdlib_module_names) | {"numpy", "collapseguard"}
+        assert {"numpy", "collapseguard"} <= added and added <= allowed, sorted(added - allowed)
 
     def test_module_help_lists_the_subcommands(self):
         proc = self._run_module("--help")

@@ -14,7 +14,7 @@ import pytest
 
 from collapseguard import experiments
 from collapseguard.contraction import RegulatorFn
-from collapseguard.dynamics import NoiseSchedule
+from collapseguard.dynamics import DEFAULT_DELTAS, NoiseSchedule
 from collapseguard.errors import CheckFailureError, CollapseGuardError, InputValidationError
 from collapseguard.experiments import (
     ConcentrationSpec,
@@ -26,6 +26,7 @@ from collapseguard.experiments import (
     ExperimentConfig,
     FilterSpec,
     RatesSpec,
+    RESULT_COLUMNS,
     ResultTable,
     atomic_write_text,
     compare_checks,
@@ -316,28 +317,26 @@ class TestConfigHash:
 
 
 def _table(scenario, ts, n_t, mse, mean_v, exceed, trials, chash) -> ResultTable:
-    """A ResultTable over steps ``ts``; scalar columns are repeated on every row."""
+    """A ResultTable over steps ``ts``; scalar columns are repeated on every row.
+
+    ``exceed`` gives the three exceed columns, as a scalar or one value each.
+    """
     ts = np.asarray(ts, dtype=np.int64)
     rows = ts.shape[0]
-    return ResultTable(
-        scenario,
-        ts,
-        np.broadcast_to(n_t, rows),
-        np.broadcast_to(mse, rows),
-        np.broadcast_to(mean_v, rows),
-        np.broadcast_to(exceed, (rows, 3)),
-        trials,
-        chash,
-    )
+    values = [np.broadcast_to(v, rows) for v in (n_t, mse, mean_v)]
+    exceed = np.broadcast_to(exceed, (rows, 3)).T
+    return ResultTable(scenario, dict(zip(RESULT_COLUMNS, [ts, *values, *exceed])), trials, chash)
 
 
 def _same_table(a, b) -> bool:
-    """Field-by-field equality of two tables, arrays compared by dtype and value."""
+    """Field-by-field equality of two tables, columns compared by name, dtype and value."""
     for f in dataclasses.fields(a):
-        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
-        if x.dtype != y.dtype or not np.array_equal(x, y):
+        if f.name != "columns" and getattr(a, f.name) != getattr(b, f.name):
             return False
-    return True
+    if list(a.columns) != list(b.columns):
+        return False
+    return all(x.dtype == y.dtype and np.array_equal(x, y)
+               for x, y in zip(a.columns.values(), b.columns.values()))
 
 
 class TestResultsCsv:
@@ -402,11 +401,34 @@ class TestResultsCsv:
         path = tmp_path / "results.csv"
         path.write_text(CSV_HEADER + "\n")
         table = read_results_csv(path)
-        assert len(table) == 0 and table.exceed.shape == (0, 3)
+        assert len(table) == 0 and [table[name].shape for name in RESULT_COLUMNS] == [(0,)] * 7
 
     def test_missing_file_is_reported(self, tmp_path):
         with pytest.raises(InputValidationError, match="cannot read"):
             read_results_csv(tmp_path / "absent.csv")
+
+    def test_the_table_columns_are_the_numeric_header_columns(self):
+        assert RESULT_COLUMNS == tuple(CSV_HEADER.split(",")[1:8])
+        assert RESULT_COLUMNS[4:] == tuple(f"exceed_{d}" for d in DEFAULT_DELTAS)
+
+    @pytest.mark.parametrize(
+        "scenario, section",
+        [("dynamics", {"horizon": 20, "trials": 8}),
+         ("workflow", {"horizon": 10, "trials": 4, "schedule": {"kind": "constant", "base": 20}}),
+         ("rates", {"rates": {"steps": 50}}),
+         ("concentration", {"concentration": {"sizes": [1, 10], "delta": 1.0, "trials": 200}})],
+        ids=["dynamics", "workflow", "rates", "concentration"],
+    )
+    def test_rewriting_a_scenario_results_file_reproduces_its_bytes(self, tmp_path, scenario,
+                                                                    section):
+        config = ExperimentConfig.from_dict(
+            {"scenario": scenario, "seed": 5, "out_dir": str(tmp_path / "run"), **section}
+        )
+        written = run_experiment(config).paths["results"]
+        table = read_results_csv(written)
+        assert tuple(table.columns) == RESULT_COLUMNS
+        write_results_csv(table, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == open(written, "rb").read()
 
 
 _EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-5, 1e16,
@@ -430,7 +452,7 @@ class TestOnePassWriterAgainstPerCellFormulas:
         ints = rng.integers(-(2**63), 2**63 - 1, size=(2, rows), dtype=np.int64, endpoint=True)
         ints[:, : len(_INT64_EDGES)] = _INT64_EDGES
         floats = np.stack([_edge_floats(rng, rows) for _ in range(5)])
-        table = ResultTable("rates", ints[0], ints[1], floats[0], floats[1], floats[2:].T, 20,
+        table = ResultTable("rates", dict(zip(RESULT_COLUMNS, [*ints, *floats])), 20,
                             "abc123def456")
         path = tmp_path / "results.csv"
         write_results_csv(table, path)
@@ -496,19 +518,20 @@ class TestBlockWiseWriter:
     @staticmethod
     def _large_table(rows):
         rng = np.random.default_rng(31)
-        return ResultTable("rates", np.arange(rows), rng.integers(1, 10**6, rows),
-                           rng.random(rows), rng.random(rows), rng.random((rows, 3)), 20,
-                           "abc123def456")
+        columns = [np.arange(rows), rng.integers(1, 10**6, rows), rng.random(rows),
+                   rng.random(rows), *rng.random((rows, 3)).T]
+        return ResultTable("rates", dict(zip(RESULT_COLUMNS, columns)), 20, "abc123def456")
 
     def _assert_one_pass_bytes(self, table, tmp_path):
         results, compare, svg = (tmp_path / name for name in ("r.csv", "c.csv", "p.svg"))
         write_results_csv(table, results)
         row = "rates,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,20,abc123def456\n"
-        columns = [table.t, table.n_t, table.mse, table.mean_v, *table.exceed.T]
+        columns = [table[name] for name in RESULT_COLUMNS]
         assert results.read_bytes() == (
             f"{CSV_HEADER}\n" + _reference_format_rows(row, columns)
         ).encode()
-        ratios = CompareTable(table.t, table.mse, table.mean_v, table.mse / table.mean_v)
+        ratios = CompareTable(table["t"], table["mse"], table["mean_V"],
+                              table["mse"] / table["mean_V"])
         write_compare_csv(ratios, compare)
         columns = [ratios.t, ratios.baseline_mse, ratios.treatment_mse, ratios.ratio]
         assert compare.read_bytes() == (
@@ -516,7 +539,7 @@ class TestBlockWiseWriter:
         ).encode()
         emit_plot(table, "linear", svg)
         head, tail = svg.read_text().split(' points="')
-        assert tail == _reference_polyline(table.mse) + '"/>\n</svg>\n'
+        assert tail == _reference_polyline(table["mse"]) + '"/>\n</svg>\n'
         assert head.endswith('stroke-width="1.5"')
 
     def test_a_large_table_compare_table_and_plot_are_the_one_pass_bytes(self, tmp_path):
@@ -594,18 +617,19 @@ def _reference_read_results_csv(path) -> ResultTable:
     trials = _reference_parse_cells(path, column["trials"], "trials", int)
     return ResultTable(
         scenario=_reference_shared_cell(path, column["scenario"], "scenario", ""),
-        t=_reference_parse_cells(path, column["t"], "t", int),
-        n_t=_reference_parse_cells(path, column["n_t"], "n_t", int),
-        mse=number["mse"],
-        mean_v=number["mean_V"],
-        exceed=np.column_stack([number[name] for name in names[5:8]]),
+        columns={
+            "t": _reference_parse_cells(path, column["t"], "t", int),
+            "n_t": _reference_parse_cells(path, column["n_t"], "n_t", int),
+            **number,
+        },
         trials=_reference_shared_cell(path, trials.tolist(), "trials", 0),
         config_hash=_reference_shared_cell(path, column["config_hash"], "config_hash", ""),
     )
 
 
 def _outcome(read, path):
-    """What ``read`` makes of ``path``: its error message, or each field's type and bits."""
+    """What ``read`` makes of ``path``: its error message, or each field's and column's
+    type and bits."""
     try:
         table = read(path)
     except InputValidationError as exc:
@@ -613,11 +637,11 @@ def _outcome(read, path):
     fields = {}
     for f in dataclasses.fields(table):
         value = getattr(table, f.name)
-        if isinstance(value, np.ndarray):
-            bits = value.view(np.int64) if value.dtype == np.float64 else value
-            fields[f.name] = (value.dtype.str, value.shape, bits)
-        else:
+        if f.name != "columns":
             fields[f.name] = (type(value).__name__, (), value)
+    for name, value in table.columns.items():
+        bits = value.view(np.int64) if value.dtype == np.float64 else value
+        fields[name] = (value.dtype.str, value.shape, bits)
     return fields
 
 
@@ -724,7 +748,7 @@ class TestResultsReaderAgainstTheReference:
         path.write_text(_results_text(columns))
         _assert_reads_as_before(path)
         if fmt == "%r":  # repr round-trips, so the table holds the very bits written
-            mse = read_results_csv(path).mse
+            mse = read_results_csv(path)["mse"]
             assert np.array_equal(mse.view(np.int64), np.array(columns[3], float).view(np.int64))
 
     def test_zeros_non_finite_values_and_subnormals(self, tmp_path):
@@ -738,7 +762,7 @@ class TestResultsReaderAgainstTheReference:
             path = tmp_path / "special.csv"
             path.write_text(_results_text(columns))
             _assert_reads_as_before(path)
-        mse = read_results_csv(path).mse
+        mse = read_results_csv(path)["mse"]
         assert np.signbit(mse[1]) and mse[1] == 0.0 and np.isnan(mse[2])
         assert mse[5] == 5e-324
 
@@ -791,7 +815,7 @@ class TestResultsReaderAgainstTheReference:
         path = tmp_path / "results.csv"
         path.write_text(_results_text(_edited(_GOOD, 3, 1, "1\x1f")))
         assert "must hold an integer" in _outcome(_reference_read_results_csv, path)
-        assert read_results_csv(path).t.tolist() == [0, 1, 2, 3]
+        assert read_results_csv(path)["t"].tolist() == [0, 1, 2, 3]
 
     def test_the_scan_refuses_exactly_the_cells_numpy_refuses(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -834,8 +858,8 @@ class TestResultsReaderAgainstTheReference:
         path = tmp_path / "results.csv"
         path.write_text(_results_text(_random_columns(np.random.default_rng(3), 100)))
         table = read_results_csv(path)
-        for name in ("t", "n_t", "mse", "mean_v", "exceed"):
-            assert getattr(table, name).flags.owndata, name
+        for name in RESULT_COLUMNS:
+            assert table[name].flags.owndata, name
         assert type(table.scenario) is str and type(table.config_hash) is str
         assert type(table.trials) is int
 
@@ -846,10 +870,10 @@ class TestResultsReaderAgainstTheReference:
         path = tmp_path / "results.csv"
         rows = 100_000
         rng = np.random.default_rng(5)
+        columns = [np.arange(rows), np.full(rows, 100), rng.random(rows), rng.random(rows),
+                   *rng.random((rows, 3)).T]
         write_results_csv(
-            ResultTable("rates", np.arange(rows), np.full(rows, 100), rng.random(rows),
-                        rng.random(rows), rng.random((rows, 3)), 20, "abc123def456"),
-            path,
+            ResultTable("rates", dict(zip(RESULT_COLUMNS, columns)), 20, "abc123def456"), path
         )
         tracemalloc.start()
         try:
@@ -959,8 +983,9 @@ class TestKeptColumns:
 
     @pytest.mark.parametrize(
         "keep, held",
-        [(("t", "mse"), {"t", "mse"}), (("exceed_0.2",), {"t", "exceed"}),
-         (("n_t", "mean_V", "exceed_0.1", "exceed_0.5"), {"t", "n_t", "mean_v", "exceed"})],
+        [(("t", "mse"), {"t", "mse"}), (("exceed_0.2",), {"t", "exceed_0.2"}),
+         (("n_t", "mean_V", "exceed_0.1", "exceed_0.5"),
+          {"t", "n_t", "mean_V", "exceed_0.1", "exceed_0.5"})],
         ids=["compare", "one-exceed", "all-but-mse"],
     )
     @pytest.mark.parametrize("name", list(_ALL_INPUTS))
@@ -976,8 +1001,8 @@ class TestKeptColumns:
             assert kept == full
             return
         for field, (kind, shape, bits) in full.items():
-            if field in ("t", "n_t", "mse", "mean_v", "exceed") and field not in held:
-                assert kept[field] == ("NoneType", (), None), field
+            if field in RESULT_COLUMNS and field not in held:
+                assert field not in kept, field
             else:
                 assert kept[field][:2] == (kind, shape) and np.array_equal(kept[field][2], bits)
 
@@ -993,7 +1018,7 @@ class TestKeptColumns:
         path = tmp_path / "results.csv"
         path.write_text(_results_text(_GOOD))
         table = read_results_csv(path, keep=("mse",))
-        with pytest.raises(InputValidationError, match="without its n_t, mean_v, exceed column"):
+        with pytest.raises(InputValidationError, match="without its n_t, mean_V, exceed_0.1, exceed_0.2, exceed_0.5 column"):
             write_results_csv(table, tmp_path / "again.csv")
         assert not (tmp_path / "again.csv").exists()
         write_results_csv(read_results_csv(path), tmp_path / "again.csv")
@@ -1001,11 +1026,15 @@ class TestKeptColumns:
 
     def test_a_table_needs_its_steps(self):
         with pytest.raises(TypeError):
-            ResultTable("rates", None, None, [1.0], None, None, 1, "abc")
-        table = ResultTable("rates", [0, 1], None, [1.0, 2.0], None, None, 1, "abc")
-        assert table.mse.dtype == np.float64 and table.exceed is None
+            ResultTable("rates", {"mse": [1.0]}, 1, "abc")
+        table = ResultTable("rates", {"t": [0, 1], "mse": [1.0, 2.0]}, 1, "abc")
+        assert table["mse"].dtype == np.float64 and "exceed_0.1" not in table.columns
         with pytest.raises(InputValidationError, match="one row count"):
-            ResultTable("rates", [0, 1], None, [1.0], None, None, 1, "abc")
+            ResultTable("rates", {"t": [0, 1], "mse": [1.0]}, 1, "abc")
+
+    def test_a_table_holds_only_the_csv_column_names(self):
+        with pytest.raises(TypeError, match="'mean_v'"):
+            ResultTable("rates", {"t": [0], "mean_v": [1.0]}, 1, "abc")
 
 
 class TestAtomicWrite:
@@ -1077,10 +1106,11 @@ class TestRunExperiment:
         assert len(table) == config.horizon + 1
         parsed = read_results_csv(result.paths["results"])
         assert parsed.scenario == table.scenario
-        np.testing.assert_array_equal(parsed.t, table.t)
-        np.testing.assert_array_equal(parsed.n_t, table.n_t)
-        assert parsed.mse == pytest.approx(table.mse, rel=1e-11)
-        np.testing.assert_array_equal(parsed.exceed, table.exceed)
+        np.testing.assert_array_equal(parsed["t"], table["t"])
+        np.testing.assert_array_equal(parsed["n_t"], table["n_t"])
+        assert parsed["mse"] == pytest.approx(table["mse"], rel=1e-11)
+        for name in RESULT_COLUMNS[4:]:
+            np.testing.assert_array_equal(parsed[name], table[name])
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk == result.summary
         assert result.summary["scenario"] == "dynamics"
@@ -1111,8 +1141,8 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert result.summary["expected_final_mse"] == pytest.approx(40 / 50)
         assert result.summary["expected_mse_slope"] == pytest.approx(1 / 50)
-        assert result.table.t[0] == 0
-        assert all(n_t == 50 for n_t in result.table.n_t)
+        assert result.table["t"][0] == 0
+        assert all(n_t == 50 for n_t in result.table["n_t"])
 
     def test_oracle_filtered_workflow_beats_the_unfiltered_run(self, tmp_path):
         base = {
@@ -1179,7 +1209,7 @@ class TestRunExperiment:
             }
         )
         result = run_experiment(config)
-        assert result.table.n_t.tolist() == [1, 10]
+        assert result.table["n_t"].tolist() == [1, 10]
         assert len(result.summary["exceedance"]) == 2
         assert all(0.0 <= frac <= 1.0 for frac in result.summary["exceedance"])
 
@@ -1342,9 +1372,8 @@ class TestCompareRuns:
         with pytest.raises(InputValidationError):
             compare_runs(self._rows([]), self._rows([]))
         shifted = self._rows([1.0, 2.0])
-        shifted = dataclasses.replace(
-            shifted, t=shifted.t[::-1], mse=shifted.mse[::-1], mean_v=shifted.mean_v[::-1]
-        )
+        reversed_ = {name: shifted[name][::-1] for name in ("t", "mse", "mean_V")}
+        shifted = dataclasses.replace(shifted, columns={**shifted.columns, **reversed_})
         with pytest.raises(InputValidationError, match="grids"):
             compare_runs(rows, shifted)
 
@@ -1356,6 +1385,14 @@ class TestCompareRuns:
         with pytest.raises(InputValidationError) as info:
             compare_runs(tables["baseline"], tables["treatment"])
         assert str(info.value) == f"{side} mse must be finite, got {value} at t=1"
+
+    @pytest.mark.parametrize("side", ["baseline", "treatment"])
+    def test_a_negative_mse_is_refused_with_its_table_and_step(self, side):
+        tables = {"baseline": self._rows([1.0, 2.0, 3.0]), "treatment": self._rows([1.0, 2.0, 3.0])}
+        tables[side] = self._rows([-0.0, 2.0, -5e-324])
+        with pytest.raises(InputValidationError) as info:
+            compare_runs(tables["baseline"], tables["treatment"])
+        assert str(info.value) == f"{side} mse must be nonnegative, got -4.94065645841e-324 at t=2"
 
     def test_compare_csv_has_the_pinned_header(self, tmp_path):
         rows, _ = compare_runs(self._rows([1.0, 4.0]), self._rows([1.0, 2.0]))
