@@ -72,9 +72,12 @@ COMPARE_HEADER = "t,baseline_mse,treatment_mse,ratio"
 TRAINING_LOG_HEADER = "epoch,total,class_part,contract_part,ess_part"
 
 # The CSV layer formats _BLOCK_ROWS rows at a time and reads about _READ_CHARS
-# characters at a time, so its memory does not grow with a table's rows.
+# characters at a time, so its memory does not grow with a table's rows. A
+# piece's records (about 0.6 MB for a rates table) stay below one 10^5-row
+# column: freeing larger ones raised glibc's mmap threshold above a column's
+# size, and the columns then came from the heap, 2-3 MB higher in peak RSS.
 _BLOCK_ROWS = 4096
-_READ_CHARS = 1 << 19
+_READ_CHARS = 1 << 18
 
 GAUSSIAN_TAIL_3 = math.erfc(3.0 / math.sqrt(2.0))
 
@@ -387,7 +390,8 @@ def config_hash(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-# One field per CSV_HEADER column; the two strings stay whole as Python objects.
+# One field per CSV_HEADER column; the two strings stay whole as Python objects
+# (see _records_dtype for the fixed-width fields most reads parse them as).
 _CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "O i8 i8 f8 f8 f8 f8 f8 i8 O".split())))
 RESULT_COLUMNS = _CSV_DTYPE.names[1:8]  # t, n_t, mse, mean_V and the exceed columns
 _SHARED_COLUMNS = ("scenario", "trials", "config_hash")  # in the order their faults are raised
@@ -432,22 +436,52 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+# a field of a row format, or a literal "%%"
+_FIELD = re.compile(r"%%|%[.\d]*[a-z]")
+
+
+def _as_ints(block: np.ndarray) -> np.ndarray | None:
+    """``block`` as int64 when "%d" writes each of its values as "%.12g" does, else None.
+
+    That holds for whole numbers below 1e12 in magnitude other than -0.0:
+    "%.12g" writes 1e12 as "1e+12" and -0.0 as "-0". NaN fails the range test.
+    """
+    if not -1e12 < block.min() <= block.max() < 1e12:
+        return None
+    ints = block.astype(np.int64)
+    if not np.array_equal(ints, block) or np.signbit(block[ints == 0]).any():
+        return None
+    return ints
+
+
 def _format_rows(row: str, columns):
     """Yield ``row`` %-formatted once per row of the equal-length ``columns``.
 
     Each piece is one %-pass over ``_BLOCK_ROWS`` rows, so the text of a
     table is never held whole. ``row`` holds one field per column; "%d" % i
     is str(i) and "%.12g" % x is format(x, ".12g"). A literal ``%`` in
-    ``row`` must be written ``%%``.
+    ``row`` must be written ``%%``. A "%.12g" field is written "%d" for a
+    block that ``_as_ints`` takes, which gives the same text in about half
+    the time.
     """
     width = len(columns)
+    fields = [m.span() for m in _FIELD.finditer(row) if m.group() != "%%"]
+    floats = [j for j, (a, b) in enumerate(fields) if row[a:b] == "%.12g"]
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [column[lo : lo + _BLOCK_ROWS] for column in columns]
+        template, at = [], 0
+        for j in floats:
+            ints = _as_ints(block[j])
+            if ints is not None:
+                block[j] = ints
+                template += [row[at : fields[j][0]], "%d"]
+                at = fields[j][1]
+        template.append(row[at:])
         rows = len(block[0])
         values = [None] * (width * rows)
         for j, column in enumerate(block):
             values[j::width] = column.tolist()
-        yield (row * rows) % tuple(values)
+        yield ("".join(template) * rows) % tuple(values)
 
 
 def write_results_csv(table: ResultTable, path) -> None:
@@ -516,17 +550,40 @@ def _scan_body(path, body: list[str], refusal) -> NoReturn:
     raise InputValidationError(f"{path}: cannot parse the results: {refusal}")
 
 
-def _parse_piece(path, body: list[str]) -> np.ndarray:
-    """The records of ``body``, some lines of the file.
+def _records_dtype(line2: str) -> np.dtype:
+    """The records' dtype for a body whose line 2 is ``line2``.
 
-    A refusal or a blank line reads the whole body again for ``_scan_body``,
-    so that its fault is placed as if the file had been parsed at once.
+    Its scenario and config_hash are fixed-width "U" fields one character
+    wider than line 2's cells, so that np.loadtxt builds no Python string
+    per row and the shared-column check runs in C. A longer cell in a later
+    row is cut to a value that still differs from line 2. A "U" field drops
+    trailing NULs, so a line 2 that holds one, or not 10 cells, keeps
+    ``_CSV_DTYPE``; so does one with a cell longer than 32 characters,
+    which would make every row's record that wide.
     """
+    cells = line2.split(",")
+    if len(cells) != 10 or "\0" in line2 or max(len(cells[0]), len(cells[9])) > 32:
+        return _CSV_DTYPE
+    widths = {"scenario": len(cells[0]) + 1, "config_hash": len(cells[9]) + 1}
+    return np.dtype([(name, f"U{widths[name]}" if name in widths else _CSV_DTYPE[name])
+                     for name in _CSV_DTYPE.names])
+
+
+def _parse_piece(path, body: list[str], dtype: np.dtype) -> np.ndarray:
+    """The records of ``body``, some lines of the file, parsed as ``dtype``.
+
+    A piece that holds a NUL is parsed as ``_CSV_DTYPE``, whose strings keep
+    it. A refusal or a blank line reads the whole body again for
+    ``_scan_body``, so that its fault is placed as if the file had been
+    parsed at once.
+    """
+    if dtype is not _CSV_DTYPE and "\0" in "".join(body):
+        dtype = _CSV_DTYPE
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # older numpy reads "1.5" as 1
             warnings.simplefilter("ignore", UserWarning)  # "no data": blank lines, refused below
-            rec = np.loadtxt(body, delimiter=",", comments=None, dtype=_CSV_DTYPE, ndmin=1)
+            rec = np.loadtxt(body, delimiter=",", comments=None, dtype=dtype, ndmin=1)
         if len(rec) == len(body):  # loadtxt skips blank lines
             return rec
         refusal = "a blank line"
@@ -566,14 +623,18 @@ def _read_pieces(path, pieces, held: list[str]) -> ResultTable:
     del body[0]
     # an empty first chunk gives a header-only file its empty, typed columns
     parts = {name: [np.empty(0, _CSV_DTYPE[name])] for name in held}
-    shared, differs, line = None, {}, 2
+    shared, differs, line, dtype = None, {}, 2, None
     while body is not None:
         if body:
-            rec = _parse_piece(path, body)
+            if dtype is None:
+                dtype = _records_dtype(body[0])
+            rec = _parse_piece(path, body, dtype)
             if shared is None:
                 shared = {name: rec[name][0] for name in _SHARED_COLUMNS}
             for name in _SHARED_COLUMNS:
-                off = np.flatnonzero(rec[name] != shared[name])
+                # against a 0-d array of the field's dtype: numpy compares an O field
+                # with a str as a "U" string, which drops the str's trailing NULs
+                off = np.flatnonzero(rec[name] != np.array(shared[name], rec.dtype[name]))
                 if off.size:
                     differs.setdefault(name, line + int(off[0]))
             # copies, so that no column keeps the records and their strings alive
@@ -589,7 +650,8 @@ def _read_pieces(path, pieces, held: list[str]) -> ResultTable:
         shared = {"scenario": "", "trials": 0, "config_hash": ""}
     # one column at a time, so that no column is held both in pieces and whole
     columns = {name: np.concatenate(parts.pop(name)) for name in held}
-    return ResultTable(shared["scenario"], columns, int(shared["trials"]), shared["config_hash"])
+    return ResultTable(str(shared["scenario"]), columns, int(shared["trials"]),
+                       str(shared["config_hash"]))
 
 
 def write_summary(summary: dict, path) -> None:
@@ -953,13 +1015,18 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
     px = np.log10(xs) if kind == "loglog" else xs
     py = np.log10(ys) if kind in ("semilogy", "loglog") else ys
 
-    def scaled(v: np.ndarray, lo: float, hi: float, a: float, b: float) -> np.ndarray:
+    def scaled(v: np.ndarray, name: str, a: float, b: float) -> np.ndarray:
+        lo, hi = float(v.min()), float(v.max())
         if hi == lo:
             return np.full(v.shape, 0.5 * (a + b))
+        if not math.isfinite(hi - lo):
+            raise InputValidationError(
+                f"cannot plot {name}: its range from {_fmt(lo)} to {_fmt(hi)} overflows"
+            )
         return a + (v - lo) / (hi - lo) * (b - a)
 
-    sx = scaled(px, float(px.min()), float(px.max()), _SVG_M, _SVG_W - _SVG_M)
-    sy = scaled(py, float(py.min()), float(py.max()), _SVG_H - _SVG_M, _SVG_M)
+    sx = scaled(px, "t", _SVG_M, _SVG_W - _SVG_M)
+    sy = scaled(py, column, _SVG_H - _SVG_M, _SVG_M)
 
     frame = (
         f'<rect x="{_SVG_M}" y="{_SVG_M}" width="{_SVG_W - 2 * _SVG_M}" '

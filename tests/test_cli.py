@@ -926,6 +926,25 @@ class TestCompareAndPlot:
         rc = main(["plot", "--input", results, "--column", "nope", "--out", str(tmp_path / "p.svg")])
         assert rc == 1
 
+    @pytest.mark.parametrize("column", ["mse", "mean_V"])
+    def test_a_linear_plot_whose_range_overflows_is_a_validation_failure(
+        self, tmp_path, capsys, column
+    ):
+        results = _synthetic_results(tmp_path / "results.csv", [-1.7e308, 1.7e308, 0.0])
+        svg = tmp_path / "p.svg"
+        rc = main(["plot", "--input", results, "--column", column, "--out", str(svg)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot plot {column}: its range from -1.7e+308 to 1.7e+308 overflows\n"
+        )
+        assert not svg.exists()
+
+    def test_a_linear_plot_of_the_widest_finite_range_is_drawn(self, tmp_path):
+        results = _synthetic_results(tmp_path / "results.csv", [-8.9e307, 8.9e307, 0.0])
+        svg = tmp_path / "p.svg"
+        assert main(["plot", "--input", results, "--column", "mse", "--out", str(svg)]) == 0
+        assert 'points="56.000,424.000 320.000,56.000 584.000,240.000"' in svg.read_text()
+
     def test_plot_reports_a_missing_input_file(self, tmp_path, capsys):
         rc = main(["plot", "--input", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "p.svg")])
         assert rc == 1

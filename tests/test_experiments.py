@@ -571,6 +571,69 @@ class TestBlockWiseWriter:
         assert peak < 4e6
 
 
+class TestWholeNumberBlocks:
+    """A "%.12g" field of a block of whole numbers is written "%d", with the "%.12g" text."""
+
+    @staticmethod
+    def _assert_12g_text(values):
+        column = np.asarray(values, dtype=float)
+        expected = "".join("%.12g\n" % v for v in column.tolist())
+        assert "".join(_format_rows("%.12g\n", [column])) == expected
+
+    def test_whole_numbers_up_to_twelve_digits(self):
+        edges = [0, 1, -1, 7, 10**11, 10**12 - 1, -(10**12 - 1), 123456789012, -98765432101]
+        rng = np.random.default_rng(43)
+        values = np.concatenate([edges, rng.integers(-(10**12) + 1, 10**12, 4000),
+                                 *[rng.integers(-(10**k), 10**k, 100) for k in range(1, 12)]])
+        assert experiments._as_ints(values.astype(float)) is not None
+        self._assert_12g_text(values)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(1e12, "1e+12"), (-1e12, "-1e+12"), (-0.0, "-0"), (0.5, "0.5"),
+         (2.0**53, "9.00719925474e+15"), (math.nan, "nan"), (math.inf, "inf"),
+         (-math.inf, "-inf")],
+    )
+    def test_a_value_percent_d_would_change_keeps_its_block_in_12g(self, value, text):
+        assert experiments._as_ints(np.array([1.0, value])) is None
+        self._assert_12g_text([value])
+        self._assert_12g_text([1.0, 2.0, value, 3.0])
+        assert "".join(_format_rows("%.12g\n", [np.array([3.0, value])])) == f"3\n{text}\n"
+
+    def test_a_column_whole_in_one_block_and_not_the_next(self):
+        rows = experiments._BLOCK_ROWS
+        column = np.concatenate([np.arange(rows) - 7.0, np.arange(rows) + 0.5, [1.0, 2.0]])
+        blocks = [column[lo : lo + rows] for lo in range(0, len(column), rows)]
+        assert [experiments._as_ints(b) is not None for b in blocks] == [True, False, True]
+        self._assert_12g_text(column)
+        ints = np.arange(len(column))
+        expected = "".join("%d,%.12g,%%d;\n" % (i, v) for i, v in enumerate(column.tolist()))
+        assert "".join(_format_rows("%d,%.12g,%%d;\n", [ints, column])) == expected
+
+    def test_results_and_compare_files_keep_their_bytes(self, tmp_path):
+        rows = experiments._BLOCK_ROWS + 100
+        rng = np.random.default_rng(47)
+        mse = np.concatenate([rng.integers(0, 10**9, rows - 50) * 1.0, rng.random(50)])
+        exceed = (rng.random((3, rows)) < 0.5).astype(float)
+        exceed[2, 5] = -0.0
+        columns = [np.arange(rows), np.zeros(rows, int), mse, np.zeros(rows), *exceed]
+        table = ResultTable("rates", dict(zip(RESULT_COLUMNS, columns)), 20, "abc123def456")
+        results, compare = tmp_path / "results.csv", tmp_path / "compare.csv"
+        write_results_csv(table, results)
+        row = "rates,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,20,abc123def456\n"
+        assert results.read_bytes() == (
+            f"{CSV_HEADER}\n" + _reference_format_rows(row, columns)
+        ).encode()
+        assert "-0,20,abc123def456\n" in results.read_text()
+        baseline, treatment = mse + 1.0, np.floor(mse / 2.0) + 1.0
+        ratios = CompareTable(table["t"], baseline, treatment, baseline / treatment)
+        write_compare_csv(ratios, compare)
+        columns = [ratios.t, ratios.baseline_mse, ratios.treatment_mse, ratios.ratio]
+        assert compare.read_bytes() == (
+            f"{COMPARE_HEADER}\n" + _reference_format_rows("%d,%.12g,%.12g,%.12g\n", columns)
+        ).encode()
+
+
 # The reader as it was before it parsed the body with np.loadtxt, kept as the
 # reference its outcomes are compared with, bit for bit.
 def _reference_parse_cells(path, cells, name, kind):
@@ -728,6 +791,29 @@ _UNMOVED = {
     "differing-trials": _results_text(_edited(_GOOD, 3, 8, "21")),
     "differing-config-hash": _results_text(_edited(_GOOD, 5, 9, "abc123def457")),
     "nul-in-scenario": _results_text([["ra\0tes"] * 4, *_GOOD[1:]]),
+    # the shared string cells, which most reads parse one character wider than line 2's
+    "longer-scenario-with-line-2-as-prefix": _results_text(_edited(_GOOD, 4, 0, "ratesX")),
+    "much-longer-scenario": _results_text(_edited(_GOOD, 3, 0, "rates" * 20)),
+    "longer-config-hash-with-line-2-as-prefix": _results_text(
+        _edited(_GOOD, 5, 9, "abc123def4567")
+    ),
+    "shorter-scenario": _results_text(_edited(_GOOD, 3, 0, "rate")),
+    "shorter-config-hash": _results_text(_edited(_GOOD, 4, 9, "abc123def45")),
+    "empty-scenario-after-line-2": _results_text(_edited(_GOOD, 5, 0, "")),
+    "nul-ending-a-later-scenario": _results_text(_edited(_GOOD, 4, 0, "rates\0")),
+    "nul-ending-a-later-config-hash": _results_text(_edited(_GOOD, 3, 9, "abc123def456\0")),
+    "nul-ending-line-2-scenario": _results_text(_edited(_GOOD, 2, 0, "rates\0")),
+    "nul-ending-every-config-hash": _results_text([*_GOOD[:9], ["abc123def456\0"] * 4]),
+    "non-ascii-scenario": _results_text([["räte✓s"] * 4, *_GOOD[1:]]),
+    "non-ascii-scenario-differs": _results_text(
+        _edited([["räte✓s"] * 4, *_GOOD[1:]], 5, 0, "räte✓")
+    ),
+    "astral-config-hash": _results_text([*_GOOD[:9], ["h\U0001f600sh"] * 4]),
+    "spaces-around-every-config-hash": _results_text([*_GOOD[:9], [" abc123def456 "] * 4]),
+    "spaces-around-a-later-config-hash": _results_text(_edited(_GOOD, 3, 9, " abc123def456")),
+    "spaces-around-line-2-scenario": _results_text(_edited(_GOOD, 2, 0, " rates ")),
+    "long-scenario-in-every-row": _results_text([["r" * 40] * 4, *_GOOD[1:]]),
+    "long-line-2-config-hash": _results_text(_edited(_GOOD, 2, 9, "h" * 40)),
     "trials-before-scenario": _results_text(_edited(_edited(_GOOD, 3, 0, "x"), 4, 8, "ten")),
     "mse-before-t": _results_text(_edited(_edited(_GOOD, 2, 1, "x"), 5, 3, "y")),
     "columns-before-numbers": _with_lines(
@@ -863,10 +949,27 @@ class TestResultsReaderAgainstTheReference:
         assert type(table.scenario) is str and type(table.config_hash) is str
         assert type(table.trials) is int
 
+    def test_a_long_line_2_cell_does_not_widen_every_record(self, tmp_path):
+        # as a fixed-width field, this cell would take 80 KB in each row's record
+        path = tmp_path / "results.csv"
+        path.write_text(_results_text(
+            _edited(_random_columns(np.random.default_rng(9), 1000), 2, 0, "r" * 20_000)
+        ))
+        _assert_reads_as_before(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputValidationError, match=":3: column scenario differs"):
+                read_results_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_reading_a_large_table_stays_small(self, tmp_path):
         # 10.4 MB of text: the per-cell reader peaked at 102 MB on it, the whole-body
         # np.loadtxt reader at 42 MB, and this one, which holds one piece's records and
-        # the table's 6.4 MB of columns, at 8.9 MB
+        # the table's 6.4 MB of columns, at 7.2 MB (8.9 MB with pieces twice as long
+        # and Python string cells)
         path = tmp_path / "results.csv"
         rows = 100_000
         rng = np.random.default_rng(5)
@@ -916,6 +1019,16 @@ _ACROSS_PIECES = {
         _edited(_edited(_GOOD_60, 5, 8, "21"), 57, 0, "other")
     ),
     "later-config-hash-mismatch": _results_text(_edited(_GOOD_60, 59, 9, "other")),
+    "longer-scenario-in-a-later-piece": _results_text(
+        _edited(_GOOD_60, 55, 0, "rates-and-more")
+    ),
+    "nul-ending-a-scenario-in-a-later-piece": _results_text(_edited(_GOOD_60, 50, 0, "rates\0")),
+    "nul-ending-line-2-config-hash-then-later-pieces": _results_text(
+        _edited(_GOOD_60, 2, 9, "abc123def456\0")
+    ),
+    "nul-in-an-early-piece-then-a-later-mismatch": _results_text(
+        _edited(_edited(_GOOD_60, 5, 4, "1\0"), 56, 9, "abc123def45")
+    ),
     "blank-line-in-a-later-piece": _with_lines(*_LINES_60[:45], "", *_LINES_60[45:]),
     "blank-line-then-a-later-bad-cell": _with_lines(
         *_LINES_60[:10], "", *_results_text(_edited(_GOOD_60, 55, 5, "z")).splitlines()[11:]
