@@ -38,7 +38,7 @@ from .dynamics import (
     run_dynamics_trials,
     run_workflow_trials,
 )
-from .errors import CheckFailureError, InputValidationError
+from .errors import CheckFailureError, InputValidationError, SimulationOverflowError
 from .filtering import (
     FilterHandle,
     LabeledDataset,
@@ -460,28 +460,44 @@ def _format_rows(row: str, columns):
     Each piece is one %-pass over ``_BLOCK_ROWS`` rows, so the text of a
     table is never held whole. ``row`` holds one field per column; "%d" % i
     is str(i) and "%.12g" % x is format(x, ".12g"). A literal ``%`` in
-    ``row`` must be written ``%%``. A "%.12g" field is written "%d" for a
-    block that ``_as_ints`` takes, which gives the same text in about half
-    the time.
+    ``row`` must be written ``%%``. Only what differs within a block is
+    formatted per row: a field whose block is bit-constant goes into the
+    block's template as its text, and a field whose column ``is`` an earlier
+    field's, with the same spec, takes that field's text, formatted once. A
+    "%.12g" field is written "%d" for a block that ``_as_ints`` takes, which
+    gives the same text in about half the time.
     """
-    width = len(columns)
-    fields = [m.span() for m in _FIELD.finditer(row) if m.group() != "%%"]
-    floats = [j for j, (a, b) in enumerate(fields) if row[a:b] == "%.12g"]
+    fields = [m for m in _FIELD.finditer(row) if m.group() != "%%"]
+    gaps = [row[at : m.start()] for at, m in zip([0] + [m.end() for m in fields], fields)]
+    tail = row[fields[-1].end() :] if fields else row
+    # each field's first field of the same column and spec, whose text it takes
+    first = [next(i for i, f in enumerate(fields) if columns[i] is columns[j]
+                  and f.group() == m.group()) for j, m in enumerate(fields)]
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [column[lo : lo + _BLOCK_ROWS] for column in columns]
-        template, at = [], 0
-        for j in floats:
-            ints = _as_ints(block[j])
+        parts = []  # per field: its template text, and its per-row values or None
+        for j, m in enumerate(fields):
+            if first[j] < j:
+                parts.append(parts[first[j]])
+                continue
+            column, spec = columns[j][lo : lo + _BLOCK_ROWS], m.group()
+            bits = column.view(f"i{column.itemsize}")
+            if (bits == bits[0]).all():
+                parts.append((spec % column[0].item(), None))
+                continue
+            ints = _as_ints(column) if spec == "%.12g" else None
             if ints is not None:
-                block[j] = ints
-                template += [row[at : fields[j][0]], "%d"]
-                at = fields[j][1]
-        template.append(row[at:])
-        rows = len(block[0])
-        values = [None] * (width * rows)
-        for j, column in enumerate(block):
-            values[j::width] = column.tolist()
-        yield ("".join(template) * rows) % tuple(values)
+                spec, column = "%d", ints
+            if j in first[j + 1 :]:
+                text = (spec + "\n") * len(column) % tuple(column.tolist())
+                spec, column = "%s", text.splitlines()
+            parts.append((spec, column))
+        rows = min(_BLOCK_ROWS, len(columns[0]) - lo)
+        varying = [values for _, values in parts if values is not None]
+        values = [None] * (len(varying) * rows)
+        for k, column in enumerate(varying):
+            values[k :: len(varying)] = column if isinstance(column, list) else column.tolist()
+        template = "".join(gap + text for gap, (text, _) in zip(gaps, parts)) + tail
+        yield (template * rows) % tuple(values)
 
 
 def write_results_csv(table: ResultTable, path) -> None:
@@ -852,6 +868,14 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
     else:
         holdout_accuracy = None
 
+    # every number bound for the log, checkpoint or summary, checked before any is written
+    written = (final, v_new, trace[-1], theta_good.theta, train_config.e_est, pca.mean, pca.scale,
+               pca.projection, pca.explained_variance_ratio, params.w1, params.b1, params.w2,
+               params.b2)
+    if not all(np.isfinite(value).all() for value in written):
+        raise SimulationOverflowError(
+            spec.epochs, "training left a value beyond the float range; nothing was written"
+        )
     paths["training_log"] = os.path.join(config.out_dir, "training_log.csv")
     paths["checkpoint"] = os.path.join(config.out_dir, "checkpoint.json")
     summary = {

@@ -23,7 +23,12 @@ import numpy as np
 
 from . import expfam
 from .contraction import ContractionFn, LyapunovMetric
-from .errors import CollapseGuardError, DegenerateSelectionError, InputValidationError
+from .errors import (
+    CollapseGuardError,
+    DegenerateSelectionError,
+    InputValidationError,
+    SimulationOverflowError,
+)
 from .numerics import RngState, as_generator, as_vector, check_int, point_sums, sym_eig
 
 CHECKPOINT_VERSION = 2
@@ -498,7 +503,9 @@ def train_filter(
     share one ``_Workspace`` that this function owns for the whole run, so
     the (n, hidden) buffers are made once, not once per epoch. Datasets
     with a single class are rejected (the classification target would be
-    degenerate).
+    degenerate). A loss, gradient or Adam moment beyond the float range
+    raises SimulationOverflowError naming the epoch: an overflowed second
+    moment would silently zero every later update.
     """
     feats = _require_features(dataset)
     labels = dataset.labels
@@ -511,10 +518,17 @@ def train_filter(
     work = _Workspace.for_run(dataset, spec.hidden_dim)
     _, grad = loss_gradient(params, dataset, config, work)
     log: list[LossParts] = []
-    for _ in range(spec.epochs):
-        x, state = adam_step(x, _flatten(grad), state, spec.learning_rate)
+    for epoch in range(1, spec.epochs + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the epoch
+            x, state = adam_step(x, _flatten(grad), state, spec.learning_rate)
         params = _unflatten(x, spec.hidden_dim, feats.shape[1])
         parts, grad = loss_gradient(params, dataset, config, work)
+        # a finite second moment bounds every gradient so far, and the first moment by them
+        if not (math.isfinite(parts.total) and np.isfinite(state[1]).all()):
+            raise SimulationOverflowError(
+                epoch, f"training overflowed at epoch {epoch}: a loss, gradient or Adam "
+                "moment is beyond the float range"
+            )
         log.append(parts)
     return params, log
 

@@ -206,6 +206,35 @@ class TestScenarioCommands:
         assert rc == 3
         assert "runtime error" in capsys.readouterr().err
 
+    @staticmethod
+    def _train(tmp_path, drift_scale):
+        training = {"rounds": 2, "candidates_per_round": 50, "epochs": 3, "hidden_dim": 4,
+                    "drift_scale": drift_scale}
+        config = _write_config(tmp_path / "config.json",
+                               {"seed": 3, "model": {"dim": 2}, "training": training})
+        out = tmp_path / "out"
+        out.mkdir()
+        return main(["train-filter", "--config", config, "--out", str(out)]), out
+
+    def test_training_whose_adam_moment_overflows_exits_3_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # the first gradient is about 1e199, so its square is beyond the float range
+        rc, out = self._train(tmp_path, 1e100)
+        assert rc == 3
+        assert "training overflowed at epoch 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_training_data_beyond_the_float_range_exits_3_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # the losses stay finite, but the PCA's variance of the drifted points is inf
+        rc, out = self._train(tmp_path, 1e200)
+        assert rc == 3
+        assert "training left a value beyond the float range" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "content, message",
         [

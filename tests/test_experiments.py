@@ -634,6 +634,146 @@ class TestWholeNumberBlocks:
         ).encode()
 
 
+def _per_cell_rows(row: str, columns) -> str:
+    """``row`` filled in one cell at a time: "%d" % i, format(x, ".12g") and "%.3f" % x."""
+    cells = {"%d": lambda v: "%d" % v, "%.12g": lambda v: format(v, ".12g"),
+             "%.3f": lambda v: "%.3f" % v, "%%": lambda v: "%"}
+    parts = re.split(r"(%%|%d|%\.12g|%\.3f)", row)
+    lines = []
+    for values in zip(*(np.asarray(c).tolist() for c in columns)):
+        values = iter(values)
+        lines += [cells[p](None if p == "%%" else next(values)) if p in cells else p
+                  for p in parts]
+    return "".join(lines)
+
+
+class TestBlockText:
+    """Per block, an aliased column is formatted once and a bit-constant field is a literal.
+
+    Whatever the formatter leaves out of a block's per-row pass, its text is
+    the text of the same cells formatted one at a time.
+    """
+
+    RESULTS_ROW = "rates,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,20,abc123def456\n"
+    COMPARE_ROW = "%d,%.12g,%.12g,%.12g\n"
+
+    @staticmethod
+    def _assert_text(row, columns):
+        assert "".join(_format_rows(row, columns)) == _per_cell_rows(row, columns)
+
+    @staticmethod
+    def _shared_column(rows):
+        # a whole-number block, a block of fractions, a mixed block, and a short constant tail
+        rng = np.random.default_rng(61)
+        block = experiments._BLOCK_ROWS
+        return np.concatenate([rng.integers(0, 10**9, block) * 1.0, rng.random(block),
+                               _edge_floats(rng, rows - 2 * block - 10), np.full(10, 0.25)])
+
+    def test_a_results_table_with_one_array_twice_writes_the_bytes_of_its_copy(self, tmp_path):
+        rows = 3 * experiments._BLOCK_ROWS + 17
+        traj = self._shared_column(rows)
+        exceed = (traj >= np.array(DEFAULT_DELTAS)[:, None]).astype(float)
+        shared = {"t": np.arange(rows), "n_t": np.zeros(rows), "mse": traj, "mean_V": traj,
+                  **dict(zip(RESULT_COLUMNS[4:], exceed))}
+        copied = dict(shared, mean_V=traj.copy())
+        table = ResultTable("rates", shared, 20, "abc123def456")
+        assert table["mse"] is table["mean_V"]
+        write_results_csv(table, tmp_path / "shared.csv")
+        write_results_csv(ResultTable("rates", copied, 20, "abc123def456"), tmp_path / "copy.csv")
+        text = (tmp_path / "shared.csv").read_bytes()
+        assert text == (tmp_path / "copy.csv").read_bytes()
+        columns = [table[name] for name in RESULT_COLUMNS]
+        assert text == (f"{CSV_HEADER}\n" + _per_cell_rows(self.RESULTS_ROW, columns)).encode()
+
+    def test_a_compare_table_with_one_array_twice_writes_the_bytes_of_its_copy(self, tmp_path):
+        rows = 3 * experiments._BLOCK_ROWS + 17
+        mse = np.abs(self._shared_column(rows))
+        t = np.arange(rows)
+        write_compare_csv(CompareTable(t, mse, mse, np.ones(rows)), tmp_path / "shared.csv")
+        write_compare_csv(CompareTable(t, mse, mse.copy(), np.ones(rows)), tmp_path / "copy.csv")
+        text = (tmp_path / "shared.csv").read_bytes()
+        assert text == (tmp_path / "copy.csv").read_bytes()
+        columns = [t, mse, mse, np.ones(rows)]
+        assert text == (f"{COMPARE_HEADER}\n" + _per_cell_rows(self.COMPARE_ROW, columns)).encode()
+
+    def test_one_array_under_two_specs_is_formatted_under_each(self):
+        column = np.array([0.5, 1.0, 2.0, 1e12, -0.0, 1234.56789])
+        self._assert_text("%.12g,%.3f,%.12g\n", [column, column, column])
+        ints = np.arange(-3, 3)
+        self._assert_text("%d;%.12g;%d\n", [ints, ints, ints])
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, math.inf, -math.inf, 1e12, 0.5,
+                                       2.0**53, 123456789012.0])
+    def test_a_constant_block_writes_the_text_of_its_cells(self, value):
+        rows = experiments._BLOCK_ROWS + 5
+        column = np.full(rows, value)
+        self._assert_text(self.COMPARE_ROW, [np.arange(rows), column, column, np.arange(rows) / 7])
+        self._assert_text("%.12g\n", [column])
+
+    def test_constant_text_of_a_few_values(self):
+        values = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e12, 0.5)
+        texts = ["".join(_format_rows("%.12g,%d\n", [np.full(3, v), np.arange(3)])) for v in values]
+        assert texts == [
+            "0,0\n0,1\n0,2\n", "-0,0\n-0,1\n-0,2\n", "nan,0\nnan,1\nnan,2\n",
+            "inf,0\ninf,1\ninf,2\n", "-inf,0\n-inf,1\n-inf,2\n",
+            "1e+12,0\n1e+12,1\n1e+12,2\n", "0.5,0\n0.5,1\n0.5,2\n",
+        ]
+
+    def test_a_block_of_zeros_of_both_signs_is_no_literal(self):
+        column = np.array([0.0, -0.0, 0.0, 0.0])
+        assert "".join(_format_rows("%.12g\n", [column])) == "0\n-0\n0\n0\n"
+        self._assert_text("%d,%.12g,%.12g\n", [np.arange(4), column, column[::-1].copy()])
+
+    def test_nans_with_two_payloads_write_nan(self):
+        column = np.full(5, math.nan)
+        column.view(np.int64)[2] += 1
+        assert np.isnan(column).all()
+        assert "".join(_format_rows("%.12g;\n", [column])) == "nan;\n" * 5
+
+    def test_a_constant_int64_column(self):
+        rows = 2 * experiments._BLOCK_ROWS
+        for t in (np.zeros(rows, np.int64), np.full(rows, -(2**63)), np.full(rows, 2**63 - 1)):
+            self._assert_text("%d,%.12g\n", [t, np.linspace(0.0, 1.0, rows)])
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 7, 9, 10])
+    def test_constant_in_one_block_and_not_the_next_and_a_short_last_block(
+        self, monkeypatch, rows
+    ):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 3)
+        steps = np.arange(rows)
+        exceed = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, -0.0])[:rows]
+        mse = np.array([5.0, 5.0, 5.0, 0.25, 0.25, 0.5, 2.0, 2.0, 2.0, 2.0])[:rows]
+        columns = [steps, np.zeros(rows, np.int64), mse, mse, exceed, exceed[::-1].copy(), exceed]
+        self._assert_text(self.RESULTS_ROW, columns)
+
+    def test_a_block_where_every_field_is_constant(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 4)
+        zeros, ones = np.zeros(6), np.ones(6)
+        t = np.array([7, 7, 7, 7, 8, 9])
+        pieces = list(_format_rows("%d,%.12g,%.12g,%.12g\n", [t, zeros, zeros, ones]))
+        assert pieces == ["7,0,0,1\n" * 4, "8,0,0,1\n9,0,0,1\n"]
+
+    def test_a_percent_sign_next_to_a_constant_field(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 4)
+        row = "%%%.12g%%,%d%%%%;%.12g\n"
+        constant, steps = np.full(10, 0.5), np.arange(10)
+        varying = np.array([3.0, 3.0, 3.0, 3.0, 1.5, 2.5, 3.5, 4.5, -0.0, -0.0])
+        self._assert_text(row, [constant, steps, varying])
+        assert "".join(_format_rows(row, [constant, np.full(10, 4), varying]))[:15] == (
+            "%0.5%,4%%;3\n%0."
+        )
+
+    def test_the_transposed_rows_of_a_training_log(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(67)
+        log = np.column_stack([rng.random(11), rng.random(11), np.zeros(11), np.full(11, -0.0)])
+        log[5:, 2] = rng.random(6)
+        losses = log.reshape(-1, 4).T
+        assert not losses[0].flags.contiguous
+        row = "%d" + ",%.12g" * 4 + "\n"
+        self._assert_text(row, [np.arange(1, 12), *losses])
+
+
 # The reader as it was before it parsed the body with np.loadtxt, kept as the
 # reference its outcomes are compared with, bit for bit.
 def _reference_parse_cells(path, cells, name, kind):
