@@ -710,15 +710,6 @@ class TestBlockText:
         self._assert_text(self.COMPARE_ROW, [np.arange(rows), column, column, np.arange(rows) / 7])
         self._assert_text("%.12g\n", [column])
 
-    def test_constant_text_of_a_few_values(self):
-        values = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e12, 0.5)
-        texts = ["".join(_format_rows("%.12g,%d\n", [np.full(3, v), np.arange(3)])) for v in values]
-        assert texts == [
-            "0,0\n0,1\n0,2\n", "-0,0\n-0,1\n-0,2\n", "nan,0\nnan,1\nnan,2\n",
-            "inf,0\ninf,1\ninf,2\n", "-inf,0\n-inf,1\n-inf,2\n",
-            "1e+12,0\n1e+12,1\n1e+12,2\n", "0.5,0\n0.5,1\n0.5,2\n",
-        ]
-
     def test_a_block_of_zeros_of_both_signs_is_no_literal(self):
         column = np.array([0.0, -0.0, 0.0, 0.0])
         assert "".join(_format_rows("%.12g\n", [column])) == "0\n-0\n0\n0\n"
