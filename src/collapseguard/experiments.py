@@ -869,9 +869,9 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
         holdout_accuracy = None
 
     # every number bound for the log, checkpoint or summary, checked before any is written
-    written = (final, v_new, trace[-1], theta_good.theta, train_config.e_est, pca.mean, pca.scale,
-               pca.projection, pca.explained_variance_ratio, params.w1, params.b1, params.w2,
-               params.b2)
+    written = (final, v_new, threshold, trace[-1], theta_good.theta, train_config.e_est, pca.mean,
+               pca.scale, pca.projection, pca.explained_variance_ratio, params.w1, params.b1,
+               params.w2, params.b2)
     if not all(np.isfinite(value).all() for value in written):
         raise SimulationOverflowError(
             spec.epochs, "training left a value beyond the float range; nothing was written"
