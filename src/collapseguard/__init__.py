@@ -14,7 +14,6 @@ from .contraction import (
     LyapunovMetric,
     RegulatorFn,
     check_matrix_contraction,
-    check_regulation,
     fit_decay_rate,
     limsup_bound,
     measure_concentration,
@@ -100,7 +99,6 @@ __all__ = [
     "TrainingSpec",
     "TrialStats",
     "check_matrix_contraction",
-    "check_regulation",
     "compare_runs",
     "config_hash",
     "emit_plot",

@@ -1,4 +1,4 @@
-"""Lyapunov metrics, contraction/regulation checks, and scalar rate tools.
+"""Lyapunov metrics, the matrix contraction check, and scalar rate tools.
 
 The central objects are a quadratic Lyapunov function V(e) = e' P e with
 P positive definite, a state-dependent contraction coefficient c(e) with
@@ -249,24 +249,6 @@ def check_matrix_contraction(a, metric: LyapunovMetric, c_at_e: float) -> bool:
     gap = (1.0 - c_at_e) * metric.p_matrix - mat.T @ metric.p_matrix @ mat
     values, _ = sym_eig((gap + gap.T) / 2.0)  # exactly symmetric, as sym_eig requires
     return bool(values[0] >= -tol)
-
-
-def check_regulation(
-    c: ContractionFn,
-    f: RegulatorFn,
-    metric: LyapunovMetric,
-    probe_points: np.ndarray,
-) -> bool:
-    """Whether c(e) V(e) >= f(V(e)) - 1e-12 at every probe point."""
-    probes = np.asarray(probe_points, dtype=float)
-    if probes.ndim != 2 or probes.shape[1] != metric.dim:
-        raise InputValidationError(f"probe_points must have shape (n, {metric.dim})")
-    if probes.shape[0] == 0:
-        raise InputValidationError("probe_points must be non-empty")
-    v = metric.values(probes)
-    cv = c.values(probes, v) * v
-    fv = np.array([f.value(float(r)) for r in v])
-    return bool(np.all(cv >= fv - 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ TRAINING_LOG_HEADER = "epoch,total,class_part,contract_part,ess_part"
 
 # The CSV layer formats _BLOCK_ROWS rows at a time and reads about _READ_CHARS
 # characters at a time, so its memory does not grow with a table's rows. A
-# piece's records (about 0.6 MB for a rates table) stay below one 10^5-row
+# piece's records (about 0.72 MB for a rates table) stay below one 10^5-row
 # column: freeing larger ones raised glibc's mmap threshold above a column's
 # size, and the columns then came from the heap, 2-3 MB higher in peak RSS.
 _BLOCK_ROWS = 4096
@@ -390,9 +390,9 @@ def config_hash(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-# One field per CSV_HEADER column; the two strings stay whole as Python objects
-# (see _records_dtype for the fixed-width fields most reads parse them as).
-_CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "O i8 i8 f8 f8 f8 f8 f8 i8 O".split())))
+# One field per CSV_HEADER column; a string field is one character wider than its
+# longest valid cell (see _shared_fault), so a longer cell is cut to one still invalid
+_CSV_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), "U18 i8 i8 f8 f8 f8 f8 f8 i8 U13".split())))
 RESULT_COLUMNS = _CSV_DTYPE.names[1:8]  # t, n_t, mse, mean_V and the exceed columns
 _SHARED_COLUMNS = ("scenario", "trials", "config_hash")  # in the order their faults are raised
 
@@ -422,8 +422,8 @@ class ResultTable:
                    for name in RESULT_COLUMNS if name in self.columns}
         object.__setattr__(self, "columns", columns)
         rows = columns["t"].shape
-        if len(rows) != 1 or any(column.shape != rows for column in columns.values()):
-            raise InputValidationError("result columns must be 1-d and share one row count")
+        if len(rows) != 1 or not rows[0] or any(column.shape != rows for column in columns.values()):
+            raise InputValidationError("result columns must be 1-d, nonempty and share one row count")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -500,30 +500,43 @@ def _format_rows(row: str, columns):
         yield (template * rows) % tuple(values)
 
 
+def _shared_fault(scenario: str, chash: str) -> str | None:
+    """Why ``scenario`` and ``chash`` cannot be a results table's shared cells, or None.
+
+    Valid ones hold no "%", "," or NUL, and each fits its field of ``_CSV_DTYPE``.
+    """
+    if scenario not in _TABLE_RUNNERS:
+        return f"column scenario must be one of {', '.join(_TABLE_RUNNERS)}"
+    if not re.fullmatch("[0-9a-f]{12}", chash):
+        return "column config_hash must hold 12 lowercase hex digits"
+    return None
+
+
 def write_results_csv(table: ResultTable, path) -> None:
-    if len(table) == 0:
-        raise InputValidationError("refusing to write an empty results table")
     missing = [name for name in RESULT_COLUMNS if name not in table.columns]
     if missing:
         raise InputValidationError(
             f"refusing to write a results table read without its {', '.join(missing)} column(s)"
         )
-    shared = (str(s).replace("%", "%%") for s in (table.scenario, table.trials, table.config_hash))
-    scenario, trials, chash = shared
-    row = f"{scenario},%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,{trials},{chash}\n"
+    if fault := _shared_fault(table.scenario, table.config_hash):
+        raise InputValidationError(f"refusing to write a results table: {fault}")
+    row = f"{table.scenario},%d,%d{',%.12g' * 5},{table.trials},{table.config_hash}\n"
     columns = [table[name] for name in RESULT_COLUMNS]
     atomic_write_text(path, chain([f"{CSV_HEADER}\n"], _format_rows(row, columns)))
 
 
-def _line_pieces(fh):
+def _line_pieces(fh, path):
     """Yield the lines of ``fh`` in pieces, each cut from about ``_READ_CHARS`` characters.
 
     Each piece of text ends just after a newline. ``fh`` reads with universal
     newlines, so no ``\\r`` is left, and the pieces' ``splitlines()`` give
-    exactly the lines of the whole text.
+    exactly the lines of the whole text. A file that holds a NUL is refused.
     """
     parts = []
     while chunk := fh.read(_READ_CHARS):
+        if "\0" in chunk:
+            fh.read()  # an undecodable byte further on is reported first
+            raise InputValidationError(f"{path} holds a NUL character")
         cut = chunk.rfind("\n") + 1
         if not cut:
             parts.append(chunk)
@@ -566,47 +579,24 @@ def _scan_body(path, body: list[str], refusal) -> NoReturn:
     raise InputValidationError(f"{path}: cannot parse the results: {refusal}")
 
 
-def _records_dtype(line2: str) -> np.dtype:
-    """The records' dtype for a body whose line 2 is ``line2``.
+def _parse_piece(path, body: list[str]) -> np.ndarray:
+    """The records of ``body``, some lines of the file.
 
-    Its scenario and config_hash are fixed-width "U" fields one character
-    wider than line 2's cells, so that np.loadtxt builds no Python string
-    per row and the shared-column check runs in C. A longer cell in a later
-    row is cut to a value that still differs from line 2. A "U" field drops
-    trailing NULs, so a line 2 that holds one, or not 10 cells, keeps
-    ``_CSV_DTYPE``; so does one with a cell longer than 32 characters,
-    which would make every row's record that wide.
+    A refusal or a blank line reads the whole body again for ``_scan_body``,
+    so that its fault is placed as if the file had been parsed at once.
     """
-    cells = line2.split(",")
-    if len(cells) != 10 or "\0" in line2 or max(len(cells[0]), len(cells[9])) > 32:
-        return _CSV_DTYPE
-    widths = {"scenario": len(cells[0]) + 1, "config_hash": len(cells[9]) + 1}
-    return np.dtype([(name, f"U{widths[name]}" if name in widths else _CSV_DTYPE[name])
-                     for name in _CSV_DTYPE.names])
-
-
-def _parse_piece(path, body: list[str], dtype: np.dtype) -> np.ndarray:
-    """The records of ``body``, some lines of the file, parsed as ``dtype``.
-
-    A piece that holds a NUL is parsed as ``_CSV_DTYPE``, whose strings keep
-    it. A refusal or a blank line reads the whole body again for
-    ``_scan_body``, so that its fault is placed as if the file had been
-    parsed at once.
-    """
-    if dtype is not _CSV_DTYPE and "\0" in "".join(body):
-        dtype = _CSV_DTYPE
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # older numpy reads "1.5" as 1
             warnings.simplefilter("ignore", UserWarning)  # "no data": blank lines, refused below
-            rec = np.loadtxt(body, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+            rec = np.loadtxt(body, delimiter=",", comments=None, dtype=_CSV_DTYPE, ndmin=1)
         if len(rec) == len(body):  # loadtxt skips blank lines
             return rec
         refusal = "a blank line"
     except (ValueError, OverflowError, DeprecationWarning) as exc:
         refusal = exc
-    with open(path, "r", encoding="utf-8") as fh:
-        _scan_body(path, fh.read().splitlines()[1:], refusal)
+    with open(path, "r", encoding="utf-8") as fh:  # a NUL further on is refused first
+        _scan_body(path, list(chain.from_iterable(_line_pieces(fh, path)))[1:], refusal)
 
 
 def read_results_csv(path, keep: Sequence[str] | None = None) -> ResultTable:
@@ -615,8 +605,9 @@ def read_results_csv(path, keep: Sequence[str] | None = None) -> ResultTable:
     ``keep`` names the numeric CSV columns to hold; None holds them all. The
     table holds ``t`` and exactly the kept columns, but every cell of every
     column is parsed and checked all the same, so a file reads or fails the
-    same whatever is kept. Every piece parses before a shared column that
-    differs from line 2 is refused, so a bad cell anywhere is reported first.
+    same whatever is kept. A file without rows or holding a NUL is refused. Line 2
+    (see ``_shared_fault``) and rows that differ from it are refused only once
+    every piece has parsed, so a bad cell anywhere is reported first.
     """
     if keep is not None:
         unknown = set(keep) - set(RESULT_COLUMNS)
@@ -625,7 +616,7 @@ def read_results_csv(path, keep: Sequence[str] | None = None) -> ResultTable:
     held = [name for name in RESULT_COLUMNS if keep is None or name == "t" or name in keep]
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _read_pieces(path, _line_pieces(fh), held)
+            return _read_pieces(path, _line_pieces(fh, path), held)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputValidationError(f"cannot read results {path}: {exc}") from exc
 
@@ -637,33 +628,30 @@ def _read_pieces(path, pieces, held: list[str]) -> ResultTable:
             pass
         raise InputValidationError(f"{path} does not carry the expected results schema")
     del body[0]
-    # an empty first chunk gives a header-only file its empty, typed columns
-    parts = {name: [np.empty(0, _CSV_DTYPE[name])] for name in held}
-    shared, differs, line, dtype = None, {}, 2, None
+    parts = {name: [] for name in held}
+    shared, differs, line = None, {}, 2
     while body is not None:
         if body:
-            if dtype is None:
-                dtype = _records_dtype(body[0])
-            rec = _parse_piece(path, body, dtype)
+            rec = _parse_piece(path, body)
             if shared is None:
                 shared = {name: rec[name][0] for name in _SHARED_COLUMNS}
             for name in _SHARED_COLUMNS:
-                # against a 0-d array of the field's dtype: numpy compares an O field
-                # with a str as a "U" string, which drops the str's trailing NULs
-                off = np.flatnonzero(rec[name] != np.array(shared[name], rec.dtype[name]))
+                off = np.flatnonzero(rec[name] != shared[name])
                 if off.size:
                     differs.setdefault(name, line + int(off[0]))
-            # copies, so that no column keeps the records and their strings alive
+            # copies, so that no column keeps the records alive
             for name, chunks in parts.items():
                 chunks.append(rec[name].copy())
             line += len(body)
             del rec  # before the next piece is parsed
         body = next(pieces, None)
+    if shared is None:
+        raise InputValidationError(f"{path} holds no results rows")
+    if fault := _shared_fault(shared["scenario"], shared["config_hash"]):
+        raise InputValidationError(f"{path}:2: {fault}")
     for name in _SHARED_COLUMNS:
         if name in differs:
             raise InputValidationError(f"{path}:{differs[name]}: column {name} differs from line 2")
-    if shared is None:
-        shared = {"scenario": "", "trials": 0, "config_hash": ""}
     # one column at a time, so that no column is held both in pieces and whole
     columns = {name: np.concatenate(parts.pop(name)) for name in held}
     return ResultTable(str(shared["scenario"]), columns, int(shared["trials"]),
@@ -868,10 +856,10 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
     else:
         holdout_accuracy = None
 
-    # every number bound for the log, checkpoint or summary, checked before any is written
-    written = (final, v_new, threshold, trace[-1], theta_good.theta, train_config.e_est, pca.mean,
-               pca.scale, pca.projection, pca.explained_variance_ratio, params.w1, params.b1,
-               params.w2, params.b2)
+    # every number bound for the log, checkpoint or summary (fit_pca refused a PCA beyond
+    # the float range), checked before any is written
+    written = (final, v_new, threshold, trace[-1], theta_good.theta, train_config.e_est,
+               params.w1, params.b1, params.w2, params.b2)
     if not all(np.isfinite(value).all() for value in written):
         raise SimulationOverflowError(
             spec.epochs, "training left a value beyond the float range; nothing was written"
@@ -964,8 +952,6 @@ def compare_runs(baseline: ResultTable, treatment: ResultTable):
     least-squares slope of the finite ratios, exactly 0 when they are all
     equal.
     """
-    if len(baseline) == 0 or len(treatment) == 0:
-        raise InputValidationError("both result tables must be nonempty")
     if len(baseline) != len(treatment):
         raise InputValidationError("result tables differ in row count")
     t, b, tr = baseline["t"], baseline["mse"], treatment["mse"]
@@ -1022,8 +1008,6 @@ def emit_plot(table: ResultTable, kind: str, path, column: str = "mse") -> None:
     """Render one polyline (a vertex per row; loglog skips t=0) with min/max axis labels as SVG."""
     if kind not in PLOT_KINDS:
         raise InputValidationError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    if len(table) == 0:
-        raise InputValidationError("cannot plot an empty result table")
     if column not in PLOT_COLUMNS:
         raise InputValidationError(f"unknown plot column {column!r}; expected one of {PLOT_COLUMNS}")
     xs, ys = table["t"].astype(float), table[column]

@@ -78,7 +78,8 @@ def fit_pca(data, k: int) -> PCATransform:
     """Fit standardization and the top-k covariance eigendirections.
 
     Needs at least k+1 points and 1 <= k <= dim. Zero-variance coordinates
-    are flagged and left unscaled rather than divided by zero.
+    are flagged and left unscaled rather than divided by zero. A mean, standard
+    deviation or covariance beyond the float range raises SimulationOverflowError.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -91,12 +92,16 @@ def fit_pca(data, k: int) -> PCATransform:
     if not np.all(np.isfinite(x)):
         raise InputValidationError("data must be finite")
 
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    zero_variance = std == 0.0
-    scale = np.where(zero_variance, 1.0, std)
-    centered = (x - mean) / scale
-    cov = centered.T @ centered / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        zero_variance = std == 0.0
+        scale = np.where(zero_variance, 1.0, std)
+        centered = (x - mean) / scale
+        cov = centered.T @ centered / (n - 1)
+    for name, moment in (("mean", mean), ("standard deviation", std), ("covariance", cov)):
+        if not np.isfinite(moment).all():
+            raise SimulationOverflowError(0, f"the PCA {name} of the data is beyond the float range")
     values, vectors = sym_eig(cov)
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
@@ -158,7 +163,8 @@ def label_by_distance(candidates, reference: expfam.Parameter, good_fraction: fl
     anchor = expfam.mean_map(reference.model, reference)
     if pts.shape[1] != anchor.shape[0]:
         raise InputValidationError("candidates dimension does not match the reference model")
-    dist = np.linalg.norm(pts - anchor[None, :], axis=1)
+    with np.errstate(over="ignore"):  # a distance beyond the float range is inf, and sorts last
+        dist = np.linalg.norm(pts - anchor[None, :], axis=1)
     keep = int(math.ceil(good_fraction * pts.shape[0]))
     order = np.argsort(dist, kind="stable")
     labels = np.zeros(pts.shape[0], dtype=np.int64)

@@ -1,21 +1,26 @@
 """Tests for the command-line interface: exit codes, overrides, artifacts."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
+import warnings
 
 import numpy as np
 import pytest
 
 import collapseguard
+from collapseguard import experiments
 from collapseguard.cli import main
 from collapseguard.contraction import RegulatorFn, limsup_bound
 from collapseguard.experiments import (
     PLOT_COLUMNS,
     PLOT_KINDS,
     RESULT_COLUMNS,
+    ExperimentConfig,
     ResultTable,
     compare_runs,
     emit_plot,
@@ -26,6 +31,7 @@ from collapseguard.experiments import (
 )
 from collapseguard.filtering import (
     FilterParams,
+    LossParts,
     content_hash,
     fit_pca,
     save_filter_checkpoint,
@@ -225,12 +231,27 @@ class TestScenarioCommands:
         assert "training overflowed at epoch 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_training_data_beyond_the_float_range_exits_3_and_writes_nothing(
         self, tmp_path, capsys
     ):
-        # the losses stay finite, but the PCA's variance of the drifted points is inf
+        # the variance of the drifted points is inf, refused by name with no numpy warning
         rc, out = self._train(tmp_path, 1e200)
+        assert rc == 3
+        assert "the PCA standard deviation of the data is beyond the float range" in (
+            capsys.readouterr().err
+        )
+        assert list(out.iterdir()) == []
+
+    def test_trained_weights_beyond_the_float_range_exit_3_and_write_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def infinite_bias(dataset, config, rng):
+            hidden = config.training.hidden_dim
+            params = FilterParams(np.zeros((hidden, 2)), np.zeros(hidden), np.zeros(hidden), np.inf)
+            return params, [LossParts(1.0, 1.0, 0.0, 0.0)]
+
+        monkeypatch.setattr("collapseguard.experiments.train_filter", infinite_bias)
+        rc, out = self._train(tmp_path, 2.0)
         assert rc == 3
         assert "training left a value beyond the float range" in capsys.readouterr().err
         assert list(out.iterdir()) == []
@@ -824,6 +845,71 @@ class TestScenarioCommands:
         assert err.startswith(f"error: trajectory values of shape ({steps + 1},) need ")
         assert err.endswith("; use fewer steps\n")
         assert not (tmp_path / "out").exists()
+
+
+# Small configs of each scenario kind, whose every leaf the sweep below sets to a bad value
+_SWEEP_BASES = {
+    "dynamics": ("simulate-dynamics", {"scenario": "dynamics", "horizon": 3, "trials": 2}),
+    "workflow": ("simulate-workflow", {"scenario": "workflow", "horizon": 3, "trials": 2}),
+    "oracle-workflow": ("simulate-workflow", {
+        "scenario": "workflow-filtered", "horizon": 3, "trials": 2,
+        "filter": {"kind": "oracle-pullback", "gamma": 0.5, "candidates_per_round": 80},
+    }),
+    "train-filter": ("train-filter", {
+        "scenario": "train-filter", "model": {"dim": 2},
+        "training": {"rounds": 2, "candidates_per_round": 50, "epochs": 3, "hidden_dim": 4},
+    }),
+    "rates": ("verify-rates", {"scenario": "rates", "rates": {"steps": 50}}),
+    "concentration": ("measure-concentration", {
+        "scenario": "concentration",
+        "concentration": {"sizes": [1, 10], "delta": 1.0, "trials": 100},
+    }),
+}
+# one bad value of each JSON type
+_SWEEP_VALUES = (True, 1e300, "x", [-1.0], {}, None)
+
+
+def _leaves(tree: dict, prefix=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+class TestBadConfigSweep:
+    """Every leaf of a small config of each kind, set in turn to a bad value of each type."""
+
+    @pytest.mark.parametrize("base", list(_SWEEP_BASES))
+    def test_a_bad_leaf_exits_0_1_or_3_and_a_clean_exit_warns_nothing(
+        self, tmp_path, monkeypatch, capsys, base
+    ):
+        # a refused run's cost is mostly building the parser and the schema's type hints
+        parser = collapseguard.cli.build_parser()
+        monkeypatch.setattr(collapseguard.cli, "build_parser", lambda: parser)
+        monkeypatch.setattr(experiments, "get_type_hints", functools.cache(typing.get_type_hints))
+        command, raw = _SWEEP_BASES[base]
+        full = ExperimentConfig.from_dict({"seed": 1, **raw}).to_dict()
+        faults, runs = [], 0
+        for path in _leaves(full):
+            if path == ("out_dir",):  # --out sets it
+                continue
+            for value in _SWEEP_VALUES:
+                config = json.loads(json.dumps(full))
+                node = config
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                runs += 1
+                argv = [command, "--config", _write_config(tmp_path / "config.json", config),
+                        "--out", str(tmp_path / f"out{runs}")]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = main(argv)
+                if rc not in (0, 1, 3) or (rc == 0 and caught):
+                    faults.append((path, value, rc, [str(w.message) for w in caught]))
+        capsys.readouterr()
+        assert runs >= 200 and faults == []
 
 
 class TestCompareAndPlot:

@@ -14,7 +14,6 @@ from collapseguard.contraction import (
     LyapunovMetric,
     RegulatorFn,
     check_matrix_contraction,
-    check_regulation,
     fit_decay_rate,
     limsup_bound,
     measure_concentration,
@@ -31,32 +30,7 @@ from collapseguard.expfam import (
     ExpFamilyModel,
     Parameter,
 )
-from collapseguard.numerics import STACK_LIMIT, RngState, as_generator
-
-
-def make_probe_points(
-    metric: LyapunovMetric,
-    rng,
-    count: int = 256,
-    v_min: float = 1e-6,
-    v_max: float = 1e3,
-) -> np.ndarray:
-    """Probe grid for regulation checks: log-spaced V along random directions.
-
-    Returns ``count`` points with V values log-spaced over [v_min, v_max]
-    plus the origin, each on an independently drawn direction.
-    """
-    if count < 1:
-        raise InputValidationError("count must be positive")
-    gen = as_generator(rng)
-    targets = np.logspace(np.log10(v_min), np.log10(v_max), count)
-    dirs = gen.standard_normal((count, metric.dim))
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0.0] = 1.0
-    dirs /= norms[:, None]
-    dir_v = metric.values(dirs)
-    points = dirs * np.sqrt(targets / dir_v)[:, None]
-    return np.vstack([np.zeros((1, metric.dim)), points])
+from collapseguard.numerics import STACK_LIMIT, RngState
 
 
 class TestLyapunovMetric:
@@ -271,60 +245,6 @@ class TestCheckMatrixContraction:
             m = a.T @ p @ a - q
             sampled = np.einsum("ij,jk,ik->i", directions, m, directions).max()
             assert verdict == bool(sampled <= 1e-9 * np.abs(p).max())
-
-
-class TestCheckRegulation:
-    def test_matched_pair_holds_everywhere(self):
-        metric = LyapunovMetric.identity(2)
-        probes = make_probe_points(metric, RngState(seed=4))
-        assert check_regulation(
-            ContractionFn(), RegulatorFn("example-sqrt"), metric, probes
-        )
-
-    def test_zero_pull_fails_against_positive_floor(self):
-        metric = LyapunovMetric.identity(2)
-        probes = np.array([[1.0, 0.0]])
-        assert not check_regulation(
-            ContractionFn("constant", level=0.0), RegulatorFn("power-law", p=2, c1=1.0),
-            metric, probes,
-        )
-
-    def test_quadratic_pull_dominates_half_square_below_clamp(self):
-        """c(e) V = V^2 >= 0.5 V^2 pointwise while the clamp stays inactive."""
-        metric = LyapunovMetric.identity(2)
-        probes = make_probe_points(metric, RngState(seed=6), v_max=0.9)
-        assert check_regulation(
-            ContractionFn("quadratic", alpha=1.0, c_max=0.99),
-            RegulatorFn("power-law", p=2, c1=0.5),
-            metric, probes,
-        )
-
-    def test_a_regulator_beyond_the_float_range_fails_the_check(self):
-        """At V = 1e200, f(V) = V^2 lies beyond the float range, far above c V = V / 2."""
-        metric = LyapunovMetric.identity(1)
-        assert not check_regulation(
-            ContractionFn("constant", level=0.5), RegulatorFn("power-law", p=2, c1=1.0),
-            metric, np.array([[1e-3], [1e100]]),
-        )
-
-    def test_a_regulator_whose_power_overflows_is_compared_by_logs(self):
-        """At V = 1e200, f(V) = 1e-300 V^2 = 1e100 stays below c V = 5e199 although V^2 overflows."""
-        metric = LyapunovMetric.identity(1)
-        assert check_regulation(
-            ContractionFn("constant", level=0.5), RegulatorFn("power-law", p=2, c1=1e-300),
-            metric, np.array([[1e-3], [1e100]]),
-        )
-
-    def test_empty_probes_rejected(self):
-        metric = LyapunovMetric.identity(2)
-        with pytest.raises(InputValidationError):
-            check_regulation(
-                ContractionFn(), RegulatorFn("example-sqrt"), metric,
-                np.empty((0, 2)),
-            )
-        # a 1-d array is refused, not read as one probe point
-        with pytest.raises(InputValidationError, match=r"shape \(n, 2\)"):
-            check_regulation(ContractionFn(), RegulatorFn("example-sqrt"), metric, np.ones(2))
 
 
 class TestContractionMap:

@@ -397,11 +397,35 @@ class TestResultsCsv:
         with pytest.raises(InputValidationError, match=f":4: column {name} differs from line 2"):
             read_results_csv(path)
 
-    def test_a_header_only_file_reads_as_an_empty_table(self, tmp_path):
+    def test_a_header_only_file_is_refused(self, tmp_path):
+        # the writer refuses an empty table, so a file it wrote holds a row
         path = tmp_path / "results.csv"
         path.write_text(CSV_HEADER + "\n")
-        table = read_results_csv(path)
-        assert len(table) == 0 and [table[name].shape for name in RESULT_COLUMNS] == [(0,)] * 7
+        with pytest.raises(InputValidationError, match="holds no results rows"):
+            read_results_csv(path)
+
+    @pytest.mark.parametrize("scenario, chash", [
+        ("train-filter", "abc123def456"), ("", "abc123def456"), ("Rates", "abc123def456"),
+        ("rates ", "abc123def456"), ("r" * 40, "abc123def456"), ("rates", "ABC123DEF456"),
+        ("rates", "abc123def45"), ("rates", "abc123def4567"), ("rates", "abc123def45g"),
+        ("rates", ""),
+    ])
+    def test_the_writer_and_the_reader_refuse_the_same_shared_cells(self, tmp_path, scenario,
+                                                                    chash):
+        table = _table(scenario, range(2), 100, 0.5, 1.25, 0.0, 20, chash)
+        path = tmp_path / "results.csv"
+        with pytest.raises(InputValidationError, match="^refusing to write a results table: "):
+            write_results_csv(table, path)
+        path.write_text(_with_lines(*[f"{scenario},{t},100,0.5,1.25,0,0,0,20,{chash}" for t in (0, 1)]))
+        with pytest.raises(InputValidationError, match=f"^{re.escape(str(path))}:2: column "):
+            read_results_csv(path)
+
+    def test_each_string_field_is_one_character_wider_than_its_longest_valid_cell(self):
+        assert set(experiments._TABLE_RUNNERS) == set(_TABLE_SCENARIOS)
+        assert experiments._CSV_DTYPE["scenario"] == np.dtype(
+            f"U{max(map(len, _TABLE_SCENARIOS)) + 1}"
+        )
+        assert experiments._CSV_DTYPE["config_hash"] == np.dtype("U13")
 
     def test_missing_file_is_reported(self, tmp_path):
         with pytest.raises(InputValidationError, match="cannot read"):
@@ -484,14 +508,21 @@ class TestOnePassWriterAgainstPerCellFormulas:
         assert "".join(_format_rows("%.3f,%.3f ", [xs, ys]))[:-1] == expected
         assert expected.startswith("-0.000,0.000 -0.000,")
 
-    def test_a_percent_sign_in_the_shared_cells_round_trips(self, tmp_path):
-        table = _table("dyn%amics%%", range(3), 100, [0.5, 1.0, 1.5], 1.25, (1.0, 0.5, 0.0),
-                       20, "%d%s%.12g%")
+    @pytest.mark.parametrize("scenario, chash, message", [
+        ("dyn%amics%%", "abc123def456", "column scenario must be one of"),
+        ("dynamics", "%d%s%.12g%", "column config_hash must hold 12 lowercase hex digits"),
+    ], ids=["scenario", "config-hash"])
+    def test_a_percent_sign_in_the_shared_cells_is_refused(self, tmp_path, scenario, chash,
+                                                           message):
+        # no valid shared cell holds a "%", so the writer's row format escapes none
+        table = _table(scenario, range(3), 100, [0.5, 1.0, 1.5], 1.25, (1.0, 0.5, 0.0), 20, chash)
         path = tmp_path / "results.csv"
-        write_results_csv(table, path)
-        first = path.read_text().splitlines()[1]
-        assert first == "dyn%amics%%,0,100,0.5,1.25,1,0.5,0,20,%d%s%.12g%"
-        assert _same_table(read_results_csv(path), table)
+        with pytest.raises(InputValidationError, match=f"^refusing to write a results table: {message}"):
+            write_results_csv(table, path)
+        assert not path.exists()
+        path.write_text(_with_lines(f"{scenario},0,100,0.5,1.25,1,0.5,0,20,{chash}"))
+        with pytest.raises(InputValidationError, match=f"^{re.escape(str(path))}:2: {message}"):
+            read_results_csv(path)
 
 
 def _reference_format_rows(row: str, columns) -> str:
@@ -766,7 +797,12 @@ class TestBlockText:
 
 
 # The reader as it was before it parsed the body with np.loadtxt, kept as the
-# reference its outcomes are compared with, bit for bit.
+# reference its outcomes are compared with, bit for bit. It takes the grammar of
+# the writer's files: no NUL, a row at least, and on line 2 a scenario that
+# writes a table and a 12-hex config hash.
+_TABLE_SCENARIOS = ("dynamics", "workflow", "workflow-filtered", "rates", "concentration")
+
+
 def _reference_parse_cells(path, cells, name, kind):
     dtype = np.int64 if kind is int else np.float64
     try:
@@ -783,9 +819,7 @@ def _reference_parse_cells(path, cells, name, kind):
         raise
 
 
-def _reference_shared_cell(path, cells, name, default):
-    if not cells:
-        return default
+def _reference_shared_cell(path, cells, name):
     if cells.count(cells[0]) != len(cells):
         line = next(i for i, cell in enumerate(cells, start=2) if cell != cells[0])
         raise InputValidationError(f"{path}:{line}: column {name} differs from line 2")
@@ -795,29 +829,40 @@ def _reference_shared_cell(path, cells, name, default):
 def _reference_read_results_csv(path) -> ResultTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise InputValidationError(f"cannot read results {path}: {exc}") from exc
+    if "\0" in text:
+        raise InputValidationError(f"{path} holds a NUL character")
+    lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise InputValidationError(f"{path} does not carry the expected results schema")
     body = lines[1:]
+    if not body:
+        raise InputValidationError(f"{path} holds no results rows")
     for i, line in enumerate(body, start=2):
         if line.count(",") != 9:
             raise InputValidationError(f"{path}:{i}: expected 10 columns")
-    cells = ",".join(body).split(",") if body else []
+    cells = ",".join(body).split(",")
     names = CSV_HEADER.split(",")
     column = {name: cells[k::10] for k, name in enumerate(names)}
     number = {name: _reference_parse_cells(path, column[name], name, float) for name in names[3:8]}
     trials = _reference_parse_cells(path, column["trials"], "trials", int)
+    if column["scenario"][0] not in _TABLE_SCENARIOS:
+        raise InputValidationError(
+            f"{path}:2: column scenario must be one of {', '.join(_TABLE_SCENARIOS)}"
+        )
+    if not re.fullmatch("[0-9a-f]{12}", column["config_hash"][0]):
+        raise InputValidationError(f"{path}:2: column config_hash must hold 12 lowercase hex digits")
     return ResultTable(
-        scenario=_reference_shared_cell(path, column["scenario"], "scenario", ""),
+        scenario=_reference_shared_cell(path, column["scenario"], "scenario"),
         columns={
             "t": _reference_parse_cells(path, column["t"], "t", int),
             "n_t": _reference_parse_cells(path, column["n_t"], "n_t", int),
             **number,
         },
-        trials=_reference_shared_cell(path, trials.tolist(), "trials", 0),
-        config_hash=_reference_shared_cell(path, column["config_hash"], "config_hash", ""),
+        trials=_reference_shared_cell(path, trials.tolist(), "trials"),
+        config_hash=_reference_shared_cell(path, column["config_hash"], "config_hash"),
     )
 
 
@@ -922,7 +967,7 @@ _UNMOVED = {
     "differing-trials": _results_text(_edited(_GOOD, 3, 8, "21")),
     "differing-config-hash": _results_text(_edited(_GOOD, 5, 9, "abc123def457")),
     "nul-in-scenario": _results_text([["ra\0tes"] * 4, *_GOOD[1:]]),
-    # the shared string cells, which most reads parse one character wider than line 2's
+    # the shared string cells, which every read parses as fixed-width U18 and U13 fields
     "longer-scenario-with-line-2-as-prefix": _results_text(_edited(_GOOD, 4, 0, "ratesX")),
     "much-longer-scenario": _results_text(_edited(_GOOD, 3, 0, "rates" * 20)),
     "longer-config-hash-with-line-2-as-prefix": _results_text(
@@ -950,13 +995,24 @@ _UNMOVED = {
     "columns-before-numbers": _with_lines(
         _GOOD_LINES[1].replace("rates", "x").replace(",0.5,", ",y,"), _GOOD_LINES[2] + ","
     ),
+    "train-filter-scenario": _results_text([["train-filter"] * 4, *_GOOD[1:]]),
+    "longest-table-scenario": _results_text([["workflow-filtered"] * 4, *_GOOD[1:]]),
+    "upper-case-config-hash": _results_text([*_GOOD[:9], ["ABC123DEF456"] * 4]),
+    "short-config-hash-in-every-row": _results_text([*_GOOD[:9], ["abc123def45"] * 4]),
+    "bad-number-before-an-invalid-scenario": _results_text(
+        _edited([["x"] * 4, *_GOOD[1:]], 4, 3, "y")
+    ),
+    "invalid-config-hash-before-a-differing-scenario": _results_text(
+        _edited([*_GOOD[:9], ["x" * 12] * 4], 4, 0, "dynamics")
+    ),
+    "nul-after-a-bad-number": _results_text(_edited(_edited(_GOOD, 2, 3, "y"), 5, 0, "rates\0")),
     "wrong-header": "t,mse\n0,1\n",
     "empty-file": "",
 }
 
 
 class TestResultsReaderAgainstTheReference:
-    """The np.loadtxt reader against the per-cell reader it replaced."""
+    """The np.loadtxt reader against the per-cell reader it replaced, on one grammar."""
 
     @pytest.mark.parametrize("fmt", ["%.12g", "%r"])
     def test_random_bit_patterns_read_the_same_bits(self, tmp_path, fmt):
@@ -975,7 +1031,7 @@ class TestResultsReaderAgainstTheReference:
         for fmt in ("%.12g", "%r"):
             cells = [fmt % v for v in values]
             columns = [["rates"] * rows, list(map(str, range(rows))), ["0"] * rows,
-                       *[cells] * 5, ["1"] * rows, ["h"] * rows]
+                       *[cells] * 5, ["1"] * rows, ["abc123def456"] * rows]
             path = tmp_path / "special.csv"
             path.write_text(_results_text(columns))
             _assert_reads_as_before(path)
@@ -1053,7 +1109,7 @@ class TestResultsReaderAgainstTheReference:
                 line = _edited(_GOOD, 2, column, cell)
                 path.write_text(_results_text(line))
                 outcome = _outcome(read_results_csv, path)
-                assert isinstance(outcome, str) == refused, (cell, outcome)
+                assert isinstance(outcome, str) == (refused or "\0" in cell), (cell, outcome)
                 body = _results_text(line).splitlines()[1:]
                 with pytest.raises(InputValidationError) as info:
                     _scan_body(path, body, "no fault")
@@ -1089,7 +1145,7 @@ class TestResultsReaderAgainstTheReference:
         _assert_reads_as_before(path)
         tracemalloc.start()
         try:
-            with pytest.raises(InputValidationError, match=":3: column scenario differs"):
+            with pytest.raises(InputValidationError, match=":2: column scenario must be one of"):
                 read_results_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1160,6 +1216,15 @@ _ACROSS_PIECES = {
     "nul-in-an-early-piece-then-a-later-mismatch": _results_text(
         _edited(_edited(_GOOD_60, 5, 4, "1\0"), 56, 9, "abc123def45")
     ),
+    "bad-cell-in-an-early-piece-then-a-nul": _results_text(
+        _edited(_edited(_GOOD_60, 3, 3, "x"), 55, 0, "rates\0")
+    ),
+    "invalid-line-2-scenario-then-a-later-bad-cell": _results_text(
+        _edited([["x"] * 60, *_GOOD_60[1:]], 55, 3, "y")
+    ),
+    "wrong-header-then-a-nul": _results_text(
+        _edited(_GOOD_60, 50, 0, "rates\0")
+    ).replace("scenario", "t", 1),
     "blank-line-in-a-later-piece": _with_lines(*_LINES_60[:45], "", *_LINES_60[45:]),
     "blank-line-then-a-later-bad-cell": _with_lines(
         *_LINES_60[:10], "", *_results_text(_edited(_GOOD_60, 55, 5, "z")).splitlines()[11:]
@@ -1197,7 +1262,8 @@ class TestPieceWiseReaderAgainstTheReference:
         assert text.index(",x,") > 10 * 200
 
     @pytest.mark.parametrize(
-        "name", ["wrong-header", "bad-cell-in-a-later-piece", "later-config-hash-mismatch"]
+        "name", ["wrong-header", "bad-cell-in-a-later-piece", "later-config-hash-mismatch",
+                 "nul-ending-a-scenario-in-a-later-piece"]
     )
     def test_an_undecodable_byte_further_on_is_reported_first(self, tmp_path, monkeypatch, name):
         monkeypatch.setattr(experiments, "_READ_CHARS", 200)

@@ -15,6 +15,7 @@ from collapseguard.errors import (
     CollapseGuardError,
     DegenerateSelectionError,
     InputValidationError,
+    SimulationOverflowError,
 )
 from collapseguard.expfam import (
     GAUSSIAN,
@@ -147,6 +148,16 @@ class TestFitPca:
         with pytest.raises(InputValidationError):
             fit_pca(data, k=1)
 
+    @pytest.mark.parametrize("data, moment", [
+        ([[0.0, 1.0], [1e200, 2.0], [1.0, 3.0]], "standard deviation"),
+        ([[1.7e308, 1.0], [1.7e308, 2.0], [1.0, 3.0]], "mean"),
+    ], ids=["std", "mean"])
+    def test_a_moment_beyond_the_float_range_is_refused_by_name(self, data, moment):
+        # tier-1 turns a numpy RuntimeWarning into an error, so none is raised on the way
+        with pytest.raises(SimulationOverflowError,
+                           match=f"^the PCA {moment} of the data is beyond the float range$"):
+            fit_pca(np.array(data), k=1)
+
     def test_transform_rejects_wrong_dimension(self):
         pca = fit_pca(np.random.default_rng(0).normal(size=(10, 3)), k=2)
         with pytest.raises(InputValidationError):
@@ -170,6 +181,12 @@ class TestLabelByDistance:
         _, reference = _gaussian(1)
         ds = label_by_distance(np.array([[1.0], [-1.0], [2.0]]), reference, good_fraction=1 / 3)
         assert ds.labels.tolist() == [1, 0, 0]
+
+    def test_a_distance_beyond_the_float_range_sorts_last(self):
+        _, reference = _gaussian(2)
+        candidates = np.array([[1e200, 1e200], [0.0, 0.0], [1.0, 1.0]])
+        ds = label_by_distance(candidates, reference, good_fraction=2 / 3)
+        assert ds.labels.tolist() == [0, 1, 1]
 
     def test_labels_follow_a_permutation_of_the_candidates(self):
         _, reference = _gaussian(2)
