@@ -15,6 +15,7 @@ import os
 import re
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import chain
 from typing import NoReturn, Sequence, get_args, get_origin, get_type_hints
 
@@ -58,15 +59,6 @@ from .filtering import (
 )
 from .numerics import RngState, check_fits
 
-SCENARIOS = (
-    "dynamics",
-    "workflow",
-    "workflow-filtered",
-    "rates",
-    "concentration",
-    "train-filter",
-)
-
 CSV_HEADER = "scenario,t,n_t,mse,mean_V,exceed_0.1,exceed_0.2,exceed_0.5,trials,config_hash"
 COMPARE_HEADER = "t,baseline_mse,treatment_mse,ratio"
 TRAINING_LOG_HEADER = "epoch,total,class_part,contract_part,ess_part"
@@ -87,6 +79,8 @@ GAUSSIAN_TAIL_3 = math.erfc(3.0 / math.sqrt(2.0))
 # declaration of its config fields; parsing, echo and hashing walk them.
 # ---------------------------------------------------------------------------
 
+_type_hints = cache(get_type_hints)  # a config class's annotations, resolved once
+
 
 def _parse_fields(cls, raw: dict, path: str):
     """Build the config dataclass ``cls`` from a JSON mapping, in field order.
@@ -104,7 +98,7 @@ def _parse_fields(cls, raw: dict, path: str):
     for f in specs:
         if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
             raise InputValidationError(f"{label} is missing required field {f.name!r}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     prefix = f"{path}." if path else ""
     values = {
         f.name: _parse_value(hints[f.name], raw[f.name], prefix + f.name)
@@ -683,14 +677,11 @@ def _slope(ts: np.ndarray, ys: np.ndarray) -> float:
     return float(np.polyfit(ts, ys, 1)[0])
 
 
-def _trial_result(config: ExperimentConfig, chash: str, stats):
-    """The results table of a dynamics or workflow run and the summary keys both share."""
+def _trial_result(config: ExperimentConfig, stats):
+    """The results columns of a dynamics or workflow run and the summary keys both share."""
     columns = {"t": stats.ts, "n_t": stats.ns, "mse": stats.mse, "mean_V": stats.mean_v,
                **dict(zip(RESULT_COLUMNS[4:], map(stats.exceedance_at, DEFAULT_DELTAS)))}
-    table = ResultTable(config.scenario, columns, config.trials, chash)
     summary = {
-        "scenario": config.scenario,
-        "config_hash": chash,
         "trials": config.trials,
         "horizon": config.horizon,
         "final_mse": float(stats.mse[-1]),
@@ -698,10 +689,10 @@ def _trial_result(config: ExperimentConfig, chash: str, stats):
         "exceedance_final": {_fmt(d): float(stats.exceedance_at(d)[-1])
                              for d in _merged_deltas(config)},
     }
-    return table, summary
+    return columns, summary
 
 
-def _run_dynamics(config: ExperimentConfig, chash: str):
+def _run_dynamics(config: ExperimentConfig):
     dim = config.model.dim
     map_ = ContractionMap(LyapunovMetric.identity(dim), config.contraction)
     e0 = np.ones(dim) if config.initial_error is None else np.asarray(config.initial_error, float)
@@ -709,12 +700,12 @@ def _run_dynamics(config: ExperimentConfig, chash: str):
         map_, config.noise, e0, config.horizon, config.trials, RngState(config.seed),
         deltas=_merged_deltas(config),
     )
-    table, summary = _trial_result(config, chash, stats)
+    columns, summary = _trial_result(config, stats)
     burn_in = summary["burn_in"] = max(1, config.horizon // 10)
     summary["max_exceedance_rise_after_burn_in"] = exceedance_trend_rise(
         stats.exceedance_at(0.2), burn_in
     )
-    return table, summary
+    return columns, config.trials, summary
 
 
 def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int) -> float:
@@ -733,7 +724,7 @@ def exceedance_trend_rise(exceedance: np.ndarray, burn_in: int) -> float:
     return float(rises.max()) if rises.size else 0.0
 
 
-def _run_workflow(config: ExperimentConfig, chash: str):
+def _run_workflow(config: ExperimentConfig):
     model, theta_star = config.model.build()
     stats = run_workflow_trials(
         model,
@@ -747,17 +738,17 @@ def _run_workflow(config: ExperimentConfig, chash: str):
         filter_handle=config.filter.build(theta_star),
         candidates_per_round=config.filter.candidates_per_round,
     )
-    table, summary = _trial_result(config, chash, stats)
+    columns, summary = _trial_result(config, stats)
     half = config.horizon // 2
     summary["mse_slope"] = _slope(stats.ts, stats.mse)
     summary["mse_slope_last_half"] = _slope(stats.ts[half:], stats.mse[half:])
     if config.scenario == "workflow" and config.schedule.kind == "constant":
         summary["expected_final_mse"] = config.model.dim * config.horizon / config.schedule.base
         summary["expected_mse_slope"] = config.model.dim / config.schedule.base
-    return table, summary
+    return columns, config.trials, summary
 
 
-def _run_rates(config: ExperimentConfig, chash: str):
+def _run_rates(config: ExperimentConfig):
     spec = config.rates
     traj = recurrence_simulate(spec.regulator, spec.x0, spec.noise, spec.steps)
     try:
@@ -770,10 +761,7 @@ def _run_rates(config: ExperimentConfig, chash: str):
     exceed = (traj >= np.array(DEFAULT_DELTAS)[:, None]).astype(float)
     columns = {"t": np.arange(steps), "n_t": np.zeros(steps), "mse": traj, "mean_V": traj,
                **dict(zip(RESULT_COLUMNS[4:], exceed))}
-    table = ResultTable("rates", columns, 1, chash)
     summary = {
-        "scenario": "rates",
-        "config_hash": chash,
         "steps": spec.steps,
         "x0": spec.x0,
         "final_value": float(traj[-1]),
@@ -783,10 +771,10 @@ def _run_rates(config: ExperimentConfig, chash: str):
     }
     if spec.noise_kind == "constant" and spec.noise_scale > 0.0:
         summary["limsup_ceiling"] = limsup_bound(spec.regulator, spec.noise_scale)
-    return table, summary
+    return columns, 1, summary
 
 
-def _run_concentration(config: ExperimentConfig, chash: str):
+def _run_concentration(config: ExperimentConfig):
     model, theta = config.model.build()
     spec = config.concentration
     rng = RngState(config.seed)
@@ -797,21 +785,18 @@ def _run_concentration(config: ExperimentConfig, chash: str):
     rows = len(spec.sizes)
     columns = {"t": np.arange(rows), "n_t": spec.sizes, "mse": np.zeros(rows),
                "mean_V": np.zeros(rows), **dict(zip(RESULT_COLUMNS[4:], curve[:, 1:].T))}
-    table = ResultTable("concentration", columns, spec.trials, chash)
     exceed = curve[:, 0].tolist()
     summary = {
-        "scenario": "concentration",
-        "config_hash": chash,
         "trials": spec.trials,
         "delta": spec.delta,
         "sizes": list(spec.sizes),
         "exceedance": exceed,
         "monotone_nonincreasing": all(b <= a for a, b in zip(exceed, exceed[1:])),
     }
-    return table, summary
+    return columns, spec.trials, summary
 
 
-def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str]) -> dict:
+def _run_train_filter(config: ExperimentConfig, paths: dict[str, str]) -> dict:
     """Train a filter, write its training log and checkpoint into ``paths``, return the summary."""
     model, theta_star = config.model.build()
     spec = config.training
@@ -867,8 +852,6 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
     paths["training_log"] = os.path.join(config.out_dir, "training_log.csv")
     paths["checkpoint"] = os.path.join(config.out_dir, "checkpoint.json")
     summary = {
-        "scenario": "train-filter",
-        "config_hash": chash,
         "epochs": spec.epochs,
         "n_train": int(train_idx.shape[0]),
         "n_holdout": int(n_hold),
@@ -903,7 +886,7 @@ def _run_train_filter(config: ExperimentConfig, chash: str, paths: dict[str, str
     return summary
 
 
-# a table scenario's runner returns its results table and its summary
+# a table scenario's runner returns its results columns, its trial count and its summary
 _TABLE_RUNNERS = {
     "dynamics": _run_dynamics,
     "workflow": _run_workflow,
@@ -911,6 +894,7 @@ _TABLE_RUNNERS = {
     "rates": _run_rates,
     "concentration": _run_concentration,
 }
+SCENARIOS = (*_TABLE_RUNNERS, "train-filter")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -918,11 +902,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     chash = config_hash(config)
     paths: dict[str, str] = {}
     if config.scenario == "train-filter":
-        table, summary = None, _run_train_filter(config, chash, paths)
+        table, summary = None, _run_train_filter(config, paths)
     else:
-        table, summary = _TABLE_RUNNERS[config.scenario](config, chash)
+        columns, trials, summary = _TABLE_RUNNERS[config.scenario](config)
+        table = ResultTable(config.scenario, columns, trials, chash)
         paths["results"] = os.path.join(config.out_dir, "results.csv")
         write_results_csv(table, paths["results"])
+    summary = {"scenario": config.scenario, "config_hash": chash, **summary}
     paths["summary"] = os.path.join(config.out_dir, "summary.json")
     write_summary(summary, paths["summary"])
     return ExperimentResult(table=table, summary=summary, paths=paths)

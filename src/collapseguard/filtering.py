@@ -509,9 +509,9 @@ def train_filter(
     share one ``_Workspace`` that this function owns for the whole run, so
     the (n, hidden) buffers are made once, not once per epoch. Datasets
     with a single class are rejected (the classification target would be
-    degenerate). A loss, gradient or Adam moment beyond the float range
-    raises SimulationOverflowError naming the epoch: an overflowed second
-    moment would silently zero every later update.
+    degenerate). A forward pass, loss, gradient or Adam moment beyond the
+    float range raises SimulationOverflowError naming the epoch: an
+    overflowed second moment would silently zero every later update.
     """
     feats = _require_features(dataset)
     labels = dataset.labels
@@ -528,12 +528,18 @@ def train_filter(
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the epoch
             x, state = adam_step(x, _flatten(grad), state, spec.learning_rate)
         params = _unflatten(x, spec.hidden_dim, feats.shape[1])
-        parts, grad = loss_gradient(params, dataset, config, work)
-        # a finite second moment bounds every gradient so far, and the first moment by them
-        if not (math.isfinite(parts.total) and np.isfinite(state[1]).all()):
+        # a finite second moment bounds every gradient so far, and the first moment by them;
+        # a forward pass that leaves the float range raises before its weights are used
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                parts, grad = loss_gradient(params, dataset, config, work)
+            finite = math.isfinite(parts.total) and np.isfinite(state[1]).all()
+        except FloatingPointError:
+            finite = False
+        if not finite:
             raise SimulationOverflowError(
-                epoch, f"training overflowed at epoch {epoch}: a loss, gradient or Adam "
-                "moment is beyond the float range"
+                epoch, f"training overflowed at epoch {epoch}: a forward pass, loss, gradient "
+                "or Adam moment is beyond the float range"
             )
         log.append(parts)
     return params, log
@@ -568,11 +574,6 @@ def oracle_pullback_weights(
     pts = np.asarray(candidates, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InputValidationError("candidates must be an (n, d) array with n >= 2")
-    return _pullback_row(pts, theta_good, gamma)
-
-
-def _pullback_row(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float) -> PullbackResult:
-    """``oracle_pullback_weights`` of one (n, d) candidate set, n >= 2, after its shape check."""
     if not np.all(np.isfinite(pts)):
         raise InputValidationError("candidates must be finite")
     if not 0.0 <= gamma <= 1.0:
@@ -661,8 +662,8 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float) 
     ``np.linalg.solve`` run a lone matrix's routine on each row, so a row
     that meets ``PULLBACK_TOL`` there with every check passed (with a
     relative margin of 1e-9, as its norm is not a BLAS dot) has the bits of
-    its own call. ``_pullback_row`` finishes the other rows in row order, so
-    the lowest failing row raises its own error.
+    its own call. ``oracle_pullback_weights`` finishes the other rows in row
+    order, so the lowest failing row raises its own error.
     """
     rows, n, d = pts.shape
     if n < 2:
@@ -694,7 +695,7 @@ def _pullback_rows(pts: np.ndarray, theta_good: expfam.Parameter, gamma: float) 
                 ok &= s > expfam.WEIGHT_FLOOR_PER_POINT * n
                 ok &= rnorm <= tol_abs * (1.0 - 1e-9)
     for r in np.flatnonzero(~ok):
-        weights[r] = _pullback_row(pts[r], theta_good, gamma).weights
+        weights[r] = oracle_pullback_weights(pts[r], theta_good, gamma).weights
     return weights
 
 

@@ -1480,6 +1480,35 @@ class TestRunExperiment:
         assert filtered.summary["final_mse"] < plain.summary["final_mse"] / 3.0
         assert "expected_final_mse" not in filtered.summary
 
+    def test_an_all_ones_filter_reproduces_the_plain_workflow_bit_for_bit(self, tmp_path):
+        """Keeping every one of schedule.base candidates is the plain workflow's step."""
+        base = {"seed": 5, "model": {"dim": 2}, "horizon": 12, "trials": 9,
+                "schedule": {"kind": "constant", "base": 40}}
+        plain = run_experiment(ExperimentConfig.from_dict(
+            {"scenario": "workflow", "out_dir": str(tmp_path / "plain"), **base}
+        ))
+        kept = run_experiment(ExperimentConfig.from_dict(
+            {"scenario": "workflow-filtered", "out_dir": str(tmp_path / "kept"),
+             "filter": {"kind": "all-ones", "candidates_per_round": 40}, **base}
+        ))
+        for name in RESULT_COLUMNS:
+            assert plain.table[name].tobytes() == kept.table[name].tobytes(), name
+
+    @pytest.mark.parametrize("rates, expected", [({"kind": "example-sqrt"}, None),
+                                                 ({"p": 1.0, "noise_beta": 0.7}, -0.7)])
+    def test_a_rates_run_checks_its_slope_only_where_theory_gives_one(
+        self, tmp_path, rates, expected
+    ):
+        config = ExperimentConfig.from_dict(
+            {"scenario": "rates", "seed": 0, "rates": {"steps": 200, **rates},
+             "out_dir": str(tmp_path)}
+        )
+        assert config.rates.expected_slope() == expected
+        summary = run_experiment(config).summary
+        assert summary["expected_slope"] == expected and summary["fitted_slope"] is not None
+        names = [check.name for check in run_checks(config, summary)]
+        assert names == ([] if expected is None else ["rates-decay-slope"])
+
     def test_rates_run_recovers_the_expected_decay_slope(self, tmp_path):
         config = ExperimentConfig.from_dict(
             {

@@ -808,15 +808,15 @@ def _assert_the_stacked_solve_refuses(pts):
 
 
 def _count_finished_rows(monkeypatch, pts) -> list[int]:
-    """The rows of ``pts`` that the oracle kernel hands to its one-row continuation, in call order."""
+    """The rows of ``pts`` that the oracle kernel finishes one at a time, in call order."""
     finished = []
-    continuation = filtering._pullback_row
+    continuation = filtering.oracle_pullback_weights
 
     def counting(row, *args):
         finished.append(next(r for r, p in enumerate(pts) if np.shares_memory(row, p)))
         return continuation(row, *args)
 
-    monkeypatch.setattr(filtering, "_pullback_row", counting)
+    monkeypatch.setattr(filtering, "oracle_pullback_weights", counting)
     return finished
 
 

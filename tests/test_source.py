@@ -1,17 +1,17 @@
-"""Guards on the package source itself."""
+"""Guards on the package source itself and on the README that documents it."""
 
 import ast
 import pathlib
 
 import collapseguard
+from collapseguard.experiments import ExperimentConfig
 
 _SRC = pathlib.Path(collapseguard.__file__).parent
 
 # Public definitions that nothing in the package calls, each kept for a named reason:
 # criterion 08 compares check_matrix_contraction with sampled directions, and the
-# perfbench layer tracer wraps oracle_pullback_weights and aggregate_exceedance.
-_UNCALLED_BY_DESIGN = {"check_matrix_contraction", "oracle_pullback_weights",
-                       "aggregate_exceedance"}
+# perfbench layer tracer wraps aggregate_exceedance.
+_UNCALLED_BY_DESIGN = {"check_matrix_contraction", "aggregate_exceedance"}
 
 
 def _uncalled_public_definitions(src: pathlib.Path) -> set[str]:
@@ -42,3 +42,23 @@ def test_the_scan_sees_a_helper_nothing_calls(tmp_path):
     with open(tmp_path / "numerics.py", "a", encoding="utf-8") as fh:
         fh.write("\n\ndef only_for_tests():\n    return only_for_tests\n")
     assert _uncalled_public_definitions(tmp_path) == _UNCALLED_BY_DESIGN | {"only_for_tests"}
+
+
+def _config_reference() -> str:
+    """The "Config reference" section of the README, up to the next heading."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("### Config reference\n", 1)[1].split("\n#", 1)[0]
+
+
+def _leaf_names(tree: dict):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_names(value)
+        else:
+            yield key
+
+
+def test_every_config_field_is_named_in_the_readme():
+    reference = _config_reference()
+    full = ExperimentConfig.from_dict({"scenario": "dynamics", "seed": 1}).to_dict()
+    assert sorted({name for name in _leaf_names(full) if f"`{name}`" not in reference}) == []
